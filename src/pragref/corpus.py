@@ -77,11 +77,13 @@ def _split_word_punct(word: str) -> list[str]:
 
 
 def _split_suffixes(word: str) -> list[str]:
-    """Peel trailing -er/-est/-ish while the remaining stem keeps length >= 3."""
+    """Peel trailing -er/-est/-ish while the stem keeps length >= 3 and ends
+    in a letter or digit (so re-tokenizing the output changes nothing)."""
     suffixes: list[str] = []
     while True:
         for suf in _SUFFIXES:
-            if word.endswith(suf) and len(word) - len(suf) >= 3:
+            if (word.endswith(suf) and len(word) - len(suf) >= 3
+                    and word[-len(suf) - 1].isalnum()):
                 suffixes.append(suf)
                 word = word[: -len(suf)]
                 break
@@ -127,7 +129,8 @@ class Vocabulary:
     token_to_id: dict[str, int] = field(init=False)
 
     def __post_init__(self):
-        assert self.id_to_token[:3] == [UNK, BOS, EOS]
+        if self.id_to_token[:3] != [UNK, BOS, EOS]:
+            raise ValueError(f"vocabulary must start with {UNK}, {BOS}, {EOS}")
         self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
 
     def __len__(self) -> int:

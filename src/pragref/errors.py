@@ -45,5 +45,5 @@ class VacuousUtterance(PragrefError):
     """An utterance (or referent) has no support under the lexicon."""
 
 
-class MissingCheckpoint(PragrefError):
+class MissingCheckpoint(PragrefError, FileNotFoundError):
     """A required model checkpoint file does not exist."""

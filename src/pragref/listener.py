@@ -13,41 +13,37 @@ context-normalized distribution is valid regardless.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .colorspace import FOURIER_DIM, Color, fourier_features_array
 from .corpus import ContextTrial, Vocabulary, preprocess
 from .errors import EmptyUtterance
+from .metrics import _scores
 from .nnsubstrate import (
     Adadelta,
-    Adam,
     LstmCellParams,
     Parameter,
     Tensor,
-    clip_global_norm,
     embed,
-    load_checkpoint,
     log_softmax,
     quad_scores,
     run_lstm,
-    save_checkpoint,
     softmax_xent,
-    zero_gradients,
 )
 from .training import (
-    EpochStats,
     TrainConfig,
     TrainingReport,
-    restore_params,
+    _fit,
+    load_model,
     same_length_batches,
-    snapshot_params,
+    save_model,
 )
 
 
 class ListenerModel:
     """Parameters of the base listener (embedding, LSTM, output map)."""
+
+    kind = "listener"
 
     def __init__(self, vocab: Vocabulary, embedding: Parameter, cell: LstmCellParams,
                  out_w: Parameter, out_b: Parameter):
@@ -98,28 +94,11 @@ class ListenerModel:
         return quad_scores(feats, mu, sigma)
 
     def save(self, path) -> None:
-        arrays = {p.name: p.data for p in self.parameters()}
-        save_checkpoint(path, arrays, {
-            "model": "listener",
-            "vocab": self.vocab.id_to_token,
-            "embed_dim": self.embed_dim,
-            "hidden_dim": self.hidden_dim,
-            "feature_dim": self.feature_dim,
-        })
+        save_model(self, path)
 
     @classmethod
     def load(cls, path) -> "ListenerModel":
-        arrays, config = load_checkpoint(path)
-        if config.get("model") != "listener":
-            raise ValueError(f"not a listener checkpoint: {config.get('model')!r}")
-        vocab = Vocabulary(config["vocab"])
-        cell = LstmCellParams(config["embed_dim"], config["hidden_dim"],
-                              Parameter("lstm.w_x", arrays["lstm.w_x"]),
-                              Parameter("lstm.w_h", arrays["lstm.w_h"]),
-                              Parameter("lstm.bias", arrays["lstm.bias"]))
-        return cls(vocab, Parameter("embedding", arrays["embedding"]), cell,
-                   Parameter("out_w", arrays["out_w"]),
-                   Parameter("out_b", arrays["out_b"]))
+        return load_model(cls, path)
 
 
 def context_features(colors: tuple[Color, Color, Color]) -> np.ndarray:
@@ -166,69 +145,31 @@ def train_l0(model: ListenerModel, train_trials: list[ContextTrial],
              dev_trials: list[ContextTrial], config: TrainConfig) -> TrainingReport:
     """Minimize cross-entropy of the target index; keep the best-dev epoch.
 
-    Default optimizer is ADADELTA at learning rate 0.2. The model is left
-    holding the best-dev-accuracy parameters.
+    Trains with ADADELTA at learning rate 0.2, clipping gradients to a global
+    norm of 5.0. The model is left holding the best-dev-accuracy parameters.
     """
-    opt_name = config.optimizer or "adadelta"
-    lr = config.learning_rate if config.learning_rate is not None else \
-        (0.2 if opt_name == "adadelta" else 0.004)
-    params = model.parameters()
-    opt = (Adadelta if opt_name == "adadelta" else Adam)(params, lr=lr)
-
     ids = [np.array(trial_listener_ids(model, t)) for t in train_trials]
-    lengths = np.array([len(s) for s in ids])
     feats = np.stack([context_features(t.colors) for t in train_trials])
     targets = np.array([t.target_index for t in train_trials])
 
-    rng = np.random.default_rng(config.seed)
-    report = TrainingReport()
-    best_acc = -1.0
-    best = snapshot_params(params)
-    for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(len(ids))
-        total_loss = 0.0
-        for batch in same_length_batches(lengths, order, config.batch_size):
-            scores = model.scores(np.stack([ids[i] for i in batch]), feats[batch])
-            losses, _ = softmax_xent(scores, targets[batch])
-            loss = losses.mean()
-            loss.backward()
-            total_loss += float(losses.data.sum())
-            clip_global_norm(params, config.grad_clip)
-            opt.step()
-            zero_gradients(params)
+    def batch_loss(batch):
+        scores = model.scores(np.stack([ids[i] for i in batch]), feats[batch])
+        return softmax_xent(scores, targets[batch])[0], len(batch)
+
+    def dev():
         acc, ppl = evaluate_l0(model, dev_trials)
-        report.epochs.append(EpochStats(epoch, total_loss / len(ids), acc, ppl))
-        if acc > best_acc:
-            best_acc = acc
-            best = snapshot_params(params)
-            report.best_epoch = epoch
-    restore_params(params, best)
-    return report
+        return acc, {"dev_accuracy": acc, "dev_perplexity": ppl}
+
+    return _fit(Adadelta(model.parameters()), np.array([len(s) for s in ids]),
+                batch_loss, dev, config)
 
 
 def evaluate_l0(model: ListenerModel,
                 trials: list[ContextTrial]) -> tuple[float, float]:
     """(accuracy, perplexity) of the base listener on a trial list."""
-    probs = l0_trial_probs(model, trials)
-    targets = np.array([t.target_index for t in trials])
-    acc = float((probs.argmax(axis=1) == targets).mean())
-    p_target = np.maximum(probs[np.arange(len(trials)), targets], 1e-300)
-    ppl = float(np.exp(-np.log(p_target).mean()))
-    return acc, ppl
-
-
-def l0_trial_probs(model: ListenerModel, trials: list[ContextTrial]) -> np.ndarray:
-    """Batched listener distributions for whole trials (N, 3)."""
-    id_seqs = [trial_listener_ids(model, t) for t in trials]
-    n = len(trials)
-    out = np.empty((n, 3))
-    lengths = np.array([len(s) for s in id_seqs])
-    feats = np.stack([context_features(t.colors) for t in trials])
-    for group in same_length_batches(lengths, np.arange(n), batch_size=512):
-        scores = model.scores(np.stack([np.array(id_seqs[i]) for i in group]),
-                              feats[group])
-        out[group] = np.exp(log_softmax(scores.data))
-    return out
+    probs = l0_probs_many(model, [trial_listener_ids(model, t) for t in trials],
+                          np.stack([context_features(t.colors) for t in trials]))
+    return _scores(probs, np.array([t.target_index for t in trials]))
 
 
 def density_grid(model: ListenerModel, tokens: list[str], h_bins: int = 90,

@@ -229,25 +229,17 @@ class BaseSpeakerSampler:
 
     name = "s0"
 
-    def __init__(self, model, temperature: float = 1.0, chunk: int = 1024):
+    def __init__(self, model):
         self.model = model
-        self.temperature = temperature
-        self.chunk = chunk
 
     def sample_texts(self, contexts: list[Context],
                      rng: np.random.Generator) -> list[str]:
-        from .speaker import reorder_target_last, s0_sample_batch
+        from .speaker import reorder_target_last, s0_sample_utterances
 
         feats = np.stack([reorder_target_last(colors, target)
                           for colors, target, _ in contexts])
-        texts: list[str] = []
-        for lo in range(0, len(contexts), self.chunk):
-            rows = s0_sample_batch(self.model, feats[lo:lo + self.chunk], rng,
-                                   self.temperature)
-            for ids, _ in rows:
-                tokens = self.model.vocab.decode(list(ids))[:-1]
-                texts.append(" ".join(tokens))
-        return texts
+        return [" ".join(tokens)
+                for tokens in s0_sample_utterances(self.model, feats, rng)]
 
 
 class PragmaticSpeakerSampler:
@@ -262,49 +254,35 @@ class PragmaticSpeakerSampler:
     name = "s1"
 
     def __init__(self, l0_model, s0_model, alpha: float = 0.544,
-                 pool_size: int = 24, temperature: float = 1.0, chunk: int = 1024):
+                 pool_size: int = 24):
         self.l0_model = l0_model
         self.s0_model = s0_model
         self.alpha = alpha
         self.pool_size = pool_size
-        self.temperature = temperature
-        self.chunk = chunk
 
     def sample_texts(self, contexts: list[Context],
                      rng: np.random.Generator) -> list[str]:
         from .corpus import speaker_tokens_to_listener_tokens
         from .listener import context_features, l0_probs_many
-        from .speaker import reorder_target_last, s0_sample_batch
+        from .speaker import reorder_target_last, s0_sample_utterances
 
-        n = len(contexts)
-        pool: list[list[tuple[str, ...]]] = [[] for _ in range(n)]
         feats = np.repeat(np.stack([reorder_target_last(c, t)
                                     for c, t, _ in contexts]), self.pool_size, axis=0)
-        for lo in range(0, len(feats), self.chunk):
-            rows = s0_sample_batch(self.s0_model, feats[lo:lo + self.chunk], rng,
-                                   self.temperature)
-            for j, (ids, _) in enumerate(rows):
-                ctx_i = (lo + j) // self.pool_size
-                tokens = tuple(self.s0_model.vocab.decode(list(ids))[:-1])
-                pool[ctx_i].append(tokens)
+        samples = s0_sample_utterances(self.s0_model, feats, rng)
+        pool = [[c for c in samples[i:i + self.pool_size] if c]
+                for i in range(0, len(samples), self.pool_size)]
 
         # score every non-empty candidate against its own context
-        flat_ids, flat_feats, owner = [], [], []
+        flat_ids = [self.l0_model.encode_tokens(speaker_tokens_to_listener_tokens(list(c)))
+                    for cands in pool for c in cands]
         ctx_feats = [context_features(c) for c, _, _ in contexts]
-        for i, cands in enumerate(pool):
-            for cand in cands:
-                if cand:
-                    flat_ids.append(self.l0_model.encode_tokens(
-                        speaker_tokens_to_listener_tokens(list(cand))))
-                    flat_feats.append(ctx_feats[i])
-                    owner.append(i)
+        flat_feats = [f for cands, f in zip(pool, ctx_feats) for _ in cands]
         probs = l0_probs_many(self.l0_model, flat_ids, np.stack(flat_feats)) \
             if flat_ids else np.zeros((0, 3))
 
         texts: list[str] = []
         cursor = 0
-        for i, (colors, target, _) in enumerate(contexts):
-            cands = [c for c in pool[i] if c]
+        for cands, (_, target, _) in zip(pool, contexts):
             k = len(cands)
             scored = probs[cursor:cursor + k, target]
             cursor += k

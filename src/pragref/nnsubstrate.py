@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IndexOutOfRange, NonFiniteGradient
+from .errors import IndexOutOfRange, MissingCheckpoint, NonFiniteGradient
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -442,9 +442,6 @@ class Adadelta:
             p.data += self.lr * update
 
 
-OPTIMIZERS = {"adam": Adam, "adadelta": Adadelta}
-
-
 # -- checkpoints --------------------------------------------------------------
 
 
@@ -461,7 +458,11 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], config: dict) -> None:
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     """Read a checkpoint; returns (arrays, config). Validates the format tag."""
-    with np.load(path, allow_pickle=False) as npz:
+    try:
+        npz = np.load(path, allow_pickle=False)
+    except FileNotFoundError as e:
+        raise MissingCheckpoint(f"no checkpoint at {path}") from e
+    with npz:
         meta = json.loads(str(npz["__meta__"]))
         if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
             raise ValueError(f"unsupported checkpoint format: {meta.get('format_version')}")

@@ -142,15 +142,7 @@ def exact_s1(lex: Lexicon, t: int, alpha: float = 1.0, kappa=None) -> list:
 
 def exact_l2(lex: Lexicon, u, alpha: float = 1.0, kappa=None) -> list:
     """Pragmatic listener over the pragmatic speaker, via Bayes' rule."""
-    ui = lex.utterance_index(u)
-    weights = []
-    for t in range(lex.n_referents):
-        try:
-            s1_val = exact_s1(lex, t, alpha, kappa)[ui]
-        except VacuousUtterance:
-            s1_val = 0
-        weights.append(s1_val * lex.prior[t])
-    return _normalize(weights)
+    return _invert_speaker(lex, u, lambda t: exact_s1(lex, t, alpha, kappa))
 
 
 def exact_s0(lex: Lexicon, t: int, kappa=None) -> list:
@@ -171,14 +163,19 @@ def exact_s0(lex: Lexicon, t: int, kappa=None) -> list:
 
 def exact_l1(lex: Lexicon, u, kappa=None) -> list:
     """Pragmatic listener over the literal speaker."""
+    return _invert_speaker(lex, u, lambda t: exact_s0(lex, t, kappa))
+
+
+def _invert_speaker(lex: Lexicon, u, speaker) -> list:
+    """Bayes' rule: P(t | u) ~ speaker(t)[u] * prior(t); vacuous referents get 0."""
     ui = lex.utterance_index(u)
     weights = []
     for t in range(lex.n_referents):
         try:
-            s0_val = exact_s0(lex, t, kappa)[ui]
+            s_val = speaker(t)[ui]
         except VacuousUtterance:
-            s0_val = 0
-        weights.append(s0_val * lex.prior[t])
+            s_val = 0
+        weights.append(s_val * lex.prior[t])
     return _normalize(weights)
 
 
@@ -355,9 +352,6 @@ def blend(p: np.ndarray, q: np.ndarray, w: float) -> np.ndarray:
     mix -= mix.max()
     out = np.exp(mix)
     return out / out.sum()
-
-
-AGENT_NAMES = ("l0", "l1", "l2", "la", "lb", "le")
 
 
 def compute_agents(l0_model: ListenerModel, s0_model: SpeakerModel, u,

@@ -16,29 +16,25 @@ import numpy as np
 from .colorspace import FOURIER_DIM, Color, fourier_features_array
 from .corpus import EOS, ContextTrial, Vocabulary, preprocess
 from .nnsubstrate import (
-    Adadelta,
     Adam,
     LstmCellParams,
     Parameter,
     Tensor,
-    clip_global_norm,
     embed,
-    load_checkpoint,
     run_lstm,
-    save_checkpoint,
     softmax_xent,
-    zero_gradients,
 )
 from .training import (
-    EpochStats,
     TrainConfig,
     TrainingReport,
-    restore_params,
+    _fit,
+    load_model,
     same_length_batches,
-    snapshot_params,
+    save_model,
 )
 
 MAX_DECODE_LEN = 20
+SAMPLE_BATCH = 1024
 
 
 @dataclass
@@ -51,6 +47,8 @@ class UtteranceSample:
 
 class SpeakerModel:
     """Parameters of the base speaker (encoder, embedding, decoder, output)."""
+
+    kind = "speaker"
 
     def __init__(self, vocab: Vocabulary, encoder: LstmCellParams,
                  embedding: Parameter, decoder: LstmCellParams,
@@ -104,33 +102,11 @@ class SpeakerModel:
         return h2 @ self.out_w + self.out_b, h2, c2
 
     def save(self, path) -> None:
-        arrays = {p.name: p.data for p in self.parameters()}
-        save_checkpoint(path, arrays, {
-            "model": "speaker",
-            "vocab": self.vocab.id_to_token,
-            "embed_dim": self.embed_dim,
-            "hidden_dim": self.hidden_dim,
-            "feature_dim": self.feature_dim,
-        })
+        save_model(self, path)
 
     @classmethod
     def load(cls, path) -> "SpeakerModel":
-        arrays, config = load_checkpoint(path)
-        if config.get("model") != "speaker":
-            raise ValueError(f"not a speaker checkpoint: {config.get('model')!r}")
-
-        def cell(name, input_dim):
-            return LstmCellParams(input_dim, config["hidden_dim"],
-                                  Parameter(f"{name}.w_x", arrays[f"{name}.w_x"]),
-                                  Parameter(f"{name}.w_h", arrays[f"{name}.w_h"]),
-                                  Parameter(f"{name}.bias", arrays[f"{name}.bias"]))
-
-        return cls(Vocabulary(config["vocab"]),
-                   cell("encoder", config["feature_dim"]),
-                   Parameter("embedding", arrays["embedding"]),
-                   cell("decoder", config["hidden_dim"] + config["embed_dim"]),
-                   Parameter("out_w", arrays["out_w"]),
-                   Parameter("out_b", arrays["out_b"]))
+        return load_model(cls, path)
 
 
 def reorder_target_last(colors: tuple[Color, Color, Color],
@@ -186,13 +162,13 @@ def s0_log_probs_batch(model: SpeakerModel, id_seqs: list[list[int]],
 
 
 def s0_sample_batch(model: SpeakerModel, feats: np.ndarray,
-                    rng: np.random.Generator, temperature: float = 1.0,
-                    max_len: int = MAX_DECODE_LEN) -> list[tuple[tuple[int, ...], float]]:
+                    rng: np.random.Generator,
+                    temperature: float = 1.0) -> list[tuple[tuple[int, ...], float]]:
     """Ancestral sampling for (B, 3, F) contexts; returns (ids, log_prob) rows.
 
     temperature scales the sampling distribution only; recorded log_prob is
-    always the model's own. temperature=0 decodes greedily. Rows that hit
-    max_len get </s> forced, with its model log probability included.
+    always the model's own. temperature=0 decodes greedily. Rows that reach
+    MAX_DECODE_LEN get </s> forced, with its model log probability included.
     """
     batch = feats.shape[0]
     ctx = model.encode(feats)
@@ -203,7 +179,7 @@ def s0_sample_batch(model: SpeakerModel, feats: np.ndarray,
     seqs: list[list[int]] = [[] for _ in range(batch)]
     log_probs = np.zeros(batch)
     eos = model.vocab.eos_id
-    for step in range(max_len):
+    for step in range(MAX_DECODE_LEN):
         logits, h, c = model.step_logits(ctx, prev, h, c)
         z = logits.data - logits.data.max(axis=1, keepdims=True)
         logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
@@ -211,7 +187,7 @@ def s0_sample_batch(model: SpeakerModel, feats: np.ndarray,
         # distribution additionally masks <s>, which is an input-only symbol
         z_sample = z.copy()
         z_sample[:, model.vocab.bos_id] = -np.inf
-        if step == max_len - 1:
+        if step == MAX_DECODE_LEN - 1:
             chosen = np.full(batch, eos)
         elif temperature <= 0.0:
             chosen = z_sample.argmax(axis=1)
@@ -233,6 +209,15 @@ def s0_sample_batch(model: SpeakerModel, feats: np.ndarray,
     return [(tuple(s), float(lp)) for s, lp in zip(seqs, log_probs)]
 
 
+def s0_sample_utterances(model: SpeakerModel, feats: np.ndarray,
+                         rng: np.random.Generator) -> list[tuple[str, ...]]:
+    """One description per (N, 3, F) context, sampled SAMPLE_BATCH rows at a
+    time: speaker-mode tokens without </s>, so a bare </s> gives ()."""
+    return [tuple(model.vocab.decode(list(ids))[:-1])
+            for lo in range(0, len(feats), SAMPLE_BATCH)
+            for ids, _ in s0_sample_batch(model, feats[lo:lo + SAMPLE_BATCH], rng)]
+
+
 def s0_sample(model: SpeakerModel, colors: tuple[Color, Color, Color],
               target_index: int, rng: np.random.Generator,
               temperature: float = 1.0) -> UtteranceSample:
@@ -251,47 +236,24 @@ def train_s0(model: SpeakerModel, train_trials: list[ContextTrial],
              dev_trials: list[ContextTrial], config: TrainConfig) -> TrainingReport:
     """Minimize per-token cross-entropy; keep the best-dev-perplexity epoch.
 
-    Default optimizer is Adam at learning rate 0.004.
+    Trains with Adam at learning rate 0.004, clipping gradients to a global
+    norm of 5.0. The model is left holding the best-dev-perplexity parameters.
     """
-    opt_name = config.optimizer or "adam"
-    lr = config.learning_rate if config.learning_rate is not None else \
-        (0.004 if opt_name == "adam" else 0.2)
-    params = model.parameters()
-    opt = (Adam if opt_name == "adam" else Adadelta)(params, lr=lr)
-
     ids = [np.array(trial_speaker_ids(model, t)) for t in train_trials]
     lengths = np.array([len(s) for s in ids])
     feats = np.stack([reorder_target_last(t.colors, t.target_index)
                       for t in train_trials])
 
-    rng = np.random.default_rng(config.seed)
-    report = TrainingReport()
-    best_ppl = np.inf
-    best = snapshot_params(params)
-    for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(len(ids))
-        total_loss = 0.0
-        total_tokens = 0
-        for batch in same_length_batches(lengths, order, config.batch_size):
-            losses = _teacher_forced_losses(
-                model, feats[batch], np.stack([ids[i] for i in batch]))
-            n_tokens = int(lengths[batch].sum())
-            loss = losses.sum() * (1.0 / n_tokens)
-            loss.backward()
-            total_loss += float(losses.data.sum())
-            total_tokens += n_tokens
-            clip_global_norm(params, config.grad_clip)
-            opt.step()
-            zero_gradients(params)
+    def batch_loss(batch):
+        losses = _teacher_forced_losses(model, feats[batch],
+                                        np.stack([ids[i] for i in batch]))
+        return losses, int(lengths[batch].sum())
+
+    def dev():
         ppl = dev_token_perplexity(model, dev_trials)
-        report.epochs.append(EpochStats(epoch, total_loss / total_tokens,
-                                        dev_perplexity=ppl))
-        if ppl < best_ppl:
-            best_ppl = ppl
-            best = snapshot_params(params)
-            report.best_epoch = epoch
-    restore_params(params, best)
-    return report
+        return -ppl, {"dev_perplexity": ppl}
+
+    return _fit(Adam(model.parameters()), lengths, batch_loss, dev, config)
 
 
 def dev_token_perplexity(model: SpeakerModel, trials: list[ContextTrial]) -> float:

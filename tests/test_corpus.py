@@ -3,12 +3,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pragref.colorspace import Color, Condition, rgb_to_hsv
 from pragref.corpus import (
     ContextTrial,
+    Vocabulary,
     apply_split,
     build_vocab,
     dump_trials,
@@ -50,6 +51,8 @@ class TestPreprocess:
     @given(st.lists(st.text(alphabet="abest rih.,!", min_size=1, max_size=12),
                     min_size=1, max_size=4))
     @settings(max_examples=200, deadline=None)
+    @example(["aa.ish"])
+    @example(["ab,est"])
     def test_idempotent_on_own_output(self, texts):
         for mode in ("listener", "speaker"):
             once = preprocess(texts, mode)
@@ -78,6 +81,10 @@ class TestVocabulary:
         vocab = build_vocab([["blue", "blue", "dark", "dark"]])
         tokens = ["dark", "blue"]
         assert vocab.decode(vocab.encode(tokens)) == tokens
+
+    def test_reserved_prefix_required(self):
+        with pytest.raises(ValueError):
+            Vocabulary(["<s>", "<unk>", "</s>", "blue"])
 
 
 class TestLoadRaw:

@@ -3,7 +3,7 @@ import pytest
 
 from pragref.colorspace import Color, fourier_features
 from pragref.corpus import build_vocab, synth_corpus, preprocess
-from pragref.errors import EmptyUtterance
+from pragref.errors import EmptyUtterance, MissingCheckpoint
 from pragref.listener import (
     ListenerModel,
     context_features,
@@ -13,7 +13,8 @@ from pragref.listener import (
     l0_score,
     train_l0,
 )
-from pragref.training import TrainConfig
+from pragref.nnsubstrate import load_checkpoint, save_checkpoint
+from pragref.training import TrainConfig, same_length_batches
 
 
 def tiny_model(seed=0, feature_dim=54):
@@ -96,6 +97,19 @@ class TestTrainL0:
         assert report.best_epoch > 0
         assert len(report.epochs) == 12
 
+    def test_gradient_norms_recorded(self):
+        rng = np.random.default_rng(1)
+        trials = synth_corpus(60, rng)
+        vocab = build_vocab([preprocess(t.combined_text(), "listener") for t in trials])
+        model = ListenerModel.create(vocab, rng, embed_dim=8, hidden_dim=6)
+        report = train_l0(model, trials, trials[:20], TrainConfig(epochs=2, seed=2))
+        lengths = np.array([len(preprocess(t.combined_text(), "listener"))
+                            for t in trials])
+        n_batches = len(list(same_length_batches(lengths, np.arange(len(trials)), 32)))
+        for e in report.epochs:
+            assert np.isfinite(e.max_grad_norm) and e.max_grad_norm > 0
+            assert 0 <= e.clipped_steps <= n_batches
+
     def test_training_reproducible(self):
         rng_trials = np.random.default_rng(3)
         trials = synth_corpus(30, rng_trials)
@@ -160,3 +174,24 @@ class TestCheckpointRoundTrip:
         after = l0_score(loaded, ["dark", "blue"], colors)
         assert np.allclose(before, after, atol=0)
         assert loaded.vocab.id_to_token == model.vocab.id_to_token
+
+    def test_missing_file_raises(self, tmp_path):
+        with pytest.raises(MissingCheckpoint):
+            ListenerModel.load(tmp_path / "absent.npz")
+
+    def test_mismatched_arrays_raise(self, tmp_path):
+        model = tiny_model(seed=5)
+        path = tmp_path / "l0.npz"
+        model.save(path)
+        arrays, config = load_checkpoint(path)
+
+        missing = tmp_path / "missing.npz"
+        save_checkpoint(missing, {k: v for k, v in arrays.items() if k != "out_b"}, config)
+        with pytest.raises(ValueError, match="out_b"):
+            ListenerModel.load(missing)
+
+        # one more vocabulary entry than embedding rows
+        grown = tmp_path / "grown.npz"
+        save_checkpoint(grown, arrays, {**config, "vocab": config["vocab"] + ["teal"]})
+        with pytest.raises(ValueError, match="embedding"):
+            ListenerModel.load(grown)

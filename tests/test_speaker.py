@@ -5,6 +5,8 @@ import pytest
 
 from pragref.colorspace import Color
 from pragref.corpus import EOS, build_vocab, preprocess, synth_corpus
+from pragref.errors import MissingCheckpoint
+from pragref.nnsubstrate import load_checkpoint, save_checkpoint
 from pragref.speaker import (
     SpeakerModel,
     dev_token_perplexity,
@@ -14,7 +16,7 @@ from pragref.speaker import (
     s0_sample,
     train_s0,
 )
-from pragref.training import TrainConfig
+from pragref.training import TrainConfig, same_length_batches
 
 COLORS = (Color(0.9, 0.1, 0.1), Color(0.1, 0.2, 0.8), Color(0.2, 0.9, 0.3))
 
@@ -158,6 +160,19 @@ class TestTrainS0:
         ppl = dev_token_perplexity(model, trials)
         assert ppl < 1.35
 
+    def test_gradient_norms_recorded(self):
+        rng = np.random.default_rng(10)
+        trials = synth_corpus(60, rng)
+        vocab = build_vocab([preprocess(t.combined_text(), "speaker") for t in trials])
+        model = SpeakerModel.create(vocab, rng, embed_dim=8, hidden_dim=6)
+        report = train_s0(model, trials, trials[:20], TrainConfig(epochs=2, seed=1))
+        lengths = np.array([len(preprocess(t.combined_text(), "speaker")) + 1
+                            for t in trials])
+        n_batches = len(list(same_length_batches(lengths, np.arange(len(trials)), 32)))
+        for e in report.epochs:
+            assert np.isfinite(e.max_grad_norm) and e.max_grad_norm > 0
+            assert 0 <= e.clipped_steps <= n_batches
+
     def test_checkpoint_round_trip(self, tmp_path):
         model = tiny_model(seed=7)
         path = tmp_path / "s0.npz"
@@ -166,3 +181,25 @@ class TestTrainS0:
         a = s0_log_prob(model, ["blue", EOS], COLORS, 0)
         b = s0_log_prob(loaded, ["blue", EOS], COLORS, 0)
         assert a == b
+
+    def test_checkpoint_missing_file_raises(self, tmp_path):
+        with pytest.raises(MissingCheckpoint):
+            SpeakerModel.load(tmp_path / "absent.npz")
+
+    def test_checkpoint_mismatched_arrays_raise(self, tmp_path):
+        model = tiny_model(seed=7)
+        path = tmp_path / "s0.npz"
+        model.save(path)
+        arrays, config = load_checkpoint(path)
+
+        missing = tmp_path / "missing.npz"
+        save_checkpoint(missing, {k: v for k, v in arrays.items() if k != "decoder.w_h"},
+                        config)
+        with pytest.raises(ValueError, match="decoder.w_h"):
+            SpeakerModel.load(missing)
+
+        # one more vocabulary entry than embedding and output rows
+        grown = tmp_path / "grown.npz"
+        save_checkpoint(grown, arrays, {**config, "vocab": config["vocab"] + ["teal"]})
+        with pytest.raises(ValueError, match="embedding"):
+            SpeakerModel.load(grown)
