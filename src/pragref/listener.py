@@ -26,6 +26,7 @@ from .nnsubstrate import (
     Tensor,
     embed,
     log_softmax,
+    no_grad,
     quad_scores,
     run_lstm,
     softmax_xent,
@@ -105,6 +106,7 @@ def context_features(colors: tuple[Color, Color, Color]) -> np.ndarray:
     return fourier_features_array(np.stack([c.as_array() for c in colors]))
 
 
+@no_grad()
 def l0_score(model: ListenerModel, tokens: list[str],
              colors: tuple[Color, Color, Color]) -> np.ndarray:
     """Distribution over the three context colors given listener-mode tokens."""
@@ -116,6 +118,7 @@ def l0_score(model: ListenerModel, tokens: list[str],
     return np.exp(log_softmax(scores.data[0]))
 
 
+@no_grad()
 def l0_probs_many(model: ListenerModel, id_seqs: list[list[int]],
                   feats: np.ndarray) -> np.ndarray:
     """Batched listener distributions for many utterances.
@@ -149,6 +152,9 @@ def train_l0(model: ListenerModel, train_trials: list[ContextTrial],
     norm of 5.0. The model is left holding the best-dev-accuracy parameters.
     """
     ids = [np.array(trial_listener_ids(model, t)) for t in train_trials]
+    for i, row in enumerate(ids):
+        if not row.size:
+            raise EmptyUtterance(f"training trial {i} has a listener text with no tokens")
     feats = np.stack([context_features(t.colors) for t in train_trials])
     targets = np.array([t.target_index for t in train_trials])
 
@@ -172,6 +178,7 @@ def evaluate_l0(model: ListenerModel,
     return _scores(probs, np.array([t.target_index for t in trials]))
 
 
+@no_grad()
 def density_grid(model: ListenerModel, tokens: list[str], h_bins: int = 90,
                  s_bins: int = 50, v_bins: int = 50) -> np.ndarray:
     """Log marginal scorer density over (hue, saturation), summed over value.

@@ -6,13 +6,20 @@ softmax/cross-entropy, a fused quadratic-form scorer, Adam and ADADELTA
 optimizers with global-norm gradient clipping, and a self-describing
 checkpoint container.
 
+Inference builds no graph: the forward-only functions of the listener and the
+speaker run under `no_grad()`, where derived tensors keep neither parents nor a
+backward hook, so each step's arrays are freed once nothing refers to them.
+
 Everything is double precision. A model instance is single-threaded during
-training; frozen parameter arrays may be shared freely across threads.
+training; frozen parameter arrays may be shared freely across threads, and the
+`no_grad` flag is per thread.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,17 +39,46 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+class _GradMode(threading.local):
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Forward-only mode for the current thread; also usable as a decorator.
+
+    Tensors derived inside it do not require gradients and keep neither their
+    parents nor a backward hook. Parameters stay trainable.
+    """
+    previous = _grad_mode.enabled
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = previous
+
+
 class Tensor:
     """A node in the computation graph: a float64 array plus backward hook."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_hook")
 
-    def __init__(self, data, requires_grad: bool = False, parents=(), backward=None):
+    def __init__(self, data, requires_grad: bool = False, parents=()):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
-        self._parents = parents
-        self._backward = backward
+        self.requires_grad = requires_grad or (
+            _grad_mode.enabled and any(p.requires_grad for p in parents))
+        self._parents = parents if self.requires_grad else ()
+        self._hook = None
+
+    def _set_backward(self, fn) -> None:
+        if self.requires_grad:  # a node outside the graph drops the hook its op assigns
+            self._hook = fn
+
+    _backward = property(lambda self: self._hook, _set_backward)
 
     @property
     def shape(self):
@@ -177,8 +213,8 @@ class Tensor:
                     stack.append((p, False))
         self._accumulate(np.ones_like(self.data))
         for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            if node._hook is not None and node.grad is not None:
+                node._hook(node.grad)
 
 
 class Parameter(Tensor):
@@ -446,14 +482,18 @@ class Adadelta:
 
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray], config: dict) -> None:
-    """Write named float64 arrays plus a JSON config to a self-describing file."""
+    """Write named float64 arrays plus a JSON config to a self-describing file.
+
+    The file lands at exactly `path`; no suffix is appended.
+    """
     meta = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "dtype": "float64",
         "arrays": {k: list(v.shape) for k, v in arrays.items()},
         "config": config,
     }
-    np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, __meta__=np.array(json.dumps(meta)), **arrays)
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:

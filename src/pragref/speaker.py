@@ -20,7 +20,10 @@ from .nnsubstrate import (
     LstmCellParams,
     Parameter,
     Tensor,
+    concat,
     embed,
+    lstm_step,
+    no_grad,
     run_lstm,
     softmax_xent,
 )
@@ -95,8 +98,6 @@ class SpeakerModel:
     def step_logits(self, ctx: Tensor, token_ids: np.ndarray,
                     h: Tensor, c: Tensor) -> tuple[Tensor, Tensor, Tensor]:
         """One decoder step: previous tokens (B,) -> next-token logits (B, V)."""
-        from .nnsubstrate import concat, lstm_step
-
         x = concat([ctx, embed(token_ids, self.embedding)], axis=1)
         h2, c2 = lstm_step(x, h, c, self.decoder)
         return h2 @ self.out_w + self.out_b, h2, c2
@@ -116,6 +117,7 @@ def reorder_target_last(colors: tuple[Color, Color, Color],
     return fourier_features_array(np.stack([colors[i].as_array() for i in order]))
 
 
+@no_grad()
 def encode_context(model: SpeakerModel, colors: tuple[Color, Color, Color],
                    target_index: int) -> np.ndarray:
     """The context vector h: encoder final cell state, target fed last."""
@@ -139,6 +141,7 @@ def _teacher_forced_losses(model: SpeakerModel, feats: np.ndarray,
     return total
 
 
+@no_grad()
 def s0_log_prob(model: SpeakerModel, tokens: list[str],
                 colors: tuple[Color, Color, Color], target_index: int) -> float:
     """Teacher-forced log probability of a token sequence ending with </s>."""
@@ -149,6 +152,7 @@ def s0_log_prob(model: SpeakerModel, tokens: list[str],
     return -float(_teacher_forced_losses(model, feats, ids).data[0])
 
 
+@no_grad()
 def s0_log_probs_batch(model: SpeakerModel, id_seqs: list[list[int]],
                        feats: np.ndarray) -> np.ndarray:
     """Batched log probabilities; feats (B, 3, F) target-last per row."""
@@ -161,6 +165,7 @@ def s0_log_probs_batch(model: SpeakerModel, id_seqs: list[list[int]],
     return out
 
 
+@no_grad()
 def s0_sample_batch(model: SpeakerModel, feats: np.ndarray,
                     rng: np.random.Generator,
                     temperature: float = 1.0) -> list[tuple[tuple[int, ...], float]]:
@@ -169,6 +174,8 @@ def s0_sample_batch(model: SpeakerModel, feats: np.ndarray,
     temperature scales the sampling distribution only; recorded log_prob is
     always the model's own. temperature=0 decodes greedily. Rows that reach
     MAX_DECODE_LEN get </s> forced, with its model log probability included.
+    Sampling builds no autograd graph, so each step's arrays are freed once
+    the next step replaces them.
     """
     batch = feats.shape[0]
     ctx = model.encode(feats)
@@ -176,9 +183,9 @@ def s0_sample_batch(model: SpeakerModel, feats: np.ndarray,
     c = Tensor(np.zeros((batch, model.hidden_dim)))
     prev = np.full(batch, model.vocab.bos_id)
     alive = np.ones(batch, dtype=bool)
-    seqs: list[list[int]] = [[] for _ in range(batch)]
-    log_probs = np.zeros(batch)
     eos = model.vocab.eos_id
+    ids = np.full((batch, MAX_DECODE_LEN), eos)
+    log_probs = np.zeros(batch)
     for step in range(MAX_DECODE_LEN):
         logits, h, c = model.step_logits(ctx, prev, h, c)
         z = logits.data - logits.data.max(axis=1, keepdims=True)
@@ -198,15 +205,16 @@ def s0_sample_batch(model: SpeakerModel, feats: np.ndarray,
             u = rng.random((batch, 1))
             chosen = (pt.cumsum(axis=1) < u).sum(axis=1)
             chosen = np.minimum(chosen, pt.shape[1] - 1)
-        for i in range(batch):
-            if alive[i]:
-                seqs[i].append(int(chosen[i]))
-                log_probs[i] += logp[i, chosen[i]]
+        live = np.flatnonzero(alive)  # each live row holds exactly `step` ids so far
+        ids[live, step] = chosen[live]
+        log_probs[live] += logp[live, chosen[live]]
         alive &= chosen != eos
         if not alive.any():
             break
         prev = np.where(alive, chosen, eos)
-    return [(tuple(s), float(lp)) for s, lp in zip(seqs, log_probs)]
+    # every row ends at its first </s>, chosen or forced at MAX_DECODE_LEN
+    return [(tuple(row[:row.index(eos) + 1]), lp)
+            for row, lp in zip(ids.tolist(), log_probs.tolist())]
 
 
 def s0_sample_utterances(model: SpeakerModel, feats: np.ndarray,

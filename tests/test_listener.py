@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from pragref.listener import (
     l0_score,
     train_l0,
 )
-from pragref.nnsubstrate import load_checkpoint, save_checkpoint
+from pragref.nnsubstrate import load_checkpoint, log_softmax, save_checkpoint
 from pragref.training import TrainConfig, same_length_batches
 
 
@@ -64,6 +66,20 @@ class TestL0Score:
         assert np.all(np.isfinite(probs))
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(probs >= 0)
+
+    def test_forward_only_matches_graph_forward(self):
+        rng = np.random.default_rng(12)
+        model = ListenerModel.create(tiny_model().vocab, rng, embed_dim=8, hidden_dim=6)
+        id_seqs = [list(rng.integers(0, len(model.vocab), size=rng.integers(1, 5)))
+                   for _ in range(40)]
+        feats = rng.standard_normal((40, 3, 54))
+        want = np.empty((40, 3))
+        lengths = np.array([len(s) for s in id_seqs])
+        for group in same_length_batches(lengths, np.arange(40), batch_size=512):
+            scores = model.scores(np.array([id_seqs[i] for i in group]), feats[group])
+            assert scores.requires_grad
+            want[group] = np.exp(log_softmax(scores.data))
+        assert np.array_equal(l0_probs_many(model, id_seqs, feats), want)
 
     def test_batched_matches_single(self):
         model = tiny_model()
@@ -125,6 +141,18 @@ class TestTrainL0:
         for p, q in zip(a.parameters(), b.parameters()):
             assert np.array_equal(p.data, q.data)
 
+    def test_empty_utterance_raises_before_training(self):
+        trials = synth_corpus(30, np.random.default_rng(4))
+        trials[17] = dataclasses.replace(trials[17], speaker_texts=[""])
+        vocab = build_vocab([preprocess(t.combined_text(), "listener") for t in trials])
+        model = ListenerModel.create(vocab, np.random.default_rng(0),
+                                     embed_dim=8, hidden_dim=6)
+        before = [p.data.copy() for p in model.parameters()]
+        with pytest.raises(EmptyUtterance, match="trial 17"):
+            train_l0(model, trials, trials[:5], TrainConfig(epochs=1))
+        for p, q in zip(model.parameters(), before):
+            assert np.array_equal(p.data, q)
+
 
 class TestDensityGrid:
     def test_uniform_scorer_all_zero(self):
@@ -174,6 +202,14 @@ class TestCheckpointRoundTrip:
         after = l0_score(loaded, ["dark", "blue"], colors)
         assert np.allclose(before, after, atol=0)
         assert loaded.vocab.id_to_token == model.vocab.id_to_token
+
+    def test_path_without_suffix(self, tmp_path):
+        model = tiny_model(seed=5)
+        path = tmp_path / "l0ck"
+        model.save(path)
+        loaded = ListenerModel.load(path)
+        for p, q in zip(model.parameters(), loaded.parameters()):
+            assert np.array_equal(p.data, q.data)
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(MissingCheckpoint):

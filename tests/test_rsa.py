@@ -25,7 +25,8 @@ from pragref.rsa import (
     neural_s1,
     s1_table_from_probs,
 )
-from pragref.speaker import SpeakerModel
+from pragref.listener import l0_probs_many
+from pragref.speaker import SpeakerModel, s0_log_probs_batch, s0_sample_batch
 
 COLORS = (Color(0.22, 0.52, 0.78), Color(0.0, 0.98, 0.99), Color(0.62, 0.39, 0.38))
 
@@ -228,3 +229,18 @@ class TestComputeAgents:
         for dist in agents.values():
             assert dist.shape == (3,)
             assert dist.sum() == pytest.approx(1.0, abs=1e-9)
+
+    def test_forward_only_matches_graph_forward(self, monkeypatch):
+        l0, s0 = models(seed=9)
+        cfg = PragmaticsConfig(m=3, n=2)
+        texts = ["dark blue", "red", "teal", "dull blue"]
+        got = [compute_agents(l0, s0, u, COLORS, cfg, np.random.default_rng(4))
+               for u in texts]
+        # the undecorated scorers and sampler build the autograd graph
+        for fn in (l0_probs_many, s0_log_probs_batch, s0_sample_batch):
+            monkeypatch.setattr(f"pragref.rsa.{fn.__name__}", fn.__wrapped__)
+        want = [compute_agents(l0, s0, u, COLORS, cfg, np.random.default_rng(4))
+                for u in texts]
+        for a, b in zip(got, want):
+            assert a.keys() == b.keys()
+            assert all(np.array_equal(a[k], b[k]) for k in a)

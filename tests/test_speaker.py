@@ -6,14 +6,18 @@ import pytest
 from pragref.colorspace import Color
 from pragref.corpus import EOS, build_vocab, preprocess, synth_corpus
 from pragref.errors import MissingCheckpoint
-from pragref.nnsubstrate import load_checkpoint, save_checkpoint
+from pragref.nnsubstrate import Tensor, load_checkpoint, save_checkpoint
 from pragref.speaker import (
+    MAX_DECODE_LEN,
     SpeakerModel,
+    _teacher_forced_losses,
     dev_token_perplexity,
     encode_context,
     reorder_target_last,
     s0_log_prob,
+    s0_log_probs_batch,
     s0_sample,
+    s0_sample_batch,
     train_s0,
 )
 from pragref.training import TrainConfig, same_length_batches
@@ -25,6 +29,45 @@ def tiny_model(seed=0, feature_dim=54):
     vocab = build_vocab([["blue", "blue", "dark", "dark", "red", "red"]])
     return SpeakerModel.create(vocab, np.random.default_rng(seed),
                                embed_dim=8, hidden_dim=6, feature_dim=feature_dim)
+
+
+def graph_sample_batch(model, feats, rng, temperature):
+    """s0_sample_batch with the autograd graph built and per-row bookkeeping."""
+    batch = feats.shape[0]
+    ctx = model.encode(feats)
+    h = Tensor(np.zeros((batch, model.hidden_dim)))
+    c = Tensor(np.zeros((batch, model.hidden_dim)))
+    prev = np.full(batch, model.vocab.bos_id)
+    alive = np.ones(batch, dtype=bool)
+    seqs = [[] for _ in range(batch)]
+    log_probs = np.zeros(batch)
+    eos = model.vocab.eos_id
+    for step in range(MAX_DECODE_LEN):
+        logits, h, c = model.step_logits(ctx, prev, h, c)
+        assert logits.requires_grad
+        z = logits.data - logits.data.max(axis=1, keepdims=True)
+        logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+        z_sample = z.copy()
+        z_sample[:, model.vocab.bos_id] = -np.inf
+        if step == MAX_DECODE_LEN - 1:
+            chosen = np.full(batch, eos)
+        elif temperature <= 0.0:
+            chosen = z_sample.argmax(axis=1)
+        else:
+            zt = z_sample / temperature
+            pt = np.exp(zt - zt.max(axis=1, keepdims=True))
+            pt /= pt.sum(axis=1, keepdims=True)
+            u = rng.random((batch, 1))
+            chosen = np.minimum((pt.cumsum(axis=1) < u).sum(axis=1), pt.shape[1] - 1)
+        for i in range(batch):
+            if alive[i]:
+                seqs[i].append(int(chosen[i]))
+                log_probs[i] += logp[i, chosen[i]]
+        alive &= chosen != eos
+        if not alive.any():
+            break
+        prev = np.where(alive, chosen, eos)
+    return [(tuple(s), float(lp)) for s, lp in zip(seqs, log_probs)]
 
 
 class TestEncodeContext:
@@ -94,6 +137,22 @@ class TestLogProb:
             prev = np.array([tok])
         assert lp == pytest.approx(total, abs=1e-12)
 
+    def test_batch_forward_only_matches_graph_forward(self):
+        model = tiny_model(seed=8)
+        rng = np.random.default_rng(6)
+        id_seqs = [list(rng.integers(0, len(model.vocab), size=rng.integers(1, 5)))
+                   + [model.vocab.eos_id] for _ in range(30)]
+        feats = rng.standard_normal((30, 3, 54))
+        got = s0_log_probs_batch(model, id_seqs, feats)
+        lengths = np.array([len(s) for s in id_seqs])
+        want = np.empty(30)
+        for group in same_length_batches(lengths, np.arange(30), batch_size=512):
+            losses = _teacher_forced_losses(model, feats[group],
+                                            np.array([id_seqs[i] for i in group]))
+            assert losses.requires_grad
+            want[group] = -losses.data
+        assert np.array_equal(got, want)
+
     def test_one_token_distributions_normalize(self):
         # sum over all single-token utterances of exp(step prob) == 1
         model = tiny_model(seed=2)
@@ -125,6 +184,24 @@ class TestSampling:
             assert len(s.tokens) <= 20
             recomputed = s0_log_prob(model, s.tokens, COLORS, 2)
             assert recomputed == pytest.approx(s.log_prob, abs=1e-9)
+
+    @pytest.mark.parametrize("temperature", [1.0, 0.0])
+    def test_forward_only_matches_graph_forward(self, temperature):
+        model = tiny_model(seed=9)
+        feats = np.random.default_rng(2).standard_normal((50, 3, 54))
+        got = s0_sample_batch(model, feats, np.random.default_rng(3), temperature)
+        want = graph_sample_batch(model, feats, np.random.default_rng(3), temperature)
+        assert got == want
+        assert all(type(i) is int for ids, _ in got for i in ids)
+        assert all(type(lp) is float for _, lp in got)
+
+    def test_truncated_rows_match_graph_forward(self):
+        model = tiny_model(seed=6)
+        model.out_b.data[model.vocab.eos_id] = -3.0
+        feats = np.random.default_rng(4).standard_normal((30, 3, 54))
+        got = s0_sample_batch(model, feats, np.random.default_rng(5))
+        assert any(len(ids) == MAX_DECODE_LEN for ids, _ in got)
+        assert got == graph_sample_batch(model, feats, np.random.default_rng(5), 1.0)
 
     def test_truncation_forces_end_token(self):
         model = tiny_model(seed=6)
@@ -181,6 +258,14 @@ class TestTrainS0:
         a = s0_log_prob(model, ["blue", EOS], COLORS, 0)
         b = s0_log_prob(loaded, ["blue", EOS], COLORS, 0)
         assert a == b
+
+    def test_checkpoint_path_without_suffix(self, tmp_path):
+        model = tiny_model(seed=7)
+        path = tmp_path / "s0ck"
+        model.save(path)
+        loaded = SpeakerModel.load(path)
+        for p, q in zip(model.parameters(), loaded.parameters()):
+            assert np.array_equal(p.data, q.data)
 
     def test_checkpoint_missing_file_raises(self, tmp_path):
         with pytest.raises(MissingCheckpoint):
