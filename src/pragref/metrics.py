@@ -5,7 +5,8 @@ the lowest index) and perplexity, exp of the mean negative log probability of
 the true target; a uniform three-way guesser scores exactly 3.
 
 Speaker behavior is summarized by per-condition means of five surface
-metrics. Comparative/superlative detection uses suffix heuristics rather
+metrics over the non-empty descriptions, next to the share of empty ones.
+Comparative/superlative detection uses suffix heuristics rather
 than a part-of-speech tagger, and term specificity comes from the bundled
 color-term depth table (see data/color_term_depths.csv; schema: term,depth)
 rather than a lexical database; reports carry a header noting this.
@@ -175,6 +176,7 @@ class ConditionBehavior:
     high_specificity_pct: float
     negatives_pct: float
     superlatives_pct: float
+    empty_pct: float
 
 
 @dataclass
@@ -188,27 +190,33 @@ class BehaviorReport:
 
 
 def behavior_metrics(items: list[tuple[str, Condition]]) -> BehaviorReport:
-    """Per-condition means of the five surface metrics.
+    """Per-condition means of the five surface metrics, and the empty share.
 
     items: (raw utterance text, condition) pairs. Character and word counts
-    use the raw text; flags use speaker-mode tokens.
+    use the raw text; flags use speaker-mode tokens. n counts every item, but
+    the means cover only non-empty descriptions (0.0 when none is), so a
+    speaker's empty samples show in empty_pct rather than shortening its
+    descriptions.
     """
-    buckets: dict[str, list[tuple[int, int, UtteranceFlags]]] = {}
+    buckets: dict[str, list[tuple[int, int, UtteranceFlags] | None]] = {}
     for text, cond in items:
-        flags = utterance_flags(text)
+        words = len(text.split())
         buckets.setdefault(cond.value, []).append(
-            (len(text), len(text.split()), flags))
+            (len(text), words, utterance_flags(text)) if words else None)
     per_condition = {}
-    for cond, rows in sorted(buckets.items()):
-        n = len(rows)
+    for cond, all_rows in sorted(buckets.items()):
+        rows = [r for r in all_rows if r is not None]
+        n = len(all_rows)
+        k = len(rows) or 1  # every mean is 0.0 when all descriptions are empty
         per_condition[cond] = ConditionBehavior(
             n=n,
-            chars=sum(r[0] for r in rows) / n,
-            words=sum(r[1] for r in rows) / n,
-            comparatives_pct=100.0 * sum(r[2].comparative for r in rows) / n,
-            high_specificity_pct=100.0 * sum(r[2].high_specificity for r in rows) / n,
-            negatives_pct=100.0 * sum(r[2].negative for r in rows) / n,
-            superlatives_pct=100.0 * sum(r[2].superlative for r in rows) / n,
+            chars=sum(r[0] for r in rows) / k,
+            words=sum(r[1] for r in rows) / k,
+            comparatives_pct=100.0 * sum(r[2].comparative for r in rows) / k,
+            high_specificity_pct=100.0 * sum(r[2].high_specificity for r in rows) / k,
+            negatives_pct=100.0 * sum(r[2].negative for r in rows) / k,
+            superlatives_pct=100.0 * sum(r[2].superlative for r in rows) / k,
+            empty_pct=100.0 * (n - len(rows)) / n,
         )
     return BehaviorReport(per_condition)
 
@@ -234,10 +242,9 @@ class BaseSpeakerSampler:
 
     def sample_texts(self, contexts: list[Context],
                      rng: np.random.Generator) -> list[str]:
-        from .speaker import reorder_target_last, s0_sample_utterances
+        from .speaker import contexts_target_last_features, s0_sample_utterances
 
-        feats = np.stack([reorder_target_last(colors, target)
-                          for colors, target, _ in contexts])
+        feats = contexts_target_last_features((c, t) for c, t, _ in contexts)
         return [" ".join(tokens)
                 for tokens in s0_sample_utterances(self.model, feats, rng)]
 
@@ -264,10 +271,10 @@ class PragmaticSpeakerSampler:
                      rng: np.random.Generator) -> list[str]:
         from .corpus import speaker_tokens_to_listener_tokens
         from .listener import context_features, l0_probs_many
-        from .speaker import reorder_target_last, s0_sample_utterances
+        from .speaker import contexts_target_last_features, s0_sample_utterances
 
-        feats = np.repeat(np.stack([reorder_target_last(c, t)
-                                    for c, t, _ in contexts]), self.pool_size, axis=0)
+        feats = np.repeat(contexts_target_last_features((c, t) for c, t, _ in contexts),
+                          self.pool_size, axis=0)
         samples = s0_sample_utterances(self.s0_model, feats, rng)
         pool = [[c for c in samples[i:i + self.pool_size] if c]
                 for i in range(0, len(samples), self.pool_size)]

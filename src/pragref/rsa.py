@@ -22,7 +22,12 @@ from .colorspace import Color
 from .corpus import EOS, preprocess, speaker_tokens_to_listener_tokens
 from .errors import VacuousUtterance
 from .listener import ListenerModel, context_features, l0_probs_many
-from .speaker import SpeakerModel, reorder_target_last, s0_log_probs_batch, s0_sample_batch
+from .speaker import (
+    SpeakerModel,
+    contexts_target_last_features,
+    s0_log_probs_batch,
+    s0_sample_batch,
+)
 
 PROB_FLOOR = 1e-12
 
@@ -285,8 +290,9 @@ def _sample_alternatives(s0_model: SpeakerModel, colors, m: int, n: int,
     utterance, and the observed utterance keeps every set nonempty.
     """
     replicates: list[list[Utterance]] = [[] for _ in range(n)]
-    for target in range(3):
-        feats = np.repeat(reorder_target_last(colors, target)[None], n * m, axis=0)
+    each_target = contexts_target_last_features((colors, t) for t in range(3))
+    for target, target_feats in enumerate(each_target):
+        feats = np.repeat(target_feats[None], n * m, axis=0)
         rows = s0_sample_batch(s0_model, feats, rng)
         for r in range(n):
             for ids, _ in rows[r * m:(r + 1) * m]:
@@ -337,7 +343,7 @@ def neural_l1(s0_model: SpeakerModel, u,
     """
     tokens = list(_as_speaker_utterance(u)) + [EOS]
     ids = s0_model.vocab.encode(tokens)
-    feats = np.stack([reorder_target_last(colors, t) for t in range(3)])
+    feats = contexts_target_last_features((colors, t) for t in range(3))
     log_probs = s0_log_probs_batch(s0_model, [ids, ids, ids], feats)
     shifted = log_probs - log_probs.max()
     probs = np.exp(shifted)

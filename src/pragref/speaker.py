@@ -110,11 +110,40 @@ class SpeakerModel:
         return load_model(cls, path)
 
 
+# Stored-order indices of [distractor, distractor, target] per target index.
+_TARGET_LAST_ORDER = np.array([[1, 2, 0], [0, 2, 1], [0, 1, 2]])
+
+
+def target_last_features(rgb: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Feature rows (N, 3, F) for [distractor, distractor, target] per context.
+
+    rgb holds each context's colors in stored order, (N, 3, 3); targets (N,)
+    the target index of each. Distractors keep their stored order.
+    """
+    rgb = np.asarray(rgb, dtype=np.float64)
+    targets = np.asarray(targets)
+    if rgb.ndim != 3 or rgb.shape[1:] != (3, 3):
+        raise ValueError(f"expected (N, 3, 3) colors, got {rgb.shape}")
+    if targets.shape != (rgb.shape[0],):
+        raise ValueError(f"expected {rgb.shape[0]} target indices, got shape {targets.shape}")
+    if targets.size and (targets.min() < 0 or targets.max() > 2):
+        raise ValueError("target indices must be 0, 1 or 2")
+    order = _TARGET_LAST_ORDER[targets]
+    return fourier_features_array(rgb[np.arange(len(rgb))[:, None], order])
+
+
+def contexts_target_last_features(contexts) -> np.ndarray:
+    """target_last_features of (color triple, target index) pairs, (N, 3, F)."""
+    pairs = list(contexts)
+    rgb = np.array([[(c.r, c.g, c.b) for c in colors] for colors, _ in pairs],
+                   dtype=np.float64).reshape(-1, 3, 3)
+    return target_last_features(rgb, np.array([t for _, t in pairs], dtype=int))
+
+
 def reorder_target_last(colors: tuple[Color, Color, Color],
                         target_index: int) -> np.ndarray:
     """Feature rows for [distractor, distractor, target] in stored order."""
-    order = [i for i in range(3) if i != target_index] + [target_index]
-    return fourier_features_array(np.stack([colors[i].as_array() for i in order]))
+    return contexts_target_last_features([(colors, target_index)])[0]
 
 
 @no_grad()
@@ -174,16 +203,20 @@ def s0_sample_batch(model: SpeakerModel, feats: np.ndarray,
     temperature scales the sampling distribution only; recorded log_prob is
     always the model's own. temperature=0 decodes greedily. Rows that reach
     MAX_DECODE_LEN get </s> forced, with its model log probability included.
-    Sampling builds no autograd graph, so each step's arrays are freed once
-    the next step replaces them.
+
+    Only live rows are decoded: once a row emits </s>, later steps leave it
+    out of the decoder, the softmax and the sampler. Every sampled step still
+    draws one uniform per row of the whole batch and uses the live rows'
+    draws, so the random stream, and with it every result, is the same as
+    decoding every row until the last one ends.
     """
     batch = feats.shape[0]
+    eos = model.vocab.eos_id
     ctx = model.encode(feats)
     h = Tensor(np.zeros((batch, model.hidden_dim)))
     c = Tensor(np.zeros((batch, model.hidden_dim)))
     prev = np.full(batch, model.vocab.bos_id)
-    alive = np.ones(batch, dtype=bool)
-    eos = model.vocab.eos_id
+    live = np.arange(batch)  # rows not yet ended; ctx, h, c and prev hold theirs
     ids = np.full((batch, MAX_DECODE_LEN), eos)
     log_probs = np.zeros(batch)
     for step in range(MAX_DECODE_LEN):
@@ -195,23 +228,25 @@ def s0_sample_batch(model: SpeakerModel, feats: np.ndarray,
         z_sample = z.copy()
         z_sample[:, model.vocab.bos_id] = -np.inf
         if step == MAX_DECODE_LEN - 1:
-            chosen = np.full(batch, eos)
+            chosen = np.full(len(live), eos)
         elif temperature <= 0.0:
             chosen = z_sample.argmax(axis=1)
         else:
             zt = z_sample / temperature
             pt = np.exp(zt - zt.max(axis=1, keepdims=True))
             pt /= pt.sum(axis=1, keepdims=True)
-            u = rng.random((batch, 1))
+            u = rng.random((batch, 1))[live]
             chosen = (pt.cumsum(axis=1) < u).sum(axis=1)
             chosen = np.minimum(chosen, pt.shape[1] - 1)
-        live = np.flatnonzero(alive)  # each live row holds exactly `step` ids so far
-        ids[live, step] = chosen[live]
-        log_probs[live] += logp[live, chosen[live]]
-        alive &= chosen != eos
-        if not alive.any():
+        ids[live, step] = chosen  # each live row holds exactly `step` ids so far
+        log_probs[live] += logp[np.arange(len(live)), chosen]
+        going = chosen != eos
+        if not going.any():
             break
-        prev = np.where(alive, chosen, eos)
+        if not going.all():
+            live, chosen = live[going], chosen[going]
+            ctx, h, c = (Tensor(t.data[going]) for t in (ctx, h, c))
+        prev = chosen
     # every row ends at its first </s>, chosen or forced at MAX_DECODE_LEN
     return [(tuple(row[:row.index(eos) + 1]), lp)
             for row, lp in zip(ids.tolist(), log_probs.tolist())]
@@ -249,8 +284,7 @@ def train_s0(model: SpeakerModel, train_trials: list[ContextTrial],
     """
     ids = [np.array(trial_speaker_ids(model, t)) for t in train_trials]
     lengths = np.array([len(s) for s in ids])
-    feats = np.stack([reorder_target_last(t.colors, t.target_index)
-                      for t in train_trials])
+    feats = contexts_target_last_features((t.colors, t.target_index) for t in train_trials)
 
     def batch_loss(batch):
         losses = _teacher_forced_losses(model, feats[batch],
@@ -267,7 +301,7 @@ def train_s0(model: SpeakerModel, train_trials: list[ContextTrial],
 def dev_token_perplexity(model: SpeakerModel, trials: list[ContextTrial]) -> float:
     """exp(mean per-token NLL) over a trial list, end tokens included."""
     id_seqs = [trial_speaker_ids(model, t) for t in trials]
-    feats = np.stack([reorder_target_last(t.colors, t.target_index) for t in trials])
+    feats = contexts_target_last_features((t.colors, t.target_index) for t in trials)
     log_probs = s0_log_probs_batch(model, id_seqs, feats)
     n_tokens = sum(len(s) for s in id_seqs)
     return float(np.exp(-log_probs.sum() / n_tokens))

@@ -147,6 +147,22 @@ class TestBehaviorMetrics:
         assert close.superlatives_pct == 100.0
         assert close.negatives_pct == 100.0
 
+    def test_empty_descriptions_counted_apart(self):
+        items = [("", Condition.FAR), ("dark blue", Condition.FAR),
+                 ("  ", Condition.FAR), ("bluest", Condition.FAR),
+                 ("", Condition.CLOSE)]
+        report = behavior_metrics(items)
+        far = report.per_condition["far"]
+        assert far.n == 4
+        assert far.empty_pct == 50.0
+        assert far.words == pytest.approx(1.5)
+        assert far.chars == pytest.approx((9 + 6) / 2)
+        assert far.superlatives_pct == 50.0
+        close = report.per_condition["close"]
+        assert close.n == 1 and close.empty_pct == 100.0
+        assert (close.chars, close.words, close.comparatives_pct, close.high_specificity_pct,
+                close.negatives_pct, close.superlatives_pct) == (0.0,) * 6
+
     def test_deterministic(self):
         trials = make_trials(200, seed=5)
         items = [(t.combined_text(), t.condition) for t in trials]

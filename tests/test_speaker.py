@@ -18,6 +18,7 @@ from pragref.speaker import (
     s0_log_probs_batch,
     s0_sample,
     s0_sample_batch,
+    target_last_features,
     train_s0,
 )
 from pragref.training import TrainConfig, same_length_batches
@@ -104,6 +105,28 @@ class TestEncodeContext:
             h = o * math.tanh(c)
         got = encode_context(model, COLORS, 2)
         assert abs(float(got[0]) - c) < 1e-12
+
+
+class TestTargetLastFeatures:
+    RGB = np.array([[c.r, c.g, c.b] for c in COLORS])
+
+    @pytest.mark.parametrize("target", [0, 1, 2])
+    def test_matches_per_context(self, target):
+        got = target_last_features(self.RGB[None], np.array([target]))
+        assert np.array_equal(got[0], reorder_target_last(COLORS, target))
+
+    def test_mixed_targets(self):
+        rng = np.random.default_rng(12)
+        rgb = rng.random((40, 3, 3))
+        targets = rng.integers(0, 3, 40)
+        want = np.stack([reorder_target_last(tuple(Color(*row) for row in ctx), t)
+                         for ctx, t in zip(rgb, targets)])
+        assert np.array_equal(target_last_features(rgb, targets), want)
+
+    @pytest.mark.parametrize("targets", [[0, 1], [0], [0, 3, 1], [-1, 0, 2]])
+    def test_bad_targets_raise(self, targets):
+        with pytest.raises(ValueError):
+            target_last_features(np.repeat(self.RGB[None], 3, axis=0), np.array(targets))
 
 
 class TestLogProb:
@@ -202,6 +225,37 @@ class TestSampling:
         got = s0_sample_batch(model, feats, np.random.default_rng(5))
         assert any(len(ids) == MAX_DECODE_LEN for ids, _ in got)
         assert got == graph_sample_batch(model, feats, np.random.default_rng(5), 1.0)
+
+    @staticmethod
+    def _decoded_rows(model, feats, rng, temperature=1.0):
+        """Sampled rows, and the rows the decoder ran summed over its steps."""
+        sizes = []
+        step_logits = model.step_logits
+
+        def counting(ctx, token_ids, h, c):
+            sizes.append(len(token_ids))
+            return step_logits(ctx, token_ids, h, c)
+
+        model.step_logits = counting
+        rows = s0_sample_batch(model, feats, rng, temperature)
+        return rows, sum(sizes)
+
+    @pytest.mark.parametrize("temperature", [1.0, 0.0])
+    def test_decodes_only_live_rows(self, temperature):
+        model = tiny_model(seed=9)
+        feats = np.random.default_rng(2).standard_normal((50, 3, 54))
+        rows, row_steps = self._decoded_rows(model, feats, np.random.default_rng(3),
+                                             temperature)
+        assert row_steps == sum(len(ids) for ids, _ in rows)
+
+    def test_truncated_rows_decode_only_live_rows(self):
+        model = tiny_model(seed=6)
+        model.out_b.data[model.vocab.eos_id] = -3.0
+        feats = np.random.default_rng(4).standard_normal((30, 3, 54))
+        rows, row_steps = self._decoded_rows(model, feats, np.random.default_rng(5))
+        lengths = [len(ids) for ids, _ in rows]
+        assert MAX_DECODE_LEN in lengths and min(lengths) < MAX_DECODE_LEN
+        assert row_steps == sum(lengths)
 
     def test_truncation_forces_end_token(self):
         model = tiny_model(seed=6)
