@@ -430,9 +430,17 @@ def template_emission(colors: tuple[Color, Color, Color], target_index: int,
     for light); negations name a distractor's basic term, never the target's,
     one enumerated option per distinct term.
     """
+    return _template_emission(colors, [nearest_basic_term(c) for c in colors],
+                              target_index, condition)
+
+
+def _template_emission(colors: tuple[Color, Color, Color], terms: list[str],
+                       target_index: int, condition: Condition
+                       ) -> tuple[list[tuple[str, ...]], np.ndarray]:
+    """template_emission given each color's nearest basic term."""
     target = colors[target_index]
     distractors = [colors[i] for i in range(3) if i != target_index]
-    base = nearest_basic_term(target)
+    base = terms[target_index]
     shade = _shade_word(target)
     v_t = rgb_to_hsv(target).v
     v_others = [rgb_to_hsv(d).v for d in distractors]
@@ -461,7 +469,7 @@ def template_emission(colors: tuple[Color, Color, Color], target_index: int,
     else:
         fallback += weights["superlative"]
 
-    other_terms = sorted({nearest_basic_term(d) for d in distractors} - {base})
+    other_terms = sorted({terms[i] for i in range(3) if i != target_index} - {base})
     if other_terms and weights["negation"] > 0:
         for term in other_terms:
             add(("not", "the", term, "one"), weights["negation"] / len(other_terms))
@@ -531,10 +539,11 @@ def template_bayes_accuracy(trials: list[ContextTrial],
     correct = 0
     for t in trials:
         observed = tuple(preprocess(t.combined_text(), "speaker"))
+        terms = [nearest_basic_term(c) for c in t.colors]
         likelihood = np.zeros(3)
         for cand in range(3):
             cond = classify_condition(t.colors, cand, th)
-            utterances, probs = template_emission(t.colors, cand, cond)
+            utterances, probs = _template_emission(t.colors, terms, cand, cond)
             for u, p in zip(utterances, probs):
                 if u == observed:
                     likelihood[cand] = p

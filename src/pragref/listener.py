@@ -118,25 +118,43 @@ def l0_score(model: ListenerModel, tokens: list[str],
     return np.exp(log_softmax(scores.data[0]))
 
 
+# Distinct utterances per mu/Sigma batch, and rows per gathered Sigma block:
+# memory stays near one 512-row batch whatever the number of utterances.
+_L0_UTTERANCE_BATCH = 512
+_L0_ROW_BLOCK = 128
+
+
 @no_grad()
 def l0_probs_many(model: ListenerModel, id_seqs: list[list[int]],
                   feats: np.ndarray) -> np.ndarray:
     """Batched listener distributions for many utterances.
 
     feats is either one context (3, F), shared by all rows, or per-row
-    contexts (B, 3, F). Rows are grouped by length internally. Returns (B, 3).
+    contexts (B, 3, F). The LSTM and output map run once per distinct id
+    sequence, in same-length groups; every row is then scored against its own
+    context. Returns (B, 3).
     """
-    n = len(id_seqs)
-    out = np.empty((n, 3))
-    lengths = np.array([len(s) for s in id_seqs])
+    index: dict[tuple[int, ...], int] = {}
+    inverse = np.array([index.setdefault(tuple(s), len(index)) for s in id_seqs],
+                       dtype=int)
+    distinct = list(index)
+    lengths = np.array([len(s) for s in distinct])
     if np.any(lengths == 0):
         raise EmptyUtterance("empty token sequence in batch")
+    out = np.empty((len(id_seqs), 3))
+    order = np.argsort(inverse, kind="stable")  # rows grouped by utterance
+    starts = np.searchsorted(inverse[order], np.arange(len(distinct) + 1))
     shared = feats.ndim == 2
-    for group in same_length_batches(lengths, np.arange(n), batch_size=512):
-        ids = np.array([id_seqs[i] for i in group])
-        f = np.repeat(feats[None, :, :], len(group), axis=0) if shared else feats[group]
-        scores = model.scores(ids, f)
-        out[group] = np.exp(log_softmax(scores.data))
+    for group in same_length_batches(lengths, np.arange(len(distinct)),
+                                     batch_size=_L0_UTTERANCE_BATCH):
+        mu, sigma = model.mu_sigma(np.array([distinct[i] for i in group]))
+        rows = np.concatenate([order[starts[u]:starts[u + 1]] for u in group])
+        slot = np.repeat(np.arange(len(group)), starts[group + 1] - starts[group])
+        for lo in range(0, len(rows), _L0_ROW_BLOCK):
+            r, k = rows[lo:lo + _L0_ROW_BLOCK], slot[lo:lo + _L0_ROW_BLOCK]
+            f = feats[None] if shared else feats[r]
+            scores = quad_scores(f, Tensor(mu.data[k]), Tensor(sigma.data[k]))
+            out[r] = np.exp(log_softmax(scores.data))
     return out
 
 

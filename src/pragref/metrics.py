@@ -68,7 +68,9 @@ def evaluate(agent, trials: list[ContextTrial]) -> EvalReport:
 
 
 def evaluate_probs(probs: np.ndarray, trials: list[ContextTrial]) -> EvalReport:
-    """Score precomputed per-trial distributions (N, 3)."""
+    """Score precomputed per-trial distributions (N, 3); N must be at least 1."""
+    if not trials:
+        raise ValueError("cannot score zero trials")
     targets = np.array([t.target_index for t in trials])
     acc, ppl = _scores(probs, targets)
     report = EvalReport(acc, ppl, len(trials))
@@ -255,13 +257,17 @@ class PragmaticSpeakerSampler:
     For each context, pool_size samples are drawn from the base speaker for
     the actual target; candidate i is then chosen with probability
     proportional to L0(target | candidate_i)^alpha. alpha=0 collapses to base
-    speaker sampling.
+    speaker sampling. A context whose whole pool is bare end tokens gets "".
     """
 
     name = "s1"
 
     def __init__(self, l0_model, s0_model, alpha: float = 0.544,
                  pool_size: int = 24):
+        if pool_size < 1:
+            raise ValueError(f"pool_size must be at least 1, got {pool_size}")
+        if alpha < 0:
+            raise ValueError(f"alpha must be nonnegative, got {alpha}")
         self.l0_model = l0_model
         self.s0_model = s0_model
         self.alpha = alpha
@@ -269,19 +275,20 @@ class PragmaticSpeakerSampler:
 
     def sample_texts(self, contexts: list[Context],
                      rng: np.random.Generator) -> list[str]:
-        from .corpus import speaker_tokens_to_listener_tokens
         from .listener import context_features, l0_probs_many
-        from .speaker import contexts_target_last_features, s0_sample_utterances
+        from .rsa import _listener_ids_for, _sample_alternatives
+        from .speaker import contexts_target_last_features
 
-        feats = np.repeat(contexts_target_last_features((c, t) for c, t, _ in contexts),
-                          self.pool_size, axis=0)
-        samples = s0_sample_utterances(self.s0_model, feats, rng)
-        pool = [[c for c in samples[i:i + self.pool_size] if c]
-                for i in range(0, len(samples), self.pool_size)]
+        feats = contexts_target_last_features((c, t) for c, t, _ in contexts)
+        types, row_types = _sample_alternatives(self.s0_model, feats,
+                                                self.pool_size, rng)
+        row_types = row_types.tolist()
+        pool = [[t for t in row_types[i:i + self.pool_size] if t >= 0]
+                for i in range(0, len(row_types), self.pool_size)]
 
         # score every non-empty candidate against its own context
-        flat_ids = [self.l0_model.encode_tokens(speaker_tokens_to_listener_tokens(list(c)))
-                    for cands in pool for c in cands]
+        type_ids = _listener_ids_for(self.l0_model, types)
+        flat_ids = [type_ids[t] for cands in pool for t in cands]
         ctx_feats = [context_features(c) for c, _, _ in contexts]
         flat_feats = [f for cands, f in zip(pool, ctx_feats) for _ in cands]
         probs = l0_probs_many(self.l0_model, flat_ids, np.stack(flat_feats)) \
@@ -298,7 +305,7 @@ class PragmaticSpeakerSampler:
                 continue
             weights = np.maximum(scored, 1e-300) ** self.alpha
             pick = rng.choice(k, p=weights / weights.sum())
-            texts.append(" ".join(cands[pick]))
+            texts.append(" ".join(types[cands[pick]]))
         return texts
 
 

@@ -311,11 +311,11 @@ def quad_scores(feats: np.ndarray, mu: Tensor, sigma: Tensor) -> Tensor:
     """
     d = feats - mu.data[:, None, :]
     s_d = np.einsum("bfe,bke->bkf", sigma.data, d)
-    st_d = np.einsum("bef,bke->bkf", sigma.data, d)
     out = Tensor(-np.einsum("bkf,bkf->bk", d, s_d), parents=(mu, sigma))
 
     def bwd(g):
         if mu.requires_grad:
+            st_d = np.einsum("bef,bke->bkf", sigma.data, d)
             mu._accumulate(np.einsum("bk,bkf->bf", g, s_d + st_d))
         if sigma.requires_grad:
             sigma._accumulate(-np.einsum("bk,bkf,bke->bfe", g, d, d))

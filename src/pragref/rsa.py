@@ -6,13 +6,19 @@ are zero, so textbook examples reproduce exactly. The neural agents derive a
 pragmatic speaker from the base listener by normalizing over a sampled
 alternative multiset, and pragmatic listeners by inverting speakers through
 Bayes' rule; geometric blends mix the resulting distributions.
+
+One engine serves the sampled alternatives of L2 and of the pragmatic
+speaker sampler in `metrics`: `_sample_alternatives` draws many rows per
+distinct context, encoding each context once per sampling batch, and dedupes
+the draws into utterance types; `l0_probs_many` then runs the listener's
+utterance encoder once per distinct type and scores every row against its
+own context.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -26,7 +32,7 @@ from .speaker import (
     SpeakerModel,
     contexts_target_last_features,
     s0_log_probs_batch,
-    s0_sample_batch,
+    s0_sample_utterances,
 )
 
 PROB_FLOOR = 1e-12
@@ -202,56 +208,25 @@ class PragmaticsConfig:
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
             raise ValueError("m and n must be at least 1")
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
+        if self.alpha < 0 or self.alpha_neural < 0:
+            raise ValueError("alpha and alpha_neural must be nonnegative")
 
 
 # -- neural pragmatic agents --------------------------------------------------------
 
 
-@dataclass
-class AlternativeSet:
-    """Multiset of candidate utterances; duplicates keep their multiplicity."""
-
-    counts: Counter
-    observed: Utterance | None = None
-
-    @classmethod
-    def from_samples(cls, samples: list[Utterance],
-                     observed: Utterance | None = None) -> "AlternativeSet":
-        counts = Counter(samples)
-        if observed is not None:
-            counts[observed] += 1
-        return cls(counts, observed)
-
-    def types(self) -> list[Utterance]:
-        return list(self.counts)
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-
-@dataclass
-class NeuralS1Table:
-    """Pragmatic-speaker distribution over an alternative multiset.
-
-    probs[i, t] is the probability of utterance type i given target t,
-    multiplicity already folded in; columns sum to 1.
-    """
-
-    utterances: list[Utterance]
-    probs: np.ndarray
-
-    def prob_of(self, u: Utterance) -> np.ndarray:
-        return self.probs[self.utterances.index(u)]
-
-
 def s1_table_from_probs(l0_probs: np.ndarray, counts: np.ndarray,
                         alpha: float) -> np.ndarray:
-    """Column-normalized L0^alpha weights; invariant to scaling an L0 column."""
+    """Pragmatic-speaker tables: column-normalized count * L0^alpha weights.
+
+    l0_probs (T, 3) holds L0 for each utterance type; counts (..., T) the
+    multiplicity of each type in one or more alternative multisets, 0 for a
+    type a multiset lacks. Returns (..., T, 3), each column summing to 1 over
+    types. Invariant to scaling an L0 column.
+    """
     powered = np.maximum(l0_probs, 1e-300) ** alpha
-    weighted = counts[:, None] * powered
-    return weighted / weighted.sum(axis=0, keepdims=True)
+    weighted = counts[..., None] * powered
+    return weighted / weighted.sum(axis=-2, keepdims=True)
 
 
 def _listener_ids_for(model: ListenerModel, utterances: list[Utterance]) -> list[list[int]]:
@@ -267,39 +242,59 @@ def _as_speaker_utterance(u) -> Utterance:
     return tokens[:-1] if tokens and tokens[-1] == EOS else tokens
 
 
-def neural_s1(l0_model: ListenerModel, u: Utterance, alt: AlternativeSet,
-              colors: tuple[Color, Color, Color],
-              alpha_neural: float = 0.544) -> NeuralS1Table:
-    """Pragmatic speaker over the alternative multiset (observed u included)."""
-    counts = Counter(alt.counts)
-    if counts[u] == 0:
-        counts[u] += 1
-    types = list(counts)
+def _sample_alternatives(s0_model: SpeakerModel, feats: np.ndarray, per_context: int,
+                         rng: np.random.Generator) -> tuple[list[Utterance], np.ndarray]:
+    """Sample per_context S0 utterances for each target-last context and dedupe.
+
+    feats holds distinct contexts (C, 3, F); each is encoded once per sampling
+    batch. Returns the distinct non-empty utterance types in order of first
+    draw, and the type index of each of the C * per_context rows
+    (context-major), -1 for a bare end token. The listener cannot score an
+    empty utterance, so callers drop those rows.
+    """
+    samples = s0_sample_utterances(s0_model, feats, rng, per_context)
+    index: dict[Utterance, int] = {}
+    row_types = np.array([index.setdefault(u, len(index)) if u else -1
+                          for u in samples], dtype=int)
+    return list(index), row_types
+
+
+def _s1_replicates(l0_model: ListenerModel, s0_model: SpeakerModel,
+                   observed: Utterance, colors: tuple[Color, Color, Color],
+                   cfg: PragmaticsConfig, rng: np.random.Generator
+                   ) -> tuple[np.ndarray, np.ndarray, int]:
+    """The n replicate pragmatic speakers over sampled alternatives.
+
+    Returns the L0 table (types, 3) of every sampled type and the observed
+    utterance, the S1 tables (n, types, 3) of the n replicate multisets (each
+    with the observed utterance added once), and the observed type's index.
+    """
+    feats = contexts_target_last_features((colors, t) for t in range(3))
+    types, row_types = _sample_alternatives(s0_model, feats, cfg.n * cfg.m, rng)
+    if observed in types:
+        obs = types.index(observed)
+    else:
+        obs = len(types)
+        types.append(observed)
     probs = l0_probs_many(l0_model, _listener_ids_for(l0_model, types),
                           context_features(colors))
-    table = s1_table_from_probs(probs, np.array([counts[t] for t in types],
-                                                dtype=np.float64), alpha_neural)
-    return NeuralS1Table(types, table)
+    # rows are target-major, then replicate, then sample; count per replicate
+    rep_types = row_types.reshape(3, cfg.n, cfg.m).transpose(1, 0, 2).reshape(cfg.n, -1)
+    counts = np.zeros((cfg.n, len(types)))
+    reps, kept = np.nonzero(rep_types >= 0)
+    np.add.at(counts, (reps, rep_types[reps, kept]), 1.0)
+    counts[:, obs] += 1.0
+    return probs, s1_table_from_probs(probs, counts, cfg.alpha_neural), obs
 
 
-def _sample_alternatives(s0_model: SpeakerModel, colors, m: int, n: int,
-                         rng: np.random.Generator) -> list[list[Utterance]]:
-    """n replicates of m speaker samples per target index (3*m each).
-
-    Bare end-token samples are dropped; the listener cannot score an empty
-    utterance, and the observed utterance keeps every set nonempty.
-    """
-    replicates: list[list[Utterance]] = [[] for _ in range(n)]
-    each_target = contexts_target_last_features((colors, t) for t in range(3))
-    for target, target_feats in enumerate(each_target):
-        feats = np.repeat(target_feats[None], n * m, axis=0)
-        rows = s0_sample_batch(s0_model, feats, rng)
-        for r in range(n):
-            for ids, _ in rows[r * m:(r + 1) * m]:
-                tokens = tuple(s0_model.vocab.decode(list(ids))[:-1])  # drop </s>
-                if tokens:
-                    replicates[r].append(tokens)
-    return replicates
+def _neural_l0_l2(l0_model: ListenerModel, s0_model: SpeakerModel, u,
+                  colors: tuple[Color, Color, Color], cfg: PragmaticsConfig,
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(L0, L2) of one utterance; L0 is the observed row of the L0 table."""
+    probs, tables, obs = _s1_replicates(l0_model, s0_model, _as_speaker_utterance(u),
+                                        colors, cfg, rng)
+    s1_rows = tables[:, obs]
+    return probs[obs], (s1_rows / s1_rows.sum(axis=1, keepdims=True)).mean(axis=0)
 
 
 def neural_l2(l0_model: ListenerModel, s0_model: SpeakerModel, u,
@@ -311,28 +306,16 @@ def neural_l2(l0_model: ListenerModel, s0_model: SpeakerModel, u,
     utterance, form the pragmatic speaker over that multiset, and renormalize
     its observed-utterance row across targets. The n replicate distributions
     are averaged arithmetically.
+
+    The 3 * n * m samples are drawn together, SAMPLE_BATCH rows per sampling
+    call, from the three target-last contexts, each encoded once; the m rows
+    of target t, replicate r start at row (t * n + r) * m. Since the three
+    targets share one batch, the random stream, and so L2 for a given seed,
+    differs from drawing each target's rows in a batch of its own. Each
+    distinct utterance is scored by L0 once, and the n replicate S1 tables
+    are built together from an (n, types) count matrix.
     """
-    observed = _as_speaker_utterance(u)
-    replicates = _sample_alternatives(s0_model, colors, cfg.m, cfg.n, rng)
-
-    all_types = sorted({t for rep in replicates for t in rep} | {observed})
-    probs = l0_probs_many(l0_model, _listener_ids_for(l0_model, all_types),
-                          context_features(colors))
-    index = {t: i for i, t in enumerate(all_types)}
-
-    out = np.zeros(3)
-    for rep in replicates:
-        counts = Counter(rep)
-        counts[observed] += 1
-        types = list(counts)
-        rows = np.array([index[t] for t in types])
-        table = s1_table_from_probs(probs[rows],
-                                    np.array([counts[t] for t in types],
-                                             dtype=np.float64),
-                                    cfg.alpha_neural)
-        s1_row = table[types.index(observed)]
-        out += s1_row / s1_row.sum()
-    return out / cfg.n
+    return _neural_l0_l2(l0_model, s0_model, u, colors, cfg, rng)[1]
 
 
 def neural_l1(s0_model: SpeakerModel, u,
@@ -363,13 +346,16 @@ def blend(p: np.ndarray, q: np.ndarray, w: float) -> np.ndarray:
 def compute_agents(l0_model: ListenerModel, s0_model: SpeakerModel, u,
                    colors: tuple[Color, Color, Color], cfg: PragmaticsConfig,
                    rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """All six listener distributions for one trial, sharing intermediate work."""
-    listener_tokens = preprocess(u, "listener") if isinstance(u, str) else \
-        speaker_tokens_to_listener_tokens(list(u))
-    l0 = l0_probs_many(l0_model, [l0_model.encode_tokens(listener_tokens)],
-                       context_features(colors))[0]
+    """All six listener distributions for one trial, sharing intermediate work.
+
+    L2 samples the alternatives of all three targets in one batch and scores
+    each distinct utterance, the observed one included, in one L0 table (see
+    neural_l2). L0 is the observed utterance's row of that table: its
+    speaker-mode tokens, re-tokenized for the listener, are the listener-mode
+    tokens of the text.
+    """
+    l0, l2 = _neural_l0_l2(l0_model, s0_model, u, colors, cfg, rng)
     l1 = neural_l1(s0_model, u, colors)
-    l2 = neural_l2(l0_model, s0_model, u, colors, cfg, rng)
     la = blend(l0, l1, cfg.beta_a)
     lb = blend(l0, l2, cfg.beta_b)
     le = blend(la, lb, cfg.gamma)

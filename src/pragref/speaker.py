@@ -196,13 +196,17 @@ def s0_log_probs_batch(model: SpeakerModel, id_seqs: list[list[int]],
 
 @no_grad()
 def s0_sample_batch(model: SpeakerModel, feats: np.ndarray,
-                    rng: np.random.Generator,
-                    temperature: float = 1.0) -> list[tuple[tuple[int, ...], float]]:
+                    rng: np.random.Generator, temperature: float = 1.0,
+                    rows: np.ndarray | None = None) -> list[tuple[tuple[int, ...], float]]:
     """Ancestral sampling for (B, 3, F) contexts; returns (ids, log_prob) rows.
 
     temperature scales the sampling distribution only; recorded log_prob is
     always the model's own. temperature=0 decodes greedily. Rows that reach
     MAX_DECODE_LEN get </s> forced, with its model log probability included.
+
+    rows, when given, maps each output row to a context of feats: the encoder
+    runs once per context of feats, (K, 3, F), and the batch has len(rows)
+    rows, sampled as feats[rows] would be.
 
     Only live rows are decoded: once a row emits </s>, later steps leave it
     out of the decoder, the softmax and the sampler. Every sampled step still
@@ -210,9 +214,11 @@ def s0_sample_batch(model: SpeakerModel, feats: np.ndarray,
     draws, so the random stream, and with it every result, is the same as
     decoding every row until the last one ends.
     """
-    batch = feats.shape[0]
     eos = model.vocab.eos_id
     ctx = model.encode(feats)
+    if rows is not None:
+        ctx = Tensor(ctx.data[rows])
+    batch = ctx.data.shape[0]
     h = Tensor(np.zeros((batch, model.hidden_dim)))
     c = Tensor(np.zeros((batch, model.hidden_dim)))
     prev = np.full(batch, model.vocab.bos_id)
@@ -253,12 +259,28 @@ def s0_sample_batch(model: SpeakerModel, feats: np.ndarray,
 
 
 def s0_sample_utterances(model: SpeakerModel, feats: np.ndarray,
-                         rng: np.random.Generator) -> list[tuple[str, ...]]:
-    """One description per (N, 3, F) context, sampled SAMPLE_BATCH rows at a
-    time: speaker-mode tokens without </s>, so a bare </s> gives ()."""
-    return [tuple(model.vocab.decode(list(ids))[:-1])
-            for lo in range(0, len(feats), SAMPLE_BATCH)
-            for ids, _ in s0_sample_batch(model, feats[lo:lo + SAMPLE_BATCH], rng)]
+                         rng: np.random.Generator,
+                         per_context: int = 1) -> list[tuple[str, ...]]:
+    """per_context descriptions of each (N, 3, F) context, context-major.
+
+    The N * per_context rows are sampled SAMPLE_BATCH at a time; each batch
+    encodes its contexts once. Rows are speaker-mode tokens without </s>, so
+    a bare </s> gives (); each distinct id sequence is decoded once.
+    """
+    total = len(feats) * per_context
+    decoded: dict[tuple[int, ...], tuple[str, ...]] = {}
+    out = []
+    for lo in range(0, total, SAMPLE_BATCH):
+        hi = min(lo + SAMPLE_BATCH, total)
+        first, last = lo // per_context, (hi - 1) // per_context
+        batch = s0_sample_batch(model, feats[first:last + 1], rng,
+                                rows=np.arange(lo, hi) // per_context - first)
+        for ids, _ in batch:
+            tokens = decoded.get(ids)
+            if tokens is None:
+                tokens = decoded[ids] = tuple(model.vocab.decode(list(ids))[:-1])
+            out.append(tokens)
+    return out
 
 
 def s0_sample(model: SpeakerModel, colors: tuple[Color, Color, Color],

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pragref.colorspace import Color, Condition, rgb_to_hsv
+from pragref.colorspace import Color, Condition, classify_condition, rgb_to_hsv
 from pragref.corpus import (
     ContextTrial,
     Vocabulary,
@@ -17,6 +17,7 @@ from pragref.corpus import (
     load_raw,
     nearest_basic_term,
     preprocess,
+    speaker_tokens_to_listener_tokens,
     split_by_dyad,
     synth_corpus,
     template_bayes_accuracy,
@@ -58,6 +59,15 @@ class TestPreprocess:
             once = preprocess(texts, mode)
             again = preprocess(" ".join(once), mode)
             assert once == again
+
+
+    @given(st.text())
+    @settings(max_examples=300, deadline=None)
+    def test_speaker_tokens_retokenize_to_listener_tokens(self, text):
+        # the pragmatic agents read L0 of an observed text off its
+        # speaker-mode tokens re-tokenized for the listener
+        assert speaker_tokens_to_listener_tokens(preprocess(text, "speaker")) == \
+            preprocess(text, "listener")
 
 
 class TestVocabulary:
@@ -249,6 +259,29 @@ class TestSynthCorpus:
         trials = synth_corpus(300, np.random.default_rng(5))
         acc = template_bayes_accuracy(trials)
         assert acc > 0.6
+
+    def test_bayes_oracle_names_each_color_once(self, monkeypatch):
+        trials = synth_corpus(60, np.random.default_rng(7))
+
+        def per_candidate(trials):
+            # one template_emission per candidate target, as the oracle defines
+            correct = 0
+            for t in trials:
+                observed = tuple(preprocess(t.combined_text(), "speaker"))
+                likelihood = np.zeros(3)
+                for cand in range(3):
+                    utterances, probs = template_emission(
+                        t.colors, cand, classify_condition(t.colors, cand))
+                    likelihood[cand] = dict(zip(utterances, probs)).get(observed, 0.0)
+                correct += int(np.argmax(likelihood)) == t.target_index
+            return correct / len(trials)
+
+        want = per_candidate(trials)
+        calls = []
+        monkeypatch.setattr("pragref.corpus.nearest_basic_term",
+                            lambda c: calls.append(c) or nearest_basic_term(c))
+        assert template_bayes_accuracy(trials) == want
+        assert len(calls) == 3 * len(trials)
 
     def test_clicks_present_and_valid(self):
         trials = synth_corpus(60, np.random.default_rng(6))

@@ -81,6 +81,41 @@ class TestL0Score:
             want[group] = np.exp(log_softmax(scores.data))
         assert np.array_equal(l0_probs_many(model, id_seqs, feats), want)
 
+    @staticmethod
+    def _per_row(model, id_seqs, feats):
+        return np.stack([np.exp(log_softmax(model.scores(np.array([ids]), f[None]).data[0]))
+                         for ids, f in zip(id_seqs, feats)])
+
+    @pytest.mark.parametrize("blocks", [(512, 128), (3, 2)])
+    def test_duplicate_rows_match_per_row(self, monkeypatch, blocks):
+        monkeypatch.setattr("pragref.listener._L0_UTTERANCE_BATCH", blocks[0])
+        monkeypatch.setattr("pragref.listener._L0_ROW_BLOCK", blocks[1])
+        rng = np.random.default_rng(13)
+        model = ListenerModel.create(tiny_model().vocab, rng, embed_dim=8, hidden_dim=6)
+        pool = [list(rng.integers(0, len(model.vocab), size=rng.integers(1, 4)))
+                for _ in range(9)]
+        id_seqs = [pool[i] for i in rng.integers(0, len(pool), 60)]
+        feats = rng.standard_normal((60, 3, 54))
+        got = l0_probs_many(model, id_seqs, feats)
+        assert np.allclose(got, self._per_row(model, id_seqs, feats), rtol=0, atol=1e-12)
+        shared = l0_probs_many(model, id_seqs, feats[0])
+        want = self._per_row(model, id_seqs, np.repeat(feats[:1], 60, axis=0))
+        assert np.allclose(shared, want, rtol=0, atol=1e-12)
+
+    def test_encodes_each_distinct_utterance_once(self):
+        model = tiny_model()
+        encoded = []
+        mu_sigma = model.mu_sigma
+
+        def counting(ids):
+            encoded.extend(map(tuple, ids.tolist()))
+            return mu_sigma(ids)
+
+        model.mu_sigma = counting
+        ids = [[3], [4, 3], [3], [5], [4, 3], [3]]
+        l0_probs_many(model, ids, np.random.default_rng(0).standard_normal((3, 54)))
+        assert sorted(encoded) == [(3,), (4, 3), (5,)]
+
     def test_batched_matches_single(self):
         model = tiny_model()
         colors = (Color(0.9, 0.1, 0.1), Color(0.1, 0.2, 0.8), Color(0.2, 0.9, 0.3))

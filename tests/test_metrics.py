@@ -3,7 +3,7 @@ import pytest
 
 from pragref.colorspace import Color, Condition
 from pragref.corpus import ContextTrial, build_vocab, preprocess, synth_corpus
-from pragref.listener import ListenerModel
+from pragref.listener import ListenerModel, l0_score
 from pragref.metrics import (
     BaseSpeakerSampler,
     PragmaticSpeakerSampler,
@@ -11,11 +11,12 @@ from pragref.metrics import (
     compare_speakers,
     condition_mix_contexts,
     evaluate,
+    evaluate_probs,
     human_accuracy,
     term_depth,
     utterance_flags,
 )
-from pragref.speaker import SpeakerModel
+from pragref.speaker import SpeakerModel, contexts_target_last_features, s0_sample_batch
 
 COLORS = (Color(0.9, 0.1, 0.1), Color(0.1, 0.2, 0.8), Color(0.2, 0.9, 0.3))
 
@@ -49,6 +50,10 @@ class TestEvaluate:
         report = evaluate(lambda t: np.full(3, 1 / 3), trials)
         assert set(report.per_condition) == {"far", "split", "close"}
         assert sum(s.n for s in report.per_condition.values()) == 90
+
+    def test_zero_trials_raise(self):
+        with pytest.raises(ValueError):
+            evaluate_probs(np.zeros((0, 3)), [])
 
     def test_ties_break_to_lowest_index(self):
         trial = ContextTrial("g", 1, COLORS, 1, ["blue"], Condition.FAR, 1)
@@ -215,3 +220,66 @@ class TestCompareSpeakers:
         assert set(reports) == {"s0", "s1"}
         for rep in reports.values():
             assert set(rep.per_condition) == {"far", "split", "close"}
+
+    @pytest.mark.parametrize("kwargs", [{"pool_size": 0}, {"pool_size": -3},
+                                        {"alpha": -0.5}])
+    def test_bad_options_raise(self, kwargs):
+        l0, s0 = self._models()
+        with pytest.raises(ValueError):
+            PragmaticSpeakerSampler(l0, s0, **kwargs)
+
+
+def reference_samples(s0, feats, rng, batch):
+    """Speaker-mode samples of every row, batch rows per s0_sample_batch call."""
+    return [tuple(s0.vocab.decode(list(ids))[:-1])
+            for lo in range(0, len(feats), batch)
+            for ids, _ in s0_sample_batch(s0, feats[lo:lo + batch], rng)]
+
+
+def reference_s1_texts(l0, s0, contexts, rng, alpha, pool_size, batch):
+    """S1 texts with every pool row encoded and every candidate scored alone."""
+    feats = np.repeat(contexts_target_last_features((c, t) for c, t, _ in contexts),
+                      pool_size, axis=0)
+    samples = reference_samples(s0, feats, rng, batch)
+    texts = []
+    for i, (colors, target, _) in enumerate(contexts):
+        cands = [c for c in samples[i * pool_size:(i + 1) * pool_size] if c]
+        if not cands:
+            texts.append("")
+            continue
+        scored = np.array([l0_score(l0, preprocess(" ".join(c), "listener"), colors)[target]
+                           for c in cands])
+        weights = np.maximum(scored, 1e-300) ** alpha
+        texts.append(" ".join(cands[rng.choice(len(cands), p=weights / weights.sum())]))
+    return texts
+
+
+class TestSamplersMatchReference:
+    @pytest.fixture(autouse=True)
+    def small_batches(self, monkeypatch):
+        # 10-row sampling batches cut through the 4-row pools
+        monkeypatch.setattr("pragref.speaker.SAMPLE_BATCH", 10)
+
+    def _models(self):
+        vocab = build_vocab([["blue", "blue", "dark", "dark", "red", "red", "teal", "teal"]])
+        rng = np.random.default_rng(21)
+        return (ListenerModel.create(vocab, rng, embed_dim=8, hidden_dim=6),
+                SpeakerModel.create(vocab, rng, embed_dim=8, hidden_dim=6))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_base_sampler(self, seed):
+        _, s0 = self._models()
+        contexts = condition_mix_contexts(9, np.random.default_rng(seed))
+        feats = contexts_target_last_features((c, t) for c, t, _ in contexts)
+        want = [" ".join(u) for u in reference_samples(s0, feats, np.random.default_rng(seed),
+                                                       10)]
+        assert BaseSpeakerSampler(s0).sample_texts(contexts, np.random.default_rng(seed)) == want
+
+    @pytest.mark.parametrize("seed,alpha", [(0, 0.544), (1, 2.0), (2, 0.0)])
+    def test_pragmatic_sampler(self, seed, alpha):
+        l0, s0 = self._models()
+        contexts = condition_mix_contexts(7, np.random.default_rng(seed))
+        got = PragmaticSpeakerSampler(l0, s0, alpha=alpha, pool_size=4).sample_texts(
+            contexts, np.random.default_rng(seed))
+        want = reference_s1_texts(l0, s0, contexts, np.random.default_rng(seed), alpha, 4, 10)
+        assert got == want and any(got)

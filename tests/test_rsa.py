@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as F
 from importlib import resources
 
@@ -5,14 +6,13 @@ import numpy as np
 import pytest
 
 from pragref.colorspace import Color
-from pragref.corpus import build_vocab
+from pragref.corpus import build_vocab, preprocess
 from pragref.errors import VacuousUtterance
-from pragref.listener import ListenerModel
+from pragref.listener import ListenerModel, l0_probs_many, l0_score
 from pragref.rsa import (
-    AlternativeSet,
     Lexicon,
-    NeuralS1Table,
     PragmaticsConfig,
+    _s1_replicates,
     blend,
     compute_agents,
     exact_l0,
@@ -22,10 +22,8 @@ from pragref.rsa import (
     exact_s1,
     neural_l1,
     neural_l2,
-    neural_s1,
     s1_table_from_probs,
 )
-from pragref.listener import l0_probs_many
 from pragref.speaker import SpeakerModel, s0_log_probs_batch, s0_sample_batch
 
 COLORS = (Color(0.22, 0.52, 0.78), Color(0.0, 0.98, 0.99), Color(0.62, 0.39, 0.38))
@@ -36,6 +34,13 @@ def demo_lexicon():
     # blue true of {1,2}; teal of {2}; dull of {1,3}; uniform prior, zero costs
     return Lexicon(utterances=["blue", "teal", "dull"],
                    truth=[[1, 1, 0], [0, 1, 0], [1, 0, 1]])
+
+
+def stub_alternatives(monkeypatch, types, row_types):
+    """Make every alternative draw return these types and row type indices."""
+    monkeypatch.setattr("pragref.rsa._sample_alternatives",
+                        lambda model, feats, per_context, rng:
+                        (list(types), np.array(row_types, dtype=int)))
 
 
 def models(seed=0):
@@ -117,14 +122,20 @@ class TestPragmaticsConfig:
             PragmaticsConfig(m=0)
         with pytest.raises(ValueError):
             PragmaticsConfig(alpha=-1)
+        with pytest.raises(ValueError):
+            PragmaticsConfig(alpha_neural=-0.1)
 
 
 class TestNeuralS1:
-    def test_singleton_alt_probability_one(self):
-        l0, _ = models()
-        alt = AlternativeSet.from_samples([], observed=("blue",))
-        table = neural_s1(l0, ("blue",), alt, COLORS)
-        assert np.allclose(table.prob_of(("blue",)), 1.0)
+    def test_singleton_alt_probability_one(self, monkeypatch):
+        # every sample a bare end token: the multiset is the observed alone
+        l0, s0 = models()
+        cfg = PragmaticsConfig(m=2, n=3)
+        stub_alternatives(monkeypatch, [], [-1] * (3 * cfg.n * cfg.m))
+        _, tables, obs = _s1_replicates(l0, s0, ("blue",), COLORS, cfg,
+                                        np.random.default_rng(0))
+        assert tables.shape == (3, 1, 3) and obs == 0
+        assert np.allclose(tables[:, obs], 1.0)
 
     def test_duplicate_doubles_mass(self):
         probs = np.array([[0.5, 0.2, 0.3], [0.4, 0.5, 0.6]])
@@ -146,12 +157,44 @@ class TestNeuralS1:
         scaled = s1_table_from_probs(scaled_input, counts, alpha=0.544)
         assert np.allclose(base, scaled)
 
-    def test_columns_normalize(self):
-        l0, _ = models(seed=2)
-        alt = AlternativeSet.from_samples(
-            [("dark", "blue"), ("red",), ("dark", "blue")], observed=("blue",))
-        table = neural_s1(l0, ("blue",), alt, COLORS)
-        assert np.allclose(table.probs.sum(axis=0), 1.0, atol=1e-9)
+    def test_columns_normalize(self, monkeypatch):
+        l0, s0 = models(seed=2)
+        cfg = PragmaticsConfig(m=1, n=2)
+        stub_alternatives(monkeypatch, [("dark", "blue"), ("red",)], [0, 1, 0, -1, 0, 1])
+        _, tables, obs = _s1_replicates(l0, s0, ("blue",), COLORS, cfg,
+                                        np.random.default_rng(0))
+        assert tables.shape == (2, 3, 3) and obs == 2
+        assert np.allclose(tables.sum(axis=1), 1.0, atol=1e-9)
+
+    def test_stacked_counts_match_one_table_each(self):
+        rng = np.random.default_rng(1)
+        probs = rng.random((6, 3))
+        counts = rng.integers(0, 4, (5, 6)).astype(float)
+        counts[:, 0] += 1
+        stacked = s1_table_from_probs(probs, counts, alpha=0.8)
+        for k in range(len(counts)):
+            keep = counts[k] > 0
+            want = s1_table_from_probs(probs[keep], counts[k][keep], alpha=0.8)
+            assert np.allclose(stacked[k][keep], want, rtol=0, atol=1e-15)
+            assert np.all(stacked[k][~keep] == 0)
+
+
+def counter_l2(l0_model, u, colors, cfg, types, row_types):
+    """L2 over given alternatives with one Counter-built S1 table per replicate."""
+    observed = tuple(preprocess(u, "speaker")) if isinstance(u, str) else tuple(u)
+    rows = np.asarray(row_types).reshape(3, cfg.n, cfg.m)
+    out = np.zeros(3)
+    for r in range(cfg.n):
+        counts = Counter(types[t] for t in rows[:, r].ravel() if t >= 0)
+        counts[observed] += 1
+        kinds = list(counts)
+        probs = np.stack([l0_score(l0_model, preprocess(" ".join(k), "listener"), colors)
+                          for k in kinds])
+        table = s1_table_from_probs(probs, np.array([counts[k] for k in kinds], dtype=float),
+                                    cfg.alpha_neural)
+        s1_row = table[kinds.index(observed)]
+        out += s1_row / s1_row.sum()
+    return out / cfg.n
 
 
 class TestNeuralL2:
@@ -159,12 +202,38 @@ class TestNeuralL2:
         # when every alternative equals the observed utterance, all S1
         # ratios are 1 and the formula forces the uniform distribution
         l0, s0 = models(seed=3)
-        monkeypatch.setattr("pragref.rsa._sample_alternatives",
-                            lambda model, colors, m, n, rng: [[("blue",)] * (3 * m)
-                                                              for _ in range(n)])
         cfg = PragmaticsConfig(m=2, n=1)
+        stub_alternatives(monkeypatch, [("blue",)], [0] * (3 * cfg.n * cfg.m))
         dist = neural_l2(l0, s0, ("blue",), COLORS, cfg, np.random.default_rng(0))
         assert np.allclose(dist, 1 / 3, atol=1e-9)
+
+    @pytest.mark.parametrize("u", ["dark blue", "teal", ("red",)])
+    def test_matches_per_replicate_counter(self, monkeypatch, u):
+        l0, s0 = models(seed=12)
+        cfg = PragmaticsConfig(m=4, n=5)
+        types = [("dark", "blue"), ("red",), ("teal",), ("dull", "red"), ("blue",)]
+        row_types = np.random.default_rng(6).integers(-1, len(types), 3 * cfg.n * cfg.m)
+        stub_alternatives(monkeypatch, types, row_types)
+        got = neural_l2(l0, s0, u, COLORS, cfg, np.random.default_rng(0))
+        want = counter_l2(l0, u, COLORS, cfg, types, row_types)
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_samples_every_target_in_one_draw(self, monkeypatch):
+        # one sampling call over the three target-last contexts, n*m rows each
+        l0, s0 = models(seed=13)
+        calls = []
+
+        def recording(model, feats, rng, temperature=1.0, rows=None):
+            calls.append((feats.shape, None if rows is None else rows.tolist()))
+            return s0_sample_batch(model, feats, rng, temperature, rows)
+
+        monkeypatch.setattr("pragref.speaker.s0_sample_batch", recording)
+        cfg = PragmaticsConfig(m=3, n=4)
+        neural_l2(l0, s0, "dark blue", COLORS, cfg, np.random.default_rng(2))
+        assert len(calls) == 1
+        shape, rows = calls[0]
+        assert shape[:2] == (3, 3)
+        assert rows == [t for t in range(3) for _ in range(cfg.n * cfg.m)]
 
     def test_sums_to_one_random_models(self):
         l0, s0 = models(seed=4)
@@ -237,10 +306,27 @@ class TestComputeAgents:
         got = [compute_agents(l0, s0, u, COLORS, cfg, np.random.default_rng(4))
                for u in texts]
         # the undecorated scorers and sampler build the autograd graph
-        for fn in (l0_probs_many, s0_log_probs_batch, s0_sample_batch):
+        for fn in (l0_probs_many, s0_log_probs_batch):
             monkeypatch.setattr(f"pragref.rsa.{fn.__name__}", fn.__wrapped__)
+        monkeypatch.setattr("pragref.speaker.s0_sample_batch", s0_sample_batch.__wrapped__)
         want = [compute_agents(l0, s0, u, COLORS, cfg, np.random.default_rng(4))
                 for u in texts]
         for a, b in zip(got, want):
             assert a.keys() == b.keys()
             assert all(np.array_equal(a[k], b[k]) for k in a)
+
+    @pytest.mark.parametrize("u", ["dark blue", "Bluish, not the darkest one!",
+                                   "red teal dull", ("dark", "blue", "</s>"),
+                                   ("unseen", "reddish")])
+    def test_l0_and_l1_match_direct_agents(self, u):
+        # L0 is read off the alternatives table; it must equal scoring the
+        # listener-mode text alone, as L1 must equal neural_l1
+        l0, s0 = models(seed=10)
+        cfg = PragmaticsConfig(m=4, n=3)
+        agents = compute_agents(l0, s0, u, COLORS, cfg, np.random.default_rng(5))
+        tokens = preprocess(u, "listener") if isinstance(u, str) else \
+            preprocess(" ".join(u[:-1] if u[-1] == "</s>" else u), "listener")
+        assert np.allclose(agents["l0"], l0_score(l0, tokens, COLORS), rtol=0, atol=1e-12)
+        assert np.array_equal(agents["l1"], neural_l1(s0, u, COLORS))
+        l2 = neural_l2(l0, s0, u, COLORS, cfg, np.random.default_rng(5))
+        assert np.array_equal(agents["l2"], l2)

@@ -18,6 +18,7 @@ from pragref.speaker import (
     s0_log_probs_batch,
     s0_sample,
     s0_sample_batch,
+    s0_sample_utterances,
     target_last_features,
     train_s0,
 )
@@ -256,6 +257,66 @@ class TestSampling:
         lengths = [len(ids) for ids, _ in rows]
         assert MAX_DECODE_LEN in lengths and min(lengths) < MAX_DECODE_LEN
         assert row_steps == sum(lengths)
+
+    @pytest.mark.parametrize("temperature", [1.0, 0.5, 0.0])
+    def test_row_map_matches_gathered_features(self, temperature):
+        model = tiny_model(seed=9)
+        rng = np.random.default_rng(7)
+        feats = rng.standard_normal((4, 3, 54))
+        rows = rng.integers(0, 4, 50)
+        got = s0_sample_batch(model, feats, np.random.default_rng(3), temperature, rows=rows)
+        want = s0_sample_batch(model, feats[rows], np.random.default_rng(3), temperature)
+        assert [ids for ids, _ in got] == [ids for ids, _ in want]
+        assert np.allclose([lp for _, lp in got], [lp for _, lp in want], rtol=0, atol=1e-12)
+
+    def test_row_map_encodes_each_context_once(self):
+        model = tiny_model(seed=9)
+        encoded = []
+        encode = model.encode
+
+        def counting(feats):
+            encoded.append(len(feats))
+            return encode(feats)
+
+        model.encode = counting
+        feats = np.random.default_rng(8).standard_normal((3, 3, 54))
+        rows = s0_sample_batch(model, feats, np.random.default_rng(1),
+                               rows=np.repeat(np.arange(3), 16))
+        assert encoded == [3] and len(rows) == 48
+
+    def test_merged_targets_equal_separate_calls_greedy(self):
+        # at temperature 0 the draws are unused, so one batch over the three
+        # targets must decode exactly what three batches of their own do
+        model = tiny_model(seed=10)
+        feats = np.stack([reorder_target_last(COLORS, t) for t in range(3)])
+        merged = s0_sample_batch(model, feats, np.random.default_rng(0), 0.0,
+                                 rows=np.repeat(np.arange(3), 5))
+        separate = [row for t in range(3)
+                    for row in s0_sample_batch(model, np.repeat(feats[t:t + 1], 5, axis=0),
+                                               np.random.default_rng(0), 0.0)]
+        assert [ids for ids, _ in merged] == [ids for ids, _ in separate]
+        assert np.allclose([lp for _, lp in merged], [lp for _, lp in separate],
+                           rtol=0, atol=1e-12)
+
+    def test_utterances_per_context_match_repeated_contexts(self, monkeypatch):
+        # 6-row batches cut through some 4-row pools and end with others
+        monkeypatch.setattr("pragref.speaker.SAMPLE_BATCH", 6)
+        model = tiny_model(seed=11)
+        feats = np.random.default_rng(9).standard_normal((5, 3, 54))
+        want = s0_sample_utterances(model, np.repeat(feats, 4, axis=0),
+                                    np.random.default_rng(4))
+        encoded = []
+        encode = model.encode
+
+        def counting(batch_feats):
+            encoded.append(len(batch_feats))
+            return encode(batch_feats)
+
+        model.encode = counting
+        got = s0_sample_utterances(model, feats, np.random.default_rng(4), per_context=4)
+        assert len(got) == 20 and got == want
+        # rows 0-5, 6-11, 12-17 and 18-19 span contexts 0-1, 1-2, 3-4 and 4
+        assert encoded == [2, 2, 2, 1]
 
     def test_truncation_forces_end_token(self):
         model = tiny_model(seed=6)
