@@ -1,8 +1,16 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its shared count check.
 
 Each class maps to a distinct CLI exit code (see cli.EXIT_CODES), so error
 categories stay distinguishable in batch runs.
 """
+
+import numbers
+
+
+def require_count(name: str, value) -> None:
+    """Raise ValueError unless value is an integer of at least 1 (not a bool)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
 
 
 class PragrefError(Exception):

@@ -162,26 +162,35 @@ def trial_listener_ids(model: ListenerModel, trial: ContextTrial) -> list[int]:
     return model.encode_tokens(preprocess(trial.speaker_texts, "listener"))
 
 
+def _listener_inputs(model: ListenerModel, trials: list[ContextTrial]):
+    """Id rows, context features (N, 3, F) and target indices of a trial list."""
+    return ([trial_listener_ids(model, t) for t in trials],
+            np.stack([context_features(t.colors) for t in trials]),
+            np.array([t.target_index for t in trials]))
+
+
 def train_l0(model: ListenerModel, train_trials: list[ContextTrial],
              dev_trials: list[ContextTrial], config: TrainConfig) -> TrainingReport:
     """Minimize cross-entropy of the target index; keep the best-dev epoch.
 
     Trains with ADADELTA at learning rate 0.2, clipping gradients to a global
     norm of 5.0. The model is left holding the best-dev-accuracy parameters.
+    Dev inputs are built once and scored after every epoch as evaluate_l0
+    scores them.
     """
-    ids = [np.array(trial_listener_ids(model, t)) for t in train_trials]
+    id_rows, feats, targets = _listener_inputs(model, train_trials)
+    ids = [np.array(row) for row in id_rows]
     for i, row in enumerate(ids):
         if not row.size:
             raise EmptyUtterance(f"training trial {i} has a listener text with no tokens")
-    feats = np.stack([context_features(t.colors) for t in train_trials])
-    targets = np.array([t.target_index for t in train_trials])
+    dev_ids, dev_feats, dev_targets = _listener_inputs(model, dev_trials)
 
     def batch_loss(batch):
         scores = model.scores(np.stack([ids[i] for i in batch]), feats[batch])
         return softmax_xent(scores, targets[batch])[0], len(batch)
 
     def dev():
-        acc, ppl = evaluate_l0(model, dev_trials)
+        acc, ppl = _scores(l0_probs_many(model, dev_ids, dev_feats), dev_targets)
         return acc, {"dev_accuracy": acc, "dev_perplexity": ppl}
 
     return _fit(Adadelta(model.parameters()), np.array([len(s) for s in ids]),
@@ -191,9 +200,8 @@ def train_l0(model: ListenerModel, train_trials: list[ContextTrial],
 def evaluate_l0(model: ListenerModel,
                 trials: list[ContextTrial]) -> tuple[float, float]:
     """(accuracy, perplexity) of the base listener on a trial list."""
-    probs = l0_probs_many(model, [trial_listener_ids(model, t) for t in trials],
-                          np.stack([context_features(t.colors) for t in trials]))
-    return _scores(probs, np.array([t.target_index for t in trials]))
+    ids, feats, targets = _listener_inputs(model, trials)
+    return _scores(l0_probs_many(model, ids, feats), targets)
 
 
 @no_grad()

@@ -22,6 +22,7 @@ import numpy as np
 
 from .colorspace import Color, Condition
 from .corpus import ContextTrial, preprocess
+from .errors import require_count
 
 HEURISTICS_NOTE = ("comparatives/superlatives via suffix heuristics; "
                    "specificity via bundled color-term depth table")
@@ -264,8 +265,7 @@ class PragmaticSpeakerSampler:
 
     def __init__(self, l0_model, s0_model, alpha: float = 0.544,
                  pool_size: int = 24):
-        if pool_size < 1:
-            raise ValueError(f"pool_size must be at least 1, got {pool_size}")
+        require_count("pool_size", pool_size)
         if alpha < 0:
             raise ValueError(f"alpha must be nonnegative, got {alpha}")
         self.l0_model = l0_model

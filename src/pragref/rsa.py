@@ -26,7 +26,7 @@ import numpy as np
 
 from .colorspace import Color
 from .corpus import EOS, preprocess, speaker_tokens_to_listener_tokens
-from .errors import VacuousUtterance
+from .errors import VacuousUtterance, require_count
 from .listener import ListenerModel, context_features, l0_probs_many
 from .speaker import (
     SpeakerModel,
@@ -206,8 +206,8 @@ class PragmaticsConfig:
     alpha_neural: float = 0.544   # pragmatic-speaker exponent over samples
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise ValueError("m and n must be at least 1")
+        require_count("m", self.m)
+        require_count("n", self.n)
         if self.alpha < 0 or self.alpha_neural < 0:
             raise ValueError("alpha and alpha_neural must be nonnegative")
 

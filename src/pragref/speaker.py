@@ -297,16 +297,32 @@ def trial_speaker_ids(model: SpeakerModel, trial: ContextTrial) -> list[int]:
     return model.vocab.encode(tokens)
 
 
+def _speaker_inputs(model: SpeakerModel, trials: list[ContextTrial]):
+    """Id rows ending in </s> and target-last features (N, 3, F) of a trial list."""
+    return ([trial_speaker_ids(model, t) for t in trials],
+            contexts_target_last_features((t.colors, t.target_index) for t in trials))
+
+
+def _token_perplexity(model: SpeakerModel, id_seqs: list[list[int]],
+                      feats: np.ndarray) -> float:
+    log_probs = s0_log_probs_batch(model, id_seqs, feats)
+    n_tokens = sum(len(s) for s in id_seqs)
+    return float(np.exp(-log_probs.sum() / n_tokens))
+
+
 def train_s0(model: SpeakerModel, train_trials: list[ContextTrial],
              dev_trials: list[ContextTrial], config: TrainConfig) -> TrainingReport:
     """Minimize per-token cross-entropy; keep the best-dev-perplexity epoch.
 
     Trains with Adam at learning rate 0.004, clipping gradients to a global
     norm of 5.0. The model is left holding the best-dev-perplexity parameters.
+    Dev inputs are built once and scored after every epoch as
+    dev_token_perplexity scores them.
     """
-    ids = [np.array(trial_speaker_ids(model, t)) for t in train_trials]
+    id_rows, feats = _speaker_inputs(model, train_trials)
+    ids = [np.array(row) for row in id_rows]
     lengths = np.array([len(s) for s in ids])
-    feats = contexts_target_last_features((t.colors, t.target_index) for t in train_trials)
+    dev_ids, dev_feats = _speaker_inputs(model, dev_trials)
 
     def batch_loss(batch):
         losses = _teacher_forced_losses(model, feats[batch],
@@ -314,7 +330,7 @@ def train_s0(model: SpeakerModel, train_trials: list[ContextTrial],
         return losses, int(lengths[batch].sum())
 
     def dev():
-        ppl = dev_token_perplexity(model, dev_trials)
+        ppl = _token_perplexity(model, dev_ids, dev_feats)
         return -ppl, {"dev_perplexity": ppl}
 
     return _fit(Adam(model.parameters()), lengths, batch_loss, dev, config)
@@ -322,8 +338,4 @@ def train_s0(model: SpeakerModel, train_trials: list[ContextTrial],
 
 def dev_token_perplexity(model: SpeakerModel, trials: list[ContextTrial]) -> float:
     """exp(mean per-token NLL) over a trial list, end tokens included."""
-    id_seqs = [trial_speaker_ids(model, t) for t in trials]
-    feats = contexts_target_last_features((t.colors, t.target_index) for t in trials)
-    log_probs = s0_log_probs_batch(model, id_seqs, feats)
-    n_tokens = sum(len(s) for s in id_seqs)
-    return float(np.exp(-log_probs.sum() / n_tokens))
+    return _token_perplexity(model, *_speaker_inputs(model, trials))

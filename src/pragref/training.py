@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Vocabulary
+from .errors import require_count
 from .nnsubstrate import (Parameter, clip_global_norm, load_checkpoint, save_checkpoint,
                           zero_gradients)
 
@@ -20,12 +21,17 @@ class TrainConfig:
 
     The optimizers are fixed: ADADELTA at learning rate 0.2 for the listener,
     Adam at 0.004 for the speaker, both clipped to a global gradient norm of
-    GRAD_CLIP = 5.0. Epochs and batch size are declared defaults, not tuned.
+    GRAD_CLIP = 5.0. Epochs and batch size are declared defaults, not tuned;
+    both must be integers of at least 1.
     """
 
     epochs: int = 10
     batch_size: int = 32
     seed: int = 0
+
+    def __post_init__(self):
+        require_count("epochs", self.epochs)
+        require_count("batch_size", self.batch_size)
 
 
 @dataclass
@@ -55,8 +61,9 @@ def same_length_batches(lengths: np.ndarray, order: np.ndarray,
     """Yield index arrays of equal-length rows, at most batch_size each.
 
     `order` fixes the shuffle; a stable sort on length inside that order keeps
-    batching deterministic.
+    batching deterministic. A batch_size below 1 raises ValueError.
     """
+    require_count("batch_size", batch_size)
     by_len = order[np.argsort(lengths[order], kind="stable")]
     start = 0
     n = len(by_len)

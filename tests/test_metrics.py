@@ -222,7 +222,7 @@ class TestCompareSpeakers:
             assert set(rep.per_condition) == {"far", "split", "close"}
 
     @pytest.mark.parametrize("kwargs", [{"pool_size": 0}, {"pool_size": -3},
-                                        {"alpha": -0.5}])
+                                        {"alpha": -0.5}, {"pool_size": 2.5}])
     def test_bad_options_raise(self, kwargs):
         l0, s0 = self._models()
         with pytest.raises(ValueError):

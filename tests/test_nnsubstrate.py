@@ -4,14 +4,18 @@ import threading
 import numpy as np
 import pytest
 
+from pragref import listener, nnsubstrate, speaker
+from pragref.corpus import build_vocab, preprocess, synth_corpus
 from pragref.errors import IndexOutOfRange, NonFiniteGradient
 from pragref.nnsubstrate import (
+    OPT_BLOCK,
     Adadelta,
     Adam,
     LstmCellParams,
     Parameter,
     Tensor,
     affine,
+    check_finite_gradients,
     clip_global_norm,
     concat,
     embed,
@@ -26,6 +30,7 @@ from pragref.nnsubstrate import (
     softmax_xent,
     zero_gradients,
 )
+from pragref.training import TrainConfig
 
 TOL = 1e-4
 
@@ -359,3 +364,270 @@ class TestCheckpoints:
         np.savez(path, __meta__=np.array('{"format_version": 999, "arrays": {}}'))
         with pytest.raises(ValueError, match="format"):
             load_checkpoint(path)
+
+
+# -- the lean training step against the composed graph and textbook formulas ------
+
+
+def composed_lstm_step(x, h, c, p):
+    """The LSTM step as separate graph nodes: matmuls, adds, narrows, gates."""
+    n = p.hidden_dim
+    gates = x @ p.w_x + h @ p.w_h + p.bias
+    i = gates.narrow(-1, 0, n).sigmoid()
+    f = gates.narrow(-1, n, n).sigmoid()
+    o = gates.narrow(-1, 2 * n, n).sigmoid()
+    g = gates.narrow(-1, 3 * n, n).tanh()
+    c2 = f * c + i * g
+    h2 = o * c2.tanh()
+    return h2, c2
+
+
+class ReferenceAdam:
+    """Adam as out-of-place array expressions."""
+
+    def __init__(self, params, lr=0.004, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params, self.lr, self.beta1, self.beta2, self.eps = params, lr, beta1, beta2, eps
+        self.m, self.v, self.t = {}, {}, 0
+
+    def step(self):
+        check_finite_gradients(self.params)
+        self.t += 1
+        for p in self.params:
+            if p.grad is None:
+                continue
+            m = self.m.get(p.name, np.zeros_like(p.data))
+            v = self.v.get(p.name, np.zeros_like(p.data))
+            self.m[p.name] = m = self.beta1 * m + (1 - self.beta1) * p.grad
+            self.v[p.name] = v = self.beta2 * v + (1 - self.beta2) * p.grad ** 2
+            m_hat = m / (1 - self.beta1 ** self.t)
+            v_hat = v / (1 - self.beta2 ** self.t)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+class ReferenceAdadelta:
+    """ADADELTA as out-of-place array expressions."""
+
+    def __init__(self, params, lr=0.2, rho=0.95, eps=1e-6):
+        self.params, self.lr, self.rho, self.eps = params, lr, rho, eps
+        self.sq_grad, self.sq_update = {}, {}
+
+    def step(self):
+        check_finite_gradients(self.params)
+        for p in self.params:
+            if p.grad is None:
+                continue
+            sg = self.sq_grad.get(p.name, np.zeros_like(p.data))
+            su = self.sq_update.get(p.name, np.zeros_like(p.data))
+            self.sq_grad[p.name] = sg = self.rho * sg + (1 - self.rho) * p.grad ** 2
+            update = -np.sqrt(su + self.eps) / np.sqrt(sg + self.eps) * p.grad
+            self.sq_update[p.name] = self.rho * su + (1 - self.rho) * update ** 2
+            p.data += self.lr * update
+
+
+def _lstm_arrays(rng, batch, din, hid):
+    return {
+        "x": rng.standard_normal((batch, din)),
+        "h": rng.standard_normal((batch, hid)),
+        "c": rng.standard_normal((batch, hid)) * 2.0,
+        "w_x": rng.standard_normal((din, 4 * hid)) * 0.7,
+        "w_h": rng.standard_normal((hid, 4 * hid)) * 0.7,
+        "bias": rng.standard_normal(4 * hid),
+    }
+
+
+def _run_steps(step_fn, arrays, weights, steps, use_c):
+    """Chain `steps` LSTM steps on fresh Parameters; every h (and the last c,
+    when use_c) feeds a weighted sum. Returns the outputs and the Parameters.
+
+    As in the models, c has one consumer outside its step: a second one would
+    make the sum of its gradients depend on the order of three terms.
+    """
+    ps = {k: Parameter(k, v.copy()) for k, v in arrays.items()}
+    cell = LstmCellParams(arrays["x"].shape[1], arrays["h"].shape[1],
+                          ps["w_x"], ps["w_h"], ps["bias"])
+    h, c = ps["h"], ps["c"]
+    outs, loss = [], None
+    for t in range(steps):
+        h, c = step_fn(ps["x"], h, c, cell)
+        outs += [h.data.copy(), c.data.copy()]
+        term = (h * Tensor(weights[t])).sum()
+        loss = term if loss is None else loss + term
+    if use_c:
+        loss = loss + (c * Tensor(weights[0] ** 2)).sum()
+    loss.backward()
+    return outs, ps
+
+
+class TestFusedLstmStep:
+    @pytest.mark.parametrize("batch,din,hid,steps,use_c", [
+        (1, 1, 1, 1, True), (5, 3, 4, 1, False), (7, 6, 5, 3, True), (32, 20, 16, 4, False)])
+    def test_values_and_six_gradients_equal_composed(self, batch, din, hid, steps, use_c):
+        rng = np.random.default_rng(batch * 100 + hid)
+        arrays = _lstm_arrays(rng, batch, din, hid)
+        weights = rng.standard_normal((steps, batch, hid))
+        fused_out, fused = _run_steps(lstm_step, arrays, weights, steps, use_c)
+        ref_out, ref = _run_steps(composed_lstm_step, arrays, weights, steps, use_c)
+        for a, b in zip(fused_out, ref_out):
+            assert np.array_equal(a, b)
+        for name in arrays:
+            assert fused[name].grad is not None
+            assert np.array_equal(fused[name].grad, ref[name].grad), name
+
+    def test_one_node_with_h_and_c_as_views(self):
+        rng = np.random.default_rng(3)
+        arrays = _lstm_arrays(rng, 4, 3, 5)
+        ps = {k: Parameter(k, v) for k, v in arrays.items()}
+        cell = LstmCellParams(3, 5, ps["w_x"], ps["w_h"], ps["bias"])
+        h2, c2 = lstm_step(ps["x"], ps["h"], ps["c"], cell)
+        (node,) = h2._parents
+        assert c2._parents == (node,)
+        assert np.shares_memory(h2.data, node.data) and np.shares_memory(c2.data, node.data)
+        assert node._parents == (ps["x"], ps["h"], ps["c"], ps["w_x"], ps["w_h"], ps["bias"])
+        with no_grad():
+            h3, c3 = lstm_step(ps["x"], ps["h"], ps["c"], cell)
+        assert not h3.requires_grad and not c3.requires_grad
+
+    def test_narrow_adds_into_parent_slices(self):
+        x = Parameter("x", np.ones((1, 4)))
+        loss = x.narrow(1, 0, 3).sum() + x.narrow(1, 1, 3).sum() * 2.0 + x.sum()
+        loss.backward()
+        assert np.array_equal(x.grad, [[2.0, 4.0, 4.0, 3.0]])
+
+    def test_first_gradient_is_copied(self):
+        x = Parameter("x", np.ones(3))
+        y = x + Tensor(np.zeros(3))
+        (y * 2.0).sum().backward()
+        assert x.grad is not y.grad and not np.shares_memory(x.grad, y.grad)
+        assert np.array_equal(x.grad, [2.0, 2.0, 2.0])
+
+
+def _changing_grads(rng, shape, steps):
+    grads = [rng.standard_normal(shape) * rng.choice([1e-4, 0.1, 3.0]) for _ in range(steps)]
+    grads[3][..., :7] = 0.0
+    return grads
+
+
+class TestInPlaceOptimizers:
+    SHAPES = {"big": (3, 11000), "small": (7, 11), "vec": (5,)}
+
+    def test_big_parameter_spans_blocks(self):
+        size = int(np.prod(self.SHAPES["big"]))
+        assert size > 2 * OPT_BLOCK and size % OPT_BLOCK
+
+    @pytest.mark.parametrize("cls,ref_cls", [(Adam, ReferenceAdam),
+                                             (Adadelta, ReferenceAdadelta)])
+    def test_twenty_steps_equal_formulas(self, cls, ref_cls):
+        rng = np.random.default_rng(11)
+        init = {k: rng.standard_normal(s) for k, s in self.SHAPES.items()}
+        grads = {k: _changing_grads(rng, s, 20) for k, s in self.SHAPES.items()}
+        ours = [Parameter(k, v.copy()) for k, v in init.items()]
+        refs = [Parameter(k, v.copy()) for k, v in init.items()]
+        opt, ref = cls(ours), ref_cls(refs)
+        for t in range(20):
+            for p, q in zip(ours, refs):
+                # the vector skips a step now and then, as an unused parameter does
+                p.grad = q.grad = None if p.name == "vec" and t % 4 == 1 else grads[p.name][t]
+            opt.step()
+            ref.step()
+            for p, q in zip(ours, refs):
+                assert np.array_equal(p.data, q.data), (t, p.name)
+
+    def test_interleaved_optimizers_equal_formulas(self):
+        rng = np.random.default_rng(12)
+        shape = self.SHAPES["big"]
+        start = rng.standard_normal(shape)
+        pairs = []
+        for cls, ref_cls in ((Adam, ReferenceAdam), (Adadelta, ReferenceAdadelta),
+                             (Adam, ReferenceAdam)):
+            p, q = Parameter("w", start.copy()), Parameter("w", start.copy())
+            pairs.append((cls([p]), ref_cls([q]), p, q, _changing_grads(rng, shape, 20)))
+        for t in range(20):
+            for opt, ref, p, q, grads in pairs:
+                p.grad = grads[t]
+                q.grad = grads[t].copy()
+                opt.step()
+                ref.step()
+        for _, _, p, q, _ in pairs:
+            assert np.array_equal(p.data, q.data)
+
+    @pytest.mark.parametrize("cls,ref_cls", [(Adam, ReferenceAdam),
+                                             (Adadelta, ReferenceAdadelta)])
+    def test_non_contiguous_parameter_is_updated(self, cls, ref_cls):
+        rng = np.random.default_rng(13)
+        start = rng.standard_normal((6, 4))
+        p, q = Parameter("w", start.T), Parameter("w", start.T.copy())
+        assert not p.data.flags.c_contiguous
+        opt, ref = cls([p]), ref_cls([q])
+        for g in _changing_grads(rng, (4, 6), 5):
+            p.grad, q.grad = g, g.copy()
+            opt.step()
+            ref.step()
+        assert np.array_equal(p.data, q.data) and not np.array_equal(p.data, start.T)
+
+    def test_moments_are_updated_in_place(self):
+        p = Parameter("p", np.zeros((3, 4)))
+        opt = Adam([p])
+        p.grad = np.ones((3, 4))
+        opt.step()
+        m, v = opt.state.slots["p"]["m"], opt.state.slots["p"]["v"]
+        data = p.data
+        opt.step()
+        assert opt.state.slots["p"]["m"] is m and opt.state.slots["p"]["v"] is v
+        assert p.data is data
+
+    def test_clip_checks_finiteness_only_for_non_finite_norm(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(nnsubstrate, "check_finite_gradients",
+                            lambda params: calls.append(1) or check_finite_gradients(params))
+        p, q = Parameter("p", np.zeros(3)), Parameter("q", np.zeros(2))
+        p.grad, q.grad = np.full(3, 4.0), np.array([1.0, 2.0])
+        clip_global_norm([p, q])
+        assert calls == []
+        q.grad = np.array([1.0, np.inf])
+        with pytest.raises(NonFiniteGradient, match="'q'"):
+            clip_global_norm([p, q])
+        assert calls == [1]
+
+
+def _small_trials():
+    trials = synth_corpus(48, np.random.default_rng(21))
+    return trials[:36], trials[36:]
+
+
+def _train_both(model_cls, train_fn, vocab_mode, config):
+    train, dev = _small_trials()
+    vocab = build_vocab([preprocess(t.combined_text(), vocab_mode) for t in train])
+    model = model_cls.create(vocab, np.random.default_rng(4), embed_dim=7, hidden_dim=5)
+    report = train_fn(model, train, dev, config)
+    return report, {p.name: p.data for p in model.parameters()}
+
+
+class TestTrainingMatchesReferences:
+    """train_l0 and train_s0 give the same report and bits with the composed
+    LSTM step and the textbook optimizers patched in."""
+
+    @pytest.fixture(params=[None, 37])
+    def block(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(nnsubstrate, "OPT_BLOCK", request.param)
+
+    def _compare(self, monkeypatch, model_cls, train_fn, mode, module, opt_name, ref_opt):
+        config = TrainConfig(epochs=2, batch_size=5, seed=3)
+        ours = _train_both(model_cls, train_fn, mode, config)
+        with monkeypatch.context() as m:
+            m.setattr(nnsubstrate, "lstm_step", composed_lstm_step)
+            m.setattr(speaker, "lstm_step", composed_lstm_step)
+            m.setattr(module, opt_name, ref_opt)
+            ref = _train_both(model_cls, train_fn, mode, config)
+        assert ours[0] == ref[0]
+        assert ours[1].keys() == ref[1].keys()
+        for name in ours[1]:
+            assert np.array_equal(ours[1][name], ref[1][name]), name
+
+    def test_train_l0(self, monkeypatch, block):
+        self._compare(monkeypatch, listener.ListenerModel, listener.train_l0, "listener",
+                      listener, "Adadelta", ReferenceAdadelta)
+
+    def test_train_s0(self, monkeypatch, block):
+        self._compare(monkeypatch, speaker.SpeakerModel, speaker.train_s0, "speaker",
+                      speaker, "Adam", ReferenceAdam)

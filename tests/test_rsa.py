@@ -125,6 +125,15 @@ class TestPragmaticsConfig:
         with pytest.raises(ValueError):
             PragmaticsConfig(alpha_neural=-0.1)
 
+    @pytest.mark.parametrize("kwargs", [{"m": 2.5}, {"n": 2.5}, {"m": 3.0}, {"n": True}])
+    def test_non_integer_counts_raise(self, kwargs):
+        with pytest.raises(ValueError, match="must be an integer"):
+            PragmaticsConfig(**kwargs)
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = PragmaticsConfig(m=np.int64(2), n=np.int32(3))
+        assert (cfg.m, cfg.n) == (2, 3)
+
 
 class TestNeuralS1:
     def test_singleton_alt_probability_one(self, monkeypatch):
