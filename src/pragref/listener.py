@@ -26,6 +26,7 @@ from .nnsubstrate import (
     Tensor,
     embed,
     log_softmax,
+    lstm_step,
     no_grad,
     quad_scores,
     run_lstm,
@@ -77,17 +78,57 @@ class ListenerModel:
     def encode_tokens(self, tokens: list[str]) -> list[int]:
         return self.vocab.encode(tokens)
 
-    def mu_sigma(self, ids: np.ndarray) -> tuple[Tensor, Tensor]:
-        """Scorer parameters for a batch of same-length id rows (B, T)."""
+    def encode(self, ids: np.ndarray) -> Tensor:
+        """Final LSTM hidden states (B, hidden) of same-length id rows (B, T)."""
         ids = np.atleast_2d(ids)
         batch, steps = ids.shape
         inputs = [embed(ids[:, t], self.embedding) for t in range(steps)]
         h, _ = run_lstm(inputs, self.cell, batch)
+        return h
+
+    @no_grad()
+    def encode_prefixes(self, seqs: list[tuple[int, ...]]) -> np.ndarray:
+        """Final LSTM hidden states (U, hidden) of distinct non-empty id sequences.
+
+        Forward only. The sequences form a prefix tree: position t makes one
+        lstm_step call over every distinct prefix of length t + 1, from its
+        parent prefix's state, and each sequence takes the state at its last
+        position. A position where one prefix stands for several sequences
+        runs it as two rows, because a one-row matrix product takes another
+        BLAS path, which can differ in the last bit.
+        """
+        lengths = np.array([len(s) for s in seqs])
+        padded = np.zeros((len(seqs), lengths.max(initial=0)), dtype=np.int64)
+        for i, s in enumerate(seqs):
+            padded[i, :len(s)] = s
+        out = np.empty((len(seqs), self.hidden_dim))
+        node = np.zeros(len(seqs), dtype=np.int64)  # each sequence's prefix so far
+        h = c = np.zeros((1, self.hidden_dim))
+        for t in range(padded.shape[1]):
+            alive = np.flatnonzero(lengths > t)
+            keys, node[alive] = np.unique(node[alive] * len(self.vocab) + padded[alive, t],
+                                          return_inverse=True)
+            if len(keys) == 1 and len(alive) > 1:
+                keys = np.repeat(keys, 2)
+            parent, tokens = np.divmod(keys, len(self.vocab))
+            h_t, c_t = lstm_step(embed(tokens, self.embedding), Tensor(h[parent]),
+                                 Tensor(c[parent]), self.cell)
+            h, c = h_t.data, c_t.data
+            ends = alive[lengths[alive] == t + 1]
+            out[ends] = h[node[ends]]
+        return out
+
+    def head(self, h: Tensor) -> tuple[Tensor, Tensor]:
+        """Scorer parameters mu (B, F) and Sigma (B, F, F) of hidden states (B, hidden)."""
         out = h @ self.out_w + self.out_b
         f = self.feature_dim
         mu = out.narrow(1, 0, f)
-        sigma = out.narrow(1, f, f * f).reshape(batch, f, f)
+        sigma = out.narrow(1, f, f * f).reshape(h.shape[0], f, f)
         return mu, sigma
+
+    def mu_sigma(self, ids: np.ndarray) -> tuple[Tensor, Tensor]:
+        """Scorer parameters for a batch of same-length id rows (B, T)."""
+        return self.head(self.encode(ids))
 
     def scores(self, ids: np.ndarray, feats: np.ndarray) -> Tensor:
         """Raw quadratic-form scores (B, K) for candidate features (B, K, F)."""
@@ -118,8 +159,8 @@ def l0_score(model: ListenerModel, tokens: list[str],
     return np.exp(log_softmax(scores.data[0]))
 
 
-# Distinct utterances per mu/Sigma batch, and rows per gathered Sigma block:
-# memory stays near one 512-row batch whatever the number of utterances.
+# Distinct utterances per same-length head batch, and rows per gathered Sigma
+# block: memory stays near one 512-row batch whatever the number of utterances.
 _L0_UTTERANCE_BATCH = 512
 _L0_ROW_BLOCK = 128
 
@@ -130,10 +171,24 @@ def l0_probs_many(model: ListenerModel, id_seqs: list[list[int]],
     """Batched listener distributions for many utterances.
 
     feats is either one context (3, F), shared by all rows, or per-row
-    contexts (B, 3, F). The LSTM and output map run once per distinct id
-    sequence, in same-length groups; every row is then scored against its own
-    context. Returns (B, 3).
+    contexts (len(id_seqs), 3, F); any other shape raises ValueError. Returns
+    (len(id_seqs), 3).
+
+    The LSTM runs once per distinct prefix of the distinct id sequences, in
+    one prefix tree (ListenerModel.encode_prefixes). The affine head then runs
+    on same-length batches of up to _L0_UTTERANCE_BATCH distinct utterances,
+    and each row is scored against its own context in blocks of _L0_ROW_BLOCK
+    rows. The result has the bits of ListenerModel.scores on those batches.
+    The LSTM's matrix products give a row the same bits whatever rows share
+    them (where this holds is set out in the `rsa` module docstring), except
+    that a one-row product takes another BLAS path, so an utterance alone in
+    its batch is encoded alone. The head's wide product lacks that property,
+    so it runs on the batches themselves.
     """
+    f = model.feature_dim
+    if feats.shape not in ((3, f), (len(id_seqs), 3, f)):
+        raise ValueError(f"expected features of shape (3, {f}) or "
+                         f"({len(id_seqs)}, 3, {f}), got {feats.shape}")
     index: dict[tuple[int, ...], int] = {}
     inverse = np.array([index.setdefault(tuple(s), len(index)) for s in id_seqs],
                        dtype=int)
@@ -141,18 +196,25 @@ def l0_probs_many(model: ListenerModel, id_seqs: list[list[int]],
     lengths = np.array([len(s) for s in distinct])
     if np.any(lengths == 0):
         raise EmptyUtterance("empty token sequence in batch")
+    groups = list(same_length_batches(lengths, np.arange(len(distinct)),
+                                      batch_size=_L0_UTTERANCE_BATCH))
+    states = np.empty((len(distinct), model.hidden_dim))
+    together = [u for g in groups if len(g) > 1 for u in g]
+    if together:
+        states[together] = model.encode_prefixes([distinct[u] for u in together])
+    for g in groups:
+        if len(g) == 1:
+            states[g] = model.encode_prefixes([distinct[g[0]]])
     out = np.empty((len(id_seqs), 3))
     order = np.argsort(inverse, kind="stable")  # rows grouped by utterance
     starts = np.searchsorted(inverse[order], np.arange(len(distinct) + 1))
-    shared = feats.ndim == 2
-    for group in same_length_batches(lengths, np.arange(len(distinct)),
-                                     batch_size=_L0_UTTERANCE_BATCH):
-        mu, sigma = model.mu_sigma(np.array([distinct[i] for i in group]))
+    for group in groups:
+        mu, sigma = model.head(Tensor(states[group]))
         rows = np.concatenate([order[starts[u]:starts[u + 1]] for u in group])
         slot = np.repeat(np.arange(len(group)), starts[group + 1] - starts[group])
         for lo in range(0, len(rows), _L0_ROW_BLOCK):
             r, k = rows[lo:lo + _L0_ROW_BLOCK], slot[lo:lo + _L0_ROW_BLOCK]
-            f = feats[None] if shared else feats[r]
+            f = feats[None] if feats.ndim == 2 else feats[r]
             scores = quad_scores(f, Tensor(mu.data[k]), Tensor(sigma.data[k]))
             out[r] = np.exp(log_softmax(scores.data))
     return out

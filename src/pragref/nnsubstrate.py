@@ -12,7 +12,8 @@ with an analytic backward, whose float operations are those of the composed
 gates, products and nonlinearities, in the same order. Adam and ADADELTA
 update their moments and the parameters in place, in cache-sized blocks, with
 the operations of the textbook expressions in their order. A first gradient
-is copied, not added to zeros.
+is not added to zeros: a backward's fresh result becomes the gradient as it
+is, and a shared array is copied.
 
 Inference builds no graph: the forward-only functions of the listener and the
 speaker run under `no_grad()`, where derived tensors keep neither parents nor a
@@ -92,9 +93,16 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def _accumulate(self, g: np.ndarray) -> None:
+    def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
+        """Add g into self.grad.
+
+        A first gradient is copied, since g may be shared: `__add__` hands one
+        array to both parents, `reshape` a view. A backward that made g fresh
+        and keeps no other reference passes owned=True, and g itself becomes
+        the gradient.
+        """
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)  # a copy: g may be shared
+            self.grad = g if owned else np.array(g, dtype=np.float64)
         else:
             self.grad += g
 
@@ -155,9 +163,9 @@ class Tensor:
 
         def bwd(g):
             if self.requires_grad:
-                self._accumulate(g @ other.data.T)
+                self._accumulate(g @ other.data.T, owned=True)
             if other.requires_grad:
-                other._accumulate(self.data.T @ g)
+                other._accumulate(self.data.T @ g, owned=True)
 
         out._backward = bwd
         return out
@@ -222,7 +230,7 @@ class Tensor:
             for p in node._parents:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
-        self._accumulate(np.ones_like(self.data))
+        self._accumulate(np.ones_like(self.data), owned=True)
         for node in reversed(order):
             if node._hook is not None and node.grad is not None:
                 node._hook(node.grad)
@@ -300,7 +308,7 @@ def softmax_xent(logits: Tensor, target_ids) -> tuple[Tensor, np.ndarray]:
             return
         grad = probs.copy()
         grad[rows, targets] -= 1.0
-        z._accumulate(grad * np.atleast_1d(g)[:, None])
+        z._accumulate(grad * np.atleast_1d(g)[:, None], owned=True)
 
     out._backward = bwd
     return out, (probs[0] if single else probs)
@@ -327,9 +335,9 @@ def quad_scores(feats: np.ndarray, mu: Tensor, sigma: Tensor) -> Tensor:
     def bwd(g):
         if mu.requires_grad:
             st_d = np.einsum("bef,bke->bkf", sigma.data, d)
-            mu._accumulate(np.einsum("bk,bkf->bf", g, s_d + st_d))
+            mu._accumulate(np.einsum("bk,bkf->bf", g, s_d + st_d), owned=True)
         if sigma.requires_grad:
-            sigma._accumulate(-np.einsum("bk,bkf,bke->bfe", g, d, d))
+            sigma._accumulate(-np.einsum("bk,bkf,bke->bfe", g, d, d), owned=True)
 
     out._backward = bwd
     return out
@@ -414,17 +422,17 @@ def lstm_step(x: Tensor, h: Tensor, c: Tensor,
         np.multiply(dc, i, out=d_cand)
         d_cand *= 1.0 - cand * cand
         if c.requires_grad:
-            c._accumulate(dc * f)
+            c._accumulate(dc * f, owned=True)
         if p.bias.requires_grad:
-            p.bias._accumulate(_unbroadcast(d, p.bias.shape))
+            p.bias._accumulate(_unbroadcast(d, p.bias.shape), owned=True)
         if x.requires_grad:
-            x._accumulate(d @ p.w_x.data.T)
+            x._accumulate(d @ p.w_x.data.T, owned=True)
         if p.w_x.requires_grad:
-            p.w_x._accumulate(x.data.T @ d)
+            p.w_x._accumulate(x.data.T @ d, owned=True)
         if h.requires_grad:
-            h._accumulate(d @ p.w_h.data.T)
+            h._accumulate(d @ p.w_h.data.T, owned=True)
         if p.w_h.requires_grad:
-            p.w_h._accumulate(h.data.T @ d)
+            p.w_h._accumulate(h.data.T @ d, owned=True)
 
     out._backward = bwd
     return out._view(0), out._view(1)
@@ -453,15 +461,21 @@ def clip_global_norm(params: list[Parameter], max_norm: float = 5.0) -> float:
     """Scale all gradients so their joint L2 norm is at most max_norm.
 
     Raises NonFiniteGradient if a gradient is not finite, which shows as a
-    non-finite norm.
+    non-finite sum of squares. When finite gradients' squares overflow, the
+    norm is recomputed on gradients divided by their largest magnitude.
     """
+    grads = [p.grad for p in params if p.grad is not None]
     total = 0.0
-    for p in params:
-        if p.grad is not None:
-            total += float((p.grad ** 2).sum())
+    with np.errstate(over="ignore"):
+        for g in grads:
+            total += float((g ** 2).sum())
+    norm = np.sqrt(total)
     if not np.isfinite(total):
         check_finite_gradients(params)
-    norm = np.sqrt(total)
+        # finite gradients whose squares overflow: take the norm of the
+        # gradients scaled by their largest magnitude, then scale it back
+        top = max(float(np.abs(g).max(initial=0.0)) for g in grads)
+        norm = top * np.sqrt(sum(float(((g / top) ** 2).sum()) for g in grads))
     if norm > max_norm and norm > 0:
         scale = max_norm / norm
         for p in params:

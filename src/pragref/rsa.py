@@ -8,11 +8,23 @@ alternative multiset, and pragmatic listeners by inverting speakers through
 Bayes' rule; geometric blends mix the resulting distributions.
 
 One engine serves the sampled alternatives of L2 and of the pragmatic
-speaker sampler in `metrics`: `_sample_alternatives` draws many rows per
-distinct context, encoding each context once per sampling batch, and dedupes
-the draws into utterance types; `l0_probs_many` then runs the listener's
-utterance encoder once per distinct type and scores every row against its
-own context.
+speaker sampler in `metrics`. `_sample_alternatives` draws many rows per
+distinct context, encoding each context once per sampling batch; the S0
+decoder runs once per distinct (context, prefix) that live rows share, and
+the draws are deduped into utterance types. `_listener_ids_for` converts each
+distinct token to listener ids once per call. `l0_probs_many` then runs the
+listener's LSTM once per distinct prefix of the types, in a prefix tree, and
+scores every row against its own context.
+
+The sharing changes no result where the BLAS gives a row of a many-row
+matrix product the same bits whatever other rows the product holds. On a
+2-CPU Xeon with OpenBLAS 0.3.31 that held for products 8k and 8k+5 to 8k+7
+columns wide: the LSTMs of even hidden size and the benchmark's 23-word
+speaker vocabulary. It does not hold for a one-row product, which takes
+another path, so a prefix that several rows share runs as two rows; nor for
+the listener head, 54 + 54^2 = 2970 columns wide, which therefore runs on
+the same-length batches of distinct utterances. At other widths, results
+may differ from decoding and encoding row by row in the last bit.
 """
 
 from __future__ import annotations
@@ -230,8 +242,23 @@ def s1_table_from_probs(l0_probs: np.ndarray, counts: np.ndarray,
 
 
 def _listener_ids_for(model: ListenerModel, utterances: list[Utterance]) -> list[list[int]]:
-    return [model.encode_tokens(speaker_tokens_to_listener_tokens(list(u)))
-            for u in utterances]
+    """Listener ids of speaker-mode utterances, converting each distinct token once.
+
+    speaker_tokens_to_listener_tokens re-tokenizes token by token, so an
+    utterance's ids are its tokens' ids concatenated.
+    """
+    token_ids: dict[str, list[int]] = {}
+    out = []
+    for u in utterances:
+        row: list[int] = []
+        for tok in u:
+            ids = token_ids.get(tok)
+            if ids is None:
+                ids = token_ids[tok] = model.encode_tokens(
+                    speaker_tokens_to_listener_tokens([tok]))
+            row.extend(ids)
+        out.append(row)
+    return out
 
 
 def _as_speaker_utterance(u) -> Utterance:

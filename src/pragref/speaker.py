@@ -206,53 +206,85 @@ def s0_sample_batch(model: SpeakerModel, feats: np.ndarray,
 
     rows, when given, maps each output row to a context of feats: the encoder
     runs once per context of feats, (K, 3, F), and the batch has len(rows)
-    rows, sampled as feats[rows] would be.
+    rows, sampled as feats[rows] would be. rows must be 1-D indices into feats.
 
-    Only live rows are decoded: once a row emits </s>, later steps leave it
-    out of the decoder, the softmax and the sampler. Every sampled step still
-    draws one uniform per row of the whole batch and uses the live rows'
-    draws, so the random stream, and with it every result, is the same as
-    decoding every row until the last one ends.
+    The decoder runs once per node, a distinct (context, prefix) that one or
+    more live rows share: the step-0 nodes are the distinct contexts of rows,
+    and a row leaves the nodes once it emits </s>. The decoder step, the
+    softmax and the cumulative sampling distribution are computed per node.
+    Every sampled step still draws one uniform per row of the whole batch,
+    and each live row compares its own draw with its node's distribution, so
+    the random stream, and with it every result, is the same as decoding
+    every row on its own until the last one ends (for the BLAS conditions of
+    that claim, see the `rsa` module docstring). The rows that go on are
+    regrouped by (node, chosen token) into the next step's nodes. Once every
+    node holds one row, the rows are the nodes and no regrouping is done.
     """
     eos = model.vocab.eos_id
-    ctx = model.encode(feats)
-    if rows is not None:
-        ctx = Tensor(ctx.data[rows])
-    batch = ctx.data.shape[0]
-    h = Tensor(np.zeros((batch, model.hidden_dim)))
-    c = Tensor(np.zeros((batch, model.hidden_dim)))
-    prev = np.full(batch, model.vocab.bos_id)
-    live = np.arange(batch)  # rows not yet ended; ctx, h, c and prev hold theirs
+    rows = np.arange(len(feats)) if rows is None else np.asarray(rows)
+    if rows.ndim != 1 or not (rows.size == 0 or np.issubdtype(rows.dtype, np.integer)):
+        raise ValueError(f"rows must be a 1-D array of context indices, got shape "
+                         f"{rows.shape} and dtype {rows.dtype}")
+    if rows.size and (rows.min() < 0 or rows.max() >= len(feats)):
+        raise ValueError(f"rows must index the {len(feats)} contexts of feats, "
+                         f"got indices from {rows.min()} to {rows.max()}")
+    batch = len(rows)
+    if batch == 0:
+        return []
+    # node of each live row; None while each row is its own node
+    nodes, node_of = np.unique(rows, return_inverse=True)
+    if len(nodes) == batch:
+        nodes, node_of = rows, None
+    ctx = model.encode(feats).data[nodes]
+    h = np.zeros((len(ctx), model.hidden_dim))
+    c = np.zeros((len(ctx), model.hidden_dim))
+    prev = np.full(len(ctx), model.vocab.bos_id)
+    live = np.arange(batch)  # rows not yet ended
     ids = np.full((batch, MAX_DECODE_LEN), eos)
     log_probs = np.zeros(batch)
     for step in range(MAX_DECODE_LEN):
-        logits, h, c = model.step_logits(ctx, prev, h, c)
+        if len(prev) == 1 and len(live) > 1:
+            # a one-row matrix product takes another BLAS path, which can
+            # differ in the last bit: run the shared node as two rows
+            ctx, prev, h, c = (np.repeat(a, 2, axis=0) for a in (ctx, prev, h, c))
+        logits, h, c = model.step_logits(Tensor(ctx), prev, Tensor(h), Tensor(c))
+        h, c = h.data, c.data
         z = logits.data - logits.data.max(axis=1, keepdims=True)
         logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
         # recorded log_prob uses the model's own distribution; the sampling
         # distribution additionally masks <s>, which is an input-only symbol
         z_sample = z.copy()
         z_sample[:, model.vocab.bos_id] = -np.inf
+        row_nodes = np.arange(len(live)) if node_of is None else node_of
         if step == MAX_DECODE_LEN - 1:
             chosen = np.full(len(live), eos)
         elif temperature <= 0.0:
-            chosen = z_sample.argmax(axis=1)
+            chosen = z_sample.argmax(axis=1)[row_nodes]
         else:
             zt = z_sample / temperature
-            pt = np.exp(zt - zt.max(axis=1, keepdims=True))
-            pt /= pt.sum(axis=1, keepdims=True)
+            cum = np.exp(zt - zt.max(axis=1, keepdims=True))
+            cum /= cum.sum(axis=1, keepdims=True)
+            cum = cum.cumsum(axis=1)
             u = rng.random((batch, 1))[live]
-            chosen = (pt.cumsum(axis=1) < u).sum(axis=1)
-            chosen = np.minimum(chosen, pt.shape[1] - 1)
+            chosen = ((cum if node_of is None else cum[node_of]) < u).sum(axis=1)
+            chosen = np.minimum(chosen, cum.shape[1] - 1)
         ids[live, step] = chosen  # each live row holds exactly `step` ids so far
-        log_probs[live] += logp[np.arange(len(live)), chosen]
+        log_probs[live] += logp[row_nodes, chosen]
         going = chosen != eos
         if not going.any():
             break
-        if not going.all():
-            live, chosen = live[going], chosen[going]
-            ctx, h, c = (Tensor(t.data[going]) for t in (ctx, h, c))
-        prev = chosen
+        if node_of is None and going.all():
+            prev = chosen
+            continue
+        live, chosen, parent = live[going], chosen[going], row_nodes[going]
+        if node_of is not None:
+            keys, node_of = np.unique(parent * len(model.vocab) + chosen,
+                                      return_inverse=True)
+            if len(keys) < len(live):
+                parent, chosen = np.divmod(keys, len(model.vocab))
+            else:
+                node_of = None
+        ctx, h, c, prev = ctx[parent], h[parent], c[parent], chosen
     # every row ends at its first </s>, chosen or forced at MAX_DECODE_LEN
     return [(tuple(row[:row.index(eos) + 1]), lp)
             for row, lp in zip(ids.tolist(), log_probs.tolist())]

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pragref.colorspace import Color, fourier_features
 from pragref.corpus import build_vocab, synth_corpus, preprocess
@@ -15,7 +17,8 @@ from pragref.listener import (
     l0_score,
     train_l0,
 )
-from pragref.nnsubstrate import load_checkpoint, log_softmax, save_checkpoint
+from pragref import listener
+from pragref.nnsubstrate import Tensor, load_checkpoint, log_softmax, quad_scores, save_checkpoint
 from pragref.training import TrainConfig, same_length_batches
 
 
@@ -29,6 +32,27 @@ def rig_constant_output(model, mu, sigma):
     """Make the output map ignore the utterance: constant (mu, Sigma)."""
     model.out_w.data[:] = 0.0
     model.out_b.data[:] = np.concatenate([mu, sigma.ravel()])
+
+
+def length_grouped_probs(model, id_seqs, feats, batch=512):
+    """l0_probs_many that encodes distinct utterances in same-length batches."""
+    index = {}
+    inverse = np.array([index.setdefault(tuple(s), len(index)) for s in id_seqs], dtype=int)
+    distinct = list(index)
+    lengths = np.array([len(s) for s in distinct])
+    out = np.empty((len(id_seqs), 3))
+    order = np.argsort(inverse, kind="stable")
+    starts = np.searchsorted(inverse[order], np.arange(len(distinct) + 1))
+    for group in same_length_batches(lengths, np.arange(len(distinct)), batch_size=batch):
+        mu, sigma = model.mu_sigma(np.array([distinct[i] for i in group]))
+        rows = np.concatenate([order[starts[u]:starts[u + 1]] for u in group])
+        slot = np.repeat(np.arange(len(group)), starts[group + 1] - starts[group])
+        for lo in range(0, len(rows), 128):
+            r, k = rows[lo:lo + 128], slot[lo:lo + 128]
+            f = feats[None] if feats.ndim == 2 else feats[r]
+            scores = quad_scores(f, Tensor(mu.data[k]), Tensor(sigma.data[k]))
+            out[r] = np.exp(log_softmax(scores.data))
+    return out
 
 
 class TestL0Score:
@@ -105,16 +129,71 @@ class TestL0Score:
     def test_encodes_each_distinct_utterance_once(self):
         model = tiny_model()
         encoded = []
-        mu_sigma = model.mu_sigma
+        encode_prefixes = model.encode_prefixes
 
-        def counting(ids):
-            encoded.extend(map(tuple, ids.tolist()))
-            return mu_sigma(ids)
+        def counting(seqs):
+            encoded.extend(seqs)
+            return encode_prefixes(seqs)
 
-        model.mu_sigma = counting
+        model.encode_prefixes = counting
         ids = [[3], [4, 3], [3], [5], [4, 3], [3]]
         l0_probs_many(model, ids, np.random.default_rng(0).standard_normal((3, 54)))
         assert sorted(encoded) == [(3,), (4, 3), (5,)]
+
+    @staticmethod
+    def _lstm_rows(monkeypatch):
+        """Rows of every lstm_step call l0_probs_many makes, deduped per call."""
+        calls = []
+        step = listener.lstm_step
+
+        def counting(x, h, c, p):
+            inputs = np.column_stack([x.data, h.data, c.data])
+            calls.append((len(inputs), len(np.unique(inputs, axis=0))))
+            return step(x, h, c, p)
+
+        monkeypatch.setattr(listener, "lstm_step", counting)
+        return calls
+
+    def test_encodes_each_distinct_prefix_once(self, monkeypatch):
+        model = tiny_model()
+        calls = self._lstm_rows(monkeypatch)
+        ids = [[3, 4, 5], [3, 4, 0], [3, 5], [3, 4], [5], [4], [3, 4, 5], [5]]
+        l0_probs_many(model, ids, np.random.default_rng(0).standard_normal((3, 54)))
+        prefixes = {tuple(s[:j]) for s in ids for j in range(1, len(s) + 1)}
+        # one call per position, one row per distinct prefix of that length
+        assert calls == [(3, 3), (2, 2), (2, 2)]
+        assert sum(n for _, n in calls) == len(prefixes)
+
+    def test_lone_prefix_runs_as_two_rows(self, monkeypatch):
+        # (3, 4) and (3, 5) share their first position: it runs as two equal
+        # rows, as a many-row product; (4, 4, 4), alone at its length, runs
+        # as one-row steps
+        model = tiny_model()
+        calls = self._lstm_rows(monkeypatch)
+        ids = [[3, 4], [3, 5], [4, 4, 4]]
+        l0_probs_many(model, ids, np.random.default_rng(0).standard_normal((3, 54)))
+        assert calls == [(2, 1), (2, 2), (1, 1), (1, 1), (1, 1)]
+
+    @given(seqs=st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=5),
+                         min_size=1, max_size=40),
+           batch=st.sampled_from([512, 3, 1]), seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=60, deadline=None)
+    def test_prefix_tree_matches_length_grouped_reference(self, seqs, batch, seed):
+        model = ListenerModel.create(tiny_model().vocab, np.random.default_rng(seed % 5),
+                                     embed_dim=8, hidden_dim=6)
+        feats = np.random.default_rng(seed).standard_normal((len(seqs), 3, 54))
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(listener, "_L0_UTTERANCE_BATCH", batch)
+            for f in (feats, feats[0]):
+                got = l0_probs_many(model, seqs, f)
+                assert np.array_equal(got, length_grouped_probs(model, seqs, f, batch))
+
+    @pytest.mark.parametrize("shape", [(2, 54), (3, 53), (5, 3, 54), (7, 3, 54), (6, 2, 54),
+                                       (6, 3, 54, 1)])
+    def test_bad_feature_shapes_raise(self, shape):
+        ids = [[3]] * 6
+        with pytest.raises(ValueError, match="features"):
+            l0_probs_many(tiny_model(), ids, np.zeros(shape))
 
     def test_batched_matches_single(self):
         model = tiny_model()

@@ -340,6 +340,15 @@ class TestOptimizers:
         zero_gradients([p])
         assert p.grad is None
 
+    def test_clip_survives_overflowing_squares(self):
+        p, q = Parameter("p", np.zeros(3)), Parameter("q", np.zeros(2))
+        p.grad, q.grad = np.array([1e200, 1.0, -2.0]), np.array([3e199, -4e199])
+        norm = clip_global_norm([p, q], max_norm=5.0)
+        assert np.isfinite(norm) and norm == pytest.approx(1e200 * np.sqrt(1.25))
+        clipped = np.concatenate([p.grad, q.grad])
+        assert np.linalg.norm(clipped) == pytest.approx(5.0)
+        assert np.all(clipped != 0.0)
+
 
 class TestCheckpoints:
     def test_round_trip(self, tmp_path):
@@ -499,6 +508,34 @@ class TestFusedLstmStep:
         (y * 2.0).sum().backward()
         assert x.grad is not y.grad and not np.shares_memory(x.grad, y.grad)
         assert np.array_equal(x.grad, [2.0, 2.0, 2.0])
+
+    def test_shared_gradients_are_copied(self):
+        # __add__ hands one array to both parents, reshape hands over a view
+        p, q = Parameter("p", np.ones((2, 3))), Parameter("q", np.ones((2, 3)))
+        r = Parameter("r", np.ones(6))
+        loss = ((p + q) * 3.0 + r.reshape(2, 3)).sum()
+        loss.backward()
+        grads = [p.grad, q.grad, r.grad]
+        assert all(np.array_equal(g.reshape(-1), np.full(6, v)) for g, v in zip(grads, [3, 3, 1]))
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(grads) for b in grads[i + 1:])
+
+    @pytest.mark.parametrize("kind", ["listener", "speaker"])
+    def test_no_two_parameter_gradients_share_memory(self, kind):
+        train, _ = _small_trials()
+        vocab = build_vocab([preprocess(t.combined_text(), kind) for t in train])
+        rng = np.random.default_rng(5)
+        if kind == "listener":
+            model = listener.ListenerModel.create(vocab, rng, embed_dim=7, hidden_dim=5)
+            ids, feats, targets = listener._listener_inputs(model, train[:1] * 4)
+            loss = softmax_xent(model.scores(np.array(ids), feats), targets)[0].sum()
+        else:
+            model = speaker.SpeakerModel.create(vocab, rng, embed_dim=7, hidden_dim=5)
+            ids, feats = speaker._speaker_inputs(model, train[:1] * 4)
+            loss = speaker._teacher_forced_losses(model, feats, np.array(ids)).sum()
+        loss.backward()
+        grads = [p.grad for p in model.parameters()]
+        assert all(g is not None for g in grads)
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(grads) for b in grads[i + 1:])
 
 
 def _changing_grads(rng, shape, steps):

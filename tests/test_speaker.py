@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pragref.colorspace import Color
 from pragref.corpus import EOS, build_vocab, preprocess, synth_corpus
@@ -70,6 +72,48 @@ def graph_sample_batch(model, feats, rng, temperature):
             break
         prev = np.where(alive, chosen, eos)
     return [(tuple(s), float(lp)) for s, lp in zip(seqs, log_probs)]
+
+
+def live_row_sample_batch(model, feats, rng, temperature=1.0, rows=None):
+    """s0_sample_batch that decodes every live row as its own decoder row."""
+    eos = model.vocab.eos_id
+    ctx = model.encode(feats)
+    if rows is not None:
+        ctx = Tensor(ctx.data[rows])
+    batch = ctx.data.shape[0]
+    h = Tensor(np.zeros((batch, model.hidden_dim)))
+    c = Tensor(np.zeros((batch, model.hidden_dim)))
+    prev = np.full(batch, model.vocab.bos_id)
+    live = np.arange(batch)
+    ids = np.full((batch, MAX_DECODE_LEN), eos)
+    log_probs = np.zeros(batch)
+    for step in range(MAX_DECODE_LEN):
+        logits, h, c = model.step_logits(ctx, prev, h, c)
+        z = logits.data - logits.data.max(axis=1, keepdims=True)
+        logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+        z_sample = z.copy()
+        z_sample[:, model.vocab.bos_id] = -np.inf
+        if step == MAX_DECODE_LEN - 1:
+            chosen = np.full(len(live), eos)
+        elif temperature <= 0.0:
+            chosen = z_sample.argmax(axis=1)
+        else:
+            zt = z_sample / temperature
+            pt = np.exp(zt - zt.max(axis=1, keepdims=True))
+            pt /= pt.sum(axis=1, keepdims=True)
+            u = rng.random((batch, 1))[live]
+            chosen = np.minimum((pt.cumsum(axis=1) < u).sum(axis=1), pt.shape[1] - 1)
+        ids[live, step] = chosen
+        log_probs[live] += logp[np.arange(len(live)), chosen]
+        going = chosen != eos
+        if not going.any():
+            break
+        if not going.all():
+            live, chosen = live[going], chosen[going]
+            ctx, h, c = (Tensor(t.data[going]) for t in (ctx, h, c))
+        prev = chosen
+    return [(tuple(row[:row.index(eos) + 1]), lp)
+            for row, lp in zip(ids.tolist(), log_probs.tolist())]
 
 
 class TestEncodeContext:
@@ -327,6 +371,100 @@ class TestSampling:
         assert s.tokens[-1] == EOS
         assert s0_log_prob(model, s.tokens, COLORS, 0) == pytest.approx(
             s.log_prob, abs=1e-9)
+
+
+class TestSharedPrefixSampling:
+    """s0_sample_batch decodes each (context, prefix) once, with the bits of
+    decoding every row on its own."""
+
+    @given(n_contexts=st.integers(1, 4),
+           picks=st.lists(st.integers(0, 3), min_size=1, max_size=40),
+           temperature=st.sampled_from([0.0, 0.5, 1.0]),
+           truncate=st.booleans(), seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=60, deadline=None)
+    def test_row_maps_match_live_row_reference(self, n_contexts, picks, temperature,
+                                               truncate, seed):
+        model = tiny_model(seed=seed % 7)
+        if truncate:
+            model.out_b.data[model.vocab.eos_id] = -3.0
+        feats = np.random.default_rng(seed).standard_normal((n_contexts, 3, 54))
+        rows = np.array(picks) % n_contexts
+        got = s0_sample_batch(model, feats, np.random.default_rng(seed), temperature,
+                              rows=rows)
+        want = live_row_sample_batch(model, feats, np.random.default_rng(seed),
+                                     temperature, rows=rows)
+        assert got == want
+
+    def test_truncated_rows_with_repeats_match_reference(self):
+        model = tiny_model(seed=6)
+        model.out_b.data[model.vocab.eos_id] = -3.0
+        feats = np.random.default_rng(4).standard_normal((3, 3, 54))
+        rows = np.repeat(np.arange(3), 20)
+        got = s0_sample_batch(model, feats, np.random.default_rng(5), rows=rows)
+        lengths = [len(ids) for ids, _ in got]
+        assert MAX_DECODE_LEN in lengths and min(lengths) < MAX_DECODE_LEN
+        assert got == live_row_sample_batch(model, feats, np.random.default_rng(5),
+                                            rows=rows)
+
+    @staticmethod
+    def _decoder_rows(model, feats, rows, temperature):
+        """Sampled rows, and the distinct decoder input rows summed over steps."""
+        distinct = []
+        step_logits = model.step_logits
+
+        def counting(ctx, token_ids, h, c):
+            inputs = np.column_stack([ctx.data, token_ids, h.data, c.data])
+            n = len(np.unique(inputs, axis=0))
+            # a shared node may run as two equal rows, and only then
+            assert len(inputs) == n or (len(inputs), n) == (2, 1)
+            distinct.append(n)
+            return step_logits(ctx, token_ids, h, c)
+
+        model.step_logits = counting
+        out = s0_sample_batch(model, feats, np.random.default_rng(3), temperature, rows=rows)
+        return out, sum(distinct)
+
+    @pytest.mark.parametrize("temperature", [1.0, 0.5, 0.0])
+    @pytest.mark.parametrize("truncate", [False, True])
+    def test_decoder_runs_once_per_context_prefix(self, temperature, truncate):
+        model = tiny_model(seed=9)
+        if truncate:
+            model.out_b.data[model.vocab.eos_id] = -3.0
+        feats = np.random.default_rng(7).standard_normal((4, 3, 54))
+        rows = np.random.default_rng(8).integers(0, 4, 80)
+        out, row_steps = self._decoder_rows(model, feats, rows, temperature)
+        states = {(int(r), ids[:j]) for r, (ids, _) in zip(rows, out)
+                  for j in range(len(ids))}
+        assert row_steps == len(states)
+        assert row_steps < sum(len(ids) for ids, _ in out)
+
+    def test_single_context_runs_as_two_rows(self):
+        model = tiny_model(seed=9)
+        feats = np.random.default_rng(7).standard_normal((1, 3, 54))
+        sizes = []
+        step_logits = model.step_logits
+
+        def counting(ctx, token_ids, h, c):
+            sizes.append(len(token_ids))
+            return step_logits(ctx, token_ids, h, c)
+
+        model.step_logits = counting
+        rows = np.zeros(5, dtype=int)
+        got = s0_sample_batch(model, feats, np.random.default_rng(3), 0.0, rows=rows)
+        assert sizes[0] == 2  # five rows share the one step-0 node
+        assert got == live_row_sample_batch(model, feats, np.random.default_rng(3), 0.0,
+                                            rows=rows)
+
+    @pytest.mark.parametrize("rows", [
+        np.zeros((2, 2), dtype=int), [-1], [0, 3], [0.0, 1.0], [[0]]])
+    def test_bad_row_maps_raise(self, rows):
+        feats = np.random.default_rng(0).standard_normal((3, 3, 54))
+        with pytest.raises(ValueError, match="rows"):
+            s0_sample_batch(tiny_model(), feats, np.random.default_rng(0), rows=rows)
+
+    def test_empty_row_map_gives_no_rows(self):
+        feats = np.random.default_rng(0).standard_normal((3, 3, 54))
+        assert s0_sample_batch(tiny_model(), feats, np.random.default_rng(0), rows=[]) == []
 
 
 class TestTrainS0:
