@@ -226,41 +226,27 @@ def fourier_features_array(rgb: np.ndarray) -> np.ndarray:
     return np.concatenate([np.cos(phase), np.sin(phase)], axis=-1)
 
 
-def _pairwise_distances(colors: tuple[Color, Color, Color]) -> np.ndarray:
-    lab = srgb_to_lab(np.stack([c.as_array() for c in colors]))
-    idx = np.array([(0, 1), (0, 2), (1, 2)])
-    return ciede2000_lab(lab[idx[:, 0]], lab[idx[:, 1]])
+_PAIRS = np.array([(0, 1), (0, 2), (1, 2)])
 
 
-def classify_condition(colors: tuple[Color, Color, Color], target_index: int,
-                       th: ConditionThresholds = ConditionThresholds()) -> Condition:
-    """Label a context far/split/close by its pairwise CIEDE2000 distances.
+def pairwise_distances(colors: np.ndarray) -> np.ndarray:
+    """CIEDE2000 distances of the pairs (0, 1), (0, 2), (1, 2) of each context.
 
-    Far: all three pairwise distances exceed theta. Close: all three within
-    theta. Split: everything else -- characterized by the gap pattern between
-    the target and its two distractors (one within theta, one beyond).
-
-    Raises PerceptibilityViolation if any pair is closer than epsilon.
+    `colors` holds n contexts of three RGB colors, shape (n, 3, 3); the result
+    has shape (n, 3). Each context's distances carry the bits that converting
+    that context alone gives: the Lab conversion multiplies a (3, 3) block per
+    context whatever n is, and CIEDE2000 is elementwise.
     """
-    if target_index not in (0, 1, 2):
-        raise ValueError(f"target_index must be 0, 1 or 2, got {target_index}")
-    d01, d02, d12 = _pairwise_distances(colors)
-    dists = np.array([d01, d02, d12])
-    if np.any(dists < th.epsilon):
-        raise PerceptibilityViolation(
-            f"pairwise distance {dists.min():.3f} below epsilon={th.epsilon}")
-    if np.all(dists > th.theta_dist):
-        return Condition.FAR
-    if np.all(dists <= th.theta_dist):
-        return Condition.CLOSE
-    return Condition.SPLIT
+    lab = srgb_to_lab(colors)
+    return ciede2000_lab(lab[:, _PAIRS[:, 0]], lab[:, _PAIRS[:, 1]])
 
 
 def _classify_batch(dists: np.ndarray, th: ConditionThresholds) -> np.ndarray:
-    """Vectorized condition labels for (n, 3) pairwise-distance rows.
+    """Condition codes for (n, 3) pairwise-distance rows: the one labelling rule.
 
-    Returns integer codes 0=far, 1=split, 2=close; rows violating epsilon get
-    code -1 so callers can reject them.
+    Returns integer codes 0=far (every pair beyond theta), 2=close (every pair
+    within theta), 1=split (any other pattern); rows with a pair closer than
+    epsilon get code -1 so callers can reject them.
     """
     far = np.all(dists > th.theta_dist, axis=1)
     close = np.all(dists <= th.theta_dist, axis=1)
@@ -271,7 +257,56 @@ def _classify_batch(dists: np.ndarray, th: ConditionThresholds) -> np.ndarray:
     return codes
 
 
-_CONDITION_CODES = {Condition.FAR: 0, Condition.SPLIT: 1, Condition.CLOSE: 2}
+# Conditions by the codes of `_classify_batch`, and back.
+_CONDITIONS = (Condition.FAR, Condition.SPLIT, Condition.CLOSE)
+_CONDITION_CODES = {c: i for i, c in enumerate(_CONDITIONS)}
+
+
+def classify_conditions(colors: np.ndarray,
+                        th: ConditionThresholds = ConditionThresholds()) -> list[Condition]:
+    """Label n contexts far/split/close by their pairwise CIEDE2000 distances.
+
+    `colors` has shape (n, 3, 3), RGB channels in [0, 1]. Far: all three
+    pairwise distances exceed theta. Close: all three are within theta.
+    Split: any other pattern. The rule looks at pairs, not at the target, so
+    a context whose target is far from both distractors can be split.
+
+    Raises PerceptibilityViolation naming the first context with a pair
+    closer than epsilon, and ValueError for another shape or a channel
+    outside [0, 1].
+    """
+    colors = np.asarray(colors, dtype=np.float64)
+    if colors.ndim != 3 or colors.shape[1:] != (3, 3):
+        raise ValueError(f"expected contexts of shape (n, 3, 3), got {colors.shape}")
+    if not np.all((colors >= 0.0) & (colors <= 1.0)):
+        raise ValueError("RGB channels must lie in [0, 1]")
+    dists = pairwise_distances(colors)
+    codes = _classify_batch(dists, th)
+    bad = np.flatnonzero(codes < 0)
+    if bad.size:
+        i = int(bad[0])
+        raise PerceptibilityViolation(
+            f"context {i}: pairwise distance {dists[i].min():.3f} below "
+            f"epsilon={th.epsilon}")
+    return [_CONDITIONS[c] for c in codes]
+
+
+def classify_condition(colors: tuple[Color, Color, Color], target_index: int,
+                       th: ConditionThresholds = ConditionThresholds()) -> Condition:
+    """Label one context far/split/close: `classify_conditions` on one row.
+
+    The rule is pairwise: far when all three pairwise distances exceed theta,
+    close when all three are within theta, split otherwise. It does not look
+    at the target, so the label is the same for every target, and
+    `target_index` is only checked to be 0, 1 or 2. The paper's split (one
+    distractor within theta of the target, one beyond) is an open item in
+    ROADMAP.md.
+
+    Raises PerceptibilityViolation if any pair is closer than epsilon.
+    """
+    if target_index not in (0, 1, 2):
+        raise ValueError(f"target_index must be 0, 1 or 2, got {target_index}")
+    return classify_conditions(np.array([[[c.r, c.g, c.b] for c in colors]]), th)[0]
 
 
 def sample_contexts(cond: Condition, n: int, rng: np.random.Generator,
@@ -291,7 +326,6 @@ def sample_contexts(cond: Condition, n: int, rng: np.random.Generator,
     attempts = 0
     budget = max_attempts * n
     batch = max(256, min(65536, 4 * n))
-    pair_idx = np.array([(0, 1), (0, 2), (1, 2)])
     while got < n:
         if attempts >= budget:
             raise SamplingBudgetExceeded(
@@ -300,9 +334,7 @@ def sample_contexts(cond: Condition, n: int, rng: np.random.Generator,
         cand = rng.random((m, 3, 3))
         targets = rng.integers(0, 3, size=m)
         attempts += m
-        lab = srgb_to_lab(cand)
-        dists = ciede2000_lab(lab[:, pair_idx[:, 0], :], lab[:, pair_idx[:, 1], :])
-        ok = _classify_batch(dists, th) == want
+        ok = _classify_batch(pairwise_distances(cand), th) == want
         take = min(int(ok.sum()), n - got)
         if take:
             sel = np.flatnonzero(ok)[:take]

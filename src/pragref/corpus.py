@@ -26,6 +26,7 @@ from .colorspace import (
     ConditionThresholds,
     ciede2000_lab,
     classify_condition,
+    classify_conditions,
     rgb_to_hsv,
     sample_contexts,
     srgb_to_lab,
@@ -410,9 +411,34 @@ _CMP_MARGIN = 0.08
 _CLICK_ACCURACY = {Condition.FAR: 0.97, Condition.SPLIT: 0.90, Condition.CLOSE: 0.83}
 
 
+# Colors per block in `nearest_basic_terms`; it bounds the (block, 12)
+# distance temporaries, which for a whole corpus would raise peak memory.
+_TERM_BLOCK = 256
+
+
+def nearest_basic_terms(rgb: np.ndarray) -> list[str]:
+    """The basic term nearest each of N colors, shape (N, 3), by CIEDE2000.
+
+    Each color converts to Lab as its own (1, 3) row: a one-row product gives
+    the bits of converting that color alone, while one (N, 3) product can
+    differ in the last bit. CIEDE2000 is elementwise, so a color's term does
+    not depend on the other colors in the call. Ties go to the earlier term
+    in BASIC_COLOR_ANCHORS. Works in blocks of _TERM_BLOCK colors.
+    """
+    rgb = np.asarray(rgb, dtype=np.float64)
+    if rgb.ndim != 2 or rgb.shape[1] != 3:
+        raise ValueError(f"expected colors of shape (N, 3), got {rgb.shape}")
+    rows = rgb[:, None, :]
+    nearest = np.empty(len(rgb), dtype=np.intp)
+    for start in range(0, len(rgb), _TERM_BLOCK):
+        lab = srgb_to_lab(rows[start:start + _TERM_BLOCK])
+        nearest[start:start + _TERM_BLOCK] = np.argmin(ciede2000_lab(lab, _ANCHOR_LAB), axis=1)
+    return [_ANCHOR_TERMS[i] for i in nearest]
+
+
 def nearest_basic_term(c: Color) -> str:
-    dists = ciede2000_lab(srgb_to_lab(c.as_array()), _ANCHOR_LAB)
-    return _ANCHOR_TERMS[int(np.argmin(dists))]
+    """The basic term nearest one color: `nearest_basic_terms` on one row."""
+    return nearest_basic_terms(c.as_array()[None])[0]
 
 
 def _shade_word(c: Color) -> str:
@@ -430,8 +456,8 @@ def template_emission(colors: tuple[Color, Color, Color], target_index: int,
     for light); negations name a distractor's basic term, never the target's,
     one enumerated option per distinct term.
     """
-    return _template_emission(colors, [nearest_basic_term(c) for c in colors],
-                              target_index, condition)
+    terms = nearest_basic_terms(np.array([(c.r, c.g, c.b) for c in colors]))
+    return _template_emission(colors, terms, target_index, condition)
 
 
 def _template_emission(colors: tuple[Color, Color, Color], terms: list[str],
@@ -497,19 +523,22 @@ def synth_corpus(n_trials: int, rng: np.random.Generator,
         counts[i] += 1
 
     rows: list[tuple[Condition, tuple[Color, Color, Color], int]] = []
+    sampled: list[np.ndarray] = []
     for cond, n in zip(conditions, counts):
         if n == 0:
             continue
         cols, targets = sample_contexts(cond, n, rng, th)
+        sampled.append(cols)
         for i in range(n):
             triple = tuple(Color(*cols[i, j]) for j in range(3))
             rows.append((cond, triple, int(targets[i])))
+    terms = nearest_basic_terms(np.concatenate(sampled).reshape(-1, 3)) if rows else []
 
     order = rng.permutation(len(rows))
     trials: list[ContextTrial] = []
     for pos, ri in enumerate(order):
         cond, triple, target = rows[ri]
-        utterances, probs = template_emission(triple, target, cond)
+        utterances, probs = _template_emission(triple, terms[3 * ri:3 * ri + 3], target, cond)
         tokens = utterances[rng.choice(len(utterances), p=probs)]
         if rng.random() < _CLICK_ACCURACY[cond]:
             clicked = target
@@ -531,19 +560,28 @@ def template_bayes_accuracy(trials: list[ContextTrial],
                             th: ConditionThresholds = ConditionThresholds()) -> float:
     """Accuracy of the Bayes-optimal listener for the template generator.
 
-    For each candidate target the emission distribution is enumerated exactly
-    (with the condition reclassified from that candidate's perspective); the
-    posterior over targets is the normalized utterance likelihood under a
-    uniform target prior. Ties resolve to the lowest index.
+    For each candidate target the emission distribution is enumerated exactly,
+    under the condition `classify_conditions` gives the context. That pairwise
+    label does not depend on the target, so every candidate gets the same
+    one. The posterior over targets is the normalized utterance likelihood
+    under a uniform target prior. Ties resolve to the lowest index.
+
+    Every color is named in one `nearest_basic_terms` call and every context
+    labelled in one `classify_conditions` call. Raises ValueError for no
+    trials, and PerceptibilityViolation as `classify_conditions` does.
     """
+    if not trials:
+        raise ValueError("template_bayes_accuracy needs at least one trial")
+    rgb = np.array([[(c.r, c.g, c.b) for c in t.colors] for t in trials])
+    terms = nearest_basic_terms(rgb.reshape(-1, 3))
+    conditions = classify_conditions(rgb, th)
     correct = 0
-    for t in trials:
+    for k, t in enumerate(trials):
         observed = tuple(preprocess(t.combined_text(), "speaker"))
-        terms = [nearest_basic_term(c) for c in t.colors]
         likelihood = np.zeros(3)
         for cand in range(3):
-            cond = classify_condition(t.colors, cand, th)
-            utterances, probs = _template_emission(t.colors, terms, cand, cond)
+            utterances, probs = _template_emission(t.colors, terms[3 * k:3 * k + 3], cand,
+                                                   conditions[k])
             for u, p in zip(utterances, probs):
                 if u == observed:
                     likelihood[cand] = p

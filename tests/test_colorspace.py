@@ -12,15 +12,18 @@ from pragref.colorspace import (
     ciede2000,
     ciede2000_lab,
     classify_condition,
+    classify_conditions,
     fourier_features,
     fourier_features_array,
     hsv_to_rgb,
+    pairwise_distances,
     rgb_to_hsv,
     sample_context,
     sample_contexts,
     srgb_to_lab,
 )
 from pragref.errors import PerceptibilityViolation, SamplingBudgetExceeded
+from pragref.metrics import condition_mix_contexts
 
 # Published CIEDE2000 verification pairs (Sharma, Wu & Dalal): Lab1, Lab2, dE00.
 SHARMA_PAIRS = [
@@ -237,3 +240,131 @@ class TestSampleContext:
         cols, _ = sample_contexts(Condition.FAR, 100_000 // 3, rng)
         mean = cols.mean()
         assert abs(mean - 0.5) < 0.02
+
+
+# -- batched labels against the per-trial code they replaced ---------------------
+
+_PAIRS = np.array([(0, 1), (0, 2), (1, 2)])
+
+
+def per_trial_distances(colors):
+    """Reference: one context's pairwise distances from a (3, 3) conversion."""
+    lab = srgb_to_lab(np.stack([c.as_array() for c in colors]))
+    return ciede2000_lab(lab[_PAIRS[:, 0]], lab[_PAIRS[:, 1]])
+
+
+def per_trial_condition(colors, th=ConditionThresholds()):
+    """Reference: the per-trial labeller before batching."""
+    dists = per_trial_distances(colors)
+    if np.any(dists < th.epsilon):
+        raise PerceptibilityViolation(f"pairwise distance {dists.min():.3f}")
+    if np.all(dists > th.theta_dist):
+        return Condition.FAR
+    if np.all(dists <= th.theta_dist):
+        return Condition.CLOSE
+    return Condition.SPLIT
+
+
+def reference_sample_contexts(cond, n, rng, th=ConditionThresholds(), max_attempts=10 ** 6):
+    """Reference: the rejection sampler with its own Lab pairs and labelling rule."""
+    want = {Condition.FAR: 0, Condition.SPLIT: 1, Condition.CLOSE: 2}[cond]
+    out_colors, out_targets, got, attempts = np.empty((n, 3, 3)), np.empty(n, dtype=int), 0, 0
+    batch = max(256, min(65536, 4 * n))
+    while got < n:
+        if attempts >= max_attempts * n:
+            raise SamplingBudgetExceeded(cond.value)
+        m = min(batch, max_attempts * n - attempts)
+        cand = rng.random((m, 3, 3))
+        targets = rng.integers(0, 3, size=m)
+        attempts += m
+        lab = srgb_to_lab(cand)
+        dists = ciede2000_lab(lab[:, _PAIRS[:, 0], :], lab[:, _PAIRS[:, 1], :])
+        codes = np.ones(m, dtype=int)
+        codes[np.all(dists > th.theta_dist, axis=1)] = 0
+        codes[np.all(dists <= th.theta_dist, axis=1)] = 2
+        codes[np.any(dists < th.epsilon, axis=1)] = -1
+        ok = codes == want
+        take = min(int(ok.sum()), n - got)
+        sel = np.flatnonzero(ok)[:take]
+        out_colors[got:got + take] = cand[sel]
+        out_targets[got:got + take] = targets[sel]
+        got += take
+    return out_colors, out_targets
+
+
+def _triples(colors):
+    return [tuple(Color(*row) for row in ctx) for ctx in colors]
+
+
+class TestBatchedLabels:
+    def test_one_row_products_match_one_color(self):
+        # the premise of the batched term lookup: (N, 1, 3) rows convert with
+        # the bits of a lone (3,) color
+        rgb = np.random.default_rng(3).random((5000, 3))
+        rows = srgb_to_lab(rgb[:, None, :])[:, 0]
+        assert np.array_equal(rows, np.array([srgb_to_lab(c) for c in rgb]))
+
+    def test_pairwise_distances_match_per_trial(self):
+        colors = np.random.default_rng(4).random((3000, 3, 3))
+        want = np.array([per_trial_distances(t) for t in _triples(colors)])
+        assert np.array_equal(pairwise_distances(colors), want)
+
+    def test_labels_match_per_trial(self):
+        th = ConditionThresholds()
+        colors = np.random.default_rng(5).random((3000, 3, 3))
+        keep = np.all(pairwise_distances(colors) >= th.epsilon, axis=1)
+        colors = colors[keep]
+        want = [per_trial_condition(t) for t in _triples(colors)]
+        assert len(set(want)) == 3
+        assert classify_conditions(colors) == want
+        for triple, label in list(zip(_triples(colors), want))[:300]:
+            assert classify_condition(triple, 1) is label
+
+    def test_custom_thresholds(self):
+        th = ConditionThresholds(theta_dist=40.0, epsilon=10.0)
+        colors = np.random.default_rng(6).random((600, 3, 3))
+        colors = colors[np.all(pairwise_distances(colors) >= th.epsilon, axis=1)]
+        assert classify_conditions(colors, th) == [per_trial_condition(t, th)
+                                                   for t in _triples(colors)]
+
+    def test_violation_names_first_bad_context(self):
+        rng = np.random.default_rng(7)
+        colors, _ = sample_contexts(Condition.FAR, 6, rng)
+        for i in (4, 2):
+            colors[i, 1] = colors[i, 0]
+        with pytest.raises(PerceptibilityViolation, match=r"context 2\b"):
+            classify_conditions(colors)
+        with pytest.raises(PerceptibilityViolation, match="context 0"):
+            classify_conditions(colors[2:3])
+        assert classify_conditions(colors[:2]) == [Condition.FAR] * 2
+
+    def test_empty_batch(self):
+        assert classify_conditions(np.empty((0, 3, 3))) == []
+
+    @pytest.mark.parametrize("colors", [
+        np.full((3, 3), 0.5),
+        np.full((2, 3, 4), 0.5),
+        np.full((2, 2, 3), 0.5),
+        np.array([[[0.1, 0.2, 0.3], [0.9, 0.9, 0.9], [1.5, 0.0, 0.0]]]),
+        np.array([[[0.1, 0.2, 0.3], [0.9, 0.9, 0.9], [np.nan, 0.0, 0.0]]]),
+    ])
+    def test_bad_contexts_rejected(self, colors):
+        with pytest.raises(ValueError):
+            classify_conditions(colors)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n", [1, 50, 400])
+    def test_sample_contexts_match_reference(self, seed, n):
+        for cond in Condition:
+            got = sample_contexts(cond, n, np.random.default_rng([seed, n]))
+            want = reference_sample_contexts(cond, n, np.random.default_rng([seed, n]))
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_condition_mix_contexts_match_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        want = []
+        for cond in Condition:
+            cols, targets = reference_sample_contexts(cond, 40, rng)
+            want += [(triple, int(t), cond) for triple, t in zip(_triples(cols), targets)]
+        assert condition_mix_contexts(40, np.random.default_rng(seed)) == want

@@ -6,16 +6,28 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pragref.colorspace import Color, Condition, classify_condition, rgb_to_hsv
+from pragref.colorspace import (
+    Color,
+    Condition,
+    ConditionThresholds,
+    ciede2000_lab,
+    classify_condition,
+    rgb_to_hsv,
+    sample_contexts,
+    srgb_to_lab,
+)
 from pragref.corpus import (
+    BASIC_COLOR_ANCHORS,
     ContextTrial,
     Vocabulary,
+    _template_emission,
     apply_split,
     build_vocab,
     dump_trials,
     filter_trials,
     load_raw,
     nearest_basic_term,
+    nearest_basic_terms,
     preprocess,
     speaker_tokens_to_listener_tokens,
     split_by_dyad,
@@ -23,7 +35,7 @@ from pragref.corpus import (
     template_bayes_accuracy,
     template_emission,
 )
-from pragref.errors import ParseError
+from pragref.errors import ParseError, PerceptibilityViolation
 
 
 def make_trial(game="g0", rnd=1, text="blue", target=0):
@@ -278,11 +290,158 @@ class TestSynthCorpus:
 
         want = per_candidate(trials)
         calls = []
-        monkeypatch.setattr("pragref.corpus.nearest_basic_term",
-                            lambda c: calls.append(c) or nearest_basic_term(c))
+        monkeypatch.setattr("pragref.corpus.nearest_basic_terms",
+                            lambda rgb: calls.append(len(rgb)) or nearest_basic_terms(rgb))
         assert template_bayes_accuracy(trials) == want
-        assert len(calls) == 3 * len(trials)
+        assert calls == [3 * len(trials)]
 
     def test_clicks_present_and_valid(self):
         trials = synth_corpus(60, np.random.default_rng(6))
         assert all(t.clicked_index in (0, 1, 2) for t in trials)
+
+    def test_bayes_oracle_needs_trials(self):
+        with pytest.raises(ValueError, match="at least one trial"):
+            template_bayes_accuracy([])
+
+
+# -- batched lookups against the per-colour and per-trial code they replaced ------
+
+ANCHOR_TERMS = list(BASIC_COLOR_ANCHORS)
+ANCHOR_LAB = srgb_to_lab(np.array(list(BASIC_COLOR_ANCHORS.values())))
+_PAIRS = np.array([(0, 1), (0, 2), (1, 2)])
+
+
+def per_color_term(c):
+    """Reference: the one-colour term lookup before batching."""
+    return ANCHOR_TERMS[int(np.argmin(ciede2000_lab(srgb_to_lab(c.as_array()), ANCHOR_LAB)))]
+
+
+def per_trial_condition(colors, th=ConditionThresholds()):
+    """Reference: the per-trial labeller before batching."""
+    lab = srgb_to_lab(np.stack([c.as_array() for c in colors]))
+    dists = ciede2000_lab(lab[_PAIRS[:, 0]], lab[_PAIRS[:, 1]])
+    if np.any(dists < th.epsilon):
+        raise PerceptibilityViolation(f"pairwise distance {dists.min():.3f}")
+    if np.all(dists > th.theta_dist):
+        return Condition.FAR
+    if np.all(dists <= th.theta_dist):
+        return Condition.CLOSE
+    return Condition.SPLIT
+
+
+def per_trial_synth_corpus(n_trials, rng, trials_per_game=30):
+    """Reference: synth_corpus naming each colour inside the emission loop."""
+    counts = [n_trials // 3] * 3
+    for i in range(n_trials - sum(counts)):
+        counts[i] += 1
+    rows = []
+    for cond, n in zip(Condition, counts):
+        if n:
+            cols, targets = sample_contexts(cond, n, rng)
+            rows += [(cond, tuple(Color(*cols[i, j]) for j in range(3)), int(targets[i]))
+                     for i in range(n)]
+    trials = []
+    for pos, ri in enumerate(rng.permutation(len(rows))):
+        cond, triple, target = rows[ri]
+        utterances, probs = _template_emission(triple, [per_color_term(c) for c in triple],
+                                               target, cond)
+        tokens = utterances[rng.choice(len(utterances), p=probs)]
+        if rng.random() < {Condition.FAR: 0.97, Condition.SPLIT: 0.90,
+                           Condition.CLOSE: 0.83}[cond]:
+            clicked = target
+        else:
+            clicked = int(rng.choice([i for i in range(3) if i != target]))
+        trials.append(ContextTrial(f"g{pos // trials_per_game:04d}", pos % trials_per_game + 1,
+                                   triple, target, [" ".join(tokens)], cond, clicked))
+    return trials
+
+
+def per_trial_oracle(trials):
+    """Reference: the Bayes oracle's predictions, one lookup per colour and trial."""
+    preds = []
+    for t in trials:
+        observed = tuple(preprocess(t.combined_text(), "speaker"))
+        terms = [per_color_term(c) for c in t.colors]
+        likelihood = np.zeros(3)
+        for cand in range(3):
+            utterances, probs = _template_emission(t.colors, terms, cand,
+                                                   per_trial_condition(t.colors))
+            likelihood[cand] = dict(zip(utterances, probs)).get(observed, 0.0)
+        preds.append(int(np.argmax(likelihood)) if likelihood.sum() else 0)
+    return preds
+
+
+def _colors(rgb):
+    return [Color(*c) for c in rgb]
+
+
+class TestBatchedTerms:
+    def test_random_colors(self):
+        rgb = np.random.default_rng(0).random((3000, 3))
+        assert nearest_basic_terms(rgb) == [per_color_term(c) for c in _colors(rgb)]
+
+    def test_anchors_name_themselves(self):
+        rgb = np.array(list(BASIC_COLOR_ANCHORS.values()))
+        assert nearest_basic_terms(rgb) == ANCHOR_TERMS
+        assert [nearest_basic_term(c) for c in _colors(rgb)] == ANCHOR_TERMS
+
+    def test_greys_and_cube_corners(self):
+        greys = np.repeat(np.linspace(0.0, 1.0, 257)[:, None], 3, axis=1)
+        corners = np.array([(r, g, b) for r in (0, 1) for g in (0, 1) for b in (0, 1)], float)
+        rgb = np.concatenate([greys, corners])
+        want = [per_color_term(c) for c in _colors(rgb)]
+        assert nearest_basic_terms(rgb) == want
+        assert [nearest_basic_term(c) for c in _colors(rgb)] == want
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 513])
+    def test_block_edges(self, n):
+        rgb = np.random.default_rng(n).random((n, 3))
+        want = [per_color_term(c) for c in _colors(rgb)]
+        assert nearest_basic_terms(rgb) == want
+        assert nearest_basic_terms(rgb[::-1]) == want[::-1]
+        assert [nearest_basic_term(c) for c in _colors(rgb[:20])] == want[:20]
+
+    def test_each_color_converts_alone(self, monkeypatch):
+        # a last-bit change in Lab seldom flips a term, so pin the Lab rows
+        # the lookup hands to CIEDE2000, and its blocks of 256 colours
+        seen = []
+
+        def spy(lab1, lab2):
+            seen.append(lab1.reshape(-1, 3).copy())
+            return ciede2000_lab(lab1, lab2)
+
+        monkeypatch.setattr("pragref.corpus.ciede2000_lab", spy)
+        rgb = np.random.default_rng(11).random((600, 3))
+        nearest_basic_terms(rgb)
+        assert [len(lab) for lab in seen] == [256, 256, 88]
+        assert np.array_equal(np.concatenate(seen), np.array([srgb_to_lab(c) for c in rgb]))
+
+    def test_empty(self):
+        assert nearest_basic_terms(np.empty((0, 3))) == []
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 4), (2, 3, 3)])
+    def test_bad_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            nearest_basic_terms(np.full(shape, 0.5))
+
+    @pytest.mark.parametrize("n,seed", [(0, 0), (1, 1), (2, 2), (7, 3), (301, 4), (302, 5)])
+    def test_synth_corpus_matches_per_trial(self, n, seed):
+        got = synth_corpus(n, np.random.default_rng(seed))
+        assert got == per_trial_synth_corpus(n, np.random.default_rng(seed))
+        assert len(got) == n
+
+    @pytest.mark.parametrize("seed", [8, 9])
+    def test_bayes_oracle_matches_per_trial(self, seed):
+        trials = synth_corpus(301, np.random.default_rng(seed))
+        preds = per_trial_oracle(trials)
+        want = [p == t.target_index for p, t in zip(preds, trials)]
+        assert template_bayes_accuracy(trials) == sum(want) / len(trials)
+        assert [template_bayes_accuracy([t]) for t in trials[:90]] == [float(w) for w in want[:90]]
+
+    def test_bayes_oracle_names_the_violating_trial(self):
+        trials = synth_corpus(5, np.random.default_rng(10))
+        bad = trials[3]
+        trials[3] = ContextTrial(bad.game_id, bad.round, (bad.colors[0],) * 3, 0,
+                                 bad.speaker_texts, bad.condition, bad.clicked_index)
+        with pytest.raises(PerceptibilityViolation, match="context 3"):
+            template_bayes_accuracy(trials)
