@@ -101,11 +101,11 @@ def rgb_to_hsv(c: Color) -> HsvColor:
 
 def hsv_to_rgb(h: float, s: float, v: float) -> Color:
     """Inverse hexcone conversion."""
-    r, g, b = _hsv_to_rgb_arrays(np.array([h]), np.array([s]), np.array([v]))
+    r, g, b = hsv_to_rgb_arrays(np.array([h]), np.array([s]), np.array([v]))
     return Color(float(r[0]), float(g[0]), float(b[0]))
 
 
-def _hsv_to_rgb_arrays(h: np.ndarray, s: np.ndarray, v: np.ndarray):
+def hsv_to_rgb_arrays(h: np.ndarray, s: np.ndarray, v: np.ndarray):
     """Vectorized hexcone inverse; h in degrees, s and v in [0, 1]."""
     h6 = (np.asarray(h, dtype=np.float64) % 360.0) / 60.0
     i = np.floor(h6).astype(int) % 6

@@ -27,13 +27,14 @@ from .colorspace import (
     ciede2000_lab,
     classify_condition,
     classify_conditions,
-    rgb_to_hsv,
     sample_contexts,
     srgb_to_lab,
 )
 from .errors import MissingField, ParseError
 
 SPLIT_NAMES = ("train", "dev", "test")
+SIGMA_MULT = 4.0  # message-length cutoff, in standard deviations above the mean
+TRIALS_PER_GAME = 30  # rounds per synthetic game (dyad)
 
 
 @dataclass
@@ -289,11 +290,11 @@ class FilterResult:
     word_cutoff: float
 
 
-def filter_trials(trials: list[ContextTrial], sigma_mult: float = 4.0,
+def filter_trials(trials: list[ContextTrial],
                   min_rounds: int | None = None) -> FilterResult:
     """Drop over-long messages and (optionally) incomplete games.
 
-    The length cutoff is mean + sigma_mult * std of per-message word counts,
+    The length cutoff is mean + SIGMA_MULT * std of per-message word counts,
     computed over the raw input corpus. A trial with no surviving messages is
     dropped. Games with fewer than min_rounds rounds are dropped entirely
     when min_rounds is given.
@@ -302,7 +303,7 @@ def filter_trials(trials: list[ContextTrial], sigma_mult: float = 4.0,
                        dtype=np.float64)
     if lengths.size == 0:
         return FilterResult([], 0, 0, 0, 0.0)
-    cutoff = float(lengths.mean() + sigma_mult * lengths.std())
+    cutoff = float(lengths.mean() + SIGMA_MULT * lengths.std())
 
     dropped_games = set()
     if min_rounds is not None:
@@ -441,35 +442,29 @@ def nearest_basic_term(c: Color) -> str:
     return nearest_basic_terms(c.as_array()[None])[0]
 
 
-def _shade_word(c: Color) -> str:
-    return "dark" if rgb_to_hsv(c).v < 0.5 else "light"
-
-
 def template_emission(colors: tuple[Color, Color, Color], target_index: int,
                       condition: Condition) -> tuple[list[tuple[str, ...]], np.ndarray]:
     """The template speaker's exact utterance distribution for one trial.
 
     Returns parallel lists of token tuples and probabilities. Every utterance
     is true of the target under the template lexicon: the shade word comes
-    from the target's own HSV value; "darker"/"darkest" fire only for
-    dark-side targets that some/every other color exceeds in value (mirrored
-    for light); negations name a distractor's basic term, never the target's,
-    one enumerated option per distinct term.
+    from the target's own HSV value, its largest channel; "darker"/"darkest"
+    fire only for dark-side targets that some/every other color exceeds in
+    value (mirrored for light); negations name a distractor's basic term,
+    never the target's, one enumerated option per distinct term.
     """
-    terms = nearest_basic_terms(np.array([(c.r, c.g, c.b) for c in colors]))
-    return _template_emission(colors, terms, target_index, condition)
+    rgb = np.array([(c.r, c.g, c.b) for c in colors])
+    return _template_emission(nearest_basic_terms(rgb), rgb.max(axis=1).tolist(),
+                              target_index, condition)
 
 
-def _template_emission(colors: tuple[Color, Color, Color], terms: list[str],
-                       target_index: int, condition: Condition
-                       ) -> tuple[list[tuple[str, ...]], np.ndarray]:
-    """template_emission given each color's nearest basic term."""
-    target = colors[target_index]
-    distractors = [colors[i] for i in range(3) if i != target_index]
+def _template_emission(terms: list[str], values: list[float], target_index: int,
+                       condition: Condition) -> tuple[list[tuple[str, ...]], np.ndarray]:
+    """template_emission given each color's nearest basic term and HSV value."""
     base = terms[target_index]
-    shade = _shade_word(target)
-    v_t = rgb_to_hsv(target).v
-    v_others = [rgb_to_hsv(d).v for d in distractors]
+    v_t = values[target_index]
+    v_others = [values[i] for i in range(3) if i != target_index]
+    shade = "dark" if v_t < 0.5 else "light"
     weights = _FORM_WEIGHTS[condition]
 
     options: dict[tuple[str, ...], float] = {}
@@ -510,12 +505,12 @@ def _template_emission(colors: tuple[Color, Color, Color], terms: list[str],
 
 
 def synth_corpus(n_trials: int, rng: np.random.Generator,
-                 trials_per_game: int = 30,
                  th: ConditionThresholds = ConditionThresholds()) -> list[ContextTrial]:
     """Generate a synthetic corpus with an equal condition mix.
 
     Contexts come from the rejection sampler; utterances from the template
     speaker; listener clicks are simulated at fixed per-condition accuracy.
+    Games hold TRIALS_PER_GAME consecutive trials.
     """
     conditions = list(Condition)
     counts = [n_trials // 3] * 3
@@ -532,21 +527,24 @@ def synth_corpus(n_trials: int, rng: np.random.Generator,
         for i in range(n):
             triple = tuple(Color(*cols[i, j]) for j in range(3))
             rows.append((cond, triple, int(targets[i])))
-    terms = nearest_basic_terms(np.concatenate(sampled).reshape(-1, 3)) if rows else []
+    rgb = np.concatenate(sampled).reshape(-1, 3) if rows else np.empty((0, 3))
+    terms = nearest_basic_terms(rgb)
+    values = rgb.max(axis=1).tolist()
 
     order = rng.permutation(len(rows))
     trials: list[ContextTrial] = []
     for pos, ri in enumerate(order):
         cond, triple, target = rows[ri]
-        utterances, probs = _template_emission(triple, terms[3 * ri:3 * ri + 3], target, cond)
+        utterances, probs = _template_emission(terms[3 * ri:3 * ri + 3],
+                                               values[3 * ri:3 * ri + 3], target, cond)
         tokens = utterances[rng.choice(len(utterances), p=probs)]
         if rng.random() < _CLICK_ACCURACY[cond]:
             clicked = target
         else:
             clicked = int(rng.choice([i for i in range(3) if i != target]))
         trials.append(ContextTrial(
-            game_id=f"g{pos // trials_per_game:04d}",
-            round=pos % trials_per_game + 1,
+            game_id=f"g{pos // TRIALS_PER_GAME:04d}",
+            round=pos % TRIALS_PER_GAME + 1,
             colors=triple,
             target_index=target,
             speaker_texts=[" ".join(tokens)],
@@ -567,20 +565,22 @@ def template_bayes_accuracy(trials: list[ContextTrial],
     under a uniform target prior. Ties resolve to the lowest index.
 
     Every color is named in one `nearest_basic_terms` call and every context
-    labelled in one `classify_conditions` call. Raises ValueError for no
-    trials, and PerceptibilityViolation as `classify_conditions` does.
+    labelled in one `classify_conditions` call; each color's HSV value is its
+    largest channel. Raises ValueError for no trials, and
+    PerceptibilityViolation as `classify_conditions` does.
     """
     if not trials:
         raise ValueError("template_bayes_accuracy needs at least one trial")
     rgb = np.array([[(c.r, c.g, c.b) for c in t.colors] for t in trials])
     terms = nearest_basic_terms(rgb.reshape(-1, 3))
+    values = rgb.max(axis=2).tolist()
     conditions = classify_conditions(rgb, th)
     correct = 0
     for k, t in enumerate(trials):
         observed = tuple(preprocess(t.combined_text(), "speaker"))
         likelihood = np.zeros(3)
         for cand in range(3):
-            utterances, probs = _template_emission(t.colors, terms[3 * k:3 * k + 3], cand,
+            utterances, probs = _template_emission(terms[3 * k:3 * k + 3], values[k], cand,
                                                    conditions[k])
             for u, p in zip(utterances, probs):
                 if u == observed:

@@ -1,7 +1,7 @@
 """Exception types shared across the package, and its shared count check.
 
-Each class maps to a distinct CLI exit code (see cli.EXIT_CODES), so error
-categories stay distinguishable in batch runs.
+Each class is a distinct error category. A command-line interface that maps
+each class to its own exit code is not written yet (ROADMAP.md, item 2).
 """
 
 import numbers

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .colorspace import FOURIER_DIM, Color, fourier_features_array
+from .colorspace import FOURIER_DIM, Color, fourier_features_array, hsv_to_rgb_arrays
 from .corpus import ContextTrial, Vocabulary, preprocess
 from .errors import EmptyUtterance
-from .metrics import _scores
 from .nnsubstrate import (
     Adadelta,
     LstmCellParams,
@@ -35,7 +34,7 @@ from .nnsubstrate import (
 from .training import (
     TrainConfig,
     TrainingReport,
-    _fit,
+    fit,
     load_model,
     same_length_batches,
     save_model,
@@ -56,13 +55,11 @@ class ListenerModel:
         self.out_b = out_b
         self.embed_dim = embedding.data.shape[1]
         self.hidden_dim = cell.hidden_dim
-        self.feature_dim = int(round(np.sqrt(out_w.data.shape[1] + 0.25) - 0.5))
 
     @classmethod
     def create(cls, vocab: Vocabulary, rng: np.random.Generator,
-               embed_dim: int = 100, hidden_dim: int = 100,
-               feature_dim: int = FOURIER_DIM) -> "ListenerModel":
-        out_dim = feature_dim + feature_dim * feature_dim
+               embed_dim: int = 100, hidden_dim: int = 100) -> "ListenerModel":
+        out_dim = FOURIER_DIM + FOURIER_DIM * FOURIER_DIM
         scale = 1.0 / np.sqrt(hidden_dim)
         return cls(
             vocab,
@@ -121,7 +118,7 @@ class ListenerModel:
     def head(self, h: Tensor) -> tuple[Tensor, Tensor]:
         """Scorer parameters mu (B, F) and Sigma (B, F, F) of hidden states (B, hidden)."""
         out = h @ self.out_w + self.out_b
-        f = self.feature_dim
+        f = FOURIER_DIM
         mu = out.narrow(1, 0, f)
         sigma = out.narrow(1, f, f * f).reshape(h.shape[0], f, f)
         return mu, sigma
@@ -185,7 +182,7 @@ def l0_probs_many(model: ListenerModel, id_seqs: list[list[int]],
     its batch is encoded alone. The head's wide product lacks that property,
     so it runs on the batches themselves.
     """
-    f = model.feature_dim
+    f = FOURIER_DIM
     if feats.shape not in ((3, f), (len(id_seqs), 3, f)):
         raise ValueError(f"expected features of shape (3, {f}) or "
                          f"({len(id_seqs)}, 3, {f}), got {feats.shape}")
@@ -220,6 +217,16 @@ def l0_probs_many(model: ListenerModel, id_seqs: list[list[int]],
     return out
 
 
+def accuracy_perplexity(probs: np.ndarray, targets: np.ndarray) -> tuple[float, float]:
+    """(accuracy, perplexity) of distributions (N, 3) for target indices (N,).
+
+    Argmax ties go to the lowest index; target probabilities floor at 1e-300.
+    """
+    acc = float((probs.argmax(axis=1) == targets).mean())
+    p_t = np.maximum(probs[np.arange(len(targets)), targets], 1e-300)
+    return acc, float(np.exp(-np.log(p_t).mean()))
+
+
 def trial_listener_ids(model: ListenerModel, trial: ContextTrial) -> list[int]:
     return model.encode_tokens(preprocess(trial.speaker_texts, "listener"))
 
@@ -235,10 +242,10 @@ def train_l0(model: ListenerModel, train_trials: list[ContextTrial],
              dev_trials: list[ContextTrial], config: TrainConfig) -> TrainingReport:
     """Minimize cross-entropy of the target index; keep the best-dev epoch.
 
-    Trains with ADADELTA at learning rate 0.2, clipping gradients to a global
-    norm of 5.0. The model is left holding the best-dev-accuracy parameters.
-    Dev inputs are built once and scored after every epoch as evaluate_l0
-    scores them.
+    Trains with ADADELTA at ADADELTA_LR, clipping gradients to a global norm
+    of GRAD_CLIP (constants of `nnsubstrate`). The model is left holding the
+    best-dev-accuracy parameters. Dev inputs are built once and scored after
+    every epoch as evaluate_l0 scores them.
     """
     id_rows, feats, targets = _listener_inputs(model, train_trials)
     ids = [np.array(row) for row in id_rows]
@@ -252,10 +259,10 @@ def train_l0(model: ListenerModel, train_trials: list[ContextTrial],
         return softmax_xent(scores, targets[batch])[0], len(batch)
 
     def dev():
-        acc, ppl = _scores(l0_probs_many(model, dev_ids, dev_feats), dev_targets)
+        acc, ppl = accuracy_perplexity(l0_probs_many(model, dev_ids, dev_feats), dev_targets)
         return acc, {"dev_accuracy": acc, "dev_perplexity": ppl}
 
-    return _fit(Adadelta(model.parameters()), np.array([len(s) for s in ids]),
+    return fit(Adadelta(model.parameters()), np.array([len(s) for s in ids]),
                 batch_loss, dev, config)
 
 
@@ -263,7 +270,7 @@ def evaluate_l0(model: ListenerModel,
                 trials: list[ContextTrial]) -> tuple[float, float]:
     """(accuracy, perplexity) of the base listener on a trial list."""
     ids, feats, targets = _listener_inputs(model, trials)
-    return _scores(l0_probs_many(model, ids, feats), targets)
+    return accuracy_perplexity(l0_probs_many(model, ids, feats), targets)
 
 
 @no_grad()
@@ -275,15 +282,13 @@ def density_grid(model: ListenerModel, tokens: list[str], h_bins: int = 90,
     feature space, where exp(score) is accumulated over the value axis in log
     space. The result is shifted so its maximum cell is 0.
     """
-    from .colorspace import _hsv_to_rgb_arrays
-
     if not tokens:
         raise EmptyUtterance("density grid needs a non-empty utterance")
     h = (np.arange(h_bins) + 0.5) * (360.0 / h_bins)
     s = (np.arange(s_bins) + 0.5) / s_bins
     v = (np.arange(v_bins) + 0.5) / v_bins
     hh, ss, vv = np.meshgrid(h, s, v, indexing="ij")
-    r, g, b = _hsv_to_rgb_arrays(hh.ravel(), ss.ravel(), vv.ravel())
+    r, g, b = hsv_to_rgb_arrays(hh.ravel(), ss.ravel(), vv.ravel())
     feats = fourier_features_array(np.stack([r, g, b], axis=-1))
 
     mu, sigma = model.mu_sigma(np.array([model.encode_tokens(tokens)]))

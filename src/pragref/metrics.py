@@ -20,9 +20,12 @@ from importlib import resources
 
 import numpy as np
 
-from .colorspace import Color, Condition
+from .colorspace import Color, Condition, sample_contexts
 from .corpus import ContextTrial, preprocess
 from .errors import require_count
+from .listener import accuracy_perplexity, context_features, l0_probs_many
+from .rsa import S1_ALPHA, listener_ids_for, sample_alternatives
+from .speaker import contexts_target_last_features, s0_sample_utterances
 
 HEURISTICS_NOTE = ("comparatives/superlatives via suffix heuristics; "
                    "specificity via bundled color-term depth table")
@@ -47,20 +50,6 @@ class EvalReport:
     n_trials: int
     per_condition: dict[str, ConditionStats] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "perplexity": self.perplexity,
-            "n_trials": self.n_trials,
-            "per_condition": {k: vars(v) for k, v in self.per_condition.items()},
-        }
-
-
-def _scores(probs: np.ndarray, targets: np.ndarray) -> tuple[float, float]:
-    acc = float((probs.argmax(axis=1) == targets).mean())
-    p_t = np.maximum(probs[np.arange(len(targets)), targets], 1e-300)
-    return acc, float(np.exp(-np.log(p_t).mean()))
-
 
 def evaluate(agent, trials: list[ContextTrial]) -> EvalReport:
     """Score a listener agent: agent(trial) -> probability 3-vector."""
@@ -73,12 +62,12 @@ def evaluate_probs(probs: np.ndarray, trials: list[ContextTrial]) -> EvalReport:
     if not trials:
         raise ValueError("cannot score zero trials")
     targets = np.array([t.target_index for t in trials])
-    acc, ppl = _scores(probs, targets)
+    acc, ppl = accuracy_perplexity(probs, targets)
     report = EvalReport(acc, ppl, len(trials))
     conditions = np.array([t.condition_or_classified().value for t in trials])
     for cond in sorted(set(conditions)):
         mask = conditions == cond
-        c_acc, c_ppl = _scores(probs[mask], targets[mask])
+        c_acc, c_ppl = accuracy_perplexity(probs[mask], targets[mask])
         report.per_condition[cond] = ConditionStats(int(mask.sum()), c_acc, c_ppl)
     return report
 
@@ -187,10 +176,6 @@ class BehaviorReport:
     per_condition: dict[str, ConditionBehavior]
     note: str = HEURISTICS_NOTE
 
-    def to_dict(self) -> dict:
-        return {"note": self.note,
-                "per_condition": {k: vars(v) for k, v in self.per_condition.items()}}
-
 
 def behavior_metrics(items: list[tuple[str, Condition]]) -> BehaviorReport:
     """Per-condition means of the five surface metrics, and the empty share.
@@ -245,8 +230,6 @@ class BaseSpeakerSampler:
 
     def sample_texts(self, contexts: list[Context],
                      rng: np.random.Generator) -> list[str]:
-        from .speaker import contexts_target_last_features, s0_sample_utterances
-
         feats = contexts_target_last_features((c, t) for c, t, _ in contexts)
         return [" ".join(tokens)
                 for tokens in s0_sample_utterances(self.model, feats, rng)]
@@ -263,7 +246,7 @@ class PragmaticSpeakerSampler:
 
     name = "s1"
 
-    def __init__(self, l0_model, s0_model, alpha: float = 0.544,
+    def __init__(self, l0_model, s0_model, alpha: float = S1_ALPHA,
                  pool_size: int = 24):
         require_count("pool_size", pool_size)
         if alpha < 0:
@@ -275,19 +258,15 @@ class PragmaticSpeakerSampler:
 
     def sample_texts(self, contexts: list[Context],
                      rng: np.random.Generator) -> list[str]:
-        from .listener import context_features, l0_probs_many
-        from .rsa import _listener_ids_for, _sample_alternatives
-        from .speaker import contexts_target_last_features
-
         feats = contexts_target_last_features((c, t) for c, t, _ in contexts)
-        types, row_types = _sample_alternatives(self.s0_model, feats,
+        types, row_types = sample_alternatives(self.s0_model, feats,
                                                 self.pool_size, rng)
         row_types = row_types.tolist()
         pool = [[t for t in row_types[i:i + self.pool_size] if t >= 0]
                 for i in range(0, len(row_types), self.pool_size)]
 
         # score every non-empty candidate against its own context
-        type_ids = _listener_ids_for(self.l0_model, types)
+        type_ids = listener_ids_for(self.l0_model, types)
         flat_ids = [type_ids[t] for cands in pool for t in cands]
         ctx_feats = [context_features(c) for c, _, _ in contexts]
         flat_feats = [f for cands, f in zip(pool, ctx_feats) for _ in cands]
@@ -323,8 +302,6 @@ def compare_speakers(s0_sampler, s1_sampler, contexts: list[Context],
 
 def condition_mix_contexts(n_per_condition: int, rng: np.random.Generator) -> list[Context]:
     """Synthetic evaluation contexts, n per condition, via the sampler."""
-    from .colorspace import sample_contexts
-
     contexts: list[Context] = []
     for cond in Condition:
         cols, targets = sample_contexts(cond, n_per_condition, rng)

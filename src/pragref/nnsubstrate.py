@@ -1,10 +1,9 @@
 """Minimal reverse-mode automatic differentiation over dense float64 arrays.
 
 Provides exactly the kit the base agents need: a Tensor with a recorded
-backward graph, embedding lookup, affine maps, an LSTM step, a fused
-softmax/cross-entropy, a fused quadratic-form scorer, Adam and ADADELTA
-optimizers with global-norm gradient clipping, and a self-describing
-checkpoint container.
+backward graph, embedding lookup, an LSTM step, a fused softmax/cross-entropy,
+a fused quadratic-form scorer, Adam and ADADELTA optimizers with global-norm
+gradient clipping, and a self-describing checkpoint container.
 
 A training step makes few arrays and few graph nodes, and its results are
 the same bits as those of the plain formulas. `lstm_step` is one graph node
@@ -282,8 +281,11 @@ def embed(ids: np.ndarray, table: Tensor) -> Tensor:
     return out
 
 
-def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return x @ w + b
+def log_softmax(scores: Tensor) -> np.ndarray:
+    """Log-space normalization of raw scores over the last axis, as an array (no gradient)."""
+    z = scores.data if isinstance(scores, Tensor) else np.asarray(scores, dtype=np.float64)
+    shifted = z - z.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def softmax_xent(logits: Tensor, target_ids) -> tuple[Tensor, np.ndarray]:
@@ -295,9 +297,7 @@ def softmax_xent(logits: Tensor, target_ids) -> tuple[Tensor, np.ndarray]:
     single = logits.data.ndim == 1
     z = logits.reshape(1, -1) if single else logits
     targets = np.atleast_1d(np.asarray(target_ids, dtype=int))
-    shifted = z.data - z.data.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    logp = shifted - logsumexp
+    logp = log_softmax(z)
     probs = np.exp(logp)
     rows = np.arange(z.data.shape[0])
     loss_data = -logp[rows, targets]
@@ -312,13 +312,6 @@ def softmax_xent(logits: Tensor, target_ids) -> tuple[Tensor, np.ndarray]:
 
     out._backward = bwd
     return out, (probs[0] if single else probs)
-
-
-def log_softmax(scores: Tensor) -> np.ndarray:
-    """Log-space normalization of raw scores (no gradient; evaluation helper)."""
-    z = scores.data if isinstance(scores, Tensor) else np.asarray(scores, dtype=np.float64)
-    shifted = z - z.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def quad_scores(feats: np.ndarray, mu: Tensor, sigma: Tensor) -> Tensor:
@@ -350,13 +343,30 @@ GATE_ORDER = ("input", "forget", "output", "candidate")
 
 @dataclass
 class LstmCellParams:
-    """One LSTM cell: fused gate weights in GATE_ORDER blocks of `hidden` cols."""
+    """One LSTM cell: fused gate weights in GATE_ORDER blocks of `hidden` cols.
 
-    input_dim: int
-    hidden_dim: int
+    Its dimensions are read off w_x (input, 4 hidden); other shapes raise ValueError.
+    """
+
     w_x: Parameter
     w_h: Parameter
     bias: Parameter
+
+    def __post_init__(self):
+        hidden = self.w_h.data.shape[0]
+        for p, shape in ((self.w_x, (self.w_x.data.shape[0], 4 * hidden)),
+                         (self.w_h, (hidden, 4 * hidden)), (self.bias, (4 * hidden,))):
+            if p.data.shape != shape:
+                raise ValueError(f"parameter {p.name!r} has shape {p.data.shape}, "
+                                 f"expected {shape} for a cell of hidden size {hidden}")
+
+    @property
+    def input_dim(self) -> int:
+        return self.w_x.data.shape[0]
+
+    @property
+    def hidden_dim(self) -> int:
+        return self.w_h.data.shape[0]
 
     @classmethod
     def create(cls, name: str, input_dim: int, hidden_dim: int,
@@ -367,7 +377,6 @@ class LstmCellParams:
         b = np.zeros(4 * hidden_dim)
         b[hidden_dim:2 * hidden_dim] = 1.0
         return cls(
-            input_dim, hidden_dim,
             Parameter(f"{name}.w_x", rng.uniform(-sx, sx, (input_dim, 4 * hidden_dim))),
             Parameter(f"{name}.w_h", rng.uniform(-sh, sh, (hidden_dim, 4 * hidden_dim))),
             Parameter(f"{name}.bias", b),
@@ -450,6 +459,13 @@ def run_lstm(inputs: list[Tensor], p: LstmCellParams,
 
 # -- optimizers ---------------------------------------------------------------
 
+# The fixed training design of both base agents: one global gradient-norm
+# clip, Adam (Kingma & Ba 2014) for the speaker with the published betas and
+# epsilon, and ADADELTA (Zeiler 2012) for the listener, scaled by a rate.
+GRAD_CLIP = 5.0
+ADAM_LR, ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.004, 0.9, 0.999, 1e-8
+ADADELTA_LR, ADADELTA_RHO, ADADELTA_EPS = 0.2, 0.95, 1e-6
+
 
 def check_finite_gradients(params: list[Parameter]) -> None:
     for p in params:
@@ -457,8 +473,8 @@ def check_finite_gradients(params: list[Parameter]) -> None:
             raise NonFiniteGradient(f"non-finite gradient in {p.name!r}")
 
 
-def clip_global_norm(params: list[Parameter], max_norm: float = 5.0) -> float:
-    """Scale all gradients so their joint L2 norm is at most max_norm.
+def clip_global_norm(params: list[Parameter]) -> float:
+    """Scale all gradients so their joint L2 norm is at most GRAD_CLIP; returns the norm.
 
     Raises NonFiniteGradient if a gradient is not finite, which shows as a
     non-finite sum of squares. When finite gradients' squares overflow, the
@@ -476,8 +492,8 @@ def clip_global_norm(params: list[Parameter], max_norm: float = 5.0) -> float:
         # gradients scaled by their largest magnitude, then scale it back
         top = max(float(np.abs(g).max(initial=0.0)) for g in grads)
         norm = top * np.sqrt(sum(float(((g / top) ** 2).sum()) for g in grads))
-    if norm > max_norm and norm > 0:
-        scale = max_norm / norm
+    if norm > GRAD_CLIP:
+        scale = GRAD_CLIP / norm
         for p in params:
             if p.grad is not None:
                 p.grad *= scale
@@ -535,39 +551,32 @@ class Adam(_Optimizer):
 
     Updates m, v and the parameter in place, block by block; the floats are
     those of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
-    p -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps).
+    p -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps), with lr, b1, b2
+    and eps the ADAM_* constants.
     """
-
-    def __init__(self, params: list[Parameter], lr: float = 0.004,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        super().__init__(params)
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
 
     def step(self) -> None:
         check_finite_gradients(self.params)
         self.state.step_count += 1
         t = self.state.step_count
-        new1, new2 = 1 - self.beta1, 1 - self.beta2
-        unbias1, unbias2 = 1 - self.beta1 ** t, 1 - self.beta2 ** t
+        new1, new2 = 1 - ADAM_BETA1, 1 - ADAM_BETA2
+        unbias1, unbias2 = 1 - ADAM_BETA1 ** t, 1 - ADAM_BETA2 ** t
         for p in self.params:
             if p.grad is None:
                 continue
             for g, w, m, v, a, b in self._blocks(p, self.state.slot(p, ("m", "v"))):
-                m *= self.beta1
+                m *= ADAM_BETA1
                 np.multiply(g, new1, out=a)
                 m += a
-                v *= self.beta2
+                v *= ADAM_BETA2
                 np.square(g, out=a)
                 a *= new2
                 v += a
                 np.divide(m, unbias1, out=a)
-                a *= self.lr
+                a *= ADAM_LR
                 np.divide(v, unbias2, out=b)
                 np.sqrt(b, out=b)
-                b += self.eps
+                b += ADAM_EPS
                 a /= b
                 w -= a
 
@@ -578,40 +587,34 @@ class Adadelta(_Optimizer):
     Updates both averages and the parameter in place, block by block; the
     floats are those of s_g = rho s_g + (1 - rho) g^2,
     u = -sqrt(s_u + eps) / sqrt(s_g + eps) g, s_u = rho s_u + (1 - rho) u^2 and
-    p += lr u, with u's sign folded into the last subtraction (exact in IEEE).
+    p += lr u, with lr, rho and eps the ADADELTA_* constants and u's sign folded
+    into the last subtraction (exact in IEEE).
     """
-
-    def __init__(self, params: list[Parameter], lr: float = 0.2,
-                 rho: float = 0.95, eps: float = 1e-6):
-        super().__init__(params)
-        self.lr = lr
-        self.rho = rho
-        self.eps = eps
 
     def step(self) -> None:
         check_finite_gradients(self.params)
         self.state.step_count += 1
-        new = 1 - self.rho
+        new = 1 - ADADELTA_RHO
         for p in self.params:
             if p.grad is None:
                 continue
             slot = self.state.slot(p, ("sq_grad", "sq_update"))
             for g, w, sq_grad, sq_update, a, b in self._blocks(p, slot):
-                sq_grad *= self.rho
+                sq_grad *= ADADELTA_RHO
                 np.square(g, out=a)
                 a *= new
                 sq_grad += a
-                np.add(sq_update, self.eps, out=a)
+                np.add(sq_update, ADADELTA_EPS, out=a)
                 np.sqrt(a, out=a)
-                np.add(sq_grad, self.eps, out=b)
+                np.add(sq_grad, ADADELTA_EPS, out=b)
                 np.sqrt(b, out=b)
                 a /= b
                 a *= g  # -u
-                sq_update *= self.rho
+                sq_update *= ADADELTA_RHO
                 np.square(a, out=b)
                 b *= new
                 sq_update += b
-                a *= self.lr
+                a *= ADADELTA_LR
                 w -= a
 
 

@@ -8,10 +8,10 @@ alternative multiset, and pragmatic listeners by inverting speakers through
 Bayes' rule; geometric blends mix the resulting distributions.
 
 One engine serves the sampled alternatives of L2 and of the pragmatic
-speaker sampler in `metrics`. `_sample_alternatives` draws many rows per
+speaker sampler in `metrics`. `sample_alternatives` draws many rows per
 distinct context, encoding each context once per sampling batch; the S0
 decoder runs once per distinct (context, prefix) that live rows share, and
-the draws are deduped into utterance types. `_listener_ids_for` converts each
+the draws are deduped into utterance types. `listener_ids_for` converts each
 distinct token to listener ids once per call. `l0_probs_many` then runs the
 listener's LSTM once per distinct prefix of the types, in a prefix tree, and
 scores every row against its own context.
@@ -48,6 +48,7 @@ from .speaker import (
 )
 
 PROB_FLOOR = 1e-12
+S1_ALPHA = 0.544  # pragmatic-speaker exponent over sampled alternatives
 
 Utterance = tuple[str, ...]
 
@@ -209,19 +210,18 @@ def _invert_speaker(lex: Lexicon, u, speaker) -> list:
 class PragmaticsConfig:
     """All pragmatic-reasoning knobs in one place (tuned defaults)."""
 
-    alpha: float = 1.0            # exact-oracle rationality
     m: int = 8                    # speaker samples per target index
     n: int = 8                    # alternative-set replicates to average
     beta_a: float = 0.492         # blend weight of L0 against L1
     beta_b: float = -0.15         # blend weight of L0 against L2
     gamma: float = 0.491          # final blend weight of La against Lb
-    alpha_neural: float = 0.544   # pragmatic-speaker exponent over samples
+    alpha_neural: float = S1_ALPHA  # pragmatic-speaker exponent over samples
 
     def __post_init__(self):
         require_count("m", self.m)
         require_count("n", self.n)
-        if self.alpha < 0 or self.alpha_neural < 0:
-            raise ValueError("alpha and alpha_neural must be nonnegative")
+        if self.alpha_neural < 0:
+            raise ValueError(f"alpha_neural must be nonnegative, got {self.alpha_neural}")
 
 
 # -- neural pragmatic agents --------------------------------------------------------
@@ -241,7 +241,7 @@ def s1_table_from_probs(l0_probs: np.ndarray, counts: np.ndarray,
     return weighted / weighted.sum(axis=-2, keepdims=True)
 
 
-def _listener_ids_for(model: ListenerModel, utterances: list[Utterance]) -> list[list[int]]:
+def listener_ids_for(model: ListenerModel, utterances: list[Utterance]) -> list[list[int]]:
     """Listener ids of speaker-mode utterances, converting each distinct token once.
 
     speaker_tokens_to_listener_tokens re-tokenizes token by token, so an
@@ -269,7 +269,7 @@ def _as_speaker_utterance(u) -> Utterance:
     return tokens[:-1] if tokens and tokens[-1] == EOS else tokens
 
 
-def _sample_alternatives(s0_model: SpeakerModel, feats: np.ndarray, per_context: int,
+def sample_alternatives(s0_model: SpeakerModel, feats: np.ndarray, per_context: int,
                          rng: np.random.Generator) -> tuple[list[Utterance], np.ndarray]:
     """Sample per_context S0 utterances for each target-last context and dedupe.
 
@@ -297,13 +297,13 @@ def _s1_replicates(l0_model: ListenerModel, s0_model: SpeakerModel,
     with the observed utterance added once), and the observed type's index.
     """
     feats = contexts_target_last_features((colors, t) for t in range(3))
-    types, row_types = _sample_alternatives(s0_model, feats, cfg.n * cfg.m, rng)
+    types, row_types = sample_alternatives(s0_model, feats, cfg.n * cfg.m, rng)
     if observed in types:
         obs = types.index(observed)
     else:
         obs = len(types)
         types.append(observed)
-    probs = l0_probs_many(l0_model, _listener_ids_for(l0_model, types),
+    probs = l0_probs_many(l0_model, listener_ids_for(l0_model, types),
                           context_features(colors))
     # rows are target-major, then replicate, then sample; count per replicate
     rep_types = row_types.reshape(3, cfg.n, cfg.m).transpose(1, 0, 2).reshape(cfg.n, -1)

@@ -22,6 +22,7 @@ from .nnsubstrate import (
     Tensor,
     concat,
     embed,
+    log_softmax,
     lstm_step,
     no_grad,
     run_lstm,
@@ -30,7 +31,7 @@ from .nnsubstrate import (
 from .training import (
     TrainConfig,
     TrainingReport,
-    _fit,
+    fit,
     load_model,
     same_length_batches,
     save_model,
@@ -64,16 +65,14 @@ class SpeakerModel:
         self.out_b = out_b
         self.embed_dim = embedding.data.shape[1]
         self.hidden_dim = encoder.hidden_dim
-        self.feature_dim = encoder.input_dim
 
     @classmethod
     def create(cls, vocab: Vocabulary, rng: np.random.Generator,
-               embed_dim: int = 100, hidden_dim: int = 100,
-               feature_dim: int = FOURIER_DIM) -> "SpeakerModel":
+               embed_dim: int = 100, hidden_dim: int = 100) -> "SpeakerModel":
         scale = 1.0 / np.sqrt(hidden_dim)
         return cls(
             vocab,
-            LstmCellParams.create("encoder", feature_dim, hidden_dim, rng),
+            LstmCellParams.create("encoder", FOURIER_DIM, hidden_dim, rng),
             Parameter("embedding", rng.normal(0.0, 0.01, (len(vocab), embed_dim))),
             LstmCellParams.create("decoder", hidden_dim + embed_dim, hidden_dim, rng),
             Parameter("out_w", rng.uniform(-scale, scale, (hidden_dim, len(vocab)))),
@@ -250,7 +249,7 @@ def s0_sample_batch(model: SpeakerModel, feats: np.ndarray,
         logits, h, c = model.step_logits(Tensor(ctx), prev, Tensor(h), Tensor(c))
         h, c = h.data, c.data
         z = logits.data - logits.data.max(axis=1, keepdims=True)
-        logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+        logp = log_softmax(z)  # z's maximum is 0, so its shift leaves z as it is
         # recorded log_prob uses the model's own distribution; the sampling
         # distribution additionally masks <s>, which is an input-only symbol
         z_sample = z.copy()
@@ -346,10 +345,10 @@ def train_s0(model: SpeakerModel, train_trials: list[ContextTrial],
              dev_trials: list[ContextTrial], config: TrainConfig) -> TrainingReport:
     """Minimize per-token cross-entropy; keep the best-dev-perplexity epoch.
 
-    Trains with Adam at learning rate 0.004, clipping gradients to a global
-    norm of 5.0. The model is left holding the best-dev-perplexity parameters.
-    Dev inputs are built once and scored after every epoch as
-    dev_token_perplexity scores them.
+    Trains with Adam at ADAM_LR, clipping gradients to a global norm of
+    GRAD_CLIP (constants of `nnsubstrate`). The model is left holding the
+    best-dev-perplexity parameters. Dev inputs are built once and scored after
+    every epoch as dev_token_perplexity scores them.
     """
     id_rows, feats = _speaker_inputs(model, train_trials)
     ids = [np.array(row) for row in id_rows]
@@ -365,7 +364,7 @@ def train_s0(model: SpeakerModel, train_trials: list[ContextTrial],
         ppl = _token_perplexity(model, dev_ids, dev_feats)
         return -ppl, {"dev_perplexity": ppl}
 
-    return _fit(Adam(model.parameters()), lengths, batch_loss, dev, config)
+    return fit(Adam(model.parameters()), lengths, batch_loss, dev, config)
 
 
 def dev_token_perplexity(model: SpeakerModel, trials: list[ContextTrial]) -> float:

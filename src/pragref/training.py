@@ -8,21 +8,21 @@ import numpy as np
 
 from .corpus import Vocabulary
 from .errors import require_count
-from .nnsubstrate import (Parameter, clip_global_norm, load_checkpoint, save_checkpoint,
-                          zero_gradients)
+from .nnsubstrate import (GRAD_CLIP, Parameter, clip_global_norm, load_checkpoint,
+                          save_checkpoint, zero_gradients)
 
-GRAD_CLIP = 5.0
-_DIMS = ("embed_dim", "hidden_dim", "feature_dim")
+# Dimensions a checkpoint records; the feature width is always FOURIER_DIM.
+_DIMS = ("embed_dim", "hidden_dim")
 
 
 @dataclass
 class TrainConfig:
     """Knobs for one training run.
 
-    The optimizers are fixed: ADADELTA at learning rate 0.2 for the listener,
-    Adam at 0.004 for the speaker, both clipped to a global gradient norm of
-    GRAD_CLIP = 5.0. Epochs and batch size are declared defaults, not tuned;
-    both must be integers of at least 1.
+    The optimizers are fixed: ADADELTA at ADADELTA_LR for the listener, Adam
+    at ADAM_LR for the speaker, both clipped to a global gradient norm of
+    GRAD_CLIP (constants of `nnsubstrate`). Epochs and batch size are declared
+    defaults, not tuned; both must be integers of at least 1.
     """
 
     epochs: int = 10
@@ -76,7 +76,7 @@ def same_length_batches(lengths: np.ndarray, order: np.ndarray,
         start = end
 
 
-def _fit(optimizer, lengths: np.ndarray, batch_loss, dev,
+def fit(optimizer, lengths: np.ndarray, batch_loss, dev,
          config: TrainConfig) -> TrainingReport:
     """Minibatch training; optimizer.params are left holding the best-dev epoch.
 
@@ -100,7 +100,7 @@ def _fit(optimizer, lengths: np.ndarray, batch_loss, dev,
             (losses.sum() * (1.0 / normalizer)).backward()
             total_loss += float(losses.data.sum())
             total_count += normalizer
-            grad_norm = clip_global_norm(params, GRAD_CLIP)
+            grad_norm = clip_global_norm(params)
             max_grad_norm = max(max_grad_norm, float(grad_norm))
             clipped += int(grad_norm > GRAD_CLIP)
             optimizer.step()

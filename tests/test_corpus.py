@@ -20,7 +20,6 @@ from pragref.corpus import (
     BASIC_COLOR_ANCHORS,
     ContextTrial,
     Vocabulary,
-    _template_emission,
     apply_split,
     build_vocab,
     dump_trials,
@@ -329,6 +328,53 @@ def per_trial_condition(colors, th=ConditionThresholds()):
     return Condition.SPLIT
 
 
+def per_trial_emission(colors, terms, target_index, condition):
+    """Reference: the template speaker converting each colour to HSV per call."""
+    weights = {
+        Condition.FAR: {"base": 0.68, "shade": 0.26, "comparative": 0.04,
+                        "superlative": 0.02, "negation": 0.0},
+        Condition.SPLIT: {"base": 0.22, "shade": 0.40, "comparative": 0.22,
+                          "superlative": 0.06, "negation": 0.10},
+        Condition.CLOSE: {"base": 0.05, "shade": 0.36, "comparative": 0.22,
+                          "superlative": 0.12, "negation": 0.25},
+    }[condition]
+    base = terms[target_index]
+    target = colors[target_index]
+    shade = "dark" if rgb_to_hsv(target).v < 0.5 else "light"
+    v_t = rgb_to_hsv(target).v
+    v_others = [rgb_to_hsv(colors[i]).v for i in range(3) if i != target_index]
+    options = {}
+
+    def add(tokens, weight):
+        if weight > 0:
+            options[tokens] = options.get(tokens, 0.0) + weight
+
+    add((base,), weights["base"])
+    fallback = weights["shade"]
+    if shade == "dark" and any(v > v_t + 0.08 for v in v_others):
+        add(("darker", base), weights["comparative"])
+    elif shade == "light" and any(v < v_t - 0.08 for v in v_others):
+        add(("lighter", base), weights["comparative"])
+    else:
+        fallback += weights["comparative"]
+    if shade == "dark" and v_t <= min(v_others) - 0.08:
+        add(("darkest", base), weights["superlative"])
+    elif shade == "light" and v_t >= max(v_others) + 0.08:
+        add(("lightest", base), weights["superlative"])
+    else:
+        fallback += weights["superlative"]
+    other_terms = sorted({terms[i] for i in range(3) if i != target_index} - {base})
+    if other_terms and weights["negation"] > 0:
+        for term in other_terms:
+            add(("not", "the", term, "one"), weights["negation"] / len(other_terms))
+    else:
+        fallback += weights["negation"]
+    add((shade, base), fallback)
+    utterances = list(options)
+    probs = np.array([options[u] for u in utterances])
+    return utterances, probs / probs.sum()
+
+
 def per_trial_synth_corpus(n_trials, rng, trials_per_game=30):
     """Reference: synth_corpus naming each colour inside the emission loop."""
     counts = [n_trials // 3] * 3
@@ -343,7 +389,7 @@ def per_trial_synth_corpus(n_trials, rng, trials_per_game=30):
     trials = []
     for pos, ri in enumerate(rng.permutation(len(rows))):
         cond, triple, target = rows[ri]
-        utterances, probs = _template_emission(triple, [per_color_term(c) for c in triple],
+        utterances, probs = per_trial_emission(triple, [per_color_term(c) for c in triple],
                                                target, cond)
         tokens = utterances[rng.choice(len(utterances), p=probs)]
         if rng.random() < {Condition.FAR: 0.97, Condition.SPLIT: 0.90,
@@ -364,7 +410,7 @@ def per_trial_oracle(trials):
         terms = [per_color_term(c) for c in t.colors]
         likelihood = np.zeros(3)
         for cand in range(3):
-            utterances, probs = _template_emission(t.colors, terms, cand,
+            utterances, probs = per_trial_emission(t.colors, terms, cand,
                                                    per_trial_condition(t.colors))
             likelihood[cand] = dict(zip(utterances, probs)).get(observed, 0.0)
         preds.append(int(np.argmax(likelihood)) if likelihood.sum() else 0)
@@ -424,11 +470,29 @@ class TestBatchedTerms:
         with pytest.raises(ValueError, match="shape"):
             nearest_basic_terms(np.full(shape, 0.5))
 
-    @pytest.mark.parametrize("n,seed", [(0, 0), (1, 1), (2, 2), (7, 3), (301, 4), (302, 5)])
+    @pytest.mark.parametrize("n,seed", [(0, 0), (1, 1), (2, 2), (7, 3), (301, 4), (302, 5),
+                                        (900, 12)])
     def test_synth_corpus_matches_per_trial(self, n, seed):
         got = synth_corpus(n, np.random.default_rng(seed))
         assert got == per_trial_synth_corpus(n, np.random.default_rng(seed))
         assert len(got) == n
+
+    @pytest.mark.parametrize("seed", [8, 9])
+    def test_emission_matches_per_trial(self, seed):
+        # every candidate target under every condition, including grey and
+        # tied-value colours, against the per-call HSV conversion
+        trials = synth_corpus(301, np.random.default_rng(seed))
+        contexts = [t.colors for t in trials]
+        contexts.append((Color(0.5, 0.5, 0.5), Color(0.2, 0.5, 0.1), Color(0.0, 0.0, 0.5)))
+        contexts.append((Color(0.46, 0.1, 0.1), Color(0.1, 0.54, 0.1), Color(0.1, 0.1, 0.62)))
+        for colors in contexts:
+            terms = [per_color_term(c) for c in colors]
+            for cand in range(3):
+                for cond in Condition:
+                    got = template_emission(colors, cand, cond)
+                    want = per_trial_emission(colors, terms, cand, cond)
+                    assert got[0] == want[0]
+                    assert np.array_equal(got[1], want[1])
 
     @pytest.mark.parametrize("seed", [8, 9])
     def test_bayes_oracle_matches_per_trial(self, seed):

@@ -22,10 +22,9 @@ from pragref.nnsubstrate import Tensor, load_checkpoint, log_softmax, quad_score
 from pragref.training import TrainConfig, same_length_batches
 
 
-def tiny_model(seed=0, feature_dim=54):
+def tiny_model(seed=0):
     vocab = build_vocab([["blue", "blue", "dark", "dark", "red", "red"]])
-    return ListenerModel.create(vocab, np.random.default_rng(seed),
-                                embed_dim=8, hidden_dim=6, feature_dim=feature_dim)
+    return ListenerModel.create(vocab, np.random.default_rng(seed), embed_dim=8, hidden_dim=6)
 
 
 def rig_constant_output(model, mu, sigma):
@@ -290,12 +289,12 @@ class TestDensityGrid:
         grid = density_grid(model, ["dark", "red"], h_bins=10, s_bins=7, v_bins=5)
 
         # independent direct 3-D summation over the same lattice
-        from pragref.colorspace import _hsv_to_rgb_arrays, fourier_features_array
+        from pragref.colorspace import fourier_features_array, hsv_to_rgb_arrays
         h = (np.arange(10) + 0.5) * 36.0
         s = (np.arange(7) + 0.5) / 7
         v = (np.arange(5) + 0.5) / 5
         hh, ss, vv = np.meshgrid(h, s, v, indexing="ij")
-        r, g, b = _hsv_to_rgb_arrays(hh.ravel(), ss.ravel(), vv.ravel())
+        r, g, b = hsv_to_rgb_arrays(hh.ravel(), ss.ravel(), vv.ravel())
         feats = fourier_features_array(np.stack([r, g, b], axis=-1))
         mu, sigma = model.mu_sigma(np.array([model.encode_tokens(["dark", "red"])]))
         d = feats - mu.data[0]

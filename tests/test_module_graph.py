@@ -1,0 +1,57 @@
+"""The package's modules import each other one way, at module top, by public names.
+
+An import inside a function hides a cycle; a `from .x import _name` couples a
+module to another's internals. Both are rejected here, and so is a cycle.
+"""
+
+import ast
+from graphlib import TopologicalSorter
+from pathlib import Path
+
+import pragref
+
+SOURCES = sorted(Path(pragref.__file__).parent.glob("*.py"))
+
+
+def _violations(source: str) -> list[str]:
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out += [f"line {sub.lineno}: import inside {node.name}()"
+                    for sub in ast.walk(node) if isinstance(sub, (ast.Import, ast.ImportFrom))]
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith(
+                "pragref")):
+            out += [f"line {node.lineno}: private name {a.name} from {node.module}"
+                    for a in node.names if a.name.startswith("_")]
+    return sorted(out)
+
+
+def _package_imports(source: str) -> set[str]:
+    """Modules of the package that a source imports with `from .x import ...`."""
+    return {node.module for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module}
+
+
+def test_sources_found():
+    assert len(SOURCES) >= 9
+
+
+def test_imports_at_top_and_public():
+    found = {p.name: v for p in SOURCES if (v := _violations(p.read_text(encoding="utf-8")))}
+    assert found == {}
+
+
+def test_no_import_cycle():
+    graph = {p.stem: _package_imports(p.read_text(encoding="utf-8")) for p in SOURCES}
+    TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
+
+
+def test_checker_catches_each_kind():
+    source = ("from .a import b\n"
+              "from .metrics import _scores\n"
+              "def f():\n"
+              "    from .rsa import g\n"
+              "    import json\n")
+    assert _violations(source) == ["line 2: private name _scores from metrics",
+                                   "line 4: import inside f()", "line 5: import inside f()"]
+    assert _package_imports(source) == {"a", "metrics", "rsa"}

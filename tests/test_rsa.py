@@ -38,7 +38,7 @@ def demo_lexicon():
 
 def stub_alternatives(monkeypatch, types, row_types):
     """Make every alternative draw return these types and row type indices."""
-    monkeypatch.setattr("pragref.rsa._sample_alternatives",
+    monkeypatch.setattr("pragref.rsa.sample_alternatives",
                         lambda model, feats, per_context, rng:
                         (list(types), np.array(row_types, dtype=int)))
 
@@ -120,8 +120,6 @@ class TestPragmaticsConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             PragmaticsConfig(m=0)
-        with pytest.raises(ValueError):
-            PragmaticsConfig(alpha=-1)
         with pytest.raises(ValueError):
             PragmaticsConfig(alpha_neural=-0.1)
 

@@ -29,10 +29,9 @@ from pragref.training import TrainConfig, same_length_batches
 COLORS = (Color(0.9, 0.1, 0.1), Color(0.1, 0.2, 0.8), Color(0.2, 0.9, 0.3))
 
 
-def tiny_model(seed=0, feature_dim=54):
+def tiny_model(seed=0):
     vocab = build_vocab([["blue", "blue", "dark", "dark", "red", "red"]])
-    return SpeakerModel.create(vocab, np.random.default_rng(seed),
-                               embed_dim=8, hidden_dim=6, feature_dim=feature_dim)
+    return SpeakerModel.create(vocab, np.random.default_rng(seed), embed_dim=8, hidden_dim=6)
 
 
 def graph_sample_batch(model, feats, rng, temperature):
@@ -130,10 +129,9 @@ class TestEncodeContext:
         assert np.allclose(encode_context(model, COLORS, 1), 0.0)
 
     def test_matches_hand_recurrence_1dim(self):
-        # 1-dim encoder over a 2-dim feature space, scalar recomputation
+        # 1-dim encoder over the 54 features, scalar recomputation
         vocab = build_vocab([["a", "a"]])
-        model = SpeakerModel.create(vocab, np.random.default_rng(3),
-                                    embed_dim=2, hidden_dim=1, feature_dim=54)
+        model = SpeakerModel.create(vocab, np.random.default_rng(3), embed_dim=2, hidden_dim=1)
         wx, wh, b = (model.encoder.w_x.data, model.encoder.w_h.data,
                      model.encoder.bias.data)
 

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
+from pragref.colorspace import Color
 from pragref.corpus import build_vocab, preprocess, synth_corpus
 from pragref.errors import require_count
-from pragref.listener import ListenerModel, train_l0
+from pragref.listener import ListenerModel, l0_score, train_l0
+from pragref.nnsubstrate import load_checkpoint, save_checkpoint
+from pragref.speaker import SpeakerModel, s0_log_prob
 from pragref.training import TrainConfig, same_length_batches
+
+COLORS = (Color(0.9, 0.1, 0.1), Color(0.1, 0.2, 0.8), Color(0.2, 0.9, 0.3))
 
 
 class TestCounts:
@@ -49,3 +54,40 @@ class TestSameLengthBatches:
         batches = list(same_length_batches(lengths, np.arange(7)[::-1], 2))
         assert sorted(np.concatenate(batches).tolist()) == list(range(7))
         assert all(len(b) <= 2 and len(set(lengths[b])) == 1 for b in batches)
+
+
+def _model(cls):
+    vocab = build_vocab([["dark", "dark", "blue", "blue"]])
+    return cls.create(vocab, np.random.default_rng(2), embed_dim=4, hidden_dim=3)
+
+
+def _score(model):
+    if isinstance(model, ListenerModel):
+        return l0_score(model, ["dark", "blue"], COLORS)
+    return s0_log_prob(model, ["dark", "blue", "</s>"], COLORS, 1)
+
+
+class TestCheckpointDims:
+    @pytest.mark.parametrize("cls", [ListenerModel, SpeakerModel])
+    def test_config_with_feature_dim_loads(self, cls, tmp_path):
+        # checkpoints written while the feature width was an option record it
+        model = _model(cls)
+        model.save(tmp_path / "new.npz")
+        arrays, config = load_checkpoint(tmp_path / "new.npz")
+        assert set(config) == {"model", "vocab", "embed_dim", "hidden_dim"}
+        save_checkpoint(tmp_path / "old.npz", arrays, {**config, "feature_dim": 54})
+        assert np.array_equal(_score(cls.load(tmp_path / "old.npz")), _score(model))
+
+    @pytest.mark.parametrize("cls,name", [(ListenerModel, "out_w"),
+                                          (SpeakerModel, "encoder.w_x")])
+    def test_other_feature_width_raises(self, cls, name, tmp_path):
+        _model(cls).save(tmp_path / "m.npz")
+        arrays, config = load_checkpoint(tmp_path / "m.npz")
+        # the arrays of a model over 3 features
+        if cls is ListenerModel:
+            arrays["out_w"], arrays["out_b"] = arrays["out_w"][:, :12], arrays["out_b"][:12]
+        else:
+            arrays["encoder.w_x"] = arrays["encoder.w_x"][:3]
+        save_checkpoint(tmp_path / "narrow.npz", arrays, {**config, "feature_dim": 3})
+        with pytest.raises(ValueError, match=f"parameter '{name}' has shape"):
+            cls.load(tmp_path / "narrow.npz")
