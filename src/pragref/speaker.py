@@ -1,10 +1,10 @@
 """The neural base speaker: context encoder + description decoder.
 
-The three context colors (distractors first, target last) run through an LSTM
-encoder over their feature vectors; the encoder's final cell state is the
-context vector. The decoder LSTM receives [context vector ; previous-token
-embedding] at every step and predicts the next token through an affine map
-and softmax over the vocabulary.
+The three context colors (the distractors in lexicographic RGB order, then the
+target) run through an LSTM encoder over their feature vectors; the encoder's
+final cell state is the context vector. The decoder LSTM receives [context
+vector ; previous-token embedding] at every step and predicts the next token
+through an affine map and softmax over the vocabulary.
 """
 
 from __future__ import annotations
@@ -117,7 +117,8 @@ def target_last_features(rgb: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Feature rows (N, 3, F) for [distractor, distractor, target] per context.
 
     rgb holds each context's colors in stored order, (N, 3, 3); targets (N,)
-    the target index of each. Distractors keep their stored order.
+    the target index of each. The distractors go in lexicographic order of
+    their RGB triples, so the rows do not depend on the stored color order.
     """
     rgb = np.asarray(rgb, dtype=np.float64)
     targets = np.asarray(targets)
@@ -127,8 +128,12 @@ def target_last_features(rgb: np.ndarray, targets: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected {rgb.shape[0]} target indices, got shape {targets.shape}")
     if targets.size and (targets.min() < 0 or targets.max() > 2):
         raise ValueError("target indices must be 0, 1 or 2")
+    n = np.arange(len(rgb))
     order = _TARGET_LAST_ORDER[targets]
-    return fourier_features_array(rgb[np.arange(len(rgb))[:, None], order])
+    diff = rgb[n, order[:, 0]] - rgb[n, order[:, 1]]  # sign of the first channel that differs
+    swap = diff[n, np.argmax(diff != 0.0, axis=1)] > 0.0
+    order[swap, :2] = order[swap, 1::-1]
+    return fourier_features_array(rgb[n[:, None], order])
 
 
 def contexts_target_last_features(contexts) -> np.ndarray:
@@ -141,7 +146,7 @@ def contexts_target_last_features(contexts) -> np.ndarray:
 
 def reorder_target_last(colors: tuple[Color, Color, Color],
                         target_index: int) -> np.ndarray:
-    """Feature rows for [distractor, distractor, target] in stored order."""
+    """Feature rows for [distractor, distractor, target], as target_last_features."""
     return contexts_target_last_features([(colors, target_index)])[0]
 
 

@@ -1,9 +1,12 @@
 from collections import Counter
 from fractions import Fraction as F
 from importlib import resources
+from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pragref.colorspace import Color
 from pragref.corpus import build_vocab, preprocess
@@ -268,6 +271,39 @@ class TestNeuralL1:
         _, s0 = models(seed=7)
         dist = neural_l1(s0, "red", COLORS)
         assert dist.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+CHANNEL = st.floats(0.0, 1.0, allow_nan=False)
+RGB = st.tuples(CHANNEL, CHANNEL, CHANNEL)
+
+
+class TestPermutationSymmetry:
+    """Permuting a context's colors permutes L0 and L1 with them."""
+
+    MODELS = models(seed=8)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(RGB, min_size=3, max_size=3),
+           st.permutations(range(3)),
+           st.sampled_from(["blue", "dark red", "teal dull blue"]))
+    def test_l0_and_l1_follow_the_colors(self, rgb, perm, text):
+        l0, s0 = self.MODELS
+        colors = tuple(Color(*c) for c in rgb)
+        moved = tuple(colors[i] for i in perm)
+        tokens = preprocess(text, "listener")
+        assert np.allclose(l0_score(l0, tokens, moved), l0_score(l0, tokens, colors)[perm],
+                           rtol=0, atol=1e-12)
+        assert np.allclose(neural_l1(s0, text, moved), neural_l1(s0, text, colors)[perm],
+                           rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("perm", list(permutations(range(3))))
+    def test_distractors_share_a_first_channel(self, perm):
+        # the order is decided by a later channel when the first ones tie
+        _, s0 = self.MODELS
+        colors = (Color(0.5, 0.7, 0.1), Color(0.5, 0.2, 0.9), Color(0.9, 0.1, 0.3))
+        moved = tuple(colors[i] for i in perm)
+        assert np.allclose(neural_l1(s0, "red", moved), neural_l1(s0, "red", colors)[list(perm)],
+                           rtol=0, atol=1e-12)
 
 
 class TestBlend:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pragref.colorspace import Color
+from pragref.colorspace import Color, fourier_features_array
 from pragref.corpus import EOS, build_vocab, preprocess, synth_corpus
 from pragref.errors import MissingCheckpoint
 from pragref.nnsubstrate import Tensor, load_checkpoint, save_checkpoint
@@ -165,6 +165,28 @@ class TestTargetLastFeatures:
         want = np.stack([reorder_target_last(tuple(Color(*row) for row in ctx), t)
                          for ctx, t in zip(rgb, targets)])
         assert np.array_equal(target_last_features(rgb, targets), want)
+
+    def test_distractors_in_rgb_order(self):
+        rng = np.random.default_rng(13)
+        rgb = rng.random((60, 3, 3))
+        rgb[:20, 1, 0] = rgb[:20, 0, 0]  # first channels tie
+        rgb[:10, 1, 1] = rgb[:10, 0, 1]  # first two channels tie
+        rgb[50:, 1] = rgb[50:, 0]        # equal colors
+        targets = rng.integers(0, 3, 60)
+        want = []
+        for ctx, t in zip(rgb, targets):
+            d = sorted(tuple(ctx[i]) for i in range(3) if i != t)
+            want.append(fourier_features_array(np.array(d + [tuple(ctx[t])])))
+        assert np.array_equal(target_last_features(rgb, targets), np.stack(want))
+
+    @pytest.mark.parametrize("perm", [(1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1)])
+    def test_rows_do_not_depend_on_stored_order(self, perm):
+        rng = np.random.default_rng(14)
+        rgb = rng.random((50, 3, 3))
+        targets = rng.integers(0, 3, 50)
+        moved = np.argsort(perm)[targets]  # where each target lands
+        assert np.array_equal(target_last_features(rgb[:, perm], moved),
+                              target_last_features(rgb, targets))
 
     @pytest.mark.parametrize("targets", [[0, 1], [0], [0, 3, 1], [-1, 0, 2]])
     def test_bad_targets_raise(self, targets):
