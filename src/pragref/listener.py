@@ -263,7 +263,7 @@ def train_l0(model: ListenerModel, train_trials: list[ContextTrial],
         return acc, {"dev_accuracy": acc, "dev_perplexity": ppl}
 
     return fit(Adadelta(model.parameters()), np.array([len(s) for s in ids]),
-                batch_loss, dev, config)
+               batch_loss, dev, config)
 
 
 def evaluate_l0(model: ListenerModel,

@@ -259,8 +259,7 @@ class PragmaticSpeakerSampler:
     def sample_texts(self, contexts: list[Context],
                      rng: np.random.Generator) -> list[str]:
         feats = contexts_target_last_features((c, t) for c, t, _ in contexts)
-        types, row_types = sample_alternatives(self.s0_model, feats,
-                                                self.pool_size, rng)
+        types, row_types = sample_alternatives(self.s0_model, feats, self.pool_size, rng)
         row_types = row_types.tolist()
         pool = [[t for t in row_types[i:i + self.pool_size] if t >= 0]
                 for i in range(0, len(row_types), self.pool_size)]

@@ -345,7 +345,8 @@ GATE_ORDER = ("input", "forget", "output", "candidate")
 class LstmCellParams:
     """One LSTM cell: fused gate weights in GATE_ORDER blocks of `hidden` cols.
 
-    Its dimensions are read off w_x (input, 4 hidden); other shapes raise ValueError.
+    Its dimensions are read off w_x (input, 4 hidden) and w_h (hidden, 4 hidden);
+    weights of other shapes raise ValueError.
     """
 
     w_x: Parameter

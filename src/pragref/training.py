@@ -77,7 +77,7 @@ def same_length_batches(lengths: np.ndarray, order: np.ndarray,
 
 
 def fit(optimizer, lengths: np.ndarray, batch_loss, dev,
-         config: TrainConfig) -> TrainingReport:
+        config: TrainConfig) -> TrainingReport:
     """Minibatch training; optimizer.params are left holding the best-dev epoch.
 
     batch_loss(rows) gives the per-row losses of equal-length rows and the
