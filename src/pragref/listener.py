@@ -93,8 +93,14 @@ class ListenerModel:
         position. A position where one prefix stands for several sequences
         runs it as two rows, because a one-row matrix product takes another
         BLAS path, which can differ in the last bit.
+
+        l0_probs_many's shared-context path passes every distinct utterance
+        in one call and is held to 1e-12, not to bits. Its per-row path, bit
+        for bit with ListenerModel.encode on same-length batches, passes the
+        utterances of batches of two or more together and a lone
+        utterance of its length alone.
         """
-        lengths = np.array([len(s) for s in seqs])
+        lengths = np.array([len(s) for s in seqs], dtype=int)
         padded = np.zeros((len(seqs), lengths.max(initial=0)), dtype=np.int64)
         for i, s in enumerate(seqs):
             padded[i, :len(s)] = s
@@ -162,37 +168,42 @@ _L0_UTTERANCE_BATCH = 512
 _L0_ROW_BLOCK = 128
 
 
-@no_grad()
-def l0_probs_many(model: ListenerModel, id_seqs: list[list[int]],
-                  feats: np.ndarray) -> np.ndarray:
-    """Batched listener distributions for many utterances.
+def _shared_context_probs(model: ListenerModel, distinct: list[tuple[int, ...]],
+                          feats: np.ndarray) -> np.ndarray:
+    """Distributions (U, 3) of distinct utterances over one context (3, F).
 
-    feats is either one context (3, F), shared by all rows, or per-row
-    contexts (len(id_seqs), 3, F); any other shape raises ValueError. Returns
-    (len(id_seqs), 3).
+    With mu = h A + a and Sigma = h B + b (B read as hidden F x F blocks), the
+    score -(f_k - mu)^T Sigma (f_k - mu) of candidate k is
 
-    The LSTM runs once per distinct prefix of the distinct id sequences, in
-    one prefix tree (ListenerModel.encode_prefixes). The affine head then runs
-    on same-length batches of up to _L0_UTTERANCE_BATCH distinct utterances,
-    and each row is scored against its own context in blocks of _L0_ROW_BLOCK
-    rows. The result has the bits of ListenerModel.scores on those batches.
-    The LSTM's matrix products give a row the same bits whatever rows share
-    them (where this holds is set out in the `rsa` module docstring), except
-    that a one-row product takes another BLAS path, so an utterance alone in
-    its batch is encoded alone. The head's wide product lacks that property,
-    so it runs on the batches themselves.
+        -f_k^T Sigma f_k + mu^T (Sigma + Sigma^T) f_k - mu^T Sigma mu,
+
+    and the last term is the same for every k, so it drops out of the
+    softmax. The head is folded with the context once: h @ weights + bias
+    gives, per utterance, [mu | (Sigma + Sigma^T) f_k | f_k^T Sigma f_k] for
+    the three k. The contractions of B with f_k on both sides are matrix
+    products over the head's weights, and no F x F Sigma is formed per
+    utterance.
     """
     f = FOURIER_DIM
-    if feats.shape not in ((3, f), (len(id_seqs), 3, f)):
-        raise ValueError(f"expected features of shape (3, {f}) or "
-                         f"({len(id_seqs)}, 3, {f}), got {feats.shape}")
-    index: dict[tuple[int, ...], int] = {}
-    inverse = np.array([index.setdefault(tuple(s), len(index)) for s in id_seqs],
-                       dtype=int)
-    distinct = list(index)
+    w = model.out_w.data.reshape(-1, f + 1, f)  # per hidden unit: [A row; B block]
+    b = model.out_b.data.reshape(f + 1, f)
+    left = np.matmul(feats, w[:, 1:])           # (hidden, 3, F): f_k^T B_j
+    sym = left + np.matmul(w[:, 1:], feats.T).transpose(0, 2, 1)  # (B_j + B_j^T) f_k
+    left_b = feats @ b[1:]
+    weights = np.concatenate([w[:, 0], sym.reshape(len(w), -1),
+                              np.einsum("jke,ke->jk", left, feats)], axis=1)
+    bias = np.concatenate([b[0], (left_b + (b[1:] @ feats.T).T).ravel(),
+                           np.einsum("ke,ke->k", left_b, feats)])
+    folded = model.encode_prefixes(distinct) @ weights + bias
+    mu, sym, quad = folded[:, :f], folded[:, f:4 * f], folded[:, 4 * f:]
+    scores = np.einsum("uf,ukf->uk", mu, sym.reshape(-1, 3, f)) - quad
+    return np.exp(log_softmax(scores))
+
+
+def _per_row_probs(model: ListenerModel, distinct: list[tuple[int, ...]],
+                   inverse: np.ndarray, feats: np.ndarray) -> np.ndarray:
+    """Distributions (N, 3) of rows inverse over distinct, each on its context."""
     lengths = np.array([len(s) for s in distinct])
-    if np.any(lengths == 0):
-        raise EmptyUtterance("empty token sequence in batch")
     groups = list(same_length_batches(lengths, np.arange(len(distinct)),
                                       batch_size=_L0_UTTERANCE_BATCH))
     states = np.empty((len(distinct), model.hidden_dim))
@@ -202,7 +213,7 @@ def l0_probs_many(model: ListenerModel, id_seqs: list[list[int]],
     for g in groups:
         if len(g) == 1:
             states[g] = model.encode_prefixes([distinct[g[0]]])
-    out = np.empty((len(id_seqs), 3))
+    out = np.empty((len(inverse), 3))
     order = np.argsort(inverse, kind="stable")  # rows grouped by utterance
     starts = np.searchsorted(inverse[order], np.arange(len(distinct) + 1))
     for group in groups:
@@ -211,10 +222,52 @@ def l0_probs_many(model: ListenerModel, id_seqs: list[list[int]],
         slot = np.repeat(np.arange(len(group)), starts[group + 1] - starts[group])
         for lo in range(0, len(rows), _L0_ROW_BLOCK):
             r, k = rows[lo:lo + _L0_ROW_BLOCK], slot[lo:lo + _L0_ROW_BLOCK]
-            f = feats[None] if feats.ndim == 2 else feats[r]
-            scores = quad_scores(f, Tensor(mu.data[k]), Tensor(sigma.data[k]))
+            scores = quad_scores(feats[r], Tensor(mu.data[k]), Tensor(sigma.data[k]))
             out[r] = np.exp(log_softmax(scores.data))
     return out
+
+
+@no_grad()
+def l0_probs_many(model: ListenerModel, id_seqs: list[list[int]],
+                  feats: np.ndarray) -> np.ndarray:
+    """Batched listener distributions for many utterances.
+
+    feats is either one context (3, F), shared by all rows, or per-row
+    contexts (len(id_seqs), 3, F); any other shape raises ValueError. Returns
+    (len(id_seqs), 3). Each distinct id sequence is scored once.
+
+    One shared context: every distinct utterance is encoded in one prefix
+    tree (ListenerModel.encode_prefixes), and the quadratic form is folded
+    into the head once for the context, dropping the target-independent
+    mu^T Sigma mu term (_shared_context_probs). The sums round
+    differently from ListenerModel.scores, so the result matches l0_score on
+    each utterance to within 1e-12, not bit for bit.
+
+    Per-row contexts (evaluate_l0, training's dev scoring, the pragmatic
+    speaker sampler): the LSTM runs once per distinct prefix, in one prefix
+    tree; the affine head then runs on same-length batches of up to
+    _L0_UTTERANCE_BATCH distinct utterances, and each row is scored against
+    its own context in blocks of _L0_ROW_BLOCK rows. The result has the bits
+    of ListenerModel.scores on those batches. The LSTM's matrix products give
+    a row the same bits whatever rows share them (where this holds is set
+    out in the `rsa` module docstring), except that a one-row product takes
+    another BLAS path, so an utterance alone in its batch is encoded alone.
+    The head's wide product lacks that property, so it runs on the batches
+    themselves.
+    """
+    f = FOURIER_DIM
+    if feats.shape not in ((3, f), (len(id_seqs), 3, f)):
+        raise ValueError(f"expected features of shape (3, {f}) or "
+                         f"({len(id_seqs)}, 3, {f}), got {feats.shape}")
+    index: dict[tuple[int, ...], int] = {}
+    inverse = np.array([index.setdefault(tuple(s), len(index)) for s in id_seqs],
+                       dtype=int)
+    distinct = list(index)
+    if any(len(s) == 0 for s in distinct):
+        raise EmptyUtterance("empty token sequence in batch")
+    if feats.ndim == 2:
+        return _shared_context_probs(model, distinct, feats)[inverse]
+    return _per_row_probs(model, distinct, inverse, feats)
 
 
 def accuracy_perplexity(probs: np.ndarray, targets: np.ndarray) -> tuple[float, float]:

@@ -17,6 +17,8 @@ is, and a shared array is copied.
 Inference builds no graph: the forward-only functions of the listener and the
 speaker run under `no_grad()`, where derived tensors keep neither parents nor a
 backward hook, so each step's arrays are freed once nothing refers to them.
+The speaker's sampling decoder forms its own gate sums and shares the cell's
+nonlinearity with `lstm_step` through `lstm_cell`.
 
 Everything is double precision. A model instance is single-threaded during
 training; frozen parameter arrays may be shared freely across threads, and the
@@ -387,20 +389,17 @@ class LstmCellParams:
         return [self.w_x, self.w_h, self.bias]
 
 
-def lstm_step(x: Tensor, h: Tensor, c: Tensor,
-              p: LstmCellParams) -> tuple[Tensor, Tensor]:
-    """One step of the standard LSTM recurrence (sigmoid gates, tanh candidate).
+def lstm_cell(gates: np.ndarray, c: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The LSTM nonlinearity on gate pre-activations (..., 4 hidden), forward only.
 
-    gates = x W_x + h W_h + b, in GATE_ORDER blocks; c' = f * c + i * g and
-    h' = o * tanh(c'). One graph node holds [h'; c'] as a (2, ..., hidden)
-    block, and h' and c' are views of it. Its backward is analytic and
-    repeats, float for float, the backward of the composed matmuls, adds,
-    sigmoids, tanhs and products.
+    gates holds x W_x + h W_h + b in GATE_ORDER blocks and c the cell state;
+    c' = f * c + i * g and h' = o * tanh(c'). Returns the (2, ..., hidden)
+    block [h'; c'], then the sigmoids of the i, f, o blocks, the tanh
+    candidate and tanh(c'), which lstm_step's backward reuses. Every LSTM
+    forward, lstm_step's and the sampling decoder's, goes through it.
     """
-    n = p.hidden_dim
-    gates = x.data @ p.w_x.data
-    gates += h.data @ p.w_h.data
-    gates += p.bias.data
+    n = gates.shape[-1] // 4
     ifo = np.negative(gates[..., :3 * n])  # sigmoid of the i, f, o blocks
     np.exp(ifo, out=ifo)
     ifo += 1.0
@@ -409,10 +408,28 @@ def lstm_step(x: Tensor, h: Tensor, c: Tensor,
     cand = np.tanh(gates[..., 3 * n:])
     hc = np.empty((2,) + cand.shape)
     h2, c2 = hc
-    np.multiply(f, c.data, out=c2)
+    np.multiply(f, c, out=c2)
     c2 += i * cand
     tanh_c = np.tanh(c2)
     np.multiply(o, tanh_c, out=h2)
+    return hc, ifo, cand, tanh_c
+
+
+def lstm_step(x: Tensor, h: Tensor, c: Tensor,
+              p: LstmCellParams) -> tuple[Tensor, Tensor]:
+    """One step of the standard LSTM recurrence (sigmoid gates, tanh candidate).
+
+    gates = x W_x + h W_h + b, in GATE_ORDER blocks, then lstm_cell. One graph
+    node holds [h'; c'] as a (2, ..., hidden) block, and h' and c' are views
+    of it. Its backward is analytic and repeats, float for float, the
+    backward of the composed matmuls, adds, sigmoids, tanhs and products.
+    """
+    n = p.hidden_dim
+    gates = x.data @ p.w_x.data
+    gates += h.data @ p.w_h.data
+    gates += p.bias.data
+    hc, ifo, cand, tanh_c = lstm_cell(gates, c.data)
+    i, f, o = ifo[..., :n], ifo[..., n:2 * n], ifo[..., 2 * n:]
     out = Tensor(hc, parents=(x, h, c, p.w_x, p.w_h, p.bias))
     gates_shape = gates.shape
 

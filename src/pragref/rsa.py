@@ -13,18 +13,32 @@ distinct context, encoding each context once per sampling batch; the S0
 decoder runs once per distinct (context, prefix) that live rows share, and
 the draws are deduped into utterance types. `listener_ids_for` converts each
 distinct token to listener ids once per call. `l0_probs_many` then runs the
-listener's LSTM once per distinct prefix of the types, in a prefix tree, and
-scores every row against its own context.
+listener's LSTM once per distinct prefix of the types, in a prefix tree. For
+L2 every type is scored against the one context: the quadratic form is
+folded into the listener head once per context, and the target-independent
+mu^T Sigma mu term is dropped. The pragmatic speaker sampler scores each row
+against its own context.
 
-The sharing changes no result where the BLAS gives a row of a many-row
-matrix product the same bits whatever other rows the product holds. On a
-2-CPU Xeon with OpenBLAS 0.3.31 that held for products 8k and 8k+5 to 8k+7
-columns wide: the LSTMs of even hidden size and the benchmark's 23-word
-speaker vocabulary. It does not hold for a one-row product, which takes
-another path, so a prefix that several rows share runs as two rows; nor for
-the listener head, 54 + 54^2 = 2970 columns wide, which therefore runs on
-the same-length batches of distinct utterances. At other widths, results
-may differ from decoding and encoding row by row in the last bit.
+The inference paths are held to a tolerance, not to bits. The S0 decoder in
+`s0_sample_batch` applies its input weights once per context and once per
+vocabulary word, and the shared-context L0 sums the folded head: both round
+differently from their per-row references (`step_logits`, `l0_score`), and
+`compute_agents` matches a per-row evaluation to within 1e-12 in every
+probability, and in every sampled utterance unless a draw falls within that
+rounding of a sampling boundary. Where the head's mu is far larger than the
+color features, `l0_score`'s own rounding nears that tolerance: it forms
+f - mu and sums products of order |mu|^2 |Sigma|, which the fold never does.
+
+Training and the per-row L0 path stay bit for bit. The per-row path gives
+each row the bits of `ListenerModel.scores` on its same-length batch
+wherever the BLAS gives a row of a many-row matrix product the same bits
+whatever other rows the product holds. On a 2-CPU Xeon with OpenBLAS 0.3.31
+that held for products 8k and 8k+5 to 8k+7 columns wide, such as the LSTM
+gates of an even hidden size. It does not hold for a one-row product, which
+takes another path, so there a prefix that several utterances share runs as
+two rows; nor for the listener head, 54 + 54^2 = 2970 columns wide, which
+therefore runs on the same-length batches of distinct utterances. At other
+widths, the per-row path may differ from that reference in the last bit.
 """
 
 from __future__ import annotations
@@ -286,17 +300,22 @@ def sample_alternatives(s0_model: SpeakerModel, feats: np.ndarray, per_context: 
     return list(index), row_types
 
 
+def _target_last(colors: tuple[Color, Color, Color]) -> np.ndarray:
+    """The speaker's feature rows (3, 3, F) of a context, one per target index."""
+    return contexts_target_last_features((colors, t) for t in range(3))
+
+
 def _s1_replicates(l0_model: ListenerModel, s0_model: SpeakerModel,
                    observed: Utterance, colors: tuple[Color, Color, Color],
-                   cfg: PragmaticsConfig, rng: np.random.Generator
+                   feats: np.ndarray, cfg: PragmaticsConfig, rng: np.random.Generator
                    ) -> tuple[np.ndarray, np.ndarray, int]:
     """The n replicate pragmatic speakers over sampled alternatives.
 
+    feats holds the context's target-last feature rows, _target_last(colors).
     Returns the L0 table (types, 3) of every sampled type and the observed
     utterance, the S1 tables (n, types, 3) of the n replicate multisets (each
     with the observed utterance added once), and the observed type's index.
     """
-    feats = contexts_target_last_features((colors, t) for t in range(3))
     types, row_types = sample_alternatives(s0_model, feats, cfg.n * cfg.m, rng)
     if observed in types:
         obs = types.index(observed)
@@ -315,11 +334,12 @@ def _s1_replicates(l0_model: ListenerModel, s0_model: SpeakerModel,
 
 
 def _neural_l0_l2(l0_model: ListenerModel, s0_model: SpeakerModel, u,
-                  colors: tuple[Color, Color, Color], cfg: PragmaticsConfig,
-                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+                  colors: tuple[Color, Color, Color], feats: np.ndarray,
+                  cfg: PragmaticsConfig, rng: np.random.Generator
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """(L0, L2) of one utterance; L0 is the observed row of the L0 table."""
     probs, tables, obs = _s1_replicates(l0_model, s0_model, _as_speaker_utterance(u),
-                                        colors, cfg, rng)
+                                        colors, feats, cfg, rng)
     s1_rows = tables[:, obs]
     return probs[obs], (s1_rows / s1_rows.sum(axis=1, keepdims=True)).mean(axis=0)
 
@@ -342,7 +362,7 @@ def neural_l2(l0_model: ListenerModel, s0_model: SpeakerModel, u,
     distinct utterance is scored by L0 once, and the n replicate S1 tables
     are built together from an (n, types) count matrix.
     """
-    return _neural_l0_l2(l0_model, s0_model, u, colors, cfg, rng)[1]
+    return _neural_l0_l2(l0_model, s0_model, u, colors, _target_last(colors), cfg, rng)[1]
 
 
 def neural_l1(s0_model: SpeakerModel, u,
@@ -351,9 +371,13 @@ def neural_l1(s0_model: SpeakerModel, u,
 
     Identical context colors give the uniform distribution by symmetry.
     """
+    return _l1(s0_model, u, _target_last(colors))
+
+
+def _l1(s0_model: SpeakerModel, u, feats: np.ndarray) -> np.ndarray:
+    """neural_l1 over the context's target-last feature rows (3, 3, F)."""
     tokens = list(_as_speaker_utterance(u)) + [EOS]
     ids = s0_model.vocab.encode(tokens)
-    feats = contexts_target_last_features((colors, t) for t in range(3))
     log_probs = s0_log_probs_batch(s0_model, [ids, ids, ids], feats)
     shifted = log_probs - log_probs.max()
     probs = np.exp(shifted)
@@ -361,13 +385,17 @@ def neural_l1(s0_model: SpeakerModel, u,
 
 
 def blend(p: np.ndarray, q: np.ndarray, w: float) -> np.ndarray:
-    """Renormalized geometric mixture p^w * q^(1-w), floored at 1e-12."""
+    """Renormalized geometric mixture p^w * q^(1-w), floored at 1e-12.
+
+    p and q are distributions over the last axis: one (3,) or a batch (N, 3),
+    each row renormalized on its own.
+    """
     log_p = np.log(np.maximum(np.asarray(p, dtype=np.float64), PROB_FLOOR))
     log_q = np.log(np.maximum(np.asarray(q, dtype=np.float64), PROB_FLOOR))
     mix = w * log_p + (1.0 - w) * log_q
-    mix -= mix.max()
+    mix -= mix.max(axis=-1, keepdims=True)
     out = np.exp(mix)
-    return out / out.sum()
+    return out / out.sum(axis=-1, keepdims=True)
 
 
 def compute_agents(l0_model: ListenerModel, s0_model: SpeakerModel, u,
@@ -379,10 +407,12 @@ def compute_agents(l0_model: ListenerModel, s0_model: SpeakerModel, u,
     each distinct utterance, the observed one included, in one L0 table (see
     neural_l2). L0 is the observed utterance's row of that table: its
     speaker-mode tokens, re-tokenized for the listener, are the listener-mode
-    tokens of the text.
+    tokens of the text. The target-last feature rows are built once, for
+    the alternatives' sampler and for L1.
     """
-    l0, l2 = _neural_l0_l2(l0_model, s0_model, u, colors, cfg, rng)
-    l1 = neural_l1(s0_model, u, colors)
+    feats = _target_last(colors)
+    l0, l2 = _neural_l0_l2(l0_model, s0_model, u, colors, feats, cfg, rng)
+    l1 = _l1(s0_model, u, feats)
     la = blend(l0, l1, cfg.beta_a)
     lb = blend(l0, l2, cfg.beta_b)
     le = blend(la, lb, cfg.gamma)

@@ -23,6 +23,7 @@ from .nnsubstrate import (
     concat,
     embed,
     log_softmax,
+    lstm_cell,
     lstm_step,
     no_grad,
     run_lstm,
@@ -218,11 +219,19 @@ def s0_sample_batch(model: SpeakerModel, feats: np.ndarray,
     softmax and the cumulative sampling distribution are computed per node.
     Every sampled step still draws one uniform per row of the whole batch,
     and each live row compares its own draw with its node's distribution, so
-    the random stream, and with it every result, is the same as decoding
-    every row on its own until the last one ends (for the BLAS conditions of
-    that claim, see the `rsa` module docstring). The rows that go on are
-    regrouped by (node, chosen token) into the next step's nodes. Once every
-    node holds one row, the rows are the nodes and no regrouping is done.
+    the random stream is the same as decoding every row on its own until the
+    last one ends. The rows that go on are regrouped by (node, chosen token)
+    into the next step's nodes. Once every node holds one row, the rows are
+    the nodes and no regrouping is done.
+
+    The decoder input [context ; embedding] is never formed: the context's
+    half of the input weights and the gate bias are applied once per
+    context, the embedding's half once per call as a (V, 4 hidden) table,
+    and each step adds a node's two rows to h W_h before lstm_cell. The sums
+    therefore round differently from step_logits, the training path: log
+    probabilities agree with decoding every row through step_logits to
+    within 1e-12, and the ids are the same unless a draw falls within that
+    rounding of a boundary of the cumulative distribution.
     """
     eos = model.vocab.eos_id
     rows = np.arange(len(feats)) if rows is None else np.asarray(rows)
@@ -239,7 +248,9 @@ def s0_sample_batch(model: SpeakerModel, feats: np.ndarray,
     nodes, node_of = np.unique(rows, return_inverse=True)
     if len(nodes) == batch:
         nodes, node_of = rows, None
-    ctx = model.encode(feats).data[nodes]
+    cell, split = model.decoder, model.hidden_dim
+    ctx = (model.encode(feats).data @ cell.w_x.data[:split] + cell.bias.data)[nodes]
+    words = model.embedding.data @ cell.w_x.data[split:]
     h = np.zeros((len(ctx), model.hidden_dim))
     c = np.zeros((len(ctx), model.hidden_dim))
     prev = np.full(len(ctx), model.vocab.bos_id)
@@ -247,13 +258,12 @@ def s0_sample_batch(model: SpeakerModel, feats: np.ndarray,
     ids = np.full((batch, MAX_DECODE_LEN), eos)
     log_probs = np.zeros(batch)
     for step in range(MAX_DECODE_LEN):
-        if len(prev) == 1 and len(live) > 1:
-            # a one-row matrix product takes another BLAS path, which can
-            # differ in the last bit: run the shared node as two rows
-            ctx, prev, h, c = (np.repeat(a, 2, axis=0) for a in (ctx, prev, h, c))
-        logits, h, c = model.step_logits(Tensor(ctx), prev, Tensor(h), Tensor(c))
-        h, c = h.data, c.data
-        z = logits.data - logits.data.max(axis=1, keepdims=True)
+        gates = h @ cell.w_h.data
+        gates += ctx
+        gates += words[prev]
+        h, c = lstm_cell(gates, c)[0]
+        logits = h @ model.out_w.data + model.out_b.data
+        z = logits - logits.max(axis=1, keepdims=True)
         logp = log_softmax(z)  # z's maximum is 0, so its shift leaves z as it is
         # recorded log_prob uses the model's own distribution; the sampling
         # distribution additionally masks <s>, which is an input-only symbol

@@ -1,12 +1,21 @@
-"""Hypothesis profiles: `ci` derandomizes the property tests for CI runs.
+"""Hypothesis profiles, and the tolerance the inference paths are held to.
 
-Select one with the HYPOTHESIS_PROFILE environment variable; without it,
-hypothesis keeps its default profile.
+Select a profile with the HYPOTHESIS_PROFILE environment variable: `ci`
+derandomizes the property tests for CI runs; without it, hypothesis keeps
+its default profile.
+
+INFERENCE_ATOL is the absolute tolerance, on probabilities and log
+probabilities, within which an inference path (the shared-context branch of
+`l0_probs_many`, `s0_sample_batch`, `compute_agents`) must match its per-row
+reference. Training and the per-row branch of `l0_probs_many` are held to
+bit identity instead.
 """
 
 import os
 
 from hypothesis import settings
+
+INFERENCE_ATOL = 1e-12
 
 settings.register_profile("ci", derandomize=True, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))

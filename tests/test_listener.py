@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import INFERENCE_ATOL
 from pragref.colorspace import Color, fourier_features
 from pragref.corpus import build_vocab, synth_corpus, preprocess
 from pragref.errors import EmptyUtterance, MissingCheckpoint
@@ -67,7 +68,7 @@ class TestL0Score:
         model = tiny_model()
         c = Color(0.3, 0.5, 0.7)
         probs = l0_score(model, ["dark", "blue"], (c, c, c))
-        assert np.allclose(probs, 1 / 3, atol=1e-12)
+        assert np.allclose(probs, 1 / 3, atol=INFERENCE_ATOL)
 
     def test_empty_utterance_raises(self):
         with pytest.raises(EmptyUtterance):
@@ -78,7 +79,7 @@ class TestL0Score:
         colors = (Color(0.9, 0.1, 0.1), Color(0.1, 0.2, 0.8), Color(0.2, 0.9, 0.3))
         p = l0_score(model, ["red"], colors)
         q = l0_score(model, ["red"], (colors[1], colors[2], colors[0]))
-        assert np.allclose(p[[1, 2, 0]], q, atol=1e-12)
+        assert np.allclose(p[[1, 2, 0]], q, atol=INFERENCE_ATOL)
 
     def test_valid_even_with_indefinite_sigma(self):
         model = tiny_model()
@@ -120,10 +121,10 @@ class TestL0Score:
         id_seqs = [pool[i] for i in rng.integers(0, len(pool), 60)]
         feats = rng.standard_normal((60, 3, 54))
         got = l0_probs_many(model, id_seqs, feats)
-        assert np.allclose(got, self._per_row(model, id_seqs, feats), rtol=0, atol=1e-12)
+        assert np.allclose(got, self._per_row(model, id_seqs, feats), rtol=0, atol=INFERENCE_ATOL)
         shared = l0_probs_many(model, id_seqs, feats[0])
         want = self._per_row(model, id_seqs, np.repeat(feats[:1], 60, axis=0))
-        assert np.allclose(shared, want, rtol=0, atol=1e-12)
+        assert np.allclose(shared, want, rtol=0, atol=INFERENCE_ATOL)
 
     def test_encodes_each_distinct_utterance_once(self):
         model = tiny_model()
@@ -164,14 +165,18 @@ class TestL0Score:
         assert sum(n for _, n in calls) == len(prefixes)
 
     def test_lone_prefix_runs_as_two_rows(self, monkeypatch):
-        # (3, 4) and (3, 5) share their first position: it runs as two equal
-        # rows, as a many-row product; (4, 4, 4), alone at its length, runs
-        # as one-row steps
+        # per-row contexts: (3, 4) and (3, 5) share their first position: it
+        # runs as two equal rows, as a many-row product; (4, 4, 4), alone at
+        # its length, runs as one-row steps
         model = tiny_model()
         calls = self._lstm_rows(monkeypatch)
         ids = [[3, 4], [3, 5], [4, 4, 4]]
-        l0_probs_many(model, ids, np.random.default_rng(0).standard_normal((3, 54)))
+        l0_probs_many(model, ids, np.random.default_rng(0).standard_normal((3, 3, 54)))
         assert calls == [(2, 1), (2, 2), (1, 1), (1, 1), (1, 1)]
+        # one shared context: the three form one prefix tree
+        calls.clear()
+        l0_probs_many(model, ids, np.random.default_rng(0).standard_normal((3, 54)))
+        assert calls == [(2, 2), (3, 3), (1, 1)]
 
     @given(seqs=st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=5),
                          min_size=1, max_size=40),
@@ -183,9 +188,36 @@ class TestL0Score:
         feats = np.random.default_rng(seed).standard_normal((len(seqs), 3, 54))
         with pytest.MonkeyPatch.context() as m:
             m.setattr(listener, "_L0_UTTERANCE_BATCH", batch)
-            for f in (feats, feats[0]):
-                got = l0_probs_many(model, seqs, f)
-                assert np.array_equal(got, length_grouped_probs(model, seqs, f, batch))
+            got = l0_probs_many(model, seqs, feats)
+            assert np.array_equal(got, length_grouped_probs(model, seqs, feats, batch))
+            got = l0_probs_many(model, seqs, feats[0])
+            assert np.allclose(got, length_grouped_probs(model, seqs, feats[0], batch),
+                               rtol=0, atol=INFERENCE_ATOL)
+
+    @given(rgb=st.lists(st.tuples(*[st.floats(0.0, 1.0)] * 3), min_size=3, max_size=3),
+           seqs=st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=5),
+                         min_size=1, max_size=12),
+           rig=st.sampled_from([1.0, 10.0, 100.0, "indefinite"]), seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=80, deadline=None)
+    def test_shared_context_matches_l0_score(self, rgb, seqs, rig, seed):
+        # hidden states of order 0.1 and out_w scaled up to x100 give scores
+        # up to about 1e4. With hidden states near 1 as well, l0_score's own
+        # rounding, against exact arithmetic, reached 8e-12, and the fold's
+        # 2e-13. The biases are not symmetric, so both sides of Sigma count.
+        rng = np.random.default_rng(seed)
+        model = ListenerModel.create(tiny_model().vocab, rng, embed_dim=8, hidden_dim=6)
+        model.embedding.data *= 10.0
+        if rig == "indefinite":
+            sigma = np.diag(np.concatenate([np.full(27, 5.0), np.full(27, -5.0)]))
+            rig_constant_output(model, rng.uniform(-1, 1, 54),
+                                sigma + rng.normal(0.0, 1.0, (54, 54)))
+        else:
+            model.out_w.data *= rig
+            model.out_b.data[:] = rng.normal(0.0, 0.1, model.out_b.data.shape)
+        colors = tuple(Color(*c) for c in rgb)
+        got = l0_probs_many(model, seqs, context_features(colors))
+        want = np.stack([l0_score(model, model.vocab.decode(s), colors) for s in seqs])
+        assert np.allclose(got, want, rtol=0, atol=INFERENCE_ATOL)
 
     @pytest.mark.parametrize("shape", [(2, 54), (3, 53), (5, 3, 54), (7, 3, 54), (6, 2, 54),
                                        (6, 3, 54, 1)])
@@ -194,6 +226,10 @@ class TestL0Score:
         with pytest.raises(ValueError, match="features"):
             l0_probs_many(tiny_model(), ids, np.zeros(shape))
 
+    @pytest.mark.parametrize("shape", [(3, 54), (0, 3, 54)])
+    def test_no_utterances_give_no_rows(self, shape):
+        assert l0_probs_many(tiny_model(), [], np.zeros(shape)).shape == (0, 3)
+
     def test_batched_matches_single(self):
         model = tiny_model()
         colors = (Color(0.9, 0.1, 0.1), Color(0.1, 0.2, 0.8), Color(0.2, 0.9, 0.3))
@@ -201,7 +237,7 @@ class TestL0Score:
         ids = [model.encode_tokens(s) for s in seqs]
         batched = l0_probs_many(model, ids, context_features(colors))
         for i, s in enumerate(seqs):
-            assert np.allclose(batched[i], l0_score(model, s, colors), atol=1e-12)
+            assert np.allclose(batched[i], l0_score(model, s, colors), atol=INFERENCE_ATOL)
 
 
 class TestTrainL0:
@@ -273,7 +309,7 @@ class TestDensityGrid:
         rig_constant_output(model, np.zeros(54), np.zeros((54, 54)))
         grid = density_grid(model, ["blue"], h_bins=12, s_bins=8, v_bins=6)
         assert grid.shape == (12, 8)
-        assert np.allclose(grid, 0.0, atol=1e-12)
+        assert np.allclose(grid, 0.0, atol=INFERENCE_ATOL)
 
     def test_peak_near_green_hue(self):
         # interior green: channel values 0/1 alias under the periodic features

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import INFERENCE_ATOL
 from pragref.colorspace import Color
 from pragref.corpus import build_vocab, preprocess
 from pragref.errors import VacuousUtterance
@@ -16,6 +17,7 @@ from pragref.rsa import (
     Lexicon,
     PragmaticsConfig,
     _s1_replicates,
+    _target_last,
     blend,
     compute_agents,
     exact_l0,
@@ -142,8 +144,8 @@ class TestNeuralS1:
         l0, s0 = models()
         cfg = PragmaticsConfig(m=2, n=3)
         stub_alternatives(monkeypatch, [], [-1] * (3 * cfg.n * cfg.m))
-        _, tables, obs = _s1_replicates(l0, s0, ("blue",), COLORS, cfg,
-                                        np.random.default_rng(0))
+        _, tables, obs = _s1_replicates(l0, s0, ("blue",), COLORS, _target_last(COLORS),
+                                        cfg, np.random.default_rng(0))
         assert tables.shape == (3, 1, 3) and obs == 0
         assert np.allclose(tables[:, obs], 1.0)
 
@@ -171,8 +173,8 @@ class TestNeuralS1:
         l0, s0 = models(seed=2)
         cfg = PragmaticsConfig(m=1, n=2)
         stub_alternatives(monkeypatch, [("dark", "blue"), ("red",)], [0, 1, 0, -1, 0, 1])
-        _, tables, obs = _s1_replicates(l0, s0, ("blue",), COLORS, cfg,
-                                        np.random.default_rng(0))
+        _, tables, obs = _s1_replicates(l0, s0, ("blue",), COLORS, _target_last(COLORS),
+                                        cfg, np.random.default_rng(0))
         assert tables.shape == (2, 3, 3) and obs == 2
         assert np.allclose(tables.sum(axis=1), 1.0, atol=1e-9)
 
@@ -226,7 +228,7 @@ class TestNeuralL2:
         stub_alternatives(monkeypatch, types, row_types)
         got = neural_l2(l0, s0, u, COLORS, cfg, np.random.default_rng(0))
         want = counter_l2(l0, u, COLORS, cfg, types, row_types)
-        assert np.allclose(got, want, rtol=0, atol=1e-12)
+        assert np.allclose(got, want, rtol=0, atol=INFERENCE_ATOL)
 
     def test_samples_every_target_in_one_draw(self, monkeypatch):
         # one sampling call over the three target-last contexts, n*m rows each
@@ -265,12 +267,12 @@ class TestNeuralL1:
         _, s0 = models(seed=6)
         c = Color(0.4, 0.5, 0.6)
         dist = neural_l1(s0, "dark blue", (c, c, c))
-        assert np.allclose(dist, 1 / 3, atol=1e-12)
+        assert np.allclose(dist, 1 / 3, atol=INFERENCE_ATOL)
 
     def test_normalized(self):
         _, s0 = models(seed=7)
         dist = neural_l1(s0, "red", COLORS)
-        assert dist.sum() == pytest.approx(1.0, abs=1e-12)
+        assert dist.sum() == pytest.approx(1.0, abs=INFERENCE_ATOL)
 
 
 CHANNEL = st.floats(0.0, 1.0, allow_nan=False)
@@ -292,9 +294,9 @@ class TestPermutationSymmetry:
         moved = tuple(colors[i] for i in perm)
         tokens = preprocess(text, "listener")
         assert np.allclose(l0_score(l0, tokens, moved), l0_score(l0, tokens, colors)[perm],
-                           rtol=0, atol=1e-12)
+                           rtol=0, atol=INFERENCE_ATOL)
         assert np.allclose(neural_l1(s0, text, moved), neural_l1(s0, text, colors)[perm],
-                           rtol=0, atol=1e-12)
+                           rtol=0, atol=INFERENCE_ATOL)
 
     @pytest.mark.parametrize("perm", list(permutations(range(3))))
     def test_distractors_share_a_first_channel(self, perm):
@@ -303,7 +305,7 @@ class TestPermutationSymmetry:
         colors = (Color(0.5, 0.7, 0.1), Color(0.5, 0.2, 0.9), Color(0.9, 0.1, 0.3))
         moved = tuple(colors[i] for i in perm)
         assert np.allclose(neural_l1(s0, "red", moved), neural_l1(s0, "red", colors)[list(perm)],
-                           rtol=0, atol=1e-12)
+                           rtol=0, atol=INFERENCE_ATOL)
 
 
 class TestBlend:
@@ -320,7 +322,7 @@ class TestBlend:
     def test_negative_weight_hand_computed(self):
         # w=-1: q^2/p = (.25/.6, .25/.4), normalized = (0.4, 0.6)
         out = blend(np.array([0.6, 0.4]), np.array([0.5, 0.5]), -1.0)
-        assert np.allclose(out, [0.4, 0.6], atol=1e-12)
+        assert np.allclose(out, [0.4, 0.6], atol=INFERENCE_ATOL)
 
     def test_argmax_endpoints(self):
         rng = np.random.default_rng(0)
@@ -329,6 +331,29 @@ class TestBlend:
             q = rng.dirichlet(np.ones(3))
             assert blend(p, q, 1.0).argmax() == p.argmax()
             assert blend(p, q, 0.0).argmax() == q.argmax()
+
+
+    @staticmethod
+    def _blend_one(p, q, w):
+        """One distribution's blend, normalized over the whole array."""
+        mix = w * np.log(np.maximum(p, 1e-12)) + (1.0 - w) * np.log(np.maximum(q, 1e-12))
+        out = np.exp(mix - mix.max())
+        return out / out.sum()
+
+    @settings(max_examples=80, deadline=None)
+    @given(rows=st.integers(1, 6), w=st.floats(-1e3, 1e3), sparse=st.booleans(),
+           seed=st.integers(0, 2 ** 16))
+    def test_every_row_normalizes_for_any_weight(self, rows, w, sparse, seed):
+        # sparse draws put near-zero mass on some colors, below the floor
+        rng = np.random.default_rng(seed)
+        alpha = np.full(3, 0.05 if sparse else 1.0)
+        p, q = rng.dirichlet(alpha, rows), rng.dirichlet(alpha, rows)
+        out = blend(p, q, w)
+        assert out.shape == (rows, 3) and np.all(out >= 0)
+        assert np.allclose(out.sum(axis=1), 1.0, rtol=0, atol=INFERENCE_ATOL)
+        for i in range(rows):
+            assert np.array_equal(out[i], blend(p[i], q[i], w))
+            assert np.array_equal(blend(p[i], q[i], w), self._blend_one(p[i], q[i], w))
 
 
 class TestComputeAgents:
@@ -369,7 +394,7 @@ class TestComputeAgents:
         agents = compute_agents(l0, s0, u, COLORS, cfg, np.random.default_rng(5))
         tokens = preprocess(u, "listener") if isinstance(u, str) else \
             preprocess(" ".join(u[:-1] if u[-1] == "</s>" else u), "listener")
-        assert np.allclose(agents["l0"], l0_score(l0, tokens, COLORS), rtol=0, atol=1e-12)
+        assert np.allclose(agents["l0"], l0_score(l0, tokens, COLORS), rtol=0, atol=INFERENCE_ATOL)
         assert np.array_equal(agents["l1"], neural_l1(s0, u, COLORS))
         l2 = neural_l2(l0, s0, u, COLORS, cfg, np.random.default_rng(5))
         assert np.array_equal(agents["l2"], l2)

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import INFERENCE_ATOL
+from pragref import speaker
 from pragref.colorspace import Color, fourier_features_array
 from pragref.corpus import EOS, build_vocab, preprocess, synth_corpus
 from pragref.errors import MissingCheckpoint
@@ -71,6 +73,26 @@ def graph_sample_batch(model, feats, rng, temperature):
             break
         prev = np.where(alive, chosen, eos)
     return [(tuple(s), float(lp)) for s, lp in zip(seqs, log_probs)]
+
+
+def assert_rows_match(got, want):
+    """Sampled rows with the same ids and log probabilities within INFERENCE_ATOL."""
+    assert [ids for ids, _ in got] == [ids for ids, _ in want]
+    assert np.allclose([lp for _, lp in got], [lp for _, lp in want],
+                       rtol=0, atol=INFERENCE_ATOL)
+
+
+def decoder_calls(monkeypatch):
+    """Gate and cell-state rows of every lstm_cell call the sampler makes."""
+    calls = []
+    cell = speaker.lstm_cell
+
+    def counting(gates, c):
+        calls.append(np.column_stack([gates, c]))
+        return cell(gates, c)
+
+    monkeypatch.setattr(speaker, "lstm_cell", counting)
+    return calls
 
 
 def live_row_sample_batch(model, feats, rng, temperature=1.0, rows=None):
@@ -147,7 +169,7 @@ class TestEncodeContext:
             c = f * c + i * g
             h = o * math.tanh(c)
         got = encode_context(model, COLORS, 2)
-        assert abs(float(got[0]) - c) < 1e-12
+        assert abs(float(got[0]) - c) < INFERENCE_ATOL
 
 
 class TestTargetLastFeatures:
@@ -223,7 +245,7 @@ class TestLogProb:
             logits, h, c = model.step_logits(ctx, prev, h, c)
             total += log_softmax(logits.data)[0, tok]
             prev = np.array([tok])
-        assert lp == pytest.approx(total, abs=1e-12)
+        assert lp == pytest.approx(total, abs=INFERENCE_ATOL)
 
     def test_batch_forward_only_matches_graph_forward(self):
         model = tiny_model(seed=8)
@@ -279,7 +301,7 @@ class TestSampling:
         feats = np.random.default_rng(2).standard_normal((50, 3, 54))
         got = s0_sample_batch(model, feats, np.random.default_rng(3), temperature)
         want = graph_sample_batch(model, feats, np.random.default_rng(3), temperature)
-        assert got == want
+        assert_rows_match(got, want)
         assert all(type(i) is int for ids, _ in got for i in ids)
         assert all(type(lp) is float for _, lp in got)
 
@@ -289,38 +311,25 @@ class TestSampling:
         feats = np.random.default_rng(4).standard_normal((30, 3, 54))
         got = s0_sample_batch(model, feats, np.random.default_rng(5))
         assert any(len(ids) == MAX_DECODE_LEN for ids, _ in got)
-        assert got == graph_sample_batch(model, feats, np.random.default_rng(5), 1.0)
-
-    @staticmethod
-    def _decoded_rows(model, feats, rng, temperature=1.0):
-        """Sampled rows, and the rows the decoder ran summed over its steps."""
-        sizes = []
-        step_logits = model.step_logits
-
-        def counting(ctx, token_ids, h, c):
-            sizes.append(len(token_ids))
-            return step_logits(ctx, token_ids, h, c)
-
-        model.step_logits = counting
-        rows = s0_sample_batch(model, feats, rng, temperature)
-        return rows, sum(sizes)
+        assert_rows_match(got, graph_sample_batch(model, feats, np.random.default_rng(5), 1.0))
 
     @pytest.mark.parametrize("temperature", [1.0, 0.0])
-    def test_decodes_only_live_rows(self, temperature):
+    def test_decodes_only_live_rows(self, monkeypatch, temperature):
         model = tiny_model(seed=9)
         feats = np.random.default_rng(2).standard_normal((50, 3, 54))
-        rows, row_steps = self._decoded_rows(model, feats, np.random.default_rng(3),
-                                             temperature)
-        assert row_steps == sum(len(ids) for ids, _ in rows)
+        calls = decoder_calls(monkeypatch)
+        rows = s0_sample_batch(model, feats, np.random.default_rng(3), temperature)
+        assert sum(map(len, calls)) == sum(len(ids) for ids, _ in rows)
 
-    def test_truncated_rows_decode_only_live_rows(self):
+    def test_truncated_rows_decode_only_live_rows(self, monkeypatch):
         model = tiny_model(seed=6)
         model.out_b.data[model.vocab.eos_id] = -3.0
         feats = np.random.default_rng(4).standard_normal((30, 3, 54))
-        rows, row_steps = self._decoded_rows(model, feats, np.random.default_rng(5))
+        calls = decoder_calls(monkeypatch)
+        rows = s0_sample_batch(model, feats, np.random.default_rng(5))
         lengths = [len(ids) for ids, _ in rows]
         assert MAX_DECODE_LEN in lengths and min(lengths) < MAX_DECODE_LEN
-        assert row_steps == sum(lengths)
+        assert sum(map(len, calls)) == sum(lengths)
 
     @pytest.mark.parametrize("temperature", [1.0, 0.5, 0.0])
     def test_row_map_matches_gathered_features(self, temperature):
@@ -330,8 +339,7 @@ class TestSampling:
         rows = rng.integers(0, 4, 50)
         got = s0_sample_batch(model, feats, np.random.default_rng(3), temperature, rows=rows)
         want = s0_sample_batch(model, feats[rows], np.random.default_rng(3), temperature)
-        assert [ids for ids, _ in got] == [ids for ids, _ in want]
-        assert np.allclose([lp for _, lp in got], [lp for _, lp in want], rtol=0, atol=1e-12)
+        assert_rows_match(got, want)
 
     def test_row_map_encodes_each_context_once(self):
         model = tiny_model(seed=9)
@@ -358,9 +366,7 @@ class TestSampling:
         separate = [row for t in range(3)
                     for row in s0_sample_batch(model, np.repeat(feats[t:t + 1], 5, axis=0),
                                                np.random.default_rng(0), 0.0)]
-        assert [ids for ids, _ in merged] == [ids for ids, _ in separate]
-        assert np.allclose([lp for _, lp in merged], [lp for _, lp in separate],
-                           rtol=0, atol=1e-12)
+        assert_rows_match(merged, separate)
 
     def test_utterances_per_context_match_repeated_contexts(self, monkeypatch):
         # 6-row batches cut through some 4-row pools and end with others
@@ -394,8 +400,8 @@ class TestSampling:
 
 
 class TestSharedPrefixSampling:
-    """s0_sample_batch decodes each (context, prefix) once, with the bits of
-    decoding every row on its own."""
+    """s0_sample_batch decodes each (context, prefix) once, and matches
+    decoding every row on its own through step_logits."""
 
     @given(n_contexts=st.integers(1, 4),
            picks=st.lists(st.integers(0, 3), min_size=1, max_size=40),
@@ -413,7 +419,7 @@ class TestSharedPrefixSampling:
                               rows=rows)
         want = live_row_sample_batch(model, feats, np.random.default_rng(seed),
                                      temperature, rows=rows)
-        assert got == want
+        assert_rows_match(got, want)
 
     def test_truncated_rows_with_repeats_match_reference(self):
         model = tiny_model(seed=6)
@@ -423,57 +429,34 @@ class TestSharedPrefixSampling:
         got = s0_sample_batch(model, feats, np.random.default_rng(5), rows=rows)
         lengths = [len(ids) for ids, _ in got]
         assert MAX_DECODE_LEN in lengths and min(lengths) < MAX_DECODE_LEN
-        assert got == live_row_sample_batch(model, feats, np.random.default_rng(5),
-                                            rows=rows)
-
-    @staticmethod
-    def _decoder_rows(model, feats, rows, temperature):
-        """Sampled rows, and the distinct decoder input rows summed over steps."""
-        distinct = []
-        step_logits = model.step_logits
-
-        def counting(ctx, token_ids, h, c):
-            inputs = np.column_stack([ctx.data, token_ids, h.data, c.data])
-            n = len(np.unique(inputs, axis=0))
-            # a shared node may run as two equal rows, and only then
-            assert len(inputs) == n or (len(inputs), n) == (2, 1)
-            distinct.append(n)
-            return step_logits(ctx, token_ids, h, c)
-
-        model.step_logits = counting
-        out = s0_sample_batch(model, feats, np.random.default_rng(3), temperature, rows=rows)
-        return out, sum(distinct)
+        assert_rows_match(got, live_row_sample_batch(model, feats, np.random.default_rng(5),
+                                                     rows=rows))
 
     @pytest.mark.parametrize("temperature", [1.0, 0.5, 0.0])
     @pytest.mark.parametrize("truncate", [False, True])
-    def test_decoder_runs_once_per_context_prefix(self, temperature, truncate):
+    def test_decoder_runs_once_per_context_prefix(self, monkeypatch, temperature, truncate):
         model = tiny_model(seed=9)
         if truncate:
             model.out_b.data[model.vocab.eos_id] = -3.0
         feats = np.random.default_rng(7).standard_normal((4, 3, 54))
         rows = np.random.default_rng(8).integers(0, 4, 80)
-        out, row_steps = self._decoder_rows(model, feats, rows, temperature)
+        calls = decoder_calls(monkeypatch)
+        out = s0_sample_batch(model, feats, np.random.default_rng(3), temperature, rows=rows)
+        assert all(len(np.unique(inputs, axis=0)) == len(inputs) for inputs in calls)
         states = {(int(r), ids[:j]) for r, (ids, _) in zip(rows, out)
                   for j in range(len(ids))}
-        assert row_steps == len(states)
-        assert row_steps < sum(len(ids) for ids, _ in out)
+        assert sum(map(len, calls)) == len(states)
+        assert len(states) < sum(len(ids) for ids, _ in out)
 
-    def test_single_context_runs_as_two_rows(self):
+    def test_single_context_runs_as_one_row(self, monkeypatch):
         model = tiny_model(seed=9)
         feats = np.random.default_rng(7).standard_normal((1, 3, 54))
-        sizes = []
-        step_logits = model.step_logits
-
-        def counting(ctx, token_ids, h, c):
-            sizes.append(len(token_ids))
-            return step_logits(ctx, token_ids, h, c)
-
-        model.step_logits = counting
+        calls = decoder_calls(monkeypatch)
         rows = np.zeros(5, dtype=int)
         got = s0_sample_batch(model, feats, np.random.default_rng(3), 0.0, rows=rows)
-        assert sizes[0] == 2  # five rows share the one step-0 node
-        assert got == live_row_sample_batch(model, feats, np.random.default_rng(3), 0.0,
-                                            rows=rows)
+        assert len(calls[0]) == 1  # five rows share the one step-0 node
+        assert_rows_match(got, live_row_sample_batch(model, feats, np.random.default_rng(3),
+                                                     0.0, rows=rows))
 
     @pytest.mark.parametrize("rows", [
         np.zeros((2, 2), dtype=int), [-1], [0, 3], [0.0, 1.0], [[0]]])
