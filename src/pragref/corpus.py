@@ -198,6 +198,11 @@ class LoadResult:
 _REQUIRED_FIELDS = ("game_id", "round", "colors", "target_index", "speaker_text")
 
 
+def _is_int(value) -> bool:
+    """Whether a JSON value is an integer, not a bool, a float or a string."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_row(obj: dict, line_no: int) -> ContextTrial:
     for key in _REQUIRED_FIELDS:
         if key not in obj:
@@ -211,8 +216,10 @@ def _parse_row(obj: dict, line_no: int) -> ContextTrial:
     except (TypeError, ValueError) as e:
         raise ParseError(f"bad color value: {e}", line_no)
     target = obj["target_index"]
-    if target not in (0, 1, 2):
+    if not _is_int(target) or target not in (0, 1, 2):
         raise ParseError(f"target_index {target!r} not in 0..2", line_no)
+    if not _is_int(obj["round"]):
+        raise ParseError(f"round {obj['round']!r} is not an integer", line_no)
     texts = obj["speaker_text"]
     if isinstance(texts, str):
         texts = [texts]
@@ -221,16 +228,20 @@ def _parse_row(obj: dict, line_no: int) -> ContextTrial:
     if not preprocess(texts, "listener"):
         raise ParseError("speaker text empty after preprocessing", line_no)
     condition = obj.get("condition")
+    try:
+        condition = Condition.from_label(condition) if condition else None
+    except (AttributeError, ValueError):
+        raise ParseError(f"unknown condition {condition!r}", line_no)
     clicked = obj.get("clicked_index")
-    if clicked is not None and clicked not in (0, 1, 2):
+    if clicked is not None and not (_is_int(clicked) and clicked in (0, 1, 2)):
         raise ParseError(f"clicked_index {clicked!r} not in 0..2", line_no)
     return ContextTrial(
         game_id=str(obj["game_id"]),
-        round=int(obj["round"]),
+        round=obj["round"],
         colors=triple,
-        target_index=int(target),
+        target_index=target,
         speaker_texts=texts,
-        condition=Condition.from_label(condition) if condition else None,
+        condition=condition,
         clicked_index=clicked,
     )
 

@@ -31,14 +31,7 @@ from .nnsubstrate import (
     run_lstm,
     softmax_xent,
 )
-from .training import (
-    TrainConfig,
-    TrainingReport,
-    fit,
-    load_model,
-    same_length_batches,
-    save_model,
-)
+from .training import TrainConfig, TrainingReport, fit, load_model, save_model
 
 
 class ListenerModel:
@@ -90,15 +83,9 @@ class ListenerModel:
         Forward only. The sequences form a prefix tree: position t makes one
         lstm_step call over every distinct prefix of length t + 1, from its
         parent prefix's state, and each sequence takes the state at its last
-        position. A position where one prefix stands for several sequences
-        runs it as two rows, because a one-row matrix product takes another
-        BLAS path, which can differ in the last bit.
-
-        l0_probs_many's shared-context path passes every distinct utterance
-        in one call and is held to 1e-12, not to bits. Its per-row path, bit
-        for bit with ListenerModel.encode on same-length batches, passes the
-        utterances of batches of two or more together and a lone
-        utterance of its length alone.
+        position. The states match ListenerModel.encode to within rounding,
+        not bit for bit: a row's last bits in a matrix product can depend on
+        the other rows it shares the product with.
         """
         lengths = np.array([len(s) for s in seqs], dtype=int)
         padded = np.zeros((len(seqs), lengths.max(initial=0)), dtype=np.int64)
@@ -111,8 +98,6 @@ class ListenerModel:
             alive = np.flatnonzero(lengths > t)
             keys, node[alive] = np.unique(node[alive] * len(self.vocab) + padded[alive, t],
                                           return_inverse=True)
-            if len(keys) == 1 and len(alive) > 1:
-                keys = np.repeat(keys, 2)
             parent, tokens = np.divmod(keys, len(self.vocab))
             h_t, c_t = lstm_step(embed(tokens, self.embedding), Tensor(h[parent]),
                                  Tensor(c[parent]), self.cell)
@@ -162,15 +147,14 @@ def l0_score(model: ListenerModel, tokens: list[str],
     return np.exp(log_softmax(scores.data[0]))
 
 
-# Distinct utterances per same-length head batch, and rows per gathered Sigma
-# block: memory stays near one 512-row batch whatever the number of utterances.
-_L0_UTTERANCE_BATCH = 512
-_L0_ROW_BLOCK = 128
+# Distinct utterances per head block, and rows per gathered Sigma block, of
+# the per-row branch: memory stays near one block whatever the number of rows.
+_L0_BLOCK = 128
 
 
-def _shared_context_probs(model: ListenerModel, distinct: list[tuple[int, ...]],
+def _shared_context_probs(model: ListenerModel, states: np.ndarray,
                           feats: np.ndarray) -> np.ndarray:
-    """Distributions (U, 3) of distinct utterances over one context (3, F).
+    """Distributions (U, 3) of encoded utterances (U, hidden) over one context (3, F).
 
     With mu = h A + a and Sigma = h B + b (B read as hidden F x F blocks), the
     score -(f_k - mu)^T Sigma (f_k - mu) of candidate k is
@@ -194,34 +178,25 @@ def _shared_context_probs(model: ListenerModel, distinct: list[tuple[int, ...]],
                               np.einsum("jke,ke->jk", left, feats)], axis=1)
     bias = np.concatenate([b[0], (left_b + (b[1:] @ feats.T).T).ravel(),
                            np.einsum("ke,ke->k", left_b, feats)])
-    folded = model.encode_prefixes(distinct) @ weights + bias
+    folded = states @ weights + bias
     mu, sym, quad = folded[:, :f], folded[:, f:4 * f], folded[:, 4 * f:]
     scores = np.einsum("uf,ukf->uk", mu, sym.reshape(-1, 3, f)) - quad
     return np.exp(log_softmax(scores))
 
 
-def _per_row_probs(model: ListenerModel, distinct: list[tuple[int, ...]],
-                   inverse: np.ndarray, feats: np.ndarray) -> np.ndarray:
-    """Distributions (N, 3) of rows inverse over distinct, each on its context."""
-    lengths = np.array([len(s) for s in distinct])
-    groups = list(same_length_batches(lengths, np.arange(len(distinct)),
-                                      batch_size=_L0_UTTERANCE_BATCH))
-    states = np.empty((len(distinct), model.hidden_dim))
-    together = [u for g in groups if len(g) > 1 for u in g]
-    if together:
-        states[together] = model.encode_prefixes([distinct[u] for u in together])
-    for g in groups:
-        if len(g) == 1:
-            states[g] = model.encode_prefixes([distinct[g[0]]])
+def _per_row_probs(model: ListenerModel, states: np.ndarray, inverse: np.ndarray,
+                   feats: np.ndarray) -> np.ndarray:
+    """Distributions (N, 3) of the rows: row i is states[inverse[i]] on feats[i]."""
     out = np.empty((len(inverse), 3))
     order = np.argsort(inverse, kind="stable")  # rows grouped by utterance
-    starts = np.searchsorted(inverse[order], np.arange(len(distinct) + 1))
-    for group in groups:
-        mu, sigma = model.head(Tensor(states[group]))
-        rows = np.concatenate([order[starts[u]:starts[u + 1]] for u in group])
-        slot = np.repeat(np.arange(len(group)), starts[group + 1] - starts[group])
-        for lo in range(0, len(rows), _L0_ROW_BLOCK):
-            r, k = rows[lo:lo + _L0_ROW_BLOCK], slot[lo:lo + _L0_ROW_BLOCK]
+    starts = np.searchsorted(inverse[order], np.arange(len(states) + 1))
+    for lo in range(0, len(states), _L0_BLOCK):
+        hi = min(lo + _L0_BLOCK, len(states))
+        mu, sigma = model.head(Tensor(states[lo:hi]))
+        rows = order[starts[lo]:starts[hi]]
+        for j in range(0, len(rows), _L0_BLOCK):
+            r = rows[j:j + _L0_BLOCK]
+            k = inverse[r] - lo
             scores = quad_scores(feats[r], Tensor(mu.data[k]), Tensor(sigma.data[k]))
             out[r] = np.exp(log_softmax(scores.data))
     return out
@@ -234,26 +209,23 @@ def l0_probs_many(model: ListenerModel, id_seqs: list[list[int]],
 
     feats is either one context (3, F), shared by all rows, or per-row
     contexts (len(id_seqs), 3, F); any other shape raises ValueError. Returns
-    (len(id_seqs), 3). Each distinct id sequence is scored once.
+    (len(id_seqs), 3). Each distinct id sequence is scored once, and every
+    distinct utterance is encoded in one prefix tree
+    (ListenerModel.encode_prefixes).
 
-    One shared context: every distinct utterance is encoded in one prefix
-    tree (ListenerModel.encode_prefixes), and the quadratic form is folded
-    into the head once for the context, dropping the target-independent
-    mu^T Sigma mu term (_shared_context_probs). The sums round
-    differently from ListenerModel.scores, so the result matches l0_score on
-    each utterance to within 1e-12, not bit for bit.
+    One shared context: the quadratic form is folded into the head once for
+    the context, dropping the target-independent mu^T Sigma mu term
+    (_shared_context_probs).
 
     Per-row contexts (evaluate_l0, training's dev scoring, the pragmatic
-    speaker sampler): the LSTM runs once per distinct prefix, in one prefix
-    tree; the affine head then runs on same-length batches of up to
-    _L0_UTTERANCE_BATCH distinct utterances, and each row is scored against
-    its own context in blocks of _L0_ROW_BLOCK rows. The result has the bits
-    of ListenerModel.scores on those batches. The LSTM's matrix products give
-    a row the same bits whatever rows share them (where this holds is set
-    out in the `rsa` module docstring), except that a one-row product takes
-    another BLAS path, so an utterance alone in its batch is encoded alone.
-    The head's wide product lacks that property, so it runs on the batches
-    themselves.
+    speaker sampler): the head runs on blocks of _L0_BLOCK consecutive
+    distinct utterances, whatever their lengths, and each row is scored
+    against its own context in blocks of as many rows. Folding the head per
+    context (about 3.5 MFLOP per context at hidden 100) would cost far more
+    than the per-row quadratic form (about 20 kFLOP per row) here.
+
+    Both branches round differently from ListenerModel.scores, so the result
+    matches l0_score on each row to within 1e-12, not bit for bit.
     """
     f = FOURIER_DIM
     if feats.shape not in ((3, f), (len(id_seqs), 3, f)):
@@ -265,9 +237,10 @@ def l0_probs_many(model: ListenerModel, id_seqs: list[list[int]],
     distinct = list(index)
     if any(len(s) == 0 for s in distinct):
         raise EmptyUtterance("empty token sequence in batch")
+    states = model.encode_prefixes(distinct)
     if feats.ndim == 2:
-        return _shared_context_probs(model, distinct, feats)[inverse]
-    return _per_row_probs(model, distinct, inverse, feats)
+        return _shared_context_probs(model, states, feats)[inverse]
+    return _per_row_probs(model, states, inverse, feats)
 
 
 def accuracy_perplexity(probs: np.ndarray, targets: np.ndarray) -> tuple[float, float]:
@@ -345,8 +318,9 @@ def density_grid(model: ListenerModel, tokens: list[str], h_bins: int = 90,
     feats = fourier_features_array(np.stack([r, g, b], axis=-1))
 
     mu, sigma = model.mu_sigma(np.array([model.encode_tokens(tokens)]))
-    d = feats - mu.data[0]
-    scores = -np.einsum("nf,fe,ne->n", d, sigma.data[0], d)
+    # one hue row per call keeps quad_scores' (points, F) temporaries small
+    scores = np.concatenate([quad_scores(f[None], mu, sigma).data[0]
+                             for f in np.array_split(feats, h_bins)])
     scores = scores.reshape(h_bins, s_bins, v_bins)
     shift = scores.max()
     with np.errstate(divide="ignore"):

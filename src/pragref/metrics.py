@@ -51,12 +51,6 @@ class EvalReport:
     per_condition: dict[str, ConditionStats] = field(default_factory=dict)
 
 
-def evaluate(agent, trials: list[ContextTrial]) -> EvalReport:
-    """Score a listener agent: agent(trial) -> probability 3-vector."""
-    probs = np.stack([np.asarray(agent(t), dtype=np.float64) for t in trials])
-    return evaluate_probs(probs, trials)
-
-
 def evaluate_probs(probs: np.ndarray, trials: list[ContextTrial]) -> EvalReport:
     """Score precomputed per-trial distributions (N, 3); N must be at least 1."""
     if not trials:

@@ -17,28 +17,25 @@ listener's LSTM once per distinct prefix of the types, in a prefix tree. For
 L2 every type is scored against the one context: the quadratic form is
 folded into the listener head once per context, and the target-independent
 mu^T Sigma mu term is dropped. The pragmatic speaker sampler scores each row
-against its own context.
+against its own context, running the head on blocks of distinct types
+whatever their lengths.
 
-The inference paths are held to a tolerance, not to bits. The S0 decoder in
+Every inference path is held to a tolerance, not to bits. The S0 decoder in
 `s0_sample_batch` applies its input weights once per context and once per
-vocabulary word, and the shared-context L0 sums the folded head: both round
-differently from their per-row references (`step_logits`, `l0_score`), and
-`compute_agents` matches a per-row evaluation to within 1e-12 in every
-probability, and in every sampled utterance unless a draw falls within that
-rounding of a sampling boundary. Where the head's mu is far larger than the
-color features, `l0_score`'s own rounding nears that tolerance: it forms
-f - mu and sums products of order |mu|^2 |Sigma|, which the fold never does.
+vocabulary word, and both L0 branches share one prefix tree across lengths:
+they round differently from their per-row references (`step_logits`,
+`l0_score`, `ListenerModel.scores` on one row), and `compute_agents` matches
+a per-row evaluation to within 1e-12 in every probability, and in every
+sampled utterance unless a draw falls within that rounding of a sampling
+boundary. The per-row L0 branch, which `evaluate_l0`, training's dev scoring
+and the pragmatic speaker sampler use, is held to the same 1e-12. Where the
+head's mu is far larger than the color features, `l0_score`'s own rounding
+nears that tolerance: it forms f - mu and sums products of order
+|mu|^2 |Sigma|, which the fold never does.
 
-Training and the per-row L0 path stay bit for bit. The per-row path gives
-each row the bits of `ListenerModel.scores` on its same-length batch
-wherever the BLAS gives a row of a many-row matrix product the same bits
-whatever other rows the product holds. On a 2-CPU Xeon with OpenBLAS 0.3.31
-that held for products 8k and 8k+5 to 8k+7 columns wide, such as the LSTM
-gates of an even hidden size. It does not hold for a one-row product, which
-takes another path, so there a prefix that several utterances share runs as
-two rows; nor for the listener head, 54 + 54^2 = 2970 columns wide, which
-therefore runs on the same-length batches of distinct utterances. At other
-widths, the per-row path may differ from that reference in the last bit.
+Training's gradient path (`ListenerModel.scores`, `lstm_step`,
+`quad_scores` and their backward passes) is held to bits instead: a
+refactor leaves its losses, gradients and parameters unchanged in every bit.
 """
 
 from __future__ import annotations

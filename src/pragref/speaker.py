@@ -9,8 +9,6 @@ through an affine map and softmax over the vocabulary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .colorspace import FOURIER_DIM, Color, fourier_features_array
@@ -40,14 +38,6 @@ from .training import (
 
 MAX_DECODE_LEN = 20
 SAMPLE_BATCH = 1024
-
-
-@dataclass
-class UtteranceSample:
-    """One sampled description: speaker-mode tokens ending with </s>."""
-
-    tokens: list[str]
-    log_prob: float
 
 
 class SpeakerModel:
@@ -149,13 +139,6 @@ def reorder_target_last(colors: tuple[Color, Color, Color],
                         target_index: int) -> np.ndarray:
     """Feature rows for [distractor, distractor, target], as target_last_features."""
     return contexts_target_last_features([(colors, target_index)])[0]
-
-
-@no_grad()
-def encode_context(model: SpeakerModel, colors: tuple[Color, Color, Color],
-                   target_index: int) -> np.ndarray:
-    """The context vector h: encoder final cell state, target fed last."""
-    return model.encode(reorder_target_last(colors, target_index)[None]).data[0]
 
 
 def _teacher_forced_losses(model: SpeakerModel, feats: np.ndarray,
@@ -327,15 +310,6 @@ def s0_sample_utterances(model: SpeakerModel, feats: np.ndarray,
                 tokens = decoded[ids] = tuple(model.vocab.decode(list(ids))[:-1])
             out.append(tokens)
     return out
-
-
-def s0_sample(model: SpeakerModel, colors: tuple[Color, Color, Color],
-              target_index: int, rng: np.random.Generator,
-              temperature: float = 1.0) -> UtteranceSample:
-    """Sample one description of the target; log_prob is the model's own."""
-    feats = reorder_target_last(colors, target_index)[None]
-    ids, lp = s0_sample_batch(model, feats, rng, temperature)[0]
-    return UtteranceSample(model.vocab.decode(list(ids)), lp)
 
 
 def trial_speaker_ids(model: SpeakerModel, trial: ContextTrial) -> list[int]:

@@ -5,10 +5,9 @@ derandomizes the property tests for CI runs; without it, hypothesis keeps
 its default profile.
 
 INFERENCE_ATOL is the absolute tolerance, on probabilities and log
-probabilities, within which an inference path (the shared-context branch of
+probabilities, within which an inference path (both branches of
 `l0_probs_many`, `s0_sample_batch`, `compute_agents`) must match its per-row
-reference. Training and the per-row branch of `l0_probs_many` are held to
-bit identity instead.
+reference. Training's gradient path is held to bit identity instead.
 """
 
 import os

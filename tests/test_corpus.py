@@ -159,6 +159,20 @@ class TestLoadRaw:
         with pytest.raises(ParseError):
             load_raw(path, strict=True)
 
+    @pytest.mark.parametrize("field, value", [("condition", "medium"), ("round", "first"),
+                                              ("round", 1.5), ("target_index", True),
+                                              ("target_index", 2.0),
+                                              ("clicked_index", False)])
+    def test_bad_field_value_rejected(self, tmp_path, field, value):
+        path = self._write(tmp_path, [self._row(), self._row(**{field: value})])
+        result = load_raw(path)
+        assert len(result.trials) == 1
+        assert [r.line for r in result.rejects] == [2]
+        assert field.split("_")[0] in result.rejects[0].reason
+        with pytest.raises(ParseError, match="line 2") as e:
+            load_raw(path, strict=True)
+        assert e.value.line == 2
+
     def test_dump_round_trip(self, tmp_path):
         trials = synth_corpus(9, np.random.default_rng(0))
         path = tmp_path / "out.jsonl"

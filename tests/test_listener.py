@@ -19,7 +19,7 @@ from pragref.listener import (
     train_l0,
 )
 from pragref import listener
-from pragref.nnsubstrate import Tensor, load_checkpoint, log_softmax, quad_scores, save_checkpoint
+from pragref.nnsubstrate import load_checkpoint, log_softmax, save_checkpoint
 from pragref.training import TrainConfig, same_length_batches
 
 
@@ -32,27 +32,6 @@ def rig_constant_output(model, mu, sigma):
     """Make the output map ignore the utterance: constant (mu, Sigma)."""
     model.out_w.data[:] = 0.0
     model.out_b.data[:] = np.concatenate([mu, sigma.ravel()])
-
-
-def length_grouped_probs(model, id_seqs, feats, batch=512):
-    """l0_probs_many that encodes distinct utterances in same-length batches."""
-    index = {}
-    inverse = np.array([index.setdefault(tuple(s), len(index)) for s in id_seqs], dtype=int)
-    distinct = list(index)
-    lengths = np.array([len(s) for s in distinct])
-    out = np.empty((len(id_seqs), 3))
-    order = np.argsort(inverse, kind="stable")
-    starts = np.searchsorted(inverse[order], np.arange(len(distinct) + 1))
-    for group in same_length_batches(lengths, np.arange(len(distinct)), batch_size=batch):
-        mu, sigma = model.mu_sigma(np.array([distinct[i] for i in group]))
-        rows = np.concatenate([order[starts[u]:starts[u + 1]] for u in group])
-        slot = np.repeat(np.arange(len(group)), starts[group + 1] - starts[group])
-        for lo in range(0, len(rows), 128):
-            r, k = rows[lo:lo + 128], slot[lo:lo + 128]
-            f = feats[None] if feats.ndim == 2 else feats[r]
-            scores = quad_scores(f, Tensor(mu.data[k]), Tensor(sigma.data[k]))
-            out[r] = np.exp(log_softmax(scores.data))
-    return out
 
 
 class TestL0Score:
@@ -103,17 +82,17 @@ class TestL0Score:
             scores = model.scores(np.array([id_seqs[i] for i in group]), feats[group])
             assert scores.requires_grad
             want[group] = np.exp(log_softmax(scores.data))
-        assert np.array_equal(l0_probs_many(model, id_seqs, feats), want)
+        assert np.allclose(l0_probs_many(model, id_seqs, feats), want, rtol=0,
+                           atol=INFERENCE_ATOL)
 
     @staticmethod
     def _per_row(model, id_seqs, feats):
         return np.stack([np.exp(log_softmax(model.scores(np.array([ids]), f[None]).data[0]))
                          for ids, f in zip(id_seqs, feats)])
 
-    @pytest.mark.parametrize("blocks", [(512, 128), (3, 2)])
-    def test_duplicate_rows_match_per_row(self, monkeypatch, blocks):
-        monkeypatch.setattr("pragref.listener._L0_UTTERANCE_BATCH", blocks[0])
-        monkeypatch.setattr("pragref.listener._L0_ROW_BLOCK", blocks[1])
+    @pytest.mark.parametrize("block", [128, 3])
+    def test_duplicate_rows_match_per_row(self, monkeypatch, block):
+        monkeypatch.setattr(listener, "_L0_BLOCK", block)
         rng = np.random.default_rng(13)
         model = ListenerModel.create(tiny_model().vocab, rng, embed_dim=8, hidden_dim=6)
         pool = [list(rng.integers(0, len(model.vocab), size=rng.integers(1, 4)))
@@ -164,35 +143,48 @@ class TestL0Score:
         assert calls == [(3, 3), (2, 2), (2, 2)]
         assert sum(n for _, n in calls) == len(prefixes)
 
-    def test_lone_prefix_runs_as_two_rows(self, monkeypatch):
-        # per-row contexts: (3, 4) and (3, 5) share their first position: it
-        # runs as two equal rows, as a many-row product; (4, 4, 4), alone at
-        # its length, runs as one-row steps
-        model = tiny_model()
+    @pytest.mark.parametrize("shape", [(3, 54), (3, 3, 54)])
+    def test_both_feature_shapes_encode_one_tree(self, monkeypatch, shape):
+        # a prefix alone at its position runs as one row, and an utterance
+        # alone at its length joins the others' tree
         calls = self._lstm_rows(monkeypatch)
         ids = [[3, 4], [3, 5], [4, 4, 4]]
-        l0_probs_many(model, ids, np.random.default_rng(0).standard_normal((3, 3, 54)))
-        assert calls == [(2, 1), (2, 2), (1, 1), (1, 1), (1, 1)]
-        # one shared context: the three form one prefix tree
-        calls.clear()
-        l0_probs_many(model, ids, np.random.default_rng(0).standard_normal((3, 54)))
+        l0_probs_many(tiny_model(), ids, np.random.default_rng(0).standard_normal(shape))
         assert calls == [(2, 2), (3, 3), (1, 1)]
+
+    def test_blocks_span_lengths_and_stay_bounded(self, monkeypatch):
+        # 300 distinct utterances of lengths 1 to 4 fill three head blocks,
+        # not one per length; a block bounds the head's and quad_scores' rows
+        heads, quads = [], []
+        head, quad = ListenerModel.head, listener.quad_scores
+        monkeypatch.setattr(ListenerModel, "head",
+                            lambda self, h: heads.append(len(h.data)) or head(self, h))
+        monkeypatch.setattr(listener, "quad_scores",
+                            lambda f, mu, sigma: quads.append(len(f)) or quad(f, mu, sigma))
+        rng = np.random.default_rng(14)
+        pool = list(dict.fromkeys(tuple(rng.integers(0, 6, size=rng.integers(1, 5)))
+                                  for _ in range(2000)))[:300]
+        id_seqs = [pool[i] for i in rng.integers(0, len(pool), 700)] + pool
+        l0_probs_many(tiny_model(), id_seqs, rng.standard_normal((len(id_seqs), 3, 54)))
+        assert heads == [128, 128, 44]
+        assert max(quads) <= listener._L0_BLOCK and sum(quads) == len(id_seqs)
 
     @given(seqs=st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=5),
                          min_size=1, max_size=40),
-           batch=st.sampled_from([512, 3, 1]), seed=st.integers(0, 2 ** 16))
+           block=st.sampled_from([128, 3, 1]), seed=st.integers(0, 2 ** 16))
     @settings(max_examples=60, deadline=None)
-    def test_prefix_tree_matches_length_grouped_reference(self, seqs, batch, seed):
+    def test_prefix_tree_matches_per_row_reference(self, seqs, block, seed):
         model = ListenerModel.create(tiny_model().vocab, np.random.default_rng(seed % 5),
                                      embed_dim=8, hidden_dim=6)
         feats = np.random.default_rng(seed).standard_normal((len(seqs), 3, 54))
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(listener, "_L0_UTTERANCE_BATCH", batch)
+            m.setattr(listener, "_L0_BLOCK", block)
             got = l0_probs_many(model, seqs, feats)
-            assert np.array_equal(got, length_grouped_probs(model, seqs, feats, batch))
+            assert np.allclose(got, self._per_row(model, seqs, feats), rtol=0,
+                               atol=INFERENCE_ATOL)
             got = l0_probs_many(model, seqs, feats[0])
-            assert np.allclose(got, length_grouped_probs(model, seqs, feats[0], batch),
-                               rtol=0, atol=INFERENCE_ATOL)
+            want = self._per_row(model, seqs, np.repeat(feats[:1], len(seqs), axis=0))
+            assert np.allclose(got, want, rtol=0, atol=INFERENCE_ATOL)
 
     @given(rgb=st.lists(st.tuples(*[st.floats(0.0, 1.0)] * 3), min_size=3, max_size=3),
            seqs=st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=5),

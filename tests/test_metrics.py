@@ -10,7 +10,6 @@ from pragref.metrics import (
     behavior_metrics,
     compare_speakers,
     condition_mix_contexts,
-    evaluate,
     evaluate_probs,
     human_accuracy,
     term_depth,
@@ -28,26 +27,20 @@ def make_trials(n=30, seed=0):
 class TestEvaluate:
     def test_uniform_agent(self):
         trials = make_trials(60)
-        report = evaluate(lambda t: np.full(3, 1 / 3), trials)
+        report = evaluate_probs(np.full((60, 3), 1 / 3), trials)
         assert abs(report.accuracy - 1 / 3) < 0.25
         assert report.perplexity == pytest.approx(3.0, abs=1e-9)
         assert report.n_trials == 60
 
     def test_oracle_agent(self):
         trials = make_trials(30)
-
-        def oracle(t):
-            p = np.zeros(3)
-            p[t.target_index] = 1.0
-            return p
-
-        report = evaluate(oracle, trials)
+        report = evaluate_probs(np.eye(3)[[t.target_index for t in trials]], trials)
         assert report.accuracy == 1.0
         assert report.perplexity == pytest.approx(1.0)
 
     def test_per_condition_breakdown(self):
         trials = make_trials(90)
-        report = evaluate(lambda t: np.full(3, 1 / 3), trials)
+        report = evaluate_probs(np.full((90, 3), 1 / 3), trials)
         assert set(report.per_condition) == {"far", "split", "close"}
         assert sum(s.n for s in report.per_condition.values()) == 90
 
@@ -57,14 +50,14 @@ class TestEvaluate:
 
     def test_ties_break_to_lowest_index(self):
         trial = ContextTrial("g", 1, COLORS, 1, ["blue"], Condition.FAR, 1)
-        report = evaluate(lambda t: np.full(3, 1 / 3), [trial])
+        report = evaluate_probs(np.full((1, 3), 1 / 3), [trial])
         assert report.accuracy == 0.0  # argmax tie -> index 0, target is 1
 
     def test_accuracy_invariant_under_consistent_relabeling(self):
         trials = make_trials(40)
         probs = np.stack([np.random.default_rng(7).dirichlet(np.ones(3))
                           for _ in trials])
-        base = evaluate(lambda t, _i=iter(range(len(trials))): probs[next(_i)], trials)
+        base = evaluate_probs(probs, trials)
 
         perm = [2, 0, 1]
         inv = np.argsort(perm)
@@ -76,8 +69,7 @@ class TestEvaluate:
             for t in trials
         ]
         permuted_probs = probs[:, perm]
-        again = evaluate(lambda t, _i=iter(range(len(trials))): permuted_probs[next(_i)],
-                         permuted_trials)
+        again = evaluate_probs(permuted_probs, permuted_trials)
         assert again.accuracy == base.accuracy
         assert again.perplexity == pytest.approx(base.perplexity)
 

@@ -16,11 +16,9 @@ from pragref.speaker import (
     SpeakerModel,
     _teacher_forced_losses,
     dev_token_perplexity,
-    encode_context,
     reorder_target_last,
     s0_log_prob,
     s0_log_probs_batch,
-    s0_sample,
     s0_sample_batch,
     s0_sample_utterances,
     target_last_features,
@@ -34,6 +32,13 @@ COLORS = (Color(0.9, 0.1, 0.1), Color(0.1, 0.2, 0.8), Color(0.2, 0.9, 0.3))
 def tiny_model(seed=0):
     vocab = build_vocab([["blue", "blue", "dark", "dark", "red", "red"]])
     return SpeakerModel.create(vocab, np.random.default_rng(seed), embed_dim=8, hidden_dim=6)
+
+
+def sample_one(model, target, rng, temperature=1.0):
+    """One sampled description of COLORS[target]: (speaker tokens, log prob)."""
+    ids, lp = s0_sample_batch(model, reorder_target_last(COLORS, target)[None], rng,
+                              temperature)[0]
+    return model.vocab.decode(list(ids)), lp
 
 
 def graph_sample_batch(model, feats, rng, temperature):
@@ -148,7 +153,7 @@ class TestEncodeContext:
         model = tiny_model()
         for p in model.encoder.parameters():
             p.data[:] = 0.0
-        assert np.allclose(encode_context(model, COLORS, 1), 0.0)
+        assert np.allclose(model.encode(reorder_target_last(COLORS, 1)[None]).data, 0.0)
 
     def test_matches_hand_recurrence_1dim(self):
         # 1-dim encoder over the 54 features, scalar recomputation
@@ -168,7 +173,7 @@ class TestEncodeContext:
             g = math.tanh(pre[3])
             c = f * c + i * g
             h = o * math.tanh(c)
-        got = encode_context(model, COLORS, 2)
+        got = model.encode(feats[None]).data[0]
         assert abs(float(got[0]) - c) < INFERENCE_ATOL
 
 
@@ -281,19 +286,19 @@ class TestLogProb:
 class TestSampling:
     def test_greedy_deterministic(self):
         model = tiny_model(seed=4)
-        a = s0_sample(model, COLORS, 0, np.random.default_rng(0), temperature=0.0)
-        b = s0_sample(model, COLORS, 0, np.random.default_rng(99), temperature=0.0)
-        assert a.tokens == b.tokens
+        a, _ = sample_one(model, 0, np.random.default_rng(0), temperature=0.0)
+        b, _ = sample_one(model, 0, np.random.default_rng(99), temperature=0.0)
+        assert a == b
 
     def test_sample_log_prob_consistent(self):
         model = tiny_model(seed=5)
         rng = np.random.default_rng(8)
         for _ in range(10):
-            s = s0_sample(model, COLORS, 2, rng)
-            assert s.tokens[-1] == EOS
-            assert len(s.tokens) <= 20
-            recomputed = s0_log_prob(model, s.tokens, COLORS, 2)
-            assert recomputed == pytest.approx(s.log_prob, abs=1e-9)
+            tokens, log_prob = sample_one(model, 2, rng)
+            assert tokens[-1] == EOS
+            assert len(tokens) <= 20
+            recomputed = s0_log_prob(model, tokens, COLORS, 2)
+            assert recomputed == pytest.approx(log_prob, abs=1e-9)
 
     @pytest.mark.parametrize("temperature", [1.0, 0.0])
     def test_forward_only_matches_graph_forward(self, temperature):
@@ -392,11 +397,10 @@ class TestSampling:
         model = tiny_model(seed=6)
         # make </s> essentially unreachable by sampling: bias it far down
         model.out_b.data[model.vocab.eos_id] = -100.0
-        s = s0_sample(model, COLORS, 0, np.random.default_rng(1))
-        assert len(s.tokens) == 20
-        assert s.tokens[-1] == EOS
-        assert s0_log_prob(model, s.tokens, COLORS, 0) == pytest.approx(
-            s.log_prob, abs=1e-9)
+        tokens, log_prob = sample_one(model, 0, np.random.default_rng(1))
+        assert len(tokens) == 20
+        assert tokens[-1] == EOS
+        assert s0_log_prob(model, tokens, COLORS, 0) == pytest.approx(log_prob, abs=1e-9)
 
 
 class TestSharedPrefixSampling:
