@@ -1,15 +1,18 @@
-"""Color representations, perceptual distance, and condition-constrained context sampling.
+"""Colors, perceptual distance, and condition-constrained context sampling.
 
-Colors live in normalized sRGB. Perceptual distance is CIEDE2000 over CIE Lab
-(sRGB, D65 white point). Referent feature vectors are a 54-dimensional
-trigonometric expansion of the RGB coordinates. Reference-game contexts are
-three colors plus a target index, labeled far/split/close by pairwise distance
-against a threshold.
+A color is a `Color`, a tuple of normalized sRGB channels (r, g, b): numpy
+reads one as a (3,) row, a context of three as (3, 3) and a list of contexts
+as (N, 3, 3), and the functions below take such arrays. Perceptual distance
+is CIEDE2000 over CIE Lab (sRGB, D65 white point). Referent feature vectors
+are a 54-dimensional trigonometric expansion of the RGB coordinates.
+Reference-game contexts are three colors plus a target index, labeled
+far/split/close by pairwise distance against a threshold.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,31 +34,20 @@ _SRGB_TO_XYZ = np.array([
 _D65 = np.array([0.95047, 1.0, 1.08883])
 
 
-@dataclass(frozen=True)
-class Color:
-    """A referent: normalized RGB channels, each in [0, 1]."""
+class Color(namedtuple("Color", "r g b")):
+    """A referent: the tuple (r, g, b) of normalized RGB channels, each in [0, 1].
 
-    r: float
-    g: float
-    b: float
+    numpy reads it as a (3,) row, and a triple of colors as a (3, 3) context.
+    The constructor rejects a channel outside [0, 1] or NaN, naming it.
+    """
 
-    def __post_init__(self):
-        for name in ("r", "g", "b"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
+    __slots__ = ()
+
+    def __new__(cls, r, g, b):
+        for name, v in zip(cls._fields, (r, g, b)):
+            if not 0.0 <= v <= 1.0:
                 raise ValueError(f"channel {name}={v!r} outside [0, 1]")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.r, self.g, self.b], dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class HsvColor:
-    """Hexcone HSV: hue in degrees [0, 360), saturation and value in [0, 1]."""
-
-    h: float
-    s: float
-    v: float
+        return super().__new__(cls, r, g, b)
 
 
 class Condition(enum.Enum):
@@ -82,31 +74,8 @@ class ConditionThresholds:
             raise ValueError("require 0 < epsilon < theta_dist")
 
 
-def rgb_to_hsv(c: Color) -> HsvColor:
-    """Standard hexcone conversion; hue of grayscale colors is defined as 0."""
-    mx = max(c.r, c.g, c.b)
-    mn = min(c.r, c.g, c.b)
-    delta = mx - mn
-    if delta == 0.0:
-        h = 0.0
-    elif mx == c.r:
-        h = 60.0 * (((c.g - c.b) / delta) % 6.0)
-    elif mx == c.g:
-        h = 60.0 * ((c.b - c.r) / delta + 2.0)
-    else:
-        h = 60.0 * ((c.r - c.g) / delta + 4.0)
-    s = 0.0 if mx == 0.0 else delta / mx
-    return HsvColor(h % 360.0, s, mx)
-
-
-def hsv_to_rgb(h: float, s: float, v: float) -> Color:
-    """Inverse hexcone conversion."""
-    r, g, b = hsv_to_rgb_arrays(np.array([h]), np.array([s]), np.array([v]))
-    return Color(float(r[0]), float(g[0]), float(b[0]))
-
-
 def hsv_to_rgb_arrays(h: np.ndarray, s: np.ndarray, v: np.ndarray):
-    """Vectorized hexcone inverse; h in degrees, s and v in [0, 1]."""
+    """Elementwise hexcone HSV to RGB arrays (r, g, b); h in degrees, s and v in [0, 1]."""
     h6 = (np.asarray(h, dtype=np.float64) % 360.0) / 60.0
     i = np.floor(h6).astype(int) % 6
     f = h6 - np.floor(h6)
@@ -204,23 +173,13 @@ def ciede2000_lab(lab1: np.ndarray, lab2: np.ndarray) -> np.ndarray:
     return np.sqrt(tL ** 2 + tC ** 2 + tH ** 2 + RT * tC * tH)
 
 
-def ciede2000(a: Color, b: Color) -> float:
-    """CIEDE2000 distance between two colors (sRGB -> Lab -> dE00)."""
-    return float(ciede2000_lab(srgb_to_lab(a.as_array()), srgb_to_lab(b.as_array())))
-
-
-def fourier_features(c: Color) -> np.ndarray:
-    """Trigonometric feature vector of a color: 27 cosines then 27 sines.
+def fourier_features_array(rgb: np.ndarray) -> np.ndarray:
+    """Trigonometric features of RGB colors (..., 3): 27 cosines then 27 sines (..., 54).
 
     For each frequency triple (j,k,l) in {0,1,2}^3 (lexicographic), the phase
     is 2*pi*(j*r + k*g + l*b). Every entry lies in [-1, 1]; features are
     1-periodic per channel.
     """
-    return fourier_features_array(c.as_array().reshape(1, 3))[0]
-
-
-def fourier_features_array(rgb: np.ndarray) -> np.ndarray:
-    """Vectorized feature transform: (..., 3) RGB -> (..., 54)."""
     rgb = np.asarray(rgb, dtype=np.float64)
     phase = 2.0 * np.pi * (rgb @ _FREQS.T)
     return np.concatenate([np.cos(phase), np.sin(phase)], axis=-1)
@@ -291,24 +250,6 @@ def classify_conditions(colors: np.ndarray,
     return [_CONDITIONS[c] for c in codes]
 
 
-def classify_condition(colors: tuple[Color, Color, Color], target_index: int,
-                       th: ConditionThresholds = ConditionThresholds()) -> Condition:
-    """Label one context far/split/close: `classify_conditions` on one row.
-
-    The rule is pairwise: far when all three pairwise distances exceed theta,
-    close when all three are within theta, split otherwise. It does not look
-    at the target, so the label is the same for every target, and
-    `target_index` is only checked to be 0, 1 or 2. The paper's split (one
-    distractor within theta of the target, one beyond) is an open item in
-    ROADMAP.md.
-
-    Raises PerceptibilityViolation if any pair is closer than epsilon.
-    """
-    if target_index not in (0, 1, 2):
-        raise ValueError(f"target_index must be 0, 1 or 2, got {target_index}")
-    return classify_conditions(np.array([[[c.r, c.g, c.b] for c in colors]]), th)[0]
-
-
 def sample_contexts(cond: Condition, n: int, rng: np.random.Generator,
                     th: ConditionThresholds = ConditionThresholds(),
                     max_attempts: int = 10 ** 6) -> tuple[np.ndarray, np.ndarray]:
@@ -342,18 +283,3 @@ def sample_contexts(cond: Condition, n: int, rng: np.random.Generator,
             out_targets[got:got + take] = targets[sel]
             got += take
     return out_colors, out_targets
-
-
-def sample_context(cond: Condition, th: ConditionThresholds = ConditionThresholds(),
-                   rng: np.random.Generator | None = None,
-                   max_attempts: int = 10 ** 6) -> tuple[tuple[Color, Color, Color], int]:
-    """Draw one context whose classification matches `cond`.
-
-    Colors are uniform over the RGB cube, resampled until the requested label
-    holds and all pairs clear the perceptibility floor.
-    """
-    if rng is None:
-        rng = np.random.default_rng()
-    colors, targets = sample_contexts(cond, 1, rng, th, max_attempts)
-    triple = tuple(Color(*colors[0, i]) for i in range(3))
-    return triple, int(targets[0])

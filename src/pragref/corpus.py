@@ -25,7 +25,6 @@ from .colorspace import (
     Condition,
     ConditionThresholds,
     ciede2000_lab,
-    classify_condition,
     classify_conditions,
     sample_contexts,
     srgb_to_lab,
@@ -39,7 +38,12 @@ TRIALS_PER_GAME = 30  # rounds per synthetic game (dyad)
 
 @dataclass
 class ContextTrial:
-    """One reference-game round."""
+    """One reference-game round.
+
+    colors holds three `Color` tuples in listener order: numpy reads them as
+    a (3, 3) context, and a list of trials' colors as (N, 3, 3). condition is
+    None when the source gave no label.
+    """
 
     game_id: str
     round: int
@@ -48,12 +52,6 @@ class ContextTrial:
     speaker_texts: list[str]
     condition: Condition | None = None
     clicked_index: int | None = None
-
-    def condition_or_classified(self, th: ConditionThresholds = ConditionThresholds()) -> Condition:
-        """Stored condition label, falling back to distance-based classification."""
-        if self.condition is not None:
-            return self.condition
-        return classify_condition(self.colors, self.target_index, th)
 
     def combined_text(self) -> str:
         """Speaker messages for the round concatenated in order."""
@@ -281,7 +279,7 @@ def dump_trials(trials: list[ContextTrial], path) -> None:
             fh.write(json.dumps({
                 "game_id": t.game_id,
                 "round": t.round,
-                "colors": [[c.r, c.g, c.b] for c in t.colors],
+                "colors": t.colors,
                 "target_index": t.target_index,
                 "condition": t.condition.value if t.condition else None,
                 "speaker_text": t.speaker_texts,
@@ -448,11 +446,6 @@ def nearest_basic_terms(rgb: np.ndarray) -> list[str]:
     return [_ANCHOR_TERMS[i] for i in nearest]
 
 
-def nearest_basic_term(c: Color) -> str:
-    """The basic term nearest one color: `nearest_basic_terms` on one row."""
-    return nearest_basic_terms(c.as_array()[None])[0]
-
-
 def template_emission(colors: tuple[Color, Color, Color], target_index: int,
                       condition: Condition) -> tuple[list[tuple[str, ...]], np.ndarray]:
     """The template speaker's exact utterance distribution for one trial.
@@ -464,7 +457,7 @@ def template_emission(colors: tuple[Color, Color, Color], target_index: int,
     value (mirrored for light); negations name a distractor's basic term,
     never the target's, one enumerated option per distinct term.
     """
-    rgb = np.array([(c.r, c.g, c.b) for c in colors])
+    rgb = np.array(colors, dtype=np.float64)
     return _template_emission(nearest_basic_terms(rgb), rgb.max(axis=1).tolist(),
                               target_index, condition)
 
@@ -535,9 +528,8 @@ def synth_corpus(n_trials: int, rng: np.random.Generator,
             continue
         cols, targets = sample_contexts(cond, n, rng, th)
         sampled.append(cols)
-        for i in range(n):
-            triple = tuple(Color(*cols[i, j]) for j in range(3))
-            rows.append((cond, triple, int(targets[i])))
+        rows += [(cond, tuple(Color(*c) for c in ctx), target)
+                 for ctx, target in zip(cols.tolist(), targets.tolist())]
     rgb = np.concatenate(sampled).reshape(-1, 3) if rows else np.empty((0, 3))
     terms = nearest_basic_terms(rgb)
     values = rgb.max(axis=1).tolist()
@@ -582,7 +574,7 @@ def template_bayes_accuracy(trials: list[ContextTrial],
     """
     if not trials:
         raise ValueError("template_bayes_accuracy needs at least one trial")
-    rgb = np.array([[(c.r, c.g, c.b) for c in t.colors] for t in trials])
+    rgb = np.array([t.colors for t in trials], dtype=np.float64)
     terms = nearest_basic_terms(rgb.reshape(-1, 3))
     values = rgb.max(axis=2).tolist()
     conditions = classify_conditions(rgb, th)

@@ -132,7 +132,8 @@ class ListenerModel:
 
 
 def context_features(colors: tuple[Color, Color, Color]) -> np.ndarray:
-    return fourier_features_array(np.stack([c.as_array() for c in colors]))
+    """Feature rows (3, F) of one context's colors, in their stored order."""
+    return fourier_features_array(colors)
 
 
 @no_grad()
@@ -260,7 +261,7 @@ def trial_listener_ids(model: ListenerModel, trial: ContextTrial) -> list[int]:
 def _listener_inputs(model: ListenerModel, trials: list[ContextTrial]):
     """Id rows, context features (N, 3, F) and target indices of a trial list."""
     return ([trial_listener_ids(model, t) for t in trials],
-            np.stack([context_features(t.colors) for t in trials]),
+            fourier_features_array([t.colors for t in trials]),
             np.array([t.target_index for t in trials]))
 
 
@@ -313,15 +314,16 @@ def density_grid(model: ListenerModel, tokens: list[str], h_bins: int = 90,
     h = (np.arange(h_bins) + 0.5) * (360.0 / h_bins)
     s = (np.arange(s_bins) + 0.5) / s_bins
     v = (np.arange(v_bins) + 0.5) / v_bins
-    hh, ss, vv = np.meshgrid(h, s, v, indexing="ij")
-    r, g, b = hsv_to_rgb_arrays(hh.ravel(), ss.ravel(), vv.ravel())
-    feats = fourier_features_array(np.stack([r, g, b], axis=-1))
+    ss, vv = (a.ravel() for a in np.meshgrid(s, v, indexing="ij"))
 
     mu, sigma = model.mu_sigma(np.array([model.encode_tokens(tokens)]))
-    # one hue row per call keeps quad_scores' (points, F) temporaries small
-    scores = np.concatenate([quad_scores(f[None], mu, sigma).data[0]
-                             for f in np.array_split(feats, h_bins)])
-    scores = scores.reshape(h_bins, s_bins, v_bins)
+    # one hue row at a time: the features and quad_scores' temporaries hold
+    # s_bins * v_bins points, not the whole lattice
+    rows = []
+    for hue in h:
+        rgb = np.stack(hsv_to_rgb_arrays(hue, ss, vv), axis=-1)
+        rows.append(quad_scores(fourier_features_array(rgb)[None], mu, sigma).data[0])
+    scores = np.stack(rows).reshape(h_bins, s_bins, v_bins)
     shift = scores.max()
     with np.errstate(divide="ignore"):
         marginal = np.log(np.exp(scores - shift).sum(axis=2)) + shift

@@ -20,10 +20,16 @@ from importlib import resources
 
 import numpy as np
 
-from .colorspace import Color, Condition, sample_contexts
+from .colorspace import (
+    Color,
+    Condition,
+    classify_conditions,
+    fourier_features_array,
+    sample_contexts,
+)
 from .corpus import ContextTrial, preprocess
 from .errors import require_count
-from .listener import accuracy_perplexity, context_features, l0_probs_many
+from .listener import accuracy_perplexity, l0_probs_many
 from .rsa import S1_ALPHA, listener_ids_for, sample_alternatives
 from .speaker import contexts_target_last_features, s0_sample_utterances
 
@@ -51,14 +57,28 @@ class EvalReport:
     per_condition: dict[str, ConditionStats] = field(default_factory=dict)
 
 
+def _conditions(trials: list[ContextTrial]) -> list[Condition]:
+    """Each trial's condition: the stored one, else its `classify_conditions` label.
+
+    Every trial with no stored condition is labelled in one call, at the
+    default thresholds.
+    """
+    unlabelled = [t.colors for t in trials if t.condition is None]
+    found = iter(classify_conditions(np.array(unlabelled)) if unlabelled else [])
+    return [t.condition or next(found) for t in trials]
+
+
 def evaluate_probs(probs: np.ndarray, trials: list[ContextTrial]) -> EvalReport:
-    """Score precomputed per-trial distributions (N, 3); N must be at least 1."""
+    """Score precomputed per-trial distributions (N, 3); N must be at least 1.
+
+    Trials with no stored condition are labelled by `classify_conditions`.
+    """
     if not trials:
         raise ValueError("cannot score zero trials")
     targets = np.array([t.target_index for t in trials])
     acc, ppl = accuracy_perplexity(probs, targets)
     report = EvalReport(acc, ppl, len(trials))
-    conditions = np.array([t.condition_or_classified().value for t in trials])
+    conditions = np.array([c.value for c in _conditions(trials)])
     for cond in sorted(set(conditions)):
         mask = conditions == cond
         c_acc, c_ppl = accuracy_perplexity(probs[mask], targets[mask])
@@ -77,19 +97,17 @@ def human_accuracy(trials: list[ContextTrial]) -> HumanAccuracyReport:
 
     Trials without a click are counted and excluded; conditions with no
     clickable trials are omitted from the result rather than reported as 0.
+    Clicked trials with no stored condition are labelled by
+    `classify_conditions`.
     """
+    clicked = [t for t in trials if t.clicked_index is not None]
     hits: dict[str, int] = {}
     totals: dict[str, int] = {}
-    missing = 0
-    for t in trials:
-        if t.clicked_index is None:
-            missing += 1
-            continue
-        cond = t.condition_or_classified().value
-        totals[cond] = totals.get(cond, 0) + 1
-        hits[cond] = hits.get(cond, 0) + (t.clicked_index == t.target_index)
+    for t, cond in zip(clicked, _conditions(clicked)):
+        totals[cond.value] = totals.get(cond.value, 0) + 1
+        hits[cond.value] = hits.get(cond.value, 0) + (t.clicked_index == t.target_index)
     return HumanAccuracyReport(
-        {c: hits[c] / totals[c] for c in sorted(totals)}, missing)
+        {c: hits[c] / totals[c] for c in sorted(totals)}, len(trials) - len(clicked))
 
 
 # -- speaker behavior -----------------------------------------------------------
@@ -204,8 +222,9 @@ def behavior_metrics(items: list[tuple[str, Condition]]) -> BehaviorReport:
 
 
 def behavior_metrics_for_trials(trials: list[ContextTrial]) -> BehaviorReport:
-    return behavior_metrics([(t.combined_text(), t.condition_or_classified())
-                             for t in trials])
+    """behavior_metrics of each trial's text under its condition, as evaluate_probs labels it."""
+    return behavior_metrics([(t.combined_text(), cond)
+                             for t, cond in zip(trials, _conditions(trials))])
 
 
 # -- speaker comparison -----------------------------------------------------------
@@ -261,10 +280,12 @@ class PragmaticSpeakerSampler:
         # score every non-empty candidate against its own context
         type_ids = listener_ids_for(self.l0_model, types)
         flat_ids = [type_ids[t] for cands in pool for t in cands]
-        ctx_feats = [context_features(c) for c, _, _ in contexts]
-        flat_feats = [f for cands, f in zip(pool, ctx_feats) for _ in cands]
-        probs = l0_probs_many(self.l0_model, flat_ids, np.stack(flat_feats)) \
-            if flat_ids else np.zeros((0, 3))
+        if flat_ids:
+            feats = fourier_features_array([c for c, _, _ in contexts])
+            probs = l0_probs_many(self.l0_model, flat_ids,
+                                  np.repeat(feats, [len(c) for c in pool], axis=0))
+        else:
+            probs = np.zeros((0, 3))
 
         texts: list[str] = []
         cursor = 0
@@ -298,7 +319,6 @@ def condition_mix_contexts(n_per_condition: int, rng: np.random.Generator) -> li
     contexts: list[Context] = []
     for cond in Condition:
         cols, targets = sample_contexts(cond, n_per_condition, rng)
-        for i in range(n_per_condition):
-            triple = tuple(Color(*cols[i, j]) for j in range(3))
-            contexts.append((triple, int(targets[i]), cond))
+        contexts += [(tuple(Color(*c) for c in ctx), target, cond)
+                     for ctx, target in zip(cols.tolist(), targets.tolist())]
     return contexts

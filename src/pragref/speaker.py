@@ -130,8 +130,7 @@ def target_last_features(rgb: np.ndarray, targets: np.ndarray) -> np.ndarray:
 def contexts_target_last_features(contexts) -> np.ndarray:
     """target_last_features of (color triple, target index) pairs, (N, 3, F)."""
     pairs = list(contexts)
-    rgb = np.array([[(c.r, c.g, c.b) for c in colors] for colors, _ in pairs],
-                   dtype=np.float64).reshape(-1, 3, 3)
+    rgb = np.array([colors for colors, _ in pairs], dtype=np.float64).reshape(-1, 3, 3)
     return target_last_features(rgb, np.array([t for _, t in pairs], dtype=int))
 
 

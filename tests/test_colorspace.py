@@ -1,3 +1,4 @@
+import colorsys
 import math
 
 import numpy as np
@@ -9,16 +10,11 @@ from pragref.colorspace import (
     Color,
     Condition,
     ConditionThresholds,
-    ciede2000,
     ciede2000_lab,
-    classify_condition,
     classify_conditions,
-    fourier_features,
     fourier_features_array,
-    hsv_to_rgb,
+    hsv_to_rgb_arrays,
     pairwise_distances,
-    rgb_to_hsv,
-    sample_context,
     sample_contexts,
     srgb_to_lab,
 )
@@ -66,45 +62,52 @@ SHARMA_PAIRS = [
 unit = st.floats(0.0, 1.0, allow_nan=False)
 
 
+def hsv_to_rgb(h, s, v):
+    """One point through hsv_to_rgb_arrays, as a tuple of floats."""
+    return tuple(float(ch) for ch in hsv_to_rgb_arrays(h, s, v))
+
+
+def distance(a, b):
+    """CIEDE2000 distance between two RGB colors."""
+    return float(pairwise_distances(np.array([[a, b, b]]))[0, 0])
+
+
 class TestHsv:
     def test_black(self):
-        hsv = rgb_to_hsv(Color(0, 0, 0))
-        assert (hsv.h, hsv.s, hsv.v) == (0.0, 0.0, 0.0)
+        assert hsv_to_rgb(0.0, 0.0, 0.0) == (0.0, 0.0, 0.0)
 
     def test_pure_red(self):
-        hsv = rgb_to_hsv(Color(1, 0, 0))
-        assert (hsv.h, hsv.s, hsv.v) == (0.0, 1.0, 1.0)
+        assert hsv_to_rgb(0.0, 1.0, 1.0) == (1.0, 0.0, 0.0)
 
     def test_hand_computed_point(self):
         # max=b=0.75, min=0.25, delta=0.5: h=60*(4+(r-g)/delta)=210, s=2/3, v=0.75
-        hsv = rgb_to_hsv(Color(0.25, 0.5, 0.75))
-        assert hsv.h == pytest.approx(210.0, abs=1e-12)
-        assert hsv.s == pytest.approx(2.0 / 3.0, abs=1e-12)
-        assert hsv.v == pytest.approx(0.75, abs=1e-12)
+        assert hsv_to_rgb(210.0, 2.0 / 3.0, 0.75) == pytest.approx((0.25, 0.5, 0.75),
+                                                                   abs=1e-12)
 
     @given(unit, unit, unit)
     @settings(max_examples=200, deadline=None)
     def test_round_trip(self, r, g, b):
-        c = Color(r, g, b)
-        hsv = rgb_to_hsv(c)
-        back = hsv_to_rgb(hsv.h, hsv.s, hsv.v)
-        assert abs(back.r - r) < 1e-9
-        assert abs(back.g - g) < 1e-9
-        assert abs(back.b - b) < 1e-9
-        assert 0.0 <= hsv.h < 360.0
-        assert 0.0 <= hsv.s <= 1.0
-        assert 0.0 <= hsv.v <= 1.0
+        # the standard library's hexcone, with hue as a fraction of a turn
+        h, s, v = colorsys.rgb_to_hsv(r, g, b)
+        back = hsv_to_rgb(360.0 * h, s, v)
+        assert back == pytest.approx((r, g, b), abs=1e-9)
+        assert v == max(r, g, b)
+        assert 0.0 <= h < 1.0
 
     def test_channel_validation(self):
-        with pytest.raises(ValueError):
-            Color(1.2, 0, 0)
+        for name, channels in (("r", (1.2, 0, 0)), ("g", (0, -0.1, 0)), ("b", (0, 0, math.nan))):
+            with pytest.raises(ValueError, match=f"channel {name}=.* outside"):
+                Color(*channels)
+
+    def test_numpy_reads_colors_as_rows(self):
+        c = Color(0.1, 0.2, 0.3)
+        assert (c.r, c.g, c.b) == c == (0.1, 0.2, 0.3)
+        assert np.asarray(c).shape == (3,)
+        assert np.asarray((c, c, c)).shape == (3, 3)
+        assert np.array([(c, c, c)] * 4).shape == (4, 3, 3)
 
 
 class TestCiede2000:
-    def test_identity(self):
-        c = Color(0.3, 0.7, 0.2)
-        assert ciede2000(c, c) == 0.0
-
     @pytest.mark.parametrize("lab1,lab2,expected", SHARMA_PAIRS)
     def test_published_pairs(self, lab1, lab2, expected):
         got = float(ciede2000_lab(np.array(lab1), np.array(lab2)))
@@ -121,27 +124,29 @@ class TestCiede2000:
         assert np.all(d_ab >= 0)
 
     def test_zero_iff_identical_lab(self):
-        lab = srgb_to_lab(np.array([0.2, 0.4, 0.9]))
-        assert float(ciede2000_lab(lab, lab)) == 0.0
+        for rgb in ((0.2, 0.4, 0.9), Color(0.3, 0.7, 0.2)):
+            lab = srgb_to_lab(np.asarray(rgb))
+            assert float(ciede2000_lab(lab, lab)) == 0.0
+            assert distance(rgb, rgb) == 0.0
 
 
 class TestFourierFeatures:
     def test_zero_phase(self):
-        f = fourier_features(Color(0, 0, 0))
+        f = fourier_features_array(Color(0, 0, 0))
         assert f.shape == (54,)
         assert np.allclose(f[:27], 1.0)
         assert np.allclose(f[27:], 0.0)
 
     def test_half_period(self):
         # triple (1,0,0) at rgb (0.5,0.5,0.5): phase pi -> cos=-1, sin~0
-        f = fourier_features(Color(0.5, 0.5, 0.5))
+        f = fourier_features_array(Color(0.5, 0.5, 0.5))
         i = 9  # lexicographic index of (1,0,0)
         assert f[i] == pytest.approx(-1.0, abs=1e-12)
         assert f[27 + i] == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_evaluated_triple(self):
         # (j,k,l)=(1,2,1) on (0.2,0.4,0.8): phase = 2*pi*1.8
-        f = fourier_features(Color(0.2, 0.4, 0.8))
+        f = fourier_features_array(Color(0.2, 0.4, 0.8))
         i = 9 + 2 * 3 + 1  # index of (1,2,1)
         assert f[i] == pytest.approx(math.cos(2 * math.pi * 1.8), abs=1e-12)
         assert f[27 + i] == pytest.approx(math.sin(2 * math.pi * 1.8), abs=1e-12)
@@ -149,7 +154,7 @@ class TestFourierFeatures:
     @given(unit, unit, unit)
     @settings(max_examples=100, deadline=None)
     def test_range_and_periodicity(self, r, g, b):
-        f = fourier_features(Color(r, g, b))
+        f = fourier_features_array(Color(r, g, b))
         assert np.all(np.abs(f) <= 1.0 + 1e-12)
         shifted = fourier_features_array(np.array([(r + 1.0) % 1.0, g, b]))
         assert np.allclose(f, shifted, atol=1e-9)
@@ -160,9 +165,7 @@ def _triple_at_lab_distances(seed, lo, hi, tries=20000):
     rng = np.random.default_rng(seed)
     for _ in range(tries):
         cols = tuple(Color(*rng.random(3)) for _ in range(3))
-        d = [ciede2000(cols[0], cols[1]), ciede2000(cols[0], cols[2]),
-             ciede2000(cols[1], cols[2])]
-        if all(lo < x <= hi for x in d):
+        if all(lo < x <= hi for x in pairwise_distances(np.array([cols]))[0]):
             return cols
     raise AssertionError("no triple found")
 
@@ -171,25 +174,20 @@ class TestClassifyCondition:
     def test_far_from_measured_distances(self):
         # fixed triple whose pairwise distances are all far above theta
         cols = (Color(1, 0, 0), Color(0, 1, 0), Color(0, 0, 1))
-        d = [ciede2000(cols[0], cols[1]), ciede2000(cols[0], cols[2]),
-             ciede2000(cols[1], cols[2])]
-        assert min(d) > 20
-        for t in range(3):
-            assert classify_condition(cols, t) is Condition.FAR
+        assert pairwise_distances(np.array([cols])).min() > 20
+        assert classify_conditions(np.array([cols])) == [Condition.FAR]
 
     def test_split_one_near_one_far(self):
         base = Color(0.2, 0.4, 0.6)
         near = Color(0.2, 0.48, 0.66)     # small perturbation
         far = Color(0.9, 0.1, 0.1)
-        d_near = ciede2000(base, near)
-        assert 5 < d_near <= 20
-        assert ciede2000(base, far) > 20 and ciede2000(near, far) > 20
-        assert classify_condition((base, near, far), 0) is Condition.SPLIT
+        assert 5 < distance(base, near) <= 20
+        assert distance(base, far) > 20 and distance(near, far) > 20
+        assert classify_conditions(np.array([(base, near, far)])) == [Condition.SPLIT]
 
     def test_close_by_definition(self):
         cols = _triple_at_lab_distances(seed=3, lo=5, hi=20)
-        for t in range(3):
-            assert classify_condition(cols, t) is Condition.CLOSE
+        assert classify_conditions(np.array([cols])) == [Condition.CLOSE]
 
     def test_distractor_swap_invariance(self):
         rng = np.random.default_rng(11)
@@ -197,43 +195,41 @@ class TestClassifyCondition:
         while found < 50:
             cols = tuple(Color(*rng.random(3)) for _ in range(3))
             try:
-                lab = classify_condition(cols, 0)
+                lab = classify_conditions(np.array([cols]))[0]
             except PerceptibilityViolation:
                 continue
             swapped = (cols[0], cols[2], cols[1])
-            assert classify_condition(swapped, 0) is lab
+            assert classify_conditions(np.array([swapped]))[0] is lab
             found += 1
 
     def test_epsilon_violation(self):
         a = Color(0.5, 0.5, 0.5)
         b = Color(0.5, 0.5, 0.505)
-        assert ciede2000(a, b) < 5
+        assert distance(a, b) < 5
         with pytest.raises(PerceptibilityViolation):
-            classify_condition((a, b, Color(1, 0, 0)), 0)
+            classify_conditions(np.array([(a, b, Color(1, 0, 0))]))
 
 
 class TestSampleContext:
     @pytest.mark.parametrize("cond", list(Condition))
     def test_postcondition(self, cond):
-        rng = np.random.default_rng(5)
-        for _ in range(25):
-            colors, target = sample_context(cond, rng=rng)
-            assert classify_condition(colors, target) is cond
+        colors, targets = sample_contexts(cond, 25, np.random.default_rng(5))
+        assert classify_conditions(colors) == [cond] * 25
+        assert set(targets.tolist()) <= {0, 1, 2}
 
     def test_resampling_property(self):
         # 10^4-sample re-classification check, batched for speed
         th = ConditionThresholds()
         rng = np.random.default_rng(7)
         for cond in Condition:
-            cols, targets = sample_contexts(cond, 10_000 // 3, rng)
-            for i in range(0, len(cols), 997):  # spot re-check via scalar path
-                triple = tuple(Color(*cols[i, j]) for j in range(3))
-                assert classify_condition(triple, int(targets[i]), th) is cond
+            cols, _ = sample_contexts(cond, 10_000 // 3, rng)
+            for i in range(0, len(cols), 997):  # spot re-check, one context per call
+                assert classify_conditions(cols[i:i + 1], th) == [cond]
 
     def test_budget_exceeded(self):
         rng = np.random.default_rng(0)
         with pytest.raises(SamplingBudgetExceeded):
-            sample_context(Condition.CLOSE, rng=rng, max_attempts=3)
+            sample_contexts(Condition.CLOSE, 1, rng, max_attempts=3)
 
     def test_far_channel_mean_symmetry(self):
         rng = np.random.default_rng(13)
@@ -249,7 +245,7 @@ _PAIRS = np.array([(0, 1), (0, 2), (1, 2)])
 
 def per_trial_distances(colors):
     """Reference: one context's pairwise distances from a (3, 3) conversion."""
-    lab = srgb_to_lab(np.stack([c.as_array() for c in colors]))
+    lab = srgb_to_lab(np.asarray(colors))
     return ciede2000_lab(lab[_PAIRS[:, 0]], lab[_PAIRS[:, 1]])
 
 
@@ -317,8 +313,6 @@ class TestBatchedLabels:
         want = [per_trial_condition(t) for t in _triples(colors)]
         assert len(set(want)) == 3
         assert classify_conditions(colors) == want
-        for triple, label in list(zip(_triples(colors), want))[:300]:
-            assert classify_condition(triple, 1) is label
 
     def test_custom_thresholds(self):
         th = ConditionThresholds(theta_dist=40.0, epsilon=10.0)

@@ -11,8 +11,7 @@ from pragref.colorspace import (
     Condition,
     ConditionThresholds,
     ciede2000_lab,
-    classify_condition,
-    rgb_to_hsv,
+    classify_conditions,
     sample_contexts,
     srgb_to_lab,
 )
@@ -25,7 +24,6 @@ from pragref.corpus import (
     dump_trials,
     filter_trials,
     load_raw,
-    nearest_basic_term,
     nearest_basic_terms,
     preprocess,
     speaker_tokens_to_listener_tokens,
@@ -173,15 +171,30 @@ class TestLoadRaw:
             load_raw(path, strict=True)
         assert e.value.line == 2
 
+    @pytest.mark.parametrize("color, reason", [([0.1, 1.3, 0.3], "channel g=1.3 outside"),
+                                               ([0.1, 0.2, float("nan")], "channel b=nan"),
+                                               ([0.1, 0.2], "missing"),
+                                               ([0.1, "red", 0.3], "red")])
+    def test_bad_color_rejected(self, tmp_path, color, reason):
+        colors = [[0.4, 0.5, 0.6], color, [0.7, 0.8, 0.9]]
+        path = self._write(tmp_path, [self._row(), self._row(), self._row(colors=colors)])
+        result = load_raw(path)
+        assert len(result.trials) == 2
+        assert [r.line for r in result.rejects] == [3]
+        assert "bad color value" in result.rejects[0].reason
+        assert reason in result.rejects[0].reason
+        with pytest.raises(ParseError, match="line 3") as e:
+            load_raw(path, strict=True)
+        assert e.value.line == 3
+
     def test_dump_round_trip(self, tmp_path):
         trials = synth_corpus(9, np.random.default_rng(0))
         path = tmp_path / "out.jsonl"
         dump_trials(trials, path)
         back = load_raw(path)
         assert not back.rejects
-        assert len(back.trials) == 9
-        assert back.trials[3].speaker_texts == trials[3].speaker_texts
-        assert back.trials[3].condition is trials[3].condition
+        assert back.trials == trials
+        assert all(type(c) is Color for t in back.trials for c in t.colors)
 
 
 class TestFilterTrials:
@@ -261,9 +274,9 @@ class TestSynthCorpus:
         trials = synth_corpus(240, np.random.default_rng(3))
         for t in trials:
             tokens = preprocess(t.combined_text(), "speaker")
-            v_t = rgb_to_hsv(t.colors[t.target_index]).v
-            vs = [rgb_to_hsv(c).v for c in t.colors]
-            base = nearest_basic_term(t.colors[t.target_index])
+            v_t = max(t.colors[t.target_index])
+            vs = [max(c) for c in t.colors]
+            base = nearest_basic_terms(np.array([t.colors[t.target_index]]))[0]
             if "darkest" in tokens:
                 assert v_t == min(vs)
             if "lightest" in tokens:
@@ -271,7 +284,7 @@ class TestSynthCorpus:
             if "not" in tokens:
                 assert base not in tokens
             if tokens[-1] == base and len(tokens) == 1:
-                assert nearest_basic_term(t.colors[t.target_index]) == base
+                assert nearest_basic_terms(np.array([t.colors[t.target_index]]))[0] == base
 
     def test_emission_probabilities_normalized(self):
         trials = synth_corpus(30, np.random.default_rng(4))
@@ -296,7 +309,7 @@ class TestSynthCorpus:
                 likelihood = np.zeros(3)
                 for cand in range(3):
                     utterances, probs = template_emission(
-                        t.colors, cand, classify_condition(t.colors, cand))
+                        t.colors, cand, classify_conditions(np.array([t.colors]))[0])
                     likelihood[cand] = dict(zip(utterances, probs)).get(observed, 0.0)
                 correct += int(np.argmax(likelihood)) == t.target_index
             return correct / len(trials)
@@ -326,12 +339,12 @@ _PAIRS = np.array([(0, 1), (0, 2), (1, 2)])
 
 def per_color_term(c):
     """Reference: the one-colour term lookup before batching."""
-    return ANCHOR_TERMS[int(np.argmin(ciede2000_lab(srgb_to_lab(c.as_array()), ANCHOR_LAB)))]
+    return ANCHOR_TERMS[int(np.argmin(ciede2000_lab(srgb_to_lab(np.asarray(c)), ANCHOR_LAB)))]
 
 
 def per_trial_condition(colors, th=ConditionThresholds()):
     """Reference: the per-trial labeller before batching."""
-    lab = srgb_to_lab(np.stack([c.as_array() for c in colors]))
+    lab = srgb_to_lab(np.asarray(colors))
     dists = ciede2000_lab(lab[_PAIRS[:, 0]], lab[_PAIRS[:, 1]])
     if np.any(dists < th.epsilon):
         raise PerceptibilityViolation(f"pairwise distance {dists.min():.3f}")
@@ -343,7 +356,7 @@ def per_trial_condition(colors, th=ConditionThresholds()):
 
 
 def per_trial_emission(colors, terms, target_index, condition):
-    """Reference: the template speaker converting each colour to HSV per call."""
+    """Reference: the template speaker reading each colour's HSV value per call."""
     weights = {
         Condition.FAR: {"base": 0.68, "shade": 0.26, "comparative": 0.04,
                         "superlative": 0.02, "negation": 0.0},
@@ -354,9 +367,9 @@ def per_trial_emission(colors, terms, target_index, condition):
     }[condition]
     base = terms[target_index]
     target = colors[target_index]
-    shade = "dark" if rgb_to_hsv(target).v < 0.5 else "light"
-    v_t = rgb_to_hsv(target).v
-    v_others = [rgb_to_hsv(colors[i]).v for i in range(3) if i != target_index]
+    shade = "dark" if max(target) < 0.5 else "light"
+    v_t = max(target)
+    v_others = [max(colors[i]) for i in range(3) if i != target_index]
     options = {}
 
     def add(tokens, weight):
@@ -443,7 +456,7 @@ class TestBatchedTerms:
     def test_anchors_name_themselves(self):
         rgb = np.array(list(BASIC_COLOR_ANCHORS.values()))
         assert nearest_basic_terms(rgb) == ANCHOR_TERMS
-        assert [nearest_basic_term(c) for c in _colors(rgb)] == ANCHOR_TERMS
+        assert [nearest_basic_terms(np.array([c]))[0] for c in _colors(rgb)] == ANCHOR_TERMS
 
     def test_greys_and_cube_corners(self):
         greys = np.repeat(np.linspace(0.0, 1.0, 257)[:, None], 3, axis=1)
@@ -451,7 +464,7 @@ class TestBatchedTerms:
         rgb = np.concatenate([greys, corners])
         want = [per_color_term(c) for c in _colors(rgb)]
         assert nearest_basic_terms(rgb) == want
-        assert [nearest_basic_term(c) for c in _colors(rgb)] == want
+        assert [nearest_basic_terms(np.array([c]))[0] for c in _colors(rgb)] == want
 
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 513])
     def test_block_edges(self, n):
@@ -459,7 +472,7 @@ class TestBatchedTerms:
         want = [per_color_term(c) for c in _colors(rgb)]
         assert nearest_basic_terms(rgb) == want
         assert nearest_basic_terms(rgb[::-1]) == want[::-1]
-        assert [nearest_basic_term(c) for c in _colors(rgb[:20])] == want[:20]
+        assert [nearest_basic_terms(np.array([c]))[0] for c in _colors(rgb[:20])] == want[:20]
 
     def test_each_color_converts_alone(self, monkeypatch):
         # a last-bit change in Lab seldom flips a term, so pin the Lab rows

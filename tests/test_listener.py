@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import INFERENCE_ATOL
-from pragref.colorspace import Color, fourier_features
+from pragref.colorspace import Color, fourier_features_array, hsv_to_rgb_arrays
 from pragref.corpus import build_vocab, synth_corpus, preprocess
 from pragref.errors import EmptyUtterance, MissingCheckpoint
 from pragref.listener import (
@@ -38,7 +39,7 @@ class TestL0Score:
     def test_mu_at_color_wins(self):
         model = tiny_model()
         colors = (Color(0.9, 0.1, 0.1), Color(0.1, 0.2, 0.8), Color(0.2, 0.9, 0.3))
-        rig_constant_output(model, fourier_features(colors[2]), np.eye(54) * 3.0)
+        rig_constant_output(model, fourier_features_array(colors[2]), np.eye(54) * 3.0)
         probs = l0_score(model, ["blue"], colors)
         assert probs.argmax() == 2
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
@@ -296,6 +297,19 @@ class TestTrainL0:
 
 
 class TestDensityGrid:
+    def test_memory_stays_near_one_hue_row(self):
+        # at the default 90 x 50 x 50 lattice the features of every point
+        # would take 97 MB at once; one hue row's take about 1 MB
+        model = tiny_model(seed=2)
+        tracemalloc.start()
+        try:
+            grid = density_grid(model, ["blue"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.shape == (90, 50)
+        assert peak < 32 * 2 ** 20
+
     def test_uniform_scorer_all_zero(self):
         model = tiny_model()
         rig_constant_output(model, np.zeros(54), np.zeros((54, 54)))
@@ -306,7 +320,7 @@ class TestDensityGrid:
     def test_peak_near_green_hue(self):
         # interior green: channel values 0/1 alias under the periodic features
         model = tiny_model()
-        green = fourier_features(Color(0.1, 0.8, 0.2))
+        green = fourier_features_array(Color(0.1, 0.8, 0.2))
         rig_constant_output(model, green, np.eye(54) * 40.0)
         grid = density_grid(model, ["blue"], h_bins=36, s_bins=10, v_bins=10)
         hue_of_max = (np.unravel_index(grid.argmax(), grid.shape)[0] + 0.5) * 10.0
@@ -317,7 +331,6 @@ class TestDensityGrid:
         grid = density_grid(model, ["dark", "red"], h_bins=10, s_bins=7, v_bins=5)
 
         # independent direct 3-D summation over the same lattice
-        from pragref.colorspace import fourier_features_array, hsv_to_rgb_arrays
         h = (np.arange(10) + 0.5) * 36.0
         s = (np.arange(7) + 0.5) / 7
         v = (np.arange(5) + 0.5) / 5

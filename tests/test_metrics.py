@@ -1,13 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from pragref.colorspace import Color, Condition
+from pragref import metrics
+from pragref.colorspace import Color, Condition, classify_conditions
 from pragref.corpus import ContextTrial, build_vocab, preprocess, synth_corpus
 from pragref.listener import ListenerModel, l0_score
 from pragref.metrics import (
     BaseSpeakerSampler,
     PragmaticSpeakerSampler,
     behavior_metrics,
+    behavior_metrics_for_trials,
     compare_speakers,
     condition_mix_contexts,
     evaluate_probs,
@@ -99,6 +103,72 @@ class TestHumanAccuracy:
         assert report.per_condition["far"] == pytest.approx(0.97, abs=0.03)
         assert report.per_condition["split"] == pytest.approx(0.90, abs=0.04)
         assert report.per_condition["close"] == pytest.approx(0.83, abs=0.04)
+
+
+class TestUnstoredConditions:
+    """Trials with no stored condition take the label classify_conditions gives."""
+
+    ROTATE = {Condition.FAR: Condition.SPLIT, Condition.SPLIT: Condition.CLOSE,
+              Condition.CLOSE: Condition.FAR}
+
+    def _mixed(self):
+        # every third trial keeps a stored label, rotated so that it differs
+        # from the computed one; the rest store none, and every fifth has no click
+        trials = make_trials(90, seed=8)
+        computed = classify_conditions(np.array([t.colors for t in trials]))
+        mixed, want = [], []
+        for i, (t, label) in enumerate(zip(trials, computed)):
+            stored = self.ROTATE[label] if i % 3 == 0 else None
+            mixed.append(dataclasses.replace(
+                t, condition=stored, clicked_index=None if i % 5 == 0 else t.clicked_index))
+            want.append(stored or label)
+        assert len(set(want)) == 3
+        return mixed, want
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(metrics, "classify_conditions",
+                            lambda colors: calls.append(len(colors)) or
+                            classify_conditions(colors))
+        return calls
+
+    def test_evaluate_probs(self, calls):
+        trials, want = self._mixed()
+        probs = np.random.default_rng(3).dirichlet(np.ones(3), size=len(trials))
+        report = evaluate_probs(probs, trials)
+        assert calls == [60]
+        targets = np.array([t.target_index for t in trials])
+        labels = np.array([c.value for c in want])
+        for cond in ("far", "split", "close"):
+            mask = labels == cond
+            stats = report.per_condition[cond]
+            assert stats.n == mask.sum()
+            assert stats.accuracy == np.mean(probs[mask].argmax(axis=1) == targets[mask])
+
+    def test_human_accuracy(self, calls):
+        trials, want = self._mixed()
+        report = human_accuracy(trials)
+        assert calls == [48]  # the unlabelled trials with a click
+        assert report.n_missing_click == 18
+        for cond in Condition:
+            hits = [t.clicked_index == t.target_index for t, c in zip(trials, want)
+                    if c is cond and t.clicked_index is not None]
+            assert report.per_condition[cond.value] == sum(hits) / len(hits)
+
+    def test_behavior_metrics_for_trials(self, calls):
+        trials, want = self._mixed()
+        report = behavior_metrics_for_trials(trials)
+        assert calls == [60]
+        assert report == behavior_metrics([(t.combined_text(), c)
+                                           for t, c in zip(trials, want)])
+
+    def test_stored_labels_need_no_call(self, calls):
+        trials = make_trials(30, seed=9)
+        evaluate_probs(np.full((30, 3), 1 / 3), trials)
+        human_accuracy(trials)
+        behavior_metrics_for_trials(trials)
+        assert calls == []
 
 
 class TestUtteranceFlags:

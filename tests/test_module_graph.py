@@ -2,6 +2,9 @@
 
 An import inside a function hides a cycle; a `from .x import _name` couples a
 module to another's internals. Both are rejected here, and so is a cycle.
+
+Colors reach numpy only as tuples: no module reads a color's channels by
+name (`.r`, `.g`, `.b`) or converts it with `.as_array()`.
 """
 
 import ast
@@ -24,6 +27,17 @@ def _violations(source: str) -> list[str]:
             out += [f"line {node.lineno}: private name {a.name} from {node.module}"
                     for a in node.names if a.name.startswith("_")]
     return sorted(out)
+
+
+COLOR_ATTRIBUTES = {"r", "g", "b", "as_array"}
+
+
+def _color_reads(source: str) -> list[str]:
+    """Each read of a color attribute in a source, in source order."""
+    reads = sorted((node.lineno, node.col_offset, node.attr)
+                   for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute) and node.attr in COLOR_ATTRIBUTES)
+    return [f"line {line}: .{attr}" for line, _, attr in reads]
 
 
 def _package_imports(source: str) -> set[str]:
@@ -55,3 +69,16 @@ def test_checker_catches_each_kind():
     assert _violations(source) == ["line 2: private name _scores from metrics",
                                    "line 4: import inside f()", "line 5: import inside f()"]
     assert _package_imports(source) == {"a", "metrics", "rsa"}
+
+
+def test_colors_read_as_tuples():
+    found = {p.name: v for p in SOURCES if (v := _color_reads(p.read_text(encoding="utf-8")))}
+    assert found == {}
+
+
+def test_color_checker_catches_each_attribute():
+    source = ("rgb = [(c.r, c.g, c.b) for c in colors]\n"
+              "row = color.as_array()\n"
+              "rows = np.asarray(colors)\n")
+    assert _color_reads(source) == ["line 1: .r", "line 1: .g", "line 1: .b",
+                                    "line 2: .as_array"]

@@ -145,9 +145,8 @@ def live_row_sample_batch(model, feats, rng, temperature=1.0, rows=None):
 class TestEncodeContext:
     def test_target_fed_last(self):
         feats = reorder_target_last(COLORS, 0)
-        from pragref.colorspace import fourier_features
-        assert np.allclose(feats[2], fourier_features(COLORS[0]))
-        assert np.allclose(feats[0], fourier_features(COLORS[1]))
+        assert np.allclose(feats[2], fourier_features_array(COLORS[0]))
+        assert np.allclose(feats[0], fourier_features_array(COLORS[1]))
 
     def test_zero_weight_encoder_gives_zero(self):
         model = tiny_model()
@@ -178,7 +177,7 @@ class TestEncodeContext:
 
 
 class TestTargetLastFeatures:
-    RGB = np.array([[c.r, c.g, c.b] for c in COLORS])
+    RGB = np.array(COLORS)
 
     @pytest.mark.parametrize("target", [0, 1, 2])
     def test_matches_per_context(self, target):
