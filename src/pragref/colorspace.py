@@ -38,7 +38,8 @@ class Color(namedtuple("Color", "r g b")):
     """A referent: the tuple (r, g, b) of normalized RGB channels, each in [0, 1].
 
     numpy reads it as a (3,) row, and a triple of colors as a (3, 3) context.
-    The constructor rejects a channel outside [0, 1] or NaN, naming it.
+    The constructor rejects a channel outside [0, 1] or NaN, naming it, and
+    so do `_make` and `_replace`, which go through it.
     """
 
     __slots__ = ()
@@ -48,6 +49,10 @@ class Color(namedtuple("Color", "r g b")):
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"channel {name}={v!r} outside [0, 1]")
         return super().__new__(cls, r, g, b)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 class Condition(enum.Enum):

@@ -201,6 +201,13 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _channel(value) -> float:
+    """A JSON color channel as a float; a bool, a string or null is a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"channel {value!r} is not a number")
+    return float(value)
+
+
 def _parse_row(obj: dict, line_no: int) -> ContextTrial:
     for key in _REQUIRED_FIELDS:
         if key not in obj:
@@ -210,8 +217,10 @@ def _parse_row(obj: dict, line_no: int) -> ContextTrial:
         raise ParseError(f"expected 3 colors, got {len(colors) if isinstance(colors, list) else colors!r}",
                          line_no)
     try:
-        triple = tuple(Color(*[float(ch) for ch in c]) for c in colors)
-    except (TypeError, ValueError) as e:
+        # a JSON float needs no cast; every other channel goes through _channel
+        triple = tuple(Color(*[ch if type(ch) is float else _channel(ch) for ch in c])
+                       for c in colors)
+    except (TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"bad color value: {e}", line_no)
     target = obj["target_index"]
     if not _is_int(target) or target not in (0, 1, 2):

@@ -30,8 +30,8 @@ from .colorspace import (
 from .corpus import ContextTrial, preprocess
 from .errors import require_count
 from .listener import accuracy_perplexity, l0_probs_many
-from .rsa import S1_ALPHA, listener_ids_for, sample_alternatives
-from .speaker import contexts_target_last_features, s0_sample_utterances
+from .rsa import S1_ALPHA, listener_ids_for
+from .speaker import s0_sample_utterances, target_last_features
 
 HEURISTICS_NOTE = ("comparatives/superlatives via suffix heuristics; "
                    "specificity via bundled color-term depth table")
@@ -233,6 +233,11 @@ def behavior_metrics_for_trials(trials: list[ContextTrial]) -> BehaviorReport:
 Context = tuple[tuple[Color, Color, Color], int, Condition]
 
 
+def _speaker_features(contexts: list[Context]) -> np.ndarray:
+    """The speaker's target-last feature rows (N, 3, F) of the contexts."""
+    return target_last_features([c for c, _, _ in contexts], [t for _, t, _ in contexts])
+
+
 class BaseSpeakerSampler:
     """Samples descriptions straight from the base speaker."""
 
@@ -243,9 +248,8 @@ class BaseSpeakerSampler:
 
     def sample_texts(self, contexts: list[Context],
                      rng: np.random.Generator) -> list[str]:
-        feats = contexts_target_last_features((c, t) for c, t, _ in contexts)
-        return [" ".join(tokens)
-                for tokens in s0_sample_utterances(self.model, feats, rng)]
+        types, row_types = s0_sample_utterances(self.model, _speaker_features(contexts), rng)
+        return [" ".join(types[t]) if t >= 0 else "" for t in row_types.tolist()]
 
 
 class PragmaticSpeakerSampler:
@@ -271,33 +275,27 @@ class PragmaticSpeakerSampler:
 
     def sample_texts(self, contexts: list[Context],
                      rng: np.random.Generator) -> list[str]:
-        feats = contexts_target_last_features((c, t) for c, t, _ in contexts)
-        types, row_types = sample_alternatives(self.s0_model, feats, self.pool_size, rng)
-        row_types = row_types.tolist()
-        pool = [[t for t in row_types[i:i + self.pool_size] if t >= 0]
-                for i in range(0, len(row_types), self.pool_size)]
+        types, row_types = s0_sample_utterances(self.s0_model, _speaker_features(contexts), rng,
+                                                self.pool_size)
+        pool = [r[r >= 0].tolist() for r in row_types.reshape(-1, self.pool_size)]
+        sizes = [len(cands) for cands in pool]
 
         # score every non-empty candidate against its own context
         type_ids = listener_ids_for(self.l0_model, types)
         flat_ids = [type_ids[t] for cands in pool for t in cands]
+        probs = np.zeros((0, 3))
         if flat_ids:
             feats = fourier_features_array([c for c, _, _ in contexts])
-            probs = l0_probs_many(self.l0_model, flat_ids,
-                                  np.repeat(feats, [len(c) for c in pool], axis=0))
-        else:
-            probs = np.zeros((0, 3))
+            probs = l0_probs_many(self.l0_model, flat_ids, np.repeat(feats, sizes, axis=0))
 
         texts: list[str] = []
-        cursor = 0
-        for cands, (_, target, _) in zip(pool, contexts):
-            k = len(cands)
-            scored = probs[cursor:cursor + k, target]
-            cursor += k
-            if k == 0:
+        for cands, scored, (_, target, _) in zip(pool, np.split(probs, np.cumsum(sizes)[:-1]),
+                                                 contexts):
+            if not cands:
                 texts.append("")
                 continue
-            weights = np.maximum(scored, 1e-300) ** self.alpha
-            pick = rng.choice(k, p=weights / weights.sum())
+            weights = np.maximum(scored[:, target], 1e-300) ** self.alpha
+            pick = rng.choice(len(cands), p=weights / weights.sum())
             texts.append(" ".join(types[cands[pick]]))
         return texts
 

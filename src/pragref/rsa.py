@@ -8,10 +8,11 @@ alternative multiset, and pragmatic listeners by inverting speakers through
 Bayes' rule; geometric blends mix the resulting distributions.
 
 One engine serves the sampled alternatives of L2 and of the pragmatic
-speaker sampler in `metrics`. `sample_alternatives` draws many rows per
+speaker sampler in `metrics`. `s0_sample_utterances` draws many rows per
 distinct context, encoding each context once per sampling batch; the S0
 decoder runs once per distinct (context, prefix) that live rows share, and
-the draws are deduped into utterance types. `listener_ids_for` converts each
+the draws are deduped into utterance types, with -1 marking a bare end
+token, which the listener cannot score. `listener_ids_for` converts each
 distinct token to listener ids once per call. `l0_probs_many` then runs the
 listener's LSTM once per distinct prefix of the types, in a prefix tree. For
 L2 every type is scored against the one context: the quadratic form is
@@ -53,9 +54,9 @@ from .errors import VacuousUtterance, require_count
 from .listener import ListenerModel, context_features, l0_probs_many
 from .speaker import (
     SpeakerModel,
-    contexts_target_last_features,
     s0_log_probs_batch,
     s0_sample_utterances,
+    target_last_features,
 )
 
 PROB_FLOOR = 1e-12
@@ -280,26 +281,9 @@ def _as_speaker_utterance(u) -> Utterance:
     return tokens[:-1] if tokens and tokens[-1] == EOS else tokens
 
 
-def sample_alternatives(s0_model: SpeakerModel, feats: np.ndarray, per_context: int,
-                         rng: np.random.Generator) -> tuple[list[Utterance], np.ndarray]:
-    """Sample per_context S0 utterances for each target-last context and dedupe.
-
-    feats holds distinct contexts (C, 3, F); each is encoded once per sampling
-    batch. Returns the distinct non-empty utterance types in order of first
-    draw, and the type index of each of the C * per_context rows
-    (context-major), -1 for a bare end token. The listener cannot score an
-    empty utterance, so callers drop those rows.
-    """
-    samples = s0_sample_utterances(s0_model, feats, rng, per_context)
-    index: dict[Utterance, int] = {}
-    row_types = np.array([index.setdefault(u, len(index)) if u else -1
-                          for u in samples], dtype=int)
-    return list(index), row_types
-
-
 def _target_last(colors: tuple[Color, Color, Color]) -> np.ndarray:
     """The speaker's feature rows (3, 3, F) of a context, one per target index."""
-    return contexts_target_last_features((colors, t) for t in range(3))
+    return target_last_features([colors] * 3, np.arange(3))
 
 
 def _s1_replicates(l0_model: ListenerModel, s0_model: SpeakerModel,
@@ -313,12 +297,10 @@ def _s1_replicates(l0_model: ListenerModel, s0_model: SpeakerModel,
     utterance, the S1 tables (n, types, 3) of the n replicate multisets (each
     with the observed utterance added once), and the observed type's index.
     """
-    types, row_types = sample_alternatives(s0_model, feats, cfg.n * cfg.m, rng)
-    if observed in types:
-        obs = types.index(observed)
-    else:
-        obs = len(types)
+    types, row_types = s0_sample_utterances(s0_model, feats, rng, cfg.n * cfg.m)
+    if observed not in types:
         types.append(observed)
+    obs = types.index(observed)
     probs = l0_probs_many(l0_model, listener_ids_for(l0_model, types),
                           context_features(colors))
     # rows are target-major, then replicate, then sample; count per replicate

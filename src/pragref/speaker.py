@@ -107,12 +107,15 @@ _TARGET_LAST_ORDER = np.array([[1, 2, 0], [0, 2, 1], [0, 1, 2]])
 def target_last_features(rgb: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Feature rows (N, 3, F) for [distractor, distractor, target] per context.
 
-    rgb holds each context's colors in stored order, (N, 3, 3); targets (N,)
-    the target index of each. The distractors go in lexicographic order of
-    their RGB triples, so the rows do not depend on the stored color order.
+    rgb (N, 3, 3) holds each context's colors in stored order and targets
+    (N,) the target index of each; lists of color triples and of ints work.
+    The distractors go in lexicographic order of their RGB triples, so the
+    rows do not depend on the stored color order.
     """
     rgb = np.asarray(rgb, dtype=np.float64)
     targets = np.asarray(targets)
+    if targets.size == 0:  # no contexts, as two empty lists give
+        rgb, targets = rgb.reshape(0, 3, 3), targets.astype(int)
     if rgb.ndim != 3 or rgb.shape[1:] != (3, 3):
         raise ValueError(f"expected (N, 3, 3) colors, got {rgb.shape}")
     if targets.shape != (rgb.shape[0],):
@@ -127,17 +130,10 @@ def target_last_features(rgb: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return fourier_features_array(rgb[n[:, None], order])
 
 
-def contexts_target_last_features(contexts) -> np.ndarray:
-    """target_last_features of (color triple, target index) pairs, (N, 3, F)."""
-    pairs = list(contexts)
-    rgb = np.array([colors for colors, _ in pairs], dtype=np.float64).reshape(-1, 3, 3)
-    return target_last_features(rgb, np.array([t for _, t in pairs], dtype=int))
-
-
 def reorder_target_last(colors: tuple[Color, Color, Color],
                         target_index: int) -> np.ndarray:
     """Feature rows for [distractor, distractor, target], as target_last_features."""
-    return contexts_target_last_features([(colors, target_index)])[0]
+    return target_last_features([colors], [target_index])[0]
 
 
 def _teacher_forced_losses(model: SpeakerModel, feats: np.ndarray,
@@ -182,14 +178,14 @@ def s0_log_probs_batch(model: SpeakerModel, id_seqs: list[list[int]],
 
 
 @no_grad()
-def s0_sample_batch(model: SpeakerModel, feats: np.ndarray,
-                    rng: np.random.Generator, temperature: float = 1.0,
+def s0_sample_batch(model: SpeakerModel, feats: np.ndarray, rng: np.random.Generator,
                     rows: np.ndarray | None = None) -> list[tuple[tuple[int, ...], float]]:
     """Ancestral sampling for (B, 3, F) contexts; returns (ids, log_prob) rows.
 
-    temperature scales the sampling distribution only; recorded log_prob is
-    always the model's own. temperature=0 decodes greedily. Rows that reach
-    MAX_DECODE_LEN get </s> forced, with its model log probability included.
+    Each row's ids end at its first </s>, and log_prob is the model's log
+    probability of them. The sampling distribution masks <s>, an input-only
+    symbol; log_prob does not. Rows that reach MAX_DECODE_LEN get </s>
+    forced, with its model log probability included.
 
     rows, when given, maps each output row to a context of feats: the encoder
     runs once per context of feats, (K, 3, F), and the batch has len(rows)
@@ -203,8 +199,7 @@ def s0_sample_batch(model: SpeakerModel, feats: np.ndarray,
     and each live row compares its own draw with its node's distribution, so
     the random stream is the same as decoding every row on its own until the
     last one ends. The rows that go on are regrouped by (node, chosen token)
-    into the next step's nodes. Once every node holds one row, the rows are
-    the nodes and no regrouping is done.
+    into the next step's nodes.
 
     The decoder input [context ; embedding] is never formed: the context's
     half of the input weights and the gate bias are applied once per
@@ -215,7 +210,7 @@ def s0_sample_batch(model: SpeakerModel, feats: np.ndarray,
     within 1e-12, and the ids are the same unless a draw falls within that
     rounding of a boundary of the cumulative distribution.
     """
-    eos = model.vocab.eos_id
+    eos, vocab_size = model.vocab.eos_id, len(model.vocab)
     rows = np.arange(len(feats)) if rows is None else np.asarray(rows)
     if rows.ndim != 1 or not (rows.size == 0 or np.issubdtype(rows.dtype, np.integer)):
         raise ValueError(f"rows must be a 1-D array of context indices, got shape "
@@ -226,15 +221,11 @@ def s0_sample_batch(model: SpeakerModel, feats: np.ndarray,
     batch = len(rows)
     if batch == 0:
         return []
-    # node of each live row; None while each row is its own node
-    nodes, node_of = np.unique(rows, return_inverse=True)
-    if len(nodes) == batch:
-        nodes, node_of = rows, None
+    nodes, node_of = np.unique(rows, return_inverse=True)  # node of each live row
     cell, split = model.decoder, model.hidden_dim
     ctx = (model.encode(feats).data @ cell.w_x.data[:split] + cell.bias.data)[nodes]
     words = model.embedding.data @ cell.w_x.data[split:]
-    h = np.zeros((len(ctx), model.hidden_dim))
-    c = np.zeros((len(ctx), model.hidden_dim))
+    h, c = np.zeros((2, len(ctx), model.hidden_dim))
     prev = np.full(len(ctx), model.vocab.bos_id)
     live = np.arange(batch)  # rows not yet ended
     ids = np.full((batch, MAX_DECODE_LEN), eos)
@@ -247,68 +238,55 @@ def s0_sample_batch(model: SpeakerModel, feats: np.ndarray,
         logits = h @ model.out_w.data + model.out_b.data
         z = logits - logits.max(axis=1, keepdims=True)
         logp = log_softmax(z)  # z's maximum is 0, so its shift leaves z as it is
-        # recorded log_prob uses the model's own distribution; the sampling
-        # distribution additionally masks <s>, which is an input-only symbol
-        z_sample = z.copy()
-        z_sample[:, model.vocab.bos_id] = -np.inf
-        row_nodes = np.arange(len(live)) if node_of is None else node_of
         if step == MAX_DECODE_LEN - 1:
             chosen = np.full(len(live), eos)
-        elif temperature <= 0.0:
-            chosen = z_sample.argmax(axis=1)[row_nodes]
         else:
-            zt = z_sample / temperature
-            cum = np.exp(zt - zt.max(axis=1, keepdims=True))
+            z[:, model.vocab.bos_id] = -np.inf
+            cum = np.exp(z - z.max(axis=1, keepdims=True))
             cum /= cum.sum(axis=1, keepdims=True)
             cum = cum.cumsum(axis=1)
             u = rng.random((batch, 1))[live]
-            chosen = ((cum if node_of is None else cum[node_of]) < u).sum(axis=1)
-            chosen = np.minimum(chosen, cum.shape[1] - 1)
+            chosen = np.minimum((cum[node_of] < u).sum(axis=1), cum.shape[1] - 1)
         ids[live, step] = chosen  # each live row holds exactly `step` ids so far
-        log_probs[live] += logp[row_nodes, chosen]
+        log_probs[live] += logp[node_of, chosen]
         going = chosen != eos
         if not going.any():
             break
-        if node_of is None and going.all():
-            prev = chosen
-            continue
-        live, chosen, parent = live[going], chosen[going], row_nodes[going]
-        if node_of is not None:
-            keys, node_of = np.unique(parent * len(model.vocab) + chosen,
-                                      return_inverse=True)
-            if len(keys) < len(live):
-                parent, chosen = np.divmod(keys, len(model.vocab))
-            else:
-                node_of = None
-        ctx, h, c, prev = ctx[parent], h[parent], c[parent], chosen
-    # every row ends at its first </s>, chosen or forced at MAX_DECODE_LEN
+        live = live[going]
+        keys, node_of = np.unique(node_of[going] * vocab_size + chosen[going],
+                                  return_inverse=True)
+        parent, prev = np.divmod(keys, vocab_size)
+        ctx, h, c = ctx[parent], h[parent], c[parent]
     return [(tuple(row[:row.index(eos) + 1]), lp)
             for row, lp in zip(ids.tolist(), log_probs.tolist())]
 
 
-def s0_sample_utterances(model: SpeakerModel, feats: np.ndarray,
-                         rng: np.random.Generator,
-                         per_context: int = 1) -> list[tuple[str, ...]]:
-    """per_context descriptions of each (N, 3, F) context, context-major.
+def s0_sample_utterances(model: SpeakerModel, feats: np.ndarray, rng: np.random.Generator,
+                         per_context: int = 1) -> tuple[list[tuple[str, ...]], np.ndarray]:
+    """Sample per_context descriptions of each (N, 3, F) context and dedupe them.
 
-    The N * per_context rows are sampled SAMPLE_BATCH at a time; each batch
-    encodes its contexts once. Rows are speaker-mode tokens without </s>, so
-    a bare </s> gives (); each distinct id sequence is decoded once.
+    The N * per_context rows are context-major and sampled SAMPLE_BATCH at a
+    time; each batch encodes its contexts once. Returns the distinct
+    non-empty descriptions (speaker-mode tokens without </s>) in order of
+    first draw, and each row's index into them, -1 for a bare </s>. Each
+    distinct id sequence is decoded once.
     """
     total = len(feats) * per_context
-    decoded: dict[tuple[int, ...], tuple[str, ...]] = {}
-    out = []
+    index: dict[tuple[int, ...], int] = {(model.vocab.eos_id,): -1}
+    types: list[tuple[str, ...]] = []
+    row_types = np.empty(total, dtype=int)
     for lo in range(0, total, SAMPLE_BATCH):
         hi = min(lo + SAMPLE_BATCH, total)
         first, last = lo // per_context, (hi - 1) // per_context
         batch = s0_sample_batch(model, feats[first:last + 1], rng,
                                 rows=np.arange(lo, hi) // per_context - first)
-        for ids, _ in batch:
-            tokens = decoded.get(ids)
-            if tokens is None:
-                tokens = decoded[ids] = tuple(model.vocab.decode(list(ids))[:-1])
-            out.append(tokens)
-    return out
+        for row, (ids, _) in enumerate(batch, lo):
+            t = index.get(ids)
+            if t is None:
+                t = index[ids] = len(types)
+                types.append(tuple(model.vocab.decode(list(ids))[:-1]))
+            row_types[row] = t
+    return types, row_types
 
 
 def trial_speaker_ids(model: SpeakerModel, trial: ContextTrial) -> list[int]:
@@ -319,7 +297,7 @@ def trial_speaker_ids(model: SpeakerModel, trial: ContextTrial) -> list[int]:
 def _speaker_inputs(model: SpeakerModel, trials: list[ContextTrial]):
     """Id rows ending in </s> and target-last features (N, 3, F) of a trial list."""
     return ([trial_speaker_ids(model, t) for t in trials],
-            contexts_target_last_features((t.colors, t.target_index) for t in trials))
+            target_last_features([t.colors for t in trials], [t.target_index for t in trials]))
 
 
 def _token_perplexity(model: SpeakerModel, id_seqs: list[list[int]],

@@ -98,6 +98,12 @@ class TestHsv:
         for name, channels in (("r", (1.2, 0, 0)), ("g", (0, -0.1, 0)), ("b", (0, 0, math.nan))):
             with pytest.raises(ValueError, match=f"channel {name}=.* outside"):
                 Color(*channels)
+        # namedtuple's own constructors go through the same check
+        with pytest.raises(ValueError, match="channel r=2 outside"):
+            Color._make([2, 0, 0])
+        with pytest.raises(ValueError, match="channel r=-5 outside"):
+            Color(0.1, 0.2, 0.3)._replace(r=-5)
+        assert Color(0.1, 0.2, 0.3)._replace(g=0.5) == Color._make([0.1, 0.5, 0.3])
 
     def test_numpy_reads_colors_as_rows(self):
         c = Color(0.1, 0.2, 0.3)

@@ -174,7 +174,11 @@ class TestLoadRaw:
     @pytest.mark.parametrize("color, reason", [([0.1, 1.3, 0.3], "channel g=1.3 outside"),
                                                ([0.1, 0.2, float("nan")], "channel b=nan"),
                                                ([0.1, 0.2], "missing"),
-                                               ([0.1, "red", 0.3], "red")])
+                                               ([0.1, "red", 0.3], "red"),
+                                               (["0.5", 0.2, 0.1], "'0.5' is not a number"),
+                                               ([0.5, True, 0.1], "True is not a number"),
+                                               ([0.5, None, 0.1], "None is not a number"),
+                                               ([0.5, 10 ** 400, 0.1], "too large")])
     def test_bad_color_rejected(self, tmp_path, color, reason):
         colors = [[0.4, 0.5, 0.6], color, [0.7, 0.8, 0.9]]
         path = self._write(tmp_path, [self._row(), self._row(), self._row(colors=colors)])

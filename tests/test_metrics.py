@@ -19,7 +19,7 @@ from pragref.metrics import (
     term_depth,
     utterance_flags,
 )
-from pragref.speaker import SpeakerModel, contexts_target_last_features, s0_sample_batch
+from pragref.speaker import SpeakerModel, s0_sample_batch, target_last_features
 
 COLORS = (Color(0.9, 0.1, 0.1), Color(0.1, 0.2, 0.8), Color(0.2, 0.9, 0.3))
 
@@ -300,8 +300,8 @@ def reference_samples(s0, feats, rng, batch):
 
 def reference_s1_texts(l0, s0, contexts, rng, alpha, pool_size, batch):
     """S1 texts with every pool row encoded and every candidate scored alone."""
-    feats = np.repeat(contexts_target_last_features((c, t) for c, t, _ in contexts),
-                      pool_size, axis=0)
+    feats = np.repeat(target_last_features([c for c, _, _ in contexts],
+                                           [t for _, t, _ in contexts]), pool_size, axis=0)
     samples = reference_samples(s0, feats, rng, batch)
     texts = []
     for i, (colors, target, _) in enumerate(contexts):
@@ -332,7 +332,7 @@ class TestSamplersMatchReference:
     def test_base_sampler(self, seed):
         _, s0 = self._models()
         contexts = condition_mix_contexts(9, np.random.default_rng(seed))
-        feats = contexts_target_last_features((c, t) for c, t, _ in contexts)
+        feats = target_last_features([c for c, _, _ in contexts], [t for _, t, _ in contexts])
         want = [" ".join(u) for u in reference_samples(s0, feats, np.random.default_rng(seed),
                                                        10)]
         assert BaseSpeakerSampler(s0).sample_texts(contexts, np.random.default_rng(seed)) == want

@@ -43,8 +43,8 @@ def demo_lexicon():
 
 def stub_alternatives(monkeypatch, types, row_types):
     """Make every alternative draw return these types and row type indices."""
-    monkeypatch.setattr("pragref.rsa.sample_alternatives",
-                        lambda model, feats, per_context, rng:
+    monkeypatch.setattr("pragref.rsa.s0_sample_utterances",
+                        lambda model, feats, rng, per_context:
                         (list(types), np.array(row_types, dtype=int)))
 
 
@@ -235,9 +235,9 @@ class TestNeuralL2:
         l0, s0 = models(seed=13)
         calls = []
 
-        def recording(model, feats, rng, temperature=1.0, rows=None):
+        def recording(model, feats, rng, rows=None):
             calls.append((feats.shape, None if rows is None else rows.tolist()))
-            return s0_sample_batch(model, feats, rng, temperature, rows)
+            return s0_sample_batch(model, feats, rng, rows)
 
         monkeypatch.setattr("pragref.speaker.s0_sample_batch", recording)
         cfg = PragmaticsConfig(m=3, n=4)

@@ -34,14 +34,21 @@ def tiny_model(seed=0):
     return SpeakerModel.create(vocab, np.random.default_rng(seed), embed_dim=8, hidden_dim=6)
 
 
-def sample_one(model, target, rng, temperature=1.0):
+def sample_one(model, target, rng):
     """One sampled description of COLORS[target]: (speaker tokens, log prob)."""
-    ids, lp = s0_sample_batch(model, reorder_target_last(COLORS, target)[None], rng,
-                              temperature)[0]
+    ids, lp = s0_sample_batch(model, reorder_target_last(COLORS, target)[None], rng)[0]
     return model.vocab.decode(list(ids)), lp
 
 
-def graph_sample_batch(model, feats, rng, temperature):
+def scaled_model(seed, scale):
+    """tiny_model with its logits multiplied by scale: 0.0 gives a uniform speaker."""
+    model = tiny_model(seed)
+    model.out_w.data *= scale
+    model.out_b.data *= scale
+    return model
+
+
+def graph_sample_batch(model, feats, rng):
     """s0_sample_batch with the autograd graph built and per-row bookkeeping."""
     batch = feats.shape[0]
     ctx = model.encode(feats)
@@ -61,11 +68,8 @@ def graph_sample_batch(model, feats, rng, temperature):
         z_sample[:, model.vocab.bos_id] = -np.inf
         if step == MAX_DECODE_LEN - 1:
             chosen = np.full(batch, eos)
-        elif temperature <= 0.0:
-            chosen = z_sample.argmax(axis=1)
         else:
-            zt = z_sample / temperature
-            pt = np.exp(zt - zt.max(axis=1, keepdims=True))
+            pt = np.exp(z_sample - z_sample.max(axis=1, keepdims=True))
             pt /= pt.sum(axis=1, keepdims=True)
             u = rng.random((batch, 1))
             chosen = np.minimum((pt.cumsum(axis=1) < u).sum(axis=1), pt.shape[1] - 1)
@@ -100,7 +104,7 @@ def decoder_calls(monkeypatch):
     return calls
 
 
-def live_row_sample_batch(model, feats, rng, temperature=1.0, rows=None):
+def live_row_sample_batch(model, feats, rng, rows=None):
     """s0_sample_batch that decodes every live row as its own decoder row."""
     eos = model.vocab.eos_id
     ctx = model.encode(feats)
@@ -121,11 +125,8 @@ def live_row_sample_batch(model, feats, rng, temperature=1.0, rows=None):
         z_sample[:, model.vocab.bos_id] = -np.inf
         if step == MAX_DECODE_LEN - 1:
             chosen = np.full(len(live), eos)
-        elif temperature <= 0.0:
-            chosen = z_sample.argmax(axis=1)
         else:
-            zt = z_sample / temperature
-            pt = np.exp(zt - zt.max(axis=1, keepdims=True))
+            pt = np.exp(z_sample - z_sample.max(axis=1, keepdims=True))
             pt /= pt.sum(axis=1, keepdims=True)
             u = rng.random((batch, 1))[live]
             chosen = np.minimum((pt.cumsum(axis=1) < u).sum(axis=1), pt.shape[1] - 1)
@@ -283,12 +284,6 @@ class TestLogProb:
 
 
 class TestSampling:
-    def test_greedy_deterministic(self):
-        model = tiny_model(seed=4)
-        a, _ = sample_one(model, 0, np.random.default_rng(0), temperature=0.0)
-        b, _ = sample_one(model, 0, np.random.default_rng(99), temperature=0.0)
-        assert a == b
-
     def test_sample_log_prob_consistent(self):
         model = tiny_model(seed=5)
         rng = np.random.default_rng(8)
@@ -299,12 +294,12 @@ class TestSampling:
             recomputed = s0_log_prob(model, tokens, COLORS, 2)
             assert recomputed == pytest.approx(log_prob, abs=1e-9)
 
-    @pytest.mark.parametrize("temperature", [1.0, 0.0])
-    def test_forward_only_matches_graph_forward(self, temperature):
-        model = tiny_model(seed=9)
+    @pytest.mark.parametrize("scale", [1.0, 0.0])
+    def test_forward_only_matches_graph_forward(self, scale):
+        model = scaled_model(9, scale)
         feats = np.random.default_rng(2).standard_normal((50, 3, 54))
-        got = s0_sample_batch(model, feats, np.random.default_rng(3), temperature)
-        want = graph_sample_batch(model, feats, np.random.default_rng(3), temperature)
+        got = s0_sample_batch(model, feats, np.random.default_rng(3))
+        want = graph_sample_batch(model, feats, np.random.default_rng(3))
         assert_rows_match(got, want)
         assert all(type(i) is int for ids, _ in got for i in ids)
         assert all(type(lp) is float for _, lp in got)
@@ -315,14 +310,14 @@ class TestSampling:
         feats = np.random.default_rng(4).standard_normal((30, 3, 54))
         got = s0_sample_batch(model, feats, np.random.default_rng(5))
         assert any(len(ids) == MAX_DECODE_LEN for ids, _ in got)
-        assert_rows_match(got, graph_sample_batch(model, feats, np.random.default_rng(5), 1.0))
+        assert_rows_match(got, graph_sample_batch(model, feats, np.random.default_rng(5)))
 
-    @pytest.mark.parametrize("temperature", [1.0, 0.0])
-    def test_decodes_only_live_rows(self, monkeypatch, temperature):
-        model = tiny_model(seed=9)
+    @pytest.mark.parametrize("scale", [1.0, 0.0])
+    def test_decodes_only_live_rows(self, monkeypatch, scale):
+        model = scaled_model(9, scale)
         feats = np.random.default_rng(2).standard_normal((50, 3, 54))
         calls = decoder_calls(monkeypatch)
-        rows = s0_sample_batch(model, feats, np.random.default_rng(3), temperature)
+        rows = s0_sample_batch(model, feats, np.random.default_rng(3))
         assert sum(map(len, calls)) == sum(len(ids) for ids, _ in rows)
 
     def test_truncated_rows_decode_only_live_rows(self, monkeypatch):
@@ -335,14 +330,14 @@ class TestSampling:
         assert MAX_DECODE_LEN in lengths and min(lengths) < MAX_DECODE_LEN
         assert sum(map(len, calls)) == sum(lengths)
 
-    @pytest.mark.parametrize("temperature", [1.0, 0.5, 0.0])
-    def test_row_map_matches_gathered_features(self, temperature):
-        model = tiny_model(seed=9)
+    @pytest.mark.parametrize("scale", [1.0, 0.5, 0.0])
+    def test_row_map_matches_gathered_features(self, scale):
+        model = scaled_model(9, scale)
         rng = np.random.default_rng(7)
         feats = rng.standard_normal((4, 3, 54))
         rows = rng.integers(0, 4, 50)
-        got = s0_sample_batch(model, feats, np.random.default_rng(3), temperature, rows=rows)
-        want = s0_sample_batch(model, feats[rows], np.random.default_rng(3), temperature)
+        got = s0_sample_batch(model, feats, np.random.default_rng(3), rows=rows)
+        want = s0_sample_batch(model, feats[rows], np.random.default_rng(3))
         assert_rows_match(got, want)
 
     def test_row_map_encodes_each_context_once(self):
@@ -360,18 +355,6 @@ class TestSampling:
                                rows=np.repeat(np.arange(3), 16))
         assert encoded == [3] and len(rows) == 48
 
-    def test_merged_targets_equal_separate_calls_greedy(self):
-        # at temperature 0 the draws are unused, so one batch over the three
-        # targets must decode exactly what three batches of their own do
-        model = tiny_model(seed=10)
-        feats = np.stack([reorder_target_last(COLORS, t) for t in range(3)])
-        merged = s0_sample_batch(model, feats, np.random.default_rng(0), 0.0,
-                                 rows=np.repeat(np.arange(3), 5))
-        separate = [row for t in range(3)
-                    for row in s0_sample_batch(model, np.repeat(feats[t:t + 1], 5, axis=0),
-                                               np.random.default_rng(0), 0.0)]
-        assert_rows_match(merged, separate)
-
     def test_utterances_per_context_match_repeated_contexts(self, monkeypatch):
         # 6-row batches cut through some 4-row pools and end with others
         monkeypatch.setattr("pragref.speaker.SAMPLE_BATCH", 6)
@@ -388,9 +371,32 @@ class TestSampling:
 
         model.encode = counting
         got = s0_sample_utterances(model, feats, np.random.default_rng(4), per_context=4)
-        assert len(got) == 20 and got == want
+        assert len(got[1]) == 20 and got[0] == want[0] and np.array_equal(got[1], want[1])
         # rows 0-5, 6-11, 12-17 and 18-19 span contexts 0-1, 1-2, 3-4 and 4
         assert encoded == [2, 2, 2, 1]
+
+    def test_utterances_are_deduped_types_in_first_draw_order(self, monkeypatch):
+        model = tiny_model(seed=11)
+        model.out_b.data[model.vocab.eos_id] = 1.0  # some bare </s> rows
+        feats = np.random.default_rng(9).standard_normal((6, 3, 54))
+        rows = s0_sample_batch(model, feats, np.random.default_rng(4),
+                               rows=np.repeat(np.arange(6), 5))
+        decode_calls = []
+        decode = model.vocab.decode
+
+        def counting(ids):
+            decode_calls.append(tuple(ids))
+            return decode(ids)
+
+        monkeypatch.setattr(model.vocab, "decode", counting)
+        types, row_types = s0_sample_utterances(model, feats, np.random.default_rng(4),
+                                                per_context=5)
+        samples = [tuple(decode(list(ids))[:-1]) for ids, _ in rows]
+        assert types == list(dict.fromkeys(u for u in samples if u))
+        assert row_types.tolist() == [types.index(u) if u else -1 for u in samples]
+        assert () in samples and len(types) < len([u for u in samples if u])
+        # one decode per distinct id sequence; a bare </s> needs none
+        assert sorted(decode_calls) == sorted({ids for ids, _ in rows} - {(model.vocab.eos_id,)})
 
     def test_truncation_forces_end_token(self):
         model = tiny_model(seed=6)
@@ -408,20 +414,16 @@ class TestSharedPrefixSampling:
 
     @given(n_contexts=st.integers(1, 4),
            picks=st.lists(st.integers(0, 3), min_size=1, max_size=40),
-           temperature=st.sampled_from([0.0, 0.5, 1.0]),
            truncate=st.booleans(), seed=st.integers(0, 2 ** 16))
     @settings(max_examples=60, deadline=None)
-    def test_row_maps_match_live_row_reference(self, n_contexts, picks, temperature,
-                                               truncate, seed):
+    def test_row_maps_match_live_row_reference(self, n_contexts, picks, truncate, seed):
         model = tiny_model(seed=seed % 7)
         if truncate:
             model.out_b.data[model.vocab.eos_id] = -3.0
         feats = np.random.default_rng(seed).standard_normal((n_contexts, 3, 54))
         rows = np.array(picks) % n_contexts
-        got = s0_sample_batch(model, feats, np.random.default_rng(seed), temperature,
-                              rows=rows)
-        want = live_row_sample_batch(model, feats, np.random.default_rng(seed),
-                                     temperature, rows=rows)
+        got = s0_sample_batch(model, feats, np.random.default_rng(seed), rows=rows)
+        want = live_row_sample_batch(model, feats, np.random.default_rng(seed), rows=rows)
         assert_rows_match(got, want)
 
     def test_truncated_rows_with_repeats_match_reference(self):
@@ -435,16 +437,16 @@ class TestSharedPrefixSampling:
         assert_rows_match(got, live_row_sample_batch(model, feats, np.random.default_rng(5),
                                                      rows=rows))
 
-    @pytest.mark.parametrize("temperature", [1.0, 0.5, 0.0])
+    @pytest.mark.parametrize("scale", [1.0, 0.5, 0.0])
     @pytest.mark.parametrize("truncate", [False, True])
-    def test_decoder_runs_once_per_context_prefix(self, monkeypatch, temperature, truncate):
-        model = tiny_model(seed=9)
+    def test_decoder_runs_once_per_context_prefix(self, monkeypatch, scale, truncate):
+        model = scaled_model(9, scale)
         if truncate:
             model.out_b.data[model.vocab.eos_id] = -3.0
         feats = np.random.default_rng(7).standard_normal((4, 3, 54))
         rows = np.random.default_rng(8).integers(0, 4, 80)
         calls = decoder_calls(monkeypatch)
-        out = s0_sample_batch(model, feats, np.random.default_rng(3), temperature, rows=rows)
+        out = s0_sample_batch(model, feats, np.random.default_rng(3), rows=rows)
         assert all(len(np.unique(inputs, axis=0)) == len(inputs) for inputs in calls)
         states = {(int(r), ids[:j]) for r, (ids, _) in zip(rows, out)
                   for j in range(len(ids))}
@@ -456,10 +458,10 @@ class TestSharedPrefixSampling:
         feats = np.random.default_rng(7).standard_normal((1, 3, 54))
         calls = decoder_calls(monkeypatch)
         rows = np.zeros(5, dtype=int)
-        got = s0_sample_batch(model, feats, np.random.default_rng(3), 0.0, rows=rows)
+        got = s0_sample_batch(model, feats, np.random.default_rng(3), rows=rows)
         assert len(calls[0]) == 1  # five rows share the one step-0 node
         assert_rows_match(got, live_row_sample_batch(model, feats, np.random.default_rng(3),
-                                                     0.0, rows=rows))
+                                                     rows=rows))
 
     @pytest.mark.parametrize("rows", [
         np.zeros((2, 2), dtype=int), [-1], [0, 3], [0.0, 1.0], [[0]]])
