@@ -248,7 +248,10 @@ def accuracy_perplexity(probs: np.ndarray, targets: np.ndarray) -> tuple[float, 
     """(accuracy, perplexity) of distributions (N, 3) for target indices (N,).
 
     Argmax ties go to the lowest index; target probabilities floor at 1e-300.
+    Raises ValueError unless probs has shape (len(targets), 3).
     """
+    if probs.shape != (len(targets), 3):
+        raise ValueError(f"expected probs of shape ({len(targets)}, 3), got {probs.shape}")
     acc = float((probs.argmax(axis=1) == targets).mean())
     p_t = np.maximum(probs[np.arange(len(targets)), targets], 1e-300)
     return acc, float(np.exp(-np.log(p_t).mean()))

@@ -28,7 +28,6 @@ from .colorspace import (
     sample_contexts,
 )
 from .corpus import ContextTrial, preprocess
-from .errors import require_count
 from .listener import accuracy_perplexity, l0_probs_many
 from .rsa import S1_ALPHA, listener_ids_for
 from .speaker import s0_sample_utterances, target_last_features
@@ -37,6 +36,7 @@ HEURISTICS_NOTE = ("comparatives/superlatives via suffix heuristics; "
                    "specificity via bundled color-term depth table")
 
 _SPECIFICITY_THRESHOLD = 7
+S1_POOL_SIZE = 24  # base-speaker candidates per context in the S1 sampler
 
 
 # -- listener evaluation -------------------------------------------------------
@@ -255,29 +255,23 @@ class BaseSpeakerSampler:
 class PragmaticSpeakerSampler:
     """Samples an S0 candidate pool and reweights it by listener informativity.
 
-    For each context, pool_size samples are drawn from the base speaker for
+    For each context, S1_POOL_SIZE samples are drawn from the base speaker for
     the actual target; candidate i is then chosen with probability
-    proportional to L0(target | candidate_i)^alpha. alpha=0 collapses to base
-    speaker sampling. A context whose whole pool is bare end tokens gets "".
+    proportional to L0(target | candidate_i)^S1_ALPHA. A context whose whole
+    pool is bare end tokens gets "".
     """
 
     name = "s1"
 
-    def __init__(self, l0_model, s0_model, alpha: float = S1_ALPHA,
-                 pool_size: int = 24):
-        require_count("pool_size", pool_size)
-        if alpha < 0:
-            raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    def __init__(self, l0_model, s0_model):
         self.l0_model = l0_model
         self.s0_model = s0_model
-        self.alpha = alpha
-        self.pool_size = pool_size
 
     def sample_texts(self, contexts: list[Context],
                      rng: np.random.Generator) -> list[str]:
         types, row_types = s0_sample_utterances(self.s0_model, _speaker_features(contexts), rng,
-                                                self.pool_size)
-        pool = [r[r >= 0].tolist() for r in row_types.reshape(-1, self.pool_size)]
+                                                S1_POOL_SIZE)
+        pool = [r[r >= 0].tolist() for r in row_types.reshape(-1, S1_POOL_SIZE)]
         sizes = [len(cands) for cands in pool]
 
         # score every non-empty candidate against its own context
@@ -294,7 +288,7 @@ class PragmaticSpeakerSampler:
             if not cands:
                 texts.append("")
                 continue
-            weights = np.maximum(scored[:, target], 1e-300) ** self.alpha
+            weights = np.maximum(scored[:, target], 1e-300) ** S1_ALPHA
             pick = rng.choice(len(cands), p=weights / weights.sum())
             texts.append(" ".join(types[cands[pick]]))
         return texts

@@ -7,8 +7,9 @@ pragmatic speaker from the base listener by normalizing over a sampled
 alternative multiset, and pragmatic listeners by inverting speakers through
 Bayes' rule; geometric blends mix the resulting distributions.
 
-One engine serves the sampled alternatives of L2 and of the pragmatic
-speaker sampler in `metrics`. `s0_sample_utterances` draws many rows per
+One engine serves the sampled alternatives of L2, built in one body by
+`compute_agents`, and of the pragmatic speaker sampler in `metrics`; both
+weigh L0 by S1_ALPHA. `s0_sample_utterances` draws many rows per
 distinct context, encoding each context once per sampling batch; the S0
 decoder runs once per distinct (context, prefix) that live rows share, and
 the draws are deduped into utterance types, with -1 marking a bare end
@@ -115,14 +116,10 @@ class Lexicon:
         return u if isinstance(u, int) else self.utterances.index(u)
 
     @classmethod
-    def from_json(cls, source) -> "Lexicon":
-        if hasattr(source, "read"):
-            obj = json.load(source)
-        elif isinstance(source, dict):
-            obj = source
-        else:
-            with open(source, encoding="utf-8") as fh:
-                obj = json.load(fh)
+    def from_json(cls, path) -> "Lexicon":
+        """The lexicon in a JSON file: utterances, truth, and optional costs, prior, referents."""
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
         return cls(utterances=list(obj["utterances"]),
                    truth=[list(map(int, row)) for row in obj["truth"]],
                    costs=[float(c) for c in obj.get("costs", [])],
@@ -220,20 +217,20 @@ def _invert_speaker(lex: Lexicon, u, speaker) -> list:
 
 @dataclass
 class PragmaticsConfig:
-    """All pragmatic-reasoning knobs in one place (tuned defaults)."""
+    """All pragmatic-reasoning knobs in one place; the blend weights must be finite."""
 
     m: int = 8                    # speaker samples per target index
     n: int = 8                    # alternative-set replicates to average
     beta_a: float = 0.492         # blend weight of L0 against L1
     beta_b: float = -0.15         # blend weight of L0 against L2
     gamma: float = 0.491          # final blend weight of La against Lb
-    alpha_neural: float = S1_ALPHA  # pragmatic-speaker exponent over samples
 
     def __post_init__(self):
         require_count("m", self.m)
         require_count("n", self.n)
-        if self.alpha_neural < 0:
-            raise ValueError(f"alpha_neural must be nonnegative, got {self.alpha_neural}")
+        for name in ("beta_a", "beta_b", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
 
 
 # -- neural pragmatic agents --------------------------------------------------------
@@ -281,76 +278,13 @@ def _as_speaker_utterance(u) -> Utterance:
     return tokens[:-1] if tokens and tokens[-1] == EOS else tokens
 
 
-def _target_last(colors: tuple[Color, Color, Color]) -> np.ndarray:
-    """The speaker's feature rows (3, 3, F) of a context, one per target index."""
-    return target_last_features([colors] * 3, np.arange(3))
-
-
-def _s1_replicates(l0_model: ListenerModel, s0_model: SpeakerModel,
-                   observed: Utterance, colors: tuple[Color, Color, Color],
-                   feats: np.ndarray, cfg: PragmaticsConfig, rng: np.random.Generator
-                   ) -> tuple[np.ndarray, np.ndarray, int]:
-    """The n replicate pragmatic speakers over sampled alternatives.
-
-    feats holds the context's target-last feature rows, _target_last(colors).
-    Returns the L0 table (types, 3) of every sampled type and the observed
-    utterance, the S1 tables (n, types, 3) of the n replicate multisets (each
-    with the observed utterance added once), and the observed type's index.
-    """
-    types, row_types = s0_sample_utterances(s0_model, feats, rng, cfg.n * cfg.m)
-    if observed not in types:
-        types.append(observed)
-    obs = types.index(observed)
-    probs = l0_probs_many(l0_model, listener_ids_for(l0_model, types),
-                          context_features(colors))
-    # rows are target-major, then replicate, then sample; count per replicate
-    rep_types = row_types.reshape(3, cfg.n, cfg.m).transpose(1, 0, 2).reshape(cfg.n, -1)
-    counts = np.zeros((cfg.n, len(types)))
-    reps, kept = np.nonzero(rep_types >= 0)
-    np.add.at(counts, (reps, rep_types[reps, kept]), 1.0)
-    counts[:, obs] += 1.0
-    return probs, s1_table_from_probs(probs, counts, cfg.alpha_neural), obs
-
-
-def _neural_l0_l2(l0_model: ListenerModel, s0_model: SpeakerModel, u,
-                  colors: tuple[Color, Color, Color], feats: np.ndarray,
-                  cfg: PragmaticsConfig, rng: np.random.Generator
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """(L0, L2) of one utterance; L0 is the observed row of the L0 table."""
-    probs, tables, obs = _s1_replicates(l0_model, s0_model, _as_speaker_utterance(u),
-                                        colors, feats, cfg, rng)
-    s1_rows = tables[:, obs]
-    return probs[obs], (s1_rows / s1_rows.sum(axis=1, keepdims=True)).mean(axis=0)
-
-
-def neural_l2(l0_model: ListenerModel, s0_model: SpeakerModel, u,
-              colors: tuple[Color, Color, Color], cfg: PragmaticsConfig,
-              rng: np.random.Generator) -> np.ndarray:
-    """Pragmatic listener over sampled alternative sets, averaged n times.
-
-    Per replicate: draw m speaker samples per target index, add the observed
-    utterance, form the pragmatic speaker over that multiset, and renormalize
-    its observed-utterance row across targets. The n replicate distributions
-    are averaged arithmetically.
-
-    The 3 * n * m samples are drawn together, SAMPLE_BATCH rows per sampling
-    call, from the three target-last contexts, each encoded once; the m rows
-    of target t, replicate r start at row (t * n + r) * m. Since the three
-    targets share one batch, the random stream, and so L2 for a given seed,
-    differs from drawing each target's rows in a batch of its own. Each
-    distinct utterance is scored by L0 once, and the n replicate S1 tables
-    are built together from an (n, types) count matrix.
-    """
-    return _neural_l0_l2(l0_model, s0_model, u, colors, _target_last(colors), cfg, rng)[1]
-
-
 def neural_l1(s0_model: SpeakerModel, u,
               colors: tuple[Color, Color, Color]) -> np.ndarray:
     """Speaker-based listener: score u under each candidate target, normalize.
 
     Identical context colors give the uniform distribution by symmetry.
     """
-    return _l1(s0_model, u, _target_last(colors))
+    return _l1(s0_model, u, target_last_features([colors] * 3, np.arange(3)))
 
 
 def _l1(s0_model: SpeakerModel, u, feats: np.ndarray) -> np.ndarray:
@@ -382,16 +316,41 @@ def compute_agents(l0_model: ListenerModel, s0_model: SpeakerModel, u,
                    rng: np.random.Generator) -> dict[str, np.ndarray]:
     """All six listener distributions for one trial, sharing intermediate work.
 
-    L2 samples the alternatives of all three targets in one batch and scores
-    each distinct utterance, the observed one included, in one L0 table (see
-    neural_l2). L0 is the observed utterance's row of that table: its
-    speaker-mode tokens, re-tokenized for the listener, are the listener-mode
-    tokens of the text. The target-last feature rows are built once, for
-    the alternatives' sampler and for L1.
+    L2 is the pragmatic listener over sampled alternative sets, averaged n
+    times. Per replicate: draw m speaker samples per target index, add the
+    observed utterance, form the pragmatic speaker over that multiset at
+    exponent S1_ALPHA, and renormalize its observed-utterance row across
+    targets. The n replicate distributions are averaged arithmetically.
+
+    The 3 * n * m samples are drawn together, SAMPLE_BATCH rows per sampling
+    call, from the three target-last contexts, each encoded once; the m rows
+    of target t, replicate r start at row (t * n + r) * m. Since the three
+    targets share one batch, the random stream, and so L2 for a given seed,
+    differs from drawing each target's rows in a batch of its own. Each
+    distinct utterance, the observed one included, is scored by L0 once, and
+    the n replicate S1 tables are built together from an (n, types) count
+    matrix. L0 is the observed row of that L0 table: its speaker-mode tokens,
+    re-tokenized for the listener, are the listener-mode tokens of the text.
+    L1 shares the target-last feature rows with the sampler.
     """
-    feats = _target_last(colors)
-    l0, l2 = _neural_l0_l2(l0_model, s0_model, u, colors, feats, cfg, rng)
+    feats = target_last_features([colors] * 3, np.arange(3))
+    observed = _as_speaker_utterance(u)
+    types, row_types = s0_sample_utterances(s0_model, feats, rng, cfg.n * cfg.m)
+    if observed not in types:
+        types.append(observed)
+    obs = types.index(observed)
+    probs = l0_probs_many(l0_model, listener_ids_for(l0_model, types),
+                          context_features(colors))
+    # rows are target-major, then replicate, then sample; count per replicate
+    rep_types = row_types.reshape(3, cfg.n, cfg.m).transpose(1, 0, 2).reshape(cfg.n, -1)
+    counts = np.zeros((cfg.n, len(types)))
+    reps, kept = np.nonzero(rep_types >= 0)
+    np.add.at(counts, (reps, rep_types[reps, kept]), 1.0)
+    counts[:, obs] += 1.0
+    s1_rows = s1_table_from_probs(probs, counts, S1_ALPHA)[:, obs]
+    l0 = probs[obs]
     l1 = _l1(s0_model, u, feats)
+    l2 = (s1_rows / s1_rows.sum(axis=1, keepdims=True)).mean(axis=0)
     la = blend(l0, l1, cfg.beta_a)
     lb = blend(l0, l2, cfg.beta_b)
     le = blend(la, lb, cfg.gamma)

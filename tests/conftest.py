@@ -7,7 +7,9 @@ its default profile.
 INFERENCE_ATOL is the absolute tolerance, on probabilities and log
 probabilities, within which an inference path (both branches of
 `l0_probs_many`, `s0_sample_batch`, `compute_agents`) must match its per-row
-reference. Training's gradient path is held to bit identity instead.
+reference: `l0_score` for L0, and for L2 `counter_l2` in `test_rsa`, which
+builds one Counter-based S1 table per replicate from the same alternatives.
+Training's gradient path is held to bit identity instead.
 """
 
 import os

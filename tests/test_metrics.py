@@ -52,6 +52,13 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate_probs(np.zeros((0, 3)), [])
 
+    @pytest.mark.parametrize("shape", [(6, 4), (1, 3), (6, 3, 1), (6,)])
+    def test_wrong_shape_raises(self, shape):
+        # a (6, 4) array used to score silently and a (1, 3) one to die with
+        # a bare IndexError
+        with pytest.raises(ValueError, match="expected probs of shape \\(6, 3\\)"):
+            evaluate_probs(np.full(shape, 0.25), make_trials(6))
+
     def test_ties_break_to_lowest_index(self):
         trial = ContextTrial("g", 1, COLORS, 1, ["blue"], Condition.FAR, 1)
         report = evaluate_probs(np.full((1, 3), 1 / 3), [trial])
@@ -255,16 +262,16 @@ class TestCompareSpeakers:
         s0 = SpeakerModel.create(vocab, rng, embed_dim=8, hidden_dim=6)
         return l0, s0
 
-    def test_alpha_zero_matches_base_in_expectation(self):
+    def test_alpha_zero_matches_base_in_expectation(self, monkeypatch):
         # alpha=0 makes the reweighting uniform over the pool, so S1 sampling
         # has exactly the S0 distribution; compare pooled means within
         # sampling error (untrained models produce high-variance lengths)
+        monkeypatch.setattr(metrics, "S1_ALPHA", 0.0)
+        monkeypatch.setattr(metrics, "S1_POOL_SIZE", 6)
         l0, s0 = self._models()
         contexts = condition_mix_contexts(150, np.random.default_rng(1))
-        reports = compare_speakers(
-            BaseSpeakerSampler(s0),
-            PragmaticSpeakerSampler(l0, s0, alpha=0.0, pool_size=6),
-            contexts, seed=4)
+        reports = compare_speakers(BaseSpeakerSampler(s0), PragmaticSpeakerSampler(l0, s0),
+                                   contexts, seed=4)
 
         def pooled(report, attr):
             stats = report.per_condition.values()
@@ -273,22 +280,15 @@ class TestCompareSpeakers:
         assert abs(pooled(reports["s0"], "words") - pooled(reports["s1"], "words")) < 0.8
         assert abs(pooled(reports["s0"], "chars") - pooled(reports["s1"], "chars")) < 5.0
 
-    def test_reports_cover_all_conditions(self):
+    def test_reports_cover_all_conditions(self, monkeypatch):
+        monkeypatch.setattr(metrics, "S1_POOL_SIZE", 4)
         l0, s0 = self._models(seed=2)
         contexts = condition_mix_contexts(5, np.random.default_rng(2))
-        reports = compare_speakers(BaseSpeakerSampler(s0),
-                                   PragmaticSpeakerSampler(l0, s0, pool_size=4),
+        reports = compare_speakers(BaseSpeakerSampler(s0), PragmaticSpeakerSampler(l0, s0),
                                    contexts, seed=0)
         assert set(reports) == {"s0", "s1"}
         for rep in reports.values():
             assert set(rep.per_condition) == {"far", "split", "close"}
-
-    @pytest.mark.parametrize("kwargs", [{"pool_size": 0}, {"pool_size": -3},
-                                        {"alpha": -0.5}, {"pool_size": 2.5}])
-    def test_bad_options_raise(self, kwargs):
-        l0, s0 = self._models()
-        with pytest.raises(ValueError):
-            PragmaticSpeakerSampler(l0, s0, **kwargs)
 
 
 def reference_samples(s0, feats, rng, batch):
@@ -337,11 +337,12 @@ class TestSamplersMatchReference:
                                                        10)]
         assert BaseSpeakerSampler(s0).sample_texts(contexts, np.random.default_rng(seed)) == want
 
-    @pytest.mark.parametrize("seed,alpha", [(0, 0.544), (1, 2.0), (2, 0.0)])
-    def test_pragmatic_sampler(self, seed, alpha):
+    @pytest.mark.parametrize("seed,alpha", [(0, 0.544), (1, 2.0), (2, 0.0), (0, 40.0)])
+    def test_pragmatic_sampler(self, monkeypatch, seed, alpha):
+        monkeypatch.setattr(metrics, "S1_ALPHA", alpha)
+        monkeypatch.setattr(metrics, "S1_POOL_SIZE", 4)
         l0, s0 = self._models()
         contexts = condition_mix_contexts(7, np.random.default_rng(seed))
-        got = PragmaticSpeakerSampler(l0, s0, alpha=alpha, pool_size=4).sample_texts(
-            contexts, np.random.default_rng(seed))
+        got = PragmaticSpeakerSampler(l0, s0).sample_texts(contexts, np.random.default_rng(seed))
         want = reference_s1_texts(l0, s0, contexts, np.random.default_rng(seed), alpha, 4, 10)
         assert got == want and any(got)

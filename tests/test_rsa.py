@@ -16,8 +16,7 @@ from pragref.listener import ListenerModel, l0_probs_many, l0_score
 from pragref.rsa import (
     Lexicon,
     PragmaticsConfig,
-    _s1_replicates,
-    _target_last,
+    S1_ALPHA,
     blend,
     compute_agents,
     exact_l0,
@@ -26,7 +25,6 @@ from pragref.rsa import (
     exact_s0,
     exact_s1,
     neural_l1,
-    neural_l2,
     s1_table_from_probs,
 )
 from pragref.speaker import SpeakerModel, s0_log_probs_batch, s0_sample_batch
@@ -120,13 +118,19 @@ class TestPragmaticsConfig:
         assert cfg.beta_a == pytest.approx(0.492)
         assert cfg.beta_b == pytest.approx(-0.15)
         assert cfg.gamma == pytest.approx(0.491)
-        assert cfg.alpha_neural == pytest.approx(0.544)
+        assert S1_ALPHA == pytest.approx(0.544)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             PragmaticsConfig(m=0)
-        with pytest.raises(ValueError):
-            PragmaticsConfig(alpha_neural=-0.1)
+
+    @pytest.mark.parametrize("kwargs", [{"beta_a": float("nan")}, {"beta_b": float("inf")},
+                                        {"gamma": float("-inf")},
+                                        {"gamma": float("nan"), "beta_b": float("inf")}])
+    def test_non_finite_blend_weights_raise(self, kwargs):
+        # a NaN or infinite weight would make lb and le rows of NaN
+        with pytest.raises(ValueError, match="must be finite"):
+            PragmaticsConfig(m=2, n=2, **kwargs)
 
     @pytest.mark.parametrize("kwargs", [{"m": 2.5}, {"n": 2.5}, {"m": 3.0}, {"n": True}])
     def test_non_integer_counts_raise(self, kwargs):
@@ -144,10 +148,12 @@ class TestNeuralS1:
         l0, s0 = models()
         cfg = PragmaticsConfig(m=2, n=3)
         stub_alternatives(monkeypatch, [], [-1] * (3 * cfg.n * cfg.m))
-        _, tables, obs = _s1_replicates(l0, s0, ("blue",), COLORS, _target_last(COLORS),
-                                        cfg, np.random.default_rng(0))
-        assert tables.shape == (3, 1, 3) and obs == 0
-        assert np.allclose(tables[:, obs], 1.0)
+        tables = s1_table_from_probs(np.array([[0.2, 0.5, 0.3]]), np.ones((cfg.n, 1)), S1_ALPHA)
+        assert tables.shape == (3, 1, 3)
+        assert np.allclose(tables[:, 0], 1.0)
+        # so S1 gives the observed utterance 1 for every target, and L2 is uniform
+        l2 = compute_agents(l0, s0, ("blue",), COLORS, cfg, np.random.default_rng(0))["l2"]
+        assert np.allclose(l2, 1 / 3, rtol=0, atol=INFERENCE_ATOL)
 
     def test_duplicate_doubles_mass(self):
         probs = np.array([[0.5, 0.2, 0.3], [0.4, 0.5, 0.6]])
@@ -172,11 +178,19 @@ class TestNeuralS1:
     def test_columns_normalize(self, monkeypatch):
         l0, s0 = models(seed=2)
         cfg = PragmaticsConfig(m=1, n=2)
-        stub_alternatives(monkeypatch, [("dark", "blue"), ("red",)], [0, 1, 0, -1, 0, 1])
-        _, tables, obs = _s1_replicates(l0, s0, ("blue",), COLORS, _target_last(COLORS),
-                                        cfg, np.random.default_rng(0))
-        assert tables.shape == (2, 3, 3) and obs == 2
+        types, row_types = [("dark", "blue"), ("red",)], [0, 1, 0, -1, 0, 1]
+        stub_alternatives(monkeypatch, types, row_types)
+        # replicate 0 draws dark blue for every target, replicate 1 red twice;
+        # each adds the observed blue once
+        counts = np.array([[3.0, 0.0, 1.0], [0.0, 2.0, 1.0]])
+        probs = np.stack([l0_score(l0, preprocess(" ".join(k), "listener"), COLORS)
+                          for k in types + [("blue",)]])
+        tables = s1_table_from_probs(probs, counts, S1_ALPHA)
+        assert tables.shape == (2, 3, 3)
         assert np.allclose(tables.sum(axis=1), 1.0, atol=1e-9)
+        l2 = compute_agents(l0, s0, ("blue",), COLORS, cfg, np.random.default_rng(0))["l2"]
+        assert np.allclose(l2, counter_l2(l0, ("blue",), COLORS, cfg, types, row_types),
+                           rtol=0, atol=INFERENCE_ATOL)
 
     def test_stacked_counts_match_one_table_each(self):
         rng = np.random.default_rng(1)
@@ -203,7 +217,7 @@ def counter_l2(l0_model, u, colors, cfg, types, row_types):
         probs = np.stack([l0_score(l0_model, preprocess(" ".join(k), "listener"), colors)
                           for k in kinds])
         table = s1_table_from_probs(probs, np.array([counts[k] for k in kinds], dtype=float),
-                                    cfg.alpha_neural)
+                                    S1_ALPHA)
         s1_row = table[kinds.index(observed)]
         out += s1_row / s1_row.sum()
     return out / cfg.n
@@ -216,7 +230,7 @@ class TestNeuralL2:
         l0, s0 = models(seed=3)
         cfg = PragmaticsConfig(m=2, n=1)
         stub_alternatives(monkeypatch, [("blue",)], [0] * (3 * cfg.n * cfg.m))
-        dist = neural_l2(l0, s0, ("blue",), COLORS, cfg, np.random.default_rng(0))
+        dist = compute_agents(l0, s0, ("blue",), COLORS, cfg, np.random.default_rng(0))["l2"]
         assert np.allclose(dist, 1 / 3, atol=1e-9)
 
     @pytest.mark.parametrize("u", ["dark blue", "teal", ("red",)])
@@ -226,7 +240,7 @@ class TestNeuralL2:
         types = [("dark", "blue"), ("red",), ("teal",), ("dull", "red"), ("blue",)]
         row_types = np.random.default_rng(6).integers(-1, len(types), 3 * cfg.n * cfg.m)
         stub_alternatives(monkeypatch, types, row_types)
-        got = neural_l2(l0, s0, u, COLORS, cfg, np.random.default_rng(0))
+        got = compute_agents(l0, s0, u, COLORS, cfg, np.random.default_rng(0))["l2"]
         want = counter_l2(l0, u, COLORS, cfg, types, row_types)
         assert np.allclose(got, want, rtol=0, atol=INFERENCE_ATOL)
 
@@ -241,7 +255,7 @@ class TestNeuralL2:
 
         monkeypatch.setattr("pragref.speaker.s0_sample_batch", recording)
         cfg = PragmaticsConfig(m=3, n=4)
-        neural_l2(l0, s0, "dark blue", COLORS, cfg, np.random.default_rng(2))
+        compute_agents(l0, s0, "dark blue", COLORS, cfg, np.random.default_rng(2))
         assert len(calls) == 1
         shape, rows = calls[0]
         assert shape[:2] == (3, 3)
@@ -250,16 +264,16 @@ class TestNeuralL2:
     def test_sums_to_one_random_models(self):
         l0, s0 = models(seed=4)
         cfg = PragmaticsConfig(m=3, n=2)
-        dist = neural_l2(l0, s0, "dark blue", COLORS, cfg, np.random.default_rng(1))
+        dist = compute_agents(l0, s0, "dark blue", COLORS, cfg, np.random.default_rng(1))["l2"]
         assert dist.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(dist >= 0)
 
     def test_deterministic_given_seed(self):
         l0, s0 = models(seed=5)
         cfg = PragmaticsConfig(m=4, n=3)
-        a = neural_l2(l0, s0, "blue", COLORS, cfg, np.random.default_rng(11))
-        b = neural_l2(l0, s0, "blue", COLORS, cfg, np.random.default_rng(11))
-        assert np.array_equal(a, b)
+        a = compute_agents(l0, s0, "blue", COLORS, cfg, np.random.default_rng(11))
+        b = compute_agents(l0, s0, "blue", COLORS, cfg, np.random.default_rng(11))
+        assert all(np.array_equal(a[k], b[k]) for k in a)
 
 
 class TestNeuralL1:
@@ -388,7 +402,8 @@ class TestComputeAgents:
                                    ("unseen", "reddish")])
     def test_l0_and_l1_match_direct_agents(self, u):
         # L0 is read off the alternatives table; it must equal scoring the
-        # listener-mode text alone, as L1 must equal neural_l1
+        # listener-mode text alone, as L1 must equal neural_l1; L2 is the
+        # same for the same seed
         l0, s0 = models(seed=10)
         cfg = PragmaticsConfig(m=4, n=3)
         agents = compute_agents(l0, s0, u, COLORS, cfg, np.random.default_rng(5))
@@ -396,5 +411,5 @@ class TestComputeAgents:
             preprocess(" ".join(u[:-1] if u[-1] == "</s>" else u), "listener")
         assert np.allclose(agents["l0"], l0_score(l0, tokens, COLORS), rtol=0, atol=INFERENCE_ATOL)
         assert np.array_equal(agents["l1"], neural_l1(s0, u, COLORS))
-        l2 = neural_l2(l0, s0, u, COLORS, cfg, np.random.default_rng(5))
-        assert np.array_equal(agents["l2"], l2)
+        again = compute_agents(l0, s0, u, COLORS, cfg, np.random.default_rng(5))
+        assert np.array_equal(agents["l2"], again["l2"])
