@@ -46,7 +46,7 @@ class IndexOutOfRange(PragrefError, IndexError):
 
 
 class EmptyUtterance(PragrefError):
-    """The listener was given an utterance with no tokens."""
+    """A listener or speaker scorer was given an utterance with no tokens."""
 
 
 class VacuousUtterance(PragrefError):

@@ -25,8 +25,9 @@ from .nnsubstrate import (
     Tensor,
     embed,
     log_softmax,
-    lstm_step,
+    lstm_cell,
     no_grad,
+    padded_ids,
     quad_scores,
     run_lstm,
     softmax_xent,
@@ -76,34 +77,36 @@ class ListenerModel:
         h, _ = run_lstm(inputs, self.cell, batch)
         return h
 
-    @no_grad()
     def encode_prefixes(self, seqs: list[tuple[int, ...]]) -> np.ndarray:
         """Final LSTM hidden states (U, hidden) of distinct non-empty id sequences.
 
-        Forward only. The sequences form a prefix tree: position t makes one
-        lstm_step call over every distinct prefix of length t + 1, from its
-        parent prefix's state, and each sequence takes the state at its last
-        position. The states match ListenerModel.encode to within rounding,
-        not bit for bit: a row's last bits in a matrix product can depend on
-        the other rows it shares the product with.
+        Forward only, on plain arrays. The ids are checked up front: an empty
+        sequence raises EmptyUtterance and an id outside the vocabulary
+        IndexOutOfRange. The sequences form a prefix tree: position t makes
+        one lstm_cell call over every distinct prefix of length t + 1, from
+        its parent prefix's state, and each sequence takes the state at its
+        last position. The gates gather each prefix's last word's row of an
+        embedding W_x + b table, built once per call, and add the parent's
+        h W_h, skipped at the root, where h is zero. The states match
+        ListenerModel.encode to within rounding, not bit for bit, as its sums
+        group differently.
         """
-        lengths = np.array([len(s) for s in seqs], dtype=int)
-        padded = np.zeros((len(seqs), lengths.max(initial=0)), dtype=np.int64)
-        for i, s in enumerate(seqs):
-            padded[i, :len(s)] = s
+        padded, lengths = padded_ids(seqs, len(self.vocab))
+        table = self.embedding.data @ self.cell.w_x.data + self.cell.bias.data
         out = np.empty((len(seqs), self.hidden_dim))
         node = np.zeros(len(seqs), dtype=np.int64)  # each sequence's prefix so far
-        h = c = np.zeros((1, self.hidden_dim))
+        hc = np.zeros((2, 1, self.hidden_dim))
         for t in range(padded.shape[1]):
             alive = np.flatnonzero(lengths > t)
             keys, node[alive] = np.unique(node[alive] * len(self.vocab) + padded[alive, t],
                                           return_inverse=True)
             parent, tokens = np.divmod(keys, len(self.vocab))
-            h_t, c_t = lstm_step(embed(tokens, self.embedding), Tensor(h[parent]),
-                                 Tensor(c[parent]), self.cell)
-            h, c = h_t.data, c_t.data
+            gates = table[tokens]
+            if t:
+                gates += hc[0, parent] @ self.cell.w_h.data
+            hc = lstm_cell(gates, hc[1, parent])[0]
             ends = alive[lengths[alive] == t + 1]
-            out[ends] = h[node[ends]]
+            out[ends] = hc[0, node[ends]]
         return out
 
     def head(self, h: Tensor) -> tuple[Tensor, Tensor]:
@@ -212,7 +215,8 @@ def l0_probs_many(model: ListenerModel, id_seqs: list[list[int]],
     contexts (len(id_seqs), 3, F); any other shape raises ValueError. Returns
     (len(id_seqs), 3). Each distinct id sequence is scored once, and every
     distinct utterance is encoded in one prefix tree
-    (ListenerModel.encode_prefixes).
+    (ListenerModel.encode_prefixes), which raises EmptyUtterance for an empty
+    sequence and IndexOutOfRange for an id outside the vocabulary.
 
     One shared context: the quadratic form is folded into the head once for
     the context, dropping the target-independent mu^T Sigma mu term
@@ -235,10 +239,7 @@ def l0_probs_many(model: ListenerModel, id_seqs: list[list[int]],
     index: dict[tuple[int, ...], int] = {}
     inverse = np.array([index.setdefault(tuple(s), len(index)) for s in id_seqs],
                        dtype=int)
-    distinct = list(index)
-    if any(len(s) == 0 for s in distinct):
-        raise EmptyUtterance("empty token sequence in batch")
-    states = model.encode_prefixes(distinct)
+    states = model.encode_prefixes(list(index))
     if feats.ndim == 2:
         return _shared_context_probs(model, states, feats)[inverse]
     return _per_row_probs(model, states, inverse, feats)

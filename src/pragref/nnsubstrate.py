@@ -14,11 +14,17 @@ the operations of the textbook expressions in their order. A first gradient
 is not added to zeros: a backward's fresh result becomes the gradient as it
 is, and a shared array is copied.
 
-Inference builds no graph: the forward-only functions of the listener and the
-speaker run under `no_grad()`, where derived tensors keep neither parents nor a
-backward hook, so each step's arrays are freed once nothing refers to them.
-The speaker's sampling decoder forms its own gate sums and shares the cell's
-nonlinearity with `lstm_step` through `lstm_cell`.
+Inference builds no graph. Every inference LSTM runs forward only on plain
+arrays and makes no `Tensor`: the speaker's context encoder, its decoder in
+the sampler and in the batched scorer, and the listener's prefix tree. Each
+forms its own gate sums: word inputs come from an embedding W_x table built
+once per call, the decoder's context inputs once per context, and h W_h is
+skipped at step 0, where the state is zero. All share the cell's
+nonlinearity with `lstm_step` through `lstm_cell`, and `padded_ids` checks
+the scorers' id rows. The remaining forward-only code (the listener's head
+and quadratic form on per-row contexts, and the per-row references) runs
+under `no_grad()`, where derived tensors keep neither parents nor a backward
+hook, so each step's arrays are freed once nothing refers to them.
 
 Everything is double precision. A model instance is single-threaded during
 training; frozen parameter arrays may be shared freely across threads, and the
@@ -28,13 +34,14 @@ training; frozen parameter arrays may be shared freely across threads, and the
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IndexOutOfRange, MissingCheckpoint, NonFiniteGradient
+from .errors import EmptyUtterance, IndexOutOfRange, MissingCheckpoint, NonFiniteGradient
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -283,6 +290,29 @@ def embed(ids: np.ndarray, table: Tensor) -> Tensor:
     return out
 
 
+def padded_ids(seqs, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Id rows as a (N, longest) int matrix padded with 0, and their lengths (N,).
+
+    Raises EmptyUtterance for a row with no ids, and IndexOutOfRange for an
+    id outside [0, vocab_size), which would index an embedding row silently
+    (-1) or fail without a typed error.
+    """
+    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    if lengths.size and lengths.min() == 0:
+        raise EmptyUtterance(f"id row {int(lengths.argmin())} has no tokens")
+    flat = np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.int64,
+                       count=int(lengths.sum()))
+    bad = (flat < 0) | (flat >= vocab_size)
+    if bad.any():
+        at = int(bad.argmax())
+        row = int(np.searchsorted(np.cumsum(lengths), at, side="right"))
+        raise IndexOutOfRange(f"id row {row} holds id {flat[at]}, outside the "
+                              f"vocabulary of {vocab_size}")
+    padded = np.zeros((len(seqs), lengths.max(initial=0)), dtype=np.int64)
+    padded[np.arange(padded.shape[1]) < lengths[:, None]] = flat
+    return padded, lengths
+
+
 def log_softmax(scores: Tensor) -> np.ndarray:
     """Log-space normalization of raw scores over the last axis, as an array (no gradient)."""
     z = scores.data if isinstance(scores, Tensor) else np.asarray(scores, dtype=np.float64)
@@ -397,7 +427,8 @@ def lstm_cell(gates: np.ndarray, c: np.ndarray
     c' = f * c + i * g and h' = o * tanh(c'). Returns the (2, ..., hidden)
     block [h'; c'], then the sigmoids of the i, f, o blocks, the tanh
     candidate and tanh(c'), which lstm_step's backward reuses. Every LSTM
-    forward, lstm_step's and the sampling decoder's, goes through it.
+    forward, lstm_step's and each forward-only inference path's, goes through
+    it.
     """
     n = gates.shape[-1] // 4
     ifo = np.negative(gates[..., :3 * n])  # sigmoid of the i, f, o blocks

@@ -22,18 +22,21 @@ mu^T Sigma mu term is dropped. The pragmatic speaker sampler scores each row
 against its own context, running the head on blocks of distinct types
 whatever their lengths.
 
-Every inference path is held to a tolerance, not to bits. The S0 decoder in
-`s0_sample_batch` applies its input weights once per context and once per
-vocabulary word, and both L0 branches share one prefix tree across lengths:
-they round differently from their per-row references (`step_logits`,
-`l0_score`, `ListenerModel.scores` on one row), and `compute_agents` matches
-a per-row evaluation to within 1e-12 in every probability, and in every
-sampled utterance unless a draw falls within that rounding of a sampling
-boundary. The per-row L0 branch, which `evaluate_l0`, training's dev scoring
-and the pragmatic speaker sampler use, is held to the same 1e-12. Where the
-head's mu is far larger than the color features, `l0_score`'s own rounding
-nears that tolerance: it forms f - mu and sums products of order
-|mu|^2 |Sigma|, which the fold never does.
+Every inference path is held to a tolerance, not to bits, and every
+inference LSTM runs forward only on plain arrays. The S0 decoder, in `s0_sample_batch`
+and in `s0_log_probs_batch` (which scores L1's utterance under each target in
+one length-sorted pass), applies its input weights once per context and once
+per word; the listener's prefix tree, under both L0 branches, gathers its
+input gates from one embedding table per call and shares one tree across
+lengths. They round differently from their per-row references
+(`step_logits` and `s0_log_prob`, `l0_score`, `ListenerModel.scores` on one
+row), and `compute_agents` matches a per-row evaluation to within 1e-12 in
+every probability, and in every sampled utterance unless a draw falls within
+that rounding of a sampling boundary. The per-row L0 branch, which
+`evaluate_l0`, training's dev scoring and the pragmatic speaker sampler use,
+is held to the same 1e-12. Where the head's mu is far larger than the color
+features, `l0_score`'s own rounding nears that tolerance: it forms f - mu and
+sums products of order |mu|^2 |Sigma|, which the fold never does.
 
 Training's gradient path (`ListenerModel.scores`, `lstm_step`,
 `quad_scores` and their backward passes) is held to bits instead: a
@@ -91,11 +94,20 @@ class Lexicon:
     referents: list[str] = field(default_factory=list)
 
     def __post_init__(self):
+        if not self.truth or not self.truth[0]:
+            raise ValueError(f"truth must hold at least one utterance row and one referent "
+                             f"column, got {self.truth!r}")
         n_ref = len(self.truth[0])
         if any(len(row) != n_ref for row in self.truth):
             raise ValueError("ragged truth table")
         if len(self.truth) != len(self.utterances):
             raise ValueError("truth table rows must match utterances")
+        for name, values, n, per in (("costs", self.costs, len(self.utterances), "utterance"),
+                                     ("prior", self.prior, n_ref, "referent"),
+                                     ("referents", self.referents, n_ref, "referent")):
+            if values and len(values) != n:
+                raise ValueError(f"{name} must hold one entry per {per} ({n}), "
+                                 f"got {len(values)}")
         if not self.costs:
             self.costs = [0.0] * len(self.utterances)
         if not self.prior:

@@ -24,17 +24,11 @@ from .nnsubstrate import (
     lstm_cell,
     lstm_step,
     no_grad,
+    padded_ids,
     run_lstm,
     softmax_xent,
 )
-from .training import (
-    TrainConfig,
-    TrainingReport,
-    fit,
-    load_model,
-    same_length_batches,
-    save_model,
-)
+from .training import TrainConfig, TrainingReport, fit, load_model, save_model
 
 MAX_DECODE_LEN = 20
 SAMPLE_BATCH = 1024
@@ -83,6 +77,24 @@ class SpeakerModel:
             raise ValueError(f"expected (B, 3, F) features, got {feats.shape}")
         inputs = [Tensor(feats[:, i, :]) for i in range(feats.shape[1])]
         _, c = run_lstm(inputs, self.encoder, feats.shape[0])
+        return c
+
+    def encode_contexts(self, feats: np.ndarray) -> np.ndarray:
+        """encode, forward only on plain arrays: context vectors (B, hidden).
+
+        The operations of encode in its order, except that h W_h is skipped
+        at step 0, where h is zero, so the result equals encode's.
+        """
+        if feats.ndim != 3:
+            raise ValueError(f"expected (B, 3, F) features, got {feats.shape}")
+        cell = self.encoder
+        h, c = np.zeros((2, len(feats), self.hidden_dim))
+        for i in range(feats.shape[1]):
+            gates = feats[:, i, :] @ cell.w_x.data
+            if i:
+                gates += h @ cell.w_h.data
+            gates += cell.bias.data
+            h, c = lstm_cell(gates, c)[0]
         return c
 
     def step_logits(self, ctx: Tensor, token_ids: np.ndarray,
@@ -164,20 +176,92 @@ def s0_log_prob(model: SpeakerModel, tokens: list[str],
     return -float(_teacher_forced_losses(model, feats, ids).data[0])
 
 
-@no_grad()
+def _decoder_tables(model: SpeakerModel, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The decoder's input gate terms per context of feats and per word.
+
+    The decoder input [context ; embedding] is never formed. The context's
+    half of the decoder's W_x and the gate bias are applied once per context
+    of feats (K, 3, F), giving (K, 4 hidden), and the embedding's half once
+    per call, giving a (V, 4 hidden) table.
+    """
+    cell, split = model.decoder, model.hidden_dim
+    ctx = model.encode_contexts(feats) @ cell.w_x.data[:split] + cell.bias.data
+    return ctx, model.embedding.data @ cell.w_x.data[split:]
+
+
+def _decoder_step(model: SpeakerModel, ctx: np.ndarray, words: np.ndarray,
+                  prev: np.ndarray, hc: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """One forward-only decoder step of B rows; returns their next state and logits (B, V).
+
+    ctx (B, 4 hidden) holds each row's context gate terms, words[prev] its
+    previous word's (words is _decoder_tables' word table, gathered here so
+    that no gathered copy outlives the sum), and hc its (2, B, hidden)
+    state [h; c], None at step 0, where the state is zero and h W_h is
+    skipped.
+    """
+    if hc is None:
+        gates = words[prev]
+        gates += ctx
+        c = np.zeros((len(gates), model.hidden_dim))
+    else:
+        gates = hc[0] @ model.decoder.w_h.data
+        gates += ctx
+        gates += words[prev]
+        c = hc[1]
+    hc = lstm_cell(gates, c)[0]
+    logits = hc[0] @ model.out_w.data
+    logits += model.out_b.data
+    return hc, logits
+
+
 def s0_log_probs_batch(model: SpeakerModel, id_seqs: list[list[int]],
                        feats: np.ndarray) -> np.ndarray:
-    """Batched log probabilities; feats (B, 3, F) target-last per row."""
-    n = len(id_seqs)
-    out = np.empty(n)
-    lengths = np.array([len(s) for s in id_seqs])
-    for group in same_length_batches(lengths, np.arange(n), batch_size=512):
-        ids = np.array([id_seqs[i] for i in group])
-        out[group] = -_teacher_forced_losses(model, feats[group], ids).data
+    """Teacher-forced log probabilities (N,) of id rows ending in </s>.
+
+    feats (N, 3, F) holds each row's context, target-last. The ids are
+    checked once, up front: an empty row raises EmptyUtterance, an id
+    outside the vocabulary IndexOutOfRange, and a row whose last id is not
+    </s> ValueError, as in s0_log_prob.
+
+    Forward only, on s0_sample_batch's kernels: the rows are sorted by
+    length, longest first, so the rows still decoding at any step are a
+    prefix of the order. Each pass takes at most SAMPLE_BATCH of them,
+    encodes their contexts once, and walks the steps once, gathering
+    log_softmax at each row's next id. The sums round differently from
+    step_logits, so each row matches s0_log_prob to within 1e-12, not bit
+    for bit.
+    """
+    padded, lengths = padded_ids(id_seqs, len(model.vocab))
+    unended = padded[np.arange(len(lengths)), lengths - 1] != model.vocab.eos_id
+    if unended.any():
+        raise ValueError(f"id row {int(unended.argmax())} does not end with the end "
+                         f"token </s>")
+    if feats.shape != (len(lengths), 3, FOURIER_DIM):
+        raise ValueError(f"expected features of shape ({len(lengths)}, 3, {FOURIER_DIM}), "
+                         f"got {feats.shape}")
+    order = np.argsort(-lengths, kind="stable")
+    out = np.empty(len(order))
+    for lo in range(0, len(order), SAMPLE_BATCH):
+        rows = order[lo:lo + SAMPLE_BATCH]
+        ctx, words = _decoder_tables(model, feats[rows])
+        lens, ids = lengths[rows], padded[rows]
+        total = np.zeros(len(rows))
+        prev = np.full(len(rows), model.vocab.bos_id)
+        hc = None
+        for t in range(lens[0]):
+            live = np.count_nonzero(lens > t)  # the first `live` rows
+            hc, logits = _decoder_step(model, ctx[:live], words, prev[:live],
+                                       None if hc is None else hc[:, :live])
+            logits -= logits.max(axis=1, keepdims=True)  # log_softmax, at the targets only
+            picked = logits[np.arange(live), ids[:live, t]]
+            np.exp(logits, out=logits)
+            total[:live] += picked - np.log(logits.sum(axis=1))
+            prev = ids[:, t]
+        out[rows] = total
     return out
 
 
-@no_grad()
 def s0_sample_batch(model: SpeakerModel, feats: np.ndarray, rng: np.random.Generator,
                     rows: np.ndarray | None = None) -> list[tuple[tuple[int, ...], float]]:
     """Ancestral sampling for (B, 3, F) contexts; returns (ids, log_prob) rows.
@@ -201,14 +285,13 @@ def s0_sample_batch(model: SpeakerModel, feats: np.ndarray, rng: np.random.Gener
     last one ends. The rows that go on are regrouped by (node, chosen token)
     into the next step's nodes.
 
-    The decoder input [context ; embedding] is never formed: the context's
-    half of the input weights and the gate bias are applied once per
-    context, the embedding's half once per call as a (V, 4 hidden) table,
-    and each step adds a node's two rows to h W_h before lstm_cell. The sums
-    therefore round differently from step_logits, the training path: log
-    probabilities agree with decoding every row through step_logits to
-    within 1e-12, and the ids are the same unless a draw falls within that
-    rounding of a boundary of the cumulative distribution.
+    Forward only, on plain arrays: the encoder is encode_contexts, and each
+    step adds a node's rows of the decoder tables (_decoder_tables) to
+    h W_h before lstm_cell. The sums therefore round differently from
+    step_logits, the training path: log probabilities agree with decoding
+    every row through step_logits to within 1e-12, and the ids are the same
+    unless a draw falls within that rounding of a boundary of the cumulative
+    distribution.
     """
     eos, vocab_size = model.vocab.eos_id, len(model.vocab)
     rows = np.arange(len(feats)) if rows is None else np.asarray(rows)
@@ -222,20 +305,15 @@ def s0_sample_batch(model: SpeakerModel, feats: np.ndarray, rng: np.random.Gener
     if batch == 0:
         return []
     nodes, node_of = np.unique(rows, return_inverse=True)  # node of each live row
-    cell, split = model.decoder, model.hidden_dim
-    ctx = (model.encode(feats).data @ cell.w_x.data[:split] + cell.bias.data)[nodes]
-    words = model.embedding.data @ cell.w_x.data[split:]
-    h, c = np.zeros((2, len(ctx), model.hidden_dim))
+    ctx, words = _decoder_tables(model, feats)
+    ctx = ctx[nodes]
+    hc = None
     prev = np.full(len(ctx), model.vocab.bos_id)
     live = np.arange(batch)  # rows not yet ended
     ids = np.full((batch, MAX_DECODE_LEN), eos)
     log_probs = np.zeros(batch)
     for step in range(MAX_DECODE_LEN):
-        gates = h @ cell.w_h.data
-        gates += ctx
-        gates += words[prev]
-        h, c = lstm_cell(gates, c)[0]
-        logits = h @ model.out_w.data + model.out_b.data
+        hc, logits = _decoder_step(model, ctx, words, prev, hc)
         z = logits - logits.max(axis=1, keepdims=True)
         logp = log_softmax(z)  # z's maximum is 0, so its shift leaves z as it is
         if step == MAX_DECODE_LEN - 1:
@@ -256,7 +334,7 @@ def s0_sample_batch(model: SpeakerModel, feats: np.ndarray, rng: np.random.Gener
         keys, node_of = np.unique(node_of[going] * vocab_size + chosen[going],
                                   return_inverse=True)
         parent, prev = np.divmod(keys, vocab_size)
-        ctx, h, c = ctx[parent], h[parent], c[parent]
+        ctx, hc = ctx[parent], hc[:, parent]
     return [(tuple(row[:row.index(eos) + 1]), lp)
             for row, lp in zip(ids.tolist(), log_probs.tolist())]
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import INFERENCE_ATOL
 from pragref.colorspace import Color, fourier_features_array, hsv_to_rgb_arrays
 from pragref.corpus import build_vocab, synth_corpus, preprocess
-from pragref.errors import EmptyUtterance, MissingCheckpoint
+from pragref.errors import EmptyUtterance, IndexOutOfRange, MissingCheckpoint
 from pragref.listener import (
     ListenerModel,
     context_features,
@@ -122,17 +122,27 @@ class TestL0Score:
 
     @staticmethod
     def _lstm_rows(monkeypatch):
-        """Rows of every lstm_step call l0_probs_many makes, deduped per call."""
+        """Rows of every listener step l0_probs_many takes, deduped per call."""
         calls = []
-        step = listener.lstm_step
+        cell = listener.lstm_cell
 
-        def counting(x, h, c, p):
-            inputs = np.column_stack([x.data, h.data, c.data])
+        def counting(gates, c):
+            inputs = np.column_stack([gates, c])
             calls.append((len(inputs), len(np.unique(inputs, axis=0))))
-            return step(x, h, c, p)
+            return cell(gates, c)
 
-        monkeypatch.setattr(listener, "lstm_step", counting)
+        monkeypatch.setattr(listener, "lstm_cell", counting)
         return calls
+
+    @pytest.mark.parametrize("shape", [(3, 54), (3, 3, 54)])
+    @pytest.mark.parametrize("row, error", [
+        ([], EmptyUtterance), ([-1], IndexOutOfRange), ([3, -1], IndexOutOfRange),
+        ([6], IndexOutOfRange), ([4, 10**6], IndexOutOfRange)])
+    def test_bad_id_rows_raise_typed_errors(self, row, error, shape):
+        # the vocabulary has 6 ids; an id of -1 would read another prefix's state
+        ids = [[3, 4], [5], row]
+        with pytest.raises(error, match="id row 2"):
+            l0_probs_many(tiny_model(), ids, np.zeros(shape))
 
     def test_encodes_each_distinct_prefix_once(self, monkeypatch):
         model = tiny_model()

@@ -12,7 +12,8 @@ from conftest import INFERENCE_ATOL
 from pragref.colorspace import Color
 from pragref.corpus import build_vocab, preprocess
 from pragref.errors import VacuousUtterance
-from pragref.listener import ListenerModel, l0_probs_many, l0_score
+from pragref.listener import ListenerModel, l0_score
+from pragref.nnsubstrate import log_softmax
 from pragref.rsa import (
     Lexicon,
     PragmaticsConfig,
@@ -27,7 +28,8 @@ from pragref.rsa import (
     neural_l1,
     s1_table_from_probs,
 )
-from pragref.speaker import SpeakerModel, s0_log_probs_batch, s0_sample_batch
+from pragref.speaker import SpeakerModel, _teacher_forced_losses, s0_sample_batch
+from test_speaker import live_row_sample_batch
 
 COLORS = (Color(0.22, 0.52, 0.78), Color(0.0, 0.98, 0.99), Color(0.62, 0.39, 0.38))
 
@@ -44,6 +46,19 @@ def stub_alternatives(monkeypatch, types, row_types):
     monkeypatch.setattr("pragref.rsa.s0_sample_utterances",
                         lambda model, feats, rng, per_context:
                         (list(types), np.array(row_types, dtype=int)))
+
+
+def graph_l0_probs(model, id_seqs, feats):
+    """l0_probs_many one row at a time through ListenerModel.scores."""
+    feats = np.broadcast_to(feats, (len(id_seqs), 3, feats.shape[-1]))
+    return np.array([np.exp(log_softmax(model.scores(np.array([ids]), f[None]).data[0]))
+                     for ids, f in zip(id_seqs, feats)])
+
+
+def graph_s0_log_probs(model, id_seqs, feats):
+    """s0_log_probs_batch one row at a time through _teacher_forced_losses."""
+    return np.array([-_teacher_forced_losses(model, feats[i:i + 1], np.array([ids])).data[0]
+                     for i, ids in enumerate(id_seqs)])
 
 
 def models(seed=0):
@@ -109,6 +124,22 @@ class TestExactOracle:
         path = resources.files("pragref.data") / "demo_lexicon.json"
         lex = Lexicon.from_json(str(path))
         assert exact_l2(lex, "blue") == [F(3, 5), F(2, 5), F(0)]
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"prior": ["1/2", "1/4", "1/4"]}, "prior"),   # three entries for two referents
+        ({"prior": ["1"]}, "prior"),
+        ({"costs": [0.5]}, "costs"),                   # one cost for two utterances
+        ({"costs": [0.1, 0.2, 0.3]}, "costs"),
+        ({"referents": ["r1"]}, "referents"),
+    ])
+    def test_mis_sized_fields_raise(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field} must hold one entry per"):
+            Lexicon(utterances=["a", "b"], truth=[[1, 1], [0, 1]], **kwargs)
+
+    @pytest.mark.parametrize("utterances, truth", [([], []), (["a"], [[]])])
+    def test_empty_truth_table_raises(self, utterances, truth):
+        with pytest.raises(ValueError, match="^truth must hold"):
+            Lexicon(utterances=utterances, truth=truth)
 
 
 class TestPragmaticsConfig:
@@ -387,15 +418,16 @@ class TestComputeAgents:
         texts = ["dark blue", "red", "teal", "dull blue"]
         got = [compute_agents(l0, s0, u, COLORS, cfg, np.random.default_rng(4))
                for u in texts]
-        # the undecorated scorers and sampler build the autograd graph
-        for fn in (l0_probs_many, s0_log_probs_batch):
-            monkeypatch.setattr(f"pragref.rsa.{fn.__name__}", fn.__wrapped__)
-        monkeypatch.setattr("pragref.speaker.s0_sample_batch", s0_sample_batch.__wrapped__)
+        # per-row references that build the autograd graph, through
+        # ListenerModel.scores, _teacher_forced_losses and step_logits
+        monkeypatch.setattr("pragref.rsa.l0_probs_many", graph_l0_probs)
+        monkeypatch.setattr("pragref.rsa.s0_log_probs_batch", graph_s0_log_probs)
+        monkeypatch.setattr("pragref.speaker.s0_sample_batch", live_row_sample_batch)
         want = [compute_agents(l0, s0, u, COLORS, cfg, np.random.default_rng(4))
                 for u in texts]
         for a, b in zip(got, want):
             assert a.keys() == b.keys()
-            assert all(np.array_equal(a[k], b[k]) for k in a)
+            assert all(np.allclose(a[k], b[k], rtol=0, atol=INFERENCE_ATOL) for k in a)
 
     @pytest.mark.parametrize("u", ["dark blue", "Bluish, not the darkest one!",
                                    "red teal dull", ("dark", "blue", "</s>"),

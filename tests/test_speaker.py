@@ -9,7 +9,8 @@ from conftest import INFERENCE_ATOL
 from pragref import speaker
 from pragref.colorspace import Color, fourier_features_array
 from pragref.corpus import EOS, build_vocab, preprocess, synth_corpus
-from pragref.errors import MissingCheckpoint
+from pragref.errors import EmptyUtterance, IndexOutOfRange, MissingCheckpoint
+from pragref.listener import ListenerModel
 from pragref.nnsubstrate import Tensor, load_checkpoint, save_checkpoint
 from pragref.speaker import (
     MAX_DECODE_LEN,
@@ -92,16 +93,30 @@ def assert_rows_match(got, want):
 
 
 def decoder_calls(monkeypatch):
-    """Gate and cell-state rows of every lstm_cell call the sampler makes."""
+    """Input rows (context and word gate terms, then h and c past step 0) of
+    every decoder step the sampler or the scorer takes."""
     calls = []
-    cell = speaker.lstm_cell
+    step = speaker._decoder_step
 
-    def counting(gates, c):
-        calls.append(np.column_stack([gates, c]))
-        return cell(gates, c)
+    def counting(model, ctx, words, prev, hc=None):
+        calls.append(np.column_stack([ctx, words[prev], *([] if hc is None else hc)]))
+        return step(model, ctx, words, prev, hc)
 
-    monkeypatch.setattr(speaker, "lstm_cell", counting)
+    monkeypatch.setattr(speaker, "_decoder_step", counting)
     return calls
+
+
+def encoder_calls(model):
+    """Number of contexts of every encoder pass model makes from here on."""
+    encoded = []
+    encode = model.encode_contexts
+
+    def counting(feats):
+        encoded.append(len(feats))
+        return encode(feats)
+
+    model.encode_contexts = counting
+    return encoded
 
 
 def live_row_sample_batch(model, feats, rng, rows=None):
@@ -175,6 +190,12 @@ class TestEncodeContext:
             h = o * math.tanh(c)
         got = model.encode(feats[None]).data[0]
         assert abs(float(got[0]) - c) < INFERENCE_ATOL
+
+    def test_forward_only_encoder_equals_graph_encoder(self):
+        # skipping h W_h where h is zero leaves every sum as encode forms it
+        model = tiny_model(seed=4)
+        feats = np.random.default_rng(5).standard_normal((40, 3, 54))
+        assert np.array_equal(model.encode_contexts(feats), model.encode(feats).data)
 
 
 class TestTargetLastFeatures:
@@ -266,7 +287,7 @@ class TestLogProb:
                                             np.array([id_seqs[i] for i in group]))
             assert losses.requires_grad
             want[group] = -losses.data
-        assert np.array_equal(got, want)
+        assert np.allclose(got, want, rtol=0, atol=INFERENCE_ATOL)
 
     def test_one_token_distributions_normalize(self):
         # sum over all single-token utterances of exp(step prob) == 1
@@ -281,6 +302,115 @@ class TestLogProb:
             logits, _, _ = model.step_logits(ctx, np.array([model.vocab.bos_id]), h, c)
             total += float(np.exp(log_softmax(logits.data)[0, model.vocab.token_to_id[tok]]))
         assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def scoring_inputs(model, rng, lengths):
+    """Random id rows ending in </s> of the given lengths, and random contexts:
+    (id rows, color triples, target indices, target-last features)."""
+    eos = model.vocab.eos_id
+    id_seqs = [[int(i) for i in rng.integers(0, len(model.vocab), n - 1)] + [eos]
+               for n in lengths]
+    colors = [tuple(Color(*rgb) for rgb in rng.random((3, 3))) for _ in lengths]
+    targets = rng.integers(0, 3, len(lengths))
+    return id_seqs, colors, targets, target_last_features(colors, targets)
+
+
+def per_row_log_probs(model, id_seqs, colors, targets):
+    """s0_log_prob of each row on its own."""
+    return np.array([s0_log_prob(model, model.vocab.decode(ids), c, t)
+                     for ids, c, t in zip(id_seqs, colors, targets)])
+
+
+class TestBatchScoring:
+    """s0_log_probs_batch matches s0_log_prob row by row, in length-sorted passes."""
+
+    @pytest.mark.parametrize("lengths", [
+        [3, 1, 7, 2, 2, 5, 1, 4, 6, 3, 1, 2],            # mixed lengths
+        [MAX_DECODE_LEN] * 4 + [1, MAX_DECODE_LEN, 2],    # rows as long as the sampler's
+        [5],                                              # one-row batches
+        [1],
+    ])
+    def test_matches_per_row_log_prob(self, lengths):
+        model = tiny_model(seed=12)
+        id_seqs, colors, targets, feats = scoring_inputs(
+            model, np.random.default_rng(len(lengths)), lengths)
+        got = s0_log_probs_batch(model, id_seqs, feats)
+        assert got.shape == (len(lengths),)
+        assert np.allclose(got, per_row_log_probs(model, id_seqs, colors, targets),
+                           rtol=0, atol=INFERENCE_ATOL)
+
+    def test_passes_of_at_most_sample_batch_rows(self, monkeypatch):
+        monkeypatch.setattr("pragref.speaker.SAMPLE_BATCH", 4)
+        model = tiny_model(seed=13)
+        lengths = [2, 6, 1, 3, 3, 8, 1, 2, 5, 4, 1]
+        id_seqs, colors, targets, feats = scoring_inputs(model, np.random.default_rng(3),
+                                                         lengths)
+        encoded, steps = encoder_calls(model), decoder_calls(monkeypatch)
+        got = s0_log_probs_batch(model, id_seqs, feats)
+        assert np.allclose(got, per_row_log_probs(model, id_seqs, colors, targets),
+                           rtol=0, atol=INFERENCE_ATOL)
+        # one encoder pass per batch of contexts, one decoder step per live
+        # row and step; passes take the longest rows first: 8 6 5 4, 3 3 2 2, 1 1 1
+        assert encoded == [4, 4, 3]
+        assert [len(rows) for rows in steps] == ([4, 4, 4, 4, 3, 2, 1, 1] + [4, 4, 2]
+                                                 + [3])
+        assert sum(map(len, steps)) == sum(lengths)
+
+    @pytest.mark.parametrize("batch", [1024, 3])
+    def test_rows_do_not_depend_on_order(self, monkeypatch, batch):
+        monkeypatch.setattr("pragref.speaker.SAMPLE_BATCH", batch)
+        model = tiny_model(seed=14)
+        rng = np.random.default_rng(8)
+        id_seqs, _, _, feats = scoring_inputs(model, rng, rng.integers(1, 9, 20))
+        got = s0_log_probs_batch(model, id_seqs, feats)
+        perm = rng.permutation(20)
+        permuted = s0_log_probs_batch(model, [id_seqs[i] for i in perm], feats[perm])
+        assert np.allclose(permuted, got[perm], rtol=0, atol=INFERENCE_ATOL)
+
+    def test_no_rows_give_no_log_probs(self):
+        assert s0_log_probs_batch(tiny_model(), [], np.zeros((0, 3, 54))).shape == (0,)
+
+    @pytest.mark.parametrize("row, error", [
+        ([], EmptyUtterance), ([-1, 2], IndexOutOfRange), ([3, -1], IndexOutOfRange),
+        ([6, 2], IndexOutOfRange), ([2, 10**6], IndexOutOfRange)])
+    def test_bad_id_rows_raise_typed_errors(self, row, error):
+        # the vocabulary has 6 ids; an id of -1 would read the last word's row
+        model = tiny_model()
+        id_seqs = [[3, 2], row, [4, 2]]
+        with pytest.raises(error, match="id row 1"):
+            s0_log_probs_batch(model, id_seqs, np.zeros((3, 3, 54)))
+
+    def test_rows_must_end_with_end_token(self):
+        # as s0_log_prob does: scoring such a row would give a prefix's probability
+        with pytest.raises(ValueError, match="id row 1 does not end"):
+            s0_log_probs_batch(tiny_model(), [[3, 2], [3, 4], [2]], np.zeros((3, 3, 54)))
+
+    def test_mis_shaped_features_raise(self):
+        with pytest.raises(ValueError, match="expected features"):
+            s0_log_probs_batch(tiny_model(), [[2], [3, 2]], np.zeros((3, 3, 54)))
+
+
+def test_inference_lstms_construct_no_tensor(monkeypatch):
+    # the forward-only paths run on plain arrays; s0_log_prob, the graph
+    # reference, shows that the count sees Tensors made under no_grad
+    model = tiny_model(seed=3)
+    l0 = ListenerModel.create(model.vocab, np.random.default_rng(3), embed_dim=8, hidden_dim=6)
+    id_seqs, _, _, feats = scoring_inputs(model, np.random.default_rng(1), [3, 1, 4])
+    made = []
+    init = Tensor.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counting)
+    s0_log_prob(model, ["blue", EOS], COLORS, 0)
+    assert made
+    made.clear()
+    s0_log_probs_batch(model, id_seqs, feats)
+    s0_sample_batch(model, feats, np.random.default_rng(2), rows=np.array([0, 0, 1, 2]))
+    l0.encode_prefixes([(3, 4), (3,), (5, 4, 3)])
+    assert made == []
 
 
 class TestSampling:
@@ -342,14 +472,7 @@ class TestSampling:
 
     def test_row_map_encodes_each_context_once(self):
         model = tiny_model(seed=9)
-        encoded = []
-        encode = model.encode
-
-        def counting(feats):
-            encoded.append(len(feats))
-            return encode(feats)
-
-        model.encode = counting
+        encoded = encoder_calls(model)
         feats = np.random.default_rng(8).standard_normal((3, 3, 54))
         rows = s0_sample_batch(model, feats, np.random.default_rng(1),
                                rows=np.repeat(np.arange(3), 16))
@@ -362,14 +485,7 @@ class TestSampling:
         feats = np.random.default_rng(9).standard_normal((5, 3, 54))
         want = s0_sample_utterances(model, np.repeat(feats, 4, axis=0),
                                     np.random.default_rng(4))
-        encoded = []
-        encode = model.encode
-
-        def counting(batch_feats):
-            encoded.append(len(batch_feats))
-            return encode(batch_feats)
-
-        model.encode = counting
+        encoded = encoder_calls(model)
         got = s0_sample_utterances(model, feats, np.random.default_rng(4), per_context=4)
         assert len(got[1]) == 20 and got[0] == want[0] and np.array_equal(got[1], want[1])
         # rows 0-5, 6-11, 12-17 and 18-19 span contexts 0-1, 1-2, 3-4 and 4
