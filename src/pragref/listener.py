@@ -26,8 +26,8 @@ from .nnsubstrate import (
     embed,
     log_softmax,
     lstm_cell,
-    no_grad,
     padded_ids,
+    quad_form,
     quad_scores,
     run_lstm,
     softmax_xent,
@@ -117,13 +117,19 @@ class ListenerModel:
         sigma = out.narrow(1, f, f * f).reshape(h.shape[0], f, f)
         return mu, sigma
 
-    def mu_sigma(self, ids: np.ndarray) -> tuple[Tensor, Tensor]:
-        """Scorer parameters for a batch of same-length id rows (B, T)."""
-        return self.head(self.encode(ids))
+    def head_arrays(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """head, forward only on plain arrays: mu (B, F) and Sigma (B, F, F) views.
+
+        The operations of head in its order, so the values equal head's.
+        """
+        out = states @ self.out_w.data
+        out += self.out_b.data
+        f = FOURIER_DIM
+        return out[:, :f], out[:, f:].reshape(len(states), f, f)
 
     def scores(self, ids: np.ndarray, feats: np.ndarray) -> Tensor:
         """Raw quadratic-form scores (B, K) for candidate features (B, K, F)."""
-        mu, sigma = self.mu_sigma(ids)
+        mu, sigma = self.head(self.encode(ids))
         return quad_scores(feats, mu, sigma)
 
     def save(self, path) -> None:
@@ -139,10 +145,12 @@ def context_features(colors: tuple[Color, Color, Color]) -> np.ndarray:
     return fourier_features_array(colors)
 
 
-@no_grad()
 def l0_score(model: ListenerModel, tokens: list[str],
              colors: tuple[Color, Color, Color]) -> np.ndarray:
-    """Distribution over the three context colors given listener-mode tokens."""
+    """Distribution over the three context colors given listener-mode tokens.
+
+    The per-row reference: it runs the training graph on one row.
+    """
     if not tokens:
         raise EmptyUtterance("listener got an utterance with no tokens")
     ids = np.array([model.encode_tokens(tokens)])
@@ -196,17 +204,15 @@ def _per_row_probs(model: ListenerModel, states: np.ndarray, inverse: np.ndarray
     starts = np.searchsorted(inverse[order], np.arange(len(states) + 1))
     for lo in range(0, len(states), _L0_BLOCK):
         hi = min(lo + _L0_BLOCK, len(states))
-        mu, sigma = model.head(Tensor(states[lo:hi]))
+        mu, sigma = model.head_arrays(states[lo:hi])
         rows = order[starts[lo]:starts[hi]]
         for j in range(0, len(rows), _L0_BLOCK):
             r = rows[j:j + _L0_BLOCK]
             k = inverse[r] - lo
-            scores = quad_scores(feats[r], Tensor(mu.data[k]), Tensor(sigma.data[k]))
-            out[r] = np.exp(log_softmax(scores.data))
+            out[r] = np.exp(log_softmax(quad_form(feats[r], mu[k], sigma[k])[0]))
     return out
 
 
-@no_grad()
 def l0_probs_many(model: ListenerModel, id_seqs: list[list[int]],
                   feats: np.ndarray) -> np.ndarray:
     """Batched listener distributions for many utterances.
@@ -223,14 +229,17 @@ def l0_probs_many(model: ListenerModel, id_seqs: list[list[int]],
     (_shared_context_probs).
 
     Per-row contexts (evaluate_l0, training's dev scoring, the pragmatic
-    speaker sampler): the head runs on blocks of _L0_BLOCK consecutive
-    distinct utterances, whatever their lengths, and each row is scored
-    against its own context in blocks of as many rows. Folding the head per
-    context (about 3.5 MFLOP per context at hidden 100) would cost far more
-    than the per-row quadratic form (about 20 kFLOP per row) here.
+    speaker sampler): the head (head_arrays) runs on blocks of _L0_BLOCK
+    consecutive distinct utterances, whatever their lengths, and each row is
+    scored against its own context by quad_form, in blocks of as many rows.
+    These are the floats of ListenerModel.head on the same blocks and of
+    quad_scores on each row. Folding the head per context (about 3.5 MFLOP
+    per context at hidden 100) would cost far more than the per-row
+    quadratic form (about 20 kFLOP per row) here.
 
-    Both branches round differently from ListenerModel.scores, so the result
-    matches l0_score on each row to within 1e-12, not bit for bit.
+    No Tensor is made. The prefix tree rounds differently from
+    ListenerModel.encode, and the fold from the quadratic form, so both
+    branches match l0_score on each row to within 1e-12, not bit for bit.
     """
     f = FOURIER_DIM
     if feats.shape not in ((3, f), (len(id_seqs), 3, f)):
@@ -263,7 +272,9 @@ def trial_listener_ids(model: ListenerModel, trial: ContextTrial) -> list[int]:
 
 
 def _listener_inputs(model: ListenerModel, trials: list[ContextTrial]):
-    """Id rows, context features (N, 3, F) and target indices of a trial list."""
+    """Id rows, context features (N, 3, F) and target indices of a nonempty trial list."""
+    if not trials:
+        raise ValueError("expected at least one trial, got an empty list")
     return ([trial_listener_ids(model, t) for t in trials],
             fourier_features_array([t.colors for t in trials]),
             np.array([t.target_index for t in trials]))
@@ -304,7 +315,6 @@ def evaluate_l0(model: ListenerModel,
     return accuracy_perplexity(l0_probs_many(model, ids, feats), targets)
 
 
-@no_grad()
 def density_grid(model: ListenerModel, tokens: list[str], h_bins: int = 90,
                  s_bins: int = 50, v_bins: int = 50) -> np.ndarray:
     """Log marginal scorer density over (hue, saturation), summed over value.
@@ -312,6 +322,12 @@ def density_grid(model: ListenerModel, tokens: list[str], h_bins: int = 90,
     The HSV lattice uses cell centers; each point maps to RGB and then to
     feature space, where exp(score) is accumulated over the value axis in log
     space. The result is shifted so its maximum cell is 0.
+
+    Forward only, on plain arrays: the utterance is encoded by
+    encode_prefixes, which rounds differently from ListenerModel.encode, and
+    scored by head_arrays and quad_form. The grid matches the graph path
+    (ListenerModel.head, then quad_scores on each hue row) to within
+    1e-12, not bit for bit.
     """
     if not tokens:
         raise EmptyUtterance("density grid needs a non-empty utterance")
@@ -320,13 +336,13 @@ def density_grid(model: ListenerModel, tokens: list[str], h_bins: int = 90,
     v = (np.arange(v_bins) + 0.5) / v_bins
     ss, vv = (a.ravel() for a in np.meshgrid(s, v, indexing="ij"))
 
-    mu, sigma = model.mu_sigma(np.array([model.encode_tokens(tokens)]))
-    # one hue row at a time: the features and quad_scores' temporaries hold
+    mu, sigma = model.head_arrays(model.encode_prefixes([model.encode_tokens(tokens)]))
+    # one hue row at a time: the features and quad_form's temporaries hold
     # s_bins * v_bins points, not the whole lattice
     rows = []
     for hue in h:
         rgb = np.stack(hsv_to_rgb_arrays(hue, ss, vv), axis=-1)
-        rows.append(quad_scores(fourier_features_array(rgb)[None], mu, sigma).data[0])
+        rows.append(quad_form(fourier_features_array(rgb)[None], mu, sigma)[0][0])
     scores = np.stack(rows).reshape(h_bins, s_bins, v_bins)
     shift = scores.max()
     with np.errstate(divide="ignore"):

@@ -14,29 +14,26 @@ the operations of the textbook expressions in their order. A first gradient
 is not added to zeros: a backward's fresh result becomes the gradient as it
 is, and a shared array is copied.
 
-Inference builds no graph. Every inference LSTM runs forward only on plain
-arrays and makes no `Tensor`: the speaker's context encoder, its decoder in
-the sampler and in the batched scorer, and the listener's prefix tree. Each
-forms its own gate sums: word inputs come from an embedding W_x table built
-once per call, the decoder's context inputs once per context, and h W_h is
-skipped at step 0, where the state is zero. All share the cell's
-nonlinearity with `lstm_step` through `lstm_cell`, and `padded_ids` checks
-the scorers' id rows. The remaining forward-only code (the listener's head
-and quadratic form on per-row contexts, and the per-row references) runs
-under `no_grad()`, where derived tensors keep neither parents nor a backward
-hook, so each step's arrays are freed once nothing refers to them.
+Inference makes no `Tensor`: every inference path runs forward only on
+plain arrays. The LSTMs (the speaker's context encoder, its decoder in the
+sampler and in the batched scorer, and the listener's prefix tree) form their
+own gate sums: word inputs come from an embedding W_x table built once per
+call, the decoder's context inputs once per context, and h W_h is skipped at
+step 0, where the state is zero. All share the cell's nonlinearity with
+`lstm_step` through `lstm_cell`, and `padded_ids` checks the scorers' id
+rows. The listener's quadratic form shares its forward with `quad_scores`
+through `quad_form`. A `Tensor` records a graph exactly when one of its
+parents requires a gradient; the per-row references that run the training
+graph on one row free it on return.
 
 Everything is double precision. A model instance is single-threaded during
-training; frozen parameter arrays may be shared freely across threads, and the
-`no_grad` flag is per thread.
+training; frozen parameter arrays may be shared freely across threads.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import json
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,46 +53,17 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-class _GradMode(threading.local):
-    enabled = True
-
-
-_grad_mode = _GradMode()
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Forward-only mode for the current thread; also usable as a decorator.
-
-    Tensors derived inside it do not require gradients and keep neither their
-    parents nor a backward hook. Parameters stay trainable.
-    """
-    previous = _grad_mode.enabled
-    _grad_mode.enabled = False
-    try:
-        yield
-    finally:
-        _grad_mode.enabled = previous
-
-
 class Tensor:
     """A node in the computation graph: a float64 array plus backward hook."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_hook")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, parents=()):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad or (
-            _grad_mode.enabled and any(p.requires_grad for p in parents))
+        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
         self._parents = parents if self.requires_grad else ()
-        self._hook = None
-
-    def _set_backward(self, fn) -> None:
-        if self.requires_grad:  # a node outside the graph drops the hook its op assigns
-            self._hook = fn
-
-    _backward = property(lambda self: self._hook, _set_backward)
+        self._backward = None
 
     @property
     def shape(self):
@@ -240,8 +208,8 @@ class Tensor:
                     stack.append((p, False))
         self._accumulate(np.ones_like(self.data), owned=True)
         for node in reversed(order):
-            if node._hook is not None and node.grad is not None:
-                node._hook(node.grad)
+            if node._backward is not None and node.grad is not None:
+                node._backward(node.grad)
 
 
 class Parameter(Tensor):
@@ -313,9 +281,8 @@ def padded_ids(seqs, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
     return padded, lengths
 
 
-def log_softmax(scores: Tensor) -> np.ndarray:
-    """Log-space normalization of raw scores over the last axis, as an array (no gradient)."""
-    z = scores.data if isinstance(scores, Tensor) else np.asarray(scores, dtype=np.float64)
+def log_softmax(z: np.ndarray) -> np.ndarray:
+    """Log-space normalization of raw scores over the last axis."""
     shifted = z - z.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
@@ -323,39 +290,47 @@ def log_softmax(scores: Tensor) -> np.ndarray:
 def softmax_xent(logits: Tensor, target_ids) -> tuple[Tensor, np.ndarray]:
     """Fused softmax + cross-entropy.
 
-    logits: (K,) with an int target, or (B, K) with (B,) targets. Returns the
-    per-example loss tensor (scalar or (B,)) and the probability array.
+    logits: (B, K) with (B,) int targets. Returns the per-example loss tensor
+    (B,) and the probability array (B, K).
     """
-    single = logits.data.ndim == 1
-    z = logits.reshape(1, -1) if single else logits
-    targets = np.atleast_1d(np.asarray(target_ids, dtype=int))
-    logp = log_softmax(z)
+    targets = np.asarray(target_ids, dtype=int)
+    logp = log_softmax(logits.data)
     probs = np.exp(logp)
-    rows = np.arange(z.data.shape[0])
-    loss_data = -logp[rows, targets]
-    out = Tensor(loss_data[0] if single else loss_data, parents=(z,))
+    rows = np.arange(len(logp))
+    out = Tensor(-logp[rows, targets], parents=(logits,))
 
     def bwd(g):
-        if not z.requires_grad:
+        if not logits.requires_grad:
             return
         grad = probs.copy()
         grad[rows, targets] -= 1.0
-        z._accumulate(grad * np.atleast_1d(g)[:, None], owned=True)
+        logits._accumulate(grad * g[:, None], owned=True)
 
     out._backward = bwd
-    return out, (probs[0] if single else probs)
+    return out, probs
+
+
+def quad_form(feats: np.ndarray, mu: np.ndarray, sigma: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Quadratic-form color scores -(f - mu)^T Sigma (f - mu), forward only.
+
+    feats: (B, K, F) candidates; mu: (B, F); sigma: (B, F, F), used as-is (no
+    symmetrization; only its symmetric part matters). Returns the scores
+    (B, K), then d = f - mu and Sigma d, both (B, K, F), which quad_scores'
+    backward reuses.
+    """
+    d = feats - mu[:, None, :]
+    s_d = np.einsum("bfe,bke->bkf", sigma, d)
+    return -np.einsum("bkf,bkf->bk", d, s_d), d, s_d
 
 
 def quad_scores(feats: np.ndarray, mu: Tensor, sigma: Tensor) -> Tensor:
-    """Quadratic-form color scores: -(f - mu)^T Sigma (f - mu) per candidate.
+    """quad_form as one graph node (B, K) over mu (B, F) and Sigma (B, F, F).
 
-    feats: constant (B, K, F) feature block; mu: (B, F); sigma: (B, F, F).
-    Sigma is used as-is (no symmetrization; only its symmetric part matters).
-    Returns (B, K).
+    feats is a constant (B, K, F) feature block.
     """
-    d = feats - mu.data[:, None, :]
-    s_d = np.einsum("bfe,bke->bkf", sigma.data, d)
-    out = Tensor(-np.einsum("bkf,bkf->bk", d, s_d), parents=(mu, sigma))
+    scores, d, s_d = quad_form(feats, mu.data, sigma.data)
+    out = Tensor(scores, parents=(mu, sigma))
 
     def bwd(g):
         if mu.requires_grad:

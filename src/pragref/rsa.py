@@ -34,7 +34,9 @@ row), and `compute_agents` matches a per-row evaluation to within 1e-12 in
 every probability, and in every sampled utterance unless a draw falls within
 that rounding of a sampling boundary. The per-row L0 branch, which
 `evaluate_l0`, training's dev scoring and the pragmatic speaker sampler use,
-is held to the same 1e-12. Where the head's mu is far larger than the color
+runs the listener's head and `quad_form` on plain arrays with the floats of
+`ListenerModel.head` and `quad_scores`; only its prefix-tree states round
+differently, and it is held to the same 1e-12. Where the head's mu is far larger than the color
 features, `l0_score`'s own rounding nears that tolerance: it forms f - mu and
 sums products of order |mu|^2 |Sigma|, which the fold never does.
 
@@ -149,7 +151,7 @@ def _normalize(weights):
 
 
 def _speaker_weight(l0_val, alpha: float, cost: float):
-    """exp(alpha*log l0 - kappa); exact when alpha is integral and cost 0."""
+    """exp(alpha*log l0 - cost); exact when alpha is integral and cost 0."""
     if l0_val == 0:
         return Fraction(0) if isinstance(l0_val, Fraction) else 0.0
     if isinstance(l0_val, Fraction) and float(alpha).is_integer() and cost == 0:
@@ -166,49 +168,47 @@ def exact_l0(lex: Lexicon, u) -> list:
     return _normalize(weights)
 
 
-def exact_s1(lex: Lexicon, t: int, alpha: float = 1.0, kappa=None) -> list:
+def exact_s1(lex: Lexicon, t: int, alpha: float = 1.0) -> list:
     """Pragmatic speaker: soft-max of informativity minus cost.
 
     Utterances whose literal listener puts zero mass on t (including vacuous
     utterances) get probability zero.
     """
-    costs = lex.costs if kappa is None else list(kappa)
     weights = []
     for ui in range(len(lex.utterances)):
         try:
             l0_val = exact_l0(lex, ui)[t]
         except VacuousUtterance:
             l0_val = 0
-        weights.append(_speaker_weight(l0_val, alpha, costs[ui]))
+        weights.append(_speaker_weight(l0_val, alpha, lex.costs[ui]))
     if sum(weights) == 0:
         raise VacuousUtterance(f"no utterance identifies referent {t}")
     return _normalize(weights)
 
 
-def exact_l2(lex: Lexicon, u, alpha: float = 1.0, kappa=None) -> list:
+def exact_l2(lex: Lexicon, u, alpha: float = 1.0) -> list:
     """Pragmatic listener over the pragmatic speaker, via Bayes' rule."""
-    return _invert_speaker(lex, u, lambda t: exact_s1(lex, t, alpha, kappa))
+    return _invert_speaker(lex, u, lambda t: exact_s1(lex, t, alpha))
 
 
-def exact_s0(lex: Lexicon, t: int, kappa=None) -> list:
+def exact_s0(lex: Lexicon, t: int) -> list:
     """Literal speaker: truth-gated, cost-weighted choice among utterances."""
-    costs = lex.costs if kappa is None else list(kappa)
-    zero_cost = all(c == 0 for c in costs)
+    zero_cost = all(c == 0 for c in lex.costs)
     weights = []
     for ui in range(len(lex.utterances)):
         truth = lex.truth[ui][t]
         if zero_cost:
             weights.append(Fraction(truth))
         else:
-            weights.append(truth * math.exp(-costs[ui]))
+            weights.append(truth * math.exp(-lex.costs[ui]))
     if sum(weights) == 0:
         raise VacuousUtterance(f"no utterance is true of referent {t}")
     return _normalize(weights)
 
 
-def exact_l1(lex: Lexicon, u, kappa=None) -> list:
+def exact_l1(lex: Lexicon, u) -> list:
     """Pragmatic listener over the literal speaker."""
-    return _invert_speaker(lex, u, lambda t: exact_s0(lex, t, kappa))
+    return _invert_speaker(lex, u, lambda t: exact_s0(lex, t))
 
 
 def _invert_speaker(lex: Lexicon, u, speaker) -> list:

@@ -23,7 +23,6 @@ from .nnsubstrate import (
     log_softmax,
     lstm_cell,
     lstm_step,
-    no_grad,
     padded_ids,
     run_lstm,
     softmax_xent,
@@ -165,10 +164,12 @@ def _teacher_forced_losses(model: SpeakerModel, feats: np.ndarray,
     return total
 
 
-@no_grad()
 def s0_log_prob(model: SpeakerModel, tokens: list[str],
                 colors: tuple[Color, Color, Color], target_index: int) -> float:
-    """Teacher-forced log probability of a token sequence ending with </s>."""
+    """Teacher-forced log probability of a token sequence ending with </s>.
+
+    The per-row reference: it runs the training graph on one row.
+    """
     if not tokens or tokens[-1] != EOS:
         raise ValueError("speaker tokens must end with the end token </s>")
     ids = np.array([model.vocab.encode(tokens)])
@@ -373,7 +374,9 @@ def trial_speaker_ids(model: SpeakerModel, trial: ContextTrial) -> list[int]:
 
 
 def _speaker_inputs(model: SpeakerModel, trials: list[ContextTrial]):
-    """Id rows ending in </s> and target-last features (N, 3, F) of a trial list."""
+    """Id rows ending in </s> and target-last features (N, 3, F) of a nonempty trial list."""
+    if not trials:
+        raise ValueError("expected at least one trial, got an empty list")
     return ([trial_speaker_ids(model, t) for t in trials],
             target_last_features([t.colors for t in trials], [t.target_index for t in trials]))
 

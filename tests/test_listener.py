@@ -20,7 +20,13 @@ from pragref.listener import (
     train_l0,
 )
 from pragref import listener
-from pragref.nnsubstrate import load_checkpoint, log_softmax, save_checkpoint
+from pragref.nnsubstrate import (
+    Tensor,
+    load_checkpoint,
+    log_softmax,
+    quad_scores,
+    save_checkpoint,
+)
 from pragref.training import TrainConfig, same_length_batches
 
 
@@ -165,12 +171,12 @@ class TestL0Score:
 
     def test_blocks_span_lengths_and_stay_bounded(self, monkeypatch):
         # 300 distinct utterances of lengths 1 to 4 fill three head blocks,
-        # not one per length; a block bounds the head's and quad_scores' rows
+        # not one per length; a block bounds the head's and quad_form's rows
         heads, quads = [], []
-        head, quad = ListenerModel.head, listener.quad_scores
-        monkeypatch.setattr(ListenerModel, "head",
-                            lambda self, h: heads.append(len(h.data)) or head(self, h))
-        monkeypatch.setattr(listener, "quad_scores",
+        head, quad = ListenerModel.head_arrays, listener.quad_form
+        monkeypatch.setattr(ListenerModel, "head_arrays",
+                            lambda self, h: heads.append(len(h)) or head(self, h))
+        monkeypatch.setattr(listener, "quad_form",
                             lambda f, mu, sigma: quads.append(len(f)) or quad(f, mu, sigma))
         rng = np.random.default_rng(14)
         pool = list(dict.fromkeys(tuple(rng.integers(0, 6, size=rng.integers(1, 5)))
@@ -179,6 +185,29 @@ class TestL0Score:
         l0_probs_many(tiny_model(), id_seqs, rng.standard_normal((len(id_seqs), 3, 54)))
         assert heads == [128, 128, 44]
         assert max(quads) <= listener._L0_BLOCK and sum(quads) == len(id_seqs)
+
+    @pytest.mark.parametrize("block", [128, 7])
+    def test_per_row_branch_is_graph_head_and_quad_scores(self, monkeypatch, block):
+        # the prefix tree's states, then ListenerModel.head on the branch's
+        # blocks of distinct utterances and quad_scores on each row: same bits
+        monkeypatch.setattr(listener, "_L0_BLOCK", block)
+        rng = np.random.default_rng(15)
+        model = ListenerModel.create(tiny_model().vocab, rng, embed_dim=8, hidden_dim=6)
+        pool = list(dict.fromkeys(tuple(rng.integers(0, 6, size=rng.integers(1, 5)))
+                                  for _ in range(200)))
+        id_seqs = [pool[i] for i in rng.integers(0, len(pool), 150)]
+        feats = rng.standard_normal((len(id_seqs), 3, 54))
+        distinct = list(dict.fromkeys(id_seqs))
+        states = model.encode_prefixes(distinct)
+        heads = [model.head(Tensor(states[lo:lo + block]))
+                 for lo in range(0, len(distinct), block)]
+        want = np.empty((len(id_seqs), 3))
+        for i, seq in enumerate(id_seqs):
+            block_index, k = divmod(distinct.index(seq), block)
+            mu, sigma = heads[block_index]
+            scores = quad_scores(feats[i][None], Tensor(mu.data[[k]]), Tensor(sigma.data[[k]]))
+            want[i] = np.exp(log_softmax(scores.data[0]))
+        assert np.array_equal(l0_probs_many(model, id_seqs, feats), want)
 
     @given(seqs=st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=5),
                          min_size=1, max_size=40),
@@ -305,6 +334,23 @@ class TestTrainL0:
         for p, q in zip(model.parameters(), before):
             assert np.array_equal(p.data, q)
 
+    @pytest.mark.parametrize("empty", ["train", "dev"])
+    def test_empty_trial_list_raises_before_training(self, empty):
+        trials = synth_corpus(30, np.random.default_rng(4))
+        vocab = build_vocab([preprocess(t.combined_text(), "listener") for t in trials])
+        model = ListenerModel.create(vocab, np.random.default_rng(0),
+                                     embed_dim=8, hidden_dim=6)
+        before = [p.data.copy() for p in model.parameters()]
+        lists = {"train": trials, "dev": trials[:5], empty: []}
+        with pytest.raises(ValueError, match="at least one trial"):
+            train_l0(model, lists["train"], lists["dev"], TrainConfig(epochs=1))
+        for p, q in zip(model.parameters(), before):
+            assert np.array_equal(p.data, q)
+
+    def test_evaluating_no_trials_raises(self):
+        with pytest.raises(ValueError, match="at least one trial"):
+            evaluate_l0(tiny_model(), [])
+
 
 class TestDensityGrid:
     def test_memory_stays_near_one_hue_row(self):
@@ -347,12 +393,31 @@ class TestDensityGrid:
         hh, ss, vv = np.meshgrid(h, s, v, indexing="ij")
         r, g, b = hsv_to_rgb_arrays(hh.ravel(), ss.ravel(), vv.ravel())
         feats = fourier_features_array(np.stack([r, g, b], axis=-1))
-        mu, sigma = model.mu_sigma(np.array([model.encode_tokens(["dark", "red"])]))
+        mu, sigma = model.head(model.encode(np.array([model.encode_tokens(["dark", "red"])])))
         d = feats - mu.data[0]
         scores = -np.einsum("nf,fe,ne->n", d, sigma.data[0], d).reshape(10, 7, 5)
         direct = np.log(np.exp(scores).sum(axis=2))
         direct -= direct.max()
         assert np.allclose(grid, direct, atol=1e-9)
+
+    def test_matches_graph_path(self):
+        # the graph encoder and head, then quad_scores on each hue row
+        model = ListenerModel.create(tiny_model().vocab, np.random.default_rng(16),
+                                     embed_dim=8, hidden_dim=6)
+        model.out_w.data *= 10.0
+        tokens = ["dark", "blue", "red"]
+        grid = density_grid(model, tokens, h_bins=12, s_bins=9, v_bins=7)
+        mu, sigma = model.head(model.encode(np.array([model.encode_tokens(tokens)])))
+        h = (np.arange(12) + 0.5) * 30.0
+        ss, vv = (a.ravel() for a in np.meshgrid((np.arange(9) + 0.5) / 9,
+                                                 (np.arange(7) + 0.5) / 7, indexing="ij"))
+        scores = np.stack([
+            quad_scores(fourier_features_array(np.stack(hsv_to_rgb_arrays(hue, ss, vv),
+                                                         axis=-1))[None], mu, sigma).data[0]
+            for hue in h]).reshape(12, 9, 7)
+        shift = scores.max()
+        want = np.log(np.exp(scores - shift).sum(axis=2)) + shift
+        assert np.allclose(grid, want - want.max(), rtol=0, atol=INFERENCE_ATOL)
 
 
 class TestCheckpointRoundTrip:

@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 from fractions import Fraction as F
 from importlib import resources
@@ -87,7 +88,7 @@ class TestExactOracle:
             exact_l0(lex, "nothing")
 
     def test_s1_middle_referent(self, demo_lexicon):
-        # alpha=1, kappa=0: blue 1/3, teal 2/3
+        # alpha=1, zero costs: blue 1/3, teal 2/3
         assert exact_s1(demo_lexicon, 1) == [F(1, 3), F(2, 3), F(0)]
 
     def test_s1_third_referent_deterministic(self, demo_lexicon):
@@ -111,8 +112,8 @@ class TestExactOracle:
         assert exact_l1(demo_lexicon, "blue") == [F(1, 2), F(1, 2), F(0)]
 
     def test_l1_cost_shift_invariance(self, demo_lexicon):
-        base = exact_l1(demo_lexicon, "blue", kappa=[0.3, 0.9, 0.1])
-        shifted = exact_l1(demo_lexicon, "blue", kappa=[1.3, 1.9, 1.1])
+        base = exact_l1(dataclasses.replace(demo_lexicon, costs=[0.3, 0.9, 0.1]), "blue")
+        shifted = exact_l1(dataclasses.replace(demo_lexicon, costs=[1.3, 1.9, 1.1]), "blue")
         assert np.allclose([float(x) for x in base], [float(x) for x in shifted])
 
     def test_l1_single_utterance_prior_restricted(self):

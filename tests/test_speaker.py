@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from conftest import INFERENCE_ATOL
 from pragref import speaker
-from pragref.colorspace import Color, fourier_features_array
+from pragref.colorspace import Color, Condition, fourier_features_array
 from pragref.corpus import EOS, build_vocab, preprocess, synth_corpus
 from pragref.errors import EmptyUtterance, IndexOutOfRange, MissingCheckpoint
-from pragref.listener import ListenerModel
+from pragref.listener import ListenerModel, density_grid, evaluate_l0, l0_probs_many
+from pragref.metrics import BaseSpeakerSampler, PragmaticSpeakerSampler
 from pragref.nnsubstrate import Tensor, load_checkpoint, save_checkpoint
+from pragref.rsa import PragmaticsConfig, compute_agents
 from pragref.speaker import (
     MAX_DECODE_LEN,
     SpeakerModel,
@@ -391,11 +393,13 @@ class TestBatchScoring:
 
 
 def test_inference_lstms_construct_no_tensor(monkeypatch):
-    # the forward-only paths run on plain arrays; s0_log_prob, the graph
-    # reference, shows that the count sees Tensors made under no_grad
+    # every inference entry point runs on plain arrays; s0_log_prob, the
+    # graph reference, shows that the count sees the Tensors it makes
     model = tiny_model(seed=3)
     l0 = ListenerModel.create(model.vocab, np.random.default_rng(3), embed_dim=8, hidden_dim=6)
-    id_seqs, _, _, feats = scoring_inputs(model, np.random.default_rng(1), [3, 1, 4])
+    id_seqs, colors, targets, feats = scoring_inputs(model, np.random.default_rng(1), [3, 1, 4])
+    trials = synth_corpus(6, np.random.default_rng(4))
+    contexts = [(c, int(t), Condition.FAR) for c, t in zip(colors, targets)]
     made = []
     init = Tensor.__init__
 
@@ -410,6 +414,16 @@ def test_inference_lstms_construct_no_tensor(monkeypatch):
     s0_log_probs_batch(model, id_seqs, feats)
     s0_sample_batch(model, feats, np.random.default_rng(2), rows=np.array([0, 0, 1, 2]))
     l0.encode_prefixes([(3, 4), (3,), (5, 4, 3)])
+    listener_ids = [[3, 4], [3], [5, 4, 3]]
+    l0_probs_many(l0, listener_ids, fourier_features_array(COLORS))
+    l0_probs_many(l0, listener_ids, fourier_features_array(colors))
+    evaluate_l0(l0, trials)
+    density_grid(l0, ["blue"], h_bins=4, s_bins=3, v_bins=2)
+    dev_token_perplexity(model, trials)
+    compute_agents(l0, model, ("dark", "blue"), COLORS, PragmaticsConfig(m=2, n=2),
+                   np.random.default_rng(5))
+    BaseSpeakerSampler(model).sample_texts(contexts, np.random.default_rng(6))
+    PragmaticSpeakerSampler(l0, model).sample_texts(contexts, np.random.default_rng(7))
     assert made == []
 
 
@@ -626,6 +640,21 @@ class TestTrainS0:
         for e in report.epochs:
             assert np.isfinite(e.max_grad_norm) and e.max_grad_norm > 0
             assert 0 <= e.clipped_steps <= n_batches
+
+    @pytest.mark.parametrize("empty", ["train", "dev"])
+    def test_empty_trial_list_raises_before_training(self, empty):
+        # no dev trials would give NaN perplexities and restore the initial
+        # parameters; no training trials, a division by zero after training
+        trials = synth_corpus(30, np.random.default_rng(4))
+        vocab = build_vocab([preprocess(t.combined_text(), "speaker") for t in trials])
+        model = SpeakerModel.create(vocab, np.random.default_rng(0), embed_dim=8, hidden_dim=6)
+        lists = {"train": trials, "dev": trials[:5], empty: []}
+        with pytest.raises(ValueError, match="at least one trial"):
+            train_s0(model, lists["train"], lists["dev"], TrainConfig(epochs=2))
+
+    def test_perplexity_of_no_trials_raises(self):
+        with pytest.raises(ValueError, match="at least one trial"):
+            dev_token_perplexity(tiny_model(), [])
 
     def test_checkpoint_round_trip(self, tmp_path):
         model = tiny_model(seed=7)
