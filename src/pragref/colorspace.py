@@ -45,10 +45,13 @@ class Color(namedtuple("Color", "r g b")):
     __slots__ = ()
 
     def __new__(cls, r, g, b):
-        for name, v in zip(cls._fields, (r, g, b)):
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"channel {name}={v!r} outside [0, 1]")
-        return super().__new__(cls, r, g, b)
+        # one chained comparison for the common case; the loop runs only to
+        # name the channel that failed it
+        if not (0.0 <= r <= 1.0 and 0.0 <= g <= 1.0 and 0.0 <= b <= 1.0):
+            for name, v in zip(cls._fields, (r, g, b)):
+                if not 0.0 <= v <= 1.0:
+                    raise ValueError(f"channel {name}={v!r} outside [0, 1]")
+        return tuple.__new__(cls, (r, g, b))
 
     @classmethod
     def _make(cls, iterable):

@@ -232,7 +232,7 @@ def _parse_row(obj: dict, line_no: int) -> ContextTrial:
         texts = [texts]
     if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
         raise ParseError("speaker_text must be a string or list of strings", line_no)
-    if not preprocess(texts, "listener"):
+    if not any(t.split() for t in texts):  # preprocess would return no token
         raise ParseError("speaker text empty after preprocessing", line_no)
     condition = obj.get("condition")
     try:
@@ -242,8 +242,10 @@ def _parse_row(obj: dict, line_no: int) -> ContextTrial:
     clicked = obj.get("clicked_index")
     if clicked is not None and not (_is_int(clicked) and clicked in (0, 1, 2)):
         raise ParseError(f"clicked_index {clicked!r} not in 0..2", line_no)
+    if not isinstance(obj["game_id"], str):
+        raise ParseError(f"game_id {obj['game_id']!r} is not a string", line_no)
     return ContextTrial(
-        game_id=str(obj["game_id"]),
+        game_id=obj["game_id"],
         round=obj["round"],
         colors=triple,
         target_index=target,
@@ -258,6 +260,11 @@ def load_raw(path, strict: bool = False) -> LoadResult:
 
     Malformed rows are collected into the rejects report rather than silently
     dropped; with strict=True the first bad row raises ParseError instead.
+    A row whose speaker text `preprocess` would turn into no token is
+    malformed. That happens exactly when no message has a word under
+    `str.split`: in either mode every such word yields at least one token,
+    and lowercasing neither makes nor removes whitespace. So the check splits
+    on whitespace and never tokenizes.
     """
     trials: list[ContextTrial] = []
     rejects: list[RejectedRow] = []
@@ -313,12 +320,14 @@ def filter_trials(trials: list[ContextTrial],
     """Drop over-long messages and (optionally) incomplete games.
 
     The length cutoff is mean + SIGMA_MULT * std of per-message word counts,
-    computed over the raw input corpus. A trial with no surviving messages is
-    dropped. Games with fewer than min_rounds rounds are dropped entirely
-    when min_rounds is given.
+    computed over the raw input corpus. A trial is dropped when its surviving
+    messages would preprocess to no token, which by `load_raw`'s rule means
+    none of them has a word: none survives, or only whitespace ones do. Games
+    with fewer than min_rounds rounds are dropped entirely when min_rounds is
+    given.
     """
-    lengths = np.array([len(m.split()) for t in trials for m in t.speaker_texts],
-                       dtype=np.float64)
+    words = [[len(m.split()) for m in t.speaker_texts] for t in trials]
+    lengths = np.array([n for counts in words for n in counts], dtype=np.float64)
     if lengths.size == 0:
         return FilterResult([], 0, 0, 0, 0.0)
     cutoff = float(lengths.mean() + SIGMA_MULT * lengths.std())
@@ -331,12 +340,12 @@ def filter_trials(trials: list[ContextTrial],
     kept: list[ContextTrial] = []
     excluded_messages = 0
     excluded_trials = 0
-    for t in trials:
+    for t, counts in zip(trials, words):
         if t.game_id in dropped_games:
             continue
-        msgs = [m for m in t.speaker_texts if len(m.split()) <= cutoff]
+        msgs = [m for m, n in zip(t.speaker_texts, counts) if n <= cutoff]
         excluded_messages += len(t.speaker_texts) - len(msgs)
-        if not msgs or not preprocess(msgs, "listener"):
+        if not any(n for n in counts if n <= cutoff):
             excluded_trials += 1
             continue
         if len(msgs) != len(t.speaker_texts):

@@ -196,13 +196,15 @@ def behavior_metrics(items: list[tuple[str, Condition]]) -> BehaviorReport:
     use the raw text; flags use speaker-mode tokens. n counts every item, but
     the means cover only non-empty descriptions (0.0 when none is), so a
     speaker's empty samples show in empty_pct rather than shortening its
-    descriptions.
+    descriptions. Each distinct text is measured once per call.
     """
+    measured: dict[str, tuple[int, int, UtteranceFlags] | None] = {}
     buckets: dict[str, list[tuple[int, int, UtteranceFlags] | None]] = {}
     for text, cond in items:
-        words = len(text.split())
-        buckets.setdefault(cond.value, []).append(
-            (len(text), words, utterance_flags(text)) if words else None)
+        if text not in measured:
+            words = len(text.split())
+            measured[text] = (len(text), words, utterance_flags(text)) if words else None
+        buckets.setdefault(cond.value, []).append(measured[text])
     per_condition = {}
     for cond, all_rows in sorted(buckets.items()):
         rows = [r for r in all_rows if r is not None]

@@ -1,5 +1,6 @@
 import colorsys
 import math
+import re
 
 import numpy as np
 import pytest
@@ -111,6 +112,43 @@ class TestHsv:
         assert np.asarray(c).shape == (3,)
         assert np.asarray((c, c, c)).shape == (3, 3)
         assert np.array([(c, c, c)] * 4).shape == (4, 3, 3)
+
+
+class TestColor:
+    @pytest.mark.parametrize("channels", [(0.0, 1.0, -0.0), (0, 1, 0), (True, False, True),
+                                          (1, 0.5, False)])
+    def test_in_range_kept_as_given(self, channels):
+        for c in (Color(*channels), Color._make(channels),
+                  Color(0.5, 0.5, 0.5)._replace(r=channels[0], g=channels[1], b=channels[2])):
+            assert type(c) is Color
+            assert c == channels
+            assert [type(v) for v in c] == [type(v) for v in channels]
+            assert [math.copysign(1, v) for v in c] == [math.copysign(1, v) for v in channels]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1e-300, 1 + 2 ** -52])
+    @pytest.mark.parametrize("index", range(3))
+    def test_out_of_range_names_channel(self, index, value):
+        name = Color._fields[index]
+        channels = [0.5, 0.5, 0.5]
+        channels[index] = value
+        message = re.escape(f"channel {name}={value!r} outside [0, 1]")
+        with pytest.raises(ValueError, match=message):
+            Color(*channels)
+        with pytest.raises(ValueError, match=message):
+            Color._make(channels)
+        with pytest.raises(ValueError, match=message):
+            Color(0.5, 0.5, 0.5)._replace(**{name: value})
+
+    def test_first_bad_channel_named(self):
+        with pytest.raises(ValueError, match="channel g=2 outside"):
+            Color(0.5, 2, math.nan)
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_string_channel_type_error(self, index):
+        channels = [0.5, 0.5, 0.5]
+        channels[index] = "0.5"
+        with pytest.raises(TypeError):
+            Color(*channels)
 
 
 class TestCiede2000:

@@ -70,6 +70,21 @@ class TestPreprocess:
             assert once == again
 
 
+    # Unicode whitespace (ideographic space, file separator, line separator,
+    # no-break space), punctuation-only words and -er/-est/-ish words
+    _PIECES = st.sampled_from([" ", "\t", "\n", "\u3000", "\x1c", "\u2028", "\xa0",
+                               ".", ",!", "?", "-'", "Darker", "bluest", "greenish",
+                               "er", "est", "ish", "a", "tEal", "İ"])
+
+    @given(st.lists(st.lists(_PIECES, max_size=6).map("".join), max_size=4))
+    @settings(max_examples=300, deadline=None)
+    @example(["\u3000\x1c", "\u2028\xa0"])
+    @example(["", "?"])
+    def test_empty_exactly_when_no_message_has_a_word(self, texts):
+        # the rule load_raw and filter_trials use in place of tokenizing
+        for mode in ("listener", "speaker"):
+            assert bool(preprocess(texts, mode)) == any(t.split() for t in texts)
+
     @given(st.text())
     @settings(max_examples=300, deadline=None)
     def test_speaker_tokens_retokenize_to_listener_tokens(self, text):
@@ -160,7 +175,9 @@ class TestLoadRaw:
     @pytest.mark.parametrize("field, value", [("condition", "medium"), ("round", "first"),
                                               ("round", 1.5), ("target_index", True),
                                               ("target_index", 2.0),
-                                              ("clicked_index", False)])
+                                              ("clicked_index", False),
+                                              ("game_id", None), ("game_id", ["g1"]),
+                                              ("game_id", True), ("game_id", 7)])
     def test_bad_field_value_rejected(self, tmp_path, field, value):
         path = self._write(tmp_path, [self._row(), self._row(**{field: value})])
         result = load_raw(path)
@@ -170,6 +187,21 @@ class TestLoadRaw:
         with pytest.raises(ParseError, match="line 2") as e:
             load_raw(path, strict=True)
         assert e.value.line == 2
+
+    @pytest.mark.parametrize("text", ["   ", "\u3000\x1c\u2028\xa0", ["", " \t"], ["\n"], []])
+    def test_whitespace_text_rejected(self, tmp_path, text):
+        path = self._write(tmp_path, [self._row(speaker_text=text), self._row()])
+        result = load_raw(path)
+        assert len(result.trials) == 1
+        assert [(r.line, r.reason) for r in result.rejects] == \
+            [(1, "line 1: speaker text empty after preprocessing")]
+
+    @pytest.mark.parametrize("text, stored", [("?", ["?"]), (["", "?"], ["", "?"]),
+                                              (["\u3000", "ok"], ["\u3000", "ok"])])
+    def test_text_with_one_word_accepted(self, tmp_path, text, stored):
+        result = load_raw(self._write(tmp_path, [self._row(speaker_text=text)]))
+        assert not result.rejects
+        assert result.trials[0].speaker_texts == stored
 
     @pytest.mark.parametrize("color, reason", [([0.1, 1.3, 0.3], "channel g=1.3 outside"),
                                                ([0.1, 0.2, float("nan")], "channel b=nan"),
@@ -209,6 +241,18 @@ class TestFilterTrials:
         assert result.excluded_messages == 1
         assert result.excluded_trials == 1
         assert len(result.trials) == 50
+
+    def test_whitespace_trials_excluded(self):
+        trials = [make_trial(text="blue") for _ in range(50)]
+        trials.append(make_trial(game="g8", text="\u3000 \xa0"))
+        # the only message with a word is over the cutoff
+        trials.append(ContextTrial("g9", 1, trials[0].colors, 0,
+                                   ["  ", " ".join(["word"] * 200), "\n"]))
+        trials.append(make_trial(game="g10", text="?"))
+        result = filter_trials(trials)
+        assert result.excluded_messages == 1
+        assert result.excluded_trials == 2
+        assert len(result.trials) == 51 and result.trials[-1].game_id == "g10"
 
     def test_all_short_unchanged(self):
         trials = [make_trial(rnd=i, text="dark blue") for i in range(10)]

@@ -237,6 +237,31 @@ class TestBehaviorMetrics:
         assert (close.chars, close.words, close.comparatives_pct, close.high_specificity_pct,
                 close.negatives_pct, close.superlatives_pct) == (0.0,) * 6
 
+    def test_repeated_texts_measured_once(self, monkeypatch):
+        texts = ["dark blue", "", "bluest", "  ", "not the redder one", "\u3000", "teal"]
+        conditions = list(Condition)
+        items = [(texts[i * 5 % 7], conditions[i % 3]) for i in range(60)]
+        # each item measured on its own, as the means are documented
+        want = {}
+        for cond in sorted({c.value for _, c in items}):
+            all_texts = [t for t, c in items if c.value == cond]
+            said = [t for t in all_texts if t.split()]
+            flags = [utterance_flags(t) for t in said]
+            k = len(said) or 1
+            want[cond] = metrics.ConditionBehavior(
+                n=len(all_texts), chars=sum(len(t) for t in said) / k,
+                words=sum(len(t.split()) for t in said) / k,
+                comparatives_pct=100.0 * sum(f.comparative for f in flags) / k,
+                high_specificity_pct=100.0 * sum(f.high_specificity for f in flags) / k,
+                negatives_pct=100.0 * sum(f.negative for f in flags) / k,
+                superlatives_pct=100.0 * sum(f.superlative for f in flags) / k,
+                empty_pct=100.0 * (len(all_texts) - len(said)) / len(all_texts))
+        measured = []
+        monkeypatch.setattr(metrics, "utterance_flags",
+                            lambda text: measured.append(text) or utterance_flags(text))
+        assert behavior_metrics(items).per_condition == want
+        assert sorted(measured) == sorted(t for t in texts if t.split())
+
     def test_deterministic(self):
         trials = make_trials(200, seed=5)
         items = [(t.combined_text(), t.condition) for t in trials]
