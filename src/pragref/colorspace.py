@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PerceptibilityViolation, SamplingBudgetExceeded
+from .errors import PerceptibilityViolation, SamplingBudgetExceeded, require_count
 
 FOURIER_DIM = 54
 
@@ -67,6 +67,9 @@ class Condition(enum.Enum):
 
     @classmethod
     def from_label(cls, label: str) -> "Condition":
+        """The condition named by `label`, ignoring case; ValueError for any other value."""
+        if not isinstance(label, str):
+            raise ValueError(f"condition label {label!r} is not a string")
         return cls(label.lower())
 
 
@@ -224,6 +227,22 @@ def _classify_batch(dists: np.ndarray, th: ConditionThresholds) -> np.ndarray:
     return codes
 
 
+def _first_pair_excludes(d: np.ndarray, code: int, th: ConditionThresholds) -> np.ndarray:
+    """Where one pair's distance d alone rules out `code` under `_classify_batch`.
+
+    A necessary condition of each code: far needs every pair beyond theta, close
+    every pair in [epsilon, theta], and split no pair below epsilon. Each test
+    is a comparison that is False for NaN, so a NaN distance is never excluded
+    here and is labelled by `_classify_batch` as before. Change this together
+    with the labelling rule.
+    """
+    if code == 0:
+        return d <= th.theta_dist
+    if code == 2:
+        return (d > th.theta_dist) | (d < th.epsilon)
+    return d < th.epsilon
+
+
 # Conditions by the codes of `_classify_batch`, and back.
 _CONDITIONS = (Condition.FAR, Condition.SPLIT, Condition.CLOSE)
 _CONDITION_CODES = {c: i for i, c in enumerate(_CONDITIONS)}
@@ -266,8 +285,18 @@ def sample_contexts(cond: Condition, n: int, rng: np.random.Generator,
     Returns (colors, targets): colors has shape (n, 3, 3) with rows uniform
     over the RGB cube, targets shape (n,). Target indices are drawn uniformly
     before the accept/reject test. Raises SamplingBudgetExceeded if the total
-    attempt budget (max_attempts per requested context) runs out.
+    attempt budget (max_attempts per requested context) runs out, and
+    ValueError if n is negative, not an integer, or a bool; n = 0 gives empty
+    arrays.
+
+    Each batch of candidates is converted to Lab at once, and the distance of
+    the pair (0, 1) is computed for every candidate. Only the candidates that
+    this one distance does not rule out (`_first_pair_excludes`) get their
+    pairs (0, 2) and (1, 2) computed and are labelled by `_classify_batch`.
+    The random stream, the accepted contexts and their targets are those of
+    labelling every pair of every candidate.
     """
+    require_count("n", n, minimum=0)
     want = _CONDITION_CODES[cond]
     out_colors = np.empty((n, 3, 3))
     out_targets = np.empty(n, dtype=int)
@@ -283,10 +312,16 @@ def sample_contexts(cond: Condition, n: int, rng: np.random.Generator,
         cand = rng.random((m, 3, 3))
         targets = rng.integers(0, 3, size=m)
         attempts += m
-        ok = _classify_batch(pairwise_distances(cand), th) == want
-        take = min(int(ok.sum()), n - got)
+        # fancy-indexed (m, 1, 3) and (k, 2, 3) copies lay out each pair as
+        # pairwise_distances does, so every channel slice has its strides
+        lab = srgb_to_lab(cand)
+        first = ciede2000_lab(lab[:, [0]], lab[:, [1]])[:, 0]
+        live = np.flatnonzero(~_first_pair_excludes(first, want, th))
+        rest = ciede2000_lab(lab[live[:, None], [0, 1]], lab[live[:, None], [2, 2]])
+        dists = np.column_stack((first[live], rest))
+        sel = live[_classify_batch(dists, th) == want][:n - got]
+        take = len(sel)
         if take:
-            sel = np.flatnonzero(ok)[:take]
             out_colors[got:got + take] = cand[sel]
             out_targets[got:got + take] = targets[sel]
             got += take

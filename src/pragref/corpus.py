@@ -29,7 +29,7 @@ from .colorspace import (
     sample_contexts,
     srgb_to_lab,
 )
-from .errors import MissingField, ParseError
+from .errors import MissingField, ParseError, require_count
 
 SPLIT_NAMES = ("train", "dev", "test")
 SIGMA_MULT = 4.0  # message-length cutoff, in standard deviations above the mean
@@ -234,11 +234,12 @@ def _parse_row(obj: dict, line_no: int) -> ContextTrial:
         raise ParseError("speaker_text must be a string or list of strings", line_no)
     if not any(t.split() for t in texts):  # preprocess would return no token
         raise ParseError("speaker text empty after preprocessing", line_no)
-    condition = obj.get("condition")
-    try:
-        condition = Condition.from_label(condition) if condition else None
-    except (AttributeError, ValueError):
-        raise ParseError(f"unknown condition {condition!r}", line_no)
+    condition = obj.get("condition")  # null or missing: no label
+    if condition is not None:
+        try:
+            condition = Condition.from_label(condition)
+        except ValueError:
+            raise ParseError(f"unknown condition {condition!r}", line_no)
     clicked = obj.get("clicked_index")
     if clicked is not None and not (_is_int(clicked) and clicked in (0, 1, 2)):
         raise ParseError(f"clicked_index {clicked!r} not in 0..2", line_no)
@@ -264,7 +265,8 @@ def load_raw(path, strict: bool = False) -> LoadResult:
     malformed. That happens exactly when no message has a word under
     `str.split`: in either mode every such word yields at least one token,
     and lowercasing neither makes nor removes whitespace. So the check splits
-    on whitespace and never tokenizes.
+    on whitespace and never tokenizes. A null or missing `condition` means no
+    label; any other value must name a condition, ignoring case.
     """
     trials: list[ContextTrial] = []
     rejects: list[RejectedRow] = []
@@ -532,8 +534,10 @@ def synth_corpus(n_trials: int, rng: np.random.Generator,
 
     Contexts come from the rejection sampler; utterances from the template
     speaker; listener clicks are simulated at fixed per-condition accuracy.
-    Games hold TRIALS_PER_GAME consecutive trials.
+    Games hold TRIALS_PER_GAME consecutive trials. Raises ValueError if
+    n_trials is negative, not an integer, or a bool; 0 gives no trial.
     """
+    require_count("n_trials", n_trials, minimum=0)
     conditions = list(Condition)
     counts = [n_trials // 3] * 3
     for i in range(n_trials - sum(counts)):

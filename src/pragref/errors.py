@@ -7,10 +7,10 @@ each class to its own exit code is not written yet (ROADMAP.md, item 2).
 import numbers
 
 
-def require_count(name: str, value) -> None:
-    """Raise ValueError unless value is an integer of at least 1 (not a bool)."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+def require_count(name: str, value, minimum: int = 1) -> None:
+    """Raise ValueError unless value is an integer of at least `minimum` (not a bool)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < minimum:
+        raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
 
 
 class PragrefError(Exception):

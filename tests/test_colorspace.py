@@ -1,4 +1,5 @@
 import colorsys
+import itertools
 import math
 import re
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pragref import colorspace
 from pragref.colorspace import (
     Color,
     Condition,
@@ -151,6 +153,18 @@ class TestColor:
             Color(*channels)
 
 
+class TestConditionLabel:
+    @pytest.mark.parametrize("label, cond", [("far", Condition.FAR), ("SPLIT", Condition.SPLIT),
+                                             ("Close", Condition.CLOSE)])
+    def test_any_case(self, label, cond):
+        assert Condition.from_label(label) is cond
+
+    @pytest.mark.parametrize("label", ["", "medium", " far", None, False, 0, 2, [], {}, b"far"])
+    def test_anything_else_value_error(self, label):
+        with pytest.raises(ValueError):
+            Condition.from_label(label)
+
+
 class TestCiede2000:
     @pytest.mark.parametrize("lab1,lab2,expected", SHARMA_PAIRS)
     def test_published_pairs(self, lab1, lab2, expected):
@@ -275,6 +289,39 @@ class TestSampleContext:
         with pytest.raises(SamplingBudgetExceeded):
             sample_contexts(Condition.CLOSE, 1, rng, max_attempts=3)
 
+    @pytest.mark.parametrize("n", [-1, 2.5, 3.0, True, "3", None])
+    def test_bad_size_rejected(self, n):
+        with pytest.raises(ValueError, match=r"^n must be an integer of at least 0"):
+            sample_contexts(Condition.FAR, n, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("cond", list(Condition))
+    def test_zero_size_empty(self, cond):
+        rng = np.random.default_rng(0)
+        colors, targets = sample_contexts(cond, np.int64(0), rng)
+        assert colors.shape == (0, 3, 3) and targets.shape == (0,)
+        assert rng.random() == np.random.default_rng(0).random()
+
+    def test_close_evaluates_fewer_than_two_pairs_per_candidate(self, monkeypatch):
+        # the first pair rules most candidates out, so the other two are
+        # computed for few of them; labelling every pair costs three
+        drawn, pairs = [], []
+        to_lab, de00 = colorspace.srgb_to_lab, colorspace.ciede2000_lab
+
+        def count_candidates(rgb):
+            drawn.append(len(rgb))
+            return to_lab(rgb)
+
+        def count_pairs(lab1, lab2):
+            d = de00(lab1, lab2)
+            pairs.append(d.size)
+            return d
+
+        monkeypatch.setattr(colorspace, "srgb_to_lab", count_candidates)
+        monkeypatch.setattr(colorspace, "ciede2000_lab", count_pairs)
+        colors, _ = sample_contexts(Condition.CLOSE, 50, np.random.default_rng(0))
+        assert len(colors) == 50 and sum(drawn) > 0
+        assert sum(pairs) < 2 * sum(drawn)
+
     def test_far_channel_mean_symmetry(self):
         rng = np.random.default_rng(13)
         cols, _ = sample_contexts(Condition.FAR, 100_000 // 3, rng)
@@ -393,10 +440,40 @@ class TestBatchedLabels:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("n", [1, 50, 400])
     def test_sample_contexts_match_reference(self, seed, n):
-        for cond in Condition:
-            got = sample_contexts(cond, n, np.random.default_rng([seed, n]))
-            want = reference_sample_contexts(cond, n, np.random.default_rng([seed, n]))
+        for th, cond in itertools.product(
+                (ConditionThresholds(), ConditionThresholds(theta_dist=40.0, epsilon=10.0)),
+                Condition):
+            rng, ref_rng = np.random.default_rng([seed, n]), np.random.default_rng([seed, n])
+            got = sample_contexts(cond, n, rng, th)
+            want = reference_sample_contexts(cond, n, ref_rng, th)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("th", [ConditionThresholds(),
+                                    ConditionThresholds(theta_dist=40.0, epsilon=10.0)])
+    def test_first_pair_exclusion_is_necessary(self, th):
+        # a distance excludes a code exactly when every row holding it in
+        # pair (0, 1) gets another code, whatever its other two pairs are
+        d = np.array([0.0, np.nextafter(th.epsilon, 0), th.epsilon,
+                      np.nextafter(th.epsilon, np.inf), (th.epsilon + th.theta_dist) / 2,
+                      np.nextafter(th.theta_dist, 0), th.theta_dist,
+                      np.nextafter(th.theta_dist, np.inf), 2 * th.theta_dist, np.inf])
+        others = np.array([th.epsilon, th.theta_dist, 2 * th.theta_dist])
+        rest = np.array([(a, b) for a in others for b in others])
+        rows = np.column_stack((np.repeat(d, len(rest)), np.tile(rest, (len(d), 1))))
+        codes = colorspace._classify_batch(rows, th).reshape(len(d), len(rest))
+        for code in (0, 1, 2):
+            excluded = colorspace._first_pair_excludes(d, code, th)
+            assert excluded.dtype == bool and excluded.shape == d.shape
+            assert np.array_equal(excluded, np.all(codes != code, axis=1))
+
+    def test_nan_never_excluded(self):
+        th = ConditionThresholds()
+        d = np.array([np.nan, 10.0])
+        for code in (0, 1, 2):
+            assert not colorspace._first_pair_excludes(d, code, th)[0]
+        # the labelling rule calls a NaN row split, so its sampler must keep it
+        assert colorspace._classify_batch(np.array([[np.nan, 30.0, 30.0]]), th).tolist() == [1]
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_condition_mix_contexts_match_reference(self, seed):

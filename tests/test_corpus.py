@@ -172,12 +172,26 @@ class TestLoadRaw:
         with pytest.raises(ParseError):
             load_raw(path, strict=True)
 
+    @pytest.mark.parametrize("condition, stored", [("FAR", Condition.FAR),
+                                                   ("Close", Condition.CLOSE),
+                                                   (None, None), ("missing", None)])
+    def test_condition_label_or_none(self, tmp_path, condition, stored):
+        row = json.loads(self._row(condition=condition))
+        if condition == "missing":
+            del row["condition"]
+        result = load_raw(self._write(tmp_path, [json.dumps(row)]))
+        assert not result.rejects
+        assert result.trials[0].condition is stored
+
     @pytest.mark.parametrize("field, value", [("condition", "medium"), ("round", "first"),
                                               ("round", 1.5), ("target_index", True),
                                               ("target_index", 2.0),
                                               ("clicked_index", False),
                                               ("game_id", None), ("game_id", ["g1"]),
-                                              ("game_id", True), ("game_id", 7)])
+                                              ("game_id", True), ("game_id", 7),
+                                              ("condition", ""), ("condition", False),
+                                              ("condition", 0), ("condition", []),
+                                              ("condition", {})])
     def test_bad_field_value_rejected(self, tmp_path, field, value):
         path = self._write(tmp_path, [self._row(), self._row(**{field: value})])
         result = load_raw(path)
@@ -304,6 +318,15 @@ class TestSplitByDyad:
 
 
 class TestSynthCorpus:
+    @pytest.mark.parametrize("n", [-1, 2.5, 3.0, True, "3", None])
+    def test_bad_size_rejected(self, n):
+        with pytest.raises(ValueError, match=r"^n_trials must be an integer of at least 0"):
+            synth_corpus(n, np.random.default_rng(0))
+
+    def test_zero_trials(self):
+        assert synth_corpus(0, np.random.default_rng(0)) == []
+        assert synth_corpus(np.int64(0), np.random.default_rng(0)) == []
+
     def test_three_trials_one_per_condition(self):
         trials = synth_corpus(3, np.random.default_rng(1))
         assert Counter(t.condition for t in trials) == \
