@@ -6,7 +6,7 @@ as (N, 3, 3), and the functions below take such arrays. Perceptual distance
 is CIEDE2000 over CIE Lab (sRGB, D65 white point). Referent feature vectors
 are a 54-dimensional trigonometric expansion of the RGB coordinates.
 Reference-game contexts are three colors plus a target index, labeled
-far/split/close by pairwise distance against a threshold.
+far/split/close by pairwise distance against the module's THRESHOLDS.
 """
 
 from __future__ import annotations
@@ -83,6 +83,10 @@ class ConditionThresholds:
     def __post_init__(self):
         if not (0 < self.epsilon < self.theta_dist):
             raise ValueError("require 0 < epsilon < theta_dist")
+
+
+THRESHOLDS = ConditionThresholds()  # the theta and epsilon of every label and sample
+MAX_ATTEMPTS = 10 ** 6  # the sampler's attempt budget per requested context
 
 
 def hsv_to_rgb_arrays(h: np.ndarray, s: np.ndarray, v: np.ndarray):
@@ -211,13 +215,15 @@ def pairwise_distances(colors: np.ndarray) -> np.ndarray:
     return ciede2000_lab(lab[:, _PAIRS[:, 0]], lab[:, _PAIRS[:, 1]])
 
 
-def _classify_batch(dists: np.ndarray, th: ConditionThresholds) -> np.ndarray:
+def _classify_batch(dists: np.ndarray) -> np.ndarray:
     """Condition codes for (n, 3) pairwise-distance rows: the one labelling rule.
 
     Returns integer codes 0=far (every pair beyond theta), 2=close (every pair
     within theta), 1=split (any other pattern); rows with a pair closer than
-    epsilon get code -1 so callers can reject them.
+    epsilon get code -1 so callers can reject them. Theta and epsilon are
+    THRESHOLDS'.
     """
+    th = THRESHOLDS
     far = np.all(dists > th.theta_dist, axis=1)
     close = np.all(dists <= th.theta_dist, axis=1)
     codes = np.ones(len(dists), dtype=int)
@@ -227,7 +233,7 @@ def _classify_batch(dists: np.ndarray, th: ConditionThresholds) -> np.ndarray:
     return codes
 
 
-def _first_pair_excludes(d: np.ndarray, code: int, th: ConditionThresholds) -> np.ndarray:
+def _first_pair_excludes(d: np.ndarray, code: int) -> np.ndarray:
     """Where one pair's distance d alone rules out `code` under `_classify_batch`.
 
     A necessary condition of each code: far needs every pair beyond theta, close
@@ -236,6 +242,7 @@ def _first_pair_excludes(d: np.ndarray, code: int, th: ConditionThresholds) -> n
     here and is labelled by `_classify_batch` as before. Change this together
     with the labelling rule.
     """
+    th = THRESHOLDS
     if code == 0:
         return d <= th.theta_dist
     if code == 2:
@@ -248,14 +255,14 @@ _CONDITIONS = (Condition.FAR, Condition.SPLIT, Condition.CLOSE)
 _CONDITION_CODES = {c: i for i, c in enumerate(_CONDITIONS)}
 
 
-def classify_conditions(colors: np.ndarray,
-                        th: ConditionThresholds = ConditionThresholds()) -> list[Condition]:
+def classify_conditions(colors: np.ndarray) -> list[Condition]:
     """Label n contexts far/split/close by their pairwise CIEDE2000 distances.
 
-    `colors` has shape (n, 3, 3), RGB channels in [0, 1]. Far: all three
-    pairwise distances exceed theta. Close: all three are within theta.
-    Split: any other pattern. The rule looks at pairs, not at the target, so
-    a context whose target is far from both distractors can be split.
+    `colors` has shape (n, 3, 3), RGB channels in [0, 1]; theta and epsilon
+    are THRESHOLDS'. Far: all three pairwise distances exceed theta. Close:
+    all three are within theta. Split: any other pattern. The rule looks at
+    pairs, not at the target, so a context whose target is far from both
+    distractors can be split.
 
     Raises PerceptibilityViolation naming the first context with a pair
     closer than epsilon, and ValueError for another shape or a channel
@@ -267,27 +274,26 @@ def classify_conditions(colors: np.ndarray,
     if not np.all((colors >= 0.0) & (colors <= 1.0)):
         raise ValueError("RGB channels must lie in [0, 1]")
     dists = pairwise_distances(colors)
-    codes = _classify_batch(dists, th)
+    codes = _classify_batch(dists)
     bad = np.flatnonzero(codes < 0)
     if bad.size:
         i = int(bad[0])
         raise PerceptibilityViolation(
             f"context {i}: pairwise distance {dists[i].min():.3f} below "
-            f"epsilon={th.epsilon}")
+            f"epsilon={THRESHOLDS.epsilon}")
     return [_CONDITIONS[c] for c in codes]
 
 
-def sample_contexts(cond: Condition, n: int, rng: np.random.Generator,
-                    th: ConditionThresholds = ConditionThresholds(),
-                    max_attempts: int = 10 ** 6) -> tuple[np.ndarray, np.ndarray]:
+def sample_contexts(cond: Condition, n: int,
+                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Rejection-sample n contexts of one condition.
 
     Returns (colors, targets): colors has shape (n, 3, 3) with rows uniform
     over the RGB cube, targets shape (n,). Target indices are drawn uniformly
-    before the accept/reject test. Raises SamplingBudgetExceeded if the total
-    attempt budget (max_attempts per requested context) runs out, and
-    ValueError if n is negative, not an integer, or a bool; n = 0 gives empty
-    arrays.
+    before the accept/reject test, which labels at THRESHOLDS. Raises
+    SamplingBudgetExceeded if the total attempt budget (MAX_ATTEMPTS per
+    requested context) runs out, and ValueError if n is negative, not an
+    integer, or a bool; n = 0 gives empty arrays.
 
     Each batch of candidates is converted to Lab at once, and the distance of
     the pair (0, 1) is computed for every candidate. Only the candidates that
@@ -302,7 +308,7 @@ def sample_contexts(cond: Condition, n: int, rng: np.random.Generator,
     out_targets = np.empty(n, dtype=int)
     got = 0
     attempts = 0
-    budget = max_attempts * n
+    budget = MAX_ATTEMPTS * n
     batch = max(256, min(65536, 4 * n))
     while got < n:
         if attempts >= budget:
@@ -316,10 +322,10 @@ def sample_contexts(cond: Condition, n: int, rng: np.random.Generator,
         # pairwise_distances does, so every channel slice has its strides
         lab = srgb_to_lab(cand)
         first = ciede2000_lab(lab[:, [0]], lab[:, [1]])[:, 0]
-        live = np.flatnonzero(~_first_pair_excludes(first, want, th))
+        live = np.flatnonzero(~_first_pair_excludes(first, want))
         rest = ciede2000_lab(lab[live[:, None], [0, 1]], lab[live[:, None], [2, 2]])
         dists = np.column_stack((first[live], rest))
-        sel = live[_classify_batch(dists, th) == want][:n - got]
+        sel = live[_classify_batch(dists) == want][:n - got]
         take = len(sel)
         if take:
             out_colors[got:got + take] = cand[sel]

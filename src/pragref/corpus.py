@@ -23,7 +23,6 @@ import numpy as np
 from .colorspace import (
     Color,
     Condition,
-    ConditionThresholds,
     ciede2000_lab,
     classify_conditions,
     sample_contexts,
@@ -528,8 +527,7 @@ def _template_emission(terms: list[str], values: list[float], target_index: int,
     return utterances, probs / probs.sum()
 
 
-def synth_corpus(n_trials: int, rng: np.random.Generator,
-                 th: ConditionThresholds = ConditionThresholds()) -> list[ContextTrial]:
+def synth_corpus(n_trials: int, rng: np.random.Generator) -> list[ContextTrial]:
     """Generate a synthetic corpus with an equal condition mix.
 
     Contexts come from the rejection sampler; utterances from the template
@@ -548,7 +546,7 @@ def synth_corpus(n_trials: int, rng: np.random.Generator,
     for cond, n in zip(conditions, counts):
         if n == 0:
             continue
-        cols, targets = sample_contexts(cond, n, rng, th)
+        cols, targets = sample_contexts(cond, n, rng)
         sampled.append(cols)
         rows += [(cond, tuple(Color(*c) for c in ctx), target)
                  for ctx, target in zip(cols.tolist(), targets.tolist())]
@@ -579,8 +577,7 @@ def synth_corpus(n_trials: int, rng: np.random.Generator,
     return trials
 
 
-def template_bayes_accuracy(trials: list[ContextTrial],
-                            th: ConditionThresholds = ConditionThresholds()) -> float:
+def template_bayes_accuracy(trials: list[ContextTrial]) -> float:
     """Accuracy of the Bayes-optimal listener for the template generator.
 
     For each candidate target the emission distribution is enumerated exactly,
@@ -599,7 +596,7 @@ def template_bayes_accuracy(trials: list[ContextTrial],
     rgb = np.array([t.colors for t in trials], dtype=np.float64)
     terms = nearest_basic_terms(rgb.reshape(-1, 3))
     values = rgb.max(axis=2).tolist()
-    conditions = classify_conditions(rgb, th)
+    conditions = classify_conditions(rgb)
     correct = 0
     for k, t in enumerate(trials):
         observed = tuple(preprocess(t.combined_text(), "speaker"))

@@ -32,7 +32,7 @@ from .nnsubstrate import (
     run_lstm,
     softmax_xent,
 )
-from .training import TrainConfig, TrainingReport, fit, load_model, save_model
+from .training import TrainConfig, TrainingReport, fit
 
 
 class ListenerModel:
@@ -65,9 +65,6 @@ class ListenerModel:
 
     def parameters(self) -> list[Parameter]:
         return [self.embedding, *self.cell.parameters(), self.out_w, self.out_b]
-
-    def encode_tokens(self, tokens: list[str]) -> list[int]:
-        return self.vocab.encode(tokens)
 
     def encode(self, ids: np.ndarray) -> Tensor:
         """Final LSTM hidden states (B, hidden) of same-length id rows (B, T)."""
@@ -132,13 +129,6 @@ class ListenerModel:
         mu, sigma = self.head(self.encode(ids))
         return quad_scores(feats, mu, sigma)
 
-    def save(self, path) -> None:
-        save_model(self, path)
-
-    @classmethod
-    def load(cls, path) -> "ListenerModel":
-        return load_model(cls, path)
-
 
 def context_features(colors: tuple[Color, Color, Color]) -> np.ndarray:
     """Feature rows (3, F) of one context's colors, in their stored order."""
@@ -153,7 +143,7 @@ def l0_score(model: ListenerModel, tokens: list[str],
     """
     if not tokens:
         raise EmptyUtterance("listener got an utterance with no tokens")
-    ids = np.array([model.encode_tokens(tokens)])
+    ids = np.array([model.vocab.encode(tokens)])
     feats = context_features(colors)[None, :, :]
     scores = model.scores(ids, feats)
     return np.exp(log_softmax(scores.data[0]))
@@ -268,7 +258,7 @@ def accuracy_perplexity(probs: np.ndarray, targets: np.ndarray) -> tuple[float, 
 
 
 def trial_listener_ids(model: ListenerModel, trial: ContextTrial) -> list[int]:
-    return model.encode_tokens(preprocess(trial.speaker_texts, "listener"))
+    return model.vocab.encode(preprocess(trial.speaker_texts, "listener"))
 
 
 def _listener_inputs(model: ListenerModel, trials: list[ContextTrial]):
@@ -336,7 +326,7 @@ def density_grid(model: ListenerModel, tokens: list[str], h_bins: int = 90,
     v = (np.arange(v_bins) + 0.5) / v_bins
     ss, vv = (a.ravel() for a in np.meshgrid(s, v, indexing="ij"))
 
-    mu, sigma = model.head_arrays(model.encode_prefixes([model.encode_tokens(tokens)]))
+    mu, sigma = model.head_arrays(model.encode_prefixes([model.vocab.encode(tokens)]))
     # one hue row at a time: the features and quad_form's temporaries hold
     # s_bins * v_bins points, not the whole lattice
     rows = []

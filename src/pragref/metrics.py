@@ -61,7 +61,7 @@ def _conditions(trials: list[ContextTrial]) -> list[Condition]:
     """Each trial's condition: the stored one, else its `classify_conditions` label.
 
     Every trial with no stored condition is labelled in one call, at the
-    default thresholds.
+    module thresholds `colorspace.THRESHOLDS`.
     """
     unlabelled = [t.colors for t in trials if t.condition is None]
     found = iter(classify_conditions(np.array(unlabelled)) if unlabelled else [])

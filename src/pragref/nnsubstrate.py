@@ -2,8 +2,9 @@
 
 Provides exactly the kit the base agents need: a Tensor with a recorded
 backward graph, embedding lookup, an LSTM step, a fused softmax/cross-entropy,
-a fused quadratic-form scorer, Adam and ADADELTA optimizers with global-norm
-gradient clipping, and a self-describing checkpoint container.
+a fused quadratic-form scorer, and Adam and ADADELTA optimizers with
+global-norm gradient clipping. Checkpoints belong to `training`, which alone
+knows their file format.
 
 A training step makes few arrays and few graph nodes, and its results are
 the same bits as those of the plain formulas. `lstm_step` is one graph node
@@ -33,14 +34,11 @@ training; frozen parameter arrays may be shared freely across threads.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyUtterance, IndexOutOfRange, MissingCheckpoint, NonFiniteGradient
-
-CHECKPOINT_FORMAT_VERSION = 1
+from .errors import EmptyUtterance, IndexOutOfRange, NonFiniteGradient
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -108,14 +106,6 @@ class Tensor:
         out._backward = bwd
         return out
 
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return self + (-other)
-
-    def __neg__(self) -> "Tensor":
-        out = Tensor(-self.data, parents=(self,))
-        out._backward = lambda g: self.requires_grad and self._accumulate(-g)
-        return out
-
     def __mul__(self, other) -> "Tensor":
         if isinstance(other, (int, float)):
             out = Tensor(self.data * other, parents=(self,))
@@ -168,18 +158,9 @@ class Tensor:
         out._backward = lambda g: self.requires_grad and self._accumulate(g.reshape(self.data.shape))
         return out
 
-    def sum(self, axis=None) -> "Tensor":
-        out = Tensor(self.data.sum(axis=axis), parents=(self,))
-
-        def bwd(g):
-            if not self.requires_grad:
-                return
-            if axis is None:
-                self._accumulate(np.full_like(self.data, g))
-            else:
-                self._accumulate(np.expand_dims(g, axis) * np.ones_like(self.data))
-
-        out._backward = bwd
+    def sum(self) -> "Tensor":
+        out = Tensor(self.data.sum(), parents=(self,))
+        out._backward = lambda g: self.requires_grad and self._accumulate(np.full_like(self.data, g))
         return out
 
     def mean(self) -> "Tensor":
@@ -640,42 +621,6 @@ class Adadelta(_Optimizer):
                 sq_update += b
                 a *= ADADELTA_LR
                 w -= a
-
-
-# -- checkpoints --------------------------------------------------------------
-
-
-def save_checkpoint(path, arrays: dict[str, np.ndarray], config: dict) -> None:
-    """Write named float64 arrays plus a JSON config to a self-describing file.
-
-    The file lands at exactly `path`; no suffix is appended.
-    """
-    meta = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "dtype": "float64",
-        "arrays": {k: list(v.shape) for k, v in arrays.items()},
-        "config": config,
-    }
-    with open(path, "wb") as fh:
-        np.savez(fh, __meta__=np.array(json.dumps(meta)), **arrays)
-
-
-def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a checkpoint; returns (arrays, config). Validates the format tag."""
-    try:
-        npz = np.load(path, allow_pickle=False)
-    except FileNotFoundError as e:
-        raise MissingCheckpoint(f"no checkpoint at {path}") from e
-    with npz:
-        meta = json.loads(str(npz["__meta__"]))
-        if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint format: {meta.get('format_version')}")
-        arrays = {k: npz[k].astype(np.float64) for k in npz.files if k != "__meta__"}
-    for name, shape in meta["arrays"].items():
-        if list(arrays[name].shape) != shape:
-            raise ValueError(f"checkpoint array {name!r} has shape {arrays[name].shape}, "
-                             f"expected {shape}")
-    return arrays, meta["config"]
 
 
 # -- finite differences -------------------------------------------------------

@@ -275,7 +275,7 @@ def listener_ids_for(model: ListenerModel, utterances: list[Utterance]) -> list[
         for tok in u:
             ids = token_ids.get(tok)
             if ids is None:
-                ids = token_ids[tok] = model.encode_tokens(
+                ids = token_ids[tok] = model.vocab.encode(
                     speaker_tokens_to_listener_tokens([tok]))
             row.extend(ids)
         out.append(row)

@@ -27,7 +27,7 @@ from .nnsubstrate import (
     run_lstm,
     softmax_xent,
 )
-from .training import TrainConfig, TrainingReport, fit, load_model, save_model
+from .training import TrainConfig, TrainingReport, fit
 
 MAX_DECODE_LEN = 20
 SAMPLE_BATCH = 1024
@@ -102,13 +102,6 @@ class SpeakerModel:
         x = concat([ctx, embed(token_ids, self.embedding)], axis=1)
         h2, c2 = lstm_step(x, h, c, self.decoder)
         return h2 @ self.out_w + self.out_b, h2, c2
-
-    def save(self, path) -> None:
-        save_model(self, path)
-
-    @classmethod
-    def load(cls, path) -> "SpeakerModel":
-        return load_model(cls, path)
 
 
 # Stored-order indices of [distractor, distractor, target] per target index.

@@ -1,15 +1,21 @@
-"""Shared training-loop plumbing and checkpoint save/restore for the two base models."""
+"""Shared training-loop plumbing for the two base models, and their checkpoint format.
+
+`save_model` and `load_model` are the one way to store and restore a trained
+model, and the only code that knows the file layout.
+"""
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus import Vocabulary
-from .errors import require_count
-from .nnsubstrate import (GRAD_CLIP, Parameter, clip_global_norm, load_checkpoint,
-                          save_checkpoint, zero_gradients)
+from .errors import MissingCheckpoint, require_count
+from .nnsubstrate import GRAD_CLIP, Parameter, clip_global_norm, zero_gradients
+
+CHECKPOINT_FORMAT_VERSION = 1
 
 # Dimensions a checkpoint records; the feature width is always FOURIER_DIM.
 _DIMS = ("embed_dim", "hidden_dim")
@@ -121,7 +127,7 @@ def snapshot_params(params: list[Parameter]) -> dict[str, np.ndarray]:
 
 
 def restore_params(params: list[Parameter], snapshot: dict[str, np.ndarray]) -> None:
-    """Copy name-keyed arrays into params; every name and shape must match."""
+    """Copy name-keyed arrays into params; names and shapes must match, values be finite."""
     names = {p.name for p in params}
     if set(snapshot) != names:
         raise ValueError(f"missing parameters {sorted(names - set(snapshot))}, "
@@ -130,23 +136,77 @@ def restore_params(params: list[Parameter], snapshot: dict[str, np.ndarray]) -> 
         if snapshot[p.name].shape != p.data.shape:
             raise ValueError(f"parameter {p.name!r} has shape {snapshot[p.name].shape}, "
                              f"expected {p.data.shape}")
+        if not np.all(np.isfinite(snapshot[p.name])):
+            raise ValueError(f"parameter {p.name!r} has non-finite values")
     for p in params:
         p.data = snapshot[p.name].copy()
 
 
 def save_model(model, path) -> None:
-    """Write a base model's parameters, vocabulary and dimensions."""
-    save_checkpoint(path, snapshot_params(model.parameters()),
-                    {"model": model.kind, "vocab": model.vocab.id_to_token,
-                     **{k: getattr(model, k) for k in _DIMS}})
+    """Write a base model's parameters, vocabulary and dimensions to exactly `path`.
+
+    The file is an npz archive: each parameter's float64 array under its
+    name, and under `__meta__` the JSON string of {"format_version":
+    CHECKPOINT_FORMAT_VERSION, "arrays": {name: shape}, "config": {"model":
+    model.kind, "vocab": [token, ...], "embed_dim": int, "hidden_dim": int}}.
+    """
+    arrays = {p.name: p.data for p in model.parameters()}
+    meta = {"format_version": CHECKPOINT_FORMAT_VERSION,
+            "arrays": {k: list(v.shape) for k, v in arrays.items()},
+            "config": {"model": model.kind, "vocab": model.vocab.id_to_token,
+                       **{k: getattr(model, k) for k in _DIMS}}}
+    with open(path, "wb") as fh:
+        np.savez(fh, __meta__=np.array(json.dumps(meta)), **arrays)
+
+
+def _entry(record: dict, key: str, where: str, kind: type):
+    """record[key]; ValueError naming the key unless it holds a `kind`."""
+    if not isinstance(record.get(key), kind):
+        raise ValueError(f"checkpoint {where} has no {key!r} {kind.__name__}")
+    return record[key]
 
 
 def load_model(cls, path):
-    """Rebuild a model of class cls from a checkpoint written by save_model."""
-    arrays, config = load_checkpoint(path)
+    """Rebuild a model of class cls from a checkpoint written by save_model.
+
+    Raises MissingCheckpoint if no file is at `path`, and a ValueError naming
+    the fault for a file that is not an npz archive; a missing `__meta__`, or
+    one that is not a JSON object of this format version; a meta record with
+    no "arrays" or "config" object; an array that the record names and the
+    file lacks, or of another shape; a config with no "vocab" list, another
+    "model" than cls.kind, or a dimension that is not an integer of at least
+    1; and, from restore_params, a parameter that is missing, unexpected,
+    mis-shaped or not finite.
+    """
+    try:
+        npz = np.load(path, allow_pickle=False)
+    except FileNotFoundError as e:
+        raise MissingCheckpoint(f"no checkpoint at {path}") from e
+    except (EOFError, ValueError) as e:  # empty, or neither npz nor npy
+        raise ValueError(f"{path} is not an npz archive") from e
+    if not isinstance(npz, np.lib.npyio.NpzFile):
+        raise ValueError(f"{path} is not an npz archive")
+    with npz:
+        if "__meta__" not in npz.files:
+            raise ValueError(f"{path} has no '__meta__' record")
+        meta = json.loads(str(npz["__meta__"]))
+        if not isinstance(meta, dict):
+            raise ValueError(f"{path}: '__meta__' is not a JSON object")
+        if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
+            raise ValueError(f"unsupported checkpoint format: {meta.get('format_version')}")
+        arrays = {k: npz[k].astype(np.float64) for k in npz.files if k != "__meta__"}
+    for name, shape in _entry(meta, "arrays", "meta", dict).items():
+        if name not in arrays:
+            raise ValueError(f"checkpoint array {name!r} is missing from the file")
+        if list(arrays[name].shape) != shape:
+            raise ValueError(f"checkpoint array {name!r} has shape {arrays[name].shape}, "
+                             f"expected {shape}")
+    config = _entry(meta, "config", "meta", dict)
     if config.get("model") != cls.kind:
         raise ValueError(f"not a {cls.kind} checkpoint: {config.get('model')!r}")
-    model = cls.create(Vocabulary(config["vocab"]), np.random.default_rng(0),
-                       **{k: config[k] for k in _DIMS})
+    for k in _DIMS:
+        require_count(k, config.get(k))
+    model = cls.create(Vocabulary(_entry(config, "vocab", "config", list)),
+                       np.random.default_rng(0), **{k: config[k] for k in _DIMS})
     restore_params(model.parameters(), arrays)
     return model

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pragref import colorspace
@@ -88,6 +88,7 @@ class TestHsv:
                                                                    abs=1e-12)
 
     @given(unit, unit, unit)
+    @example(1.0, 0.0, 2.0 ** -52)  # the standard library rounds this hue up to 1.0
     @settings(max_examples=200, deadline=None)
     def test_round_trip(self, r, g, b):
         # the standard library's hexcone, with hue as a fraction of a turn
@@ -95,7 +96,7 @@ class TestHsv:
         back = hsv_to_rgb(360.0 * h, s, v)
         assert back == pytest.approx((r, g, b), abs=1e-9)
         assert v == max(r, g, b)
-        assert 0.0 <= h < 1.0
+        assert 0.0 <= h <= 1.0
 
     def test_channel_validation(self):
         for name, channels in (("r", (1.2, 0, 0)), ("g", (0, -0.1, 0)), ("b", (0, 0, math.nan))):
@@ -277,17 +278,17 @@ class TestSampleContext:
 
     def test_resampling_property(self):
         # 10^4-sample re-classification check, batched for speed
-        th = ConditionThresholds()
         rng = np.random.default_rng(7)
         for cond in Condition:
             cols, _ = sample_contexts(cond, 10_000 // 3, rng)
             for i in range(0, len(cols), 997):  # spot re-check, one context per call
-                assert classify_conditions(cols[i:i + 1], th) == [cond]
+                assert classify_conditions(cols[i:i + 1]) == [cond]
 
-    def test_budget_exceeded(self):
+    def test_budget_exceeded(self, monkeypatch):
+        monkeypatch.setattr(colorspace, "MAX_ATTEMPTS", 3)
         rng = np.random.default_rng(0)
         with pytest.raises(SamplingBudgetExceeded):
-            sample_contexts(Condition.CLOSE, 1, rng, max_attempts=3)
+            sample_contexts(Condition.CLOSE, 1, rng)
 
     @pytest.mark.parametrize("n", [-1, 2.5, 3.0, True, "3", None])
     def test_bad_size_rejected(self, n):
@@ -405,12 +406,13 @@ class TestBatchedLabels:
         assert len(set(want)) == 3
         assert classify_conditions(colors) == want
 
-    def test_custom_thresholds(self):
+    def test_custom_thresholds(self, monkeypatch):
         th = ConditionThresholds(theta_dist=40.0, epsilon=10.0)
+        monkeypatch.setattr(colorspace, "THRESHOLDS", th)
         colors = np.random.default_rng(6).random((600, 3, 3))
         colors = colors[np.all(pairwise_distances(colors) >= th.epsilon, axis=1)]
-        assert classify_conditions(colors, th) == [per_trial_condition(t, th)
-                                                   for t in _triples(colors)]
+        assert classify_conditions(colors) == [per_trial_condition(t, th)
+                                               for t in _triples(colors)]
 
     def test_violation_names_first_bad_context(self):
         rng = np.random.default_rng(7)
@@ -439,21 +441,23 @@ class TestBatchedLabels:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("n", [1, 50, 400])
-    def test_sample_contexts_match_reference(self, seed, n):
+    def test_sample_contexts_match_reference(self, seed, n, monkeypatch):
         for th, cond in itertools.product(
                 (ConditionThresholds(), ConditionThresholds(theta_dist=40.0, epsilon=10.0)),
                 Condition):
+            monkeypatch.setattr(colorspace, "THRESHOLDS", th)
             rng, ref_rng = np.random.default_rng([seed, n]), np.random.default_rng([seed, n])
-            got = sample_contexts(cond, n, rng, th)
+            got = sample_contexts(cond, n, rng)
             want = reference_sample_contexts(cond, n, ref_rng, th)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
             assert rng.random() == ref_rng.random()
 
     @pytest.mark.parametrize("th", [ConditionThresholds(),
                                     ConditionThresholds(theta_dist=40.0, epsilon=10.0)])
-    def test_first_pair_exclusion_is_necessary(self, th):
+    def test_first_pair_exclusion_is_necessary(self, th, monkeypatch):
         # a distance excludes a code exactly when every row holding it in
         # pair (0, 1) gets another code, whatever its other two pairs are
+        monkeypatch.setattr(colorspace, "THRESHOLDS", th)
         d = np.array([0.0, np.nextafter(th.epsilon, 0), th.epsilon,
                       np.nextafter(th.epsilon, np.inf), (th.epsilon + th.theta_dist) / 2,
                       np.nextafter(th.theta_dist, 0), th.theta_dist,
@@ -461,19 +465,18 @@ class TestBatchedLabels:
         others = np.array([th.epsilon, th.theta_dist, 2 * th.theta_dist])
         rest = np.array([(a, b) for a in others for b in others])
         rows = np.column_stack((np.repeat(d, len(rest)), np.tile(rest, (len(d), 1))))
-        codes = colorspace._classify_batch(rows, th).reshape(len(d), len(rest))
+        codes = colorspace._classify_batch(rows).reshape(len(d), len(rest))
         for code in (0, 1, 2):
-            excluded = colorspace._first_pair_excludes(d, code, th)
+            excluded = colorspace._first_pair_excludes(d, code)
             assert excluded.dtype == bool and excluded.shape == d.shape
             assert np.array_equal(excluded, np.all(codes != code, axis=1))
 
     def test_nan_never_excluded(self):
-        th = ConditionThresholds()
         d = np.array([np.nan, 10.0])
         for code in (0, 1, 2):
-            assert not colorspace._first_pair_excludes(d, code, th)[0]
+            assert not colorspace._first_pair_excludes(d, code)[0]
         # the labelling rule calls a NaN row split, so its sampler must keep it
-        assert colorspace._classify_batch(np.array([[np.nan, 30.0, 30.0]]), th).tolist() == [1]
+        assert colorspace._classify_batch(np.array([[np.nan, 30.0, 30.0]])).tolist() == [1]
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_condition_mix_contexts_match_reference(self, seed):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import INFERENCE_ATOL
+from conftest import INFERENCE_ATOL, checkpoint_meta, read_checkpoint, write_checkpoint
 from pragref.colorspace import Color, fourier_features_array, hsv_to_rgb_arrays
 from pragref.corpus import build_vocab, synth_corpus, preprocess
 from pragref.errors import EmptyUtterance, IndexOutOfRange, MissingCheckpoint
@@ -22,12 +22,10 @@ from pragref.listener import (
 from pragref import listener
 from pragref.nnsubstrate import (
     Tensor,
-    load_checkpoint,
     log_softmax,
     quad_scores,
-    save_checkpoint,
 )
-from pragref.training import TrainConfig, same_length_batches
+from pragref.training import TrainConfig, load_model, same_length_batches, save_model
 
 
 def tiny_model(seed=0):
@@ -266,7 +264,7 @@ class TestL0Score:
         model = tiny_model()
         colors = (Color(0.9, 0.1, 0.1), Color(0.1, 0.2, 0.8), Color(0.2, 0.9, 0.3))
         seqs = [["blue"], ["dark", "blue"], ["red"]]
-        ids = [model.encode_tokens(s) for s in seqs]
+        ids = [model.vocab.encode(s) for s in seqs]
         batched = l0_probs_many(model, ids, context_features(colors))
         for i, s in enumerate(seqs):
             assert np.allclose(batched[i], l0_score(model, s, colors), atol=INFERENCE_ATOL)
@@ -393,7 +391,7 @@ class TestDensityGrid:
         hh, ss, vv = np.meshgrid(h, s, v, indexing="ij")
         r, g, b = hsv_to_rgb_arrays(hh.ravel(), ss.ravel(), vv.ravel())
         feats = fourier_features_array(np.stack([r, g, b], axis=-1))
-        mu, sigma = model.head(model.encode(np.array([model.encode_tokens(["dark", "red"])])))
+        mu, sigma = model.head(model.encode(np.array([model.vocab.encode(["dark", "red"])])))
         d = feats - mu.data[0]
         scores = -np.einsum("nf,fe,ne->n", d, sigma.data[0], d).reshape(10, 7, 5)
         direct = np.log(np.exp(scores).sum(axis=2))
@@ -407,7 +405,7 @@ class TestDensityGrid:
         model.out_w.data *= 10.0
         tokens = ["dark", "blue", "red"]
         grid = density_grid(model, tokens, h_bins=12, s_bins=9, v_bins=7)
-        mu, sigma = model.head(model.encode(np.array([model.encode_tokens(tokens)])))
+        mu, sigma = model.head(model.encode(np.array([model.vocab.encode(tokens)])))
         h = (np.arange(12) + 0.5) * 30.0
         ss, vv = (a.ravel() for a in np.meshgrid((np.arange(9) + 0.5) / 9,
                                                  (np.arange(7) + 0.5) / 7, indexing="ij"))
@@ -426,8 +424,8 @@ class TestCheckpointRoundTrip:
         colors = (Color(0.9, 0.1, 0.1), Color(0.1, 0.2, 0.8), Color(0.2, 0.9, 0.3))
         before = l0_score(model, ["dark", "blue"], colors)
         path = tmp_path / "l0.npz"
-        model.save(path)
-        loaded = ListenerModel.load(path)
+        save_model(model, path)
+        loaded = load_model(ListenerModel, path)
         after = l0_score(loaded, ["dark", "blue"], colors)
         assert np.allclose(before, after, atol=0)
         assert loaded.vocab.id_to_token == model.vocab.id_to_token
@@ -435,28 +433,31 @@ class TestCheckpointRoundTrip:
     def test_path_without_suffix(self, tmp_path):
         model = tiny_model(seed=5)
         path = tmp_path / "l0ck"
-        model.save(path)
-        loaded = ListenerModel.load(path)
+        save_model(model, path)
+        loaded = load_model(ListenerModel, path)
         for p, q in zip(model.parameters(), loaded.parameters()):
             assert np.array_equal(p.data, q.data)
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(MissingCheckpoint):
-            ListenerModel.load(tmp_path / "absent.npz")
+            load_model(ListenerModel, tmp_path / "absent.npz")
 
     def test_mismatched_arrays_raise(self, tmp_path):
         model = tiny_model(seed=5)
         path = tmp_path / "l0.npz"
-        model.save(path)
-        arrays, config = load_checkpoint(path)
+        save_model(model, path)
+        arrays, meta = read_checkpoint(path)
+        config = meta["config"]
 
         missing = tmp_path / "missing.npz"
-        save_checkpoint(missing, {k: v for k, v in arrays.items() if k != "out_b"}, config)
+        kept = {k: v for k, v in arrays.items() if k != "out_b"}
+        write_checkpoint(missing, kept, checkpoint_meta(kept, config))
         with pytest.raises(ValueError, match="out_b"):
-            ListenerModel.load(missing)
+            load_model(ListenerModel, missing)
 
         # one more vocabulary entry than embedding rows
         grown = tmp_path / "grown.npz"
-        save_checkpoint(grown, arrays, {**config, "vocab": config["vocab"] + ["teal"]})
+        write_checkpoint(grown, arrays,
+                         checkpoint_meta(arrays, {**config, "vocab": config["vocab"] + ["teal"]}))
         with pytest.raises(ValueError, match="embedding"):
-            ListenerModel.load(grown)
+            load_model(ListenerModel, grown)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import checkpoint_meta, read_checkpoint, write_checkpoint
 from pragref import listener, nnsubstrate, speaker
 from pragref.corpus import build_vocab, preprocess, synth_corpus
 from pragref.errors import IndexOutOfRange, NonFiniteGradient
@@ -19,15 +20,13 @@ from pragref.nnsubstrate import (
     embed,
     fd_gradient,
     gradcheck_rel_error,
-    load_checkpoint,
     lstm_step,
     quad_scores,
     run_lstm,
-    save_checkpoint,
     softmax_xent,
     zero_gradients,
 )
-from pragref.training import TrainConfig
+from pragref.training import TrainConfig, load_model, save_model
 
 TOL = 1e-4
 
@@ -273,29 +272,46 @@ class TestOptimizers:
         assert np.all(clipped != 0.0)
 
 
+def _checkpoint_model():
+    vocab = build_vocab([["a", "a", "b", "b"]])
+    return listener.ListenerModel.create(vocab, np.random.default_rng(1), embed_dim=4,
+                                         hidden_dim=3)
+
+
 class TestCheckpoints:
+    """The file layout of `training.save_model`, read and written from raw parts."""
+
     def test_round_trip(self, tmp_path):
-        arrays = {"w": np.arange(6, dtype=np.float64).reshape(2, 3),
-                  "b": np.zeros(3)}
+        model = _checkpoint_model()
         path = tmp_path / "model.npz"
-        save_checkpoint(path, arrays, {"hidden": 3, "vocab": ["a", "b"]})
-        loaded, config = load_checkpoint(path)
-        assert config == {"hidden": 3, "vocab": ["a", "b"]}
-        assert set(loaded) == {"w", "b"}
-        assert np.array_equal(loaded["w"], arrays["w"])
+        save_model(model, path)
+        loaded, meta = read_checkpoint(path)
+        config = {"model": "listener", "vocab": ["<unk>", "<s>", "</s>", "a", "b"],
+                  "embed_dim": 4, "hidden_dim": 3}
+        assert meta == checkpoint_meta(loaded, config)
+        assert set(loaded) == {p.name for p in model.parameters()}
+        for p in model.parameters():
+            assert loaded[p.name].dtype == np.float64
+            assert np.array_equal(loaded[p.name], p.data)
+        # and a file written from raw parts loads with exactly those arrays
+        shifted = {k: v + 1.0 for k, v in loaded.items()}
+        write_checkpoint(tmp_path / "raw.npz", shifted, checkpoint_meta(shifted, config))
+        for p in load_model(listener.ListenerModel, tmp_path / "raw.npz").parameters():
+            assert np.array_equal(p.data, shifted[p.name])
 
     def test_path_without_suffix(self, tmp_path):
+        model = _checkpoint_model()
         path = tmp_path / "model"
-        save_checkpoint(path, {"w": np.ones(2)}, {})
+        save_model(model, path)
         assert path.exists() and not (tmp_path / "model.npz").exists()
-        loaded, _ = load_checkpoint(path)
-        assert np.array_equal(loaded["w"], np.ones(2))
+        loaded = load_model(listener.ListenerModel, path)
+        assert np.array_equal(loaded.out_w.data, model.out_w.data)
 
     def test_format_version_check(self, tmp_path):
         path = tmp_path / "bad.npz"
         np.savez(path, __meta__=np.array('{"format_version": 999, "arrays": {}}'))
         with pytest.raises(ValueError, match="format"):
-            load_checkpoint(path)
+            load_model(listener.ListenerModel, path)
 
 
 # -- the lean training step against the composed graph and textbook formulas ------

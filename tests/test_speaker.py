@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import INFERENCE_ATOL
+from conftest import INFERENCE_ATOL, checkpoint_meta, read_checkpoint, write_checkpoint
 from pragref import speaker
 from pragref.colorspace import Color, Condition, fourier_features_array
 from pragref.corpus import EOS, build_vocab, preprocess, synth_corpus
 from pragref.errors import EmptyUtterance, IndexOutOfRange, MissingCheckpoint
 from pragref.listener import ListenerModel, density_grid, evaluate_l0, l0_probs_many
 from pragref.metrics import BaseSpeakerSampler, PragmaticSpeakerSampler
-from pragref.nnsubstrate import Tensor, load_checkpoint, save_checkpoint
+from pragref.nnsubstrate import Tensor
 from pragref.rsa import PragmaticsConfig, compute_agents
 from pragref.speaker import (
     MAX_DECODE_LEN,
@@ -27,7 +27,7 @@ from pragref.speaker import (
     target_last_features,
     train_s0,
 )
-from pragref.training import TrainConfig, same_length_batches
+from pragref.training import TrainConfig, load_model, same_length_batches, save_model
 
 COLORS = (Color(0.9, 0.1, 0.1), Color(0.1, 0.2, 0.8), Color(0.2, 0.9, 0.3))
 
@@ -659,8 +659,8 @@ class TestTrainS0:
     def test_checkpoint_round_trip(self, tmp_path):
         model = tiny_model(seed=7)
         path = tmp_path / "s0.npz"
-        model.save(path)
-        loaded = SpeakerModel.load(path)
+        save_model(model, path)
+        loaded = load_model(SpeakerModel, path)
         a = s0_log_prob(model, ["blue", EOS], COLORS, 0)
         b = s0_log_prob(loaded, ["blue", EOS], COLORS, 0)
         assert a == b
@@ -668,29 +668,31 @@ class TestTrainS0:
     def test_checkpoint_path_without_suffix(self, tmp_path):
         model = tiny_model(seed=7)
         path = tmp_path / "s0ck"
-        model.save(path)
-        loaded = SpeakerModel.load(path)
+        save_model(model, path)
+        loaded = load_model(SpeakerModel, path)
         for p, q in zip(model.parameters(), loaded.parameters()):
             assert np.array_equal(p.data, q.data)
 
     def test_checkpoint_missing_file_raises(self, tmp_path):
         with pytest.raises(MissingCheckpoint):
-            SpeakerModel.load(tmp_path / "absent.npz")
+            load_model(SpeakerModel, tmp_path / "absent.npz")
 
     def test_checkpoint_mismatched_arrays_raise(self, tmp_path):
         model = tiny_model(seed=7)
         path = tmp_path / "s0.npz"
-        model.save(path)
-        arrays, config = load_checkpoint(path)
+        save_model(model, path)
+        arrays, meta = read_checkpoint(path)
+        config = meta["config"]
 
         missing = tmp_path / "missing.npz"
-        save_checkpoint(missing, {k: v for k, v in arrays.items() if k != "decoder.w_h"},
-                        config)
+        kept = {k: v for k, v in arrays.items() if k != "decoder.w_h"}
+        write_checkpoint(missing, kept, checkpoint_meta(kept, config))
         with pytest.raises(ValueError, match="decoder.w_h"):
-            SpeakerModel.load(missing)
+            load_model(SpeakerModel, missing)
 
         # one more vocabulary entry than embedding and output rows
         grown = tmp_path / "grown.npz"
-        save_checkpoint(grown, arrays, {**config, "vocab": config["vocab"] + ["teal"]})
+        write_checkpoint(grown, arrays,
+                         checkpoint_meta(arrays, {**config, "vocab": config["vocab"] + ["teal"]}))
         with pytest.raises(ValueError, match="embedding"):
-            SpeakerModel.load(grown)
+            load_model(SpeakerModel, grown)
