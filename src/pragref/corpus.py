@@ -122,7 +122,11 @@ UNK, BOS, EOS = "<unk>", "<s>", "</s>"
 
 @dataclass
 class Vocabulary:
-    """Dense token-id map with reserved <unk>, <s>, </s> entries."""
+    """Dense token-id map with reserved <unk>, <s>, </s> entries.
+
+    Every token must be a distinct string: ValueError names the first that
+    is not a string or that repeats, which would otherwise map to its last id.
+    """
 
     id_to_token: list[str]
     token_to_id: dict[str, int] = field(init=False)
@@ -130,7 +134,13 @@ class Vocabulary:
     def __post_init__(self):
         if self.id_to_token[:3] != [UNK, BOS, EOS]:
             raise ValueError(f"vocabulary must start with {UNK}, {BOS}, {EOS}")
-        self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
+        self.token_to_id = {}
+        for i, t in enumerate(self.id_to_token):
+            if not isinstance(t, str):
+                raise ValueError(f"vocabulary token {i} is not a string: {t!r}")
+            if self.token_to_id.setdefault(t, i) != i:
+                raise ValueError(f"vocabulary token {t!r} repeats: ids "
+                                 f"{self.token_to_id[t]} and {i}")
 
     def __len__(self) -> int:
         return len(self.id_to_token)

@@ -7,32 +7,39 @@ pragmatic speaker from the base listener by normalizing over a sampled
 alternative multiset, and pragmatic listeners by inverting speakers through
 Bayes' rule; geometric blends mix the resulting distributions.
 
-One engine serves the sampled alternatives of L2, built in one body by
-`compute_agents`, and of the pragmatic speaker sampler in `metrics`; both
-weigh L0 by S1_ALPHA. `s0_sample_utterances` draws many rows per
-distinct context, encoding each context once per sampling batch; the S0
-decoder runs once per distinct (context, prefix) that live rows share, and
-the draws are deduped into utterance types, with -1 marking a bare end
-token, which the listener cannot score. `listener_ids_for` converts each
-distinct token to listener ids once per call. `l0_probs_many` then runs the
-listener's LSTM once per distinct prefix of the types, in a prefix tree. For
-L2 every type is scored against the one context: the quadratic form is
-folded into the listener head once per context, and the target-independent
+One S0 decoder-step loop serves the sampled alternatives of L2, built in
+one body by `compute_agents`, the pragmatic speaker sampler in `metrics`,
+and the teacher-forced scoring of L1; L2 and the sampler both weigh L0 by
+S1_ALPHA. The loop draws many rows per distinct context and runs the
+decoder once per distinct (context, prefix) that live rows share; the draws
+are deduped into utterance types, with -1 marking a bare end token, which
+the listener cannot score. `compute_agents` makes one S0 pass per trial
+(`s0_sample_and_score`): the three target-last contexts are encoded once,
+and the observed utterance's three scored rows ride in the sampler's
+decoder steps. The pragmatic speaker sampler goes through
+`s0_sample_utterances`, which encodes each context once per sampling batch.
+`listener_ids_for` converts each distinct token to listener ids once per
+call. `l0_probs_many` then runs the listener's LSTM once per distinct prefix
+of the types, in a prefix tree. For L2 every type is scored against the one
+context, whose feature rows L0 and S0 share: the quadratic form is folded
+into the listener head once per context, and the target-independent
 mu^T Sigma mu term is dropped. The pragmatic speaker sampler scores each row
 against its own context, running the head on blocks of distinct types
 whatever their lengths.
 
 Every inference path is held to a tolerance, not to bits, and every
-inference LSTM runs forward only on plain arrays. The S0 decoder, in `s0_sample_batch`
-and in `s0_log_probs_batch` (which scores L1's utterance under each target in
-one length-sorted pass), applies its input weights once per context and once
-per word; the listener's prefix tree, under both L0 branches, gathers its
-input gates from one embedding table per call and shares one tree across
-lengths. They round differently from their per-row references
-(`step_logits` and `s0_log_prob`, `l0_score`, `ListenerModel.scores` on one
-row), and `compute_agents` matches a per-row evaluation to within 1e-12 in
-every probability, and in every sampled utterance unless a draw falls within
-that rounding of a sampling boundary. The per-row L0 branch, which
+inference LSTM runs forward only on plain arrays. The S0 decoder loop, under
+`s0_sample_batch`, `s0_sample_and_score` and `s0_log_probs_batch`, applies
+its input weights once per context and once per word; the listener's prefix
+tree, under both L0 branches, gathers its input gates from one embedding
+table per call and shares one tree across lengths. They round differently
+from their per-row references (`step_logits` and `s0_log_prob`, `l0_score`,
+`ListenerModel.scores` on one row), and `compute_agents` matches a per-row
+evaluation to within 1e-12 in every probability, and in every sampled
+utterance unless a draw falls within that rounding of a sampling boundary.
+Within the loop, scored and sampled rows go through separate matrix
+products, so L1 equals `neural_l1` bit for bit and sharing the steps moves
+no sampled utterance. The per-row L0 branch, which
 `evaluate_l0`, training's dev scoring and the pragmatic speaker sampler use,
 runs the listener's head and `quad_form` on plain arrays with the floats of
 `ListenerModel.head` and `quad_scores`; only its prefix-tree states round
@@ -58,12 +65,7 @@ from .colorspace import Color
 from .corpus import EOS, preprocess, speaker_tokens_to_listener_tokens
 from .errors import VacuousUtterance, require_count
 from .listener import ListenerModel, context_features, l0_probs_many
-from .speaker import (
-    SpeakerModel,
-    s0_log_probs_batch,
-    s0_sample_utterances,
-    target_last_features,
-)
+from .speaker import SpeakerModel, s0_sample_and_score, target_last_order
 
 PROB_FLOOR = 1e-12
 S1_ALPHA = 0.544  # pragmatic-speaker exponent over sampled alternatives
@@ -290,23 +292,35 @@ def _as_speaker_utterance(u) -> Utterance:
     return tokens[:-1] if tokens and tokens[-1] == EOS else tokens
 
 
+def _trial_features(colors: tuple[Color, Color, Color]) -> tuple[np.ndarray, np.ndarray]:
+    """A context's feature rows, computed once: L0's (3, F) in stored order,
+    and S0's (3, 3, F), the same rows gathered in target_last_order for each
+    target index."""
+    feats = context_features(colors)
+    return feats, feats[target_last_order([colors] * 3, np.arange(3))]
+
+
+def _speaker_ids(model: SpeakerModel, observed: Utterance) -> list[int]:
+    return model.vocab.encode(list(observed) + [EOS])
+
+
+def _l1(log_probs: np.ndarray) -> np.ndarray:
+    """L1 from S0's log probabilities (3,) of the utterance under each target."""
+    shifted = log_probs - log_probs.max()
+    probs = np.exp(shifted)
+    return probs / probs.sum()
+
+
 def neural_l1(s0_model: SpeakerModel, u,
               colors: tuple[Color, Color, Color]) -> np.ndarray:
     """Speaker-based listener: score u under each candidate target, normalize.
 
+    compute_agents' L1 without its samples: the same features and the same
+    S0 pass (s0_sample_and_score), so the two are equal bit for bit.
     Identical context colors give the uniform distribution by symmetry.
     """
-    return _l1(s0_model, u, target_last_features([colors] * 3, np.arange(3)))
-
-
-def _l1(s0_model: SpeakerModel, u, feats: np.ndarray) -> np.ndarray:
-    """neural_l1 over the context's target-last feature rows (3, 3, F)."""
-    tokens = list(_as_speaker_utterance(u)) + [EOS]
-    ids = s0_model.vocab.encode(tokens)
-    log_probs = s0_log_probs_batch(s0_model, [ids, ids, ids], feats)
-    shifted = log_probs - log_probs.max()
-    probs = np.exp(shifted)
-    return probs / probs.sum()
+    ids = _speaker_ids(s0_model, _as_speaker_utterance(u))
+    return _l1(s0_sample_and_score(s0_model, _trial_features(colors)[1], None, 0, ids)[2])
 
 
 def blend(p: np.ndarray, q: np.ndarray, w: float) -> np.ndarray:
@@ -334,25 +348,29 @@ def compute_agents(l0_model: ListenerModel, s0_model: SpeakerModel, u,
     exponent S1_ALPHA, and renormalize its observed-utterance row across
     targets. The n replicate distributions are averaged arithmetically.
 
-    The 3 * n * m samples are drawn together, SAMPLE_BATCH rows per sampling
-    call, from the three target-last contexts, each encoded once; the m rows
-    of target t, replicate r start at row (t * n + r) * m. Since the three
-    targets share one batch, the random stream, and so L2 for a given seed,
-    differs from drawing each target's rows in a batch of its own. Each
+    The context's three feature rows are computed once: L0 scores against
+    them as stored, and S0 reads them gathered target-last. One S0 pass
+    (s0_sample_and_score) encodes the three target-last contexts once,
+    draws the 3 * n * m samples, SAMPLE_BATCH rows per pass of the
+    decoder-step loop, and scores the observed utterance under each target
+    for L1 in the first pass's decoder steps. The m rows of target t, replicate r start at row
+    (t * n + r) * m. Since the three targets share one batch, the random
+    stream, and so L2 for a given seed, differs from drawing each target's
+    rows in a batch of its own; scoring L1 draws nothing from it. Each
     distinct utterance, the observed one included, is scored by L0 once, and
     the n replicate S1 tables are built together from an (n, types) count
     matrix. L0 is the observed row of that L0 table: its speaker-mode tokens,
     re-tokenized for the listener, are the listener-mode tokens of the text.
-    L1 shares the target-last feature rows with the sampler.
+    L1 equals neural_l1 bit for bit.
     """
-    feats = target_last_features([colors] * 3, np.arange(3))
+    feats, s0_feats = _trial_features(colors)
     observed = _as_speaker_utterance(u)
-    types, row_types = s0_sample_utterances(s0_model, feats, rng, cfg.n * cfg.m)
+    types, row_types, log_probs = s0_sample_and_score(
+        s0_model, s0_feats, rng, cfg.n * cfg.m, _speaker_ids(s0_model, observed))
     if observed not in types:
         types.append(observed)
     obs = types.index(observed)
-    probs = l0_probs_many(l0_model, listener_ids_for(l0_model, types),
-                          context_features(colors))
+    probs = l0_probs_many(l0_model, listener_ids_for(l0_model, types), feats)
     # rows are target-major, then replicate, then sample; count per replicate
     rep_types = row_types.reshape(3, cfg.n, cfg.m).transpose(1, 0, 2).reshape(cfg.n, -1)
     counts = np.zeros((cfg.n, len(types)))
@@ -361,7 +379,7 @@ def compute_agents(l0_model: ListenerModel, s0_model: SpeakerModel, u,
     counts[:, obs] += 1.0
     s1_rows = s1_table_from_probs(probs, counts, S1_ALPHA)[:, obs]
     l0 = probs[obs]
-    l1 = _l1(s0_model, u, feats)
+    l1 = _l1(log_probs)
     l2 = (s1_rows / s1_rows.sum(axis=1, keepdims=True)).mean(axis=0)
     la = blend(l0, l1, cfg.beta_a)
     lb = blend(l0, l2, cfg.beta_b)

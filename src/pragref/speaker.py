@@ -9,6 +9,8 @@ through an affine map and softmax over the vocabulary.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .colorspace import FOURIER_DIM, Color, fourier_features_array
@@ -20,7 +22,6 @@ from .nnsubstrate import (
     Tensor,
     concat,
     embed,
-    log_softmax,
     lstm_cell,
     lstm_step,
     padded_ids,
@@ -108,13 +109,13 @@ class SpeakerModel:
 _TARGET_LAST_ORDER = np.array([[1, 2, 0], [0, 2, 1], [0, 1, 2]])
 
 
-def target_last_features(rgb: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Feature rows (N, 3, F) for [distractor, distractor, target] per context.
+def target_last_order(rgb: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Stored-order color indices (N, 3) of [distractor, distractor, target] per context.
 
     rgb (N, 3, 3) holds each context's colors in stored order and targets
     (N,) the target index of each; lists of color triples and of ints work.
     The distractors go in lexicographic order of their RGB triples, so the
-    rows do not depend on the stored color order.
+    order picks the same colors whatever the stored order.
     """
     rgb = np.asarray(rgb, dtype=np.float64)
     targets = np.asarray(targets)
@@ -131,7 +132,17 @@ def target_last_features(rgb: np.ndarray, targets: np.ndarray) -> np.ndarray:
     diff = rgb[n, order[:, 0]] - rgb[n, order[:, 1]]  # sign of the first channel that differs
     swap = diff[n, np.argmax(diff != 0.0, axis=1)] > 0.0
     order[swap, :2] = order[swap, 1::-1]
-    return fourier_features_array(rgb[n[:, None], order])
+    return order
+
+
+def target_last_features(rgb: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Feature rows (N, 3, F) for [distractor, distractor, target] per context,
+    the colors of rgb (N, 3, 3) in target_last_order, so the rows do not
+    depend on the stored color order."""
+    rgb = np.asarray(rgb, dtype=np.float64)
+    order = target_last_order(rgb, targets)
+    n = np.arange(len(order))
+    return fourier_features_array(rgb.reshape(len(n), 3, 3)[n[:, None], order])
 
 
 def reorder_target_last(colors: tuple[Color, Color, Color],
@@ -183,8 +194,22 @@ def _decoder_tables(model: SpeakerModel, feats: np.ndarray) -> tuple[np.ndarray,
     return ctx, model.embedding.data @ cell.w_x.data[split:]
 
 
+def _split_matmul(a: np.ndarray, w: np.ndarray, split: int) -> np.ndarray:
+    """a @ w, with a's rows [:split] and [split:] multiplied as batches of their own.
+
+    BLAS may round a row differently with the number of rows beside it, so
+    each group gets the floats of its product alone.
+    """
+    if not 0 < split < len(a):
+        return a @ w
+    out = np.empty((len(a), w.shape[1]))
+    np.matmul(a[:split], w, out=out[:split])
+    np.matmul(a[split:], w, out=out[split:])
+    return out
+
+
 def _decoder_step(model: SpeakerModel, ctx: np.ndarray, words: np.ndarray,
-                  prev: np.ndarray, hc: np.ndarray | None = None
+                  prev: np.ndarray, hc: np.ndarray | None = None, split: int = 0
                   ) -> tuple[np.ndarray, np.ndarray]:
     """One forward-only decoder step of B rows; returns their next state and logits (B, V).
 
@@ -192,21 +217,118 @@ def _decoder_step(model: SpeakerModel, ctx: np.ndarray, words: np.ndarray,
     previous word's (words is _decoder_tables' word table, gathered here so
     that no gathered copy outlives the sum), and hc its (2, B, hidden)
     state [h; c], None at step 0, where the state is zero and h W_h is
-    skipped.
+    skipped. The first `split` rows and the rest go through the matrix
+    products as separate batches (_split_matmul).
     """
     if hc is None:
         gates = words[prev]
         gates += ctx
         c = np.zeros((len(gates), model.hidden_dim))
     else:
-        gates = hc[0] @ model.decoder.w_h.data
+        gates = _split_matmul(hc[0], model.decoder.w_h.data, split)
         gates += ctx
         gates += words[prev]
         c = hc[1]
     hc = lstm_cell(gates, c)[0]
-    logits = hc[0] @ model.out_w.data
+    logits = _split_matmul(hc[0], model.out_w.data, split)
     logits += model.out_b.data
     return hc, logits
+
+
+def _decode(model: SpeakerModel, tables: tuple[np.ndarray, np.ndarray],
+            rng: np.random.Generator | None, node_of: np.ndarray, forced: np.ndarray,
+            lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The decoder-step loop: ancestral sampling of len(node_of) rows and
+    teacher-forced scoring of the forced id rows, in the same decoder steps.
+
+    forced (F, L) holds id rows padded after their lengths (F,), longest
+    first. tables holds _decoder_tables' context terms for the step-0 rows,
+    one per forced row, then one per distinct context of the sampled rows,
+    their step-0 nodes, and the word table; node_of (B,) maps each sampled
+    row to its node. Pass tables as a temporary: _decode then holds the only
+    reference to the step-0 rows, which are freed as the nodes regroup.
+    Returns the sampled ids (B, MAX_DECODE_LEN), </s> after each row's first
+    </s>, their log probabilities (B,), and the forced rows' (F,).
+
+    Sampling runs once per node, a distinct (context, prefix) that one or
+    more live rows share; a row leaves the nodes once it emits </s>. The
+    softmax and the cumulative sampling distribution, which masks <s>, an
+    input-only symbol, are computed per node. Every sampled step still draws
+    one uniform per row of the whole batch, and each live row compares its
+    own draw with its node's distribution, so the random stream is the same
+    as decoding every row on its own until the last one ends. The rows that
+    go on are regrouped by (node, chosen token) into the next step's nodes.
+    Rows that reach MAX_DECODE_LEN get </s> forced, with its model log
+    probability included.
+
+    Each step runs _decoder_step once over the forced rows still scoring (a
+    prefix, since they are sorted longest first) followed by the nodes,
+    split between the two in the matrix products, so neither group's floats
+    depend on the other's rows. The forced rows read their log probabilities
+    off the same logits and draw no uniform: the random stream and every
+    sampled row are those of sampling alone, and the scores those of scoring
+    alone. The loop runs until the last sampled row and the longest forced
+    row have ended.
+    """
+    ctx, words = tables
+    del tables
+    eos, bos, vocab_size = model.vocab.eos_id, model.vocab.bos_id, len(model.vocab)
+    batch = len(node_of)
+    live = np.arange(batch)  # sampled rows not yet ended
+    ids = np.full((batch, MAX_DECODE_LEN), eos)
+    log_probs = np.zeros(batch)
+    scores = np.zeros(len(lengths))
+    scoring = len(lengths)  # the first `scoring` forced rows are still scoring
+    prev = np.full(len(ctx), bos)
+    hc = None
+    for step in itertools.count():
+        hc, logits = _decoder_step(model, ctx, words, prev, hc, scoring)
+        logits -= logits.max(axis=1, keepdims=True)  # log_softmax is logits - log of the exp sum
+        if scoring:
+            held = logits[:scoring]
+            picked = held[np.arange(scoring), forced[:scoring, step]]
+            scores[:scoring] += picked - np.log(np.exp(held, out=held).sum(axis=1))
+        if live.size:
+            z = logits[scoring:]
+            log_norm = np.log(np.exp(z).sum(axis=1))
+            if step == MAX_DECODE_LEN - 1:
+                chosen = np.full(len(live), eos)
+            else:
+                # a masked column is never chosen, so the gather below reads unmasked scores
+                z[:, bos] = -np.inf
+                cum = np.exp(z - z.max(axis=1, keepdims=True))
+                cum /= cum.sum(axis=1, keepdims=True)
+                cum = cum.cumsum(axis=1)
+                u = rng.random((batch, 1))[live]
+                chosen = np.minimum((cum[node_of] < u).sum(axis=1), cum.shape[1] - 1)
+            ids[live, step] = chosen  # each live row holds exactly `step` ids so far
+            log_probs[live] += z[node_of, chosen] - log_norm[node_of]
+            going = chosen != eos
+            live = live[going]
+            keys, node_of = np.unique(node_of[going] * vocab_size + chosen[going],
+                                      return_inverse=True)
+            parent, node_prev = np.divmod(keys, vocab_size)
+        scored, scoring = scoring, int(np.count_nonzero(lengths > step + 1))
+        if live.size and scoring:
+            keep = np.concatenate([np.arange(scoring), scored + parent])
+            prev = np.concatenate([forced[:scoring, step], node_prev])
+        elif live.size:
+            keep, prev = scored + parent, node_prev
+        elif scoring:
+            keep, prev = slice(scoring), forced[:scoring, step]
+        else:
+            return ids, log_probs, scores
+        ctx, hc = ctx[keep], hc[:, keep]
+
+
+def _ended_ids(model: SpeakerModel, id_seqs: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """padded_ids of id rows that must end in </s>; ValueError names the first that does not."""
+    padded, lengths = padded_ids(id_seqs, len(model.vocab))
+    unended = padded[np.arange(len(lengths)), lengths - 1] != model.vocab.eos_id
+    if unended.any():
+        raise ValueError(f"id row {int(unended.argmax())} does not end with the end "
+                         f"token </s>")
+    return padded, lengths
 
 
 def s0_log_probs_batch(model: SpeakerModel, id_seqs: list[list[int]],
@@ -218,19 +340,15 @@ def s0_log_probs_batch(model: SpeakerModel, id_seqs: list[list[int]],
     outside the vocabulary IndexOutOfRange, and a row whose last id is not
     </s> ValueError, as in s0_log_prob.
 
-    Forward only, on s0_sample_batch's kernels: the rows are sorted by
-    length, longest first, so the rows still decoding at any step are a
-    prefix of the order. Each pass takes at most SAMPLE_BATCH of them,
-    encodes their contexts once, and walks the steps once, gathering
-    log_softmax at each row's next id. The sums round differently from
-    step_logits, so each row matches s0_log_prob to within 1e-12, not bit
-    for bit.
+    Forward only, in the sampler's decoder-step loop (_decode) with no
+    sampled rows: the rows are sorted by length, longest first, so the rows
+    still decoding at any step are a prefix of the order. Each pass takes at
+    most SAMPLE_BATCH of them, encodes their contexts once, and walks the
+    steps once, gathering log_softmax at each row's next id. The sums round
+    differently from step_logits, so each row matches s0_log_prob to within
+    1e-12, not bit for bit.
     """
-    padded, lengths = padded_ids(id_seqs, len(model.vocab))
-    unended = padded[np.arange(len(lengths)), lengths - 1] != model.vocab.eos_id
-    if unended.any():
-        raise ValueError(f"id row {int(unended.argmax())} does not end with the end "
-                         f"token </s>")
+    padded, lengths = _ended_ids(model, id_seqs)
     if feats.shape != (len(lengths), 3, FOURIER_DIM):
         raise ValueError(f"expected features of shape ({len(lengths)}, 3, {FOURIER_DIM}), "
                          f"got {feats.shape}")
@@ -238,22 +356,14 @@ def s0_log_probs_batch(model: SpeakerModel, id_seqs: list[list[int]],
     out = np.empty(len(order))
     for lo in range(0, len(order), SAMPLE_BATCH):
         rows = order[lo:lo + SAMPLE_BATCH]
-        ctx, words = _decoder_tables(model, feats[rows])
-        lens, ids = lengths[rows], padded[rows]
-        total = np.zeros(len(rows))
-        prev = np.full(len(rows), model.vocab.bos_id)
-        hc = None
-        for t in range(lens[0]):
-            live = np.count_nonzero(lens > t)  # the first `live` rows
-            hc, logits = _decoder_step(model, ctx[:live], words, prev[:live],
-                                       None if hc is None else hc[:, :live])
-            logits -= logits.max(axis=1, keepdims=True)  # log_softmax, at the targets only
-            picked = logits[np.arange(live), ids[:live, t]]
-            np.exp(logits, out=logits)
-            total[:live] += picked - np.log(logits.sum(axis=1))
-            prev = ids[:, t]
-        out[rows] = total
+        out[rows] = _decode(model, _decoder_tables(model, feats[rows]), None, np.arange(0),
+                            padded[rows], lengths[rows])[2]
     return out
+
+
+def _cut_at_end(ids: np.ndarray, eos: int) -> list[tuple[int, ...]]:
+    """Each sampled id row up to and including its first </s>."""
+    return [tuple(row[:row.index(eos) + 1]) for row in ids.tolist()]
 
 
 def s0_sample_batch(model: SpeakerModel, feats: np.ndarray, rng: np.random.Generator,
@@ -265,19 +375,17 @@ def s0_sample_batch(model: SpeakerModel, feats: np.ndarray, rng: np.random.Gener
     symbol; log_prob does not. Rows that reach MAX_DECODE_LEN get </s>
     forced, with its model log probability included.
 
-    rows, when given, maps each output row to a context of feats: the encoder
-    runs once per context of feats, (K, 3, F), and the batch has len(rows)
-    rows, sampled as feats[rows] would be. rows must be 1-D indices into feats.
+    rows, when given, maps each output row to a context of feats (K, 3, F):
+    the encoder runs once per context that rows use, and the batch has
+    len(rows) rows, sampled as feats[rows] would be. rows must be 1-D indices
+    into feats.
 
-    The decoder runs once per node, a distinct (context, prefix) that one or
-    more live rows share: the step-0 nodes are the distinct contexts of rows,
-    and a row leaves the nodes once it emits </s>. The decoder step, the
-    softmax and the cumulative sampling distribution are computed per node.
-    Every sampled step still draws one uniform per row of the whole batch,
-    and each live row compares its own draw with its node's distribution, so
-    the random stream is the same as decoding every row on its own until the
-    last one ends. The rows that go on are regrouped by (node, chosen token)
-    into the next step's nodes.
+    One pass of the decoder-step loop (_decode) with no forced rows: the
+    decoder runs once per distinct (context, prefix) that live rows share,
+    and the random stream is the same as decoding every row on its own.
+    `s0_sample_utterances` and the speaker samplers in `metrics` sample
+    through it; `compute_agents` samples through `s0_sample_and_score`,
+    which runs the same loop.
 
     Forward only, on plain arrays: the encoder is encode_contexts, and each
     step adds a node's rows of the decoder tables (_decoder_tables) to
@@ -287,7 +395,6 @@ def s0_sample_batch(model: SpeakerModel, feats: np.ndarray, rng: np.random.Gener
     unless a draw falls within that rounding of a boundary of the cumulative
     distribution.
     """
-    eos, vocab_size = model.vocab.eos_id, len(model.vocab)
     rows = np.arange(len(feats)) if rows is None else np.asarray(rows)
     if rows.ndim != 1 or not (rows.size == 0 or np.issubdtype(rows.dtype, np.integer)):
         raise ValueError(f"rows must be a 1-D array of context indices, got shape "
@@ -295,42 +402,31 @@ def s0_sample_batch(model: SpeakerModel, feats: np.ndarray, rng: np.random.Gener
     if rows.size and (rows.min() < 0 or rows.max() >= len(feats)):
         raise ValueError(f"rows must index the {len(feats)} contexts of feats, "
                          f"got indices from {rows.min()} to {rows.max()}")
-    batch = len(rows)
-    if batch == 0:
+    if len(rows) == 0:
         return []
-    nodes, node_of = np.unique(rows, return_inverse=True)  # node of each live row
-    ctx, words = _decoder_tables(model, feats)
-    ctx = ctx[nodes]
-    hc = None
-    prev = np.full(len(ctx), model.vocab.bos_id)
-    live = np.arange(batch)  # rows not yet ended
-    ids = np.full((batch, MAX_DECODE_LEN), eos)
-    log_probs = np.zeros(batch)
-    for step in range(MAX_DECODE_LEN):
-        hc, logits = _decoder_step(model, ctx, words, prev, hc)
-        z = logits - logits.max(axis=1, keepdims=True)
-        logp = log_softmax(z)  # z's maximum is 0, so its shift leaves z as it is
-        if step == MAX_DECODE_LEN - 1:
-            chosen = np.full(len(live), eos)
-        else:
-            z[:, model.vocab.bos_id] = -np.inf
-            cum = np.exp(z - z.max(axis=1, keepdims=True))
-            cum /= cum.sum(axis=1, keepdims=True)
-            cum = cum.cumsum(axis=1)
-            u = rng.random((batch, 1))[live]
-            chosen = np.minimum((cum[node_of] < u).sum(axis=1), cum.shape[1] - 1)
-        ids[live, step] = chosen  # each live row holds exactly `step` ids so far
-        log_probs[live] += logp[node_of, chosen]
-        going = chosen != eos
-        if not going.any():
-            break
-        live = live[going]
-        keys, node_of = np.unique(node_of[going] * vocab_size + chosen[going],
-                                  return_inverse=True)
-        parent, prev = np.divmod(keys, vocab_size)
-        ctx, hc = ctx[parent], hc[:, parent]
-    return [(tuple(row[:row.index(eos) + 1]), lp)
-            for row, lp in zip(ids.tolist(), log_probs.tolist())]
+    nodes, node_of = np.unique(rows, return_inverse=True)
+    used = feats if len(nodes) == len(feats) else feats[nodes]  # copy only if rows skip some
+    ids, log_probs, _ = _decode(model, _decoder_tables(model, used), rng, node_of,
+                                np.zeros((0, 0), dtype=int), np.zeros(0, dtype=int))
+    return list(zip(_cut_at_end(ids, model.vocab.eos_id), log_probs.tolist()))
+
+
+def _type_indices(model: SpeakerModel, samples: list[tuple[int, ...]],
+                  index: dict[tuple[int, ...], int], types: list[tuple[str, ...]]) -> list[int]:
+    """Each sampled id row's index into types, -1 for a bare </s>.
+
+    index maps the id rows seen so far to their types and starts as
+    {(</s>,): -1}; an unseen row is decoded once, to speaker-mode tokens
+    without </s>, and appended to types.
+    """
+    out = []
+    for ids in samples:
+        t = index.get(ids)
+        if t is None:
+            t = index[ids] = len(types)
+            types.append(tuple(model.vocab.decode(list(ids))[:-1]))
+        out.append(t)
+    return out
 
 
 def s0_sample_utterances(model: SpeakerModel, feats: np.ndarray, rng: np.random.Generator,
@@ -352,13 +448,46 @@ def s0_sample_utterances(model: SpeakerModel, feats: np.ndarray, rng: np.random.
         first, last = lo // per_context, (hi - 1) // per_context
         batch = s0_sample_batch(model, feats[first:last + 1], rng,
                                 rows=np.arange(lo, hi) // per_context - first)
-        for row, (ids, _) in enumerate(batch, lo):
-            t = index.get(ids)
-            if t is None:
-                t = index[ids] = len(types)
-                types.append(tuple(model.vocab.decode(list(ids))[:-1]))
-            row_types[row] = t
+        row_types[lo:hi] = _type_indices(model, [ids for ids, _ in batch], index, types)
     return types, row_types
+
+
+def s0_sample_and_score(model: SpeakerModel, feats: np.ndarray,
+                        rng: np.random.Generator | None, per_context: int,
+                        ids: list[int]) -> tuple[list[tuple[str, ...]], np.ndarray, np.ndarray]:
+    """s0_sample_utterances' draws, and the log probability of ids under each
+    context of feats (K, 3, F), from one encoder pass and one word table.
+
+    Returns the types and row types of s0_sample_utterances(model, feats,
+    rng, per_context), and log probabilities (K,) of the id row ids, which
+    must end in </s>, as s0_log_probs_batch([ids] * K, feats) gives them.
+    Every context is encoded once and the word table built once for all the
+    sampling batches, and the K scored rows ride in the first batch's
+    decoder steps (_decode), drawing no uniform. With per_context 0 nothing
+    is sampled and rng is not used.
+
+    The draws and the random stream are those of s0_sample_utterances, bit
+    for bit while the K * per_context rows fit one SAMPLE_BATCH (beyond it,
+    s0_sample_utterances encodes each batch's contexts on their own, which
+    BLAS may round differently). The scores equal s0_log_probs_batch's bit
+    for bit for K up to SAMPLE_BATCH.
+    """
+    forced, lengths = _ended_ids(model, [ids] * len(feats))
+    ctx, words = _decoder_tables(model, feats)
+    rows = np.repeat(np.arange(len(feats)), per_context)
+    index: dict[tuple[int, ...], int] = {(model.vocab.eos_id,): -1}
+    types: list[tuple[str, ...]] = []
+    row_types = np.empty(len(rows), dtype=int)
+    log_probs = None
+    for lo in range(0, max(len(rows), 1), SAMPLE_BATCH):
+        nodes, node_of = np.unique(rows[lo:lo + SAMPLE_BATCH], return_inverse=True)
+        step0 = ctx[np.concatenate([np.arange(len(forced)), nodes])]
+        sampled, _, scores = _decode(model, (step0, words), rng, node_of, forced, lengths)
+        if log_probs is None:  # the forced rows ride in the first batch only
+            log_probs, forced, lengths = scores, forced[:0], lengths[:0]
+        row_types[lo:lo + SAMPLE_BATCH] = _type_indices(
+            model, _cut_at_end(sampled, model.vocab.eos_id), index, types)
+    return types, row_types, log_probs
 
 
 def trial_speaker_ids(model: SpeakerModel, trial: ContextTrial) -> list[int]:

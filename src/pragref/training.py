@@ -173,7 +173,8 @@ def load_model(cls, path):
     the fault for a file that is not an npz archive; a missing `__meta__`, or
     one that is not a JSON object of this format version; a meta record with
     no "arrays" or "config" object; an array that the record names and the
-    file lacks, or of another shape; a config with no "vocab" list, another
+    file lacks, or of another shape; a config with no "vocab" list, or one
+    that Vocabulary rejects (tokens that are not distinct strings), another
     "model" than cls.kind, or a dimension that is not an integer of at least
     1; and, from restore_params, a parameter that is missing, unexpected,
     mis-shaped or not finite.

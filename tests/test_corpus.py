@@ -120,6 +120,19 @@ class TestVocabulary:
         with pytest.raises(ValueError):
             Vocabulary(["<s>", "<unk>", "</s>", "blue"])
 
+    @pytest.mark.parametrize("tokens, message", [
+        (["<unk>", "<s>", "</s>", 7, "a"], "token 3 is not a string: 7"),
+        (["<unk>", "<s>", "</s>", "a", None, 2.5], "token 4 is not a string: None"),
+        (["<unk>", "<s>", "</s>", b"a"], "token 3 is not a string: b'a'"),
+        (["<unk>", "<s>", "</s>", "a", "b", "a", "b"], "token 'a' repeats: ids 3 and 5"),
+        (["<unk>", "<s>", "</s>", "a", "</s>"], "token '</s>' repeats: ids 2 and 4"),
+        (["<unk>", "<s>", "</s>", "a", "a", 7], "token 'a' repeats: ids 3 and 4"),
+    ])
+    def test_tokens_must_be_distinct_strings(self, tokens, message):
+        # the first fault in id order is named
+        with pytest.raises(ValueError, match=message):
+            Vocabulary(tokens)
+
 
 class TestLoadRaw:
     def _write(self, tmp_path, rows):

@@ -29,7 +29,15 @@ from pragref.rsa import (
     neural_l1,
     s1_table_from_probs,
 )
-from pragref.speaker import SpeakerModel, _teacher_forced_losses, s0_sample_batch
+from pragref import speaker
+from pragref.speaker import (
+    SpeakerModel,
+    _teacher_forced_losses,
+    s0_log_probs_batch,
+    s0_sample_and_score,
+    s0_sample_utterances,
+    target_last_features,
+)
 from test_speaker import live_row_sample_batch
 
 COLORS = (Color(0.22, 0.52, 0.78), Color(0.0, 0.98, 0.99), Color(0.62, 0.39, 0.38))
@@ -43,10 +51,13 @@ def demo_lexicon():
 
 
 def stub_alternatives(monkeypatch, types, row_types):
-    """Make every alternative draw return these types and row type indices."""
-    monkeypatch.setattr("pragref.rsa.s0_sample_utterances",
-                        lambda model, feats, rng, per_context:
-                        (list(types), np.array(row_types, dtype=int)))
+    """Make every alternative draw return these types and row type indices;
+    the observed utterance is still scored, by the same pass with no samples."""
+    def stub(model, feats, rng, per_context, ids):
+        scores = s0_sample_and_score(model, feats, rng, 0, ids)[2]
+        return list(types), np.array(row_types, dtype=int), scores
+
+    monkeypatch.setattr("pragref.rsa.s0_sample_and_score", stub)
 
 
 def graph_l0_probs(model, id_seqs, feats):
@@ -60,6 +71,13 @@ def graph_s0_log_probs(model, id_seqs, feats):
     """s0_log_probs_batch one row at a time through _teacher_forced_losses."""
     return np.array([-_teacher_forced_losses(model, feats[i:i + 1], np.array([ids])).data[0]
                      for i, ids in enumerate(id_seqs)])
+
+
+def graph_sample_and_score(model, feats, rng, per_context, ids):
+    """s0_sample_and_score from per-row references: s0_sample_utterances' draws
+    (through whatever s0_sample_batch is in place) and graph_s0_log_probs."""
+    types, row_types = s0_sample_utterances(model, feats, rng, per_context)
+    return types, row_types, graph_s0_log_probs(model, [ids] * len(feats), feats)
 
 
 def models(seed=0):
@@ -277,20 +295,21 @@ class TestNeuralL2:
         assert np.allclose(got, want, rtol=0, atol=INFERENCE_ATOL)
 
     def test_samples_every_target_in_one_draw(self, monkeypatch):
-        # one sampling call over the three target-last contexts, n*m rows each
+        # one decoder-step loop over the three target-last contexts, n*m rows each
         l0, s0 = models(seed=13)
         calls = []
+        decode = speaker._decode
 
-        def recording(model, feats, rng, rows=None):
-            calls.append((feats.shape, None if rows is None else rows.tolist()))
-            return s0_sample_batch(model, feats, rng, rows)
+        def recording(model, tables, rng, node_of, forced, lengths):
+            calls.append((len(tables[0]), node_of.tolist(), len(forced)))
+            return decode(model, tables, rng, node_of, forced, lengths)
 
-        monkeypatch.setattr("pragref.speaker.s0_sample_batch", recording)
+        monkeypatch.setattr("pragref.speaker._decode", recording)
         cfg = PragmaticsConfig(m=3, n=4)
         compute_agents(l0, s0, "dark blue", COLORS, cfg, np.random.default_rng(2))
         assert len(calls) == 1
-        shape, rows = calls[0]
-        assert shape[:2] == (3, 3)
+        step0_rows, rows, scored = calls[0]
+        assert (step0_rows, scored) == (3 + 3, 3)  # L1's three rows, then one node per target
         assert rows == [t for t in range(3) for _ in range(cfg.n * cfg.m)]
 
     def test_sums_to_one_random_models(self):
@@ -422,7 +441,7 @@ class TestComputeAgents:
         # per-row references that build the autograd graph, through
         # ListenerModel.scores, _teacher_forced_losses and step_logits
         monkeypatch.setattr("pragref.rsa.l0_probs_many", graph_l0_probs)
-        monkeypatch.setattr("pragref.rsa.s0_log_probs_batch", graph_s0_log_probs)
+        monkeypatch.setattr("pragref.rsa.s0_sample_and_score", graph_sample_and_score)
         monkeypatch.setattr("pragref.speaker.s0_sample_batch", live_row_sample_batch)
         want = [compute_agents(l0, s0, u, COLORS, cfg, np.random.default_rng(4))
                 for u in texts]
@@ -446,3 +465,81 @@ class TestComputeAgents:
         assert np.array_equal(agents["l1"], neural_l1(s0, u, COLORS))
         again = compute_agents(l0, s0, u, COLORS, cfg, np.random.default_rng(5))
         assert np.array_equal(agents["l2"], again["l2"])
+
+
+def l1_from_batch_scorer(s0, u, colors):
+    """L1 normalized from s0_log_probs_batch over the three target-last contexts."""
+    tokens = preprocess(u, "speaker") if isinstance(u, str) else list(u)
+    ids = s0.vocab.encode(tokens + ["</s>"])
+    log_probs = s0_log_probs_batch(s0, [ids] * 3, target_last_features([colors] * 3, range(3)))
+    probs = np.exp(log_probs - log_probs.max())
+    return probs / probs.sum()
+
+
+class TestOneSpeakerPass:
+    """compute_agents samples S0 and scores L1 in one pass over the three contexts."""
+
+    @pytest.mark.parametrize("eos_bias", [None, -3.0])
+    @pytest.mark.parametrize("u", ["dark blue", "red"])
+    def test_alternatives_pin_the_random_stream(self, monkeypatch, u, eos_bias):
+        # -3 on </s> makes long rows, some cut at MAX_DECODE_LEN
+        l0, s0 = models(seed=15)
+        if eos_bias is not None:
+            s0.out_b.data[s0.vocab.eos_id] = eos_bias
+        cfg = PragmaticsConfig(m=3, n=4)
+        seen = []
+
+        def recording(*args):
+            types, row_types, scores = s0_sample_and_score(*args)
+            seen.append((list(types), row_types.copy()))
+            return types, row_types, scores
+
+        monkeypatch.setattr("pragref.rsa.s0_sample_and_score", recording)
+        rng = np.random.default_rng(21)
+        compute_agents(l0, s0, u, COLORS, cfg, rng)
+        ref_rng = np.random.default_rng(21)
+        want_types, want_rows = s0_sample_utterances(
+            s0, target_last_features([COLORS] * 3, np.arange(3)), ref_rng, cfg.n * cfg.m)
+        (types, row_types), = seen
+        assert types == want_types and len(types) > 1
+        assert np.array_equal(row_types, want_rows)
+        # scoring the observed utterance drew no uniform
+        assert rng.random() == ref_rng.random()
+
+    def test_forced_rows_outlive_the_samples(self, monkeypatch):
+        l0, s0 = models(seed=16)
+        s0.out_b.data[s0.vocab.eos_id] = 4.0  # short samples
+        u = "dark blue red teal dull blue dark red"
+        cfg = PragmaticsConfig(m=4, n=3)
+        agents = compute_agents(l0, s0, u, COLORS, cfg, np.random.default_rng(6))
+        types, _ = s0_sample_utterances(s0, target_last_features([COLORS] * 3, np.arange(3)),
+                                        np.random.default_rng(6), cfg.n * cfg.m)
+        assert max(map(len, types), default=0) < len(u.split())
+        assert np.array_equal(agents["l1"], neural_l1(s0, u, COLORS))
+        assert np.array_equal(agents["l1"], l1_from_batch_scorer(s0, u, COLORS))
+
+    @pytest.mark.parametrize("u", ["magenta chartreuse", ("zzz",)])
+    def test_out_of_vocabulary_utterance(self, u):
+        l0, s0 = models(seed=17)
+        cfg = PragmaticsConfig(m=2, n=3)
+        agents = compute_agents(l0, s0, u, COLORS, cfg, np.random.default_rng(7))
+        assert np.array_equal(agents["l1"], neural_l1(s0, u, COLORS))
+        assert np.array_equal(agents["l1"], l1_from_batch_scorer(s0, u, COLORS))
+
+    def test_one_encoder_pass_and_one_word_table(self, monkeypatch):
+        l0, s0 = models(seed=18)
+        encoded, tables = [], []
+        encode, build = s0.encode_contexts, speaker._decoder_tables
+
+        def counting_encode(feats):
+            encoded.append(len(feats))
+            return encode(feats)
+
+        def counting_tables(model, feats):
+            tables.append(len(feats))
+            return build(model, feats)
+
+        s0.encode_contexts = counting_encode
+        monkeypatch.setattr(speaker, "_decoder_tables", counting_tables)
+        compute_agents(l0, s0, "dark blue", COLORS, PragmaticsConfig(), np.random.default_rng(8))
+        assert encoded == [3] and tables == [3]

@@ -22,9 +22,11 @@ from pragref.speaker import (
     reorder_target_last,
     s0_log_prob,
     s0_log_probs_batch,
+    s0_sample_and_score,
     s0_sample_batch,
     s0_sample_utterances,
     target_last_features,
+    target_last_order,
     train_s0,
 )
 from pragref.training import TrainConfig, load_model, same_length_batches, save_model
@@ -100,9 +102,9 @@ def decoder_calls(monkeypatch):
     calls = []
     step = speaker._decoder_step
 
-    def counting(model, ctx, words, prev, hc=None):
+    def counting(model, ctx, words, prev, hc=None, split=0):
         calls.append(np.column_stack([ctx, words[prev], *([] if hc is None else hc)]))
-        return step(model, ctx, words, prev, hc)
+        return step(model, ctx, words, prev, hc, split)
 
     monkeypatch.setattr(speaker, "_decoder_step", counting)
     return calls
@@ -603,6 +605,85 @@ class TestSharedPrefixSampling:
     def test_empty_row_map_gives_no_rows(self):
         feats = np.random.default_rng(0).standard_normal((3, 3, 54))
         assert s0_sample_batch(tiny_model(), feats, np.random.default_rng(0), rows=[]) == []
+
+
+class TestSampleAndScore:
+    """s0_sample_and_score: s0_sample_utterances' draws and s0_log_probs_batch's
+    scores of one id row, from one encoder pass and one word table."""
+
+    @pytest.mark.parametrize("per_context, truncate", [(0, False), (1, False), (6, False),
+                                                       (6, True)])
+    def test_matches_sampler_and_scorer(self, per_context, truncate):
+        model = tiny_model(seed=15)
+        if truncate:
+            model.out_b.data[model.vocab.eos_id] = -3.0
+        feats = np.random.default_rng(10).standard_normal((4, 3, 54))
+        ids = model.vocab.encode(["dark", "blue", "red", EOS])
+        rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+        types, row_types, log_probs = s0_sample_and_score(model, feats, rng, per_context, ids)
+        want_types, want_rows = s0_sample_utterances(model, feats, ref_rng, per_context)
+        assert types == want_types and np.array_equal(row_types, want_rows)
+        assert rng.random() == ref_rng.random()
+        assert np.array_equal(log_probs, s0_log_probs_batch(model, [ids] * 4, feats))
+
+    def test_no_samples_use_no_generator(self):
+        model = tiny_model(seed=16)
+        feats = np.random.default_rng(12).standard_normal((3, 3, 54))
+        types, row_types, log_probs = s0_sample_and_score(model, feats, None, 0, [3, 2])
+        assert types == [] and row_types.shape == (0,)
+        assert np.array_equal(log_probs, s0_log_probs_batch(model, [[3, 2]] * 3, feats))
+
+    def test_batches_share_one_encoder_pass(self, monkeypatch):
+        # 5-row batches cut the 3 x 4 rows; the scored rows ride in the first
+        monkeypatch.setattr("pragref.speaker.SAMPLE_BATCH", 5)
+        model = tiny_model(seed=17)
+        feats = np.random.default_rng(13).standard_normal((3, 3, 54))
+        ids = model.vocab.encode(["blue", EOS])
+        want = s0_sample_utterances(model, feats, np.random.default_rng(14), 4)
+        encoded, steps = encoder_calls(model), decoder_calls(monkeypatch)
+        types, row_types, log_probs = s0_sample_and_score(
+            model, feats, np.random.default_rng(14), 4, ids)
+        assert encoded == [3]
+        assert types == want[0] and np.array_equal(row_types, want[1])
+        assert np.array_equal(log_probs, s0_log_probs_batch(model, [ids] * 3, feats))
+        # the first batch's first step decodes the 3 scored rows and its nodes
+        assert len(steps[0]) == 3 + len(np.unique(np.repeat(np.arange(3), 4)[:5]))
+
+    @pytest.mark.parametrize("split", [3, 0, 7])
+    def test_split_rows_get_the_floats_of_their_own_batch(self, split):
+        # at hidden 100 and 9 output columns, OpenBLAS rounds a row of a
+        # product differently with the rows beside it; the split keeps each
+        # group's floats those of decoding it alone
+        vocab = build_vocab([["blue", "dark", "red", "teal", "dull", "green"] * 2])
+        model = SpeakerModel.create(vocab, np.random.default_rng(3), embed_dim=16,
+                                    hidden_dim=100)
+        rng = np.random.default_rng(4)
+        ctx, words = rng.standard_normal((7, 400)), rng.standard_normal((9, 400))
+        prev, hc = rng.integers(0, 9, 7), np.tanh(rng.standard_normal((2, 7, 100)))
+        hc_all, logits = speaker._decoder_step(model, ctx, words, prev, hc, split)
+        for rows in (slice(0, split), slice(split, 7)):
+            hc_part, part = speaker._decoder_step(model, ctx[rows], words, prev[rows],
+                                                  hc[:, rows])
+            assert np.array_equal(logits[rows], part) and np.array_equal(hc_all[:, rows], hc_part)
+
+    @pytest.mark.parametrize("ids, error", [([3, 4], ValueError), ([3, 9, 2], IndexOutOfRange),
+                                            ([], EmptyUtterance)])
+    def test_bad_id_rows_raise(self, ids, error):
+        feats = np.random.default_rng(0).standard_normal((3, 3, 54))
+        with pytest.raises(error):
+            s0_sample_and_score(tiny_model(), feats, np.random.default_rng(0), 2, ids)
+
+    def test_target_last_order_gathers_the_features(self):
+        rng = np.random.default_rng(15)
+        rgb = rng.random((40, 3, 3))
+        rgb[::4, 1, 0] = rgb[::4, 2, 0]  # distractors that tie on the first channel
+        targets = rng.integers(0, 3, 40)
+        order = target_last_order(rgb, targets)
+        assert np.array_equal(order[:, 2], targets)
+        assert all(sorted(row) == [0, 1, 2] for row in order.tolist())
+        rows = fourier_features_array(rgb)
+        assert np.array_equal(rows[np.arange(40)[:, None], order],
+                              target_last_features(rgb, targets))
 
 
 class TestTrainS0:

@@ -121,6 +121,15 @@ MALFORMED = {
                  "no 'vocab' list"),
     "vocab_not_list": (lambda a, m: (a, {**m, "config": {**m["config"], "vocab": "abc"}}),
                        "no 'vocab' list"),
+    # the model's vocabulary is <unk> <s> </s> blue dark
+    "vocab_token_not_string": (
+        lambda a, m: (a, {**m, "config": {**m["config"],
+                                          "vocab": ["<unk>", "<s>", "</s>", 7, "dark"]}}),
+        "vocabulary token 3 is not a string: 7"),
+    "vocab_token_repeats": (
+        lambda a, m: (a, {**m, "config": {**m["config"],
+                                          "vocab": ["<unk>", "<s>", "</s>", "dark", "dark"]}}),
+        "vocabulary token 'dark' repeats: ids 3 and 4"),
     "no_hidden_dim": (lambda a, m: (a, {**m, "config": _without(m["config"], "hidden_dim")}),
                       "hidden_dim must be an integer of at least 1, got None"),
     "string_hidden_dim": (lambda a, m: (a, {**m, "config": {**m["config"], "hidden_dim": "3"}}),
