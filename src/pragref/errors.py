@@ -41,6 +41,10 @@ class NonFiniteGradient(PragrefError):
     """A backward pass or optimizer step produced NaN/inf gradients."""
 
 
+class NonFiniteDevScore(PragrefError):
+    """A training epoch's dev score (accuracy, or minus perplexity) is NaN or infinite."""
+
+
 class IndexOutOfRange(PragrefError, IndexError):
     """A token id fell outside an embedding table."""
 

@@ -286,16 +286,18 @@ def train_l0(model: ListenerModel, train_trials: list[ContextTrial],
             raise EmptyUtterance(f"training trial {i} has a listener text with no tokens")
     dev_ids, dev_feats, dev_targets = _listener_inputs(model, dev_trials)
 
-    def batch_loss(batch):
+    def batch_grad(batch):
         scores = model.scores(np.stack([ids[i] for i in batch]), feats[batch])
-        return softmax_xent(scores, targets[batch])[0], len(batch)
+        losses = softmax_xent(scores, targets[batch])[0]
+        (losses.sum() * (1.0 / len(batch))).backward()
+        return losses.data, len(batch)
 
     def dev():
         acc, ppl = accuracy_perplexity(l0_probs_many(model, dev_ids, dev_feats), dev_targets)
         return acc, {"dev_accuracy": acc, "dev_perplexity": ppl}
 
     return fit(Adadelta(model.parameters()), np.array([len(s) for s in ids]),
-               batch_loss, dev, config)
+               batch_grad, dev, config)
 
 
 def evaluate_l0(model: ListenerModel,

@@ -6,14 +6,18 @@ a fused quadratic-form scorer, and Adam and ADADELTA optimizers with
 global-norm gradient clipping. Checkpoints belong to `training`, which alone
 knows their file format.
 
-A training step makes few arrays and few graph nodes, and its results are
+The listener trains on the tape (the `Tensor` graph), and its results are
 the same bits as those of the plain formulas. `lstm_step` is one graph node
-with an analytic backward, whose float operations are those of the composed
-gates, products and nonlinearities, in the same order. Adam and ADADELTA
-update their moments and the parameters in place, in cache-sized blocks, with
-the operations of the textbook expressions in their order. A first gradient
-is not added to zeros: a backward's fresh result becomes the gradient as it
-is, and a shared array is copied.
+with an analytic backward, `lstm_cell_backward`, whose float operations are
+those of the composed gates, products and nonlinearities, in the same order.
+A first gradient is not added to zeros: a backward's fresh result becomes
+the gradient as it is, and a shared array is copied. The speaker trains off
+the tape: its loss and gradients are one forward and one explicit backward
+over all decoder steps on plain arrays (`speaker._s0_losses_and_grads`,
+through `lstm_cell` and `lstm_cell_backward`), held to a tolerance against
+the tape, which stays its reference. Adam and ADADELTA update their moments
+and the parameters in place, in cache-sized blocks, with the operations of
+the textbook expressions in their order.
 
 Inference makes no `Tensor`: every inference path runs forward only on
 plain arrays. The LSTMs (the speaker's context encoder, its decoder in the
@@ -24,8 +28,8 @@ step 0, where the state is zero. All share the cell's nonlinearity with
 `lstm_step` through `lstm_cell`, and `padded_ids` checks the scorers' id
 rows. The listener's quadratic form shares its forward with `quad_scores`
 through `quad_form`. A `Tensor` records a graph exactly when one of its
-parents requires a gradient; the per-row references that run the training
-graph on one row free it on return.
+parents requires a gradient; the per-row references that run the tape on one
+row free it on return.
 
 Everything is double precision. A model instance is single-threaded during
 training; frozen parameter arrays may be shared freely across threads.
@@ -382,9 +386,9 @@ def lstm_cell(gates: np.ndarray, c: np.ndarray
     gates holds x W_x + h W_h + b in GATE_ORDER blocks and c the cell state;
     c' = f * c + i * g and h' = o * tanh(c'). Returns the (2, ..., hidden)
     block [h'; c'], then the sigmoids of the i, f, o blocks, the tanh
-    candidate and tanh(c'), which lstm_step's backward reuses. Every LSTM
-    forward, lstm_step's and each forward-only inference path's, goes through
-    it.
+    candidate and tanh(c'), which lstm_cell_backward reuses. Every LSTM
+    forward, lstm_step's, the speaker's training forward and each
+    forward-only inference path's, goes through it.
     """
     n = gates.shape[-1] // 4
     ifo = np.negative(gates[..., :3 * n])  # sigmoid of the i, f, o blocks
@@ -402,41 +406,53 @@ def lstm_cell(gates: np.ndarray, c: np.ndarray
     return hc, ifo, cand, tanh_c
 
 
+def lstm_cell_backward(gh: np.ndarray, gc, c, ifo: np.ndarray, cand: np.ndarray,
+                       tanh_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """lstm_cell's backward: the gradients (..., 4 hidden) on the gates and on c.
+
+    gh and gc are the gradients on h' and c', c is the state the step read
+    (gc and c may be 0.0), and ifo, cand and tanh_c are lstm_cell's outputs.
+    The float operations are those of the composed graph, in its order.
+    """
+    n = cand.shape[-1]
+    i, f, o = ifo[..., :n], ifo[..., n:2 * n], ifo[..., 2 * n:]
+    d = np.empty(cand.shape[:-1] + (4 * n,))
+    dc = gh * o               # through h' = o * tanh(c'), then c' = f c + i g
+    dc *= 1.0 - tanh_c * tanh_c
+    dc += gc
+    np.multiply(dc, cand, out=d[..., :n])
+    np.multiply(dc, c, out=d[..., n:2 * n])
+    np.multiply(gh, tanh_c, out=d[..., 2 * n:3 * n])
+    d_ifo = d[..., :3 * n]
+    d_ifo *= ifo
+    d_ifo *= 1.0 - ifo
+    d_cand = d[..., 3 * n:]
+    np.multiply(dc, i, out=d_cand)
+    d_cand *= 1.0 - cand * cand
+    dc *= f
+    return d, dc
+
+
 def lstm_step(x: Tensor, h: Tensor, c: Tensor,
               p: LstmCellParams) -> tuple[Tensor, Tensor]:
     """One step of the standard LSTM recurrence (sigmoid gates, tanh candidate).
 
     gates = x W_x + h W_h + b, in GATE_ORDER blocks, then lstm_cell. One graph
     node holds [h'; c'] as a (2, ..., hidden) block, and h' and c' are views
-    of it. Its backward is analytic and repeats, float for float, the
-    backward of the composed matmuls, adds, sigmoids, tanhs and products.
+    of it. Its backward is analytic (lstm_cell_backward) and repeats, float
+    for float, the backward of the composed matmuls, adds, sigmoids, tanhs and
+    products.
     """
-    n = p.hidden_dim
     gates = x.data @ p.w_x.data
     gates += h.data @ p.w_h.data
     gates += p.bias.data
     hc, ifo, cand, tanh_c = lstm_cell(gates, c.data)
-    i, f, o = ifo[..., :n], ifo[..., n:2 * n], ifo[..., 2 * n:]
     out = Tensor(hc, parents=(x, h, c, p.w_x, p.w_h, p.bias))
-    gates_shape = gates.shape
 
     def bwd(grad):
-        gh, gc = grad
-        d = np.empty(gates_shape)  # gradient of the gate pre-activations
-        dc = gh * o               # through h' = o * tanh(c'), then c' = f c + i g
-        dc *= 1.0 - tanh_c * tanh_c
-        dc += gc
-        np.multiply(dc, cand, out=d[..., :n])
-        np.multiply(dc, c.data, out=d[..., n:2 * n])
-        np.multiply(gh, tanh_c, out=d[..., 2 * n:3 * n])
-        d_ifo = d[..., :3 * n]
-        d_ifo *= ifo
-        d_ifo *= 1.0 - ifo
-        d_cand = d[..., 3 * n:]
-        np.multiply(dc, i, out=d_cand)
-        d_cand *= 1.0 - cand * cand
+        d, dc = lstm_cell_backward(grad[0], grad[1], c.data, ifo, cand, tanh_c)
         if c.requires_grad:
-            c._accumulate(dc * f, owned=True)
+            c._accumulate(dc, owned=True)
         if p.bias.requires_grad:
             p.bias._accumulate(_unbroadcast(d, p.bias.shape), owned=True)
         if x.requires_grad:

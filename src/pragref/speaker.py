@@ -23,6 +23,7 @@ from .nnsubstrate import (
     concat,
     embed,
     lstm_cell,
+    lstm_cell_backward,
     lstm_step,
     padded_ids,
     run_lstm,
@@ -85,6 +86,14 @@ class SpeakerModel:
         The operations of encode in its order, except that h W_h is skipped
         at step 0, where h is zero, so the result equals encode's.
         """
+        for step in self._encoder_steps(feats):
+            c = step[0][1]
+            del step  # so that the next step is computed with this one freed
+        return c
+
+    def _encoder_steps(self, feats: np.ndarray):
+        """Yield lstm_cell's outputs at each step of encode_contexts, holding
+        none of them past the request for the next."""
         if feats.ndim != 3:
             raise ValueError(f"expected (B, 3, F) features, got {feats.shape}")
         cell = self.encoder
@@ -94,8 +103,10 @@ class SpeakerModel:
             if i:
                 gates += h @ cell.w_h.data
             gates += cell.bias.data
-            h, c = lstm_cell(gates, c)[0]
-        return c
+            step = lstm_cell(gates, c)
+            h, c = step[0]
+            yield step
+            del step
 
     def step_logits(self, ctx: Tensor, token_ids: np.ndarray,
                     h: Tensor, c: Tensor) -> tuple[Tensor, Tensor, Tensor]:
@@ -168,11 +179,89 @@ def _teacher_forced_losses(model: SpeakerModel, feats: np.ndarray,
     return total
 
 
+def _lstm_bptt(steps: list, w_h: np.ndarray, gh: np.ndarray, gc) -> np.ndarray:
+    """Gate gradients (T, B, 4 hidden) of an LSTM run from the zero state, whose
+    steps gave the lstm_cell outputs `steps`; gh (T, B, hidden) is the gradient
+    on each h' from outside the recurrence and gc the one on the last c'."""
+    d = np.empty(gh.shape[:-1] + (4 * gh.shape[-1],))
+    last = len(steps) - 1
+    for t in range(last, -1, -1):
+        g = gh[t] if t == last else gh[t] + d[t + 1] @ w_h.T
+        d[t], gc = lstm_cell_backward(g, gc, steps[t - 1][0][1] if t else 0.0, *steps[t][1:])
+    return d
+
+
+def _s0_losses_and_grads(model: SpeakerModel, feats: np.ndarray, ids: np.ndarray,
+                         scale: float) -> np.ndarray:
+    """_teacher_forced_losses (B,) of id rows ids (B, T) with target-last
+    contexts feats (B, 3, F), with every parameter's .grad set to the gradient
+    of scale times their sum. It builds no Tensor.
+
+    Forward: the encoder's steps as encode_contexts runs them; the decoder's
+    context half of W_x and its bias once per batch, its word half for all
+    steps in one product, and the output layer and log-softmax over all steps
+    at once. Backward: explicit backpropagation through time, each weight
+    gradient one product over the steps. The sums round differently from the
+    tape's, so both outputs match it to within rounding, not bit for bit.
+    """
+    enc, dec, split = model.encoder, model.decoder, model.hidden_dim
+    batch, n_steps = ids.shape
+    enc_steps = list(model._encoder_steps(feats))
+    ctx = enc_steps[-1][0][1]
+    prev = np.concatenate([np.full(batch, model.vocab.bos_id), ids[:, :-1].T.ravel()])
+    emb = model.embedding.data[prev]
+    w_ctx, w_word = dec.w_x.data[:split], dec.w_x.data[split:]
+    ctx_gates = ctx @ w_ctx
+    ctx_gates += dec.bias.data
+    gates = (emb @ w_word).reshape(n_steps, batch, -1)
+    dec_steps = []
+    for t in range(n_steps):
+        gates[t] += ctx_gates
+        if t:
+            gates[t] += dec_steps[-1][0][0] @ dec.w_h.data
+        dec_steps.append(lstm_cell(gates[t], dec_steps[-1][0][1] if t else 0.0))
+    hs = np.stack([step[0][0] for step in dec_steps])
+    flat_hs = hs.reshape(-1, split)
+
+    logits = flat_hs @ model.out_w.data
+    logits += model.out_b.data
+    logits -= logits.max(axis=1, keepdims=True)
+    rows, targets = np.arange(ids.size), ids.T.ravel()  # time-major, as prev
+    picked = logits[rows, targets]
+    probs = np.exp(logits, out=logits)
+    sums = probs.sum(axis=1)
+    losses = (np.log(sums) - picked).reshape(n_steps, batch).sum(axis=0)
+    d_logits = probs  # scale * (softmax - one-hot), in place
+    d_logits *= (scale / sums)[:, None]
+    d_logits[rows, targets] -= scale
+
+    model.out_w.grad = flat_hs.T @ d_logits
+    model.out_b.grad = d_logits.sum(axis=0)
+    d_dec = _lstm_bptt(dec_steps, dec.w_h.data,
+                       (d_logits @ model.out_w.data.T).reshape(hs.shape), 0.0)
+    flat_dec = d_dec.reshape(ids.size, -1)
+    d_ctx_gates = d_dec.sum(axis=0)
+    dec.w_x.grad = np.concatenate([ctx.T @ d_ctx_gates, emb.T @ flat_dec])
+    dec.w_h.grad = flat_hs[:-batch].T @ flat_dec[batch:]
+    dec.bias.grad = d_ctx_gates.sum(axis=0)
+    model.embedding.grad = np.zeros_like(model.embedding.data)
+    np.add.at(model.embedding.grad, prev, flat_dec @ w_word.T)
+
+    d_enc = _lstm_bptt(enc_steps, enc.w_h.data, np.zeros((len(enc_steps),) + ctx.shape),
+                       d_ctx_gates @ w_ctx.T)
+    flat_enc = d_enc.reshape(-1, d_enc.shape[-1])
+    enc.w_x.grad = feats.transpose(1, 0, 2).reshape(len(flat_enc), -1).T @ flat_enc
+    enc.w_h.grad = np.concatenate([step[0][0] for step in enc_steps[:-1]]).T @ flat_enc[batch:]
+    enc.bias.grad = flat_enc.sum(axis=0)
+    return losses
+
+
 def s0_log_prob(model: SpeakerModel, tokens: list[str],
                 colors: tuple[Color, Color, Color], target_index: int) -> float:
     """Teacher-forced log probability of a token sequence ending with </s>.
 
-    The per-row reference: it runs the training graph on one row.
+    The per-row tape reference: it runs _teacher_forced_losses, the Tensor
+    graph that train_s0's gradients are held to, on one row.
     """
     if not tokens or tokens[-1] != EOS:
         raise ValueError("speaker tokens must end with the end token </s>")
@@ -515,25 +604,28 @@ def train_s0(model: SpeakerModel, train_trials: list[ContextTrial],
     """Minimize per-token cross-entropy; keep the best-dev-perplexity epoch.
 
     Trains with Adam at ADAM_LR, clipping gradients to a global norm of
-    GRAD_CLIP (constants of `nnsubstrate`). The model is left holding the
-    best-dev-perplexity parameters. Dev inputs are built once and scored after
-    every epoch as dev_token_perplexity scores them.
+    GRAD_CLIP (constants of `nnsubstrate`). Each batch's losses and gradients
+    come from _s0_losses_and_grads, off the tape, so a run matches a
+    tape-trained one to within rounding, not bit for bit. The model is left
+    holding the best-dev-perplexity parameters. Dev inputs are built once and
+    scored after every epoch as dev_token_perplexity scores them.
     """
     id_rows, feats = _speaker_inputs(model, train_trials)
     ids = [np.array(row) for row in id_rows]
     lengths = np.array([len(s) for s in ids])
     dev_ids, dev_feats = _speaker_inputs(model, dev_trials)
 
-    def batch_loss(batch):
-        losses = _teacher_forced_losses(model, feats[batch],
-                                        np.stack([ids[i] for i in batch]))
-        return losses, int(lengths[batch].sum())
+    def batch_grad(batch):
+        n_tokens = int(lengths[batch].sum())
+        losses = _s0_losses_and_grads(model, feats[batch], np.stack([ids[i] for i in batch]),
+                                      1.0 / n_tokens)
+        return losses, n_tokens
 
     def dev():
         ppl = _token_perplexity(model, dev_ids, dev_feats)
         return -ppl, {"dev_perplexity": ppl}
 
-    return fit(Adam(model.parameters()), lengths, batch_loss, dev, config)
+    return fit(Adam(model.parameters()), lengths, batch_grad, dev, config)
 
 
 def dev_token_perplexity(model: SpeakerModel, trials: list[ContextTrial]) -> float:

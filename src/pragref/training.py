@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Vocabulary
-from .errors import MissingCheckpoint, require_count
+from .errors import MissingCheckpoint, NonFiniteDevScore, require_count
 from .nnsubstrate import GRAD_CLIP, Parameter, clip_global_norm, zero_gradients
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -82,13 +82,16 @@ def same_length_batches(lengths: np.ndarray, order: np.ndarray,
         start = end
 
 
-def fit(optimizer, lengths: np.ndarray, batch_loss, dev,
+def fit(optimizer, lengths: np.ndarray, batch_grad, dev,
         config: TrainConfig) -> TrainingReport:
     """Minibatch training; optimizer.params are left holding the best-dev epoch.
 
-    batch_loss(rows) gives the per-row losses of equal-length rows and the
-    normalizer of their sum (rows or tokens); dev() gives a key to maximize
-    and the EpochStats dev fields.
+    batch_grad(rows) takes equal-length rows, sets each parameter's .grad to
+    the gradient of their summed loss over a normalizer (rows or tokens), and
+    returns the per-row losses (an ndarray) and the normalizer. dev() gives a
+    key to maximize and the EpochStats dev fields. A key that is not finite
+    raises NonFiniteDevScore naming its epoch, and leaves the parameters as
+    that epoch trained them.
     """
     params = optimizer.params
     rng = np.random.default_rng(config.seed)
@@ -102,9 +105,8 @@ def fit(optimizer, lengths: np.ndarray, batch_loss, dev,
         max_grad_norm = 0.0
         clipped = 0
         for batch in same_length_batches(lengths, order, config.batch_size):
-            losses, normalizer = batch_loss(batch)
-            (losses.sum() * (1.0 / normalizer)).backward()
-            total_loss += float(losses.data.sum())
+            losses, normalizer = batch_grad(batch)
+            total_loss += float(losses.sum())
             total_count += normalizer
             grad_norm = clip_global_norm(params)
             max_grad_norm = max(max_grad_norm, float(grad_norm))
@@ -112,6 +114,9 @@ def fit(optimizer, lengths: np.ndarray, batch_loss, dev,
             optimizer.step()
             zero_gradients(params)
         key, dev_stats = dev()
+        if not np.isfinite(key):
+            raise NonFiniteDevScore(f"epoch {epoch} gave the dev score {key}, which is "
+                                    f"not finite")
         report.epochs.append(EpochStats(epoch, total_loss / total_count, **dev_stats,
                                         max_grad_norm=max_grad_norm, clipped_steps=clipped))
         if key > best_key:

@@ -12,7 +12,8 @@ decoder-step loop under `s0_log_probs_batch`, `s0_sample_batch` and
 `l0_score` for L0; `s0_log_prob`, or decoding each row through
 `step_logits`, for S0; and for L2 `counter_l2` in `test_rsa`, which builds
 one Counter-based S1 table per replicate from the same alternatives.
-Training's gradient path is held to bit identity instead.
+L0's training path is held to bit identity instead, and S0's explicit
+gradient to `test_speaker.GRAD_RTOL` against the tape.
 
 `checkpoint_meta`, `write_checkpoint` and `read_checkpoint` build and read
 checkpoint files from raw parts, without `pragref`, so the tests pin the

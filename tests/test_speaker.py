@@ -2,17 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import INFERENCE_ATOL, checkpoint_meta, read_checkpoint, write_checkpoint
 from pragref import speaker
 from pragref.colorspace import Color, Condition, fourier_features_array
 from pragref.corpus import EOS, build_vocab, preprocess, synth_corpus
-from pragref.errors import EmptyUtterance, IndexOutOfRange, MissingCheckpoint
+from pragref.errors import EmptyUtterance, IndexOutOfRange, MissingCheckpoint, NonFiniteGradient
 from pragref.listener import ListenerModel, density_grid, evaluate_l0, l0_probs_many
 from pragref.metrics import BaseSpeakerSampler, PragmaticSpeakerSampler
-from pragref.nnsubstrate import Tensor
+from pragref.nnsubstrate import Tensor, fd_gradient, gradcheck_rel_error
 from pragref.rsa import PragmaticsConfig, compute_agents
 from pragref.speaker import (
     MAX_DECODE_LEN,
@@ -777,3 +777,150 @@ class TestTrainS0:
                          checkpoint_meta(arrays, {**config, "vocab": config["vocab"] + ["teal"]}))
         with pytest.raises(ValueError, match="embedding"):
             load_model(SpeakerModel, grown)
+
+
+# -- S0's gradient off the tape, against the tape ----------------------------------
+
+# _s0_losses_and_grads against the tape (_teacher_forced_losses and its
+# backward): each parameter's gradient may differ from the tape's by this share
+# of the tape gradient's largest entry. The two sum the same terms in other
+# orders; over 400 random cases like test_matches_tape's, the largest share
+# was 7.4e-15.
+GRAD_RTOL = 1e-12
+
+
+def tape_losses_and_grads(model, feats, ids, scale):
+    """_s0_losses_and_grads' outputs, computed on the tape."""
+    losses = _teacher_forced_losses(model, feats, ids)
+    (losses.sum() * scale).backward()
+    return losses.data
+
+
+def gradients_of(fn, model, feats, ids, scale):
+    """fn's losses and the gradients it leaves, by parameter name; clears them."""
+    losses = fn(model, feats, ids, scale)
+    grads = {p.name: p.grad for p in model.parameters()}
+    for p in model.parameters():
+        p.grad = None
+    return losses, grads
+
+
+def random_rows(model, rng, batch, length, fill):
+    """batch id rows of `length` ending in </s>: random ids other than <s>
+    ("random") or every id before the end <unk> ("unk")."""
+    vocab = model.vocab
+    if fill == "unk":
+        ids = np.full((batch, length), vocab.token_to_id["<unk>"])
+    else:
+        allowed = [i for i in range(len(vocab)) if i != vocab.bos_id]
+        ids = rng.choice(allowed, size=(batch, length))
+    ids[:, -1] = vocab.eos_id
+    return ids
+
+
+def random_model(seed, embed_dim, hidden_dim, gain):
+    model = SpeakerModel.create(tiny_model().vocab, np.random.default_rng(seed),
+                                embed_dim=embed_dim, hidden_dim=hidden_dim)
+    for p in model.parameters():
+        p.data *= gain
+    return model
+
+
+class TestExplicitGradient:
+    """_s0_losses_and_grads, train_s0's loss and gradient, against the tape."""
+
+    @given(seed=st.integers(0, 2 ** 16), batch=st.integers(1, 5),
+           length=st.integers(1, MAX_DECODE_LEN), embed_dim=st.integers(1, 5),
+           hidden_dim=st.integers(1, 5), gain=st.sampled_from([1.0, 4.0]),
+           fill=st.sampled_from(["random", "unk"]))
+    @example(seed=0, batch=1, length=1, embed_dim=3, hidden_dim=2, gain=1.0, fill="random")
+    @example(seed=1, batch=3, length=MAX_DECODE_LEN, embed_dim=4, hidden_dim=3, gain=4.0,
+             fill="random")
+    @example(seed=2, batch=2, length=5, embed_dim=2, hidden_dim=4, gain=1.0, fill="unk")
+    @settings(max_examples=40, deadline=None)
+    def test_matches_tape(self, seed, batch, length, embed_dim, hidden_dim, gain, fill):
+        rng = np.random.default_rng(seed)
+        model = random_model(seed, embed_dim, hidden_dim, gain)
+        ids = random_rows(model, rng, batch, length, fill)
+        feats = rng.standard_normal((batch, 3, 54))
+        scale = 1.0 / ids.size
+        got, grads = gradients_of(speaker._s0_losses_and_grads, model, feats, ids, scale)
+        want, tape = gradients_of(tape_losses_and_grads, model, feats, ids, scale)
+        assert np.allclose(got, want, rtol=0, atol=INFERENCE_ATOL)
+        for name, g in tape.items():
+            assert grads[name].shape == g.shape, name
+            assert np.abs(grads[name] - g).max() <= GRAD_RTOL * np.abs(g).max(), name
+
+    def test_central_differences(self):
+        rng = np.random.default_rng(3)
+        model = tiny_model(seed=3)
+        ids = random_rows(model, rng, 4, 6, "random")
+        feats = rng.standard_normal((4, 3, 54))
+        _, grads = gradients_of(speaker._s0_losses_and_grads, model, feats, ids, 0.25)
+
+        def loss():
+            return -0.25 * float(s0_log_probs_batch(model, ids.tolist(), feats).sum())
+
+        for p in model.parameters():
+            coords = rng.choice(p.data.size, size=min(p.data.size, 12), replace=False)
+            numeric = fd_gradient(loss, p.data, indices=coords)
+            assert gradcheck_rel_error(grads[p.name], numeric, indices=coords) < 1e-4, p.name
+
+    def test_losses_match_batched_scorer(self):
+        rng = np.random.default_rng(4)
+        model = tiny_model(seed=4)
+        for length in (1, 3, MAX_DECODE_LEN):
+            ids = random_rows(model, rng, 6, length, "random")
+            feats = rng.standard_normal((6, 3, 54))
+            losses = speaker._s0_losses_and_grads(model, feats, ids, 1.0)
+            assert np.allclose(losses, -s0_log_probs_batch(model, ids.tolist(), feats),
+                               rtol=0, atol=INFERENCE_ATOL)
+
+    def test_builds_no_tensor(self, monkeypatch):
+        # test_nnsubstrate's test_no_two_parameter_gradients_share_memory checks
+        # that the gradients are separate arrays
+        rng = np.random.default_rng(5)
+        model = tiny_model(seed=5)
+        ids = random_rows(model, rng, 3, 4, "random")
+        feats = rng.standard_normal((3, 3, 54))
+        made = []
+        init = Tensor.__init__
+        monkeypatch.setattr(Tensor, "__init__",
+                            lambda self, *a, **k: made.append(1) or init(self, *a, **k))
+        speaker._s0_losses_and_grads(model, feats, ids, 1.0)
+        assert made == []
+        assert all(p.grad.shape == p.data.shape for p in model.parameters())
+
+    def test_training_matches_tape_training(self, monkeypatch):
+        trials = synth_corpus(90, np.random.default_rng(6))
+        vocab = build_vocab([preprocess(t.combined_text(), "speaker") for t in trials])
+        config = TrainConfig(epochs=2, batch_size=8, seed=6)
+
+        def run():
+            model = SpeakerModel.create(vocab, np.random.default_rng(6), embed_dim=9,
+                                        hidden_dim=7)
+            return train_s0(model, trials[20:], trials[:20], config), model
+
+        ours, model = run()
+        monkeypatch.setattr(speaker, "_s0_losses_and_grads", tape_losses_and_grads)
+        tape, tape_model = run()
+        assert ours.best_epoch == tape.best_epoch
+        for a, b in zip(ours.epochs, tape.epochs):
+            assert (a.epoch, a.clipped_steps) == (b.epoch, b.clipped_steps)
+            for field in ("train_loss", "dev_perplexity", "max_grad_norm"):
+                assert getattr(a, field) == pytest.approx(getattr(b, field), rel=1e-9), field
+        for p, q in zip(model.parameters(), tape_model.parameters()):
+            assert np.allclose(p.data, q.data, rtol=0, atol=1e-9), p.name
+
+    # one entry of each parameter; the embedding's is in the row of <s>, every
+    # row's first input
+    @pytest.mark.parametrize("name,row", [("encoder.w_x", 0), ("encoder.bias", 0),
+                                          ("embedding", 1), ("decoder.w_h", 0), ("out_b", 0)])
+    def test_poisoned_parameter_raises(self, name, row):
+        trials = synth_corpus(30, np.random.default_rng(7))
+        vocab = build_vocab([preprocess(t.combined_text(), "speaker") for t in trials])
+        model = SpeakerModel.create(vocab, np.random.default_rng(7), embed_dim=6, hidden_dim=5)
+        assert model.vocab.bos_id == 1
+        next(p for p in model.parameters() if p.name == name).data[row, ...] = np.nan
+        with pytest.raises(NonFiniteGradient):
+            train_s0(model, trials, trials[:5], TrainConfig(epochs=1))

@@ -4,10 +4,11 @@ import pytest
 from conftest import checkpoint_meta, read_checkpoint, write_checkpoint
 from pragref.colorspace import Color
 from pragref.corpus import build_vocab, preprocess, synth_corpus
-from pragref.errors import require_count
+from pragref.errors import NonFiniteDevScore, require_count
 from pragref.listener import ListenerModel, l0_score, train_l0
+from pragref.nnsubstrate import Adam, Parameter
 from pragref.speaker import SpeakerModel, s0_log_prob
-from pragref.training import TrainConfig, load_model, same_length_batches, save_model
+from pragref.training import TrainConfig, fit, load_model, same_length_batches, save_model
 
 COLORS = (Color(0.9, 0.1, 0.1), Color(0.1, 0.2, 0.8), Color(0.2, 0.9, 0.3))
 
@@ -41,6 +42,36 @@ class TestTrainConfig:
         model = ListenerModel.create(vocab, np.random.default_rng(0), embed_dim=4, hidden_dim=3)
         report = train_l0(model, trials, trials, TrainConfig(epochs=1, batch_size=1))
         assert report.best_epoch == 1
+
+
+class TestFit:
+    """fit on a stub model: one parameter, a constant gradient, a scripted dev score."""
+
+    @staticmethod
+    def _fit(keys):
+        p = Parameter("w", np.zeros(2))
+
+        def batch_grad(rows):
+            p.grad = np.ones(2)
+            return np.ones(len(rows)), len(rows)
+
+        scores = iter(keys)
+        return fit(Adam([p]), np.array([1, 1, 2]), batch_grad, lambda: (next(scores), {}),
+                   TrainConfig(epochs=len(keys), batch_size=2))
+
+    def test_keeps_best_epoch(self):
+        report = self._fit([0.5, 0.75, 0.25])
+        assert report.best_epoch == 2 and report.best().train_loss == 1.0
+        assert [e.epoch for e in report.epochs] == [1, 2, 3]
+
+    @pytest.mark.parametrize("keys,epoch", [([-np.inf], 1), ([np.nan, np.nan], 1),
+                                            ([0.5, np.nan], 2), ([0.5, 0.6, -np.inf], 3),
+                                            ([np.inf], 1)])
+    def test_non_finite_dev_score_raises_naming_epoch(self, keys, epoch):
+        # a run whose keys never beat -inf must not end holding the untrained
+        # parameters with best_epoch -1 and no error
+        with pytest.raises(NonFiniteDevScore, match=f"^epoch {epoch} gave the dev score"):
+            self._fit(keys)
 
 
 class TestSameLengthBatches:
