@@ -250,7 +250,7 @@ class BaseSpeakerSampler:
 
     def sample_texts(self, contexts: list[Context],
                      rng: np.random.Generator) -> list[str]:
-        types, row_types = s0_sample_utterances(self.model, _speaker_features(contexts), rng)
+        types, row_types, _ = s0_sample_utterances(self.model, _speaker_features(contexts), rng)
         return [" ".join(types[t]) if t >= 0 else "" for t in row_types.tolist()]
 
 
@@ -271,8 +271,8 @@ class PragmaticSpeakerSampler:
 
     def sample_texts(self, contexts: list[Context],
                      rng: np.random.Generator) -> list[str]:
-        types, row_types = s0_sample_utterances(self.s0_model, _speaker_features(contexts), rng,
-                                                S1_POOL_SIZE)
+        types, row_types, _ = s0_sample_utterances(self.s0_model, _speaker_features(contexts),
+                                                   rng, S1_POOL_SIZE)
         pool = [r[r >= 0].tolist() for r in row_types.reshape(-1, S1_POOL_SIZE)]
         sizes = [len(cands) for cands in pool]
 

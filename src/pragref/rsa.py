@@ -7,18 +7,16 @@ pragmatic speaker from the base listener by normalizing over a sampled
 alternative multiset, and pragmatic listeners by inverting speakers through
 Bayes' rule; geometric blends mix the resulting distributions.
 
-One S0 decoder-step loop serves the sampled alternatives of L2, built in
-one body by `compute_agents`, the pragmatic speaker sampler in `metrics`,
-and the teacher-forced scoring of L1; L2 and the sampler both weigh L0 by
-S1_ALPHA. The loop draws many rows per distinct context and runs the
-decoder once per distinct (context, prefix) that live rows share; the draws
-are deduped into utterance types, with -1 marking a bare end token, which
-the listener cannot score. `compute_agents` makes one S0 pass per trial
-(`s0_sample_and_score`): the three target-last contexts are encoded once,
-and the observed utterance's three scored rows ride in the sampler's
-decoder steps. The pragmatic speaker sampler goes through
-`s0_sample_utterances`, which encodes each context once per sampling batch.
-`listener_ids_for` converts each distinct token to listener ids once per
+One S0 entry, `s0_sample_utterances`, serves the sampled alternatives of
+L2, built in one body by `compute_agents`, the pragmatic speaker sampler in
+`metrics`, and the teacher-forced scoring of L1; L2 and the sampler both
+weigh L0 by S1_ALPHA. Its chunk loop draws many rows per distinct context
+and runs the decoder once per distinct (context, prefix) that live rows
+share; the draws are deduped into utterance types, with -1 marking a bare
+end token, which the listener cannot score. Each chunk encodes the contexts
+its rows use once. `compute_agents` makes one S0 call per trial, and the
+observed utterance's three scored rows ride in its first chunk's decoder
+steps. `listener_ids_for` converts each distinct token to listener ids once per
 call. `l0_probs_many` then runs the listener's LSTM once per distinct prefix
 of the types, in a prefix tree. For L2 every type is scored against the one
 context, whose feature rows L0 and S0 share: the quadratic form is folded
@@ -28,9 +26,9 @@ against its own context, running the head on blocks of distinct types
 whatever their lengths.
 
 Every inference path is held to a tolerance, not to bits, and every
-inference LSTM runs forward only on plain arrays. The S0 decoder loop, under
-`s0_sample_batch`, `s0_sample_and_score` and `s0_log_probs_batch`, applies
-its input weights once per context and once per word; the listener's prefix
+inference LSTM runs forward only on plain arrays. The S0 chunk loop, under
+`s0_sample_utterances` and `s0_log_probs_batch`, applies its input weights
+once per context and once per word; the listener's prefix
 tree, under both L0 branches, gathers its input gates from one embedding
 table per call and shares one tree across lengths. They round differently
 from their per-row references (`step_logits` and `s0_log_prob`, `l0_score`,
@@ -69,7 +67,7 @@ from .colorspace import Color
 from .corpus import EOS, preprocess, speaker_tokens_to_listener_tokens
 from .errors import VacuousUtterance, require_count
 from .listener import ListenerModel, context_features, l0_probs_many
-from .speaker import SpeakerModel, s0_sample_and_score, target_last_order
+from .speaker import SpeakerModel, s0_sample_utterances, target_last_order
 
 PROB_FLOOR = 1e-12
 S1_ALPHA = 0.544  # pragmatic-speaker exponent over sampled alternatives
@@ -320,11 +318,11 @@ def neural_l1(s0_model: SpeakerModel, u,
     """Speaker-based listener: score u under each candidate target, normalize.
 
     compute_agents' L1 without its samples: the same features and the same
-    S0 pass (s0_sample_and_score), so the two are equal bit for bit.
+    S0 call (s0_sample_utterances), so the two are equal bit for bit.
     Identical context colors give the uniform distribution by symmetry.
     """
     ids = _speaker_ids(s0_model, _as_speaker_utterance(u))
-    return _l1(s0_sample_and_score(s0_model, _trial_features(colors)[1], None, 0, ids)[2])
+    return _l1(s0_sample_utterances(s0_model, _trial_features(colors)[1], None, 0, ids)[2])
 
 
 def blend(p: np.ndarray, q: np.ndarray, w: float) -> np.ndarray:
@@ -353,11 +351,11 @@ def compute_agents(l0_model: ListenerModel, s0_model: SpeakerModel, u,
     targets. The n replicate distributions are averaged arithmetically.
 
     The context's three feature rows are computed once: L0 scores against
-    them as stored, and S0 reads them gathered target-last. One S0 pass
-    (s0_sample_and_score) encodes the three target-last contexts once,
-    draws the 3 * n * m samples, SAMPLE_BATCH rows per pass of the
-    decoder-step loop, and scores the observed utterance under each target
-    for L1 in the first pass's decoder steps. The m rows of target t, replicate r start at row
+    them as stored, and S0 reads them gathered target-last. One S0 call
+    (s0_sample_utterances) draws the 3 * n * m samples, SAMPLE_BATCH rows
+    per chunk, each chunk encoding the target-last contexts its rows use
+    once, and scores the observed utterance under each target for L1 in the
+    first chunk's decoder steps. The m rows of target t, replicate r start at row
     (t * n + r) * m. Since the three targets share one batch, the random
     stream, and so L2 for a given seed, differs from drawing each target's
     rows in a batch of its own; scoring L1 draws nothing from it. Each
@@ -369,7 +367,7 @@ def compute_agents(l0_model: ListenerModel, s0_model: SpeakerModel, u,
     """
     feats, s0_feats = _trial_features(colors)
     observed = _as_speaker_utterance(u)
-    types, row_types, log_probs = s0_sample_and_score(
+    types, row_types, log_probs = s0_sample_utterances(
         s0_model, s0_feats, rng, cfg.n * cfg.m, _speaker_ids(s0_model, observed))
     if observed not in types:
         types.append(observed)

@@ -15,6 +15,7 @@ import numpy as np
 
 from .colorspace import FOURIER_DIM, Color, fourier_features_array
 from .corpus import EOS, ContextTrial, Vocabulary, preprocess
+from .errors import require_count
 from .nnsubstrate import (
     Adam,
     LstmCellParams,
@@ -270,17 +271,30 @@ def s0_log_prob(model: SpeakerModel, tokens: list[str],
     return -float(_teacher_forced_losses(model, feats, ids).data[0])
 
 
-def _decoder_tables(model: SpeakerModel, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The decoder's input gate terms per context of feats and per word.
+def _check_features(feats: np.ndarray, contexts: int | None = None) -> None:
+    """ValueError naming the shape unless feats is (contexts, 3, F), with any
+    number of contexts when contexts is None."""
+    shape = feats.shape
+    if len(shape) != 3 or shape[1:] != (3, FOURIER_DIM) or contexts not in (None, shape[0]):
+        want = "K" if contexts is None else contexts
+        raise ValueError(f"expected features of shape ({want}, 3, {FOURIER_DIM}), got {shape}")
 
-    The decoder input [context ; embedding] is never formed. The context's
-    half of the decoder's W_x and the gate bias are applied once per context
-    of feats (K, 3, F), giving (K, 4 hidden), and the embedding's half once
-    per call, giving a (V, 4 hidden) table.
+
+def _context_terms(model: SpeakerModel, feats: np.ndarray, contexts: list[int]) -> np.ndarray:
+    """The decoder's context gate terms (len(contexts), 4 hidden) of the
+    contexts of feats (K, 3, F) that the list contexts names.
+
+    The decoder input [context ; embedding] is never formed: the context's
+    half of the decoder's W_x and the gate bias are applied per context, the
+    embedding's half per word (_s0_chunks' word table). Each distinct context
+    is encoded once, in order of first use, so a list without repeats gets
+    the encoded rows with no gathered copy.
     """
-    cell, split = model.decoder, model.hidden_dim
-    ctx = model.encode_contexts(feats) @ cell.w_x.data[:split] + cell.bias.data
-    return ctx, model.embedding.data @ cell.w_x.data[split:]
+    first = {c: i for i, c in enumerate(dict.fromkeys(contexts))}
+    cell = model.decoder
+    terms = model.encode_contexts(feats[list(first)]) @ cell.w_x.data[:model.hidden_dim]
+    terms += cell.bias.data
+    return terms if len(first) == len(contexts) else terms[[first[c] for c in contexts]]
 
 
 def _split_matmul(a: np.ndarray, w: np.ndarray, split: int) -> np.ndarray:
@@ -303,7 +317,7 @@ def _decoder_step(model: SpeakerModel, ctx: np.ndarray, words: np.ndarray,
     """One forward-only decoder step of B rows; returns their next state and logits (B, V).
 
     ctx (B, 4 hidden) holds each row's context gate terms, words[prev] its
-    previous word's (words is _decoder_tables' word table, gathered here so
+    previous word's (words is the word table of _s0_chunks, gathered here so
     that no gathered copy outlives the sum), and hc its (2, B, hidden)
     state [h; c], None at step 0, where the state is zero and h W_h is
     skipped. The first `split` rows and the rest go through the matrix
@@ -326,29 +340,28 @@ def _decoder_step(model: SpeakerModel, ctx: np.ndarray, words: np.ndarray,
 
 def _decode(model: SpeakerModel, tables: tuple[np.ndarray, np.ndarray],
             rng: np.random.Generator | None, node_of: np.ndarray, forced: np.ndarray,
-            lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The decoder-step loop: ancestral sampling of len(node_of) rows and
     teacher-forced scoring of the forced id rows, in the same decoder steps.
 
     forced (F, L) holds id rows padded after their lengths (F,), longest
-    first. tables holds _decoder_tables' context terms for the step-0 rows,
-    one per forced row, then one per distinct context of the sampled rows,
-    their step-0 nodes, and the word table; node_of (B,) maps each sampled
-    row to its node. Pass tables as a temporary: _decode then holds the only
+    first. tables holds the context gate terms of the step-0 rows
+    (_context_terms), one per forced row, then one per step-0 node of the
+    sampled rows, and the word table; node_of (B,) maps each sampled row to
+    its node. Pass tables as a temporary: _decode then holds the only
     reference to the step-0 rows, which are freed as the nodes regroup.
     Returns the sampled ids (B, MAX_DECODE_LEN), </s> after each row's first
-    </s>, their log probabilities (B,), and the forced rows' (F,).
+    </s>, and the forced rows' log probabilities (F,).
 
     Sampling runs once per node, a distinct (context, prefix) that one or
     more live rows share; a row leaves the nodes once it emits </s>. The
-    softmax and the cumulative sampling distribution, which masks <s>, an
-    input-only symbol, are computed per node. Every sampled step still draws
-    one uniform per row of the whole batch, and each live row compares its
-    own draw with its node's distribution, so the random stream is the same
-    as decoding every row on its own until the last one ends. The rows that
-    go on are regrouped by (node, chosen token) into the next step's nodes.
-    Rows that reach MAX_DECODE_LEN get </s> forced, with its model log
-    probability included.
+    cumulative sampling distribution, which masks <s>, an input-only symbol,
+    is computed per node. Every sampled step still draws one uniform per row
+    of the whole batch, and each live row compares its own draw with its
+    node's distribution, so the random stream is the same as decoding every
+    row on its own until the last one ends. The rows that go on are
+    regrouped by (node, chosen token) into the next step's nodes. Rows that
+    reach MAX_DECODE_LEN get </s> forced.
 
     Each step runs _decoder_step once over the forced rows still scoring (a
     prefix, since they are sorted longest first) followed by the nodes,
@@ -365,7 +378,6 @@ def _decode(model: SpeakerModel, tables: tuple[np.ndarray, np.ndarray],
     batch = len(node_of)
     live = np.arange(batch)  # sampled rows not yet ended
     ids = np.full((batch, MAX_DECODE_LEN), eos)
-    log_probs = np.zeros(batch)
     scores = np.zeros(len(lengths))
     scoring = len(lengths)  # the first `scoring` forced rows are still scoring
     prev = np.full(len(ctx), bos)
@@ -378,12 +390,10 @@ def _decode(model: SpeakerModel, tables: tuple[np.ndarray, np.ndarray],
             picked = held[np.arange(scoring), forced[:scoring, step]]
             scores[:scoring] += picked - np.log(np.exp(held, out=held).sum(axis=1))
         if live.size:
-            z = logits[scoring:]
-            log_norm = np.log(np.exp(z).sum(axis=1))
             if step == MAX_DECODE_LEN - 1:
                 chosen = np.full(len(live), eos)
             else:
-                # a masked column is never chosen, so the gather below reads unmasked scores
+                z = logits[scoring:]
                 z[:, bos] = -np.inf
                 cum = np.exp(z - z.max(axis=1, keepdims=True))
                 cum /= cum.sum(axis=1, keepdims=True)
@@ -391,7 +401,6 @@ def _decode(model: SpeakerModel, tables: tuple[np.ndarray, np.ndarray],
                 u = rng.random((batch, 1))[live]
                 chosen = np.minimum((cum[node_of] < u).sum(axis=1), cum.shape[1] - 1)
             ids[live, step] = chosen  # each live row holds exactly `step` ids so far
-            log_probs[live] += z[node_of, chosen] - log_norm[node_of]
             going = chosen != eos
             live = live[going]
             keys, node_of = np.unique(node_of[going] * vocab_size + chosen[going],
@@ -406,8 +415,30 @@ def _decode(model: SpeakerModel, tables: tuple[np.ndarray, np.ndarray],
         elif scoring:
             keep, prev = slice(scoring), forced[:scoring, step]
         else:
-            return ids, log_probs, scores
+            return ids, scores
         ctx, hc = ctx[keep], hc[:, keep]
+
+
+def _s0_chunks(model: SpeakerModel, feats: np.ndarray, rng: np.random.Generator | None,
+               sampled: np.ndarray, scored: np.ndarray, forced: np.ndarray,
+               lengths: np.ndarray):
+    """The S0 chunk loop, the one caller of _decode.
+
+    sampled (S,) gives the context in feats (K, 3, F) of each row to sample,
+    and scored (R,) that of each id row of forced (R, L) to score, whose
+    lengths (R,) run longest first. Each chunk takes the next SAMPLE_BATCH
+    rows of each and encodes each context they use once, the scored rows'
+    first (_context_terms); the word table is built once per call. Yields
+    per chunk the slice it took of both, and _decode's sampled ids and scores.
+    """
+    words = model.embedding.data @ model.decoder.w_x.data[model.hidden_dim:]
+    for lo in range(0, max(len(sampled), len(scored)), SAMPLE_BATCH):
+        chunk = slice(lo, lo + SAMPLE_BATCH)
+        nodes, node_of = np.unique(sampled[chunk], return_inverse=True)
+        step0 = scored[chunk].tolist() + nodes.tolist()
+        # the step-0 terms go in as a temporary, for _decode to free as the nodes regroup
+        yield (chunk, *_decode(model, (_context_terms(model, feats, step0), words), rng,
+                               node_of, forced[chunk], lengths[chunk]))
 
 
 def _ended_ids(model: SpeakerModel, id_seqs: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -429,154 +460,84 @@ def s0_log_probs_batch(model: SpeakerModel, id_seqs: list[list[int]],
     outside the vocabulary IndexOutOfRange, and a row whose last id is not
     </s> ValueError, as in s0_log_prob.
 
-    Forward only, in the sampler's decoder-step loop (_decode) with no
-    sampled rows: the rows are sorted by length, longest first, so the rows
-    still decoding at any step are a prefix of the order. Each pass takes at
-    most SAMPLE_BATCH of them, encodes their contexts once, and walks the
-    steps once, gathering log_softmax at each row's next id. The sums round
+    Forward only, in the S0 chunk loop (_s0_chunks) with no sampled rows:
+    the rows are sorted by length, longest first, so the rows still decoding
+    at any step are a prefix of the order. Each chunk takes at most
+    SAMPLE_BATCH of them, encodes their contexts once, and walks the steps
+    once, gathering log_softmax at each row's next id. The sums round
     differently from step_logits, so each row matches s0_log_prob to within
     1e-12, not bit for bit.
     """
     padded, lengths = _ended_ids(model, id_seqs)
-    if feats.shape != (len(lengths), 3, FOURIER_DIM):
-        raise ValueError(f"expected features of shape ({len(lengths)}, 3, {FOURIER_DIM}), "
-                         f"got {feats.shape}")
+    _check_features(feats, len(lengths))
     order = np.argsort(-lengths, kind="stable")
     out = np.empty(len(order))
-    for lo in range(0, len(order), SAMPLE_BATCH):
-        rows = order[lo:lo + SAMPLE_BATCH]
-        out[rows] = _decode(model, _decoder_tables(model, feats[rows]), None, np.arange(0),
-                            padded[rows], lengths[rows])[2]
+    for chunk, _, scores in _s0_chunks(model, feats, None, order[:0], order,
+                                       padded[order], lengths[order]):
+        out[order[chunk]] = scores
     return out
 
 
-def _cut_at_end(ids: np.ndarray, eos: int) -> list[tuple[int, ...]]:
-    """Each sampled id row up to and including its first </s>."""
-    return [tuple(row[:row.index(eos) + 1]) for row in ids.tolist()]
-
-
-def s0_sample_batch(model: SpeakerModel, feats: np.ndarray, rng: np.random.Generator,
-                    rows: np.ndarray | None = None) -> list[tuple[tuple[int, ...], float]]:
-    """Ancestral sampling for (B, 3, F) contexts; returns (ids, log_prob) rows.
-
-    Each row's ids end at its first </s>, and log_prob is the model's log
-    probability of them. The sampling distribution masks <s>, an input-only
-    symbol; log_prob does not. Rows that reach MAX_DECODE_LEN get </s>
-    forced, with its model log probability included.
-
-    rows, when given, maps each output row to a context of feats (K, 3, F):
-    the encoder runs once per context that rows use, and the batch has
-    len(rows) rows, sampled as feats[rows] would be. rows must be 1-D indices
-    into feats.
-
-    One pass of the decoder-step loop (_decode) with no forced rows: the
-    decoder runs once per distinct (context, prefix) that live rows share,
-    and the random stream is the same as decoding every row on its own.
-    `s0_sample_utterances` and the speaker samplers in `metrics` sample
-    through it; `compute_agents` samples through `s0_sample_and_score`,
-    which runs the same loop.
-
-    Forward only, on plain arrays: the encoder is encode_contexts, and each
-    step adds a node's rows of the decoder tables (_decoder_tables) to
-    h W_h before lstm_cell. The sums therefore round differently from
-    step_logits, the training path: log probabilities agree with decoding
-    every row through step_logits to within 1e-12, and the ids are the same
-    unless a draw falls within that rounding of a boundary of the cumulative
-    distribution.
-    """
-    rows = np.arange(len(feats)) if rows is None else np.asarray(rows)
-    if rows.ndim != 1 or not (rows.size == 0 or np.issubdtype(rows.dtype, np.integer)):
-        raise ValueError(f"rows must be a 1-D array of context indices, got shape "
-                         f"{rows.shape} and dtype {rows.dtype}")
-    if rows.size and (rows.min() < 0 or rows.max() >= len(feats)):
-        raise ValueError(f"rows must index the {len(feats)} contexts of feats, "
-                         f"got indices from {rows.min()} to {rows.max()}")
-    if len(rows) == 0:
-        return []
-    nodes, node_of = np.unique(rows, return_inverse=True)
-    used = feats if len(nodes) == len(feats) else feats[nodes]  # copy only if rows skip some
-    ids, log_probs, _ = _decode(model, _decoder_tables(model, used), rng, node_of,
-                                np.zeros((0, 0), dtype=int), np.zeros(0, dtype=int))
-    return list(zip(_cut_at_end(ids, model.vocab.eos_id), log_probs.tolist()))
-
-
-def _type_indices(model: SpeakerModel, samples: list[tuple[int, ...]],
-                  index: dict[tuple[int, ...], int], types: list[tuple[str, ...]]) -> list[int]:
+def _type_indices(model: SpeakerModel, ids: np.ndarray, index: dict[tuple[int, ...], int],
+                  types: list[tuple[str, ...]]) -> list[int]:
     """Each sampled id row's index into types, -1 for a bare </s>.
 
+    ids holds _decode's sampled rows; each is cut after its first </s>.
     index maps the id rows seen so far to their types and starts as
     {(</s>,): -1}; an unseen row is decoded once, to speaker-mode tokens
     without </s>, and appended to types.
     """
+    eos = model.vocab.eos_id
     out = []
-    for ids in samples:
-        t = index.get(ids)
+    for row in ids.tolist():
+        key = tuple(row[:row.index(eos) + 1])
+        t = index.get(key)
         if t is None:
-            t = index[ids] = len(types)
-            types.append(tuple(model.vocab.decode(list(ids))[:-1]))
+            t = index[key] = len(types)
+            types.append(tuple(model.vocab.decode(list(key))[:-1]))
         out.append(t)
     return out
 
 
-def s0_sample_utterances(model: SpeakerModel, feats: np.ndarray, rng: np.random.Generator,
-                         per_context: int = 1) -> tuple[list[tuple[str, ...]], np.ndarray]:
-    """Sample per_context descriptions of each (N, 3, F) context and dedupe them.
+def s0_sample_utterances(model: SpeakerModel, feats: np.ndarray,
+                         rng: np.random.Generator | None, per_context: int = 1,
+                         score: list[int] | None = None
+                         ) -> tuple[list[tuple[str, ...]], np.ndarray, np.ndarray | None]:
+    """Sample per_context descriptions of each target-last context of feats
+    (K, 3, F), dedupe them, and score the id row `score` under each context.
 
-    The N * per_context rows are context-major and sampled SAMPLE_BATCH at a
-    time; each batch encodes its contexts once. Returns the distinct
-    non-empty descriptions (speaker-mode tokens without </s>) in order of
-    first draw, and each row's index into them, -1 for a bare </s>. Each
-    distinct id sequence is decoded once.
+    Returns the distinct non-empty descriptions (speaker-mode tokens without
+    </s>) in order of first draw; each of the K * per_context rows' index
+    into them, context-major, -1 for a bare </s>; and the log probabilities
+    (K,) of score, which must end in </s>, or None without score. Each
+    distinct id sequence is decoded once. With per_context 0, rng is unused.
+
+    Ancestral sampling in the S0 chunk loop (_s0_chunks), </s> forced at
+    MAX_DECODE_LEN; the sampling distribution masks <s>, an input-only
+    symbol. The decoder runs once per distinct (context, prefix) that live
+    rows share, and the random stream is the same as decoding every row on
+    its own. The scored rows draw no uniform: their scores equal
+    s0_log_probs_batch([score] * K, feats) bit for bit for K up to
+    SAMPLE_BATCH, and the draws equal those without score while the
+    K * per_context rows fit one chunk. The sums round differently from
+    step_logits, the training path, so the ids are those of decoding each
+    row through it unless a draw falls within that rounding of a boundary
+    of the cumulative distribution.
     """
-    total = len(feats) * per_context
+    require_count("per_context", per_context, minimum=0)
+    _check_features(feats)
+    forced, lengths = _ended_ids(model, [] if score is None else [score])
+    contexts = np.arange(len(feats))
     index: dict[tuple[int, ...], int] = {(model.vocab.eos_id,): -1}
     types: list[tuple[str, ...]] = []
-    row_types = np.empty(total, dtype=int)
-    for lo in range(0, total, SAMPLE_BATCH):
-        hi = min(lo + SAMPLE_BATCH, total)
-        first, last = lo // per_context, (hi - 1) // per_context
-        batch = s0_sample_batch(model, feats[first:last + 1], rng,
-                                rows=np.arange(lo, hi) // per_context - first)
-        row_types[lo:hi] = _type_indices(model, [ids for ids, _ in batch], index, types)
-    return types, row_types
-
-
-def s0_sample_and_score(model: SpeakerModel, feats: np.ndarray,
-                        rng: np.random.Generator | None, per_context: int,
-                        ids: list[int]) -> tuple[list[tuple[str, ...]], np.ndarray, np.ndarray]:
-    """s0_sample_utterances' draws, and the log probability of ids under each
-    context of feats (K, 3, F), from one encoder pass and one word table.
-
-    Returns the types and row types of s0_sample_utterances(model, feats,
-    rng, per_context), and log probabilities (K,) of the id row ids, which
-    must end in </s>, as s0_log_probs_batch([ids] * K, feats) gives them.
-    Every context is encoded once and the word table built once for all the
-    sampling batches, and the K scored rows ride in the first batch's
-    decoder steps (_decode), drawing no uniform. With per_context 0 nothing
-    is sampled and rng is not used.
-
-    The draws and the random stream are those of s0_sample_utterances, bit
-    for bit while the K * per_context rows fit one SAMPLE_BATCH (beyond it,
-    s0_sample_utterances encodes each batch's contexts on their own, which
-    BLAS may round differently). The scores equal s0_log_probs_batch's bit
-    for bit for K up to SAMPLE_BATCH.
-    """
-    forced, lengths = _ended_ids(model, [ids] * len(feats))
-    ctx, words = _decoder_tables(model, feats)
-    rows = np.repeat(np.arange(len(feats)), per_context)
-    index: dict[tuple[int, ...], int] = {(model.vocab.eos_id,): -1}
-    types: list[tuple[str, ...]] = []
-    row_types = np.empty(len(rows), dtype=int)
-    log_probs = None
-    for lo in range(0, max(len(rows), 1), SAMPLE_BATCH):
-        nodes, node_of = np.unique(rows[lo:lo + SAMPLE_BATCH], return_inverse=True)
-        step0 = ctx[np.concatenate([np.arange(len(forced)), nodes])]
-        sampled, _, scores = _decode(model, (step0, words), rng, node_of, forced, lengths)
-        if log_probs is None:  # the forced rows ride in the first batch only
-            log_probs, forced, lengths = scores, forced[:0], lengths[:0]
-        row_types[lo:lo + SAMPLE_BATCH] = _type_indices(
-            model, _cut_at_end(sampled, model.vocab.eos_id), index, types)
-    return types, row_types, log_probs
+    row_types = np.empty(len(feats) * per_context, dtype=int)
+    log_probs = np.empty(len(feats) * len(lengths))
+    for chunk, ids, scores in _s0_chunks(
+            model, feats, rng, contexts.repeat(per_context), contexts.repeat(len(lengths)),
+            forced.repeat(len(feats), axis=0), lengths.repeat(len(feats))):
+        row_types[chunk] = _type_indices(model, ids, index, types)
+        log_probs[chunk] = scores
+    return types, row_types, None if score is None else log_probs
 
 
 def trial_speaker_ids(model: SpeakerModel, trial: ContextTrial) -> list[int]:

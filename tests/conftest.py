@@ -6,9 +6,9 @@ its default profile.
 
 INFERENCE_ATOL is the absolute tolerance, on probabilities and log
 probabilities, within which an inference path (both branches of
-`l0_probs_many` and the `encode_prefixes` tree under them; the S0
-decoder-step loop under `s0_log_probs_batch`, `s0_sample_batch` and
-`s0_sample_and_score`; `compute_agents`) must match its per-row reference:
+`l0_probs_many` and the `encode_prefixes` tree under them; the S0 chunk
+loop under `s0_log_probs_batch` and `s0_sample_utterances`;
+`compute_agents`) must match its per-row reference:
 `l0_score` for L0; `s0_log_prob`, or decoding each row through
 `step_logits`, for S0; and for L2 `counter_l2` in `test_rsa`, which builds
 one Counter-based S1 table per replicate from the same alternatives.

@@ -19,7 +19,8 @@ from pragref.metrics import (
     term_depth,
     utterance_flags,
 )
-from pragref.speaker import SpeakerModel, s0_sample_batch, target_last_features
+from pragref.speaker import SpeakerModel, target_last_features
+from test_speaker import live_row_sample_batch
 
 COLORS = (Color(0.9, 0.1, 0.1), Color(0.1, 0.2, 0.8), Color(0.2, 0.9, 0.3))
 
@@ -317,10 +318,11 @@ class TestCompareSpeakers:
 
 
 def reference_samples(s0, feats, rng, batch):
-    """Speaker-mode samples of every row, batch rows per s0_sample_batch call."""
+    """Speaker-mode samples of every row, batch rows at a time, each row
+    decoded on its own (live_row_sample_batch)."""
     return [tuple(s0.vocab.decode(list(ids))[:-1])
             for lo in range(0, len(feats), batch)
-            for ids, _ in s0_sample_batch(s0, feats[lo:lo + batch], rng)]
+            for ids in live_row_sample_batch(s0, feats[lo:lo + batch], rng)]
 
 
 def reference_s1_texts(l0, s0, contexts, rng, alpha, pool_size, batch):

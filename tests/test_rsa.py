@@ -34,7 +34,6 @@ from pragref.speaker import (
     SpeakerModel,
     _teacher_forced_losses,
     s0_log_probs_batch,
-    s0_sample_and_score,
     s0_sample_utterances,
     target_last_features,
 )
@@ -53,11 +52,11 @@ def demo_lexicon():
 def stub_alternatives(monkeypatch, types, row_types):
     """Make every alternative draw return these types and row type indices;
     the observed utterance is still scored, by the same pass with no samples."""
-    def stub(model, feats, rng, per_context, ids):
-        scores = s0_sample_and_score(model, feats, rng, 0, ids)[2]
+    def stub(model, feats, rng, per_context, score):
+        scores = s0_sample_utterances(model, feats, rng, 0, score)[2]
         return list(types), np.array(row_types, dtype=int), scores
 
-    monkeypatch.setattr("pragref.rsa.s0_sample_and_score", stub)
+    monkeypatch.setattr("pragref.rsa.s0_sample_utterances", stub)
 
 
 def graph_l0_probs(model, id_seqs, feats):
@@ -73,11 +72,15 @@ def graph_s0_log_probs(model, id_seqs, feats):
                      for i, ids in enumerate(id_seqs)])
 
 
-def graph_sample_and_score(model, feats, rng, per_context, ids):
-    """s0_sample_and_score from per-row references: s0_sample_utterances' draws
-    (through whatever s0_sample_batch is in place) and graph_s0_log_probs."""
-    types, row_types = s0_sample_utterances(model, feats, rng, per_context)
-    return types, row_types, graph_s0_log_probs(model, [ids] * len(feats), feats)
+def graph_sample_utterances(model, feats, rng, per_context, score):
+    """s0_sample_utterances from per-row references, for rows that fit one
+    chunk: live_row_sample_batch's draws, deduped, and graph_s0_log_probs."""
+    rows = live_row_sample_batch(model, feats, rng,
+                                 rows=np.repeat(np.arange(len(feats)), per_context))
+    samples = [tuple(model.vocab.decode(list(ids))[:-1]) for ids in rows]
+    types = list(dict.fromkeys(u for u in samples if u))
+    row_types = np.array([types.index(u) if u else -1 for u in samples])
+    return types, row_types, graph_s0_log_probs(model, [score] * len(feats), feats)
 
 
 def models(seed=0):
@@ -441,8 +444,7 @@ class TestComputeAgents:
         # per-row references that build the autograd graph, through
         # ListenerModel.scores, _teacher_forced_losses and step_logits
         monkeypatch.setattr("pragref.rsa.l0_probs_many", graph_l0_probs)
-        monkeypatch.setattr("pragref.rsa.s0_sample_and_score", graph_sample_and_score)
-        monkeypatch.setattr("pragref.speaker.s0_sample_batch", live_row_sample_batch)
+        monkeypatch.setattr("pragref.rsa.s0_sample_utterances", graph_sample_utterances)
         want = [compute_agents(l0, s0, u, COLORS, cfg, np.random.default_rng(4))
                 for u in texts]
         for a, b in zip(got, want):
@@ -490,15 +492,15 @@ class TestOneSpeakerPass:
         seen = []
 
         def recording(*args):
-            types, row_types, scores = s0_sample_and_score(*args)
+            types, row_types, scores = s0_sample_utterances(*args)
             seen.append((list(types), row_types.copy()))
             return types, row_types, scores
 
-        monkeypatch.setattr("pragref.rsa.s0_sample_and_score", recording)
+        monkeypatch.setattr("pragref.rsa.s0_sample_utterances", recording)
         rng = np.random.default_rng(21)
         compute_agents(l0, s0, u, COLORS, cfg, rng)
         ref_rng = np.random.default_rng(21)
-        want_types, want_rows = s0_sample_utterances(
+        want_types, want_rows, _ = s0_sample_utterances(
             s0, target_last_features([COLORS] * 3, np.arange(3)), ref_rng, cfg.n * cfg.m)
         (types, row_types), = seen
         assert types == want_types and len(types) > 1
@@ -512,8 +514,8 @@ class TestOneSpeakerPass:
         u = "dark blue red teal dull blue dark red"
         cfg = PragmaticsConfig(m=4, n=3)
         agents = compute_agents(l0, s0, u, COLORS, cfg, np.random.default_rng(6))
-        types, _ = s0_sample_utterances(s0, target_last_features([COLORS] * 3, np.arange(3)),
-                                        np.random.default_rng(6), cfg.n * cfg.m)
+        types, _, _ = s0_sample_utterances(s0, target_last_features([COLORS] * 3, np.arange(3)),
+                                           np.random.default_rng(6), cfg.n * cfg.m)
         assert max(map(len, types), default=0) < len(u.split())
         assert np.array_equal(agents["l1"], neural_l1(s0, u, COLORS))
         assert np.array_equal(agents["l1"], l1_from_batch_scorer(s0, u, COLORS))
@@ -528,18 +530,24 @@ class TestOneSpeakerPass:
 
     def test_one_encoder_pass_and_one_word_table(self, monkeypatch):
         l0, s0 = models(seed=18)
-        encoded, tables = [], []
-        encode, build = s0.encode_contexts, speaker._decoder_tables
+        encoded, words = [], []
+        encode, decode = s0.encode_contexts, speaker._decode
 
         def counting_encode(feats):
             encoded.append(len(feats))
             return encode(feats)
 
-        def counting_tables(model, feats):
-            tables.append(len(feats))
-            return build(model, feats)
+        def recording_decode(model, tables, *args):
+            words.append(tables[1])
+            return decode(model, tables, *args)
 
         s0.encode_contexts = counting_encode
-        monkeypatch.setattr(speaker, "_decoder_tables", counting_tables)
+        monkeypatch.setattr(speaker, "_decode", recording_decode)
         compute_agents(l0, s0, "dark blue", COLORS, PragmaticsConfig(), np.random.default_rng(8))
-        assert encoded == [3] and tables == [3]
+        assert encoded == [3] and len(words) == 1
+        # over two chunks, each encodes the contexts it uses; the word table is built once
+        monkeypatch.setattr(speaker, "SAMPLE_BATCH", 100)
+        encoded.clear()
+        words.clear()
+        compute_agents(l0, s0, "dark blue", COLORS, PragmaticsConfig(), np.random.default_rng(8))
+        assert encoded == [3, 2] and len(words) == 2 and words[0] is words[1]

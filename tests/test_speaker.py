@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,8 +23,6 @@ from pragref.speaker import (
     reorder_target_last,
     s0_log_prob,
     s0_log_probs_batch,
-    s0_sample_and_score,
-    s0_sample_batch,
     s0_sample_utterances,
     target_last_features,
     target_last_order,
@@ -39,10 +38,23 @@ def tiny_model(seed=0):
     return SpeakerModel.create(vocab, np.random.default_rng(seed), embed_dim=8, hidden_dim=6)
 
 
+def sampled_rows(model, feats, rng, per_context=1):
+    """The id rows that s0_sample_utterances draws, context-major, each ending in </s>."""
+    types, row_types, _ = s0_sample_utterances(model, feats, rng, per_context)
+    return [tuple(model.vocab.encode([*(types[t] if t >= 0 else ()), EOS]))
+            for t in row_types.tolist()]
+
+
 def sample_one(model, target, rng):
-    """One sampled description of COLORS[target]: (speaker tokens, log prob)."""
-    ids, lp = s0_sample_batch(model, reorder_target_last(COLORS, target)[None], rng)[0]
-    return model.vocab.decode(list(ids)), lp
+    """One sampled description of COLORS[target], as speaker tokens ending in </s>."""
+    (ids,) = sampled_rows(model, reorder_target_last(COLORS, target)[None], rng)
+    return model.vocab.decode(list(ids))
+
+
+def scored_alone(model, tokens, target):
+    """The sampler's score of tokens under COLORS[target], in a call that samples nothing."""
+    feats = reorder_target_last(COLORS, target)[None]
+    return s0_sample_utterances(model, feats, None, 0, model.vocab.encode(tokens))[2][0]
 
 
 def scaled_model(seed, scale):
@@ -54,7 +66,7 @@ def scaled_model(seed, scale):
 
 
 def graph_sample_batch(model, feats, rng):
-    """s0_sample_batch with the autograd graph built and per-row bookkeeping."""
+    """The sampler's id rows with the autograd graph built and per-row bookkeeping."""
     batch = feats.shape[0]
     ctx = model.encode(feats)
     h = Tensor(np.zeros((batch, model.hidden_dim)))
@@ -62,13 +74,11 @@ def graph_sample_batch(model, feats, rng):
     prev = np.full(batch, model.vocab.bos_id)
     alive = np.ones(batch, dtype=bool)
     seqs = [[] for _ in range(batch)]
-    log_probs = np.zeros(batch)
     eos = model.vocab.eos_id
     for step in range(MAX_DECODE_LEN):
         logits, h, c = model.step_logits(ctx, prev, h, c)
         assert logits.requires_grad
         z = logits.data - logits.data.max(axis=1, keepdims=True)
-        logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
         z_sample = z.copy()
         z_sample[:, model.vocab.bos_id] = -np.inf
         if step == MAX_DECODE_LEN - 1:
@@ -81,19 +91,11 @@ def graph_sample_batch(model, feats, rng):
         for i in range(batch):
             if alive[i]:
                 seqs[i].append(int(chosen[i]))
-                log_probs[i] += logp[i, chosen[i]]
         alive &= chosen != eos
         if not alive.any():
             break
         prev = np.where(alive, chosen, eos)
-    return [(tuple(s), float(lp)) for s, lp in zip(seqs, log_probs)]
-
-
-def assert_rows_match(got, want):
-    """Sampled rows with the same ids and log probabilities within INFERENCE_ATOL."""
-    assert [ids for ids, _ in got] == [ids for ids, _ in want]
-    assert np.allclose([lp for _, lp in got], [lp for _, lp in want],
-                       rtol=0, atol=INFERENCE_ATOL)
+    return [tuple(s) for s in seqs]
 
 
 def decoder_calls(monkeypatch):
@@ -124,7 +126,8 @@ def encoder_calls(model):
 
 
 def live_row_sample_batch(model, feats, rng, rows=None):
-    """s0_sample_batch that decodes every live row as its own decoder row."""
+    """The sampler's id rows, decoding every live row as its own decoder row;
+    rows, when given, maps each row to a context of feats."""
     eos = model.vocab.eos_id
     ctx = model.encode(feats)
     if rows is not None:
@@ -135,11 +138,9 @@ def live_row_sample_batch(model, feats, rng, rows=None):
     prev = np.full(batch, model.vocab.bos_id)
     live = np.arange(batch)
     ids = np.full((batch, MAX_DECODE_LEN), eos)
-    log_probs = np.zeros(batch)
     for step in range(MAX_DECODE_LEN):
         logits, h, c = model.step_logits(ctx, prev, h, c)
         z = logits.data - logits.data.max(axis=1, keepdims=True)
-        logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
         z_sample = z.copy()
         z_sample[:, model.vocab.bos_id] = -np.inf
         if step == MAX_DECODE_LEN - 1:
@@ -150,7 +151,6 @@ def live_row_sample_batch(model, feats, rng, rows=None):
             u = rng.random((batch, 1))[live]
             chosen = np.minimum((pt.cumsum(axis=1) < u).sum(axis=1), pt.shape[1] - 1)
         ids[live, step] = chosen
-        log_probs[live] += logp[np.arange(len(live)), chosen]
         going = chosen != eos
         if not going.any():
             break
@@ -158,8 +158,7 @@ def live_row_sample_batch(model, feats, rng, rows=None):
             live, chosen = live[going], chosen[going]
             ctx, h, c = (Tensor(t.data[going]) for t in (ctx, h, c))
         prev = chosen
-    return [(tuple(row[:row.index(eos) + 1]), lp)
-            for row, lp in zip(ids.tolist(), log_probs.tolist())]
+    return [tuple(row[:row.index(eos) + 1]) for row in ids.tolist()]
 
 
 class TestEncodeContext:
@@ -414,7 +413,7 @@ def test_inference_lstms_construct_no_tensor(monkeypatch):
     assert made
     made.clear()
     s0_log_probs_batch(model, id_seqs, feats)
-    s0_sample_batch(model, feats, np.random.default_rng(2), rows=np.array([0, 0, 1, 2]))
+    s0_sample_utterances(model, feats, np.random.default_rng(2), 2, id_seqs[0])
     l0.encode_prefixes([(3, 4), (3,), (5, 4, 3)])
     listener_ids = [[3, 4], [3], [5, 4, 3]]
     l0_probs_many(l0, listener_ids, fourier_features_array(COLORS))
@@ -431,67 +430,61 @@ def test_inference_lstms_construct_no_tensor(monkeypatch):
 
 class TestSampling:
     def test_sample_log_prob_consistent(self):
+        # the sampler's score of a sample is s0_log_prob's
         model = tiny_model(seed=5)
         rng = np.random.default_rng(8)
         for _ in range(10):
-            tokens, log_prob = sample_one(model, 2, rng)
+            tokens = sample_one(model, 2, rng)
             assert tokens[-1] == EOS
             assert len(tokens) <= 20
             recomputed = s0_log_prob(model, tokens, COLORS, 2)
-            assert recomputed == pytest.approx(log_prob, abs=1e-9)
+            assert recomputed == pytest.approx(scored_alone(model, tokens, 2), abs=1e-9)
 
     @pytest.mark.parametrize("scale", [1.0, 0.0])
     def test_forward_only_matches_graph_forward(self, scale):
         model = scaled_model(9, scale)
         feats = np.random.default_rng(2).standard_normal((50, 3, 54))
-        got = s0_sample_batch(model, feats, np.random.default_rng(3))
-        want = graph_sample_batch(model, feats, np.random.default_rng(3))
-        assert_rows_match(got, want)
-        assert all(type(i) is int for ids, _ in got for i in ids)
-        assert all(type(lp) is float for _, lp in got)
+        got = sampled_rows(model, feats, np.random.default_rng(3))
+        assert got == graph_sample_batch(model, feats, np.random.default_rng(3))
 
     def test_truncated_rows_match_graph_forward(self):
         model = tiny_model(seed=6)
         model.out_b.data[model.vocab.eos_id] = -3.0
         feats = np.random.default_rng(4).standard_normal((30, 3, 54))
-        got = s0_sample_batch(model, feats, np.random.default_rng(5))
-        assert any(len(ids) == MAX_DECODE_LEN for ids, _ in got)
-        assert_rows_match(got, graph_sample_batch(model, feats, np.random.default_rng(5)))
+        got = sampled_rows(model, feats, np.random.default_rng(5))
+        assert any(len(ids) == MAX_DECODE_LEN for ids in got)
+        assert got == graph_sample_batch(model, feats, np.random.default_rng(5))
 
     @pytest.mark.parametrize("scale", [1.0, 0.0])
     def test_decodes_only_live_rows(self, monkeypatch, scale):
         model = scaled_model(9, scale)
         feats = np.random.default_rng(2).standard_normal((50, 3, 54))
         calls = decoder_calls(monkeypatch)
-        rows = s0_sample_batch(model, feats, np.random.default_rng(3))
-        assert sum(map(len, calls)) == sum(len(ids) for ids, _ in rows)
+        rows = sampled_rows(model, feats, np.random.default_rng(3))
+        assert sum(map(len, calls)) == sum(map(len, rows))
 
     def test_truncated_rows_decode_only_live_rows(self, monkeypatch):
         model = tiny_model(seed=6)
         model.out_b.data[model.vocab.eos_id] = -3.0
         feats = np.random.default_rng(4).standard_normal((30, 3, 54))
         calls = decoder_calls(monkeypatch)
-        rows = s0_sample_batch(model, feats, np.random.default_rng(5))
-        lengths = [len(ids) for ids, _ in rows]
+        lengths = list(map(len, sampled_rows(model, feats, np.random.default_rng(5))))
         assert MAX_DECODE_LEN in lengths and min(lengths) < MAX_DECODE_LEN
         assert sum(map(len, calls)) == sum(lengths)
 
     @pytest.mark.parametrize("scale", [1.0, 0.5, 0.0])
     def test_row_map_matches_gathered_features(self, scale):
+        # per_context rows of a context draw as the same context repeated
         model = scaled_model(9, scale)
-        rng = np.random.default_rng(7)
-        feats = rng.standard_normal((4, 3, 54))
-        rows = rng.integers(0, 4, 50)
-        got = s0_sample_batch(model, feats, np.random.default_rng(3), rows=rows)
-        want = s0_sample_batch(model, feats[rows], np.random.default_rng(3))
-        assert_rows_match(got, want)
+        feats = np.random.default_rng(7).standard_normal((4, 3, 54))
+        got = sampled_rows(model, feats, np.random.default_rng(3), per_context=12)
+        assert got == sampled_rows(model, np.repeat(feats, 12, axis=0), np.random.default_rng(3))
 
     def test_row_map_encodes_each_context_once(self):
         model = tiny_model(seed=9)
         encoded = encoder_calls(model)
         feats = np.random.default_rng(8).standard_normal((3, 3, 54))
-        rows = s0_sample_batch(model, feats, np.random.default_rng(1),
-                               rows=np.repeat(np.arange(3), 16))
+        rows = sampled_rows(model, feats, np.random.default_rng(1), per_context=16)
         assert encoded == [3] and len(rows) == 48
 
     def test_utterances_per_context_match_repeated_contexts(self, monkeypatch):
@@ -511,8 +504,8 @@ class TestSampling:
         model = tiny_model(seed=11)
         model.out_b.data[model.vocab.eos_id] = 1.0  # some bare </s> rows
         feats = np.random.default_rng(9).standard_normal((6, 3, 54))
-        rows = s0_sample_batch(model, feats, np.random.default_rng(4),
-                               rows=np.repeat(np.arange(6), 5))
+        rows = live_row_sample_batch(model, feats, np.random.default_rng(4),
+                                     rows=np.repeat(np.arange(6), 5))
         decode_calls = []
         decode = model.vocab.decode
 
@@ -521,53 +514,68 @@ class TestSampling:
             return decode(ids)
 
         monkeypatch.setattr(model.vocab, "decode", counting)
-        types, row_types = s0_sample_utterances(model, feats, np.random.default_rng(4),
-                                                per_context=5)
-        samples = [tuple(decode(list(ids))[:-1]) for ids, _ in rows]
+        types, row_types, _ = s0_sample_utterances(model, feats, np.random.default_rng(4),
+                                                   per_context=5)
+        samples = [tuple(decode(list(ids))[:-1]) for ids in rows]
         assert types == list(dict.fromkeys(u for u in samples if u))
         assert row_types.tolist() == [types.index(u) if u else -1 for u in samples]
         assert () in samples and len(types) < len([u for u in samples if u])
         # one decode per distinct id sequence; a bare </s> needs none
-        assert sorted(decode_calls) == sorted({ids for ids, _ in rows} - {(model.vocab.eos_id,)})
+        assert sorted(decode_calls) == sorted(set(rows) - {(model.vocab.eos_id,)})
 
     def test_truncation_forces_end_token(self):
         model = tiny_model(seed=6)
         # make </s> essentially unreachable by sampling: bias it far down
         model.out_b.data[model.vocab.eos_id] = -100.0
-        tokens, log_prob = sample_one(model, 0, np.random.default_rng(1))
+        tokens = sample_one(model, 0, np.random.default_rng(1))
         assert len(tokens) == 20
         assert tokens[-1] == EOS
-        assert s0_log_prob(model, tokens, COLORS, 0) == pytest.approx(log_prob, abs=1e-9)
+        assert s0_log_prob(model, tokens, COLORS, 0) == pytest.approx(
+            scored_alone(model, tokens, 0), abs=1e-9)
+
+    @pytest.mark.parametrize("per_context", [-1, 2.5, True, "2", None])
+    def test_bad_per_context_raises(self, per_context):
+        # -1 and 2.5 failed inside numpy, and True drew one row per context
+        feats = np.random.default_rng(0).standard_normal((3, 3, 54))
+        with pytest.raises(ValueError, match="per_context must be an integer"):
+            s0_sample_utterances(tiny_model(), feats, np.random.default_rng(0), per_context)
+
+    @pytest.mark.parametrize("shape", [(3, 3, 50), (3, 54), (3, 2, 54), (3, 3, 54, 1)])
+    def test_mis_shaped_features_raise(self, shape):
+        # (3, 3, 50) failed inside matmul with a gufunc message
+        with pytest.raises(ValueError, match=rf"shape \(K, 3, 54\), got \({shape[0]}, "):
+            s0_sample_utterances(tiny_model(), np.zeros(shape), np.random.default_rng(0))
 
 
 class TestSharedPrefixSampling:
-    """s0_sample_batch decodes each (context, prefix) once, and matches
-    decoding every row on its own through step_logits."""
+    """The sampler decodes each (context, prefix) once, and matches decoding
+    every row on its own through step_logits."""
 
     @given(n_contexts=st.integers(1, 4),
-           picks=st.lists(st.integers(0, 3), min_size=1, max_size=40),
-           truncate=st.booleans(), seed=st.integers(0, 2 ** 16))
+           picks=st.lists(st.integers(0, 3), min_size=1, max_size=8),
+           per_context=st.integers(0, 6), truncate=st.booleans(), seed=st.integers(0, 2 ** 16))
     @settings(max_examples=60, deadline=None)
-    def test_row_maps_match_live_row_reference(self, n_contexts, picks, truncate, seed):
+    def test_row_maps_match_live_row_reference(self, n_contexts, picks, per_context,
+                                               truncate, seed):
+        # contexts repeat: picks gathers the rows of feats from n_contexts distinct ones
         model = tiny_model(seed=seed % 7)
         if truncate:
             model.out_b.data[model.vocab.eos_id] = -3.0
-        feats = np.random.default_rng(seed).standard_normal((n_contexts, 3, 54))
-        rows = np.array(picks) % n_contexts
-        got = s0_sample_batch(model, feats, np.random.default_rng(seed), rows=rows)
-        want = live_row_sample_batch(model, feats, np.random.default_rng(seed), rows=rows)
-        assert_rows_match(got, want)
+        distinct = np.random.default_rng(seed).standard_normal((n_contexts, 3, 54))
+        feats = distinct[np.array(picks) % n_contexts]
+        got = sampled_rows(model, feats, np.random.default_rng(seed), per_context)
+        assert got == live_row_sample_batch(model, feats, np.random.default_rng(seed),
+                                            rows=np.repeat(np.arange(len(feats)), per_context))
 
     def test_truncated_rows_with_repeats_match_reference(self):
         model = tiny_model(seed=6)
         model.out_b.data[model.vocab.eos_id] = -3.0
         feats = np.random.default_rng(4).standard_normal((3, 3, 54))
-        rows = np.repeat(np.arange(3), 20)
-        got = s0_sample_batch(model, feats, np.random.default_rng(5), rows=rows)
-        lengths = [len(ids) for ids, _ in got]
+        got = sampled_rows(model, feats, np.random.default_rng(5), per_context=20)
+        lengths = list(map(len, got))
         assert MAX_DECODE_LEN in lengths and min(lengths) < MAX_DECODE_LEN
-        assert_rows_match(got, live_row_sample_batch(model, feats, np.random.default_rng(5),
-                                                     rows=rows))
+        assert got == live_row_sample_batch(model, feats, np.random.default_rng(5),
+                                            rows=np.repeat(np.arange(3), 20))
 
     @pytest.mark.parametrize("scale", [1.0, 0.5, 0.0])
     @pytest.mark.parametrize("truncate", [False, True])
@@ -576,40 +584,32 @@ class TestSharedPrefixSampling:
         if truncate:
             model.out_b.data[model.vocab.eos_id] = -3.0
         feats = np.random.default_rng(7).standard_normal((4, 3, 54))
-        rows = np.random.default_rng(8).integers(0, 4, 80)
         calls = decoder_calls(monkeypatch)
-        out = s0_sample_batch(model, feats, np.random.default_rng(3), rows=rows)
+        out = sampled_rows(model, feats, np.random.default_rng(3), per_context=20)
         assert all(len(np.unique(inputs, axis=0)) == len(inputs) for inputs in calls)
-        states = {(int(r), ids[:j]) for r, (ids, _) in zip(rows, out)
-                  for j in range(len(ids))}
+        states = {(r // 20, ids[:j]) for r, ids in enumerate(out) for j in range(len(ids))}
         assert sum(map(len, calls)) == len(states)
-        assert len(states) < sum(len(ids) for ids, _ in out)
+        assert len(states) < sum(map(len, out))
 
     def test_single_context_runs_as_one_row(self, monkeypatch):
         model = tiny_model(seed=9)
         feats = np.random.default_rng(7).standard_normal((1, 3, 54))
         calls = decoder_calls(monkeypatch)
-        rows = np.zeros(5, dtype=int)
-        got = s0_sample_batch(model, feats, np.random.default_rng(3), rows=rows)
+        got = sampled_rows(model, feats, np.random.default_rng(3), per_context=5)
         assert len(calls[0]) == 1  # five rows share the one step-0 node
-        assert_rows_match(got, live_row_sample_batch(model, feats, np.random.default_rng(3),
-                                                     rows=rows))
-
-    @pytest.mark.parametrize("rows", [
-        np.zeros((2, 2), dtype=int), [-1], [0, 3], [0.0, 1.0], [[0]]])
-    def test_bad_row_maps_raise(self, rows):
-        feats = np.random.default_rng(0).standard_normal((3, 3, 54))
-        with pytest.raises(ValueError, match="rows"):
-            s0_sample_batch(tiny_model(), feats, np.random.default_rng(0), rows=rows)
+        assert got == live_row_sample_batch(model, feats, np.random.default_rng(3),
+                                            rows=np.zeros(5, dtype=int))
 
     def test_empty_row_map_gives_no_rows(self):
         feats = np.random.default_rng(0).standard_normal((3, 3, 54))
-        assert s0_sample_batch(tiny_model(), feats, np.random.default_rng(0), rows=[]) == []
+        for got in (s0_sample_utterances(tiny_model(), feats, np.random.default_rng(0), 0),
+                    s0_sample_utterances(tiny_model(), feats[:0], np.random.default_rng(0))):
+            assert got[0] == [] and got[1].shape == (0,) and got[2] is None
 
 
 class TestSampleAndScore:
-    """s0_sample_and_score: s0_sample_utterances' draws and s0_log_probs_batch's
-    scores of one id row, from one encoder pass and one word table."""
+    """s0_sample_utterances with score: its draws without score, and
+    s0_log_probs_batch's scores of one id row, from one chunk loop."""
 
     @pytest.mark.parametrize("per_context, truncate", [(0, False), (1, False), (6, False),
                                                        (6, True)])
@@ -620,34 +620,20 @@ class TestSampleAndScore:
         feats = np.random.default_rng(10).standard_normal((4, 3, 54))
         ids = model.vocab.encode(["dark", "blue", "red", EOS])
         rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
-        types, row_types, log_probs = s0_sample_and_score(model, feats, rng, per_context, ids)
-        want_types, want_rows = s0_sample_utterances(model, feats, ref_rng, per_context)
+        types, row_types, log_probs = s0_sample_utterances(model, feats, rng, per_context, ids)
+        want_types, want_rows, unscored = s0_sample_utterances(model, feats, ref_rng,
+                                                               per_context)
         assert types == want_types and np.array_equal(row_types, want_rows)
-        assert rng.random() == ref_rng.random()
+        assert unscored is None and rng.random() == ref_rng.random()
         assert np.array_equal(log_probs, s0_log_probs_batch(model, [ids] * 4, feats))
 
     def test_no_samples_use_no_generator(self):
         model = tiny_model(seed=16)
         feats = np.random.default_rng(12).standard_normal((3, 3, 54))
-        types, row_types, log_probs = s0_sample_and_score(model, feats, None, 0, [3, 2])
+        types, row_types, log_probs = s0_sample_utterances(model, feats, None, 0, [3, 2])
         assert types == [] and row_types.shape == (0,)
         assert np.array_equal(log_probs, s0_log_probs_batch(model, [[3, 2]] * 3, feats))
 
-    def test_batches_share_one_encoder_pass(self, monkeypatch):
-        # 5-row batches cut the 3 x 4 rows; the scored rows ride in the first
-        monkeypatch.setattr("pragref.speaker.SAMPLE_BATCH", 5)
-        model = tiny_model(seed=17)
-        feats = np.random.default_rng(13).standard_normal((3, 3, 54))
-        ids = model.vocab.encode(["blue", EOS])
-        want = s0_sample_utterances(model, feats, np.random.default_rng(14), 4)
-        encoded, steps = encoder_calls(model), decoder_calls(monkeypatch)
-        types, row_types, log_probs = s0_sample_and_score(
-            model, feats, np.random.default_rng(14), 4, ids)
-        assert encoded == [3]
-        assert types == want[0] and np.array_equal(row_types, want[1])
-        assert np.array_equal(log_probs, s0_log_probs_batch(model, [ids] * 3, feats))
-        # the first batch's first step decodes the 3 scored rows and its nodes
-        assert len(steps[0]) == 3 + len(np.unique(np.repeat(np.arange(3), 4)[:5]))
 
     @pytest.mark.parametrize("split", [3, 0, 7])
     def test_split_rows_get_the_floats_of_their_own_batch(self, split):
@@ -671,7 +657,7 @@ class TestSampleAndScore:
     def test_bad_id_rows_raise(self, ids, error):
         feats = np.random.default_rng(0).standard_normal((3, 3, 54))
         with pytest.raises(error):
-            s0_sample_and_score(tiny_model(), feats, np.random.default_rng(0), 2, ids)
+            s0_sample_utterances(tiny_model(), feats, np.random.default_rng(0), 2, ids)
 
     def test_target_last_order_gathers_the_features(self):
         rng = np.random.default_rng(15)
@@ -684,6 +670,109 @@ class TestSampleAndScore:
         rows = fourier_features_array(rgb)
         assert np.array_equal(rows[np.arange(40)[:, None], order],
                               target_last_features(rgb, targets))
+
+
+class TestChunks:
+    """The S0 chunk loop: each chunk takes SAMPLE_BATCH sampled and SAMPLE_BATCH
+    scored rows and encodes each context they use once, the scored rows' first."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr("pragref.speaker.SAMPLE_BATCH", 5)
+
+    @staticmethod
+    def encoded_contexts(model, feats):
+        """The indices into feats of the contexts of every encoder pass model
+        makes from here on; feats' rows must be distinct."""
+        passes = []
+        encode = model.encode_contexts
+
+        def recording(batch):
+            passes.append([int(np.flatnonzero((feats == row).all(axis=(1, 2)))[0])
+                           for row in batch])
+            return encode(batch)
+
+        model.encode_contexts = recording
+        return passes
+
+    def test_each_chunk_encodes_the_contexts_it_uses(self, monkeypatch):
+        # 5-row chunks cut the 3 x 4 sampled rows; the 3 scored rows ride in the first
+        model = tiny_model(seed=17)
+        feats = np.random.default_rng(13).standard_normal((3, 3, 54))
+        ids = model.vocab.encode(["blue", EOS])
+        passes, steps = self.encoded_contexts(model, feats), decoder_calls(monkeypatch)
+        _, row_types, log_probs = s0_sample_utterances(model, feats, np.random.default_rng(14),
+                                                       4, ids)
+        # sampled rows 0-4, 5-9 and 10-11 use contexts 0-1, 1-2 and 2
+        assert passes == [[0, 1, 2], [1, 2], [2]] and len(row_types) == 12
+        assert np.array_equal(log_probs, s0_log_probs_batch(model, [ids] * 3, feats))
+        # the first chunk's first step decodes the 3 scored rows and its 2 nodes
+        assert len(steps[0]) == 3 + 2
+
+    @pytest.mark.parametrize("contexts, per_context, score, want", [
+        (7, 2, True, [[0, 1, 2, 3, 4], [5, 6, 2, 3, 4], [5, 6]]),
+        (7, 0, True, [[0, 1, 2, 3, 4], [5, 6]]),
+        (2, 6, True, [[0, 1], [0, 1], [1]]),
+        (12, 1, True, [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9], [10, 11]]),
+        (4, 3, False, [[0, 1], [1, 2, 3], [3]]),
+    ])
+    def test_encoder_passes_follow_the_chunk_rule(self, contexts, per_context, score, want):
+        model = tiny_model(seed=18)
+        feats = np.random.default_rng(contexts).standard_normal((contexts, 3, 54))
+        passes = self.encoded_contexts(model, feats)
+        _, _, log_probs = s0_sample_utterances(model, feats, np.random.default_rng(1),
+                                               per_context, [3, 2] if score else None)
+        assert passes == want
+        if score:
+            assert np.array_equal(log_probs, s0_log_probs_batch(model, [[3, 2]] * contexts,
+                                                                feats))
+
+    def test_scorer_equals_its_chunk_by_chunk_result(self):
+        model = tiny_model(seed=19)
+        lengths = [2, 6, 1, 3, 3, 8, 1, 2, 5, 4, 1, 7]
+        id_seqs, _, _, feats = scoring_inputs(model, np.random.default_rng(20), lengths)
+        order = np.argsort(-np.array(lengths), kind="stable")
+        want = np.empty(len(lengths))
+        for lo in range(0, len(order), 5):
+            rows = order[lo:lo + 5]
+            want[rows] = s0_log_probs_batch(model, [id_seqs[i] for i in rows], feats[rows])
+        assert np.array_equal(s0_log_probs_batch(model, id_seqs, feats), want)
+
+    @pytest.mark.parametrize("contexts, per_context", [(5, 1), (2, 2), (1, 5), (3, 1), (4, 0)])
+    def test_draws_with_score_equal_draws_without(self, contexts, per_context):
+        model = tiny_model(seed=21)
+        feats = np.random.default_rng(22).standard_normal((contexts, 3, 54))
+        ids = model.vocab.encode(["dark", "red", "blue", EOS])
+        rng, ref_rng = np.random.default_rng(23), np.random.default_rng(23)
+        types, row_types, _ = s0_sample_utterances(model, feats, rng, per_context, ids)
+        want_types, want_rows, _ = s0_sample_utterances(model, feats, ref_rng, per_context)
+        assert types == want_types and np.array_equal(row_types, want_rows)
+        assert rng.random() == ref_rng.random()
+
+    def test_score_is_checked_without_contexts(self):
+        with pytest.raises(ValueError, match="does not end"):
+            s0_sample_utterances(tiny_model(), np.zeros((0, 3, 54)), None, 1, [3, 4])
+
+
+# tracemalloc peak, in MiB, of sampling 1,024 contexts at default dimensions.
+# It read 13.36 with the step-0 context terms passed to _decode as a
+# temporary, and 16.48 with a local variable holding them through the steps.
+SAMPLER_PEAK_MIB = 15.0
+
+
+def test_sampler_frees_the_step0_rows_as_nodes_regroup():
+    trials = synth_corpus(300, np.random.default_rng(0))
+    vocab = build_vocab([preprocess(t.combined_text(), "speaker") for t in trials])
+    model = SpeakerModel.create(vocab, np.random.default_rng(1))
+    rng = np.random.default_rng(2)
+    feats = target_last_features(rng.random((1024, 3, 3)), rng.integers(0, 3, 1024))
+    tracemalloc.start()
+    try:
+        s0_sample_utterances(model, feats, np.random.default_rng(3))
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert peak < SAMPLER_PEAK_MIB
 
 
 class TestTrainS0:
