@@ -17,7 +17,7 @@ import numpy as np
 
 from .colorspace import FOURIER_DIM, Color, fourier_features_array, hsv_to_rgb_arrays
 from .corpus import ContextTrial, Vocabulary, preprocess
-from .errors import EmptyUtterance
+from .errors import EmptyUtterance, IndexOutOfRange
 from .nnsubstrate import (
     Adadelta,
     LstmCellParams,
@@ -25,12 +25,13 @@ from .nnsubstrate import (
     Tensor,
     embed,
     log_softmax,
+    lstm_bptt,
     lstm_cell,
     padded_ids,
     quad_form,
+    quad_form_backward,
     quad_scores,
     run_lstm,
-    softmax_xent,
 )
 from .training import TrainConfig, TrainingReport, fit
 
@@ -139,7 +140,9 @@ def l0_score(model: ListenerModel, tokens: list[str],
              colors: tuple[Color, Color, Color]) -> np.ndarray:
     """Distribution over the three context colors given listener-mode tokens.
 
-    The per-row reference: it runs the training graph on one row.
+    The per-row reference: it runs the tape (ListenerModel.scores, the
+    Tensor graph) on one row. Training does not run the tape; its forward,
+    _l0_losses_and_grads, is held to the tape to within rounding.
     """
     if not tokens:
         raise EmptyUtterance("listener got an utterance with no tokens")
@@ -270,14 +273,77 @@ def _listener_inputs(model: ListenerModel, trials: list[ContextTrial]):
             np.array([t.target_index for t in trials]))
 
 
+def _l0_losses_and_grads(model: ListenerModel, ids: np.ndarray, feats: np.ndarray,
+                         targets: np.ndarray, scale: float) -> np.ndarray:
+    """Cross-entropy losses (B,) of the target indices targets (B,) given
+    same-length id rows ids (B, T) and candidate features feats (B, 3, F),
+    with every parameter's .grad set to the gradient of scale times their
+    sum. It builds no Tensor. An id outside the vocabulary raises
+    IndexOutOfRange, as the tape's embed does.
+
+    Forward: the embedding rows of all steps in one product with W_x, plus
+    the bias; h W_h added from step 1 on, through lstm_cell; the head once on
+    the last h (head_arrays), quad_form and the log-softmax. Backward: the
+    quadratic form's gradients on mu and Sigma in closed form
+    (quad_form_backward, quad_scores' backward); explicit backpropagation
+    through time (lstm_bptt), each LSTM weight gradient one product over the
+    steps; and one scatter-add into the embedding. The sums round differently from the
+    tape's (ListenerModel.scores and softmax_xent), so both outputs match it
+    to within rounding, not bit for bit.
+    """
+    vocab_size = len(model.vocab)
+    bad = (ids < 0) | (ids >= vocab_size)
+    if bad.any():
+        row, step = np.argwhere(bad)[0]
+        raise IndexOutOfRange(f"id row {row} holds id {ids[row, step]}, outside the "
+                              f"vocabulary of {vocab_size}")
+    cell, f = model.cell, FOURIER_DIM
+    batch, n_steps = ids.shape
+    words = ids.T.ravel()  # time-major
+    emb = model.embedding.data[words]
+    gates = (emb @ cell.w_x.data).reshape(n_steps, batch, -1)
+    gates += cell.bias.data
+    steps = []
+    for t in range(n_steps):
+        if t:
+            gates[t] += steps[-1][0][0] @ cell.w_h.data
+        steps.append(lstm_cell(gates[t], steps[-1][0][1] if t else 0.0))
+    hs = np.stack([step[0][0] for step in steps])
+    h = hs[-1]
+    mu, sigma = model.head_arrays(h)
+    scores, d, s_d = quad_form(feats, mu, sigma)
+    log_p = log_softmax(scores)
+    rows = np.arange(batch)
+    losses = -log_p[rows, targets]
+    d_scores = np.exp(log_p)  # scale * (softmax - one-hot)
+    d_scores[rows, targets] -= 1.0
+    d_scores *= scale
+
+    d_mu, d_sigma = quad_form_backward(d_scores, sigma, d, s_d)
+    d_out = np.concatenate([d_mu, d_sigma.reshape(batch, f * f)], axis=1)
+    model.out_w.grad = h.T @ d_out
+    model.out_b.grad = d_out.sum(axis=0)
+    gh = np.zeros(hs.shape)
+    gh[-1] = d_out @ model.out_w.data.T
+    flat = lstm_bptt(steps, cell.w_h.data, gh, 0.0).reshape(ids.size, -1)
+    cell.w_x.grad = emb.T @ flat
+    cell.w_h.grad = hs[:-1].reshape(-1, model.hidden_dim).T @ flat[batch:]
+    cell.bias.grad = flat.sum(axis=0)
+    model.embedding.grad = np.zeros_like(model.embedding.data)
+    np.add.at(model.embedding.grad, words, flat @ cell.w_x.data.T)
+    return losses
+
+
 def train_l0(model: ListenerModel, train_trials: list[ContextTrial],
              dev_trials: list[ContextTrial], config: TrainConfig) -> TrainingReport:
     """Minimize cross-entropy of the target index; keep the best-dev epoch.
 
     Trains with ADADELTA at ADADELTA_LR, clipping gradients to a global norm
-    of GRAD_CLIP (constants of `nnsubstrate`). The model is left holding the
-    best-dev-accuracy parameters. Dev inputs are built once and scored after
-    every epoch as evaluate_l0 scores them.
+    of GRAD_CLIP (constants of `nnsubstrate`). Each batch's losses and
+    gradients come from _l0_losses_and_grads, off the tape, so a run matches
+    a tape-trained one to within rounding, not bit for bit. The model is left
+    holding the best-dev-accuracy parameters. Dev inputs are built once and
+    scored after every epoch as evaluate_l0 scores them.
     """
     id_rows, feats, targets = _listener_inputs(model, train_trials)
     ids = [np.array(row) for row in id_rows]
@@ -287,10 +353,9 @@ def train_l0(model: ListenerModel, train_trials: list[ContextTrial],
     dev_ids, dev_feats, dev_targets = _listener_inputs(model, dev_trials)
 
     def batch_grad(batch):
-        scores = model.scores(np.stack([ids[i] for i in batch]), feats[batch])
-        losses = softmax_xent(scores, targets[batch])[0]
-        (losses.sum() * (1.0 / len(batch))).backward()
-        return losses.data, len(batch)
+        losses = _l0_losses_and_grads(model, np.stack([ids[i] for i in batch]), feats[batch],
+                                      targets[batch], 1.0 / len(batch))
+        return losses, len(batch)
 
     def dev():
         acc, ppl = accuracy_perplexity(l0_probs_many(model, dev_ids, dev_feats), dev_targets)

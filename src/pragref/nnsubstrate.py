@@ -6,18 +6,20 @@ a fused quadratic-form scorer, and Adam and ADADELTA optimizers with
 global-norm gradient clipping. Checkpoints belong to `training`, which alone
 knows their file format.
 
-The listener trains on the tape (the `Tensor` graph), and its results are
-the same bits as those of the plain formulas. `lstm_step` is one graph node
-with an analytic backward, `lstm_cell_backward`, whose float operations are
-those of the composed gates, products and nonlinearities, in the same order.
-A first gradient is not added to zeros: a backward's fresh result becomes
-the gradient as it is, and a shared array is copied. The speaker trains off
-the tape: its loss and gradients are one forward and one explicit backward
-over all decoder steps on plain arrays (`speaker._s0_losses_and_grads`,
-through `lstm_cell` and `lstm_cell_backward`), held to a tolerance against
-the tape, which stays its reference. Adam and ADADELTA update their moments
-and the parameters in place, in cache-sized blocks, with the operations of
-the textbook expressions in their order.
+Both models train off the tape (the `Tensor` graph). Each batch's loss and
+gradients are one forward and one explicit backward over all time steps on
+plain arrays (`listener._l0_losses_and_grads`, `speaker._s0_losses_and_grads`):
+the forward runs through `lstm_cell`, and the backward through `lstm_bptt`,
+the one backpropagation through time, over `lstm_cell_backward`, and for the
+listener through `quad_form_backward`. They are held to a tolerance against
+the tape, which stays their reference. On the tape, `lstm_step` is one graph
+node whose analytic backward, `lstm_cell_backward`, makes the float
+operations of the composed gates, products and nonlinearities, in the same
+order, and `quad_scores`' backward is `quad_form_backward`. A first gradient
+is not added to zeros: a backward's fresh result becomes the gradient as it
+is, and a shared array is copied. Adam and ADADELTA update their moments and
+the parameters in place, in cache-sized blocks, with the operations of the
+textbook expressions in their order.
 
 Inference makes no `Tensor`: every inference path runs forward only on
 plain arrays. The LSTMs (the speaker's context encoder, its decoder in the
@@ -309,20 +311,34 @@ def quad_form(feats: np.ndarray, mu: np.ndarray, sigma: np.ndarray
     return -np.einsum("bkf,bkf->bk", d, s_d), d, s_d
 
 
+def quad_form_backward(g: np.ndarray, sigma: np.ndarray, d: np.ndarray,
+                       s_d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """quad_form's backward: the gradients on mu (B, F) and Sigma (B, F, F).
+
+    g (B, K) is the gradient on the scores; d and s_d are quad_form's outputs.
+    With score_k = -d_k^T Sigma d_k, the gradient on mu is
+    sum_k g_k (Sigma + Sigma^T) d_k and the one on Sigma is -sum_k g_k d_k d_k^T.
+    """
+    st_d = np.einsum("bef,bke->bkf", sigma, d)
+    return (np.einsum("bk,bkf->bf", g, s_d + st_d),
+            -np.einsum("bk,bkf,bke->bfe", g, d, d))
+
+
 def quad_scores(feats: np.ndarray, mu: Tensor, sigma: Tensor) -> Tensor:
     """quad_form as one graph node (B, K) over mu (B, F) and Sigma (B, F, F).
 
-    feats is a constant (B, K, F) feature block.
+    feats is a constant (B, K, F) feature block. The backward is
+    quad_form_backward.
     """
     scores, d, s_d = quad_form(feats, mu.data, sigma.data)
     out = Tensor(scores, parents=(mu, sigma))
 
     def bwd(g):
+        d_mu, d_sigma = quad_form_backward(g, sigma.data, d, s_d)
         if mu.requires_grad:
-            st_d = np.einsum("bef,bke->bkf", sigma.data, d)
-            mu._accumulate(np.einsum("bk,bkf->bf", g, s_d + st_d), owned=True)
+            mu._accumulate(d_mu, owned=True)
         if sigma.requires_grad:
-            sigma._accumulate(-np.einsum("bk,bkf,bke->bfe", g, d, d), owned=True)
+            sigma._accumulate(d_sigma, owned=True)
 
     out._backward = bwd
     return out
@@ -431,6 +447,20 @@ def lstm_cell_backward(gh: np.ndarray, gc, c, ifo: np.ndarray, cand: np.ndarray,
     d_cand *= 1.0 - cand * cand
     dc *= f
     return d, dc
+
+
+def lstm_bptt(steps: list, w_h: np.ndarray, gh: np.ndarray, gc) -> np.ndarray:
+    """Gate gradients (T, B, 4 hidden) of an LSTM run from the zero state, whose
+    steps gave the lstm_cell outputs `steps`; gh (T, B, hidden) is the gradient
+    on each h' from outside the recurrence and gc the one on the last c' (it
+    may be 0.0). Backpropagation through time over lstm_cell_backward: each
+    step's h' also takes the next step's gate gradient times w_h^T."""
+    d = np.empty(gh.shape[:-1] + (4 * gh.shape[-1],))
+    last = len(steps) - 1
+    for t in range(last, -1, -1):
+        g = gh[t] if t == last else gh[t] + d[t + 1] @ w_h.T
+        d[t], gc = lstm_cell_backward(g, gc, steps[t - 1][0][1] if t else 0.0, *steps[t][1:])
+    return d
 
 
 def lstm_step(x: Tensor, h: Tensor, c: Tensor,

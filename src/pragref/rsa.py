@@ -45,13 +45,13 @@ differently, and it is held to the same 1e-12. Where the head's mu is far larger
 features, `l0_score`'s own rounding nears that tolerance: it forms f - mu and
 sums products of order |mu|^2 |Sigma|, which the fold never does.
 
-L0's training path (`ListenerModel.scores`, `lstm_step`, `quad_scores` and
-their backward passes on the tape) is held to bits instead: a refactor
-leaves its losses, gradients and parameters unchanged in every bit. S0 trains
-off the tape (`speaker._s0_losses_and_grads`), and each batch's losses and
-gradients are held to a tolerance against the tape's
-(`_teacher_forced_losses` and its backward): 1e-12 of each parameter's
-largest gradient entry.
+Both base models train off the tape (`listener._l0_losses_and_grads` and
+`speaker._s0_losses_and_grads`), and each batch's losses and gradients are
+held to a tolerance against the tape's (`ListenerModel.scores` with
+`softmax_xent`, and `_teacher_forced_losses`, with their backward passes):
+the losses to 1e-12, and each gradient to 1e-12 of its parameter's largest
+tape-gradient entry. A training run is therefore held to the tape's to
+within rounding, not to bits.
 """
 
 from __future__ import annotations

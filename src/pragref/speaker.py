@@ -23,8 +23,8 @@ from .nnsubstrate import (
     Tensor,
     concat,
     embed,
+    lstm_bptt,
     lstm_cell,
-    lstm_cell_backward,
     lstm_step,
     padded_ids,
     run_lstm,
@@ -180,18 +180,6 @@ def _teacher_forced_losses(model: SpeakerModel, feats: np.ndarray,
     return total
 
 
-def _lstm_bptt(steps: list, w_h: np.ndarray, gh: np.ndarray, gc) -> np.ndarray:
-    """Gate gradients (T, B, 4 hidden) of an LSTM run from the zero state, whose
-    steps gave the lstm_cell outputs `steps`; gh (T, B, hidden) is the gradient
-    on each h' from outside the recurrence and gc the one on the last c'."""
-    d = np.empty(gh.shape[:-1] + (4 * gh.shape[-1],))
-    last = len(steps) - 1
-    for t in range(last, -1, -1):
-        g = gh[t] if t == last else gh[t] + d[t + 1] @ w_h.T
-        d[t], gc = lstm_cell_backward(g, gc, steps[t - 1][0][1] if t else 0.0, *steps[t][1:])
-    return d
-
-
 def _s0_losses_and_grads(model: SpeakerModel, feats: np.ndarray, ids: np.ndarray,
                          scale: float) -> np.ndarray:
     """_teacher_forced_losses (B,) of id rows ids (B, T) with target-last
@@ -238,8 +226,8 @@ def _s0_losses_and_grads(model: SpeakerModel, feats: np.ndarray, ids: np.ndarray
 
     model.out_w.grad = flat_hs.T @ d_logits
     model.out_b.grad = d_logits.sum(axis=0)
-    d_dec = _lstm_bptt(dec_steps, dec.w_h.data,
-                       (d_logits @ model.out_w.data.T).reshape(hs.shape), 0.0)
+    d_dec = lstm_bptt(dec_steps, dec.w_h.data,
+                      (d_logits @ model.out_w.data.T).reshape(hs.shape), 0.0)
     flat_dec = d_dec.reshape(ids.size, -1)
     d_ctx_gates = d_dec.sum(axis=0)
     dec.w_x.grad = np.concatenate([ctx.T @ d_ctx_gates, emb.T @ flat_dec])
@@ -248,8 +236,8 @@ def _s0_losses_and_grads(model: SpeakerModel, feats: np.ndarray, ids: np.ndarray
     model.embedding.grad = np.zeros_like(model.embedding.data)
     np.add.at(model.embedding.grad, prev, flat_dec @ w_word.T)
 
-    d_enc = _lstm_bptt(enc_steps, enc.w_h.data, np.zeros((len(enc_steps),) + ctx.shape),
-                       d_ctx_gates @ w_ctx.T)
+    d_enc = lstm_bptt(enc_steps, enc.w_h.data, np.zeros((len(enc_steps),) + ctx.shape),
+                      d_ctx_gates @ w_ctx.T)
     flat_enc = d_enc.reshape(-1, d_enc.shape[-1])
     enc.w_x.grad = feats.transpose(1, 0, 2).reshape(len(flat_enc), -1).T @ flat_enc
     enc.w_h.grad = np.concatenate([step[0][0] for step in enc_steps[:-1]]).T @ flat_enc[batch:]
@@ -510,7 +498,9 @@ def s0_sample_utterances(model: SpeakerModel, feats: np.ndarray,
     </s>) in order of first draw; each of the K * per_context rows' index
     into them, context-major, -1 for a bare </s>; and the log probabilities
     (K,) of score, which must end in </s>, or None without score. Each
-    distinct id sequence is decoded once. With per_context 0, rng is unused.
+    distinct id sequence is decoded once. rng may be None only when nothing
+    is sampled (per_context 0, or no contexts); otherwise None raises
+    ValueError.
 
     Ancestral sampling in the S0 chunk loop (_s0_chunks), </s> forced at
     MAX_DECODE_LEN; the sampling distribution masks <s>, an input-only
@@ -520,12 +510,15 @@ def s0_sample_utterances(model: SpeakerModel, feats: np.ndarray,
     s0_log_probs_batch([score] * K, feats) bit for bit for K up to
     SAMPLE_BATCH, and the draws equal those without score while the
     K * per_context rows fit one chunk. The sums round differently from
-    step_logits, the training path, so the ids are those of decoding each
-    row through it unless a draw falls within that rounding of a boundary
-    of the cumulative distribution.
+    step_logits, the tape's decoder step, so the ids are those of decoding
+    each row through it unless a draw falls within that rounding of a
+    boundary of the cumulative distribution.
     """
     require_count("per_context", per_context, minimum=0)
     _check_features(feats)
+    if rng is None and per_context and len(feats):
+        raise ValueError(f"sampling {per_context} per context needs a random generator, "
+                         f"got rng=None")
     forced, lengths = _ended_ids(model, [] if score is None else [score])
     contexts = np.arange(len(feats))
     index: dict[tuple[int, ...], int] = {(model.vocab.eos_id,): -1}

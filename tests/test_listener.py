@@ -3,13 +3,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import INFERENCE_ATOL, checkpoint_meta, read_checkpoint, write_checkpoint
+from conftest import (
+    GRAD_RTOL,
+    INFERENCE_ATOL,
+    checkpoint_meta,
+    read_checkpoint,
+    write_checkpoint,
+)
 from pragref.colorspace import Color, fourier_features_array, hsv_to_rgb_arrays
 from pragref.corpus import build_vocab, synth_corpus, preprocess
-from pragref.errors import EmptyUtterance, IndexOutOfRange, MissingCheckpoint
+from pragref.errors import EmptyUtterance, IndexOutOfRange, MissingCheckpoint, NonFiniteGradient
 from pragref.listener import (
     ListenerModel,
     context_features,
@@ -22,8 +28,11 @@ from pragref.listener import (
 from pragref import listener
 from pragref.nnsubstrate import (
     Tensor,
+    fd_gradient,
+    gradcheck_rel_error,
     log_softmax,
     quad_scores,
+    softmax_xent,
 )
 from pragref.training import TrainConfig, load_model, same_length_batches, save_model
 
@@ -461,3 +470,166 @@ class TestCheckpointRoundTrip:
                          checkpoint_meta(arrays, {**config, "vocab": config["vocab"] + ["teal"]}))
         with pytest.raises(ValueError, match="embedding"):
             load_model(ListenerModel, grown)
+
+
+# -- L0's gradient off the tape, against the tape ----------------------------------
+
+# _l0_losses_and_grads against the tape (ListenerModel.scores, softmax_xent and
+# their backward), to conftest's GRAD_RTOL. Over 30,000 random cases like
+# test_matches_tape's, the largest share was 4.8e-13, at gain 4. There the
+# 2,970-wide head and near-saturated softmaxes amplify the rounding in which
+# the two forwards differ: lengths up to 20 gave 9.3e-13, and standard-normal
+# features in place of colour features gave 1.07e-12 in one case of 30,000.
+
+
+def tape_losses_and_grads(model, ids, feats, targets, scale):
+    """_l0_losses_and_grads' outputs, computed on the tape."""
+    losses = softmax_xent(model.scores(ids, feats), targets)[0]
+    (losses.sum() * scale).backward()
+    return losses.data
+
+
+def gradients_of(fn, model, ids, feats, targets, scale):
+    """fn's losses and the gradients it leaves, by parameter name; clears them."""
+    losses = fn(model, ids, feats, targets, scale)
+    grads = {p.name: p.grad for p in model.parameters()}
+    for p in model.parameters():
+        p.grad = None
+    return losses, grads
+
+
+def random_batch(model, rng, batch, length, fill):
+    """batch id rows of `length`, random ids ("random") or every id <unk>
+    ("unk"); the features of random contexts; and random target indices."""
+    if fill == "unk":
+        ids = np.full((batch, length), model.vocab.token_to_id["<unk>"])
+    else:
+        ids = rng.integers(0, len(model.vocab), size=(batch, length))
+    return (ids, fourier_features_array(rng.uniform(size=(batch, 3, 3))),
+            rng.integers(0, 3, batch))
+
+
+def random_model(seed, embed_dim, hidden_dim, gain):
+    model = ListenerModel.create(tiny_model().vocab, np.random.default_rng(seed),
+                                 embed_dim=embed_dim, hidden_dim=hidden_dim)
+    for p in model.parameters():
+        p.data *= gain
+    return model
+
+
+class TestExplicitGradient:
+    """_l0_losses_and_grads, train_l0's loss and gradient, against the tape."""
+
+    @given(seed=st.integers(0, 2 ** 16), batch=st.integers(1, 5), length=st.integers(1, 12),
+           embed_dim=st.integers(1, 5), hidden_dim=st.integers(1, 5),
+           gain=st.sampled_from([1.0, 4.0]), fill=st.sampled_from(["random", "unk"]))
+    @example(seed=0, batch=3, length=1, embed_dim=3, hidden_dim=2, gain=1.0, fill="random")
+    @example(seed=1, batch=4, length=20, embed_dim=4, hidden_dim=3, gain=4.0, fill="random")
+    @example(seed=2, batch=2, length=5, embed_dim=2, hidden_dim=4, gain=1.0, fill="unk")
+    @settings(max_examples=40, deadline=None)
+    def test_matches_tape(self, seed, batch, length, embed_dim, hidden_dim, gain, fill):
+        rng = np.random.default_rng(seed)
+        model = random_model(seed, embed_dim, hidden_dim, gain)
+        ids, feats, targets = random_batch(model, rng, batch, length, fill)
+        scale = 1.0 / batch
+        got, grads = gradients_of(listener._l0_losses_and_grads, model, ids, feats, targets,
+                                  scale)
+        want, tape = gradients_of(tape_losses_and_grads, model, ids, feats, targets, scale)
+        assert np.allclose(got, want, rtol=0, atol=INFERENCE_ATOL)
+        for name, g in tape.items():
+            assert grads[name].shape == g.shape, name
+            assert np.abs(grads[name] - g).max() <= GRAD_RTOL * np.abs(g).max(), name
+
+    def test_one_step_rows_give_no_recurrent_gradient(self):
+        rng = np.random.default_rng(3)
+        model = random_model(3, 4, 3, 1.0)
+        ids, feats, targets = random_batch(model, rng, 5, 1, "random")
+        _, grads = gradients_of(listener._l0_losses_and_grads, model, ids, feats, targets, 0.2)
+        assert np.array_equal(grads["lstm.w_h"], np.zeros((3, 12)))
+        assert np.abs(grads["lstm.w_x"]).max() > 0
+
+    def test_central_differences(self):
+        rng = np.random.default_rng(5)
+        model = tiny_model(seed=5)
+        ids, feats, targets = random_batch(model, rng, 4, 5, "random")
+        _, grads = gradients_of(listener._l0_losses_and_grads, model, ids, feats, targets,
+                                0.25)
+
+        def loss():
+            probs = l0_probs_many(model, ids.tolist(), feats)
+            return -0.25 * float(np.log(probs[np.arange(4), targets]).sum())
+
+        for p in model.parameters():
+            coords = rng.choice(p.data.size, size=min(p.data.size, 12), replace=False)
+            numeric = fd_gradient(loss, p.data, indices=coords)
+            assert gradcheck_rel_error(grads[p.name], numeric, indices=coords) < 1e-4, p.name
+
+    def test_losses_match_batched_scorer(self):
+        rng = np.random.default_rng(6)
+        model = tiny_model(seed=6)
+        for length in (1, 3, 20):
+            ids, feats, targets = random_batch(model, rng, 6, length, "random")
+            losses = listener._l0_losses_and_grads(model, ids, feats, targets, 1.0)
+            probs = l0_probs_many(model, ids.tolist(), feats)
+            assert np.allclose(losses, -np.log(probs[np.arange(6), targets]), rtol=0,
+                               atol=INFERENCE_ATOL)
+
+    def test_builds_no_tensor(self, monkeypatch):
+        # test_nnsubstrate's test_no_two_parameter_gradients_share_memory checks
+        # that the gradients are separate arrays
+        rng = np.random.default_rng(7)
+        model = tiny_model(seed=7)
+        ids, feats, targets = random_batch(model, rng, 3, 4, "random")
+        made = []
+        init = Tensor.__init__
+        monkeypatch.setattr(Tensor, "__init__",
+                            lambda self, *a, **k: made.append(1) or init(self, *a, **k))
+        listener._l0_losses_and_grads(model, ids, feats, targets, 1.0)
+        assert made == []
+        assert all(p.grad.shape == p.data.shape for p in model.parameters())
+
+    @pytest.mark.parametrize("bad", [-1, 6, 10 ** 6])
+    def test_out_of_range_id_raises(self, bad):
+        # the vocabulary has 6 ids; -1 would read the last embedding row silently
+        model = tiny_model(seed=8)
+        ids, feats, targets = random_batch(model, np.random.default_rng(8), 3, 4, "random")
+        ids[1, 2] = bad
+        with pytest.raises(IndexOutOfRange, match=f"id row 1 holds id {bad}"):
+            listener._l0_losses_and_grads(model, ids, feats, targets, 1.0)
+        assert all(p.grad is None for p in model.parameters())
+
+    def test_training_matches_tape_training(self, monkeypatch):
+        trials = synth_corpus(90, np.random.default_rng(9))
+        vocab = build_vocab([preprocess(t.combined_text(), "listener") for t in trials])
+        config = TrainConfig(epochs=2, batch_size=8, seed=9)
+
+        def run():
+            model = ListenerModel.create(vocab, np.random.default_rng(9), embed_dim=9,
+                                         hidden_dim=7)
+            return train_l0(model, trials[20:], trials[:20], config), model
+
+        ours, model = run()
+        monkeypatch.setattr(listener, "_l0_losses_and_grads", tape_losses_and_grads)
+        tape, tape_model = run()
+        assert ours.best_epoch == tape.best_epoch
+        for a, b in zip(ours.epochs, tape.epochs):
+            assert (a.epoch, a.clipped_steps) == (b.epoch, b.clipped_steps)
+            for field in ("train_loss", "dev_accuracy", "dev_perplexity", "max_grad_norm"):
+                assert getattr(a, field) == pytest.approx(getattr(b, field), rel=1e-9), field
+        for p, q in zip(model.parameters(), tape_model.parameters()):
+            assert np.allclose(p.data, q.data, rtol=0, atol=1e-9), p.name
+
+    # one entry of each parameter; the embedding's is in the row of the first
+    # training utterance's first token
+    @pytest.mark.parametrize("name", ["embedding", "lstm.w_x", "lstm.w_h", "lstm.bias", "out_w",
+                                      "out_b"])
+    def test_poisoned_parameter_raises(self, name):
+        trials = synth_corpus(30, np.random.default_rng(10))
+        vocab = build_vocab([preprocess(t.combined_text(), "listener") for t in trials])
+        model = ListenerModel.create(vocab, np.random.default_rng(10), embed_dim=6,
+                                     hidden_dim=5)
+        param = next(p for p in model.parameters() if p.name == name)
+        row = listener.trial_listener_ids(model, trials[0])[0] if name == "embedding" else 0
+        param.data[row, ...] = np.nan
+        with pytest.raises(NonFiniteGradient):
+            train_l0(model, trials, trials[:5], TrainConfig(epochs=1))

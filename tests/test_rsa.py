@@ -342,6 +342,22 @@ class TestNeuralL1:
         dist = neural_l1(s0, "red", COLORS)
         assert dist.sum() == pytest.approx(1.0, abs=INFERENCE_ATOL)
 
+    def test_scores_without_a_generator(self, monkeypatch):
+        # neural_l1 passes rng=None, which the sampler takes only when it
+        # draws nothing
+        _, s0 = models(seed=7)
+        calls = []
+        sample = speaker.s0_sample_utterances
+
+        def recording(model, feats, rng, per_context, score):
+            calls.append((rng, per_context))
+            return sample(model, feats, rng, per_context, score)
+
+        monkeypatch.setattr("pragref.rsa.s0_sample_utterances", recording)
+        dist = neural_l1(s0, "red", COLORS)
+        assert calls == [(None, 0)]
+        assert dist.shape == (3,) and dist.sum() == pytest.approx(1.0, abs=INFERENCE_ATOL)
+
 
 CHANNEL = st.floats(0.0, 1.0, allow_nan=False)
 RGB = st.tuples(CHANNEL, CHANNEL, CHANNEL)

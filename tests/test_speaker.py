@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import INFERENCE_ATOL, checkpoint_meta, read_checkpoint, write_checkpoint
+from conftest import GRAD_RTOL, INFERENCE_ATOL, checkpoint_meta, read_checkpoint, write_checkpoint
 from pragref import speaker
 from pragref.colorspace import Color, Condition, fourier_features_array
 from pragref.corpus import EOS, build_vocab, preprocess, synth_corpus
@@ -546,6 +546,20 @@ class TestSampling:
         with pytest.raises(ValueError, match=rf"shape \(K, 3, 54\), got \({shape[0]}, "):
             s0_sample_utterances(tiny_model(), np.zeros(shape), np.random.default_rng(0))
 
+    @pytest.mark.parametrize("per_context", [1, 3])
+    def test_sampling_without_a_generator_raises(self, per_context):
+        # it failed at the first sampled step, inside _decode, with an
+        # AttributeError on None.random
+        feats = np.random.default_rng(0).standard_normal((2, 3, 54))
+        with pytest.raises(ValueError, match="rng=None"):
+            s0_sample_utterances(tiny_model(), feats, None, per_context)
+        with pytest.raises(ValueError, match="rng=None"):
+            s0_sample_utterances(tiny_model(), feats, None, per_context, [3, 2])
+
+    def test_no_contexts_need_no_generator(self):
+        types, row_types, _ = s0_sample_utterances(tiny_model(), np.zeros((0, 3, 54)), None, 3)
+        assert types == [] and row_types.shape == (0,)
+
 
 class TestSharedPrefixSampling:
     """The sampler decodes each (context, prefix) once, and matches decoding
@@ -871,11 +885,8 @@ class TestTrainS0:
 # -- S0's gradient off the tape, against the tape ----------------------------------
 
 # _s0_losses_and_grads against the tape (_teacher_forced_losses and its
-# backward): each parameter's gradient may differ from the tape's by this share
-# of the tape gradient's largest entry. The two sum the same terms in other
-# orders; over 400 random cases like test_matches_tape's, the largest share
-# was 7.4e-15.
-GRAD_RTOL = 1e-12
+# backward), to conftest's GRAD_RTOL; over 400 random cases like
+# test_matches_tape's, the largest share was 7.4e-15.
 
 
 def tape_losses_and_grads(model, feats, ids, scale):
