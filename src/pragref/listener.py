@@ -17,12 +17,13 @@ import numpy as np
 
 from .colorspace import FOURIER_DIM, Color, fourier_features_array, hsv_to_rgb_arrays
 from .corpus import ContextTrial, Vocabulary, preprocess
-from .errors import EmptyUtterance, IndexOutOfRange
+from .errors import EmptyUtterance
 from .nnsubstrate import (
     Adadelta,
     LstmCellParams,
     Parameter,
     Tensor,
+    check_id_rows,
     embed,
     log_softmax,
     lstm_bptt,
@@ -279,7 +280,8 @@ def _l0_losses_and_grads(model: ListenerModel, ids: np.ndarray, feats: np.ndarra
     same-length id rows ids (B, T) and candidate features feats (B, 3, F),
     with every parameter's .grad set to the gradient of scale times their
     sum. It builds no Tensor. An id outside the vocabulary raises
-    IndexOutOfRange, as the tape's embed does.
+    IndexOutOfRange (check_id_rows) before any .grad is set, as the tape's
+    embed does.
 
     Forward: the embedding rows of all steps in one product with W_x, plus
     the bias; h W_h added from step 1 on, through lstm_cell; the head once on
@@ -291,12 +293,7 @@ def _l0_losses_and_grads(model: ListenerModel, ids: np.ndarray, feats: np.ndarra
     tape's (ListenerModel.scores and softmax_xent), so both outputs match it
     to within rounding, not bit for bit.
     """
-    vocab_size = len(model.vocab)
-    bad = (ids < 0) | (ids >= vocab_size)
-    if bad.any():
-        row, step = np.argwhere(bad)[0]
-        raise IndexOutOfRange(f"id row {row} holds id {ids[row, step]}, outside the "
-                              f"vocabulary of {vocab_size}")
+    check_id_rows(ids, len(model.vocab))
     cell, f = model.cell, FOURIER_DIM
     batch, n_steps = ids.shape
     words = ids.T.ravel()  # time-major

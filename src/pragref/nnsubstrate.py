@@ -19,7 +19,11 @@ order, and `quad_scores`' backward is `quad_form_backward`. A first gradient
 is not added to zeros: a backward's fresh result becomes the gradient as it
 is, and a shared array is copied. Adam and ADADELTA update their moments and
 the parameters in place, in cache-sized blocks, with the operations of the
-textbook expressions in their order.
+textbook expressions in their order. The gradient scan before them,
+`clip_global_norm` and their own `check_finite_gradients`, reads each
+gradient's self-dot, one BLAS dot product that allocates nothing; a NaN or
+an infinity makes it non-finite, and only then is the gradient scanned
+element by element.
 
 Inference makes no `Tensor`: every inference path runs forward only on
 plain arrays. The LSTMs (the speaker's context encoder, its decoder in the
@@ -27,11 +31,14 @@ sampler and in the batched scorer, and the listener's prefix tree) form their
 own gate sums: word inputs come from an embedding W_x table built once per
 call, the decoder's context inputs once per context, and h W_h is skipped at
 step 0, where the state is zero. All share the cell's nonlinearity with
-`lstm_step` through `lstm_cell`, and `padded_ids` checks the scorers' id
-rows. The listener's quadratic form shares its forward with `quad_scores`
-through `quad_form`. A `Tensor` records a graph exactly when one of its
-parents requires a gradient; the per-row references that run the tape on one
-row free it on return.
+`lstm_step` through `lstm_cell`. `check_id_rows` checks every id block
+that indexes an embedding: the scorers' through `padded_ids`, and both
+training functions'. The listener's quadratic form shares its forward with
+`quad_scores` through `quad_form`. Its products, like `quad_form_backward`'s,
+are batched BLAS matrix products, one per row, so a row's floats do not
+depend on the rows scored beside it. A `Tensor` records a graph exactly when
+one of its parents requires a gradient; the per-row references that run the
+tape on one row free it on return.
 
 Everything is double precision. A model instance is single-threaded during
 training; frozen parameter arrays may be shared freely across threads.
@@ -245,26 +252,31 @@ def embed(ids: np.ndarray, table: Tensor) -> Tensor:
     return out
 
 
+def check_id_rows(ids: np.ndarray, vocab_size: int) -> None:
+    """Raise IndexOutOfRange for the first id of the (N, T) block ids outside
+    [0, vocab_size), naming its row: such an id would index an embedding row
+    silently (-1) or fail without a typed error."""
+    bad = (ids < 0) | (ids >= vocab_size)
+    if bad.any():
+        row, step = np.argwhere(bad)[0]
+        raise IndexOutOfRange(f"id row {row} holds id {ids[row, step]}, outside the "
+                              f"vocabulary of {vocab_size}")
+
+
 def padded_ids(seqs, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
     """Id rows as a (N, longest) int matrix padded with 0, and their lengths (N,).
 
-    Raises EmptyUtterance for a row with no ids, and IndexOutOfRange for an
-    id outside [0, vocab_size), which would index an embedding row silently
-    (-1) or fail without a typed error.
+    Raises EmptyUtterance for a row with no ids, and IndexOutOfRange
+    (check_id_rows) for an id outside [0, vocab_size).
     """
     lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
     if lengths.size and lengths.min() == 0:
         raise EmptyUtterance(f"id row {int(lengths.argmin())} has no tokens")
     flat = np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.int64,
                        count=int(lengths.sum()))
-    bad = (flat < 0) | (flat >= vocab_size)
-    if bad.any():
-        at = int(bad.argmax())
-        row = int(np.searchsorted(np.cumsum(lengths), at, side="right"))
-        raise IndexOutOfRange(f"id row {row} holds id {flat[at]}, outside the "
-                              f"vocabulary of {vocab_size}")
     padded = np.zeros((len(seqs), lengths.max(initial=0)), dtype=np.int64)
     padded[np.arange(padded.shape[1]) < lengths[:, None]] = flat
+    check_id_rows(padded, vocab_size)
     return padded, lengths
 
 
@@ -304,10 +316,12 @@ def quad_form(feats: np.ndarray, mu: np.ndarray, sigma: np.ndarray
     feats: (B, K, F) candidates; mu: (B, F); sigma: (B, F, F), used as-is (no
     symmetrization; only its symmetric part matters). Returns the scores
     (B, K), then d = f - mu and Sigma d, both (B, K, F), which quad_scores'
-    backward reuses.
+    backward reuses. Sigma d is the batched BLAS product d Sigma^T, one
+    (K, F) x (F, F) product per row b, so row b's floats do not depend on the
+    rows beside it: a B-row call gives each row the bits of its one-row call.
     """
     d = feats - mu[:, None, :]
-    s_d = np.einsum("bfe,bke->bkf", sigma, d)
+    s_d = np.matmul(d, sigma.transpose(0, 2, 1))
     return -np.einsum("bkf,bkf->bk", d, s_d), d, s_d
 
 
@@ -318,10 +332,14 @@ def quad_form_backward(g: np.ndarray, sigma: np.ndarray, d: np.ndarray,
     g (B, K) is the gradient on the scores; d and s_d are quad_form's outputs.
     With score_k = -d_k^T Sigma d_k, the gradient on mu is
     sum_k g_k (Sigma + Sigma^T) d_k and the one on Sigma is -sum_k g_k d_k d_k^T.
+    Both are batched BLAS products, one per row: Sigma^T d is d Sigma, and the
+    Sigma gradient is -(g d)^T d, the sign taken on g, which is exact.
     """
-    st_d = np.einsum("bef,bke->bkf", sigma, d)
-    return (np.einsum("bk,bkf->bf", g, s_d + st_d),
-            -np.einsum("bk,bkf,bke->bfe", g, d, d))
+    st_d = np.matmul(d, sigma)
+    st_d += s_d
+    weighted = d * -g[:, :, None]
+    return (np.einsum("bk,bkf->bf", g, st_d),
+            np.matmul(weighted.transpose(0, 2, 1), d))
 
 
 def quad_scores(feats: np.ndarray, mu: Tensor, sigma: Tensor) -> Tensor:
@@ -518,31 +536,47 @@ ADAM_LR, ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.004, 0.9, 0.999, 1e-8
 ADADELTA_LR, ADADELTA_RHO, ADADELTA_EPS = 0.2, 0.95, 1e-6
 
 
+def _self_dot(g: np.ndarray) -> float:
+    """sum(g ** 2) as one BLAS dot of g's flat view with itself, with no
+    temporary. It is not finite when g holds a NaN or an infinity, or when
+    finite squares overflow."""
+    flat = g.reshape(-1)
+    with np.errstate(over="ignore"):
+        return float(flat @ flat)
+
+
 def check_finite_gradients(params: list[Parameter]) -> None:
+    """Raise NonFiniteGradient naming the first parameter whose gradient holds
+    a NaN or an infinity.
+
+    Each gradient's self-dot is read first, allocating nothing; only a
+    gradient whose self-dot is not finite is scanned element by element,
+    which tells a non-finite entry from finite squares that overflow.
+    """
     for p in params:
-        if p.grad is not None and not np.all(np.isfinite(p.grad)):
+        if (p.grad is not None and not np.isfinite(_self_dot(p.grad))
+                and not np.all(np.isfinite(p.grad))):
             raise NonFiniteGradient(f"non-finite gradient in {p.name!r}")
 
 
 def clip_global_norm(params: list[Parameter]) -> float:
     """Scale all gradients so their joint L2 norm is at most GRAD_CLIP; returns the norm.
 
-    Raises NonFiniteGradient if a gradient is not finite, which shows as a
-    non-finite sum of squares. When finite gradients' squares overflow, the
-    norm is recomputed on gradients divided by their largest magnitude.
+    The squared norm is the sum of each gradient's self-dot, so the scan
+    allocates nothing. Raises NonFiniteGradient if a gradient is not finite,
+    which shows as a non-finite sum; only then is check_finite_gradients run.
+    When finite gradients' squares overflow, the norm is recomputed on
+    gradients divided by their largest magnitude.
     """
     grads = [p.grad for p in params if p.grad is not None]
-    total = 0.0
-    with np.errstate(over="ignore"):
-        for g in grads:
-            total += float((g ** 2).sum())
+    total = sum(_self_dot(g) for g in grads)
     norm = np.sqrt(total)
     if not np.isfinite(total):
         check_finite_gradients(params)
         # finite gradients whose squares overflow: take the norm of the
         # gradients scaled by their largest magnitude, then scale it back
         top = max(float(np.abs(g).max(initial=0.0)) for g in grads)
-        norm = top * np.sqrt(sum(float(((g / top) ** 2).sum()) for g in grads))
+        norm = top * np.sqrt(sum(_self_dot(g / top) for g in grads))
     if norm > GRAD_CLIP:
         scale = GRAD_CLIP / norm
         for p in params:

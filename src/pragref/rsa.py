@@ -40,10 +40,12 @@ products, so L1 equals `neural_l1` bit for bit and sharing the steps moves
 no sampled utterance. The per-row L0 branch, which
 `evaluate_l0`, training's dev scoring and the pragmatic speaker sampler use,
 runs the listener's head and `quad_form` on plain arrays with the floats of
-`ListenerModel.head` and `quad_scores`; only its prefix-tree states round
-differently, and it is held to the same 1e-12. Where the head's mu is far larger than the color
-features, `l0_score`'s own rounding nears that tolerance: it forms f - mu and
-sums products of order |mu|^2 |Sigma|, which the fold never does.
+`ListenerModel.head` and `quad_scores`: `quad_form` makes one BLAS product
+per row, so a row scored in a block keeps the bits of its one-row call. Only
+its prefix-tree states round differently, and it is held to the same 1e-12.
+Where the head's mu is far larger than the color features, `l0_score`'s own
+rounding nears that tolerance: it forms f - mu and sums products of order
+|mu|^2 |Sigma|, which the fold never does.
 
 Both base models train off the tape (`listener._l0_losses_and_grads` and
 `speaker._s0_losses_and_grads`), and each batch's losses and gradients are
@@ -51,7 +53,10 @@ held to a tolerance against the tape's (`ListenerModel.scores` with
 `softmax_xent`, and `_teacher_forced_losses`, with their backward passes):
 the losses to 1e-12, and each gradient to 1e-12 of its parameter's largest
 tape-gradient entry. A training run is therefore held to the tape's to
-within rounding, not to bits.
+within rounding, not to bits. Its gradient clip sums each gradient's
+self-dot, whose order of additions is the BLAS library's own (a threaded
+BLAS may split it), so the clip scale, and every parameter after it, agrees
+across BLAS builds and thread counts to within rounding, not to bits.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ from .nnsubstrate import (
     LstmCellParams,
     Parameter,
     Tensor,
+    check_id_rows,
     concat,
     embed,
     lstm_bptt,
@@ -184,7 +185,9 @@ def _s0_losses_and_grads(model: SpeakerModel, feats: np.ndarray, ids: np.ndarray
                          scale: float) -> np.ndarray:
     """_teacher_forced_losses (B,) of id rows ids (B, T) with target-last
     contexts feats (B, 3, F), with every parameter's .grad set to the gradient
-    of scale times their sum. It builds no Tensor.
+    of scale times their sum. It builds no Tensor. An id outside the
+    vocabulary raises IndexOutOfRange (check_id_rows) before any .grad is
+    set, as _teacher_forced_losses' embed does.
 
     Forward: the encoder's steps as encode_contexts runs them; the decoder's
     context half of W_x and its bias once per batch, its word half for all
@@ -193,6 +196,7 @@ def _s0_losses_and_grads(model: SpeakerModel, feats: np.ndarray, ids: np.ndarray
     gradient one product over the steps. The sums round differently from the
     tape's, so both outputs match it to within rounding, not bit for bit.
     """
+    check_id_rows(ids, len(model.vocab))
     enc, dec, split = model.encoder, model.decoder, model.hidden_dim
     batch, n_steps = ids.shape
     enc_steps = list(model._encoder_steps(feats))

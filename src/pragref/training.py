@@ -132,7 +132,13 @@ def snapshot_params(params: list[Parameter]) -> dict[str, np.ndarray]:
 
 
 def restore_params(params: list[Parameter], snapshot: dict[str, np.ndarray]) -> None:
-    """Copy name-keyed arrays into params; names and shapes must match, values be finite."""
+    """Copy name-keyed arrays into params' own arrays (np.copyto), so each
+    p.data keeps its identity and place in memory.
+
+    Names and shapes must match and values be finite; every check runs
+    before the first copy, so a rejected snapshot leaves every parameter as
+    it was.
+    """
     names = {p.name for p in params}
     if set(snapshot) != names:
         raise ValueError(f"missing parameters {sorted(names - set(snapshot))}, "
@@ -144,7 +150,7 @@ def restore_params(params: list[Parameter], snapshot: dict[str, np.ndarray]) -> 
         if not np.all(np.isfinite(snapshot[p.name])):
             raise ValueError(f"parameter {p.name!r} has non-finite values")
     for p in params:
-        p.data = snapshot[p.name].copy()
+        np.copyto(p.data, snapshot[p.name])
 
 
 def save_model(model, path) -> None:

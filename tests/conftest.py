@@ -17,6 +17,10 @@ gradient (`listener._l0_losses_and_grads`, `speaker._s0_losses_and_grads`)
 match the tape's losses to INFERENCE_ATOL and its gradients to GRAD_RTOL
 (`TestExplicitGradient` in `test_listener` and `test_speaker`).
 
+`traced_peak` measures the tracemalloc peak of one call, which the
+allocation guards (the sampler's, the density grid's and the gradient
+scan's) bound.
+
 `checkpoint_meta`, `write_checkpoint` and `read_checkpoint` build and read
 checkpoint files from raw parts, without `pragref`, so the tests pin the
 on-disk layout that `training.save_model` writes and `training.load_model`
@@ -25,6 +29,7 @@ reads.
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 from hypothesis import settings
@@ -36,6 +41,17 @@ INFERENCE_ATOL = 1e-12
 # the tape gradient's largest entry. The two sum the same terms in other
 # orders.
 GRAD_RTOL = 1e-12
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the tracemalloc peak of that call, in bytes; numpy
+    reports its array buffers to tracemalloc, so they count."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def checkpoint_meta(arrays: dict, config: dict) -> dict:

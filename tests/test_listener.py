@@ -1,5 +1,4 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from conftest import (
     INFERENCE_ATOL,
     checkpoint_meta,
     read_checkpoint,
+    traced_peak,
     write_checkpoint,
 )
 from pragref.colorspace import Color, fourier_features_array, hsv_to_rgb_arrays
@@ -364,12 +364,7 @@ class TestDensityGrid:
         # at the default 90 x 50 x 50 lattice the features of every point
         # would take 97 MB at once; one hue row's take about 1 MB
         model = tiny_model(seed=2)
-        tracemalloc.start()
-        try:
-            grid = density_grid(model, ["blue"])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        grid, peak = traced_peak(density_grid, model, ["blue"])
         assert grid.shape == (90, 50)
         assert peak < 32 * 2 ** 20
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import checkpoint_meta, read_checkpoint, write_checkpoint
+from conftest import checkpoint_meta, read_checkpoint, traced_peak, write_checkpoint
 from pragref import listener, nnsubstrate, speaker
 from pragref.corpus import build_vocab, preprocess, synth_corpus
 from pragref.errors import IndexOutOfRange, NonFiniteGradient
@@ -25,6 +25,8 @@ from pragref.nnsubstrate import (
     lstm_bptt,
     lstm_cell,
     lstm_step,
+    quad_form,
+    quad_form_backward,
     quad_scores,
     run_lstm,
     softmax_xent,
@@ -514,6 +516,119 @@ class TestLstmBptt:
         tape = np.stack([x.grad for x in inputs])
         assert got.shape == tape.shape
         assert np.abs(got - tape).max() <= 1e-12 * np.abs(tape).max()
+
+
+def einsum_quad_form(feats, mu, sigma):
+    """quad_form's outputs as contractions written out by index."""
+    d = feats - mu[:, None, :]
+    s_d = np.einsum("bfe,bke->bkf", sigma, d)
+    return -np.einsum("bkf,bkf->bk", d, s_d), d, s_d
+
+
+def einsum_quad_form_backward(g, sigma, d):
+    """quad_form_backward's outputs as contractions written out by index."""
+    s_d = np.einsum("bfe,bke->bkf", sigma, d)
+    st_d = np.einsum("bef,bke->bkf", sigma, d)
+    return (np.einsum("bk,bkf->bf", g, s_d + st_d),
+            -np.einsum("bk,bkf,bke->bfe", g, d, d))
+
+
+def assert_near(got, want):
+    """got equals want to within 1e-12 of want's largest entry."""
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=0.0)
+
+
+class TestQuadForm:
+    @given(batch=st.integers(1, 40), k=st.integers(1, 4), f=st.integers(1, 54),
+           gain=st.sampled_from([1.0, 100.0]), seed=st.integers(0, 2 ** 16))
+    @example(batch=21, k=3, f=54, gain=1.0, seed=0)
+    @example(batch=1, k=1, f=1, gain=100.0, seed=1)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_einsum_references(self, batch, k, f, gain, seed):
+        rng = np.random.default_rng(seed)
+        feats = rng.standard_normal((batch, k, f)) * gain
+        mu = rng.standard_normal((batch, f)) * gain
+        sigma = rng.standard_normal((batch, f, f)) * gain
+        g = rng.standard_normal((batch, k)) * gain
+        got = quad_form(feats, mu, sigma)
+        for a, b in zip(got, einsum_quad_form(feats, mu, sigma)):
+            assert_near(a, b)
+        _, d, s_d = got
+        for a, b in zip(quad_form_backward(g, sigma, d, s_d),
+                        einsum_quad_form_backward(g, sigma, d)):
+            assert_near(a, b)
+
+    @pytest.mark.parametrize("batch,k", [(2, 3), (21, 3), (40, 1), (7, 4), (128, 3)])
+    def test_row_equals_one_row_call(self, batch, k):
+        # the per-row L0 branch scores gathered blocks of rows; it keeps the
+        # bits of quad_scores on each row only if a row's floats do not
+        # depend on the rows beside it
+        rng = np.random.default_rng(batch * 10 + k)
+        feats = rng.uniform(-1, 1, (batch, k, 54))
+        mu = rng.standard_normal((batch, 54))
+        sigma = rng.standard_normal((batch, 54, 54))
+        rows = rng.permutation(batch)  # a gathered block, as l0_probs_many makes
+        block = quad_form(feats[rows], mu[rows], sigma[rows])
+        for i, r in enumerate(rows):
+            one = quad_form(feats[r][None], mu[[r]], sigma[[r]])
+            for a, b in zip(block, one):
+                assert np.array_equal(a[i], b[0])
+
+
+# a gradient scan that allocates nothing keeps its tracemalloc peak under
+# this; a squared copy of the gradients below would take 2.4 MB
+SCAN_PEAK_BYTES = 64 * 2 ** 10
+
+
+def _big_grads(rng):
+    """Two parameters with 300,000 gradient floats between them."""
+    params = [Parameter("head", np.zeros((100, 2970))), Parameter("bias", np.zeros(3000))]
+    for p in params:
+        p.grad = rng.standard_normal(p.data.shape)
+    return params
+
+
+class TestGradientScan:
+    @pytest.mark.parametrize("gain", [1e-4, 1.0])  # below and above GRAD_CLIP
+    def test_clip_allocates_nothing(self, gain):
+        params = _big_grads(np.random.default_rng(0))
+        for p in params:
+            p.grad *= gain
+        want = np.sqrt(sum(float((p.grad ** 2).sum()) for p in params))
+        norm, peak = traced_peak(clip_global_norm, params)
+        assert peak < SCAN_PEAK_BYTES
+        assert norm == pytest.approx(want, rel=1e-12)
+        assert (norm > nnsubstrate.GRAD_CLIP) == (gain == 1.0)
+
+    def test_finiteness_check_allocates_nothing(self):
+        _, peak = traced_peak(check_finite_gradients, _big_grads(np.random.default_rng(1)))
+        assert peak < SCAN_PEAK_BYTES
+
+    @given(at=st.integers(0, 34), value=st.sampled_from([np.nan, np.inf, -np.inf]),
+           bad=st.sampled_from(["p", "q"]))
+    @settings(max_examples=60, deadline=None)
+    def test_non_finite_entry_anywhere_raises_naming_it(self, at, value, bad):
+        p, q = Parameter("p", np.zeros((5, 7))), Parameter("q", np.zeros((7, 5)))
+        p.grad, q.grad = np.full((5, 7), 0.5), np.full((7, 5), -2.0)
+        {"p": p, "q": q}[bad].grad.flat[at] = value
+        for scan in (check_finite_gradients, clip_global_norm):
+            with pytest.raises(NonFiniteGradient, match=f"'{bad}'"):
+                scan([p, q])
+
+    @pytest.mark.parametrize("at", [0, 150_000, 296_999])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_of_a_big_gradient_raises(self, at, value):
+        params = _big_grads(np.random.default_rng(2))
+        params[0].grad.flat[at] = value
+        for scan in (check_finite_gradients, clip_global_norm):
+            with pytest.raises(NonFiniteGradient, match="'head'"):
+                scan(params)
+
+    def test_finite_squares_that_overflow_pass_the_check(self):
+        p = Parameter("p", np.zeros(3))
+        p.grad = np.array([1e200, -1e200, 1.0])
+        check_finite_gradients([p])
 
 
 def _changing_grads(rng, shape, steps):

@@ -1,12 +1,18 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import GRAD_RTOL, INFERENCE_ATOL, checkpoint_meta, read_checkpoint, write_checkpoint
+from conftest import (
+    GRAD_RTOL,
+    INFERENCE_ATOL,
+    checkpoint_meta,
+    read_checkpoint,
+    traced_peak,
+    write_checkpoint,
+)
 from pragref import speaker
 from pragref.colorspace import Color, Condition, fourier_features_array
 from pragref.corpus import EOS, build_vocab, preprocess, synth_corpus
@@ -780,13 +786,8 @@ def test_sampler_frees_the_step0_rows_as_nodes_regroup():
     model = SpeakerModel.create(vocab, np.random.default_rng(1))
     rng = np.random.default_rng(2)
     feats = target_last_features(rng.random((1024, 3, 3)), rng.integers(0, 3, 1024))
-    tracemalloc.start()
-    try:
-        s0_sample_utterances(model, feats, np.random.default_rng(3))
-        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
-    finally:
-        tracemalloc.stop()
-    assert peak < SAMPLER_PEAK_MIB
+    _, peak = traced_peak(s0_sample_utterances, model, feats, np.random.default_rng(3))
+    assert peak < SAMPLER_PEAK_MIB * 2 ** 20
 
 
 class TestTrainS0:
@@ -990,6 +991,19 @@ class TestExplicitGradient:
         speaker._s0_losses_and_grads(model, feats, ids, 1.0)
         assert made == []
         assert all(p.grad.shape == p.data.shape for p in model.parameters())
+
+    @pytest.mark.parametrize("bad", [-1, 6, 10 ** 6])
+    def test_out_of_range_id_raises(self, bad):
+        # the vocabulary has 6 ids; -1 would read the last embedding row silently
+        model = tiny_model(seed=8)
+        assert len(model.vocab) == 6
+        rng = np.random.default_rng(8)
+        ids = random_rows(model, rng, 3, 4, "random")
+        ids[1, 2] = bad
+        with pytest.raises(IndexOutOfRange,
+                           match=f"id row 1 holds id {bad}, outside the vocabulary of 6"):
+            speaker._s0_losses_and_grads(model, rng.standard_normal((3, 3, 54)), ids, 1.0)
+        assert all(p.grad is None for p in model.parameters())
 
     def test_training_matches_tape_training(self, monkeypatch):
         trials = synth_corpus(90, np.random.default_rng(6))

@@ -8,7 +8,16 @@ from pragref.errors import NonFiniteDevScore, require_count
 from pragref.listener import ListenerModel, l0_score, train_l0
 from pragref.nnsubstrate import Adam, Parameter
 from pragref.speaker import SpeakerModel, s0_log_prob
-from pragref.training import TrainConfig, fit, load_model, same_length_batches, save_model
+from pragref import training
+from pragref.training import (
+    TrainConfig,
+    fit,
+    load_model,
+    restore_params,
+    same_length_batches,
+    save_model,
+    snapshot_params,
+)
 
 COLORS = (Color(0.9, 0.1, 0.1), Color(0.1, 0.2, 0.8), Color(0.2, 0.9, 0.3))
 
@@ -72,6 +81,76 @@ class TestFit:
         # parameters with best_epoch -1 and no error
         with pytest.raises(NonFiniteDevScore, match=f"^epoch {epoch} gave the dev score"):
             self._fit(keys)
+
+
+class TestRestoreInPlace:
+    """restore_params copies into each parameter's own array."""
+
+    @staticmethod
+    def _params():
+        rng = np.random.default_rng(0)
+        return [Parameter("w", rng.standard_normal((3, 4))), Parameter("b", rng.standard_normal(4))]
+
+    def test_fit_keeps_each_array(self):
+        params = self._params()
+        arrays = [p.data for p in params]
+        seen = []
+
+        def batch_grad(rows):
+            for p in params:
+                p.grad = np.ones(p.data.shape)
+            return np.ones(len(rows)), len(rows)
+
+        def dev():  # epoch 2 is best
+            seen.append(snapshot_params(params))
+            return [0.5, 0.75, 0.25][len(seen) - 1], {}
+
+        report = fit(Adam(params), np.array([1, 1, 2]), batch_grad, dev,
+                     TrainConfig(epochs=3, batch_size=2))
+        assert report.best_epoch == 2
+        for p, data in zip(params, arrays):
+            assert p.data is data
+            assert np.array_equal(p.data, seen[1][p.name])
+
+    @pytest.mark.parametrize("cls", [ListenerModel, SpeakerModel])
+    def test_load_model_keeps_each_array(self, cls, tmp_path, monkeypatch):
+        mode = "listener" if cls is ListenerModel else "speaker"
+        vocab = build_vocab([preprocess(t.combined_text(), mode)
+                             for t in synth_corpus(6, np.random.default_rng(1))])
+        saved = cls.create(vocab, np.random.default_rng(2), embed_dim=4, hidden_dim=3)
+        save_model(saved, tmp_path / "m.npz")
+        before = []
+
+        def spy(params, snapshot):
+            before.extend(p.data for p in params)
+            restore_params(params, snapshot)
+
+        monkeypatch.setattr(training, "restore_params", spy)
+        loaded = load_model(cls, tmp_path / "m.npz")
+        assert len(before) == len(loaded.parameters())
+        for p, data, q in zip(loaded.parameters(), before, saved.parameters()):
+            assert p.data is data
+            assert np.array_equal(p.data, q.data)
+
+    @pytest.mark.parametrize("fault", ["non-finite", "shape", "missing", "unexpected"])
+    def test_rejected_snapshot_leaves_every_parameter(self, fault):
+        params = self._params()
+        arrays = [p.data for p in params]
+        values = [p.data.copy() for p in params]
+        snapshot = {p.name: p.data + 1.0 for p in params}
+        if fault == "non-finite":
+            snapshot["b"][2] = np.inf  # the last parameter, after "w" passed
+        elif fault == "shape":
+            snapshot["b"] = np.zeros(5)
+        elif fault == "missing":
+            del snapshot["b"]
+        else:
+            snapshot["c"] = np.zeros(1)
+        with pytest.raises(ValueError):
+            restore_params(params, snapshot)
+        for p, data, value in zip(params, arrays, values):
+            assert p.data is data
+            assert np.array_equal(p.data, value)
 
 
 class TestSameLengthBatches:
