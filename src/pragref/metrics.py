@@ -29,7 +29,7 @@ from .colorspace import (
 )
 from .corpus import ContextTrial, preprocess
 from .listener import accuracy_perplexity, l0_probs_many
-from .rsa import S1_ALPHA, listener_ids_for
+from .rsa import S1_ALPHA, listener_ids_for, s1_table_from_probs
 from .speaker import s0_sample_utterances, target_last_features
 
 HEURISTICS_NOTE = ("comparatives/superlatives via suffix heuristics; "
@@ -259,8 +259,9 @@ class PragmaticSpeakerSampler:
 
     For each context, S1_POOL_SIZE samples are drawn from the base speaker for
     the actual target; candidate i is then chosen with probability
-    proportional to L0(target | candidate_i)^S1_ALPHA. A context whose whole
-    pool is bare end tokens gets "".
+    proportional to L0(target | candidate_i)^S1_ALPHA, the pool's S1 column
+    for the target (rsa.s1_table_from_probs). A context whose whole pool is
+    bare end tokens gets "".
     """
 
     name = "s1"
@@ -290,8 +291,9 @@ class PragmaticSpeakerSampler:
             if not cands:
                 texts.append("")
                 continue
-            weights = np.maximum(scored[:, target], 1e-300) ** S1_ALPHA
-            pick = rng.choice(len(cands), p=weights / weights.sum())
+            # the target's column alone: an (n, 3) table's sums round otherwise
+            weights = s1_table_from_probs(scored[:, [target]], np.ones(len(cands)), S1_ALPHA)
+            pick = rng.choice(len(cands), p=weights[:, 0])
             texts.append(" ".join(types[cands[pick]]))
         return texts
 

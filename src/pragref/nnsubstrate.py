@@ -12,33 +12,33 @@ plain arrays (`listener._l0_losses_and_grads`, `speaker._s0_losses_and_grads`):
 the forward runs through `lstm_cell`, and the backward through `lstm_bptt`,
 the one backpropagation through time, over `lstm_cell_backward`, and for the
 listener through `quad_form_backward`. They are held to a tolerance against
-the tape, which stays their reference. On the tape, `lstm_step` is one graph
-node whose analytic backward, `lstm_cell_backward`, makes the float
-operations of the composed gates, products and nonlinearities, in the same
-order, and `quad_scores`' backward is `quad_form_backward`. A first gradient
-is not added to zeros: a backward's fresh result becomes the gradient as it
-is, and a shared array is copied. Adam and ADADELTA update their moments and
-the parameters in place, in cache-sized blocks, with the operations of the
-textbook expressions in their order. The gradient scan before them,
-`clip_global_norm` and their own `check_finite_gradients`, reads each
-gradient's self-dot, one BLAS dot product that allocates nothing; a NaN or
-an infinity makes it non-finite, and only then is the gradient scanned
-element by element.
+the tape, which stays their reference. On the tape, `lstm_step` is composed
+from the tape's own nodes (matmuls, adds, narrows, sigmoids, tanhs and
+products), so the reference shares no LSTM kernel with the code it checks.
+`quad_scores` stays one node whose forward is `quad_form` and whose backward
+is `quad_form_backward`. A node's first gradient is always a copy, since a
+backward may hand one array to two parents. Adam and ADADELTA update their
+moments and the parameters in place, in cache-sized blocks, with the
+operations of the textbook expressions in their order. The gradient scan
+before them, `clip_global_norm` and their own `check_finite_gradients`,
+reads each gradient's self-dot, one BLAS dot product that allocates nothing;
+a NaN or an infinity makes it non-finite, and only then is the gradient
+scanned element by element.
 
 Inference makes no `Tensor`: every inference path runs forward only on
 plain arrays. The LSTMs (the speaker's context encoder, its decoder in the
 sampler and in the batched scorer, and the listener's prefix tree) form their
 own gate sums: word inputs come from an embedding W_x table built once per
 call, the decoder's context inputs once per context, and h W_h is skipped at
-step 0, where the state is zero. All share the cell's nonlinearity with
-`lstm_step` through `lstm_cell`. `check_id_rows` checks every id block
-that indexes an embedding: the scorers' through `padded_ids`, and both
-training functions'. The listener's quadratic form shares its forward with
-`quad_scores` through `quad_form`. Its products, like `quad_form_backward`'s,
-are batched BLAS matrix products, one per row, so a row's floats do not
-depend on the rows scored beside it. A `Tensor` records a graph exactly when
-one of its parents requires a gradient; the per-row references that run the
-tape on one row free it on return.
+step 0, where the state is zero. All share the cell's nonlinearity, and so
+do both models' training forwards, through `lstm_cell`. `check_id_rows`
+checks every id block that indexes an embedding: the scorers' through
+`padded_ids`, and both training functions'. The listener's quadratic form
+shares its forward with `quad_scores` through `quad_form`. Its products,
+like `quad_form_backward`'s, are batched BLAS matrix products, one per row,
+so a row's floats do not depend on the rows scored beside it. A `Tensor`
+records a graph exactly when one of its parents requires a gradient; the
+per-row references that run the tape on one row free it on return.
 
 Everything is double precision. A model instance is single-threaded during
 training; frozen parameter arrays may be shared freely across threads.
@@ -80,30 +80,13 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
-        """Add g into self.grad.
-
-        A first gradient is copied, since g may be shared: `__add__` hands one
-        array to both parents, `reshape` a view. A backward that made g fresh
-        and keeps no other reference passes owned=True, and g itself becomes
-        the gradient.
-        """
+    def _accumulate(self, g: np.ndarray) -> None:
+        """Add g into self.grad; a first gradient is copied, since g may be
+        shared: `__add__` hands one array to both parents, `reshape` a view."""
         if self.grad is None:
-            self.grad = g if owned else np.array(g, dtype=np.float64)
+            self.grad = np.array(g, dtype=np.float64)
         else:
             self.grad += g
-
-    def _view(self, idx) -> "Tensor":
-        """The tensor self.data[idx], a view; its gradient adds into that slice."""
-        out = Tensor(self.data[idx], parents=(self,))
-
-        def bwd(g):
-            if self.grad is None:
-                self.grad = np.zeros_like(self.data)
-            self.grad[idx] += g
-
-        out._backward = bwd
-        return out
 
     # -- graph construction -------------------------------------------------
 
@@ -142,9 +125,9 @@ class Tensor:
 
         def bwd(g):
             if self.requires_grad:
-                self._accumulate(g @ other.data.T, owned=True)
+                self._accumulate(g @ other.data.T)
             if other.requires_grad:
-                other._accumulate(self.data.T @ g, owned=True)
+                other._accumulate(self.data.T @ g)
 
         out._backward = bwd
         return out
@@ -162,9 +145,20 @@ class Tensor:
         return out
 
     def narrow(self, axis: int, start: int, length: int) -> "Tensor":
+        """The slice start:start + length along axis, a view; its gradient
+        adds into that slice of self's."""
         axis = axis % self.data.ndim
-        return self._view(tuple(slice(None) if a != axis else slice(start, start + length)
-                                for a in range(self.data.ndim)))
+        idx = tuple(slice(None) if a != axis else slice(start, start + length)
+                    for a in range(self.data.ndim))
+        out = Tensor(self.data[idx], parents=(self,))
+
+        def bwd(g):
+            if self.grad is None:
+                self.grad = np.zeros_like(self.data)
+            self.grad[idx] += g
+
+        out._backward = bwd
+        return out
 
     def reshape(self, *shape) -> "Tensor":
         out = Tensor(self.data.reshape(*shape), parents=(self,))
@@ -200,7 +194,7 @@ class Tensor:
             for p in node._parents:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
-        self._accumulate(np.ones_like(self.data), owned=True)
+        self._accumulate(np.ones_like(self.data))
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -303,7 +297,7 @@ def softmax_xent(logits: Tensor, target_ids) -> tuple[Tensor, np.ndarray]:
             return
         grad = probs.copy()
         grad[rows, targets] -= 1.0
-        logits._accumulate(grad * g[:, None], owned=True)
+        logits._accumulate(grad * g[:, None])
 
     out._backward = bwd
     return out, probs
@@ -354,9 +348,9 @@ def quad_scores(feats: np.ndarray, mu: Tensor, sigma: Tensor) -> Tensor:
     def bwd(g):
         d_mu, d_sigma = quad_form_backward(g, sigma.data, d, s_d)
         if mu.requires_grad:
-            mu._accumulate(d_mu, owned=True)
+            mu._accumulate(d_mu)
         if sigma.requires_grad:
-            sigma._accumulate(d_sigma, owned=True)
+            sigma._accumulate(d_sigma)
 
     out._backward = bwd
     return out
@@ -421,8 +415,9 @@ def lstm_cell(gates: np.ndarray, c: np.ndarray
     c' = f * c + i * g and h' = o * tanh(c'). Returns the (2, ..., hidden)
     block [h'; c'], then the sigmoids of the i, f, o blocks, the tanh
     candidate and tanh(c'), which lstm_cell_backward reuses. Every LSTM
-    forward, lstm_step's, the speaker's training forward and each
-    forward-only inference path's, goes through it.
+    forward off the tape goes through it: both models' training forwards and
+    each forward-only inference path's. Its floats are those of the tape's
+    composed lstm_step.
     """
     n = gates.shape[-1] // 4
     ifo = np.negative(gates[..., :3 * n])  # sigmoid of the i, f, o blocks
@@ -446,7 +441,8 @@ def lstm_cell_backward(gh: np.ndarray, gc, c, ifo: np.ndarray, cand: np.ndarray,
 
     gh and gc are the gradients on h' and c', c is the state the step read
     (gc and c may be 0.0), and ifo, cand and tanh_c are lstm_cell's outputs.
-    The float operations are those of the composed graph, in its order.
+    The float operations are those of the tape's composed lstm_step
+    backward, in its order, so the two give the same bits.
     """
     n = cand.shape[-1]
     i, f, o = ifo[..., :n], ifo[..., n:2 * n], ifo[..., 2 * n:]
@@ -483,37 +479,18 @@ def lstm_bptt(steps: list, w_h: np.ndarray, gh: np.ndarray, gc) -> np.ndarray:
 
 def lstm_step(x: Tensor, h: Tensor, c: Tensor,
               p: LstmCellParams) -> tuple[Tensor, Tensor]:
-    """One step of the standard LSTM recurrence (sigmoid gates, tanh candidate).
-
-    gates = x W_x + h W_h + b, in GATE_ORDER blocks, then lstm_cell. One graph
-    node holds [h'; c'] as a (2, ..., hidden) block, and h' and c' are views
-    of it. Its backward is analytic (lstm_cell_backward) and repeats, float
-    for float, the backward of the composed matmuls, adds, sigmoids, tanhs and
-    products.
-    """
-    gates = x.data @ p.w_x.data
-    gates += h.data @ p.w_h.data
-    gates += p.bias.data
-    hc, ifo, cand, tanh_c = lstm_cell(gates, c.data)
-    out = Tensor(hc, parents=(x, h, c, p.w_x, p.w_h, p.bias))
-
-    def bwd(grad):
-        d, dc = lstm_cell_backward(grad[0], grad[1], c.data, ifo, cand, tanh_c)
-        if c.requires_grad:
-            c._accumulate(dc, owned=True)
-        if p.bias.requires_grad:
-            p.bias._accumulate(_unbroadcast(d, p.bias.shape), owned=True)
-        if x.requires_grad:
-            x._accumulate(d @ p.w_x.data.T, owned=True)
-        if p.w_x.requires_grad:
-            p.w_x._accumulate(x.data.T @ d, owned=True)
-        if h.requires_grad:
-            h._accumulate(d @ p.w_h.data.T, owned=True)
-        if p.w_h.requires_grad:
-            p.w_h._accumulate(h.data.T @ d, owned=True)
-
-    out._backward = bwd
-    return out._view(0), out._view(1)
+    """One step of the standard LSTM recurrence (sigmoid gates, tanh candidate),
+    composed from the tape's own nodes: gates = x W_x + h W_h + b in
+    GATE_ORDER blocks, c' = f * c + i * g and h' = o * tanh(c'). It shares no
+    kernel with lstm_cell, lstm_cell_backward or lstm_bptt, which it checks."""
+    n = p.hidden_dim
+    gates = x @ p.w_x + h @ p.w_h + p.bias
+    i = gates.narrow(-1, 0, n).sigmoid()
+    f = gates.narrow(-1, n, n).sigmoid()
+    o = gates.narrow(-1, 2 * n, n).sigmoid()
+    g = gates.narrow(-1, 3 * n, n).tanh()
+    c2 = f * c + i * g
+    return o * c2.tanh(), c2
 
 
 def run_lstm(inputs: list[Tensor], p: LstmCellParams,

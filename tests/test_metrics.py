@@ -5,9 +5,15 @@ import pytest
 
 from pragref import metrics
 from pragref.colorspace import Color, Condition, classify_conditions
-from pragref.corpus import ContextTrial, build_vocab, preprocess, synth_corpus
+from pragref.corpus import (
+    ContextTrial,
+    build_vocab,
+    speaker_tokens_to_listener_tokens,
+    synth_corpus,
+)
 from pragref.listener import ListenerModel, l0_score
 from pragref.metrics import (
+    S1_POOL_SIZE,
     BaseSpeakerSampler,
     PragmaticSpeakerSampler,
     behavior_metrics,
@@ -336,8 +342,9 @@ def reference_s1_texts(l0, s0, contexts, rng, alpha, pool_size, batch):
         if not cands:
             texts.append("")
             continue
-        scored = np.array([l0_score(l0, preprocess(" ".join(c), "listener"), colors)[target]
-                           for c in cands])
+        # a sampled <unk> stays one token, as speaker_tokens_to_listener_tokens keeps it
+        scored = np.array([l0_score(l0, speaker_tokens_to_listener_tokens(list(c)),
+                                    colors)[target] for c in cands])
         weights = np.maximum(scored, 1e-300) ** alpha
         texts.append(" ".join(cands[rng.choice(len(cands), p=weights / weights.sum())]))
     return texts
@@ -366,10 +373,14 @@ class TestSamplersMatchReference:
 
     @pytest.mark.parametrize("seed,alpha", [(0, 0.544), (1, 2.0), (2, 0.0), (0, 40.0)])
     def test_pragmatic_sampler(self, monkeypatch, seed, alpha):
+        # pools of 24 reach numpy's 8-accumulator sum of the pick weights
         monkeypatch.setattr(metrics, "S1_ALPHA", alpha)
-        monkeypatch.setattr(metrics, "S1_POOL_SIZE", 4)
         l0, s0 = self._models()
         contexts = condition_mix_contexts(7, np.random.default_rng(seed))
-        got = PragmaticSpeakerSampler(l0, s0).sample_texts(contexts, np.random.default_rng(seed))
-        want = reference_s1_texts(l0, s0, contexts, np.random.default_rng(seed), alpha, 4, 10)
-        assert got == want and any(got)
+        for pool_size in (4, S1_POOL_SIZE):
+            monkeypatch.setattr(metrics, "S1_POOL_SIZE", pool_size)
+            got = PragmaticSpeakerSampler(l0, s0).sample_texts(contexts,
+                                                               np.random.default_rng(seed))
+            want = reference_s1_texts(l0, s0, contexts, np.random.default_rng(seed), alpha,
+                                      pool_size, 10)
+            assert got == want and any(got), pool_size

@@ -82,3 +82,32 @@ def test_color_checker_catches_each_attribute():
               "rows = np.asarray(colors)\n")
     assert _color_reads(source) == ["line 1: .r", "line 1: .g", "line 1: .b",
                                     "line 2: .as_array"]
+
+
+CELL_KERNELS = {"lstm_cell", "lstm_cell_backward", "lstm_bptt"}
+TAPE_LSTM = {"lstm_step", "run_lstm"}
+
+
+def _names_in_functions(source: str, functions: set[str]) -> dict[str, set[str]]:
+    """Every name and attribute each top-level function of `functions` reads."""
+    return {node.name: {sub.id if isinstance(sub, ast.Name) else sub.attr
+                        for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute))}
+            for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and node.name in functions}
+
+
+def test_tape_lstm_shares_no_cell_kernel():
+    # the tape's LSTM is the reference for the cell kernels, so it must not run them
+    source = (Path(pragref.__file__).parent / "nnsubstrate.py").read_text(encoding="utf-8")
+    names = _names_in_functions(source, TAPE_LSTM)
+    assert names.keys() == TAPE_LSTM
+    assert {f: n & CELL_KERNELS for f, n in names.items()} == {f: set() for f in TAPE_LSTM}
+
+
+def test_kernel_checker_catches_names_and_attributes():
+    source = ("def lstm_step(x):\n    return lstm_cell(x)\n"
+              "def run_lstm(x):\n    return nn.lstm_bptt(x)\n"
+              "def other(x):\n    return lstm_cell_backward(x)\n")
+    names = _names_in_functions(source, TAPE_LSTM)
+    assert {f: n & CELL_KERNELS for f, n in names.items()} == {"lstm_step": {"lstm_cell"},
+                                                              "run_lstm": {"lstm_bptt"}}

@@ -24,6 +24,7 @@ from pragref.nnsubstrate import (
     gradcheck_rel_error,
     lstm_bptt,
     lstm_cell,
+    lstm_cell_backward,
     lstm_step,
     quad_form,
     quad_form_backward,
@@ -320,20 +321,7 @@ class TestCheckpoints:
             load_model(listener.ListenerModel, path)
 
 
-# -- the lean training step against the composed graph and textbook formulas ------
-
-
-def composed_lstm_step(x, h, c, p):
-    """The LSTM step as separate graph nodes: matmuls, adds, narrows, gates."""
-    n = p.hidden_dim
-    gates = x @ p.w_x + h @ p.w_h + p.bias
-    i = gates.narrow(-1, 0, n).sigmoid()
-    f = gates.narrow(-1, n, n).sigmoid()
-    o = gates.narrow(-1, 2 * n, n).sigmoid()
-    g = gates.narrow(-1, 3 * n, n).tanh()
-    c2 = f * c + i * g
-    h2 = o * c2.tanh()
-    return h2, c2
+# -- the LSTM cell kernels against the tape, the optimizers against textbook formulas --
 
 
 class ReferenceAdam:
@@ -389,9 +377,10 @@ def _lstm_arrays(rng, batch, din, hid):
     }
 
 
-def _run_steps(step_fn, arrays, weights, steps, use_c):
-    """Chain `steps` LSTM steps on fresh Parameters; every h (and the last c,
-    when use_c) feeds a weighted sum. Returns the outputs and the Parameters.
+def _run_steps(arrays, weights, steps, use_c):
+    """Chain `steps` of the tape's lstm_step on fresh Parameters; every h (and
+    the last c, when use_c) feeds a weighted sum. Returns the outputs and the
+    Parameters.
 
     As in the models, c has one consumer outside its step: a second one would
     make the sum of its gradients depend on the order of three terms.
@@ -401,7 +390,7 @@ def _run_steps(step_fn, arrays, weights, steps, use_c):
     h, c = ps["h"], ps["c"]
     outs, loss = [], None
     for t in range(steps):
-        h, c = step_fn(ps["x"], h, c, cell)
+        h, c = lstm_step(ps["x"], h, c, cell)
         outs += [h.data.copy(), c.data.copy()]
         term = (h * Tensor(weights[t])).sum()
         loss = term if loss is None else loss + term
@@ -411,31 +400,47 @@ def _run_steps(step_fn, arrays, weights, steps, use_c):
     return outs, ps
 
 
+def _run_cells(arrays, weights, steps, use_c):
+    """_run_steps on plain arrays: each step's forward through lstm_cell, then
+    the backward through lstm_cell_backward from the last step back, each
+    gradient that several steps share summed in that order."""
+    x, w_x, w_h, bias = (arrays[k] for k in ("x", "w_x", "w_h", "bias"))
+    hs, cs, cells = [arrays["h"]], [arrays["c"]], []
+    for _ in range(steps):
+        cells.append(lstm_cell(x @ w_x + hs[-1] @ w_h + bias, cs[-1]))
+        hs.append(cells[-1][0][0])
+        cs.append(cells[-1][0][1])
+    grads = {}
+    gh, gc = weights[-1], weights[0] ** 2 if use_c else 0.0
+    for t in range(steps - 1, -1, -1):
+        d, gc = lstm_cell_backward(gh, gc, cs[t], *cells[t][1:])
+        for name, g in (("bias", d.sum(axis=0)), ("x", d @ w_x.T), ("w_x", x.T @ d),
+                        ("w_h", hs[t].T @ d)):
+            grads[name] = g if name not in grads else grads[name] + g
+        gh = d @ w_h.T if t == 0 else weights[t - 1] + d @ w_h.T
+    grads["h"], grads["c"] = gh, gc
+    return [a for hc, *_ in cells for a in hc], grads
+
+
 class TestFusedLstmStep:
+    """The fused cell kernels, lstm_cell and lstm_cell_backward, against the
+    tape's lstm_step, which is composed from the tape's own nodes; and the
+    tape's gradient bookkeeping."""
+
     @pytest.mark.parametrize("batch,din,hid,steps,use_c", [
         (1, 1, 1, 1, True), (5, 3, 4, 1, False), (7, 6, 5, 3, True), (32, 20, 16, 4, False)])
     def test_values_and_six_gradients_equal_composed(self, batch, din, hid, steps, use_c):
         rng = np.random.default_rng(batch * 100 + hid)
         arrays = _lstm_arrays(rng, batch, din, hid)
         weights = rng.standard_normal((steps, batch, hid))
-        fused_out, fused = _run_steps(lstm_step, arrays, weights, steps, use_c)
-        ref_out, ref = _run_steps(composed_lstm_step, arrays, weights, steps, use_c)
-        for a, b in zip(fused_out, ref_out):
+        cell_out, cell_grads = _run_cells(arrays, weights, steps, use_c)
+        tape_out, tape = _run_steps(arrays, weights, steps, use_c)
+        assert len(cell_out) == len(tape_out) == 2 * steps
+        for a, b in zip(cell_out, tape_out):
             assert np.array_equal(a, b)
-        for name in arrays:
-            assert fused[name].grad is not None
-            assert np.array_equal(fused[name].grad, ref[name].grad), name
-
-    def test_one_node_with_h_and_c_as_views(self):
-        rng = np.random.default_rng(3)
-        arrays = _lstm_arrays(rng, 4, 3, 5)
-        ps = {k: Parameter(k, v) for k, v in arrays.items()}
-        cell = LstmCellParams(ps["w_x"], ps["w_h"], ps["bias"])
-        h2, c2 = lstm_step(ps["x"], ps["h"], ps["c"], cell)
-        (node,) = h2._parents
-        assert c2._parents == (node,)
-        assert np.shares_memory(h2.data, node.data) and np.shares_memory(c2.data, node.data)
-        assert node._parents == (ps["x"], ps["h"], ps["c"], ps["w_x"], ps["w_h"], ps["bias"])
+        assert cell_grads.keys() == arrays.keys()
+        for name, g in cell_grads.items():
+            assert np.array_equal(g, tape[name].grad), name
 
     def test_narrow_adds_into_parent_slices(self):
         x = Parameter("x", np.ones((1, 4)))
@@ -735,8 +740,9 @@ def _train_both(model_cls, train_fn, vocab_mode, config):
 class TestTrainingMatchesReferences:
     """train_l0 gives the same report and bits with textbook ADADELTA patched
     in, and train_s0 with textbook Adam. Neither model's gradients come from
-    lstm_step: test_listener.TestExplicitGradient and
-    test_speaker.TestExplicitGradient hold them to the tape's."""
+    the tape: test_listener.TestExplicitGradient and
+    test_speaker.TestExplicitGradient hold them to the tape's, whose lstm_step
+    is composed from the tape's own nodes and shares no kernel with them."""
 
     @pytest.fixture(params=[None, 37])
     def block(self, request, monkeypatch):
