@@ -97,7 +97,8 @@ def preprocess(utterances: str | list[str], mode: str = "listener") -> list[str]
     Splits punctuation into separate tokens. In listener mode the endings
     -er/-est/-ish are additionally split off as standalone suffix tokens
     (speaker mode keeps words unsegmented so model samples round-trip
-    cleanly). Multiple messages are concatenated in order.
+    cleanly). A word that is exactly <unk> stays one token, as
+    speaker_tokens_to_listener_tokens keeps it. Messages are joined in order.
     """
     if mode not in ("listener", "speaker"):
         raise ValueError(f"unknown preprocessing mode {mode!r}")
@@ -106,7 +107,7 @@ def preprocess(utterances: str | list[str], mode: str = "listener") -> list[str]
     tokens: list[str] = []
     for text in utterances:
         for word in text.lower().split():
-            for piece in _split_word_punct(word):
+            for piece in [word] if word == UNK else _split_word_punct(word):
                 if mode == "listener" and piece and piece[0].isalnum():
                     tokens.extend(_split_suffixes(piece))
                 else:

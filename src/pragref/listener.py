@@ -335,10 +335,10 @@ def train_l0(model: ListenerModel, train_trials: list[ContextTrial],
              dev_trials: list[ContextTrial], config: TrainConfig) -> TrainingReport:
     """Minimize cross-entropy of the target index; keep the best-dev epoch.
 
-    Trains with ADADELTA at ADADELTA_LR, clipping gradients to a global norm
-    of GRAD_CLIP (constants of `nnsubstrate`). Each batch's losses and
-    gradients come from _l0_losses_and_grads, off the tape, so a run matches
-    a tape-trained one to within rounding, not bit for bit. The model is left
+    Trains with ADADELTA at ADADELTA_LR, whose step() clips the gradients to
+    a global norm of GRAD_CLIP (constants of `nnsubstrate`). Each batch's
+    losses and gradients come from _l0_losses_and_grads, off the tape, so a
+    run matches a tape-trained one to within rounding, not bit for bit. The model is left
     holding the best-dev-accuracy parameters. Dev inputs are built once and
     scored after every epoch as evaluate_l0 scores them.
     """

@@ -19,10 +19,10 @@ products), so the reference shares no LSTM kernel with the code it checks.
 is `quad_form_backward`. A node's first gradient is always a copy, since a
 backward may hand one array to two parents. Adam and ADADELTA update their
 moments and the parameters in place, in cache-sized blocks, with the
-operations of the textbook expressions in their order. The gradient scan
-before them, `clip_global_norm` and their own `check_finite_gradients`,
+operations of the textbook expressions in their order. Each `step()` first
+clips the gradients (`clip_global_norm`), the step's one gradient scan: it
 reads each gradient's self-dot, one BLAS dot product that allocates nothing;
-a NaN or an infinity makes it non-finite, and only then is the gradient
+a NaN or an infinity makes the sum non-finite, and only then is a gradient
 scanned element by element.
 
 Inference makes no `Tensor`: every inference path runs forward only on
@@ -47,7 +47,7 @@ training; frozen parameter arrays may be shared freely across threads.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -201,12 +201,13 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A named trainable tensor."""
+    """A named trainable tensor. Its data is a C-contiguous float64 array,
+    which the optimizers update in place through flat views."""
 
     __slots__ = ("name",)
 
     def __init__(self, name: str, values):
-        super().__init__(values, requires_grad=True)
+        super().__init__(np.asarray(values, dtype=np.float64, order="C"), requires_grad=True)
         self.name = name
         if not np.all(np.isfinite(self.data)):
             raise ValueError(f"parameter {name!r} initialized with non-finite values")
@@ -522,34 +523,24 @@ def _self_dot(g: np.ndarray) -> float:
         return float(flat @ flat)
 
 
-def check_finite_gradients(params: list[Parameter]) -> None:
-    """Raise NonFiniteGradient naming the first parameter whose gradient holds
-    a NaN or an infinity.
-
-    Each gradient's self-dot is read first, allocating nothing; only a
-    gradient whose self-dot is not finite is scanned element by element,
-    which tells a non-finite entry from finite squares that overflow.
-    """
-    for p in params:
-        if (p.grad is not None and not np.isfinite(_self_dot(p.grad))
-                and not np.all(np.isfinite(p.grad))):
-            raise NonFiniteGradient(f"non-finite gradient in {p.name!r}")
-
-
 def clip_global_norm(params: list[Parameter]) -> float:
     """Scale all gradients so their joint L2 norm is at most GRAD_CLIP; returns the norm.
 
-    The squared norm is the sum of each gradient's self-dot, so the scan
-    allocates nothing. Raises NonFiniteGradient if a gradient is not finite,
-    which shows as a non-finite sum; only then is check_finite_gradients run.
-    When finite gradients' squares overflow, the norm is recomputed on
-    gradients divided by their largest magnitude.
+    Each optimizer's step() opens with it. The squared norm is the sum of
+    each gradient's self-dot, allocating nothing. Only a non-finite sum scans
+    a gradient whose self-dot is not finite element by element, and
+    NonFiniteGradient names the first that holds a NaN or an infinity. When
+    finite squares overflow, the norm is recomputed on gradients divided by
+    their largest magnitude.
     """
     grads = [p.grad for p in params if p.grad is not None]
     total = sum(_self_dot(g) for g in grads)
     norm = np.sqrt(total)
     if not np.isfinite(total):
-        check_finite_gradients(params)
+        for p in params:
+            if (p.grad is not None and not np.isfinite(_self_dot(p.grad))
+                    and not np.all(np.isfinite(p.grad))):
+                raise NonFiniteGradient(f"non-finite gradient in {p.name!r}")
         # finite gradients whose squares overflow: take the norm of the
         # gradients scaled by their largest magnitude, then scale it back
         top = max(float(np.abs(g).max(initial=0.0)) for g in grads)
@@ -567,19 +558,6 @@ def zero_gradients(params: list[Parameter]) -> None:
         p.grad = None
 
 
-@dataclass
-class OptimizerState:
-    """Per-parameter accumulators (Adam: moments + step; ADADELTA: sq averages)."""
-
-    slots: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)
-    step_count: int = 0
-
-    def slot(self, p: Parameter, names: tuple[str, ...]) -> dict[str, np.ndarray]:
-        if p.name not in self.slots:
-            self.slots[p.name] = {n: np.zeros(p.data.shape) for n in names}
-        return self.slots[p.name]
-
-
 # Elements per block of an in-place optimizer update. A block's slices of the
 # gradient, the parameter and its two moments, plus two scratch rows, are six
 # 128 KB rows, which stay in a 2 MB L2 cache while a dozen ufuncs pass over
@@ -589,95 +567,95 @@ OPT_BLOCK = 16384
 
 
 class _Optimizer:
-    """Parameters, state, and the instance's own scratch rows for blocked updates."""
+    """Parameters, their moments (one (2, *shape) array of zeros each), and
+    the instance's own scratch rows for blocked updates."""
 
     def __init__(self, params: list[Parameter]):
         self.params = params
-        self.state = OptimizerState()
+        self.moments = [np.zeros((2,) + p.data.shape) for p in params]
         self._scratch = np.empty((2, OPT_BLOCK))
 
-    def _blocks(self, p: Parameter, slot: dict[str, np.ndarray]):
-        """Yield aligned flat slices (grad, param, *slot values, scratch a, b)."""
-        if not p.data.flags.c_contiguous:
-            p.data = np.ascontiguousarray(p.data)
-        flat = [p.grad.reshape(-1), p.data.reshape(-1),
-                *(v.reshape(-1) for v in slot.values())]
-        size = flat[0].size
-        for lo in range(0, size, OPT_BLOCK):
-            hi = min(lo + OPT_BLOCK, size)
-            yield (*(a[lo:hi] for a in flat), *(r[:hi - lo] for r in self._scratch))
+    def _blocks(self):
+        """Yield aligned flat slices (grad, param, moment 0, moment 1, scratch
+        a, scratch b) of each block of each parameter that has a gradient."""
+        for p, moments in zip(self.params, self.moments):
+            if p.grad is None:
+                continue
+            flat = (p.grad.reshape(-1), p.data.reshape(-1), *moments.reshape(2, -1))
+            size = p.data.size
+            for lo in range(0, size, OPT_BLOCK):
+                hi = min(lo + OPT_BLOCK, size)
+                yield (*(a[lo:hi] for a in flat), *(r[:hi - lo] for r in self._scratch))
 
 
 class Adam(_Optimizer):
     """Adam with the published update rule (bias-corrected moments).
 
-    Updates m, v and the parameter in place, block by block; the floats are
-    those of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
+    step() clips the gradients (clip_global_norm), updates m, v and the
+    parameter in place, block by block, and returns the pre-clip norm; the
+    floats are those of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
     p -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps), with lr, b1, b2
-    and eps the ADAM_* constants.
+    and eps the ADAM_* constants and t the count of steps taken.
     """
 
-    def step(self) -> None:
-        check_finite_gradients(self.params)
-        self.state.step_count += 1
-        t = self.state.step_count
+    step_count = 0  # each instance counts its own from its first step
+
+    def step(self) -> float:
+        norm = clip_global_norm(self.params)
+        self.step_count += 1
+        t = self.step_count
         new1, new2 = 1 - ADAM_BETA1, 1 - ADAM_BETA2
         unbias1, unbias2 = 1 - ADAM_BETA1 ** t, 1 - ADAM_BETA2 ** t
-        for p in self.params:
-            if p.grad is None:
-                continue
-            for g, w, m, v, a, b in self._blocks(p, self.state.slot(p, ("m", "v"))):
-                m *= ADAM_BETA1
-                np.multiply(g, new1, out=a)
-                m += a
-                v *= ADAM_BETA2
-                np.square(g, out=a)
-                a *= new2
-                v += a
-                np.divide(m, unbias1, out=a)
-                a *= ADAM_LR
-                np.divide(v, unbias2, out=b)
-                np.sqrt(b, out=b)
-                b += ADAM_EPS
-                a /= b
-                w -= a
+        for g, w, m, v, a, b in self._blocks():
+            m *= ADAM_BETA1
+            np.multiply(g, new1, out=a)
+            m += a
+            v *= ADAM_BETA2
+            np.square(g, out=a)
+            a *= new2
+            v += a
+            np.divide(m, unbias1, out=a)
+            a *= ADAM_LR
+            np.divide(v, unbias2, out=b)
+            np.sqrt(b, out=b)
+            b += ADAM_EPS
+            a /= b
+            w -= a
+        return norm
 
 
 class Adadelta(_Optimizer):
     """ADADELTA with running squared-gradient and squared-update averages.
 
-    Updates both averages and the parameter in place, block by block; the
-    floats are those of s_g = rho s_g + (1 - rho) g^2,
+    step() clips the gradients (clip_global_norm), updates both averages and
+    the parameter in place, block by block, and returns the pre-clip norm;
+    the floats are those of s_g = rho s_g + (1 - rho) g^2,
     u = -sqrt(s_u + eps) / sqrt(s_g + eps) g, s_u = rho s_u + (1 - rho) u^2 and
     p += lr u, with lr, rho and eps the ADADELTA_* constants and u's sign folded
     into the last subtraction (exact in IEEE).
     """
 
-    def step(self) -> None:
-        check_finite_gradients(self.params)
-        self.state.step_count += 1
+    def step(self) -> float:
+        norm = clip_global_norm(self.params)
         new = 1 - ADADELTA_RHO
-        for p in self.params:
-            if p.grad is None:
-                continue
-            slot = self.state.slot(p, ("sq_grad", "sq_update"))
-            for g, w, sq_grad, sq_update, a, b in self._blocks(p, slot):
-                sq_grad *= ADADELTA_RHO
-                np.square(g, out=a)
-                a *= new
-                sq_grad += a
-                np.add(sq_update, ADADELTA_EPS, out=a)
-                np.sqrt(a, out=a)
-                np.add(sq_grad, ADADELTA_EPS, out=b)
-                np.sqrt(b, out=b)
-                a /= b
-                a *= g  # -u
-                sq_update *= ADADELTA_RHO
-                np.square(a, out=b)
-                b *= new
-                sq_update += b
-                a *= ADADELTA_LR
-                w -= a
+        for g, w, sq_grad, sq_update, a, b in self._blocks():
+            sq_grad *= ADADELTA_RHO
+            np.square(g, out=a)
+            a *= new
+            sq_grad += a
+            np.add(sq_update, ADADELTA_EPS, out=a)
+            np.sqrt(a, out=a)
+            np.add(sq_grad, ADADELTA_EPS, out=b)
+            np.sqrt(b, out=b)
+            a /= b
+            a *= g  # -u
+            sq_update *= ADADELTA_RHO
+            np.square(a, out=b)
+            b *= new
+            sq_update += b
+            a *= ADADELTA_LR
+            w -= a
+        return norm
 
 
 # -- finite differences -------------------------------------------------------

@@ -53,10 +53,10 @@ held to a tolerance against the tape's (`ListenerModel.scores` with
 `softmax_xent`, and `_teacher_forced_losses`, with their backward passes):
 the losses to 1e-12, and each gradient to 1e-12 of its parameter's largest
 tape-gradient entry. A training run is therefore held to the tape's to
-within rounding, not to bits. Its gradient clip sums each gradient's
-self-dot, whose order of additions is the BLAS library's own (a threaded
-BLAS may split it), so the clip scale, and every parameter after it, agrees
-across BLAS builds and thread counts to within rounding, not to bits.
+within rounding, not to bits. The clip that opens each optimizer step sums
+each gradient's self-dot in the BLAS library's own order of additions (a
+threaded BLAS may split it), so the clip scale, and every parameter after
+it, agrees across BLAS builds and thread counts to within rounding.
 """
 
 from __future__ import annotations

@@ -561,10 +561,10 @@ def train_s0(model: SpeakerModel, train_trials: list[ContextTrial],
              dev_trials: list[ContextTrial], config: TrainConfig) -> TrainingReport:
     """Minimize per-token cross-entropy; keep the best-dev-perplexity epoch.
 
-    Trains with Adam at ADAM_LR, clipping gradients to a global norm of
-    GRAD_CLIP (constants of `nnsubstrate`). Each batch's losses and gradients
-    come from _s0_losses_and_grads, off the tape, so a run matches a
-    tape-trained one to within rounding, not bit for bit. The model is left
+    Trains with Adam at ADAM_LR, whose step() clips the gradients to a global
+    norm of GRAD_CLIP (constants of `nnsubstrate`). Each batch's losses and
+    gradients come from _s0_losses_and_grads, off the tape, so a run matches
+    a tape-trained one to within rounding, not bit for bit. The model is left
     holding the best-dev-perplexity parameters. Dev inputs are built once and
     scored after every epoch as dev_token_perplexity scores them.
     """

@@ -13,7 +13,7 @@ import numpy as np
 
 from .corpus import Vocabulary
 from .errors import MissingCheckpoint, NonFiniteDevScore, require_count
-from .nnsubstrate import GRAD_CLIP, Parameter, clip_global_norm, zero_gradients
+from .nnsubstrate import GRAD_CLIP, Parameter, zero_gradients
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -26,9 +26,9 @@ class TrainConfig:
     """Knobs for one training run.
 
     The optimizers are fixed: ADADELTA at ADADELTA_LR for the listener, Adam
-    at ADAM_LR for the speaker, both clipped to a global gradient norm of
-    GRAD_CLIP (constants of `nnsubstrate`). Epochs and batch size are declared
-    defaults, not tuned; both must be integers of at least 1.
+    at ADAM_LR for the speaker, each of whose step() clips the gradients to a
+    global norm of GRAD_CLIP (constants of `nnsubstrate`). Epochs and batch
+    size are declared defaults, not tuned; both must be integers of at least 1.
     """
 
     epochs: int = 10
@@ -88,16 +88,17 @@ def fit(optimizer, lengths: np.ndarray, batch_grad, dev,
 
     batch_grad(rows) takes equal-length rows, sets each parameter's .grad to
     the gradient of their summed loss over a normalizer (rows or tokens), and
-    returns the per-row losses (an ndarray) and the normalizer. dev() gives a
-    key to maximize and the EpochStats dev fields. A key that is not finite
-    raises NonFiniteDevScore naming its epoch, and leaves the parameters as
-    that epoch trained them.
+    returns the per-row losses (an ndarray) and the normalizer; then
+    optimizer.step() clips, updates and returns the pre-clip global norm.
+    dev() gives a key to maximize and the EpochStats dev fields. A key that
+    is not finite raises NonFiniteDevScore naming its epoch, and leaves the
+    parameters as that epoch trained them. Any finite key beats -inf, so
+    epoch 1 always takes the first snapshot.
     """
     params = optimizer.params
     rng = np.random.default_rng(config.seed)
     report = TrainingReport()
     best_key = -np.inf
-    best = snapshot_params(params)
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(lengths))
         total_loss = 0.0
@@ -108,10 +109,9 @@ def fit(optimizer, lengths: np.ndarray, batch_grad, dev,
             losses, normalizer = batch_grad(batch)
             total_loss += float(losses.sum())
             total_count += normalizer
-            grad_norm = clip_global_norm(params)
+            grad_norm = optimizer.step()
             max_grad_norm = max(max_grad_norm, float(grad_norm))
             clipped += int(grad_norm > GRAD_CLIP)
-            optimizer.step()
             zero_gradients(params)
         key, dev_stats = dev()
         if not np.isfinite(key):

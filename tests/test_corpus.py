@@ -51,6 +51,12 @@ class TestPreprocess:
     def test_punctuation_split(self):
         assert preprocess("blue, not teal", "listener") == ["blue", ",", "not", "teal"]
 
+    @pytest.mark.parametrize("mode", ["listener", "speaker"])
+    def test_unk_stays_whole(self, mode):
+        # only <unk>: speaker_tokens_to_listener_tokens drops <s> and </s>
+        assert preprocess("Dark <UNK> blue", mode) == ["dark", "<unk>", "blue"]
+        assert preprocess("<unk>, <s>", mode) == ["<", "unk", ">", ",", "<", "s", ">"]
+
     def test_short_stems_kept(self):
         assert preprocess("her best dish", "listener") == ["her", "best", "dish"]
 

@@ -5,9 +5,14 @@ module to another's internals. Both are rejected here, and so is a cycle.
 
 Colors reach numpy only as tuples: no module reads a color's channels by
 name (`.r`, `.g`, `.b`) or converts it with `.as_array()`.
+
+Every method that `perfbench/tracing.py` traces is defined in its class's
+own body, where the tracer looks it up.
 """
 
 import ast
+import importlib
+import inspect
 from graphlib import TopologicalSorter
 from pathlib import Path
 
@@ -111,3 +116,37 @@ def test_kernel_checker_catches_names_and_attributes():
     names = _names_in_functions(source, TAPE_LSTM)
     assert {f: n & CELL_KERNELS for f, n in names.items()} == {"lstm_step": {"lstm_cell"},
                                                               "run_lstm": {"lstm_bptt"}}
+
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def _traced_methods() -> tuple:
+    """The (module, class, method) triples of tracing.py's METHODS, read by AST."""
+    for node in ast.parse(TRACING.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["METHODS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("tracing.py assigns no METHODS")
+
+
+def _unowned(methods) -> list[str]:
+    """Each traced method that is not a function in its class's own __dict__,
+    as the tracer's `cls.__dict__[meth]` requires."""
+    out = []
+    for module, cls_name, meth in methods:
+        cls = getattr(importlib.import_module(f"pragref.{module}"), cls_name)
+        if not inspect.isfunction(cls.__dict__.get(meth)):
+            out.append(f"{module}.{cls_name}.{meth}")
+    return out
+
+
+def test_traced_methods_are_defined_in_their_class():
+    methods = _traced_methods()
+    assert len(methods) >= 3
+    assert _unowned(methods) == []
+
+
+def test_traced_method_checker_catches_inherited_methods():
+    assert _unowned([("nnsubstrate", "Adam", "step"), ("nnsubstrate", "Adam", "_blocks"),
+                     ("nnsubstrate", "Parameter", "backward")]) == [
+        "nnsubstrate.Adam._blocks", "nnsubstrate.Parameter.backward"]

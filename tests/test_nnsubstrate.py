@@ -16,7 +16,6 @@ from pragref.nnsubstrate import (
     LstmCellParams,
     Parameter,
     Tensor,
-    check_finite_gradients,
     clip_global_norm,
     concat,
     embed,
@@ -269,6 +268,13 @@ class TestOptimizers:
         zero_gradients([p])
         assert p.grad is None
 
+    @pytest.mark.parametrize("opt_cls", [Adam, Adadelta])
+    def test_step_clips_and_returns_the_norm(self, opt_cls):
+        p = Parameter("p", np.zeros(4))
+        p.grad = np.full(4, 10.0)
+        assert opt_cls([p]).step() == pytest.approx(20.0)
+        assert np.linalg.norm(p.grad) == pytest.approx(5.0)
+
     def test_clip_survives_overflowing_squares(self):
         p, q = Parameter("p", np.zeros(3)), Parameter("q", np.zeros(2))
         p.grad, q.grad = np.array([1e200, 1.0, -2.0]), np.array([3e199, -4e199])
@@ -325,14 +331,15 @@ class TestCheckpoints:
 
 
 class ReferenceAdam:
-    """Adam as out-of-place array expressions."""
+    """Adam as out-of-place array expressions; step() first clips the
+    parameters' own gradients in place and returns the pre-clip norm."""
 
     def __init__(self, params, lr=0.004, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params, self.lr, self.beta1, self.beta2, self.eps = params, lr, beta1, beta2, eps
         self.m, self.v, self.t = {}, {}, 0
 
     def step(self):
-        check_finite_gradients(self.params)
+        norm = clip_global_norm(self.params)
         self.t += 1
         for p in self.params:
             if p.grad is None:
@@ -344,17 +351,19 @@ class ReferenceAdam:
             m_hat = m / (1 - self.beta1 ** self.t)
             v_hat = v / (1 - self.beta2 ** self.t)
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        return norm
 
 
 class ReferenceAdadelta:
-    """ADADELTA as out-of-place array expressions."""
+    """ADADELTA as out-of-place array expressions; step() first clips the
+    parameters' own gradients in place and returns the pre-clip norm."""
 
     def __init__(self, params, lr=0.2, rho=0.95, eps=1e-6):
         self.params, self.lr, self.rho, self.eps = params, lr, rho, eps
         self.sq_grad, self.sq_update = {}, {}
 
     def step(self):
-        check_finite_gradients(self.params)
+        norm = clip_global_norm(self.params)
         for p in self.params:
             if p.grad is None:
                 continue
@@ -364,6 +373,7 @@ class ReferenceAdadelta:
             update = -np.sqrt(su + self.eps) / np.sqrt(sg + self.eps) * p.grad
             self.sq_update[p.name] = self.rho * su + (1 - self.rho) * update ** 2
             p.data += self.lr * update
+        return norm
 
 
 def _lstm_arrays(rng, batch, din, hid):
@@ -594,6 +604,11 @@ def _big_grads(rng):
     return params
 
 
+# each raises NonFiniteGradient for a gradient with a NaN or an infinity
+SCANS = (clip_global_norm, lambda params: Adam(params).step(),
+         lambda params: Adadelta(params).step())
+
+
 class TestGradientScan:
     @pytest.mark.parametrize("gain", [1e-4, 1.0])  # below and above GRAD_CLIP
     def test_clip_allocates_nothing(self, gain):
@@ -606,9 +621,12 @@ class TestGradientScan:
         assert norm == pytest.approx(want, rel=1e-12)
         assert (norm > nnsubstrate.GRAD_CLIP) == (gain == 1.0)
 
-    def test_finiteness_check_allocates_nothing(self):
-        _, peak = traced_peak(check_finite_gradients, _big_grads(np.random.default_rng(1)))
-        assert peak < SCAN_PEAK_BYTES
+    def test_step_allocates_little(self):
+        # the optimizer makes its moments and scratch rows when it is built
+        for opt_cls in (Adam, Adadelta):
+            opt = opt_cls(_big_grads(np.random.default_rng(1)))
+            _, peak = traced_peak(opt.step)
+            assert peak < SCAN_PEAK_BYTES, opt_cls
 
     @given(at=st.integers(0, 34), value=st.sampled_from([np.nan, np.inf, -np.inf]),
            bad=st.sampled_from(["p", "q"]))
@@ -617,23 +635,28 @@ class TestGradientScan:
         p, q = Parameter("p", np.zeros((5, 7))), Parameter("q", np.zeros((7, 5)))
         p.grad, q.grad = np.full((5, 7), 0.5), np.full((7, 5), -2.0)
         {"p": p, "q": q}[bad].grad.flat[at] = value
-        for scan in (check_finite_gradients, clip_global_norm):
+        for scan in SCANS:
             with pytest.raises(NonFiniteGradient, match=f"'{bad}'"):
                 scan([p, q])
+        # nothing was updated
+        assert not p.data.any() and not q.data.any()
 
     @pytest.mark.parametrize("at", [0, 150_000, 296_999])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_of_a_big_gradient_raises(self, at, value):
         params = _big_grads(np.random.default_rng(2))
         params[0].grad.flat[at] = value
-        for scan in (check_finite_gradients, clip_global_norm):
+        for scan in SCANS:
             with pytest.raises(NonFiniteGradient, match="'head'"):
                 scan(params)
 
     def test_finite_squares_that_overflow_pass_the_check(self):
-        p = Parameter("p", np.zeros(3))
-        p.grad = np.array([1e200, -1e200, 1.0])
-        check_finite_gradients([p])
+        # the step squares only clipped gradients
+        for opt_cls in (Adam, Adadelta):
+            p = Parameter("p", np.zeros(3))
+            p.grad = np.array([1e200, -1e200, 1.0])
+            assert opt_cls([p]).step() == pytest.approx(1e200 * np.sqrt(2))
+            assert np.all(np.isfinite(p.data)) and p.data.any()
 
 
 def _changing_grads(rng, shape, steps):
@@ -661,9 +684,10 @@ class TestInPlaceOptimizers:
         for t in range(20):
             for p, q in zip(ours, refs):
                 # the vector skips a step now and then, as an unused parameter does
-                p.grad = q.grad = None if p.name == "vec" and t % 4 == 1 else grads[p.name][t]
-            opt.step()
-            ref.step()
+                skip = p.name == "vec" and t % 4 == 1
+                p.grad = None if skip else grads[p.name][t]
+                q.grad = None if skip else grads[p.name][t].copy()  # each step clips in place
+            assert opt.step() == ref.step()
             for p, q in zip(ours, refs):
                 assert np.array_equal(p.data, q.data), (t, p.name)
 
@@ -688,40 +712,49 @@ class TestInPlaceOptimizers:
     @pytest.mark.parametrize("cls,ref_cls", [(Adam, ReferenceAdam),
                                              (Adadelta, ReferenceAdadelta)])
     def test_non_contiguous_parameter_is_updated(self, cls, ref_cls):
+        # a Parameter holds a C-contiguous copy, which every step updates in place
         rng = np.random.default_rng(13)
         start = rng.standard_normal((6, 4))
         p, q = Parameter("w", start.T), Parameter("w", start.T.copy())
-        assert not p.data.flags.c_contiguous
+        assert p.data.flags.c_contiguous and not np.shares_memory(p.data, start)
+        assert np.array_equal(p.data, start.T)
+        data = p.data
         opt, ref = cls([p]), ref_cls([q])
         for g in _changing_grads(rng, (4, 6), 5):
             p.grad, q.grad = g, g.copy()
             opt.step()
             ref.step()
+        assert p.data is data
         assert np.array_equal(p.data, q.data) and not np.array_equal(p.data, start.T)
 
     def test_moments_are_updated_in_place(self):
-        p = Parameter("p", np.zeros((3, 4)))
-        opt = Adam([p])
-        p.grad = np.ones((3, 4))
-        opt.step()
-        m, v = opt.state.slots["p"]["m"], opt.state.slots["p"]["v"]
-        data = p.data
-        opt.step()
-        assert opt.state.slots["p"]["m"] is m and opt.state.slots["p"]["v"] is v
-        assert p.data is data
+        for cls in (Adam, Adadelta):
+            p = Parameter("p", np.zeros((3, 4)))
+            opt = cls([p])
+            moments, data = opt.moments[0], p.data
+            assert moments.shape == (2, 3, 4) and not moments.any()
+            for _ in range(2):
+                p.grad = np.ones((3, 4))
+                opt.step()
+            assert opt.moments[0] is moments and p.data is data
+            assert np.all(moments != 0.0), cls
 
     def test_clip_checks_finiteness_only_for_non_finite_norm(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(nnsubstrate, "check_finite_gradients",
-                            lambda params: calls.append(1) or check_finite_gradients(params))
+        self_dot = nnsubstrate._self_dot
+        monkeypatch.setattr(nnsubstrate, "_self_dot",
+                            lambda g: calls.append(g) or self_dot(g))
         p, q = Parameter("p", np.zeros(3)), Parameter("q", np.zeros(2))
         p.grad, q.grad = np.full(3, 4.0), np.array([1.0, 2.0])
         clip_global_norm([p, q])
-        assert calls == []
+        assert len(calls) == 2 and calls[0] is p.grad and calls[1] is q.grad
+        calls.clear()
         q.grad = np.array([1.0, np.inf])
         with pytest.raises(NonFiniteGradient, match="'q'"):
             clip_global_norm([p, q])
-        assert calls == [1]
+        # the sum's self-dots, then the check's: only q's is not finite, so
+        # only q is scanned element by element
+        assert len(calls) == 4 and calls[2] is p.grad and calls[3] is q.grad
 
 
 def _small_trials():

@@ -26,6 +26,7 @@ from pragref.rsa import (
     exact_l2,
     exact_s0,
     exact_s1,
+    listener_ids_for,
     neural_l1,
     s1_table_from_probs,
 )
@@ -357,6 +358,18 @@ class TestNeuralL1:
         dist = neural_l1(s0, "red", COLORS)
         assert calls == [(None, 0)]
         assert dist.shape == (3,) and dist.sum() == pytest.approx(1.0, abs=INFERENCE_ATOL)
+
+
+class TestListenerIds:
+    # a sampler's text is its tokens joined by spaces; read back as a listener
+    # text, it must give the ids that the agents score its tokens with
+    @pytest.mark.parametrize("tokens", [("dark", "<unk>", "blue"), ("<unk>",),
+                                        ("<unk>", "darker", "<unk>"),
+                                        ("bluish", "<unk>", "teal,"), ("dull.", "<unk>")])
+    def test_text_reads_back_as_its_tokens(self, tokens):
+        l0, _ = models()
+        ids = listener_ids_for(l0, [tokens])[0]
+        assert l0.vocab.encode(preprocess(" ".join(tokens), "listener")) == ids
 
 
 CHANNEL = st.floats(0.0, 1.0, allow_nan=False)

@@ -5,10 +5,10 @@ from conftest import checkpoint_meta, read_checkpoint, write_checkpoint
 from pragref.colorspace import Color
 from pragref.corpus import build_vocab, preprocess, synth_corpus
 from pragref.errors import NonFiniteDevScore, require_count
+from pragref import listener, nnsubstrate, speaker, training
 from pragref.listener import ListenerModel, l0_score, train_l0
 from pragref.nnsubstrate import Adam, Parameter
 from pragref.speaker import SpeakerModel, s0_log_prob
-from pragref import training
 from pragref.training import (
     TrainConfig,
     fit,
@@ -51,6 +51,33 @@ class TestTrainConfig:
         model = ListenerModel.create(vocab, np.random.default_rng(0), embed_dim=4, hidden_dim=3)
         report = train_l0(model, trials, trials, TrainConfig(epochs=1, batch_size=1))
         assert report.best_epoch == 1
+
+
+class TestOneScanPerStep:
+    """Each training step reads each gradient's self-dot once: the optimizer's
+    step() clips, checks and updates, and fit scans nothing itself."""
+
+    @pytest.mark.parametrize("cls,train_fn,module,opt_name,mode", [
+        (ListenerModel, train_l0, listener, "Adadelta", "listener"),
+        (SpeakerModel, speaker.train_s0, speaker, "Adam", "speaker")])
+    def test_self_dots_equal_steps_times_parameters(self, monkeypatch, cls, train_fn, module,
+                                                    opt_name, mode):
+        trials = synth_corpus(12, np.random.default_rng(5))
+        vocab = build_vocab([preprocess(t.combined_text(), mode) for t in trials])
+        model = cls.create(vocab, np.random.default_rng(0), embed_dim=4, hidden_dim=3)
+        dots, steps = [], []
+        self_dot = nnsubstrate._self_dot
+        monkeypatch.setattr(nnsubstrate, "_self_dot", lambda g: dots.append(1) or self_dot(g))
+
+        class Counted(getattr(module, opt_name)):
+            def step(self):
+                steps.append(1)
+                return super().step()
+
+        monkeypatch.setattr(module, opt_name, Counted)
+        train_fn(model, trials, trials[:4], TrainConfig(epochs=1, batch_size=4))
+        assert len(steps) > 1
+        assert len(dots) == len(steps) * len(model.parameters())
 
 
 class TestFit:
