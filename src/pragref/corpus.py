@@ -15,6 +15,7 @@ generative model for oracle computations.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -384,9 +385,15 @@ class SplitSpec:
 def split_by_dyad(trials: list[ContextTrial],
                   fractions: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3),
                   seed: int = 0) -> SplitSpec:
-    """Deterministic dyad-level split; trial counts track the fractions."""
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError("fractions must sum to 1")
+    """Deterministic dyad-level split; trial counts track the fractions.
+
+    fractions must be three finite, non-negative numbers that sum to 1;
+    anything else raises ValueError.
+    """
+    if (len(fractions) != 3 or not all(math.isfinite(f) and f >= 0 for f in fractions)
+            or abs(sum(fractions) - 1.0) > 1e-9):
+        raise ValueError(f"fractions must be three finite, non-negative numbers that sum "
+                         f"to 1, got {tuple(fractions)!r}")
     game_sizes = Counter(t.game_id for t in trials)
     games = sorted(game_sizes)
     order = np.random.default_rng(seed).permutation(len(games))

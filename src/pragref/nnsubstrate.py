@@ -19,7 +19,8 @@ products), so the reference shares no LSTM kernel with the code it checks.
 is `quad_form_backward`. A node's first gradient is always a copy, since a
 backward may hand one array to two parents. Adam and ADADELTA update their
 moments and the parameters in place, in cache-sized blocks, with the
-operations of the textbook expressions in their order. Each `step()` first
+operations of the textbook expressions in their order; a large model's
+blocks alternate between two threads. Each `step()` first
 clips the gradients (`clip_global_norm`), the step's one gradient scan: it
 reads each gradient's self-dot, one BLAS dot product that allocates nothing;
 a NaN or an infinity makes the sum non-finite, and only then is a gradient
@@ -40,13 +41,30 @@ so a row's floats do not depend on the rows scored beside it. A `Tensor`
 records a graph exactly when one of its parents requires a gradient; the
 per-row references that run the tape on one row free it on return.
 
-Everything is double precision. A model instance is single-threaded during
-training; frozen parameter arrays may be shared freely across threads.
+Where rows or blocks are independent and many, the work uses both CPUs:
+`split_rows` runs the speaker's encoder and the sampled rows of its decoder
+steps in two halves, and the optimizers alternate their blocks, the second
+share on one worker thread, started on the first split and started again in
+a forked child. numpy releases the interpreter lock in BLAS and in its
+ufuncs, so the halves overlap. The halves depend only on row counts, and
+they run inline when the process may use only one CPU or when the worker
+is busy, as when one of its own halves asks for a split, so no output
+depends on the CPU count or on the thread that runs a half. The calling
+thread allocates every array the halves write into; each half writes only
+into its own rows (`lstm_cell` takes output arrays), so the worker grows no
+heap of its own. Forced and sampled rows keep separate products, and no
+training forward or backward splits.
+
+Everything is double precision. A model's parameters and an optimizer's
+moments must not be used from two threads at once, apart from the split's
+own halves; frozen parameter arrays may be shared freely across threads.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -357,6 +375,115 @@ def quad_scores(feats: np.ndarray, mu: Tensor, sigma: Tensor) -> Tensor:
     return out
 
 
+# -- two-thread row split -----------------------------------------------------
+
+# Rows at or above which split_rows runs two halves on two threads. Below it a
+# half's numpy calls are too short to pay for the hand-off.
+PARALLEL_ROWS = 256
+
+
+class _Worker:
+    """The process's one worker thread, a daemon, so it never blocks
+    interpreter exit. It runs one job at a time; `busy` is held by the caller
+    whose job it runs."""
+
+    def __init__(self):
+        self.busy, self._start, self._done = (threading.Lock() for _ in range(3))
+        self._start.acquire()
+        self._done.acquire()
+        self._job = self._error = None
+        threading.Thread(target=self._serve, name="pragref-split", daemon=True).start()
+
+    def _serve(self) -> None:
+        while True:
+            self._start.acquire()
+            try:
+                self._job()
+            except BaseException as exc:  # handed to the caller, which re-raises it
+                self._error = exc
+            finally:
+                self._job = None
+                self._done.release()
+
+    def run(self, first, second) -> None:
+        """first() here and second() on the worker; the caller holds busy."""
+        self._job = second
+        self._start.release()
+        try:
+            first()
+        finally:
+            self._done.acquire()  # the worker's half has stopped, even when first() raised
+            error, self._error = self._error, None
+        if error is not None:
+            raise error
+
+
+_worker: _Worker | None = None
+_worker_lock = threading.Lock()
+
+
+def _forget_worker() -> None:
+    """In a forked child, which has no worker thread: the next split starts its own."""
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without affinity masks
+        return os.cpu_count() or 1
+
+
+def _in_two(first, second) -> None:
+    """Run first() on the calling thread while the worker thread runs second().
+
+    The worker starts on the first call. Both run inline, first then second,
+    when the process may use fewer than two CPUs or when the worker is busy:
+    with another thread's split, or with the split whose half is the caller,
+    which must not wait on itself. Returns once both have stopped; an
+    exception raised in either then reaches the caller with its type
+    unchanged, first()'s when both raise.
+    """
+    global _worker
+    if _cpus() >= 2:
+        with _worker_lock:
+            if _worker is None:
+                _worker = _Worker()
+            worker = _worker
+        if worker.busy.acquire(blocking=False):
+            try:
+                worker.run(first, second)
+            finally:
+                worker.busy.release()
+            return
+    first()
+    second()
+
+
+def split_rows(lo: int, hi: int, fn) -> None:
+    """Call fn(a, b) over the rows [0, hi), of which only [lo, hi) may split:
+    fn(0, hi) when [lo, hi) holds fewer than PARALLEL_ROWS rows, else
+    fn(0, mid) on the calling thread and fn(mid, hi) on the worker (_in_two),
+    with mid the middle of [lo, hi).
+
+    The halves depend only on the row counts, never on the CPUs, so a result
+    does not either. fn must touch only its own rows and allocate no array:
+    the calling thread allocates every array beforehand, at the size the
+    whole range needs, and each half writes into views of it, so the worker
+    grows no heap of its own.
+    """
+    if hi - lo < PARALLEL_ROWS:
+        fn(0, hi)
+        return
+    mid = (lo + hi) // 2
+    _in_two(lambda: fn(0, mid), lambda: fn(mid, hi))
+
+
 # -- LSTM -------------------------------------------------------------------
 
 GATE_ORDER = ("input", "forget", "output", "candidate")
@@ -408,32 +535,43 @@ class LstmCellParams:
         return [self.w_x, self.w_h, self.bias]
 
 
-def lstm_cell(gates: np.ndarray, c: np.ndarray
+def lstm_cell(gates: np.ndarray, c, out: tuple | None = None
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The LSTM nonlinearity on gate pre-activations (..., 4 hidden), forward only.
 
-    gates holds x W_x + h W_h + b in GATE_ORDER blocks and c the cell state;
-    c' = f * c + i * g and h' = o * tanh(c'). Returns the (2, ..., hidden)
-    block [h'; c'], then the sigmoids of the i, f, o blocks, the tanh
-    candidate and tanh(c'), which lstm_cell_backward reuses. Every LSTM
-    forward off the tape goes through it: both models' training forwards and
-    each forward-only inference path's. Its floats are those of the tape's
-    composed lstm_step.
+    gates holds x W_x + h W_h + b in GATE_ORDER blocks and c the cell state
+    (0.0 for the zero state); c' = f * c + i * g and h' = o * tanh(c').
+    Returns the (2, ..., hidden) block [h'; c'], then the sigmoids of the i,
+    f, o blocks, the tanh candidate and tanh(c'), which lstm_cell_backward
+    reuses. Every LSTM forward off the tape goes through it: both models'
+    training forwards and each forward-only inference path's. Its floats are
+    those of the tape's composed lstm_step.
+
+    out, when given, holds the four arrays to write these into, and the cell
+    allocates no array. c' may be c itself, and tanh(c')'s array may be h'
+    itself, which then holds h' on return: a forward-only caller that keeps
+    no intermediate needs no array for it. A row split (split_rows) gives
+    each half views of arrays its calling thread allocated.
     """
     n = gates.shape[-1] // 4
-    ifo = np.negative(gates[..., :3 * n])  # sigmoid of the i, f, o blocks
+    if out is None:
+        rows = gates.shape[:-1]
+        out = (np.empty((2,) + rows + (n,)), np.empty(rows + (3 * n,)),
+               np.empty(rows + (n,)), np.empty(rows + (n,)))
+    hc, ifo, cand, tanh_c = out
+    np.negative(gates[..., :3 * n], out=ifo)  # sigmoid of the i, f, o blocks
     np.exp(ifo, out=ifo)
     ifo += 1.0
     np.divide(1.0, ifo, out=ifo)
     i, f, o = ifo[..., :n], ifo[..., n:2 * n], ifo[..., 2 * n:]
-    cand = np.tanh(gates[..., 3 * n:])
-    hc = np.empty((2,) + cand.shape)
+    np.tanh(gates[..., 3 * n:], out=cand)
     h2, c2 = hc
     np.multiply(f, c, out=c2)
-    c2 += i * cand
-    tanh_c = np.tanh(c2)
+    np.multiply(i, cand, out=tanh_c)  # i * g, in tanh(c')'s room until c' is summed
+    c2 += tanh_c
+    np.tanh(c2, out=tanh_c)
     np.multiply(o, tanh_c, out=h2)
-    return hc, ifo, cand, tanh_c
+    return out
 
 
 def lstm_cell_backward(gh: np.ndarray, gc, c, ifo: np.ndarray, cand: np.ndarray,
@@ -562,38 +700,56 @@ def zero_gradients(params: list[Parameter]) -> None:
 # gradient, the parameter and its two moments, plus two scratch rows, are six
 # 128 KB rows, which stay in a 2 MB L2 cache while a dozen ufuncs pass over
 # them. On a 2-CPU Xeon, ADADELTA's step over 0.48M floats took 6.1 ms at this
-# size, 7.1 ms at 4096, 6.1 ms at 65536 and 9.2 ms unblocked.
+# size, 7.1 ms at 4096, 6.1 ms at 65536 and 9.2 ms unblocked, all on one
+# thread. A step whose blocks hold at least two blocks' worth of floats
+# alternates them between the two threads (_Optimizer._update).
 OPT_BLOCK = 16384
 
 
 class _Optimizer:
     """Parameters, their moments (one (2, *shape) array of zeros each), and
-    the instance's own scratch rows for blocked updates."""
+    the instance's own scratch rows for blocked updates, two per thread."""
 
     def __init__(self, params: list[Parameter]):
         self.params = params
         self.moments = [np.zeros((2,) + p.data.shape) for p in params]
-        self._scratch = np.empty((2, OPT_BLOCK))
+        self._scratch = np.empty((2, 2, OPT_BLOCK))
 
-    def _blocks(self):
-        """Yield aligned flat slices (grad, param, moment 0, moment 1, scratch
-        a, scratch b) of each block of each parameter that has a gradient."""
+    def _update(self, kernel) -> None:
+        """Call kernel(grad, param, moment 0, moment 1, scratch a, scratch b)
+        on aligned flat slices of each block of each parameter that has a
+        gradient. Blocks alternate between the calling thread and the worker
+        (_in_two), each thread with its own scratch rows, when they hold at
+        least 2 OPT_BLOCK floats; fewer all run on the calling thread. Each
+        element's update reads only its own block, so the floats do not
+        depend on which thread ran it."""
+        blocks = []
         for p, moments in zip(self.params, self.moments):
             if p.grad is None:
                 continue
             flat = (p.grad.reshape(-1), p.data.reshape(-1), *moments.reshape(2, -1))
             size = p.data.size
-            for lo in range(0, size, OPT_BLOCK):
-                hi = min(lo + OPT_BLOCK, size)
-                yield (*(a[lo:hi] for a in flat), *(r[:hi - lo] for r in self._scratch))
+            blocks += [[a[lo:lo + OPT_BLOCK] for a in flat] for lo in range(0, size, OPT_BLOCK)]
+
+        def run(part, scratch):
+            for block in part:
+                n = len(block[0])
+                kernel(*block, scratch[0, :n], scratch[1, :n])
+
+        if sum(len(block[0]) for block in blocks) < 2 * OPT_BLOCK:
+            run(blocks, self._scratch[0])
+        else:
+            _in_two(lambda: run(blocks[::2], self._scratch[0]),
+                    lambda: run(blocks[1::2], self._scratch[1]))
 
 
 class Adam(_Optimizer):
     """Adam with the published update rule (bias-corrected moments).
 
     step() clips the gradients (clip_global_norm), updates m, v and the
-    parameter in place, block by block, and returns the pre-clip norm; the
-    floats are those of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
+    parameter in place, block by block (_update, on two threads for a large
+    model), and returns the pre-clip norm; the floats are those of
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
     p -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps), with lr, b1, b2
     and eps the ADAM_* constants and t the count of steps taken.
     """
@@ -606,7 +762,8 @@ class Adam(_Optimizer):
         t = self.step_count
         new1, new2 = 1 - ADAM_BETA1, 1 - ADAM_BETA2
         unbias1, unbias2 = 1 - ADAM_BETA1 ** t, 1 - ADAM_BETA2 ** t
-        for g, w, m, v, a, b in self._blocks():
+
+        def update(g, w, m, v, a, b):
             m *= ADAM_BETA1
             np.multiply(g, new1, out=a)
             m += a
@@ -621,6 +778,8 @@ class Adam(_Optimizer):
             b += ADAM_EPS
             a /= b
             w -= a
+
+        self._update(update)
         return norm
 
 
@@ -628,17 +787,19 @@ class Adadelta(_Optimizer):
     """ADADELTA with running squared-gradient and squared-update averages.
 
     step() clips the gradients (clip_global_norm), updates both averages and
-    the parameter in place, block by block, and returns the pre-clip norm;
-    the floats are those of s_g = rho s_g + (1 - rho) g^2,
-    u = -sqrt(s_u + eps) / sqrt(s_g + eps) g, s_u = rho s_u + (1 - rho) u^2 and
-    p += lr u, with lr, rho and eps the ADADELTA_* constants and u's sign folded
-    into the last subtraction (exact in IEEE).
+    the parameter in place, block by block (_update, on two threads for a
+    large model), and returns the pre-clip norm; the floats are those of
+    s_g = rho s_g + (1 - rho) g^2, u = -sqrt(s_u + eps) / sqrt(s_g + eps) g,
+    s_u = rho s_u + (1 - rho) u^2 and p += lr u, with lr, rho and eps the
+    ADADELTA_* constants and u's sign folded into the last subtraction
+    (exact in IEEE).
     """
 
     def step(self) -> float:
         norm = clip_global_norm(self.params)
         new = 1 - ADADELTA_RHO
-        for g, w, sq_grad, sq_update, a, b in self._blocks():
+
+        def update(g, w, sq_grad, sq_update, a, b):
             sq_grad *= ADADELTA_RHO
             np.square(g, out=a)
             a *= new
@@ -655,6 +816,8 @@ class Adadelta(_Optimizer):
             sq_update += b
             a *= ADADELTA_LR
             w -= a
+
+        self._update(update)
         return norm
 
 

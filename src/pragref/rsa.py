@@ -37,7 +37,13 @@ evaluation to within 1e-12 in every probability, and in every sampled
 utterance unless a draw falls within that rounding of a sampling boundary.
 Within the loop, scored and sampled rows go through separate matrix
 products, so L1 equals `neural_l1` bit for bit and sharing the steps moves
-no sampled utterance. The per-row L0 branch, which
+no sampled utterance. At `nnsubstrate.PARALLEL_ROWS` rows or more, the
+encoder's rows and the sampled rows split into two halves on two threads,
+each half its own product; the halves depend on row counts alone, so a run
+on one CPU gives the same bits as one on two. At the paper's sizes,
+`compute_agents` samples 192 rows per call, below the split; the samplers in
+`metrics` reach it. A half's product may round a row differently from a product
+over all the rows, within the same 1e-12. The per-row L0 branch, which
 `evaluate_l0`, training's dev scoring and the pragmatic speaker sampler use,
 runs the listener's head and `quad_form` on plain arrays with the floats of
 `ListenerModel.head` and `quad_scores`: `quad_form` makes one BLAS product
@@ -113,18 +119,30 @@ class Lexicon:
             raise ValueError("ragged truth table")
         if len(self.truth) != len(self.utterances):
             raise ValueError("truth table rows must match utterances")
+        for u, row in enumerate(self.truth):
+            for r, value in enumerate(row):
+                if value not in (0, 1):
+                    raise ValueError(f"truth[{u}][{r}] is {value!r}; a truth value must be "
+                                     f"0 or 1")
         for name, values, n, per in (("costs", self.costs, len(self.utterances), "utterance"),
                                      ("prior", self.prior, n_ref, "referent"),
                                      ("referents", self.referents, n_ref, "referent")):
             if values and len(values) != n:
                 raise ValueError(f"{name} must hold one entry per {per} ({n}), "
                                  f"got {len(values)}")
+        for u, cost in enumerate(self.costs):
+            if not math.isfinite(cost):
+                raise ValueError(f"costs entry {u} is {cost!r}; a cost must be finite")
         if not self.costs:
             self.costs = [0.0] * len(self.utterances)
         if not self.prior:
             self.prior = [Fraction(1, n_ref)] * n_ref
         else:
             self.prior = [_as_number(p) for p in self.prior]
+        for r, p in enumerate(self.prior):
+            if not math.isfinite(p) or p < 0:
+                raise ValueError(f"prior entry {r} is {p}; a prior probability must be "
+                                 f"finite and non-negative")
         if not self.referents:
             self.referents = [f"r{i + 1}" for i in range(n_ref)]
         total = sum(self.prior)

@@ -30,6 +30,7 @@ from .nnsubstrate import (
     padded_ids,
     run_lstm,
     softmax_xent,
+    split_rows,
 )
 from .training import TrainConfig, TrainingReport, fit
 
@@ -86,29 +87,45 @@ class SpeakerModel:
         """encode, forward only on plain arrays: context vectors (B, hidden).
 
         The operations of encode in its order, except that h W_h is skipped
-        at step 0, where h is zero, so the result equals encode's.
+        at step 0, where h is zero, so the result equals encode's. Rows are
+        independent, so PARALLEL_ROWS or more split into two halves on two
+        threads (split_rows). Each half runs _encoder_steps over its rows in
+        arrays this call allocates whole: the gate sums, a scratch that holds
+        h W_h and then the cell's sigmoids and candidate (_cell_out), and
+        the state [h; c].
         """
-        for step in self._encoder_steps(feats):
-            c = step[0][1]
-            del step  # so that the next step is computed with this one freed
-        return c
-
-    def _encoder_steps(self, feats: np.ndarray):
-        """Yield lstm_cell's outputs at each step of encode_contexts, holding
-        none of them past the request for the next."""
         if feats.ndim != 3:
             raise ValueError(f"expected (B, 3, F) features, got {feats.shape}")
+        gates, scratch = (np.empty((len(feats), 4 * self.hidden_dim)) for _ in range(2))
+        hc = np.empty((2, len(feats), self.hidden_dim))
+
+        def rows(lo, hi):
+            room = scratch[lo:hi]
+            self._encoder_steps(feats[lo:hi], gates[lo:hi], room, _cell_out(hc[:, lo:hi], room))
+
+        split_rows(0, len(feats), rows)
+        return hc[1]
+
+    def _encoder_steps(self, feats: np.ndarray, gates: np.ndarray, room: np.ndarray,
+                       out: tuple | None = None) -> list:
+        """The encoder's steps over feats (B, 3, F); returns each step's
+        lstm_cell outputs.
+
+        gates and room are (B, 4 hidden) scratch, room holding h W_h until
+        the cell runs. Every step's cell writes into out, or into arrays of
+        its own when out is None, as the training forward needs, whose
+        backward reuses them.
+        """
         cell = self.encoder
-        h, c = np.zeros((2, len(feats), self.hidden_dim))
+        steps = []
         for i in range(feats.shape[1]):
-            gates = feats[:, i, :] @ cell.w_x.data
+            np.matmul(feats[:, i, :], cell.w_x.data, out=gates)
             if i:
-                gates += h @ cell.w_h.data
+                np.matmul(steps[-1][0][0], cell.w_h.data, out=room)
+                gates += room
             gates += cell.bias.data
-            step = lstm_cell(gates, c)
-            h, c = step[0]
-            yield step
-            del step
+            steps.append(lstm_cell(gates, steps[-1][0][1] if i else 0.0, out))
+        return steps
 
     def step_logits(self, ctx: Tensor, token_ids: np.ndarray,
                     h: Tensor, c: Tensor) -> tuple[Tensor, Tensor, Tensor]:
@@ -199,7 +216,7 @@ def _s0_losses_and_grads(model: SpeakerModel, feats: np.ndarray, ids: np.ndarray
     check_id_rows(ids, len(model.vocab))
     enc, dec, split = model.encoder, model.decoder, model.hidden_dim
     batch, n_steps = ids.shape
-    enc_steps = list(model._encoder_steps(feats))
+    enc_steps = model._encoder_steps(feats, *np.empty((2, batch, 4 * model.hidden_dim)))
     ctx = enc_steps[-1][0][1]
     prev = np.concatenate([np.full(batch, model.vocab.bos_id), ids[:, :-1].T.ravel()])
     emb = model.embedding.data[prev]
@@ -289,18 +306,28 @@ def _context_terms(model: SpeakerModel, feats: np.ndarray, contexts: list[int]) 
     return terms if len(first) == len(contexts) else terms[[first[c] for c in contexts]]
 
 
-def _split_matmul(a: np.ndarray, w: np.ndarray, split: int) -> np.ndarray:
-    """a @ w, with a's rows [:split] and [split:] multiplied as batches of their own.
+def _cell_out(hc: np.ndarray, room: np.ndarray) -> tuple:
+    """lstm_cell's out for a forward-only step that keeps no intermediate: the
+    state [h'; c'] into hc (2, R, hidden), the sigmoids and the candidate
+    into the contiguous rows room (R, 4 hidden), carved so that each is
+    contiguous too (numpy's loops run several times slower over strided
+    rows), and tanh(c') into h', which the cell then overwrites."""
+    n, flat = hc.shape[-1], room.reshape(-1)
+    cut = 3 * n * len(room)
+    return hc, flat[:cut].reshape(-1, 3 * n), flat[cut:].reshape(-1, n), hc[0]
+
+
+def _split_matmul(a: np.ndarray, w: np.ndarray, split: int, out: np.ndarray) -> None:
+    """out = a @ w, with a's rows [:split] and [split:] multiplied as batches of their own.
 
     BLAS may round a row differently with the number of rows beside it, so
     each group gets the floats of its product alone.
     """
-    if not 0 < split < len(a):
-        return a @ w
-    out = np.empty((len(a), w.shape[1]))
-    np.matmul(a[:split], w, out=out[:split])
-    np.matmul(a[split:], w, out=out[split:])
-    return out
+    if 0 < split < len(a):
+        np.matmul(a[:split], w, out=out[:split])
+        np.matmul(a[split:], w, out=out[split:])
+    else:
+        np.matmul(a, w, out=out)
 
 
 def _decoder_step(model: SpeakerModel, ctx: np.ndarray, words: np.ndarray,
@@ -309,25 +336,46 @@ def _decoder_step(model: SpeakerModel, ctx: np.ndarray, words: np.ndarray,
     """One forward-only decoder step of B rows; returns their next state and logits (B, V).
 
     ctx (B, 4 hidden) holds each row's context gate terms, words[prev] its
-    previous word's (words is the word table of _s0_chunks, gathered here so
-    that no gathered copy outlives the sum), and hc its (2, B, hidden)
-    state [h; c], None at step 0, where the state is zero and h W_h is
-    skipped. The first `split` rows and the rest go through the matrix
-    products as separate batches (_split_matmul).
+    previous word's (words is the word table of _s0_chunks), and hc its
+    (2, B, hidden) state [h; c], None at step 0, where the state is zero and
+    h W_h is skipped. The first `split` rows (the forced rows) and the rest
+    (the sampled rows) go through the matrix products as separate batches
+    (_split_matmul), so neither group's floats depend on the other's rows.
+    The sampled rows split into two halves on two threads when there are
+    PARALLEL_ROWS or more (split_rows), the forced rows going with the first
+    half, so each product's floats depend on row counts alone. This call
+    allocates every array the halves write into: the gate sums, a scratch
+    that holds the gathered word terms and then the cell's sigmoids and
+    candidate (_cell_out), the next state and the logits.
     """
-    if hc is None:
-        gates = words[prev]
-        gates += ctx
-        c = np.zeros((len(gates), model.hidden_dim))
-    else:
-        gates = _split_matmul(hc[0], model.decoder.w_h.data, split)
-        gates += ctx
-        gates += words[prev]
-        c = hc[1]
-    hc = lstm_cell(gates, c)[0]
-    logits = _split_matmul(hc[0], model.out_w.data, split)
-    logits += model.out_b.data
-    return hc, logits
+    n = model.hidden_dim
+    batch = len(prev)
+    # two arrays, not one block of both: glibc serves from its heap every
+    # block below the largest it has freed, and a (2, 1024, 400) block kept
+    # 3 MB more resident in the `pragmatics` benchmark
+    gates, scratch = (np.empty((batch, 4 * n)) for _ in range(2))
+    new_hc = np.empty((2, batch, n))
+    logits = np.empty((batch, len(model.out_b.data)))
+
+    def rows(lo, hi):
+        # mode="clip" gathers straight into out, where "raise" would buffer a
+        # copy; every id is in range: padded_ids checks the forced ones, and
+        # _decode draws the sampled ones below the vocabulary size
+        g, room, out = gates[lo:hi], scratch[lo:hi], new_hc[:, lo:hi]
+        if hc is None:
+            words.take(prev[lo:hi], axis=0, out=g, mode="clip")
+            g += ctx[lo:hi]
+        else:
+            _split_matmul(hc[0, lo:hi], model.decoder.w_h.data, split - lo, g)
+            g += ctx[lo:hi]
+            words.take(prev[lo:hi], axis=0, out=room, mode="clip")
+            g += room
+        lstm_cell(g, 0.0 if hc is None else hc[1, lo:hi], _cell_out(out, room))
+        _split_matmul(out[0], model.out_w.data, split - lo, logits[lo:hi])
+        logits[lo:hi] += model.out_b.data
+
+    split_rows(split, batch, rows)
+    return new_hc, logits
 
 
 def _decode(model: SpeakerModel, tables: tuple[np.ndarray, np.ndarray],
@@ -358,11 +406,13 @@ def _decode(model: SpeakerModel, tables: tuple[np.ndarray, np.ndarray],
     Each step runs _decoder_step once over the forced rows still scoring (a
     prefix, since they are sorted longest first) followed by the nodes,
     split between the two in the matrix products, so neither group's floats
-    depend on the other's rows. The forced rows read their log probabilities
-    off the same logits and draw no uniform: the random stream and every
-    sampled row are those of sampling alone, and the scores those of scoring
-    alone. The loop runs until the last sampled row and the longest forced
-    row have ended.
+    depend on the other's rows; PARALLEL_ROWS or more nodes split again into
+    two halves on two threads, by their count alone, so no output depends on
+    the CPUs. The sampling and regrouping between steps run on the calling
+    thread. The forced rows read their log probabilities off the same logits
+    and draw no uniform: the random stream and every sampled row are those
+    of sampling alone, and the scores those of scoring alone. The loop runs
+    until the last sampled row and the longest forced row have ended.
     """
     ctx, words = tables
     del tables
@@ -516,7 +566,10 @@ def s0_sample_utterances(model: SpeakerModel, feats: np.ndarray,
     K * per_context rows fit one chunk. The sums round differently from
     step_logits, the tape's decoder step, so the ids are those of decoding
     each row through it unless a draw falls within that rounding of a
-    boundary of the cumulative distribution.
+    boundary of the cumulative distribution. A chunk with PARALLEL_ROWS or
+    more contexts or nodes encodes and decodes them in two halves on two
+    threads (split_rows); the halves depend on row counts alone, so the
+    output is the same on one CPU or two.
     """
     require_count("per_context", per_context, minimum=0)
     _check_features(feats)

@@ -21,6 +21,10 @@ match the tape's losses to INFERENCE_ATOL and its gradients to GRAD_RTOL
 allocation guards (the sampler's, the density grid's and the gradient
 scan's) bound.
 
+`set_cpus` makes the process look as if it may run on a given number of
+CPUs, which decides whether a row split (`nnsubstrate.split_rows`) hands its
+second half to the worker thread or runs it inline.
+
 `checkpoint_meta`, `write_checkpoint` and `read_checkpoint` build and read
 checkpoint files from raw parts, without `pragref`, so the tests pin the
 on-disk layout that `training.save_model` writes and `training.load_model`
@@ -52,6 +56,11 @@ def traced_peak(fn, *args):
         return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def set_cpus(monkeypatch, n: int) -> None:
+    """Patch os.sched_getaffinity, which the split reads on every call, to n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 def checkpoint_meta(arrays: dict, config: dict) -> dict:

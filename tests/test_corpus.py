@@ -1,4 +1,5 @@
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -322,6 +323,14 @@ class TestSplitByDyad:
             for b in games_in:
                 if a != b:
                     assert not (games_in[a] & games_in[b])
+
+    @pytest.mark.parametrize("fractions", [(1.5, -0.5, 0.0), (math.nan, 0.5, 0.5),
+                                           (math.inf, -math.inf, 1.0), (0.5, 0.5)])
+    def test_bad_fractions_raise(self, fractions):
+        # each puts every game into train or fails on an index without the check
+        trials = synth_corpus(90, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=r"^fractions must be three finite, non-negative"):
+            split_by_dyad(trials, fractions)
 
     def test_sizes_track_fractions(self):
         rng = np.random.default_rng(0)

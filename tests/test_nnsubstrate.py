@@ -1,11 +1,22 @@
 import math
+import os
+import signal
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import checkpoint_meta, read_checkpoint, traced_peak, write_checkpoint
+from conftest import (
+    checkpoint_meta,
+    read_checkpoint,
+    set_cpus,
+    traced_peak,
+    write_checkpoint,
+)
 from pragref import listener, nnsubstrate, speaker
 from pragref.corpus import build_vocab, preprocess, synth_corpus
 from pragref.errors import IndexOutOfRange, NonFiniteGradient
@@ -410,14 +421,19 @@ def _run_steps(arrays, weights, steps, use_c):
     return outs, ps
 
 
-def _run_cells(arrays, weights, steps, use_c):
+def _run_cells(arrays, weights, steps, use_c, out=False):
     """_run_steps on plain arrays: each step's forward through lstm_cell, then
     the backward through lstm_cell_backward from the last step back, each
-    gradient that several steps share summed in that order."""
+    gradient that several steps share summed in that order. With out, each
+    step's cell writes into output arrays made for it."""
     x, w_x, w_h, bias = (arrays[k] for k in ("x", "w_x", "w_h", "bias"))
     hs, cs, cells = [arrays["h"]], [arrays["c"]], []
+    rows, hid = arrays["h"].shape
     for _ in range(steps):
-        cells.append(lstm_cell(x @ w_x + hs[-1] @ w_h + bias, cs[-1]))
+        room = (np.empty((2, rows, hid)), np.empty((rows, 3 * hid)), np.empty((rows, hid)),
+                np.empty((rows, hid))) if out else None
+        cells.append(lstm_cell(x @ w_x + hs[-1] @ w_h + bias, cs[-1], room))
+        assert not out or cells[-1] is room
         hs.append(cells[-1][0][0])
         cs.append(cells[-1][0][1])
     grads = {}
@@ -443,14 +459,15 @@ class TestFusedLstmStep:
         rng = np.random.default_rng(batch * 100 + hid)
         arrays = _lstm_arrays(rng, batch, din, hid)
         weights = rng.standard_normal((steps, batch, hid))
-        cell_out, cell_grads = _run_cells(arrays, weights, steps, use_c)
         tape_out, tape = _run_steps(arrays, weights, steps, use_c)
-        assert len(cell_out) == len(tape_out) == 2 * steps
-        for a, b in zip(cell_out, tape_out):
-            assert np.array_equal(a, b)
-        assert cell_grads.keys() == arrays.keys()
-        for name, g in cell_grads.items():
-            assert np.array_equal(g, tape[name].grad), name
+        for out in (False, True):  # the cell allocating its outputs, or writing into ours
+            cell_out, cell_grads = _run_cells(arrays, weights, steps, use_c, out)
+            assert len(cell_out) == len(tape_out) == 2 * steps
+            for a, b in zip(cell_out, tape_out):
+                assert np.array_equal(a, b)
+            assert cell_grads.keys() == arrays.keys()
+            for name, g in cell_grads.items():
+                assert np.array_equal(g, tape[name].grad), (name, out)
 
     def test_narrow_adds_into_parent_slices(self):
         x = Parameter("x", np.ones((1, 4)))
@@ -666,11 +683,13 @@ def _changing_grads(rng, shape, steps):
 
 
 class TestInPlaceOptimizers:
-    SHAPES = {"big": (3, 11000), "small": (7, 11), "vec": (5,)}
+    SHAPES = {"big": (3, 11000), "small": (7, 11), "wide": (2, 25000), "vec": (5,)}
 
     def test_big_parameter_spans_blocks(self):
-        size = int(np.prod(self.SHAPES["big"]))
-        assert size > 2 * OPT_BLOCK and size % OPT_BLOCK
+        # the steps' blocks alternate between two threads, across parameters
+        for name in ("big", "wide"):
+            size = int(np.prod(self.SHAPES[name]))
+            assert size > 2 * OPT_BLOCK and size % OPT_BLOCK, name
 
     @pytest.mark.parametrize("cls,ref_cls", [(Adam, ReferenceAdam),
                                              (Adadelta, ReferenceAdadelta)])
@@ -755,6 +774,104 @@ class TestInPlaceOptimizers:
         # the sum's self-dots, then the check's: only q's is not finite, so
         # only q is scanned element by element
         assert len(calls) == 4 and calls[2] is p.grad and calls[3] is q.grad
+
+
+class TestTwoThreadSplit:
+    """nnsubstrate's row split: two halves on the calling thread and the one
+    worker thread, or inline on one CPU, with the same halves either way."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("lo, hi, want", [
+        (0, 300, [(0, 150), (150, 300)]), (3, 300, [(0, 151), (151, 300)]),
+        (0, 255, [(0, 255)]), (45, 300, [(0, 300)]), (0, 0, [(0, 0)])])
+    def test_halves_depend_on_row_counts_alone(self, lo, hi, want, cpus, monkeypatch):
+        set_cpus(monkeypatch, cpus)
+        calls = []
+        nnsubstrate.split_rows(lo, hi, lambda a, b: calls.append((a, b, threading.get_ident())))
+        assert sorted(c[:2] for c in calls) == want
+        threads = {c[2] for c in calls}
+        if cpus == 1 or len(want) == 1:
+            assert threads == {threading.get_ident()}
+        else:
+            assert len(threads) == 2 and threading.get_ident() in threads
+
+    def test_a_split_from_the_worker_runs_inline(self):
+        # a half that splits again must not wait on the worker it runs on
+        ran = []
+
+        def inner():
+            nnsubstrate._in_two(lambda: ran.append(threading.get_ident()),
+                                lambda: ran.append(threading.get_ident()))
+
+        outer = threading.Thread(target=nnsubstrate._in_two, args=(lambda: None, inner),
+                                 daemon=True)
+        outer.start()
+        outer.join(timeout=30)
+        assert not outer.is_alive(), "a split called from the worker deadlocked"
+        assert len(ran) == 2 and len(set(ran)) == 1
+
+    def test_a_split_that_finds_the_worker_busy_runs_inline(self):
+        started, release = threading.Event(), threading.Event()
+        outer = threading.Thread(
+            target=nnsubstrate._in_two,
+            args=(lambda: None, lambda: started.set() or release.wait(30)), daemon=True)
+        outer.start()
+        try:
+            assert started.wait(30)
+            ran = []
+            nnsubstrate._in_two(lambda: ran.append(threading.get_ident()),
+                                lambda: ran.append(threading.get_ident()))
+            assert ran == [threading.get_ident()] * 2 and not release.is_set()
+        finally:
+            release.set()
+            outer.join(timeout=30)
+        assert not outer.is_alive()
+
+    @pytest.mark.parametrize("raising", ["first", "second"])
+    def test_an_exception_reaches_the_caller_after_both_halves(self, raising):
+        started, stopped = [], []
+
+        def half(name):
+            def run():
+                started.append(name)
+                if name == raising:
+                    raise IndexOutOfRange(f"{name} half")
+                time.sleep(0.05)  # the other half is still running when one raises
+                stopped.append(name)
+            return run
+
+        with pytest.raises(IndexOutOfRange, match=f"^{raising} half$"):
+            nnsubstrate._in_two(half("first"), half("second"))
+        # every half that started has stopped (inline, a raising first half
+        # keeps the second from starting)
+        assert raising in started and set(started) - {raising} == set(stopped)
+        ran = []
+        nnsubstrate._in_two(lambda: ran.append(1), lambda: ran.append(2))
+        assert sorted(ran) == [1, 2]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+    def test_a_forked_child_runs_a_split(self):
+        nnsubstrate._in_two(lambda: None, lambda: None)  # the parent's worker is started
+        with warnings.catch_warnings():
+            # Python 3.12+ warns that forking a process with threads may deadlock
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                ran = []
+                nnsubstrate._in_two(lambda: ran.append(1), lambda: ran.append(2))
+                code = 0 if sorted(ran) == [1, 2] else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's split did not finish")
+        assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def _small_trials():

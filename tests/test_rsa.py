@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from collections import Counter
 from fractions import Fraction as F
 from importlib import resources
@@ -158,6 +159,21 @@ class TestExactOracle:
     def test_mis_sized_fields_raise(self, kwargs, field):
         with pytest.raises(ValueError, match=f"^{field} must hold one entry per"):
             Lexicon(utterances=["a", "b"], truth=[[1, 1], [0, 1]], **kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"prior": ["3/2", "-1/2"]}, r"^prior entry 1 is -1/2; a prior probability must be"),
+        ({"prior": [math.nan, 1.0]}, r"^prior entry 0 is nan; a prior probability must be"),
+        ({"prior": [math.inf, -math.inf]}, r"^prior entry 0 is inf"),
+        ({"truth": [[2, 1], [0, -1]]}, r"^truth\[0\]\[0\] is 2; a truth value must be 0 or 1"),
+        ({"truth": [[1, 1], [0, 0.5]]}, r"^truth\[1\]\[1\] is 0.5"),
+        ({"costs": [0.0, math.nan]}, r"^costs entry 1 is nan; a cost must be finite"),
+        ({"costs": [math.inf, 0.0]}, r"^costs entry 0 is inf"),
+    ], ids=["prior-negative", "prior-nan", "prior-inf", "truth-2", "truth-half", "cost-nan",
+            "cost-inf"])
+    def test_tables_that_are_not_probabilities_raise(self, kwargs, message):
+        fields = {"utterances": ["a", "b"], "truth": [[1, 1], [0, 1]], **kwargs}
+        with pytest.raises(ValueError, match=message):
+            Lexicon(**fields)
 
     @pytest.mark.parametrize("utterances, truth", [([], []), (["a"], [[]])])
     def test_empty_truth_table_raises(self, utterances, truth):

@@ -10,10 +10,11 @@ from conftest import (
     INFERENCE_ATOL,
     checkpoint_meta,
     read_checkpoint,
+    set_cpus,
     traced_peak,
     write_checkpoint,
 )
-from pragref import speaker
+from pragref import nnsubstrate, speaker
 from pragref.colorspace import Color, Condition, fourier_features_array
 from pragref.corpus import EOS, build_vocab, preprocess, synth_corpus
 from pragref.errors import EmptyUtterance, IndexOutOfRange, MissingCheckpoint, NonFiniteGradient
@@ -780,14 +781,44 @@ class TestChunks:
 SAMPLER_PEAK_MIB = 15.0
 
 
-def test_sampler_frees_the_step0_rows_as_nodes_regroup():
+def _default_size_inputs():
+    """A speaker at default dimensions and 1,024 target-last contexts."""
     trials = synth_corpus(300, np.random.default_rng(0))
     vocab = build_vocab([preprocess(t.combined_text(), "speaker") for t in trials])
     model = SpeakerModel.create(vocab, np.random.default_rng(1))
     rng = np.random.default_rng(2)
-    feats = target_last_features(rng.random((1024, 3, 3)), rng.integers(0, 3, 1024))
+    return model, target_last_features(rng.random((1024, 3, 3)), rng.integers(0, 3, 1024))
+
+
+def test_sampler_frees_the_step0_rows_as_nodes_regroup():
+    # tracemalloc traces every thread, the worker's halves included
+    model, feats = _default_size_inputs()
     _, peak = traced_peak(s0_sample_utterances, model, feats, np.random.default_rng(3))
     assert peak < SAMPLER_PEAK_MIB * 2 ** 20
+
+
+@pytest.mark.parametrize("serial", ["one_cpu", "whole_rows"])
+def test_two_thread_split_equals_the_serial_run(serial, monkeypatch):
+    # 1,024 contexts split the encoder's rows and the sampled rows of the
+    # decoder steps into halves on two threads; the scored rows keep one product
+    model, feats = _default_size_inputs()
+    score = model.vocab.encode(["dark", "blue", EOS])
+
+    def run():
+        return (s0_sample_utterances(model, feats, np.random.default_rng(3), 1, score),
+                model.encode_contexts(feats))
+
+    set_cpus(monkeypatch, 2)
+    (types, row_types, log_probs), contexts = run()
+    if serial == "one_cpu":  # the same halves, inline
+        set_cpus(monkeypatch, 1)
+    else:  # one product over all the rows
+        monkeypatch.setattr(nnsubstrate, "PARALLEL_ROWS", 10 ** 6)
+    (types_1, row_types_1, log_probs_1), contexts_1 = run()
+    assert types == types_1 and len(types) > 20
+    assert np.array_equal(row_types, row_types_1)
+    assert np.array_equal(log_probs, log_probs_1)
+    assert np.array_equal(contexts, contexts_1)
 
 
 class TestTrainS0:
