@@ -300,7 +300,9 @@ class PragmaticSpeakerSampler:
 
 def compare_speakers(s0_sampler, s1_sampler, contexts: list[Context],
                      seed: int = 0) -> dict[str, BehaviorReport]:
-    """Behavioral reports for two speakers on the same contexts, side by side."""
+    """Behavioral reports for two differently named speakers on the same contexts, by name."""
+    if s0_sampler.name == s1_sampler.name:
+        raise ValueError(f"both samplers are named {s0_sampler.name!r}; each needs a report")
     out = {}
     for k, sampler in enumerate((s0_sampler, s1_sampler)):
         rng = np.random.default_rng([seed, k])

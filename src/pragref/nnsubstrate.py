@@ -52,8 +52,8 @@ is busy, as when one of its own halves asks for a split, so no output
 depends on the CPU count or on the thread that runs a half. The calling
 thread allocates every array the halves write into; each half writes only
 into its own rows (`lstm_cell` takes output arrays), so the worker grows no
-heap of its own. Forced and sampled rows keep separate products, and no
-training forward or backward splits.
+heap of its own. A decoder step's forced rows are a range that never
+splits, and no training forward or backward splits.
 
 Everything is double precision. A model's parameters and an optimizer's
 moments must not be used from two threads at once, apart from the split's
@@ -466,22 +466,20 @@ def _in_two(first, second) -> None:
 
 
 def split_rows(lo: int, hi: int, fn) -> None:
-    """Call fn(a, b) over the rows [0, hi), of which only [lo, hi) may split:
-    fn(0, hi) when [lo, hi) holds fewer than PARALLEL_ROWS rows, else
-    fn(0, mid) on the calling thread and fn(mid, hi) on the worker (_in_two),
+    """Call fn(a, b) over exactly the rows [lo, hi): not at all when the range
+    is empty, fn(lo, hi) when it holds fewer than PARALLEL_ROWS rows, else
+    fn(lo, mid) on the calling thread and fn(mid, hi) on the worker (_in_two),
     with mid the middle of [lo, hi).
 
     The halves depend only on the row counts, never on the CPUs, so a result
-    does not either. fn must touch only its own rows and allocate no array:
-    the calling thread allocates every array beforehand, at the size the
-    whole range needs, and each half writes into views of it, so the worker
-    grows no heap of its own.
+    does not either. fn must write only into its own rows of arrays that the
+    caller allocated whole beforehand, so the worker grows no heap of its own.
     """
-    if hi - lo < PARALLEL_ROWS:
-        fn(0, hi)
-        return
-    mid = (lo + hi) // 2
-    _in_two(lambda: fn(0, mid), lambda: fn(mid, hi))
+    if hi - lo >= PARALLEL_ROWS:
+        mid = (lo + hi) // 2
+        _in_two(lambda: fn(lo, mid), lambda: fn(mid, hi))
+    elif hi > lo:
+        fn(lo, hi)
 
 
 # -- LSTM -------------------------------------------------------------------

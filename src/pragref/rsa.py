@@ -35,20 +35,20 @@ from their per-row references (`step_logits` and `s0_log_prob`, `l0_score`,
 `ListenerModel.scores` on one row), and `compute_agents` matches a per-row
 evaluation to within 1e-12 in every probability, and in every sampled
 utterance unless a draw falls within that rounding of a sampling boundary.
-Within the loop, scored and sampled rows go through separate matrix
-products, so L1 equals `neural_l1` bit for bit and sharing the steps moves
+Within each decoder step, scored and sampled rows are two ranges with products
+of their own, so L1 equals `neural_l1` bit for bit and sharing the steps moves
 no sampled utterance. At `nnsubstrate.PARALLEL_ROWS` rows or more, the
-encoder's rows and the sampled rows split into two halves on two threads,
-each half its own product; the halves depend on row counts alone, so a run
-on one CPU gives the same bits as one on two. At the paper's sizes,
-`compute_agents` samples 192 rows per call, below the split; the samplers in
-`metrics` reach it. A half's product may round a row differently from a product
-over all the rows, within the same 1e-12. The per-row L0 branch, which
-`evaluate_l0`, training's dev scoring and the pragmatic speaker sampler use,
-runs the listener's head and `quad_form` on plain arrays with the floats of
-`ListenerModel.head` and `quad_scores`: `quad_form` makes one BLAS product
-per row, so a row scored in a block keeps the bits of its one-row call. Only
-its prefix-tree states round differently, and it is held to the same 1e-12.
+encoder's rows and the sampled rows, never the scored ones, split into two
+halves on two threads; the halves depend on row counts alone, so a run on one
+CPU gives the same bits as one on two. At the paper's sizes, `compute_agents`
+samples 192 rows per call, below the split; the samplers in `metrics` reach
+it. A half's product may round a row differently from a product over all the
+rows, within the same 1e-12. The per-row L0 branch, which `evaluate_l0`,
+training's dev scoring and the pragmatic speaker sampler use, runs the
+listener's head and `quad_form` on plain arrays with the floats of
+`ListenerModel.head` and `quad_scores`: `quad_form` makes one BLAS product per
+row, so a row scored in a block keeps the bits of its one-row call. Only its
+prefix-tree states round differently, and it is held to the same 1e-12.
 Where the head's mu is far larger than the color features, `l0_score`'s own
 rounding nears that tolerance: it forms f - mu and sums products of order
 |mu|^2 |Sigma|, which the fold never does.
@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -89,15 +90,26 @@ Utterance = tuple[str, ...]
 # -- exact oracle ---------------------------------------------------------------
 
 
-def _as_number(x):
-    """Exact Fraction for ints and rational strings, float otherwise."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    return float(x)
+def _prior_entry(r: int, x):
+    """Prior entry r as an exact Fraction, from an int or a rational string,
+    or else a float; ValueError unless x is a finite, non-negative number."""
+    p = None
+    if isinstance(x, (numbers.Real, str)) and not isinstance(x, bool):
+        try:
+            p = Fraction(x) if isinstance(x, (Fraction, int, str)) else float(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    if p is None or not math.isfinite(p) or p < 0:
+        raise ValueError(f"prior entry {r} is {x}; a prior probability must be a finite, "
+                         f"non-negative number")
+    return p
+
+
+def _index(what: str, i, n: int) -> int:
+    """i as an index of one of n entries: an integer, not a bool, in [0, n)."""
+    if isinstance(i, bool) or not isinstance(i, numbers.Integral) or not 0 <= i < n:
+        raise ValueError(f"{what} index {i!r} is not an integer in [0, {n})")
+    return i
 
 
 @dataclass
@@ -131,18 +143,14 @@ class Lexicon:
                 raise ValueError(f"{name} must hold one entry per {per} ({n}), "
                                  f"got {len(values)}")
         for u, cost in enumerate(self.costs):
+            if isinstance(cost, bool) or not isinstance(cost, numbers.Real):
+                raise ValueError(f"costs entry {u} is {cost!r}; a cost must be a number")
             if not math.isfinite(cost):
                 raise ValueError(f"costs entry {u} is {cost!r}; a cost must be finite")
         if not self.costs:
             self.costs = [0.0] * len(self.utterances)
-        if not self.prior:
-            self.prior = [Fraction(1, n_ref)] * n_ref
-        else:
-            self.prior = [_as_number(p) for p in self.prior]
-        for r, p in enumerate(self.prior):
-            if not math.isfinite(p) or p < 0:
-                raise ValueError(f"prior entry {r} is {p}; a prior probability must be "
-                                 f"finite and non-negative")
+        self.prior = ([_prior_entry(r, p) for r, p in enumerate(self.prior)]
+                      or [Fraction(1, n_ref)] * n_ref)
         if not self.referents:
             self.referents = [f"r{i + 1}" for i in range(n_ref)]
         total = sum(self.prior)
@@ -154,7 +162,10 @@ class Lexicon:
         return len(self.truth[0])
 
     def utterance_index(self, u) -> int:
-        return u if isinstance(u, int) else self.utterances.index(u)
+        """u's truth-table row: u checked as an index (_index), or the utterance's position."""
+        if isinstance(u, numbers.Integral):
+            return _index("utterance", u, len(self.utterances))
+        return self.utterances.index(u)
 
     @classmethod
     def from_json(cls, path) -> "Lexicon":
@@ -162,8 +173,8 @@ class Lexicon:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
         return cls(utterances=list(obj["utterances"]),
-                   truth=[list(map(int, row)) for row in obj["truth"]],
-                   costs=[float(c) for c in obj.get("costs", [])],
+                   truth=[list(row) for row in obj["truth"]],
+                   costs=list(obj.get("costs", [])),
                    prior=list(obj.get("prior", [])),
                    referents=list(obj.get("referents", [])))
 
@@ -201,6 +212,7 @@ def exact_s1(lex: Lexicon, t: int, alpha: float = 1.0) -> list:
     Utterances whose literal listener puts zero mass on t (including vacuous
     utterances) get probability zero.
     """
+    t = _index("referent", t, lex.n_referents)
     weights = []
     for ui in range(len(lex.utterances)):
         try:
@@ -220,6 +232,7 @@ def exact_l2(lex: Lexicon, u, alpha: float = 1.0) -> list:
 
 def exact_s0(lex: Lexicon, t: int) -> list:
     """Literal speaker: truth-gated, cost-weighted choice among utterances."""
+    t = _index("referent", t, lex.n_referents)
     zero_cost = all(c == 0 for c in lex.costs)
     weights = []
     for ui in range(len(lex.utterances)):

@@ -317,19 +317,6 @@ def _cell_out(hc: np.ndarray, room: np.ndarray) -> tuple:
     return hc, flat[:cut].reshape(-1, 3 * n), flat[cut:].reshape(-1, n), hc[0]
 
 
-def _split_matmul(a: np.ndarray, w: np.ndarray, split: int, out: np.ndarray) -> None:
-    """out = a @ w, with a's rows [:split] and [split:] multiplied as batches of their own.
-
-    BLAS may round a row differently with the number of rows beside it, so
-    each group gets the floats of its product alone.
-    """
-    if 0 < split < len(a):
-        np.matmul(a[:split], w, out=out[:split])
-        np.matmul(a[split:], w, out=out[split:])
-    else:
-        np.matmul(a, w, out=out)
-
-
 def _decoder_step(model: SpeakerModel, ctx: np.ndarray, words: np.ndarray,
                   prev: np.ndarray, hc: np.ndarray | None = None, split: int = 0
                   ) -> tuple[np.ndarray, np.ndarray]:
@@ -338,15 +325,13 @@ def _decoder_step(model: SpeakerModel, ctx: np.ndarray, words: np.ndarray,
     ctx (B, 4 hidden) holds each row's context gate terms, words[prev] its
     previous word's (words is the word table of _s0_chunks), and hc its
     (2, B, hidden) state [h; c], None at step 0, where the state is zero and
-    h W_h is skipped. The first `split` rows (the forced rows) and the rest
-    (the sampled rows) go through the matrix products as separate batches
-    (_split_matmul), so neither group's floats depend on the other's rows.
-    The sampled rows split into two halves on two threads when there are
-    PARALLEL_ROWS or more (split_rows), the forced rows going with the first
-    half, so each product's floats depend on row counts alone. This call
-    allocates every array the halves write into: the gate sums, a scratch
-    that holds the gathered word terms and then the cell's sigmoids and
-    candidate (_cell_out), the next state and the logits.
+    h W_h is skipped. The first `split` rows (the forced rows) are one range
+    and the rest (the sampled rows) another, which split_rows halves on two
+    threads at PARALLEL_ROWS rows or more; each range makes its own products,
+    so its floats depend on its row count alone. This call allocates every
+    array the ranges write into: the gate sums, a scratch that holds the
+    gathered word terms and then the cell's sigmoids and candidate
+    (_cell_out), the next state and the logits.
     """
     n = model.hidden_dim
     batch = len(prev)
@@ -366,14 +351,16 @@ def _decoder_step(model: SpeakerModel, ctx: np.ndarray, words: np.ndarray,
             words.take(prev[lo:hi], axis=0, out=g, mode="clip")
             g += ctx[lo:hi]
         else:
-            _split_matmul(hc[0, lo:hi], model.decoder.w_h.data, split - lo, g)
+            np.matmul(hc[0, lo:hi], model.decoder.w_h.data, out=g)
             g += ctx[lo:hi]
             words.take(prev[lo:hi], axis=0, out=room, mode="clip")
             g += room
         lstm_cell(g, 0.0 if hc is None else hc[1, lo:hi], _cell_out(out, room))
-        _split_matmul(out[0], model.out_w.data, split - lo, logits[lo:hi])
+        np.matmul(out[0], model.out_w.data, out=logits[lo:hi])
         logits[lo:hi] += model.out_b.data
 
+    if split:
+        rows(0, split)
     split_rows(split, batch, rows)
     return new_hc, logits
 
@@ -404,15 +391,14 @@ def _decode(model: SpeakerModel, tables: tuple[np.ndarray, np.ndarray],
     reach MAX_DECODE_LEN get </s> forced.
 
     Each step runs _decoder_step once over the forced rows still scoring (a
-    prefix, since they are sorted longest first) followed by the nodes,
-    split between the two in the matrix products, so neither group's floats
-    depend on the other's rows; PARALLEL_ROWS or more nodes split again into
-    two halves on two threads, by their count alone, so no output depends on
-    the CPUs. The sampling and regrouping between steps run on the calling
-    thread. The forced rows read their log probabilities off the same logits
-    and draw no uniform: the random stream and every sampled row are those
-    of sampling alone, and the scores those of scoring alone. The loop runs
-    until the last sampled row and the longest forced row have ended.
+    prefix, since they are sorted longest first) followed by the nodes, two
+    ranges with products of their own; PARALLEL_ROWS or more nodes split
+    into two halves on two threads, by their count alone, so no output
+    depends on the CPUs. The sampling and regrouping between steps run on
+    the calling thread. The forced rows read their log probabilities off the
+    same logits and draw no uniform: the random stream and every sampled row
+    are those of sampling alone, and the scores those of scoring alone. The
+    loop runs until the last sampled row and the longest forced row end.
     """
     ctx, words = tables
     del tables
@@ -567,9 +553,9 @@ def s0_sample_utterances(model: SpeakerModel, feats: np.ndarray,
     step_logits, the tape's decoder step, so the ids are those of decoding
     each row through it unless a draw falls within that rounding of a
     boundary of the cumulative distribution. A chunk with PARALLEL_ROWS or
-    more contexts or nodes encodes and decodes them in two halves on two
-    threads (split_rows); the halves depend on row counts alone, so the
-    output is the same on one CPU or two.
+    more contexts or nodes encodes them, or decodes the nodes, in two halves
+    on two threads (split_rows); the scored rows never split. The halves
+    depend on row counts alone, so the output is the same on one CPU or two.
     """
     require_count("per_context", per_context, minimum=0)
     _check_features(feats)

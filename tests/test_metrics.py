@@ -322,6 +322,12 @@ class TestCompareSpeakers:
         for rep in reports.values():
             assert set(rep.per_condition) == {"far", "split", "close"}
 
+    def test_samplers_that_share_a_name_raise(self):
+        _, s0 = self._models()
+        contexts = condition_mix_contexts(2, np.random.default_rng(3))
+        with pytest.raises(ValueError, match="both samplers are named 's0'"):
+            compare_speakers(BaseSpeakerSampler(s0), BaseSpeakerSampler(s0), contexts)
+
 
 def reference_samples(s0, feats, rng, batch):
     """Speaker-mode samples of every row, batch rows at a time, each row

@@ -782,16 +782,16 @@ class TestTwoThreadSplit:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("lo, hi, want", [
-        (0, 300, [(0, 150), (150, 300)]), (3, 300, [(0, 151), (151, 300)]),
-        (0, 255, [(0, 255)]), (45, 300, [(0, 300)]), (0, 0, [(0, 0)])])
+        (0, 300, [(0, 150), (150, 300)]), (3, 300, [(3, 151), (151, 300)]),
+        (0, 255, [(0, 255)]), (45, 300, [(45, 300)]), (0, 0, [])])
     def test_halves_depend_on_row_counts_alone(self, lo, hi, want, cpus, monkeypatch):
         set_cpus(monkeypatch, cpus)
         calls = []
         nnsubstrate.split_rows(lo, hi, lambda a, b: calls.append((a, b, threading.get_ident())))
         assert sorted(c[:2] for c in calls) == want
         threads = {c[2] for c in calls}
-        if cpus == 1 or len(want) == 1:
-            assert threads == {threading.get_ident()}
+        if cpus == 1 or len(want) < 2:
+            assert threads <= {threading.get_ident()}
         else:
             assert len(threads) == 2 and threading.get_ident() in threads
 

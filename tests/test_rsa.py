@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 from collections import Counter
 from fractions import Fraction as F
@@ -168,12 +169,49 @@ class TestExactOracle:
         ({"truth": [[1, 1], [0, 0.5]]}, r"^truth\[1\]\[1\] is 0.5"),
         ({"costs": [0.0, math.nan]}, r"^costs entry 1 is nan; a cost must be finite"),
         ({"costs": [math.inf, 0.0]}, r"^costs entry 0 is inf"),
+        ({"costs": ["2", 0.0]}, r"^costs entry 0 is '2'; a cost must be a number"),
+        ({"costs": [0.0, True]}, r"^costs entry 1 is True; a cost must be a number"),
+        ({"prior": [None, 1.0]}, r"^prior entry 0 is None; a prior probability must be a "
+                                 r"finite, non-negative number"),
+        ({"prior": ["1/2", False]}, r"^prior entry 1 is False"),
+        ({"prior": ["1/0", "1"]}, r"^prior entry 0 is 1/0"),
     ], ids=["prior-negative", "prior-nan", "prior-inf", "truth-2", "truth-half", "cost-nan",
-            "cost-inf"])
+            "cost-inf", "cost-string", "cost-bool", "prior-none", "prior-bool",
+            "prior-zero-denominator"])
     def test_tables_that_are_not_probabilities_raise(self, kwargs, message):
         fields = {"utterances": ["a", "b"], "truth": [[1, 1], [0, 1]], **kwargs}
         with pytest.raises(ValueError, match=message):
             Lexicon(**fields)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"truth": [[1, 1], [0, 0.5]]}, r"^truth\[1\]\[1\] is 0.5"),
+        ({"truth": [[1.9, 1], [0, 1]]}, r"^truth\[0\]\[0\] is 1.9"),
+        ({"truth": [[1, "1"], [0, 1]]}, r"^truth\[0\]\[1\] is '1'"),
+        ({"costs": ["2", 0]}, r"^costs entry 0 is '2'"),
+        ({"costs": [0, True]}, r"^costs entry 1 is True"),
+        ({"prior": [None, 1]}, r"^prior entry 0 is None"),
+    ], ids=["truth-half", "truth-1.9", "truth-string", "cost-string", "cost-bool",
+            "prior-null"])
+    def test_files_are_checked_not_coerced(self, fields, message, tmp_path):
+        path = tmp_path / "lexicon.json"
+        path.write_text(json.dumps({"utterances": ["a", "b"], "truth": [[1, 1], [0, 1]],
+                                    **fields}))
+        with pytest.raises(ValueError, match=message):
+            Lexicon.from_json(path)
+
+    @pytest.mark.parametrize("agent, index, message", [
+        (exact_l0, -1, r"^utterance index -1 is not an integer in \[0, 3\)"),
+        (exact_l0, 3, r"^utterance index 3 "),
+        (exact_l0, True, r"^utterance index True "),
+        (exact_s0, -1, r"^referent index -1 is not an integer in \[0, 3\)"),
+        (exact_s0, True, r"^referent index True "),
+        (exact_s1, -1, r"^referent index -1 "),
+        (exact_s1, 3, r"^referent index 3 "),
+    ], ids=["l0-negative", "l0-past-end", "l0-bool", "s0-negative", "s0-bool", "s1-negative",
+            "s1-past-end"])
+    def test_indices_out_of_range_raise(self, demo_lexicon, agent, index, message):
+        with pytest.raises(ValueError, match=message):
+            agent(demo_lexicon, index)
 
     @pytest.mark.parametrize("utterances, truth", [([], []), (["a"], [[]])])
     def test_empty_truth_table_raises(self, utterances, truth):

@@ -797,17 +797,30 @@ def test_sampler_frees_the_step0_rows_as_nodes_regroup():
     assert peak < SAMPLER_PEAK_MIB * 2 ** 20
 
 
-@pytest.mark.parametrize("serial", ["one_cpu", "whole_rows"])
+@pytest.mark.parametrize("serial", ["one_cpu", "whole_rows", "apart"])
 def test_two_thread_split_equals_the_serial_run(serial, monkeypatch):
     # 1,024 contexts split the encoder's rows and the sampled rows of the
-    # decoder steps into halves on two threads; the scored rows keep one product
+    # decoder steps into halves on two threads; the scored rows run as one
+    # range of their own
     model, feats = _default_size_inputs()
     score = model.vocab.encode(["dark", "blue", EOS])
 
-    def run():
+    def run(score=score):
         return (s0_sample_utterances(model, feats, np.random.default_rng(3), 1, score),
                 model.encode_contexts(feats))
 
+    if serial == "apart":
+        # the draws of sampling alone and the scores of scoring alone, with
+        # the sampled rows split on two threads or inline on one CPU
+        for cpus in (2, 1):
+            set_cpus(monkeypatch, cpus)
+            (types, row_types, log_probs), _ = run()
+            (want_types, want_rows, unscored), _ = run(None)
+            assert types == want_types and len(types) > 20 and unscored is None
+            assert np.array_equal(row_types, want_rows)
+            assert np.array_equal(log_probs,
+                                  s0_log_probs_batch(model, [score] * len(feats), feats))
+        return
     set_cpus(monkeypatch, 2)
     (types, row_types, log_probs), contexts = run()
     if serial == "one_cpu":  # the same halves, inline
