@@ -337,8 +337,10 @@ def filter_trials(trials: list[ContextTrial],
     messages would preprocess to no token, which by `load_raw`'s rule means
     none of them has a word: none survives, or only whitespace ones do. Games
     with fewer than min_rounds rounds are dropped entirely when min_rounds is
-    given.
+    given, as an integer of at least 1.
     """
+    if min_rounds is not None:
+        require_count("min_rounds", min_rounds)
     words = [[len(m.split()) for m in t.speaker_texts] for t in trials]
     lengths = np.array([n for counts in words for n in counts], dtype=np.float64)
     if lengths.size == 0:

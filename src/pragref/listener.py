@@ -17,7 +17,7 @@ import numpy as np
 
 from .colorspace import FOURIER_DIM, Color, fourier_features_array, hsv_to_rgb_arrays
 from .corpus import ContextTrial, Vocabulary, preprocess
-from .errors import EmptyUtterance
+from .errors import EmptyUtterance, require_count
 from .nnsubstrate import (
     Adadelta,
     LstmCellParams,
@@ -381,8 +381,10 @@ def density_grid(model: ListenerModel, tokens: list[str], h_bins: int = 90,
     encode_prefixes, which rounds differently from ListenerModel.encode, and
     scored by head_arrays and quad_form. The grid matches the graph path
     (ListenerModel.head, then quad_scores on each hue row) to within
-    1e-12, not bit for bit.
+    1e-12, not bit for bit. Each bin count must be an integer of at least 1.
     """
+    for name, bins in (("h_bins", h_bins), ("s_bins", s_bins), ("v_bins", v_bins)):
+        require_count(name, bins)
     if not tokens:
         raise EmptyUtterance("density grid needs a non-empty utterance")
     h = (np.arange(h_bins) + 0.5) * (360.0 / h_bins)

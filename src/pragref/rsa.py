@@ -7,16 +7,18 @@ pragmatic speaker from the base listener by normalizing over a sampled
 alternative multiset, and pragmatic listeners by inverting speakers through
 Bayes' rule; geometric blends mix the resulting distributions.
 
-One S0 entry, `s0_sample_utterances`, serves the sampled alternatives of
-L2, built in one body by `compute_agents`, the pragmatic speaker sampler in
-`metrics`, and the teacher-forced scoring of L1; L2 and the sampler both
-weigh L0 by S1_ALPHA. Its chunk loop draws many rows per distinct context
-and runs the decoder once per distinct (context, prefix) that live rows
-share; the draws are deduped into utterance types, with -1 marking a bare
-end token, which the listener cannot score. Each chunk encodes the contexts
-its rows use once. `compute_agents` makes one S0 call per trial, and the
-observed utterance's three scored rows ride in its first chunk's decoder
-steps. `listener_ids_for` converts each distinct token to listener ids once per
+One S0 inference function, `s0_sample_utterances`, serves the sampled
+alternatives of L2, built in one body by `compute_agents`, the pragmatic
+speaker sampler in `metrics`, and the teacher-forced scoring of L1 and of
+`s0_log_probs_batch`, which is one call to it; L2 and the sampler both
+weigh L0 by S1_ALPHA. It scores one id row per context, and its chunk loop
+draws many rows per distinct context and runs the decoder once per
+distinct (context, prefix) that live rows share; the draws are deduped
+into utterance types, with -1 marking a bare end token, which the listener
+cannot score. Each chunk encodes the contexts its rows use once.
+`compute_agents` makes one S0 call per trial, and the observed utterance's
+id row, scored under each of the three contexts, rides in its first
+chunk's decoder steps. `listener_ids_for` converts each distinct token to listener ids once per
 call. `l0_probs_many` then runs the listener's LSTM once per distinct prefix
 of the types, in a prefix tree. For L2 every type is scored against the one
 context, whose feature rows L0 and S0 share: the quadratic form is folded
@@ -26,9 +28,9 @@ against its own context, running the head on blocks of distinct types
 whatever their lengths.
 
 Every inference path is held to a tolerance, not to bits, and every
-inference LSTM runs forward only on plain arrays. The S0 chunk loop, under
-`s0_sample_utterances` and `s0_log_probs_batch`, applies its input weights
-once per context and once per word; the listener's prefix
+inference LSTM runs forward only on plain arrays. The S0 chunk loop of
+`s0_sample_utterances` applies its input weights once per context and
+once per word; the listener's prefix
 tree, under both L0 branches, gathers its input gates from one embedding
 table per call and shares one tree across lengths. They round differently
 from their per-row references (`step_logits` and `s0_log_prob`, `l0_score`,
@@ -136,6 +138,8 @@ class Lexicon:
                 if value not in (0, 1):
                     raise ValueError(f"truth[{u}][{r}] is {value!r}; a truth value must be "
                                      f"0 or 1")
+        # stored as ints, so that a truth value of 1.0 or True keeps the oracle exact
+        self.truth = [[int(value) for value in row] for row in self.truth]
         for name, values, n, per in (("costs", self.costs, len(self.utterances), "utterance"),
                                      ("prior", self.prior, n_ref, "referent"),
                                      ("referents", self.referents, n_ref, "referent")):
@@ -210,9 +214,12 @@ def exact_s1(lex: Lexicon, t: int, alpha: float = 1.0) -> list:
     """Pragmatic speaker: soft-max of informativity minus cost.
 
     Utterances whose literal listener puts zero mass on t (including vacuous
-    utterances) get probability zero.
+    utterances) get probability zero. alpha must be a finite real number,
+    not a bool; ValueError otherwise.
     """
     t = _index("referent", t, lex.n_referents)
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not math.isfinite(alpha):
+        raise ValueError(f"alpha must be a finite real number, got {alpha!r}")
     weights = []
     for ui in range(len(lex.utterances)):
         try:
@@ -226,7 +233,8 @@ def exact_s1(lex: Lexicon, t: int, alpha: float = 1.0) -> list:
 
 
 def exact_l2(lex: Lexicon, u, alpha: float = 1.0) -> list:
-    """Pragmatic listener over the pragmatic speaker, via Bayes' rule."""
+    """Pragmatic listener over the pragmatic speaker, via Bayes' rule; alpha
+    is checked as exact_s1 checks it."""
     return _invert_speaker(lex, u, lambda t: exact_s1(lex, t, alpha))
 
 
@@ -354,11 +362,13 @@ def neural_l1(s0_model: SpeakerModel, u,
     """Speaker-based listener: score u under each candidate target, normalize.
 
     compute_agents' L1 without its samples: the same features and the same
-    S0 call (s0_sample_utterances), so the two are equal bit for bit.
-    Identical context colors give the uniform distribution by symmetry.
+    S0 call (s0_sample_utterances), scoring u's id row under each of the
+    three target-last contexts, so the two are equal bit for bit. Identical
+    context colors give the uniform distribution by symmetry.
     """
     ids = _speaker_ids(s0_model, _as_speaker_utterance(u))
-    return _l1(s0_sample_utterances(s0_model, _trial_features(colors)[1], None, 0, ids)[2])
+    return _l1(s0_sample_utterances(s0_model, _trial_features(colors)[1], None, 0,
+                                    [ids] * 3)[2])
 
 
 def blend(p: np.ndarray, q: np.ndarray, w: float) -> np.ndarray:
@@ -390,11 +400,12 @@ def compute_agents(l0_model: ListenerModel, s0_model: SpeakerModel, u,
     them as stored, and S0 reads them gathered target-last. One S0 call
     (s0_sample_utterances) draws the 3 * n * m samples, SAMPLE_BATCH rows
     per chunk, each chunk encoding the target-last contexts its rows use
-    once, and scores the observed utterance under each target for L1 in the
-    first chunk's decoder steps. The m rows of target t, replicate r start at row
-    (t * n + r) * m. Since the three targets share one batch, the random
-    stream, and so L2 for a given seed, differs from drawing each target's
-    rows in a batch of its own; scoring L1 draws nothing from it. Each
+    once, and scores the observed utterance's id row under each target for
+    L1, three score rows in the first chunk's decoder steps. The m rows of
+    target t, replicate r start at row (t * n + r) * m. Since the three
+    targets share one batch, the random stream, and so L2 for a given seed,
+    differs from drawing each target's rows in a batch of its own; scoring
+    L1 draws nothing from it. Each
     distinct utterance, the observed one included, is scored by L0 once, and
     the n replicate S1 tables are built together from an (n, types) count
     matrix. L0 is the observed row of that L0 table: its speaker-mode tokens,
@@ -404,7 +415,7 @@ def compute_agents(l0_model: ListenerModel, s0_model: SpeakerModel, u,
     feats, s0_feats = _trial_features(colors)
     observed = _as_speaker_utterance(u)
     types, row_types, log_probs = s0_sample_utterances(
-        s0_model, s0_feats, rng, cfg.n * cfg.m, _speaker_ids(s0_model, observed))
+        s0_model, s0_feats, rng, cfg.n * cfg.m, [_speaker_ids(s0_model, observed)] * 3)
     if observed not in types:
         types.append(observed)
     obs = types.index(observed)

@@ -280,24 +280,15 @@ def s0_log_prob(model: SpeakerModel, tokens: list[str],
     return -float(_teacher_forced_losses(model, feats, ids).data[0])
 
 
-def _check_features(feats: np.ndarray, contexts: int | None = None) -> None:
-    """ValueError naming the shape unless feats is (contexts, 3, F), with any
-    number of contexts when contexts is None."""
-    shape = feats.shape
-    if len(shape) != 3 or shape[1:] != (3, FOURIER_DIM) or contexts not in (None, shape[0]):
-        want = "K" if contexts is None else contexts
-        raise ValueError(f"expected features of shape ({want}, 3, {FOURIER_DIM}), got {shape}")
-
-
 def _context_terms(model: SpeakerModel, feats: np.ndarray, contexts: list[int]) -> np.ndarray:
     """The decoder's context gate terms (len(contexts), 4 hidden) of the
     contexts of feats (K, 3, F) that the list contexts names.
 
     The decoder input [context ; embedding] is never formed: the context's
     half of the decoder's W_x and the gate bias are applied per context, the
-    embedding's half per word (_s0_chunks' word table). Each distinct context
-    is encoded once, in order of first use, so a list without repeats gets
-    the encoded rows with no gathered copy.
+    embedding's half per word (s0_sample_utterances' word table). Each
+    distinct context is encoded once, in order of first use, so a list
+    without repeats gets the encoded rows with no gathered copy.
     """
     first = {c: i for i, c in enumerate(dict.fromkeys(contexts))}
     cell = model.decoder
@@ -323,7 +314,7 @@ def _decoder_step(model: SpeakerModel, ctx: np.ndarray, words: np.ndarray,
     """One forward-only decoder step of B rows; returns their next state and logits (B, V).
 
     ctx (B, 4 hidden) holds each row's context gate terms, words[prev] its
-    previous word's (words is the word table of _s0_chunks), and hc its
+    previous word's (words is s0_sample_utterances' word table), and hc its
     (2, B, hidden) state [h; c], None at step 0, where the state is zero and
     h W_h is skipped. The first `split` rows (the forced rows) are one range
     and the rest (the sampled rows) another, which split_rows halves on two
@@ -368,8 +359,9 @@ def _decoder_step(model: SpeakerModel, ctx: np.ndarray, words: np.ndarray,
 def _decode(model: SpeakerModel, tables: tuple[np.ndarray, np.ndarray],
             rng: np.random.Generator | None, node_of: np.ndarray, forced: np.ndarray,
             lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The decoder-step loop: ancestral sampling of len(node_of) rows and
-    teacher-forced scoring of the forced id rows, in the same decoder steps.
+    """The decoder-step loop of one s0_sample_utterances chunk: ancestral
+    sampling of len(node_of) rows and teacher-forced scoring of the forced
+    id rows, in the same decoder steps.
 
     forced (F, L) holds id rows padded after their lengths (F,), longest
     first. tables holds the context gate terms of the step-0 rows
@@ -447,63 +439,14 @@ def _decode(model: SpeakerModel, tables: tuple[np.ndarray, np.ndarray],
         ctx, hc = ctx[keep], hc[:, keep]
 
 
-def _s0_chunks(model: SpeakerModel, feats: np.ndarray, rng: np.random.Generator | None,
-               sampled: np.ndarray, scored: np.ndarray, forced: np.ndarray,
-               lengths: np.ndarray):
-    """The S0 chunk loop, the one caller of _decode.
-
-    sampled (S,) gives the context in feats (K, 3, F) of each row to sample,
-    and scored (R,) that of each id row of forced (R, L) to score, whose
-    lengths (R,) run longest first. Each chunk takes the next SAMPLE_BATCH
-    rows of each and encodes each context they use once, the scored rows'
-    first (_context_terms); the word table is built once per call. Yields
-    per chunk the slice it took of both, and _decode's sampled ids and scores.
-    """
-    words = model.embedding.data @ model.decoder.w_x.data[model.hidden_dim:]
-    for lo in range(0, max(len(sampled), len(scored)), SAMPLE_BATCH):
-        chunk = slice(lo, lo + SAMPLE_BATCH)
-        nodes, node_of = np.unique(sampled[chunk], return_inverse=True)
-        step0 = scored[chunk].tolist() + nodes.tolist()
-        # the step-0 terms go in as a temporary, for _decode to free as the nodes regroup
-        yield (chunk, *_decode(model, (_context_terms(model, feats, step0), words), rng,
-                               node_of, forced[chunk], lengths[chunk]))
-
-
-def _ended_ids(model: SpeakerModel, id_seqs: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """padded_ids of id rows that must end in </s>; ValueError names the first that does not."""
-    padded, lengths = padded_ids(id_seqs, len(model.vocab))
-    unended = padded[np.arange(len(lengths)), lengths - 1] != model.vocab.eos_id
-    if unended.any():
-        raise ValueError(f"id row {int(unended.argmax())} does not end with the end "
-                         f"token </s>")
-    return padded, lengths
-
-
 def s0_log_probs_batch(model: SpeakerModel, id_seqs: list[list[int]],
                        feats: np.ndarray) -> np.ndarray:
-    """Teacher-forced log probabilities (N,) of id rows ending in </s>.
-
-    feats (N, 3, F) holds each row's context, target-last. The ids are
-    checked once, up front: an empty row raises EmptyUtterance, an id
-    outside the vocabulary IndexOutOfRange, and a row whose last id is not
-    </s> ValueError, as in s0_log_prob.
-
-    Forward only, in the S0 chunk loop (_s0_chunks) with no sampled rows:
-    the rows are sorted by length, longest first, so the rows still decoding
-    at any step are a prefix of the order. Each chunk takes at most
-    SAMPLE_BATCH of them, encodes their contexts once, and walks the steps
-    once, gathering log_softmax at each row's next id. The sums round
-    differently from step_logits, so each row matches s0_log_prob to within
+    """Teacher-forced log probabilities (N,) of id rows ending in </s>, each
+    under its context of feats (N, 3, F), target-last: s0_sample_utterances'
+    scores, with nothing sampled. Each row matches s0_log_prob to within
     1e-12, not bit for bit.
     """
-    padded, lengths = _ended_ids(model, id_seqs)
-    _check_features(feats, len(lengths))
-    order = np.argsort(-lengths, kind="stable")
-    out = np.empty(len(order))
-    for chunk, _, scores in _s0_chunks(model, feats, None, order[:0], order,
-                                       padded[order], lengths[order]):
-        out[order[chunk]] = scores
-    return out
+    return s0_sample_utterances(model, feats, None, 0, id_seqs)[2]
 
 
 def _type_indices(model: SpeakerModel, ids: np.ndarray, index: dict[tuple[int, ...], int],
@@ -529,50 +472,72 @@ def _type_indices(model: SpeakerModel, ids: np.ndarray, index: dict[tuple[int, .
 
 def s0_sample_utterances(model: SpeakerModel, feats: np.ndarray,
                          rng: np.random.Generator | None, per_context: int = 1,
-                         score: list[int] | None = None
+                         score: list[list[int]] | None = None
                          ) -> tuple[list[tuple[str, ...]], np.ndarray, np.ndarray | None]:
     """Sample per_context descriptions of each target-last context of feats
-    (K, 3, F), dedupe them, and score the id row `score` under each context.
+    (K, 3, F), dedupe them, and score the id row score[k] under context k.
 
     Returns the distinct non-empty descriptions (speaker-mode tokens without
     </s>) in order of first draw; each of the K * per_context rows' index
     into them, context-major, -1 for a bare </s>; and the log probabilities
-    (K,) of score, which must end in </s>, or None without score. Each
+    (K,) of the score rows, in their order, or None without score. Each
     distinct id sequence is decoded once. rng may be None only when nothing
     is sampled (per_context 0, or no contexts); otherwise None raises
-    ValueError.
+    ValueError. The score rows are checked up front: a count other than K
+    raises ValueError, an empty row EmptyUtterance, an id outside the
+    vocabulary IndexOutOfRange, and a row whose last id is not </s>
+    ValueError, as in s0_log_prob.
 
-    Ancestral sampling in the S0 chunk loop (_s0_chunks), </s> forced at
-    MAX_DECODE_LEN; the sampling distribution masks <s>, an input-only
-    symbol. The decoder runs once per distinct (context, prefix) that live
-    rows share, and the random stream is the same as decoding every row on
-    its own. The scored rows draw no uniform: their scores equal
-    s0_log_probs_batch([score] * K, feats) bit for bit for K up to
-    SAMPLE_BATCH, and the draws equal those without score while the
-    K * per_context rows fit one chunk. The sums round differently from
-    step_logits, the tape's decoder step, so the ids are those of decoding
+    The score rows are sorted by length, longest first, so the rows still
+    scoring at any step are a prefix of the order. Each chunk takes the next
+    SAMPLE_BATCH rows to sample and the next SAMPLE_BATCH score rows, and
+    encodes each context they use once, the score rows' first
+    (_context_terms); the word table is built once per call. _decode then
+    walks the chunk's steps: ancestral sampling, </s> forced at
+    MAX_DECODE_LEN, with a sampling distribution that masks <s>, an
+    input-only symbol; and log_softmax gathered at each score row's next id.
+    The decoder runs once per distinct (context, prefix) that live rows
+    share, and the random stream is the same as decoding every row on its
+    own. The score rows draw no uniform: while the K * per_context rows fit
+    one chunk, their scores equal s0_log_probs_batch(score, feats) bit for
+    bit, and the draws equal those without score. The sums round
+    differently from step_logits, the tape's decoder step, so a score
+    matches s0_log_prob to within 1e-12, and the ids are those of decoding
     each row through it unless a draw falls within that rounding of a
     boundary of the cumulative distribution. A chunk with PARALLEL_ROWS or
     more contexts or nodes encodes them, or decodes the nodes, in two halves
-    on two threads (split_rows); the scored rows never split. The halves
+    on two threads (split_rows); the score rows never split. The halves
     depend on row counts alone, so the output is the same on one CPU or two.
     """
     require_count("per_context", per_context, minimum=0)
-    _check_features(feats)
+    if feats.ndim != 3 or feats.shape[1:] != (3, FOURIER_DIM):
+        raise ValueError(f"expected features of shape (K, 3, {FOURIER_DIM}), got {feats.shape}")
+    if score is not None and len(score) != len(feats):
+        raise ValueError(f"expected features of one context per score row, got {len(feats)} "
+                         f"contexts for {len(score)} score rows")
     if rng is None and per_context and len(feats):
         raise ValueError(f"sampling {per_context} per context needs a random generator, "
                          f"got rng=None")
-    forced, lengths = _ended_ids(model, [] if score is None else [score])
-    contexts = np.arange(len(feats))
+    forced, lengths = padded_ids([] if score is None else score, len(model.vocab))
+    unended = forced[np.arange(len(lengths)), lengths - 1] != model.vocab.eos_id
+    if unended.any():
+        raise ValueError(f"id row {int(unended.argmax())} does not end with the end "
+                         f"token </s>")
+    order = np.argsort(-lengths, kind="stable")
+    sampled = np.arange(len(feats)).repeat(per_context)
+    words = model.embedding.data @ model.decoder.w_x.data[model.hidden_dim:]
     index: dict[tuple[int, ...], int] = {(model.vocab.eos_id,): -1}
     types: list[tuple[str, ...]] = []
-    row_types = np.empty(len(feats) * per_context, dtype=int)
-    log_probs = np.empty(len(feats) * len(lengths))
-    for chunk, ids, scores in _s0_chunks(
-            model, feats, rng, contexts.repeat(per_context), contexts.repeat(len(lengths)),
-            forced.repeat(len(feats), axis=0), lengths.repeat(len(feats))):
+    row_types = np.empty(len(sampled), dtype=int)
+    log_probs = np.empty(len(order))
+    for lo in range(0, max(len(sampled), len(order)), SAMPLE_BATCH):
+        chunk, scored = slice(lo, lo + SAMPLE_BATCH), order[lo:lo + SAMPLE_BATCH]
+        nodes, node_of = np.unique(sampled[chunk], return_inverse=True)
+        step0 = scored.tolist() + nodes.tolist()
+        # the step-0 terms go in as a temporary, for _decode to free as the nodes regroup
+        ids, log_probs[scored] = _decode(model, (_context_terms(model, feats, step0), words),
+                                         rng, node_of, forced[scored], lengths[scored])
         row_types[chunk] = _type_indices(model, ids, index, types)
-        log_probs[chunk] = scores
     return types, row_types, None if score is None else log_probs
 
 

@@ -301,6 +301,13 @@ class TestFilterTrials:
         assert result.excluded_games == 1
         assert all(t.game_id == "full" for t in result.trials)
 
+    @pytest.mark.parametrize("min_rounds", [0, -1, 2.5, True, "3"])
+    @pytest.mark.parametrize("trials", [1, 0])
+    def test_bad_min_rounds_raises(self, min_rounds, trials):
+        # "3" raised a bare TypeError; -1 and True were accepted
+        with pytest.raises(ValueError, match=r"^min_rounds must be an integer of at least 1"):
+            filter_trials([make_trial()] * trials, min_rounds=min_rounds)
+
 
 class TestSplitByDyad:
     def test_three_games_one_each(self):

@@ -368,6 +368,17 @@ class TestDensityGrid:
         assert grid.shape == (90, 50)
         assert peak < 32 * 2 ** 20
 
+    @pytest.mark.parametrize("bins", [{"h_bins": 0}, {"h_bins": 2.5}, {"h_bins": -3},
+                                      {"s_bins": 0}, {"v_bins": True}, {"v_bins": "4"}])
+    def test_bad_bin_counts_raise(self, bins):
+        # h_bins=0 raised ZeroDivisionError, 2.5 a bare TypeError, -3 a
+        # numpy message about stacking
+        name, value = next(iter(bins.items()))
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer of at least 1, "
+                                             rf"got {value!r}"):
+            density_grid(tiny_model(), ["blue"], **{"h_bins": 4, "s_bins": 3, "v_bins": 2,
+                                                    **bins})
+
     def test_uniform_scorer_all_zero(self):
         model = tiny_model()
         rig_constant_output(model, np.zeros(54), np.zeros((54, 54)))

@@ -83,7 +83,7 @@ def graph_sample_utterances(model, feats, rng, per_context, score):
     samples = [tuple(model.vocab.decode(list(ids))[:-1]) for ids in rows]
     types = list(dict.fromkeys(u for u in samples if u))
     row_types = np.array([types.index(u) if u else -1 for u in samples])
-    return types, row_types, graph_s0_log_probs(model, [score] * len(feats), feats)
+    return types, row_types, graph_s0_log_probs(model, score, feats)
 
 
 def models(seed=0):
@@ -212,6 +212,28 @@ class TestExactOracle:
     def test_indices_out_of_range_raise(self, demo_lexicon, agent, index, message):
         with pytest.raises(ValueError, match=message):
             agent(demo_lexicon, index)
+
+    @pytest.mark.parametrize("agent, arg", [(exact_l0, "a"), (exact_l1, "b"), (exact_s0, 0),
+                                            (exact_s1, 1)])
+    @pytest.mark.parametrize("truth", [[[1.0, True], [0, 1]], [[1.0, 1.0], [0.0, 1.0]]],
+                             ids=["float-and-bool", "floats"])
+    def test_truth_values_of_other_types_stay_exact(self, agent, arg, truth):
+        # a truth value of 1.0 or True gave floats where 1 gives Fractions;
+        # 0.5 == Fraction(1, 2), so the types are compared too
+        got = agent(Lexicon(utterances=["a", "b"], truth=truth), arg)
+        want = agent(Lexicon(utterances=["a", "b"], truth=[[1, 1], [0, 1]]), arg)
+        assert got == want and list(map(type, got)) == list(map(type, want))
+
+    @pytest.mark.parametrize("agent, arg", [(exact_s1, 0), (exact_l2, "blue")])
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, True, "1", None])
+    def test_bad_alpha_raises(self, demo_lexicon, agent, arg, alpha):
+        # nan gave nan probabilities, inf blamed the lexicon, True read as 1
+        with pytest.raises(ValueError, match=r"^alpha must be a finite real number, got "):
+            agent(demo_lexicon, arg, alpha)
+
+    def test_negative_and_fractional_alpha_allowed(self, demo_lexicon):
+        assert exact_s1(demo_lexicon, 1, -1) == [F(2, 3), F(1, 3), F(0)]
+        assert exact_s1(demo_lexicon, 1, F(1, 2)) == exact_s1(demo_lexicon, 1, 0.5)
 
     @pytest.mark.parametrize("utterances, truth", [([], []), (["a"], [[]])])
     def test_empty_truth_table_raises(self, utterances, truth):

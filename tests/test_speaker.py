@@ -61,7 +61,7 @@ def sample_one(model, target, rng):
 def scored_alone(model, tokens, target):
     """The sampler's score of tokens under COLORS[target], in a call that samples nothing."""
     feats = reorder_target_last(COLORS, target)[None]
-    return s0_sample_utterances(model, feats, None, 0, model.vocab.encode(tokens))[2][0]
+    return s0_sample_utterances(model, feats, None, 0, [model.vocab.encode(tokens)])[2][0]
 
 
 def scaled_model(seed, scale):
@@ -420,7 +420,7 @@ def test_inference_lstms_construct_no_tensor(monkeypatch):
     assert made
     made.clear()
     s0_log_probs_batch(model, id_seqs, feats)
-    s0_sample_utterances(model, feats, np.random.default_rng(2), 2, id_seqs[0])
+    s0_sample_utterances(model, feats, np.random.default_rng(2), 2, [id_seqs[0]] * 3)
     l0.encode_prefixes([(3, 4), (3,), (5, 4, 3)])
     listener_ids = [[3, 4], [3], [5, 4, 3]]
     l0_probs_many(l0, listener_ids, fourier_features_array(COLORS))
@@ -561,7 +561,7 @@ class TestSampling:
         with pytest.raises(ValueError, match="rng=None"):
             s0_sample_utterances(tiny_model(), feats, None, per_context)
         with pytest.raises(ValueError, match="rng=None"):
-            s0_sample_utterances(tiny_model(), feats, None, per_context, [3, 2])
+            s0_sample_utterances(tiny_model(), feats, None, per_context, [[3, 2]] * 2)
 
     def test_no_contexts_need_no_generator(self):
         types, row_types, _ = s0_sample_utterances(tiny_model(), np.zeros((0, 3, 54)), None, 3)
@@ -630,7 +630,7 @@ class TestSharedPrefixSampling:
 
 class TestSampleAndScore:
     """s0_sample_utterances with score: its draws without score, and
-    s0_log_probs_batch's scores of one id row, from one chunk loop."""
+    s0_log_probs_batch's scores of the score rows, from one chunk loop."""
 
     @pytest.mark.parametrize("per_context, truncate", [(0, False), (1, False), (6, False),
                                                        (6, True)])
@@ -641,7 +641,8 @@ class TestSampleAndScore:
         feats = np.random.default_rng(10).standard_normal((4, 3, 54))
         ids = model.vocab.encode(["dark", "blue", "red", EOS])
         rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
-        types, row_types, log_probs = s0_sample_utterances(model, feats, rng, per_context, ids)
+        types, row_types, log_probs = s0_sample_utterances(model, feats, rng, per_context,
+                                                           [ids] * 4)
         want_types, want_rows, unscored = s0_sample_utterances(model, feats, ref_rng,
                                                                per_context)
         assert types == want_types and np.array_equal(row_types, want_rows)
@@ -651,7 +652,7 @@ class TestSampleAndScore:
     def test_no_samples_use_no_generator(self):
         model = tiny_model(seed=16)
         feats = np.random.default_rng(12).standard_normal((3, 3, 54))
-        types, row_types, log_probs = s0_sample_utterances(model, feats, None, 0, [3, 2])
+        types, row_types, log_probs = s0_sample_utterances(model, feats, None, 0, [[3, 2]] * 3)
         assert types == [] and row_types.shape == (0,)
         assert np.array_equal(log_probs, s0_log_probs_batch(model, [[3, 2]] * 3, feats))
 
@@ -678,7 +679,7 @@ class TestSampleAndScore:
     def test_bad_id_rows_raise(self, ids, error):
         feats = np.random.default_rng(0).standard_normal((3, 3, 54))
         with pytest.raises(error):
-            s0_sample_utterances(tiny_model(), feats, np.random.default_rng(0), 2, ids)
+            s0_sample_utterances(tiny_model(), feats, np.random.default_rng(0), 2, [ids] * 3)
 
     def test_target_last_order_gathers_the_features(self):
         rng = np.random.default_rng(15)
@@ -723,7 +724,7 @@ class TestChunks:
         ids = model.vocab.encode(["blue", EOS])
         passes, steps = self.encoded_contexts(model, feats), decoder_calls(monkeypatch)
         _, row_types, log_probs = s0_sample_utterances(model, feats, np.random.default_rng(14),
-                                                       4, ids)
+                                                       4, [ids] * 3)
         # sampled rows 0-4, 5-9 and 10-11 use contexts 0-1, 1-2 and 2
         assert passes == [[0, 1, 2], [1, 2], [2]] and len(row_types) == 12
         assert np.array_equal(log_probs, s0_log_probs_batch(model, [ids] * 3, feats))
@@ -741,8 +742,8 @@ class TestChunks:
         model = tiny_model(seed=18)
         feats = np.random.default_rng(contexts).standard_normal((contexts, 3, 54))
         passes = self.encoded_contexts(model, feats)
-        _, _, log_probs = s0_sample_utterances(model, feats, np.random.default_rng(1),
-                                               per_context, [3, 2] if score else None)
+        _, _, log_probs = s0_sample_utterances(model, feats, np.random.default_rng(1), per_context,
+                                               [[3, 2]] * contexts if score else None)
         assert passes == want
         if score:
             assert np.array_equal(log_probs, s0_log_probs_batch(model, [[3, 2]] * contexts,
@@ -765,14 +766,28 @@ class TestChunks:
         feats = np.random.default_rng(22).standard_normal((contexts, 3, 54))
         ids = model.vocab.encode(["dark", "red", "blue", EOS])
         rng, ref_rng = np.random.default_rng(23), np.random.default_rng(23)
-        types, row_types, _ = s0_sample_utterances(model, feats, rng, per_context, ids)
+        types, row_types, _ = s0_sample_utterances(model, feats, rng, per_context,
+                                                   [ids] * contexts)
         want_types, want_rows, _ = s0_sample_utterances(model, feats, ref_rng, per_context)
         assert types == want_types and np.array_equal(row_types, want_rows)
         assert rng.random() == ref_rng.random()
 
-    def test_score_is_checked_without_contexts(self):
+    def test_score_is_checked_without_contexts(self, monkeypatch):
+        # an unended row raises before any context is decoded
+        def decode(*args):
+            raise AssertionError("the score rows were decoded before they were checked")
+
+        monkeypatch.setattr(speaker, "_decode", decode)
+        feats = np.random.default_rng(0).standard_normal((1, 3, 54))
         with pytest.raises(ValueError, match="does not end"):
-            s0_sample_utterances(tiny_model(), np.zeros((0, 3, 54)), None, 1, [3, 4])
+            s0_sample_utterances(tiny_model(), feats, None, 0, [[3, 4]])
+
+    @pytest.mark.parametrize("rows", [0, 2, 4])
+    def test_score_rows_must_match_the_contexts(self, rows):
+        feats = np.random.default_rng(0).standard_normal((3, 3, 54))
+        with pytest.raises(ValueError, match=f"got 3 contexts for {rows} score rows"):
+            s0_sample_utterances(tiny_model(), feats, np.random.default_rng(0), 1,
+                                 [[3, 2]] * rows)
 
 
 # tracemalloc peak, in MiB, of sampling 1,024 contexts at default dimensions.
@@ -797,19 +812,23 @@ def test_sampler_frees_the_step0_rows_as_nodes_regroup():
     assert peak < SAMPLER_PEAK_MIB * 2 ** 20
 
 
-@pytest.mark.parametrize("serial", ["one_cpu", "whole_rows", "apart"])
+@pytest.mark.parametrize("serial", ["one_cpu", "whole_rows", "apart", "mixed"])
 def test_two_thread_split_equals_the_serial_run(serial, monkeypatch):
     # 1,024 contexts split the encoder's rows and the sampled rows of the
     # decoder steps into halves on two threads; the scored rows run as one
     # range of their own
     model, feats = _default_size_inputs()
-    score = model.vocab.encode(["dark", "blue", EOS])
+    score = [model.vocab.encode(["dark", "blue", EOS])] * len(feats)
+    if serial == "mixed":  # one row per context, of lengths 1 to 7, sorted longest first
+        rng, eos = np.random.default_rng(4), model.vocab.eos_id
+        score = [rng.integers(0, len(model.vocab), n - 1).tolist() + [eos]
+                 for n in rng.integers(1, 8, len(feats))]
 
     def run(score=score):
         return (s0_sample_utterances(model, feats, np.random.default_rng(3), 1, score),
                 model.encode_contexts(feats))
 
-    if serial == "apart":
+    if serial in ("apart", "mixed"):
         # the draws of sampling alone and the scores of scoring alone, with
         # the sampled rows split on two threads or inline on one CPU
         for cpus in (2, 1):
@@ -818,8 +837,7 @@ def test_two_thread_split_equals_the_serial_run(serial, monkeypatch):
             (want_types, want_rows, unscored), _ = run(None)
             assert types == want_types and len(types) > 20 and unscored is None
             assert np.array_equal(row_types, want_rows)
-            assert np.array_equal(log_probs,
-                                  s0_log_probs_batch(model, [score] * len(feats), feats))
+            assert np.array_equal(log_probs, s0_log_probs_batch(model, score, feats))
         return
     set_cpus(monkeypatch, 2)
     (types, row_types, log_probs), contexts = run()
