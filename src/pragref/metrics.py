@@ -24,13 +24,12 @@ from .colorspace import (
     Color,
     Condition,
     classify_conditions,
-    fourier_features_array,
     sample_contexts,
 )
 from .corpus import ContextTrial, preprocess
 from .listener import accuracy_perplexity, l0_probs_many
 from .rsa import S1_ALPHA, listener_ids_for, s1_table_from_probs
-from .speaker import s0_sample_utterances, target_last_features
+from .speaker import feature_rows, s0_sample_utterances, target_last_features
 
 HEURISTICS_NOTE = ("comparatives/superlatives via suffix heuristics; "
                    "specificity via bundled color-term depth table")
@@ -235,9 +234,9 @@ def behavior_metrics_for_trials(trials: list[ContextTrial]) -> BehaviorReport:
 Context = tuple[tuple[Color, Color, Color], int, Condition]
 
 
-def _speaker_features(contexts: list[Context]) -> np.ndarray:
-    """The speaker's target-last feature rows (N, 3, F) of the contexts."""
-    return target_last_features([c for c, _, _ in contexts], [t for _, t, _ in contexts])
+def _colors_and_targets(contexts: list[Context]) -> tuple[list, list[int]]:
+    """The contexts' color triples and target indices, as feature_rows takes them."""
+    return [c for c, _, _ in contexts], [t for _, t, _ in contexts]
 
 
 class BaseSpeakerSampler:
@@ -250,7 +249,8 @@ class BaseSpeakerSampler:
 
     def sample_texts(self, contexts: list[Context],
                      rng: np.random.Generator) -> list[str]:
-        types, row_types, _ = s0_sample_utterances(self.model, _speaker_features(contexts), rng)
+        feats = target_last_features(*_colors_and_targets(contexts))
+        types, row_types, _ = s0_sample_utterances(self.model, feats, rng)
         return [" ".join(types[t]) if t >= 0 else "" for t in row_types.tolist()]
 
 
@@ -272,8 +272,9 @@ class PragmaticSpeakerSampler:
 
     def sample_texts(self, contexts: list[Context],
                      rng: np.random.Generator) -> list[str]:
-        types, row_types, _ = s0_sample_utterances(self.s0_model, _speaker_features(contexts),
-                                                   rng, S1_POOL_SIZE)
+        # one feature pass: L0 reads the stored-order rows, S0 the same rows target-last
+        feats, s0_feats = feature_rows(*_colors_and_targets(contexts))
+        types, row_types, _ = s0_sample_utterances(self.s0_model, s0_feats, rng, S1_POOL_SIZE)
         pool = [r[r >= 0].tolist() for r in row_types.reshape(-1, S1_POOL_SIZE)]
         sizes = [len(cands) for cands in pool]
 
@@ -282,7 +283,6 @@ class PragmaticSpeakerSampler:
         flat_ids = [type_ids[t] for cands in pool for t in cands]
         probs = np.zeros((0, 3))
         if flat_ids:
-            feats = fourier_features_array([c for c, _, _ in contexts])
             probs = l0_probs_many(self.l0_model, flat_ids, np.repeat(feats, sizes, axis=0))
 
         texts: list[str] = []

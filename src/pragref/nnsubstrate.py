@@ -279,15 +279,32 @@ def check_id_rows(ids: np.ndarray, vocab_size: int) -> None:
 def padded_ids(seqs, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
     """Id rows as a (N, longest) int matrix padded with 0, and their lengths (N,).
 
-    Raises EmptyUtterance for a row with no ids, and IndexOutOfRange
-    (check_id_rows) for an id outside [0, vocab_size).
+    Raises TypeError, naming the row, for a row that is not a sequence and
+    for an id that is not an integer (a Python or numpy integer, not a bool:
+    a float id would be truncated, a bool read as 0 or 1); EmptyUtterance for
+    a row with no ids; and IndexOutOfRange (check_id_rows) for an id outside
+    [0, vocab_size). The id types are checked per type, not per id.
     """
-    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    rows = len(seqs)
+    try:
+        lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=rows)
+    except TypeError:
+        for row, seq in enumerate(seqs):
+            try:
+                len(seq)
+            except TypeError:
+                raise TypeError(f"id row {row} is {seq!r}, not a sequence of ids") from None
+        raise
     if lengths.size and lengths.min() == 0:
         raise EmptyUtterance(f"id row {int(lengths.argmin())} has no tokens")
-    flat = np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.int64,
-                       count=int(lengths.sum()))
-    padded = np.zeros((len(seqs), lengths.max(initial=0)), dtype=np.int64)
+    ids = list(itertools.chain.from_iterable(seqs))
+    bad = {kind for kind in set(map(type, ids))
+           if not issubclass(kind, (int, np.integer)) or issubclass(kind, bool)}
+    if bad:
+        row, value = next((i, v) for i, s in enumerate(seqs) for v in s if type(v) in bad)
+        raise TypeError(f"id row {row} holds {value!r}, not an integer id")
+    flat = np.fromiter(ids, dtype=np.int64, count=len(ids))
+    padded = np.zeros((rows, lengths.max(initial=0)), dtype=np.int64)
     padded[np.arange(padded.shape[1]) < lengths[:, None]] = flat
     check_id_rows(padded, vocab_size)
     return padded, lengths

@@ -77,10 +77,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .colorspace import Color
+from .colorspace import Color, fourier_features_array
 from .corpus import EOS, preprocess, speaker_tokens_to_listener_tokens
 from .errors import VacuousUtterance, require_count
-from .listener import ListenerModel, context_features, l0_probs_many
+from .listener import ListenerModel, l0_probs_many
 from .speaker import SpeakerModel, s0_sample_utterances, target_last_order
 
 PROB_FLOOR = 1e-12
@@ -341,9 +341,10 @@ def _as_speaker_utterance(u) -> Utterance:
 def _trial_features(colors: tuple[Color, Color, Color]) -> tuple[np.ndarray, np.ndarray]:
     """A context's feature rows, computed once: L0's (3, F) in stored order,
     and S0's (3, 3, F), the same rows gathered in target_last_order for each
-    target index."""
-    feats = context_features(colors)
-    return feats, feats[target_last_order([colors] * 3, np.arange(3))]
+    target index, as feature_rows gathers them for many contexts."""
+    rgb = np.asarray(colors, dtype=np.float64)
+    feats = fourier_features_array(rgb)
+    return feats, feats[target_last_order(np.broadcast_to(rgb, (3, 3, 3)), np.arange(3))]
 
 
 def _speaker_ids(model: SpeakerModel, observed: Utterance) -> list[int]:

@@ -83,28 +83,40 @@ class SpeakerModel:
         _, c = run_lstm(inputs, self.encoder, feats.shape[0])
         return c
 
-    def encode_contexts(self, feats: np.ndarray) -> np.ndarray:
-        """encode, forward only on plain arrays: context vectors (B, hidden).
+    def _encoder_pass(self, feats: np.ndarray) -> np.ndarray:
+        """The decoder's context gate terms c W_c + b (B, 4 hidden) of feats
+        (B, 3, F), forward only on plain arrays: c is encode's context vector
+        (B, hidden), W_c the context half of the decoder's W_x and b its gate
+        bias.
 
-        The operations of encode in its order, except that h W_h is skipped
-        at step 0, where h is zero, so the result equals encode's. Rows are
+        c comes from the operations of encode in its order, except that h W_h
+        is skipped at step 0, where h is zero, so c equals encode's. Rows are
         independent, so PARALLEL_ROWS or more split into two halves on two
         threads (split_rows). Each half runs _encoder_steps over its rows in
         arrays this call allocates whole: the gate sums, a scratch that holds
-        h W_h and then the cell's sigmoids and candidate (_cell_out), and
-        the state [h; c].
+        h W_h and then the cell's sigmoids and candidate (_cell_out), and the
+        state [h; c]. Each half then writes c W_c + b into its rows of the
+        gate sums, which its last step has read, so the product runs in the
+        halves too and needs no array of its own. The halves depend on the
+        row count alone, so no output depends on the CPUs. The rows equal
+        encode(feats).data @ W_c + b to within rounding, and bit for bit where
+        the BLAS rounds a row of a product the same whatever rows it is
+        computed with.
         """
         if feats.ndim != 3:
             raise ValueError(f"expected (B, 3, F) features, got {feats.shape}")
         gates, scratch = (np.empty((len(feats), 4 * self.hidden_dim)) for _ in range(2))
         hc = np.empty((2, len(feats), self.hidden_dim))
+        w_c, bias = self.decoder.w_x.data[:self.hidden_dim], self.decoder.bias.data
 
         def rows(lo, hi):
             room = scratch[lo:hi]
             self._encoder_steps(feats[lo:hi], gates[lo:hi], room, _cell_out(hc[:, lo:hi], room))
+            np.matmul(hc[1, lo:hi], w_c, out=gates[lo:hi])
+            gates[lo:hi] += bias
 
         split_rows(0, len(feats), rows)
-        return hc[1]
+        return gates
 
     def _encoder_steps(self, feats: np.ndarray, gates: np.ndarray, room: np.ndarray,
                        out: tuple | None = None) -> list:
@@ -165,14 +177,54 @@ def target_last_order(rgb: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return order
 
 
-def target_last_features(rgb: np.ndarray, targets: np.ndarray) -> np.ndarray:
+def _context_colors(rgb) -> np.ndarray:
+    """The colors of N contexts as an (N, 3, 3) float array.
+
+    An array is taken as it is. A list of contexts of three color triples
+    (Color tuples, say) is read channel by channel with np.fromiter, several
+    times faster than numpy's walk over nested tuples; a context without
+    exactly three colors of three channels raises ValueError.
+    """
+    if isinstance(rgb, np.ndarray):
+        return rgb.astype(np.float64, copy=False)
+    chain = itertools.chain.from_iterable
+    flat = np.fromiter(chain(chain(rgb)), dtype=np.float64)
+    if set(map(len, rgb)) - {3} or set(map(len, chain(rgb))) - {3}:
+        raise ValueError("expected contexts of 3 colors of 3 channels each")
+    return flat.reshape(-1, 3, 3)
+
+
+def _ordered_colors(rgb, targets) -> tuple[np.ndarray, np.ndarray]:
+    """The contexts' colors (N, 3, 3) read by _context_colors, and their
+    target_last_order (N, 3)."""
+    rgb = _context_colors(rgb)
+    order = target_last_order(rgb, targets)
+    return rgb.reshape(len(order), 3, 3), order
+
+
+def feature_rows(rgb, targets) -> tuple[np.ndarray, np.ndarray]:
+    """The feature rows of N contexts, computed once: in stored order
+    (N, 3, F), as L0 reads them, and gathered in target_last_order (N, 3, F),
+    as S0 reads them.
+
+    rgb (N, 3, 3) holds the contexts' colors in stored order, as an array or
+    a list of color triples (_context_colors), and targets (N,) their target
+    indices. fourier_features_array computes each color's row on its own, so
+    the gathered rows equal target_last_features' bit for bit.
+    """
+    rgb, order = _ordered_colors(rgb, targets)
+    feats = fourier_features_array(rgb)
+    return feats, feats[np.arange(len(order))[:, None], order]
+
+
+def target_last_features(rgb, targets) -> np.ndarray:
     """Feature rows (N, 3, F) for [distractor, distractor, target] per context,
     the colors of rgb (N, 3, 3) in target_last_order, so the rows do not
-    depend on the stored color order."""
-    rgb = np.asarray(rgb, dtype=np.float64)
-    order = target_last_order(rgb, targets)
-    n = np.arange(len(order))
-    return fourier_features_array(rgb.reshape(len(n), 3, 3)[n[:, None], order])
+    depend on the stored color order. rgb is read as feature_rows reads it;
+    the colors are gathered before featurizing, which moves 3 floats per
+    color where gathering feature_rows' rows would move 54."""
+    rgb, order = _ordered_colors(rgb, targets)
+    return fourier_features_array(rgb[np.arange(len(order))[:, None], order])
 
 
 def reorder_target_last(colors: tuple[Color, Color, Color],
@@ -206,7 +258,7 @@ def _s0_losses_and_grads(model: SpeakerModel, feats: np.ndarray, ids: np.ndarray
     vocabulary raises IndexOutOfRange (check_id_rows) before any .grad is
     set, as _teacher_forced_losses' embed does.
 
-    Forward: the encoder's steps as encode_contexts runs them; the decoder's
+    Forward: the encoder's steps as _encoder_pass runs them; the decoder's
     context half of W_x and its bias once per batch, its word half for all
     steps in one product, and the output layer and log-softmax over all steps
     at once. Backward: explicit backpropagation through time, each weight
@@ -288,12 +340,13 @@ def _context_terms(model: SpeakerModel, feats: np.ndarray, contexts: list[int]) 
     half of the decoder's W_x and the gate bias are applied per context, the
     embedding's half per word (s0_sample_utterances' word table). Each
     distinct context is encoded once, in order of first use, so a list
-    without repeats gets the encoded rows with no gathered copy.
+    without repeats gets the encoded rows with no gathered copy. The
+    encoder pass (SpeakerModel._encoder_pass) applies the context's half of
+    W_x and the bias itself, so at PARALLEL_ROWS contexts or more the
+    product runs in the encoder's two halves.
     """
     first = {c: i for i, c in enumerate(dict.fromkeys(contexts))}
-    cell = model.decoder
-    terms = model.encode_contexts(feats[list(first)]) @ cell.w_x.data[:model.hidden_dim]
-    terms += cell.bias.data
+    terms = model._encoder_pass(feats[list(first)])
     return terms if len(first) == len(contexts) else terms[[first[c] for c in contexts]]
 
 

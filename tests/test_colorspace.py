@@ -63,6 +63,8 @@ SHARMA_PAIRS = [
 ]
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
+# channels that hit the ends of [0, 1] often, where the phases are whole turns
+channel = st.one_of(st.sampled_from([0.0, 1.0]), unit)
 
 
 def hsv_to_rgb(h, s, v):
@@ -217,6 +219,49 @@ class TestFourierFeatures:
         assert np.all(np.abs(f) <= 1.0 + 1e-12)
         shifted = fourier_features_array(np.array([(r + 1.0) % 1.0, g, b]))
         assert np.allclose(f, shifted, atol=1e-9)
+
+    @given(channel, channel, channel)
+    @example(0.0, 0.0, 0.0)
+    @example(1.0, 1.0, 1.0)
+    @example(0.0, 1.0, 0.5)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_direct_formula(self, r, g, b):
+        # the phasor products against one cosine and one sine per phase; most
+        # of the gap is the direct formula's rounding of phases up to 12 pi
+        got = fourier_features_array(Color(r, g, b))
+        assert np.abs(got - direct_fourier_features(r, g, b)).max() <= 1e-13
+
+    @pytest.mark.parametrize("shape", [(1, 3), (7, 3), (40, 3, 3), (3, 5, 3)])
+    def test_rows_equal_one_color_calls(self, shape):
+        rgb = np.random.default_rng(sum(shape)).random(shape)
+        rgb.reshape(-1, 3)[::4] = np.round(rgb.reshape(-1, 3)[::4] * 2) / 2  # 0, 0.5 and 1
+        got = fourier_features_array(rgb)
+        assert got.shape == shape[:-1] + (54,)
+        for index in np.ndindex(shape[:-1]):
+            assert np.array_equal(got[index], fourier_features_array(rgb[index]))
+
+    @pytest.mark.parametrize("rgb", [np.zeros(2), np.zeros((3, 4)), np.zeros((3, 3, 1)),
+                                     np.float64(0.5)])
+    def test_wrong_channel_count_raises(self, rgb):
+        with pytest.raises(ValueError, match="rgb"):
+            fourier_features_array(rgb)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", [(0, 0), (2, 1), (1, 2)])
+    def test_non_finite_channel_raises(self, value, at):
+        rgb = np.full((3, 3), 0.25)
+        rgb[at] = value
+        with pytest.raises(ValueError, match="rgb"):
+            fourier_features_array(rgb)
+
+
+def direct_fourier_features(r: float, g: float, b: float) -> np.ndarray:
+    """The features as their definition gives them: the cosines, then the
+    sines, of 2 pi (j r + k g + l b) for (j, k, l) in {0, 1, 2}^3
+    lexicographic, one phase at a time."""
+    phases = [2.0 * math.pi * (j * r + k * g + l * b)
+              for j, k, l in itertools.product(range(3), repeat=3)]
+    return np.array([math.cos(p) for p in phases] + [math.sin(p) for p in phases])
 
 
 def _triple_at_lab_distances(seed, lo, hi, tries=20000):

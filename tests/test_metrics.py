@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pragref import metrics
-from pragref.colorspace import Color, Condition, classify_conditions
+from pragref import metrics, speaker
+from pragref.colorspace import Color, Condition, classify_conditions, fourier_features_array
 from pragref.corpus import (
     ContextTrial,
     build_vocab,
@@ -376,6 +376,25 @@ class TestSamplersMatchReference:
         want = [" ".join(u) for u in reference_samples(s0, feats, np.random.default_rng(seed),
                                                        10)]
         assert BaseSpeakerSampler(s0).sample_texts(contexts, np.random.default_rng(seed)) == want
+
+    @pytest.mark.parametrize("sampler", [BaseSpeakerSampler, PragmaticSpeakerSampler])
+    def test_one_feature_pass_per_call(self, monkeypatch, sampler):
+        # S0's target-last rows are gathered from the stored-order rows that L0 reads
+        calls = []
+        kernel = fourier_features_array
+
+        def counting(rgb):
+            calls.append(np.shape(rgb))
+            return kernel(rgb)
+
+        for module in (speaker, metrics):
+            if hasattr(module, "fourier_features_array"):
+                monkeypatch.setattr(module, "fourier_features_array", counting)
+        l0, s0 = self._models()
+        contexts = condition_mix_contexts(7, np.random.default_rng(3))
+        models = (s0,) if sampler is BaseSpeakerSampler else (l0, s0)
+        assert any(sampler(*models).sample_texts(contexts, np.random.default_rng(4)))
+        assert calls == [(21, 3, 3)]
 
     @pytest.mark.parametrize("seed,alpha", [(0, 0.544), (1, 2.0), (2, 0.0), (0, 40.0)])
     def test_pragmatic_sampler(self, monkeypatch, seed, alpha):

@@ -237,6 +237,27 @@ class TestForwardSemantics:
         assert np.allclose(cell.bias.data[:5], 0.0)
 
 
+class TestPaddedIds:
+    def test_rows_of_numpy_integers_pass(self):
+        seqs = [[np.int64(3), np.int32(2)], np.array([1], dtype=np.uint8), (4, 5, 2)]
+        padded, lengths = nnsubstrate.padded_ids(seqs, 6)
+        assert padded.tolist() == [[3, 2, 0], [1, 0, 0], [4, 5, 2]]
+        assert lengths.tolist() == [2, 1, 3]
+
+    @pytest.mark.parametrize("row", [[3.5, 2], [True, 2], [2, np.bool_(False)],
+                                     np.array([3.0, 2.0]), [3, np.float64(2.0)], "ab"])
+    def test_non_integer_ids_raise_naming_the_row(self, row):
+        # a float id would be truncated and a bool read as 0 or 1
+        with pytest.raises(TypeError, match="id row 1 holds .*, not an integer id"):
+            nnsubstrate.padded_ids([[3, 2], row], 6)
+
+    @pytest.mark.parametrize("seqs, row", [([3, 2], 0), ([[3, 2], 4, [2]], 1),
+                                           ([np.array(3)], 0), ([[3, 2], np.array(3)], 1)])
+    def test_a_row_that_is_not_a_sequence_raises_naming_it(self, seqs, row):
+        with pytest.raises(TypeError, match=f"id row {row} is .*, not a sequence of ids"):
+            nnsubstrate.padded_ids(seqs, 6)
+
+
 class TestOptimizers:
     def test_adam_first_step_magnitude(self):
         # g=1 everywhere: m_hat=1, v_hat=1 -> update = -lr/(1+eps) ~ -0.004

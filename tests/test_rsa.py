@@ -636,7 +636,7 @@ class TestOneSpeakerPass:
     def test_one_encoder_pass_and_one_word_table(self, monkeypatch):
         l0, s0 = models(seed=18)
         encoded, words = [], []
-        encode, decode = s0.encode_contexts, speaker._decode
+        encode, decode = s0._encoder_pass, speaker._decode
 
         def counting_encode(feats):
             encoded.append(len(feats))
@@ -646,7 +646,7 @@ class TestOneSpeakerPass:
             words.append(tables[1])
             return decode(model, tables, *args)
 
-        s0.encode_contexts = counting_encode
+        s0._encoder_pass = counting_encode
         monkeypatch.setattr(speaker, "_decode", recording_decode)
         compute_agents(l0, s0, "dark blue", COLORS, PragmaticsConfig(), np.random.default_rng(8))
         assert encoded == [3] and len(words) == 1

@@ -27,6 +27,7 @@ from pragref.speaker import (
     SpeakerModel,
     _teacher_forced_losses,
     dev_token_perplexity,
+    feature_rows,
     reorder_target_last,
     s0_log_prob,
     s0_log_probs_batch,
@@ -120,15 +121,16 @@ def decoder_calls(monkeypatch):
 
 
 def encoder_calls(model):
-    """Number of contexts of every encoder pass model makes from here on."""
+    """Number of contexts of every encoder pass model makes from here on
+    (SpeakerModel._encoder_pass, which the sampler's context terms run)."""
     encoded = []
-    encode = model.encode_contexts
+    encode = model._encoder_pass
 
     def counting(feats):
         encoded.append(len(feats))
         return encode(feats)
 
-    model.encode_contexts = counting
+    model._encoder_pass = counting
     return encoded
 
 
@@ -202,10 +204,12 @@ class TestEncodeContext:
         assert abs(float(got[0]) - c) < INFERENCE_ATOL
 
     def test_forward_only_encoder_equals_graph_encoder(self):
-        # skipping h W_h where h is zero leaves every sum as encode forms it
+        # skipping h W_h where h is zero leaves every sum as encode forms it,
+        # and the context terms are one product of encode's rows
         model = tiny_model(seed=4)
         feats = np.random.default_rng(5).standard_normal((40, 3, 54))
-        assert np.array_equal(model.encode_contexts(feats), model.encode(feats).data)
+        w, b = model.decoder.w_x.data[:model.hidden_dim], model.decoder.bias.data
+        assert np.array_equal(model._encoder_pass(feats), model.encode(feats).data @ w + b)
 
 
 class TestTargetLastFeatures:
@@ -245,6 +249,30 @@ class TestTargetLastFeatures:
         moved = np.argsort(perm)[targets]  # where each target lands
         assert np.array_equal(target_last_features(rgb[:, perm], moved),
                               target_last_features(rgb, targets))
+
+    def test_color_lists_read_as_arrays(self):
+        # lists of Color triples are read channel by channel; both feature
+        # arrays come from one feature pass and match featurizing each order
+        rng = np.random.default_rng(16)
+        rgb, targets = rng.random((30, 3, 3)), rng.integers(0, 3, 30)
+        rgb[::5, 1] = rgb[::5, 0]  # equal distractors or target
+        contexts = [tuple(Color(*color) for color in ctx) for ctx in rgb.tolist()]
+        stored, target_last = feature_rows(contexts, targets.tolist())
+        assert np.array_equal(stored, fourier_features_array(rgb))
+        assert np.array_equal(target_last, target_last_features(rgb, targets))
+        assert np.array_equal(target_last, target_last_features(contexts, targets))
+        n = np.arange(30)[:, None]
+        assert np.array_equal(target_last,
+                              fourier_features_array(rgb[n, target_last_order(rgb, targets)]))
+
+    @pytest.mark.parametrize("contexts", [
+        [[(0.1, 0.2, 0.3)] * 2],                             # two colors
+        [[(0.1, 0.2, 0.3)] * 4, [(0.1, 0.2, 0.3)] * 2],      # four and two: 18 channels
+        [[(0.1, 0.2), (0.1, 0.2, 0.3, 0.4), (0.1, 0.2, 0.3)]],  # 2, 4 and 3 channels
+    ])
+    def test_malformed_color_lists_raise(self, contexts):
+        with pytest.raises(ValueError, match="3 colors of 3 channels"):
+            target_last_features(contexts, [0] * len(contexts))
 
     @pytest.mark.parametrize("targets", [[0, 1], [0], [0, 3, 1], [-1, 0, 2]])
     def test_bad_targets_raise(self, targets):
@@ -382,13 +410,20 @@ class TestBatchScoring:
 
     @pytest.mark.parametrize("row, error", [
         ([], EmptyUtterance), ([-1, 2], IndexOutOfRange), ([3, -1], IndexOutOfRange),
-        ([6, 2], IndexOutOfRange), ([2, 10**6], IndexOutOfRange)])
+        ([6, 2], IndexOutOfRange), ([2, 10**6], IndexOutOfRange), ([3.5, 2], TypeError),
+        ([True, 2], TypeError), ([3, np.float64(2.0)], TypeError)])
     def test_bad_id_rows_raise_typed_errors(self, row, error):
-        # the vocabulary has 6 ids; an id of -1 would read the last word's row
+        # the vocabulary has 6 ids; an id of -1 would read the last word's row,
+        # 3.5 would be read as 3 and True as 1
         model = tiny_model()
         id_seqs = [[3, 2], row, [4, 2]]
         with pytest.raises(error, match="id row 1"):
             s0_log_probs_batch(model, id_seqs, np.zeros((3, 3, 54)))
+
+    def test_a_flat_score_row_raises_naming_it(self):
+        # one flat row for two contexts, where each context takes a row of its own
+        with pytest.raises(TypeError, match="id row 0 is 3, not a sequence of ids"):
+            s0_sample_utterances(tiny_model(), np.zeros((2, 3, 54)), None, 0, [3, 2])
 
     def test_rows_must_end_with_end_token(self):
         # as s0_log_prob does: scoring such a row would give a prefix's probability
@@ -707,14 +742,14 @@ class TestChunks:
         """The indices into feats of the contexts of every encoder pass model
         makes from here on; feats' rows must be distinct."""
         passes = []
-        encode = model.encode_contexts
+        encode = model._encoder_pass
 
         def recording(batch):
             passes.append([int(np.flatnonzero((feats == row).all(axis=(1, 2)))[0])
                            for row in batch])
             return encode(batch)
 
-        model.encode_contexts = recording
+        model._encoder_pass = recording
         return passes
 
     def test_each_chunk_encodes_the_contexts_it_uses(self, monkeypatch):
@@ -826,7 +861,7 @@ def test_two_thread_split_equals_the_serial_run(serial, monkeypatch):
 
     def run(score=score):
         return (s0_sample_utterances(model, feats, np.random.default_rng(3), 1, score),
-                model.encode_contexts(feats))
+                model._encoder_pass(feats))
 
     if serial in ("apart", "mixed"):
         # the draws of sampling alone and the scores of scoring alone, with
@@ -850,6 +885,29 @@ def test_two_thread_split_equals_the_serial_run(serial, monkeypatch):
     assert np.array_equal(row_types, row_types_1)
     assert np.array_equal(log_probs, log_probs_1)
     assert np.array_equal(contexts, contexts_1)
+
+
+@pytest.mark.parametrize("contexts", [257, 300, 1000, 1024])
+def test_context_terms_split_equals_the_serial_product(contexts, monkeypatch):
+    # the decoder's context terms are computed in the encoder's two halves,
+    # which run inline on one CPU; each half's rows are its own product of
+    # the encoded contexts. OpenBLAS may round a row of a product differently
+    # with the rows beside it (its Haswell kernels at two threads did, by
+    # 2e-16, at 257 rows), so the one product over all rows is matched to
+    # within the inference tolerance
+    model, feats = _default_size_inputs()
+    feats = np.concatenate([feats, feats[:contexts - len(feats)]])[:contexts]
+    assert contexts >= nnsubstrate.PARALLEL_ROWS
+    cell = model.decoder
+    w, b = cell.w_x.data[:model.hidden_dim], cell.bias.data
+    encoded, mid = model.encode(feats).data, contexts // 2
+    got = {}
+    for cpus in (2, 1):
+        set_cpus(monkeypatch, cpus)
+        got[cpus] = speaker._context_terms(model, feats, list(range(contexts)))
+    assert np.array_equal(got[2], got[1])
+    assert np.array_equal(got[2], np.concatenate([encoded[:mid] @ w, encoded[mid:] @ w]) + b)
+    assert np.allclose(got[2], encoded @ w + b, rtol=0.0, atol=INFERENCE_ATOL)
 
 
 class TestTrainS0:
