@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -494,57 +496,57 @@ def template_emission(colors: tuple[Color, Color, Color], target_index: int,
     from the target's own HSV value, its largest channel; "darker"/"darkest"
     fire only for dark-side targets that some/every other color exceeds in
     value (mirrored for light); negations name a distractor's basic term,
-    never the target's, one enumerated option per distinct term.
+    never the target's, one enumerated option per distinct term. Only this
+    entry point makes an array, with the bits of numpy's `w / w.sum()`: numpy
+    sums fewer than 8 floats left to right, as the in-order total does (an
+    emission has at most 6; Python 3.12's `sum` compensates, so it is unused).
     """
     rgb = np.array(colors, dtype=np.float64)
-    return _template_emission(nearest_basic_terms(rgb), rgb.max(axis=1).tolist(),
-                              target_index, condition)
+    utterances, probs = _template_emission(nearest_basic_terms(rgb), rgb.max(axis=1).tolist(),
+                                           target_index, condition)
+    return utterances, np.array(probs)
 
 
 def _template_emission(terms: list[str], values: list[float], target_index: int,
-                       condition: Condition) -> tuple[list[tuple[str, ...]], np.ndarray]:
-    """template_emission given each color's nearest basic term and HSV value."""
+                       condition: Condition) -> tuple[list[tuple[str, ...]], list[float]]:
+    """template_emission given each color's nearest basic term and HSV value,
+    the probabilities as Python floats, each weight over the in-order total."""
     base = terms[target_index]
     v_t = values[target_index]
     v_others = [values[i] for i in range(3) if i != target_index]
     shade = "dark" if v_t < 0.5 else "light"
     weights = _FORM_WEIGHTS[condition]
 
-    options: dict[tuple[str, ...], float] = {}
-
-    def add(tokens: tuple[str, ...], weight: float) -> None:
-        if weight > 0:
-            options[tokens] = options.get(tokens, 0.0) + weight
-
-    add((base,), weights["base"])
+    # each form has its own tokens, and every weight set here is positive (the
+    # table's one 0, FAR's negation, goes to the fallback)
+    options = {(base,): weights["base"]}
     fallback = weights["shade"]
 
-    if shade == "dark" and any(v > v_t + _CMP_MARGIN for v in v_others):
-        add(("darker", base), weights["comparative"])
-    elif shade == "light" and any(v < v_t - _CMP_MARGIN for v in v_others):
-        add(("lighter", base), weights["comparative"])
+    if shade == "dark" and max(v_others) > v_t + _CMP_MARGIN:
+        options[("darker", base)] = weights["comparative"]
+    elif shade == "light" and min(v_others) < v_t - _CMP_MARGIN:
+        options[("lighter", base)] = weights["comparative"]
     else:
         fallback += weights["comparative"]
 
     if shade == "dark" and v_t <= min(v_others) - _SUP_MARGIN:
-        add(("darkest", base), weights["superlative"])
+        options[("darkest", base)] = weights["superlative"]
     elif shade == "light" and v_t >= max(v_others) + _SUP_MARGIN:
-        add(("lightest", base), weights["superlative"])
+        options[("lightest", base)] = weights["superlative"]
     else:
         fallback += weights["superlative"]
 
     other_terms = sorted({terms[i] for i in range(3) if i != target_index} - {base})
     if other_terms and weights["negation"] > 0:
         for term in other_terms:
-            add(("not", "the", term, "one"), weights["negation"] / len(other_terms))
+            options[("not", "the", term, "one")] = weights["negation"] / len(other_terms)
     else:
         fallback += weights["negation"]
 
-    add((shade, base), fallback)
+    options[(shade, base)] = fallback
 
-    utterances = list(options)
-    probs = np.array([options[u] for u in utterances])
-    return utterances, probs / probs.sum()
+    total = list(accumulate(options.values()))[-1]
+    return list(options), [w / total for w in options.values()]
 
 
 def synth_corpus(n_trials: int, rng: np.random.Generator) -> list[ContextTrial]:
@@ -554,16 +556,19 @@ def synth_corpus(n_trials: int, rng: np.random.Generator) -> list[ContextTrial]:
     speaker; listener clicks are simulated at fixed per-condition accuracy.
     Games hold TRIALS_PER_GAME consecutive trials. Raises ValueError if
     n_trials is negative, not an integer, or a bool; 0 gives no trial.
+    A description is the `bisect_right` of one `rng.random()` in the
+    cumulative probabilities over their last entry, and a missed click the
+    other index `rng.integers(0, 2)`: the stream and draws of
+    `Generator.choice(n, p=probs)` and `Generator.choice(others)`.
     """
     require_count("n_trials", n_trials, minimum=0)
-    conditions = list(Condition)
     counts = [n_trials // 3] * 3
     for i in range(n_trials - sum(counts)):
         counts[i] += 1
 
     rows: list[tuple[Condition, tuple[Color, Color, Color], int]] = []
     sampled: list[np.ndarray] = []
-    for cond, n in zip(conditions, counts):
+    for cond, n in zip(Condition, counts):
         if n == 0:
             continue
         cols, targets = sample_contexts(cond, n, rng)
@@ -580,11 +585,10 @@ def synth_corpus(n_trials: int, rng: np.random.Generator) -> list[ContextTrial]:
         cond, triple, target = rows[ri]
         utterances, probs = _template_emission(terms[3 * ri:3 * ri + 3],
                                                values[3 * ri:3 * ri + 3], target, cond)
-        tokens = utterances[rng.choice(len(utterances), p=probs)]
-        if rng.random() < _CLICK_ACCURACY[cond]:
-            clicked = target
-        else:
-            clicked = int(rng.choice([i for i in range(3) if i != target]))
+        cdf = list(accumulate(probs))
+        tokens = utterances[bisect_right([c / cdf[-1] for c in cdf], rng.random())]
+        clicked = (target if rng.random() < _CLICK_ACCURACY[cond]
+                   else [i for i in range(3) if i != target][rng.integers(0, 2)])
         trials.append(ContextTrial(
             game_id=f"g{pos // TRIALS_PER_GAME:04d}",
             round=pos % TRIALS_PER_GAME + 1,
@@ -604,7 +608,8 @@ def template_bayes_accuracy(trials: list[ContextTrial]) -> float:
     under the condition `classify_conditions` gives the context. That pairwise
     label does not depend on the target, so every candidate gets the same
     one. The posterior over targets is the normalized utterance likelihood
-    under a uniform target prior. Ties resolve to the lowest index.
+    under a uniform target prior, in Python floats with `template_emission`'s
+    bits. Ties, all-zero ones too, resolve to the lowest index.
 
     Every color is named in one `nearest_basic_terms` call and every context
     labelled in one `classify_conditions` call; each color's HSV value is its
@@ -620,17 +625,10 @@ def template_bayes_accuracy(trials: list[ContextTrial]) -> float:
     correct = 0
     for k, t in enumerate(trials):
         observed = tuple(preprocess(t.combined_text(), "speaker"))
-        likelihood = np.zeros(3)
+        likelihood = []
         for cand in range(3):
             utterances, probs = _template_emission(terms[3 * k:3 * k + 3], values[k], cand,
                                                    conditions[k])
-            for u, p in zip(utterances, probs):
-                if u == observed:
-                    likelihood[cand] = p
-                    break
-        if likelihood.sum() == 0:
-            pred = 0
-        else:
-            pred = int(np.argmax(likelihood))
-        correct += pred == t.target_index
+            likelihood.append(probs[utterances.index(observed)] if observed in utterances else 0.0)
+        correct += likelihood.index(max(likelihood)) == t.target_index
     return correct / len(trials)

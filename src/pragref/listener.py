@@ -252,10 +252,23 @@ def accuracy_perplexity(probs: np.ndarray, targets: np.ndarray) -> tuple[float, 
     """(accuracy, perplexity) of distributions (N, 3) for target indices (N,).
 
     Argmax ties go to the lowest index; target probabilities floor at 1e-300.
-    Raises ValueError unless probs has shape (len(targets), 3).
+    Raises ValueError unless probs has shape (len(targets), 3), naming the
+    first row that is not finite and the first target that is not an integer
+    index in 0..2 (a NaN row would otherwise score as a guess of index 0).
     """
     if probs.shape != (len(targets), 3):
         raise ValueError(f"expected probs of shape ({len(targets)}, 3), got {probs.shape}")
+    finite = np.isfinite(probs).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ValueError(f"probability row {row} is not finite: {probs[row].tolist()}")
+    targets = np.asarray(targets)
+    if targets.size and targets.dtype.kind not in "iu":
+        raise ValueError(f"target indices must be integers, got {targets.dtype} {targets[0]!r}")
+    outside = (targets < 0) | (targets > 2)
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise ValueError(f"target index {targets[k]} of row {k} is not in 0..2")
     acc = float((probs.argmax(axis=1) == targets).mean())
     p_t = np.maximum(probs[np.arange(len(targets)), targets], 1e-300)
     return acc, float(np.exp(-np.log(p_t).mean()))

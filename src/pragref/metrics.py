@@ -195,17 +195,22 @@ def behavior_metrics(items: list[tuple[str, Condition]]) -> BehaviorReport:
     use the raw text; flags use speaker-mode tokens. n counts every item, but
     the means cover only non-empty descriptions (0.0 when none is), so a
     speaker's empty samples show in empty_pct rather than shortening its
-    descriptions. Each distinct text is measured once per call.
+    descriptions. Each distinct text is measured once per call. A condition
+    that is not a Condition raises ValueError naming it, checked once per
+    distinct condition after the items are bucketed.
     """
     measured: dict[str, tuple[int, int, UtteranceFlags] | None] = {}
-    buckets: dict[str, list[tuple[int, int, UtteranceFlags] | None]] = {}
+    buckets: dict[Condition, list[tuple[int, int, UtteranceFlags] | None]] = {}
     for text, cond in items:
         if text not in measured:
             words = len(text.split())
             measured[text] = (len(text), words, utterance_flags(text)) if words else None
-        buckets.setdefault(cond.value, []).append(measured[text])
+        buckets.setdefault(cond, []).append(measured[text])
+    for cond in buckets:
+        if not isinstance(cond, Condition):
+            raise ValueError(f"condition {cond!r} is not a Condition")
     per_condition = {}
-    for cond, all_rows in sorted(buckets.items()):
+    for cond, all_rows in sorted((c.value, rows) for c, rows in buckets.items()):
         rows = [r for r in all_rows if r is not None]
         n = len(all_rows)
         k = len(rows) or 1  # every mean is 0.0 when all descriptions are empty

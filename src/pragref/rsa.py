@@ -303,8 +303,11 @@ def s1_table_from_probs(l0_probs: np.ndarray, counts: np.ndarray,
     l0_probs (T, 3) holds L0 for each utterance type; counts (..., T) the
     multiplicity of each type in one or more alternative multisets, 0 for a
     type a multiset lacks. Returns (..., T, 3), each column summing to 1 over
-    types. Invariant to scaling an L0 column.
+    types. Invariant to scaling an L0 column. A negative or NaN count raises
+    ValueError naming it.
     """
+    if not (counts >= 0).all():
+        raise ValueError(f"count {counts[~(counts >= 0)][0]} is negative or NaN")
     powered = np.maximum(l0_probs, 1e-300) ** alpha
     weighted = counts[..., None] * powered
     return weighted / weighted.sum(axis=-2, keepdims=True)
@@ -376,8 +379,11 @@ def blend(p: np.ndarray, q: np.ndarray, w: float) -> np.ndarray:
     """Renormalized geometric mixture p^w * q^(1-w), floored at 1e-12.
 
     p and q are distributions over the last axis: one (3,) or a batch (N, 3),
-    each row renormalized on its own.
+    each row renormalized on its own. A weight w that is not finite raises
+    ValueError.
     """
+    if not math.isfinite(w):
+        raise ValueError(f"blend weight w must be finite, got {w!r}")
     log_p = np.log(np.maximum(np.asarray(p, dtype=np.float64), PROB_FLOOR))
     log_q = np.log(np.maximum(np.asarray(q, dtype=np.float64), PROB_FLOOR))
     mix = w * log_p + (1.0 - w) * log_q

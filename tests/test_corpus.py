@@ -1,6 +1,7 @@
 import json
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -606,9 +607,12 @@ class TestBatchedTerms:
     @pytest.mark.parametrize("n,seed", [(0, 0), (1, 1), (2, 2), (7, 3), (301, 4), (302, 5),
                                         (900, 12)])
     def test_synth_corpus_matches_per_trial(self, n, seed):
-        got = synth_corpus(n, np.random.default_rng(seed))
-        assert got == per_trial_synth_corpus(n, np.random.default_rng(seed))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = synth_corpus(n, rng)
+        assert got == per_trial_synth_corpus(n, ref_rng)
         assert len(got) == n
+        # the same draws consume the same stream
+        assert rng.random() == ref_rng.random()
 
     @pytest.mark.parametrize("seed", [8, 9])
     def test_emission_matches_per_trial(self, seed):
@@ -630,7 +634,11 @@ class TestBatchedTerms:
     @pytest.mark.parametrize("seed", [8, 9])
     def test_bayes_oracle_matches_per_trial(self, seed):
         trials = synth_corpus(301, np.random.default_rng(seed))
+        # texts no candidate emits: every likelihood is 0, and index 0 is predicted
+        for k in (0, 1, 2, 3, 4, 5):
+            trials[k] = replace(trials[k], speaker_texts=["zzz"], target_index=k % 3)
         preds = per_trial_oracle(trials)
+        assert preds[:6] == [0] * 6
         want = [p == t.target_index for p, t in zip(preds, trials)]
         assert template_bayes_accuracy(trials) == sum(want) / len(trials)
         assert [template_bayes_accuracy([t]) for t in trials[:90]] == [float(w) for w in want[:90]]
