@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PerceptibilityViolation, SamplingBudgetExceeded, require_count
+from .errors import PerceptibilityViolation, SamplingBudgetExceeded, require_count, require_rows
 
 FOURIER_DIM = 54
 
@@ -199,8 +199,7 @@ def fourier_features_array(rgb: np.ndarray) -> np.ndarray:
     rgb = np.asarray(rgb, dtype=np.float64)
     if rgb.shape[-1:] != (3,):
         raise ValueError(f"rgb must hold 3 channels on its last axis, got shape {rgb.shape}")
-    if not np.isfinite(rgb).all():
-        raise ValueError("rgb holds a channel that is not finite")
+    require_rows("rgb", rgb, np.isfinite(rgb), "holds a channel that is not finite")
     return _phasor_features(rgb * (2.0 * np.pi))
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .colorspace import FOURIER_DIM, Color, fourier_features_array, hsv_to_rgb_arrays
 from .corpus import ContextTrial, Vocabulary, preprocess
-from .errors import EmptyUtterance, require_count
+from .errors import EmptyUtterance, require_count, require_rows
 from .nnsubstrate import (
     Adadelta,
     LstmCellParams,
@@ -258,10 +258,7 @@ def accuracy_perplexity(probs: np.ndarray, targets: np.ndarray) -> tuple[float, 
     """
     if probs.shape != (len(targets), 3):
         raise ValueError(f"expected probs of shape ({len(targets)}, 3), got {probs.shape}")
-    finite = np.isfinite(probs).all(axis=1)
-    if not finite.all():
-        row = int(np.argmin(finite))
-        raise ValueError(f"probability row {row} is not finite: {probs[row].tolist()}")
+    require_rows("probability", probs, np.isfinite(probs), "is not finite")
     targets = np.asarray(targets)
     if targets.size and targets.dtype.kind not in "iu":
         raise ValueError(f"target indices must be integers, got {targets.dtype} {targets[0]!r}")
@@ -351,28 +348,24 @@ def train_l0(model: ListenerModel, train_trials: list[ContextTrial],
     Trains with ADADELTA at ADADELTA_LR, whose step() clips the gradients to
     a global norm of GRAD_CLIP (constants of `nnsubstrate`). Each batch's
     losses and gradients come from _l0_losses_and_grads, off the tape, so a
-    run matches a tape-trained one to within rounding, not bit for bit. The model is left
-    holding the best-dev-accuracy parameters. Dev inputs are built once and
-    scored after every epoch as evaluate_l0 scores them.
+    run matches a tape-trained one to within rounding, not bit for bit. Each
+    batch slices its ids from one padded_ids block (EmptyUtterance names an
+    empty row). The model keeps the best-dev-accuracy parameters. Dev inputs
+    are built once and scored after every epoch as evaluate_l0 scores them.
     """
     id_rows, feats, targets = _listener_inputs(model, train_trials)
-    ids = [np.array(row) for row in id_rows]
-    for i, row in enumerate(ids):
-        if not row.size:
-            raise EmptyUtterance(f"training trial {i} has a listener text with no tokens")
+    ids, lengths = padded_ids(id_rows, len(model.vocab))
     dev_ids, dev_feats, dev_targets = _listener_inputs(model, dev_trials)
 
     def batch_grad(batch):
-        losses = _l0_losses_and_grads(model, np.stack([ids[i] for i in batch]), feats[batch],
-                                      targets[batch], 1.0 / len(batch))
-        return losses, len(batch)
+        return _l0_losses_and_grads(model, ids[batch, :lengths[batch[0]]], feats[batch],
+                                    targets[batch], 1.0 / len(batch)), len(batch)
 
     def dev():
         acc, ppl = accuracy_perplexity(l0_probs_many(model, dev_ids, dev_feats), dev_targets)
         return acc, {"dev_accuracy": acc, "dev_perplexity": ppl}
 
-    return fit(Adadelta(model.parameters()), np.array([len(s) for s in ids]),
-               batch_grad, dev, config)
+    return fit(Adadelta(model.parameters()), lengths, batch_grad, dev, config)
 
 
 def evaluate_l0(model: ListenerModel,

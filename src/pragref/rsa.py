@@ -15,17 +15,16 @@ weigh L0 by S1_ALPHA. It scores one id row per context, and its chunk loop
 draws many rows per distinct context and runs the decoder once per
 distinct (context, prefix) that live rows share; the draws are deduped
 into utterance types, with -1 marking a bare end token, which the listener
-cannot score. Each chunk encodes the contexts its rows use once.
-`compute_agents` makes one S0 call per trial, and the observed utterance's
-id row, scored under each of the three contexts, rides in its first
-chunk's decoder steps. `listener_ids_for` converts each distinct token to listener ids once per
-call. `l0_probs_many` then runs the listener's LSTM once per distinct prefix
-of the types, in a prefix tree. For L2 every type is scored against the one
-context, whose feature rows L0 and S0 share: the quadratic form is folded
-into the listener head once per context, and the target-independent
-mu^T Sigma mu term is dropped. The pragmatic speaker sampler scores each row
-against its own context, running the head on blocks of distinct types
-whatever their lengths.
+cannot score. `compute_agents` makes one S0 call per trial, and the
+observed utterance's id row, scored under each of the three contexts,
+rides in its first chunk's decoder steps. `listener_ids_for` converts each
+distinct token to listener ids once per call. `l0_probs_many` then runs the
+listener's LSTM once per distinct prefix of the types, in a prefix tree.
+For L2 every type is scored against the one context, whose feature rows L0
+and S0 share: the quadratic form is folded into the listener head once per
+context, and the target-independent mu^T Sigma mu term is dropped. The
+pragmatic speaker sampler scores each row against its own context, running
+the head on blocks of distinct types whatever their lengths.
 
 Every inference path is held to a tolerance, not to bits, and every
 inference LSTM runs forward only on plain arrays. The S0 chunk loop of
@@ -77,11 +76,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .colorspace import Color, fourier_features_array
+from .colorspace import Color
 from .corpus import EOS, preprocess, speaker_tokens_to_listener_tokens
-from .errors import VacuousUtterance, require_count
+from .errors import VacuousUtterance, require_count, require_real, require_rows
 from .listener import ListenerModel, l0_probs_many
-from .speaker import SpeakerModel, s0_sample_utterances, target_last_order
+from .speaker import SpeakerModel, feature_rows, s0_sample_utterances
 
 PROB_FLOOR = 1e-12
 S1_ALPHA = 0.544  # pragmatic-speaker exponent over sampled alternatives
@@ -218,8 +217,7 @@ def exact_s1(lex: Lexicon, t: int, alpha: float = 1.0) -> list:
     not a bool; ValueError otherwise.
     """
     t = _index("referent", t, lex.n_referents)
-    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not math.isfinite(alpha):
-        raise ValueError(f"alpha must be a finite real number, got {alpha!r}")
+    require_real("alpha", alpha)
     weights = []
     for ui in range(len(lex.utterances)):
         try:
@@ -303,11 +301,16 @@ def s1_table_from_probs(l0_probs: np.ndarray, counts: np.ndarray,
     l0_probs (T, 3) holds L0 for each utterance type; counts (..., T) the
     multiplicity of each type in one or more alternative multisets, 0 for a
     type a multiset lacks. Returns (..., T, 3), each column summing to 1 over
-    types. Invariant to scaling an L0 column. A negative or NaN count raises
-    ValueError naming it.
+    types. Invariant to scaling an L0 column. ValueError names a negative or
+    NaN L0 probability's row, a negative or NaN count, a multiset whose
+    counts are all 0 (its row) and an alpha that exact_s1 rejects.
     """
+    require_rows("l0_probs", l0_probs, l0_probs >= 0, "has a negative or NaN entry")
+    require_real("alpha", alpha)
     if not (counts >= 0).all():
         raise ValueError(f"count {counts[~(counts >= 0)][0]} is negative or NaN")
+    sizes = counts.sum(axis=-1, keepdims=True)
+    require_rows("multiset", sizes, sizes > 0, "has no alternatives (total count)")
     powered = np.maximum(l0_probs, 1e-300) ** alpha
     weighted = counts[..., None] * powered
     return weighted / weighted.sum(axis=-2, keepdims=True)
@@ -341,15 +344,6 @@ def _as_speaker_utterance(u) -> Utterance:
     return tokens[:-1] if tokens and tokens[-1] == EOS else tokens
 
 
-def _trial_features(colors: tuple[Color, Color, Color]) -> tuple[np.ndarray, np.ndarray]:
-    """A context's feature rows, computed once: L0's (3, F) in stored order,
-    and S0's (3, 3, F), the same rows gathered in target_last_order for each
-    target index, as feature_rows gathers them for many contexts."""
-    rgb = np.asarray(colors, dtype=np.float64)
-    feats = fourier_features_array(rgb)
-    return feats, feats[target_last_order(np.broadcast_to(rgb, (3, 3, 3)), np.arange(3))]
-
-
 def _speaker_ids(model: SpeakerModel, observed: Utterance) -> list[int]:
     return model.vocab.encode(list(observed) + [EOS])
 
@@ -365,27 +359,29 @@ def neural_l1(s0_model: SpeakerModel, u,
               colors: tuple[Color, Color, Color]) -> np.ndarray:
     """Speaker-based listener: score u under each candidate target, normalize.
 
-    compute_agents' L1 without its samples: the same features and the same
-    S0 call (s0_sample_utterances), scoring u's id row under each of the
-    three target-last contexts, so the two are equal bit for bit. Identical
-    context colors give the uniform distribution by symmetry.
+    compute_agents' L1 without its samples: the same feature_rows pass and
+    the same S0 call (s0_sample_utterances), scoring u's id row under each of
+    the three target-last contexts, so the two are equal bit for bit.
+    Identical context colors give the uniform distribution by symmetry.
     """
     ids = _speaker_ids(s0_model, _as_speaker_utterance(u))
-    return _l1(s0_sample_utterances(s0_model, _trial_features(colors)[1], None, 0,
-                                    [ids] * 3)[2])
+    return _l1(s0_sample_utterances(s0_model, feature_rows([colors] * 3, (0, 1, 2))[1],
+                                    None, 0, [ids] * 3)[2])
 
 
 def blend(p: np.ndarray, q: np.ndarray, w: float) -> np.ndarray:
     """Renormalized geometric mixture p^w * q^(1-w), floored at 1e-12.
 
     p and q are distributions over the last axis: one (3,) or a batch (N, 3),
-    each row renormalized on its own. A weight w that is not finite raises
-    ValueError.
+    each row renormalized on its own. ValueError names a weight w that is not
+    finite, or p or q and the first row with an entry NaN or outside [0, 1].
     """
     if not math.isfinite(w):
         raise ValueError(f"blend weight w must be finite, got {w!r}")
-    log_p = np.log(np.maximum(np.asarray(p, dtype=np.float64), PROB_FLOOR))
-    log_q = np.log(np.maximum(np.asarray(q, dtype=np.float64), PROB_FLOOR))
+    p, q = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
+    for name, x in (("p", p), ("q", q)):
+        require_rows(name, x, (x >= 0.0) & (x <= 1.0), "is not in [0, 1]")
+    log_p, log_q = np.log(np.maximum(p, PROB_FLOOR)), np.log(np.maximum(q, PROB_FLOOR))
     mix = w * log_p + (1.0 - w) * log_q
     mix -= mix.max(axis=-1, keepdims=True)
     out = np.exp(mix)
@@ -403,30 +399,28 @@ def compute_agents(l0_model: ListenerModel, s0_model: SpeakerModel, u,
     exponent S1_ALPHA, and renormalize its observed-utterance row across
     targets. The n replicate distributions are averaged arithmetically.
 
-    The context's three feature rows are computed once: L0 scores against
-    them as stored, and S0 reads them gathered target-last. One S0 call
-    (s0_sample_utterances) draws the 3 * n * m samples, SAMPLE_BATCH rows
-    per chunk, each chunk encoding the target-last contexts its rows use
-    once, and scores the observed utterance's id row under each target for
-    L1, three score rows in the first chunk's decoder steps. The m rows of
-    target t, replicate r start at row (t * n + r) * m. Since the three
-    targets share one batch, the random stream, and so L2 for a given seed,
-    differs from drawing each target's rows in a batch of its own; scoring
-    L1 draws nothing from it. Each
-    distinct utterance, the observed one included, is scored by L0 once, and
-    the n replicate S1 tables are built together from an (n, types) count
-    matrix. L0 is the observed row of that L0 table: its speaker-mode tokens,
-    re-tokenized for the listener, are the listener-mode tokens of the text.
-    L1 equals neural_l1 bit for bit.
+    One feature_rows pass over the context under its three targets gives
+    L0 its first, stored-order block and S0 the target-last ones. One S0
+    call (s0_sample_utterances) draws the 3 * n * m samples and scores the
+    observed utterance's id row under each target for L1, three score rows
+    in the first chunk's decoder steps. The m rows of target t, replicate r
+    start at row (t * n + r) * m. Since the three targets share one batch,
+    the random stream, and so L2 for a given seed, differs from drawing each
+    target's rows in a batch of its own; scoring L1 draws nothing from it.
+    Each distinct utterance, the observed one included, is scored by L0
+    once, and the n replicate S1 tables are built together from an
+    (n, types) count matrix. L0 is the observed row of that L0 table: its
+    speaker-mode tokens, re-tokenized for the listener, are the
+    listener-mode tokens of the text. L1 equals neural_l1 bit for bit.
     """
-    feats, s0_feats = _trial_features(colors)
+    feats, s0_feats = feature_rows([colors] * 3, (0, 1, 2))
     observed = _as_speaker_utterance(u)
     types, row_types, log_probs = s0_sample_utterances(
         s0_model, s0_feats, rng, cfg.n * cfg.m, [_speaker_ids(s0_model, observed)] * 3)
     if observed not in types:
         types.append(observed)
     obs = types.index(observed)
-    probs = l0_probs_many(l0_model, listener_ids_for(l0_model, types), feats)
+    probs = l0_probs_many(l0_model, listener_ids_for(l0_model, types), feats[0])
     # rows are target-major, then replicate, then sample; count per replicate
     rep_types = row_types.reshape(3, cfg.n, cfg.m).transpose(1, 0, 2).reshape(cfg.n, -1)
     counts = np.zeros((cfg.n, len(types)))

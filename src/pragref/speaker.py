@@ -409,19 +409,19 @@ def _decoder_step(model: SpeakerModel, ctx: np.ndarray, words: np.ndarray,
     return new_hc, logits
 
 
-def _decode(model: SpeakerModel, tables: tuple[np.ndarray, np.ndarray],
-            rng: np.random.Generator | None, node_of: np.ndarray, forced: np.ndarray,
-            lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _decode(model: SpeakerModel, feats: np.ndarray, words: np.ndarray,
+            rng: np.random.Generator | None, contexts: np.ndarray, scored: np.ndarray,
+            forced: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The decoder-step loop of one s0_sample_utterances chunk: ancestral
-    sampling of len(node_of) rows and teacher-forced scoring of the forced
+    sampling of len(contexts) rows and teacher-forced scoring of the forced
     id rows, in the same decoder steps.
 
+    contexts (B,) and scored (F,) name each sampled and each forced row's
+    context of feats (K, 3, F); words is s0_sample_utterances' word table.
     forced (F, L) holds id rows padded after their lengths (F,), longest
-    first. tables holds the context gate terms of the step-0 rows
-    (_context_terms), one per forced row, then one per step-0 node of the
-    sampled rows, and the word table; node_of (B,) maps each sampled row to
-    its node. Pass tables as a temporary: _decode then holds the only
-    reference to the step-0 rows, which are freed as the nodes regroup.
+    first. The step-0 context gate terms (_context_terms) hold one row per
+    forced row, then one per node, the sampled rows starting as one node per
+    distinct context; each regroup rebinds them, freeing the step-0 rows.
     Returns the sampled ids (B, MAX_DECODE_LEN), </s> after each row's first
     </s>, and the forced rows' log probabilities (F,).
 
@@ -445,10 +445,10 @@ def _decode(model: SpeakerModel, tables: tuple[np.ndarray, np.ndarray],
     are those of sampling alone, and the scores those of scoring alone. The
     loop runs until the last sampled row and the longest forced row end.
     """
-    ctx, words = tables
-    del tables
+    nodes, node_of = np.unique(contexts, return_inverse=True)
+    ctx = _context_terms(model, feats, scored.tolist() + nodes.tolist())
     eos, bos, vocab_size = model.vocab.eos_id, model.vocab.bos_id, len(model.vocab)
-    batch = len(node_of)
+    batch = len(contexts)
     live = np.arange(batch)  # sampled rows not yet ended
     ids = np.full((batch, MAX_DECODE_LEN), eos)
     scores = np.zeros(len(lengths))
@@ -543,12 +543,11 @@ def s0_sample_utterances(model: SpeakerModel, feats: np.ndarray,
 
     The score rows are sorted by length, longest first, so the rows still
     scoring at any step are a prefix of the order. Each chunk takes the next
-    SAMPLE_BATCH rows to sample and the next SAMPLE_BATCH score rows, and
-    encodes each context they use once, the score rows' first
-    (_context_terms); the word table is built once per call. _decode then
-    walks the chunk's steps: ancestral sampling, </s> forced at
-    MAX_DECODE_LEN, with a sampling distribution that masks <s>, an
-    input-only symbol; and log_softmax gathered at each score row's next id.
+    SAMPLE_BATCH rows to sample and the next SAMPLE_BATCH score rows into
+    _decode, with the word table, built once per call. _decode encodes each
+    context they use once, the score rows' first (_context_terms), and walks
+    the chunk's steps: ancestral sampling, with </s> forced at
+    MAX_DECODE_LEN, and log_softmax gathered at each score row's next id.
     The decoder runs once per distinct (context, prefix) that live rows
     share, and the random stream is the same as decoding every row on its
     own. The score rows draw no uniform: while the K * per_context rows fit
@@ -585,11 +584,8 @@ def s0_sample_utterances(model: SpeakerModel, feats: np.ndarray,
     log_probs = np.empty(len(order))
     for lo in range(0, max(len(sampled), len(order)), SAMPLE_BATCH):
         chunk, scored = slice(lo, lo + SAMPLE_BATCH), order[lo:lo + SAMPLE_BATCH]
-        nodes, node_of = np.unique(sampled[chunk], return_inverse=True)
-        step0 = scored.tolist() + nodes.tolist()
-        # the step-0 terms go in as a temporary, for _decode to free as the nodes regroup
-        ids, log_probs[scored] = _decode(model, (_context_terms(model, feats, step0), words),
-                                         rng, node_of, forced[scored], lengths[scored])
+        ids, log_probs[scored] = _decode(model, feats, words, rng, sampled[chunk], scored,
+                                         forced[scored], lengths[scored])
         row_types[chunk] = _type_indices(model, ids, index, types)
     return types, row_types, None if score is None else log_probs
 
@@ -621,20 +617,19 @@ def train_s0(model: SpeakerModel, train_trials: list[ContextTrial],
     Trains with Adam at ADAM_LR, whose step() clips the gradients to a global
     norm of GRAD_CLIP (constants of `nnsubstrate`). Each batch's losses and
     gradients come from _s0_losses_and_grads, off the tape, so a run matches
-    a tape-trained one to within rounding, not bit for bit. The model is left
-    holding the best-dev-perplexity parameters. Dev inputs are built once and
-    scored after every epoch as dev_token_perplexity scores them.
+    a tape-trained one to within rounding, not bit for bit. Each batch slices
+    its ids from one padded_ids block. The model keeps the best-dev-perplexity
+    parameters. Dev inputs are built once and scored after every epoch as
+    dev_token_perplexity scores them.
     """
     id_rows, feats = _speaker_inputs(model, train_trials)
-    ids = [np.array(row) for row in id_rows]
-    lengths = np.array([len(s) for s in ids])
+    ids, lengths = padded_ids(id_rows, len(model.vocab))
     dev_ids, dev_feats = _speaker_inputs(model, dev_trials)
 
     def batch_grad(batch):
         n_tokens = int(lengths[batch].sum())
-        losses = _s0_losses_and_grads(model, feats[batch], np.stack([ids[i] for i in batch]),
-                                      1.0 / n_tokens)
-        return losses, n_tokens
+        return _s0_losses_and_grads(model, feats[batch], ids[batch, :lengths[batch[0]]],
+                                    1.0 / n_tokens), n_tokens
 
     def dev():
         ppl = _token_perplexity(model, dev_ids, dev_feats)

@@ -28,7 +28,8 @@ class TrainConfig:
     The optimizers are fixed: ADADELTA at ADADELTA_LR for the listener, Adam
     at ADAM_LR for the speaker, each of whose step() clips the gradients to a
     global norm of GRAD_CLIP (constants of `nnsubstrate`). Epochs and batch
-    size are declared defaults, not tuned; both must be integers of at least 1.
+    size are declared defaults, not tuned, and integers of at least 1; the
+    seed is an integer of at least 0.
     """
 
     epochs: int = 10
@@ -38,6 +39,7 @@ class TrainConfig:
     def __post_init__(self):
         require_count("epochs", self.epochs)
         require_count("batch_size", self.batch_size)
+        require_count("seed", self.seed, minimum=0)
 
 
 @dataclass

@@ -14,6 +14,7 @@ from pragref.corpus import synth_corpus
 from pragref.listener import accuracy_perplexity
 from pragref.metrics import behavior_metrics, evaluate_probs
 from pragref.rsa import blend, s1_table_from_probs
+from pragref.training import TrainConfig
 
 
 def _uniform(n: int) -> np.ndarray:
@@ -33,6 +34,7 @@ VALID = {
     blend: {"p": np.array([0.2, 0.3, 0.5]), "q": _uniform(2), "w": 0.492},
     s1_table_from_probs: {"l0_probs": np.array([[0.2, 0.3, 0.5], [0.6, 0.3, 0.1]]),
                           "counts": np.array([[1.0, 2.0], [0.0, 1.0]]), "alpha": 0.544},
+    TrainConfig: {"seed": 0},
 }
 
 CASES = [
@@ -65,6 +67,30 @@ CASES = [
      r"count -3\.0 is negative or NaN"),
     (s1_table_from_probs, "counts", np.array([1.0, np.nan]), ValueError,
      r"count nan is negative or NaN"),
+    # a negative probability was read as a distribution, a NaN one gave a row of NaN
+    (blend, "p", np.array([-0.5, 1.0, 0.5]), ValueError,
+     r"p row 0 is not in \[0, 1\]: -0\.5"),
+    (blend, "p", np.array([1.5, 0.0, 0.0]), ValueError, r"p row 0 is not in \[0, 1\]: 1\.5"),
+    (blend, "q", _with_row(2, 1, np.nan), ValueError, r"q row 1 is not in \[0, 1\]: nan"),
+    # a NaN L0 probability gave a NaN column, a negative one was floored to 0
+    (s1_table_from_probs, "l0_probs", np.array([[0.2, 0.3, 0.5], [np.nan, 0.5, 0.5]]),
+     ValueError, r"l0_probs row 1 has a negative or NaN entry: nan"),
+    (s1_table_from_probs, "l0_probs", np.array([[-0.2, 0.7, 0.5], [0.6, 0.3, 0.1]]),
+     ValueError, r"l0_probs row 0 has a negative or NaN entry: -0\.2"),
+    # alpha=nan gave tables of NaN
+    (s1_table_from_probs, "alpha", float("nan"), ValueError,
+     r"alpha must be a finite real number, got nan"),
+    (s1_table_from_probs, "alpha", float("inf"), ValueError,
+     r"alpha must be a finite real number, got inf"),
+    (s1_table_from_probs, "alpha", True, ValueError,
+     r"alpha must be a finite real number, got True"),
+    # a multiset of no alternatives divided 0 by 0
+    (s1_table_from_probs, "counts", np.array([[1.0, 2.0], [0.0, 0.0]]), ValueError,
+     r"multiset row 1 has no alternatives"),
+    # a float or negative seed failed only once fit started, a bool trained as seed 1
+    (TrainConfig, "seed", 1.5, ValueError, r"seed must be an integer of at least 0, got 1\.5"),
+    (TrainConfig, "seed", -1, ValueError, r"seed must be an integer of at least 0, got -1"),
+    (TrainConfig, "seed", True, ValueError, r"seed must be an integer of at least 0, got True"),
 ]
 
 

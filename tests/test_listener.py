@@ -336,7 +336,7 @@ class TestTrainL0:
         model = ListenerModel.create(vocab, np.random.default_rng(0),
                                      embed_dim=8, hidden_dim=6)
         before = [p.data.copy() for p in model.parameters()]
-        with pytest.raises(EmptyUtterance, match="trial 17"):
+        with pytest.raises(EmptyUtterance, match="id row 17 has no tokens"):
             train_l0(model, trials, trials[:5], TrainConfig(epochs=1))
         for p, q in zip(model.parameters(), before):
             assert np.array_equal(p.data, q)

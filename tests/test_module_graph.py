@@ -6,6 +6,10 @@ module to another's internals. Both are rejected here, and so is a cycle.
 Colors reach numpy only as tuples: no module reads a color's channels by
 name (`.r`, `.g`, `.b`) or converts it with `.as_array()`.
 
+The feature builders `fourier_features_array` and `target_last_order` are
+named only where model inputs are built (`colorspace`, `listener`,
+`speaker`), so no other module grows a second builder beside theirs.
+
 Every method that `perfbench/tracing.py` traces is defined in its class's
 own body, where the tracer looks it up.
 """
@@ -93,11 +97,25 @@ CELL_KERNELS = {"lstm_cell", "lstm_cell_backward", "lstm_bptt"}
 TAPE_LSTM = {"lstm_step", "run_lstm"}
 
 
+def _names(tree: ast.AST) -> set[str]:
+    """Every name and attribute a syntax tree reads, and every name it
+    imports or defines."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out |= {node.name, node.asname} - {None}
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+    return out
+
+
 def _names_in_functions(source: str, functions: set[str]) -> dict[str, set[str]]:
-    """Every name and attribute each top-level function of `functions` reads."""
-    return {node.name: {sub.id if isinstance(sub, ast.Name) else sub.attr
-                        for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute))}
-            for node in ast.parse(source).body
+    """Every name each top-level function of `functions` reads or defines."""
+    return {node.name: _names(node) for node in ast.parse(source).body
             if isinstance(node, ast.FunctionDef) and node.name in functions}
 
 
@@ -116,6 +134,27 @@ def test_kernel_checker_catches_names_and_attributes():
     names = _names_in_functions(source, TAPE_LSTM)
     assert {f: n & CELL_KERNELS for f, n in names.items()} == {"lstm_step": {"lstm_cell"},
                                                               "run_lstm": {"lstm_bptt"}}
+
+
+FEATURE_BUILDERS = {"fourier_features_array", "target_last_order"}
+BUILDER_MODULES = {"colorspace", "listener", "speaker"}
+
+
+def test_feature_builders_named_only_where_inputs_are_built():
+    found = {p.stem: sorted(n) for p in SOURCES if p.stem not in BUILDER_MODULES
+             and (n := _names(ast.parse(p.read_text(encoding="utf-8"))) & FEATURE_BUILDERS)}
+    assert found == {}
+
+
+def test_feature_builder_checker_catches_imports_calls_and_definitions():
+    for source, want in [("from .colorspace import fourier_features_array as ffa\n",
+                          {"fourier_features_array"}),
+                         ("order = speaker.target_last_order(rgb, targets)\n",
+                          {"target_last_order"}),
+                         ("def fourier_features_array(rgb):\n    return rgb\n",
+                          {"fourier_features_array"}),
+                         ("feats = speaker.feature_rows(rgb, targets)\n", set())]:
+        assert _names(ast.parse(source)) & FEATURE_BUILDERS == want
 
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"

@@ -380,9 +380,10 @@ class TestNeuralL2:
         calls = []
         decode = speaker._decode
 
-        def recording(model, tables, rng, node_of, forced, lengths):
-            calls.append((len(tables[0]), node_of.tolist(), len(forced)))
-            return decode(model, tables, rng, node_of, forced, lengths)
+        def recording(model, feats, words, rng, contexts, scored, forced, lengths):
+            step0 = len(scored) + len(np.unique(contexts))  # score rows, then nodes
+            calls.append((step0, contexts.tolist(), len(forced)))
+            return decode(model, feats, words, rng, contexts, scored, forced, lengths)
 
         monkeypatch.setattr("pragref.speaker._decode", recording)
         cfg = PragmaticsConfig(m=3, n=4)
@@ -642,9 +643,9 @@ class TestOneSpeakerPass:
             encoded.append(len(feats))
             return encode(feats)
 
-        def recording_decode(model, tables, *args):
-            words.append(tables[1])
-            return decode(model, tables, *args)
+        def recording_decode(model, feats, table, *args):
+            words.append(table)
+            return decode(model, feats, table, *args)
 
         s0._encoder_pass = counting_encode
         monkeypatch.setattr(speaker, "_decode", recording_decode)

@@ -826,8 +826,9 @@ class TestChunks:
 
 
 # tracemalloc peak, in MiB, of sampling 1,024 contexts at default dimensions.
-# It read 13.36 with the step-0 context terms passed to _decode as a
-# temporary, and 16.48 with a local variable holding them through the steps.
+# It reads about 12.9 with _decode building the step-0 context terms into a
+# local that each regroup rebinds, and read 16.48 when a variable of the
+# caller held them through the steps.
 SAMPLER_PEAK_MIB = 15.0
 
 

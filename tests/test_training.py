@@ -80,6 +80,41 @@ class TestOneScanPerStep:
         assert len(dots) == len(steps) * len(model.parameters())
 
 
+class TestIdBlocks:
+    """Each batch's id block holds its rows' ids stacked, in the order of fit's
+    seeded permutation and same_length_batches."""
+
+    @pytest.mark.parametrize("cls,train_fn,module,loss_name,ids_at,row_ids,mode", [
+        (ListenerModel, train_l0, listener, "_l0_losses_and_grads", 0,
+         listener.trial_listener_ids, "listener"),
+        (SpeakerModel, speaker.train_s0, speaker, "_s0_losses_and_grads", 1,
+         speaker.trial_speaker_ids, "speaker")])
+    def test_each_block_stacks_its_batch_rows(self, monkeypatch, cls, train_fn, module,
+                                              loss_name, ids_at, row_ids, mode):
+        trials = synth_corpus(40, np.random.default_rng(8))
+        vocab = build_vocab([preprocess(t.combined_text(), mode) for t in trials])
+        model = cls.create(vocab, np.random.default_rng(0), embed_dim=4, hidden_dim=3)
+        config = TrainConfig(epochs=2, batch_size=4, seed=3)
+        rows = [row_ids(model, t) for t in trials]
+        lengths = np.array([len(r) for r in rows])
+        order_rng = np.random.default_rng(config.seed)
+        want = [np.array([rows[i] for i in batch]) for _ in range(config.epochs)
+                for batch in same_length_batches(lengths, order_rng.permutation(len(rows)),
+                                                 config.batch_size)]
+        blocks = []
+        losses_and_grads = getattr(module, loss_name)
+
+        def spy(model, *args):
+            blocks.append(args[ids_at].copy())
+            return losses_and_grads(model, *args)
+
+        monkeypatch.setattr(module, loss_name, spy)
+        train_fn(model, trials, trials[:4], config)
+        assert len(blocks) == len(want) and len(set(lengths.tolist())) > 1
+        for got, rows_of_batch in zip(blocks, want):
+            assert got.dtype == np.int64 and np.array_equal(got, rows_of_batch)
+
+
 class TestFit:
     """fit on a stub model: one parameter, a constant gradient, a scripted dev score."""
 
